@@ -245,8 +245,12 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_riesz(args) -> int:
+    n_chains = args.threads or 32
+    if args.steps < 2 or n_chains < 2:
+        raise ConfigError("riesz needs --steps >= 2 and --threads >= 2 for batch-mean "
+                          "errors, got %d and %d" % (args.steps, n_chains))
     dev = riesz_branch_normalization()
-    chain = riesz_chain(args.steps, seed=args.seed or 0, n_chains=args.threads or 32)
+    chain = riesz_chain(args.steps, seed=args.seed or 0, n_chains=n_chains)
     coeffs = {}
     for freq in args.fourier:
         value, stderr = fourier_coefficient(chain, freq, angular=True)

@@ -7,19 +7,23 @@ is nonempty, convex, weakly compact); uniqueness is not, so the chain
 estimates one invariant measure and reports batch-mean uncertainty
 rather than certifying extremality.
 
+The chains run the branch walk of `pathspace`, the same walk that
+samples the path measures P_x; only the recorded states differ.
+
 The worked circle example: scale 3, W(e^{it}) = (2/3) cos^2 t, whose
 stationary measure is the Riesz product
-d nu(t) = (1/2 pi) prod_{k>=1} (1 + cos(2 * 3^k t)).
+d nu(t) = (1/2 pi) prod_{k>=1} (1 + cos(2 * 3^k t)).  Its chain is that
+walk on the 1-d view x = t / 2 pi, x -> (x + j)/3 for j in {0, 1, 2}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .measure import Weight
-from .pathspace import ZERO_BRANCH_CUTOFF, _branch_probabilities
+from .pathspace import _walk
 from .system import IfsView
 
 __all__ = [
@@ -72,25 +76,14 @@ def run_chain(weight: Weight, view: IfsView, x0, n: int, burn_in: int = DEFAULT_
               seed: int = 0, n_chains: int = DEFAULT_BATCHES) -> ChainSample:
     """Sample ~n post-burn-in states of the walk, split over n_chains
     independent chains advanced in lockstep (deterministic given seed)."""
-    if n < n_chains:
-        n_chains = max(1, n)
-    per_chain = n // n_chains
-    counts = np.full(n_chains, per_chain)
+    if n < 1 or n_chains < 1:
+        raise ValueError("n and n_chains must be >= 1")
+    n_chains = min(n_chains, n)
+    counts = np.full(n_chains, n // n_chains)
     counts[-1] += n - int(counts.sum())
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    states = np.tile(np.asarray(x0, dtype=float).reshape(1, view.d), (n_chains, 1))
-    max_count = int(counts.max())
-    keep = np.empty((n_chains, max_count, view.d))
-    idx = np.arange(n_chains)
-    for step in range(burn_in + max_count):
-        probs = _branch_probabilities(weight, view, states)
-        u = rng.random(n_chains)
-        choices = np.minimum((u[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1),
-                             view.n_digits - 1)
-        states = view.tau_all(states)[choices, idx]
-        if step >= burn_in:
-            keep[:, step - burn_in] = states
-    blocks = [keep[i, : counts[i]] for i in range(n_chains)]
+    _, kept = _walk(weight, view, x0, burn_in + int(counts[-1]), n_chains, seed,
+                    keep_from=burn_in + 1)
+    blocks = [kept[i, : counts[i]] for i in range(n_chains)]
     return ChainSample(states=np.concatenate(blocks, axis=0), burn_in=burn_in,
                        seed=seed, n_chains=n_chains)
 
@@ -134,35 +127,21 @@ def riesz_partial_density(t, n_factors: int) -> np.ndarray:
     return dens / (2.0 * np.pi)
 
 
+# x = t / 2 pi: the cube map on the circle as the 1-d IFS x -> (x + j)/3
+_RIESZ_VIEW = IfsView("riesz3", np.array([[3.0]]), np.arange(3.0).reshape(3, 1))
+_RIESZ_WEIGHT = Weight(lambda x: riesz_weight(2.0 * np.pi * x), "(2/3) cos^2(2 pi x)")
+
+
 def riesz_chain(n: int, seed: int = 0, burn_in: int = DEFAULT_BURN_IN,
                 n_chains: int = DEFAULT_BATCHES, t0: float = 0.0) -> ChainSample:
     """The circle walk t -> (t + 2 pi j)/3 with probability W((t + 2 pi j)/3).
 
-    Stationary law: the Riesz product.  Vectorized across chains; states
-    are angles in [0, 2 pi).
+    Stationary law: the Riesz product.  Runs as `run_chain` on the view
+    x = t / 2 pi; states are angles in [0, 2 pi), shape (n,).
     """
-    if n < n_chains:
-        n_chains = max(1, n)
-    per_chain = n // n_chains
-    counts = np.full(n_chains, per_chain)
-    counts[-1] += n - int(counts.sum())
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    t = np.full(n_chains, float(t0))
-    total_steps = burn_in + int(counts.max())
-    keep = np.empty((n_chains, int(counts.max())))
-    js = np.arange(3.0)
-    for step in range(total_steps):
-        branches = (t[:, None] + 2.0 * np.pi * js[None, :]) / 3.0
-        probs = riesz_weight(branches)
-        probs = np.where(probs < ZERO_BRANCH_CUTOFF, 0.0, probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-        u = rng.random(n_chains)
-        choice = np.minimum((u[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1), 2)
-        t = branches[np.arange(n_chains), choice]
-        if step >= burn_in:
-            keep[:, step - burn_in] = t
-    states = np.concatenate([keep[i, : counts[i]] for i in range(n_chains)])
-    return ChainSample(states=states, burn_in=burn_in, seed=seed, n_chains=n_chains)
+    sample = run_chain(_RIESZ_WEIGHT, _RIESZ_VIEW, [t0 / (2.0 * np.pi)], n,
+                       burn_in=burn_in, seed=seed, n_chains=n_chains)
+    return replace(sample, states=2.0 * np.pi * sample.states[:, 0])
 
 
 def concentration_curve(states: np.ndarray, n_bins: int = 512) -> np.ndarray:

@@ -87,6 +87,18 @@ class Weight:
         return self.fn(x)
 
 
+def _weight_at(weight, points: np.ndarray) -> np.ndarray:
+    """W at each row of an (n, d) array; a 1-d weight takes flat coordinates."""
+    return np.asarray(weight(points if points.shape[1] > 1 else points[:, 0]), dtype=float)
+
+
+def _branch_weights(weight, view: IfsView, z: np.ndarray) -> tuple:
+    """(images, w): the branch images tau_i z of a batch z, shape (N, n, d),
+    and the raw weights W(tau_i z), shape (N, n), from one weight call."""
+    images = view.tau_all(z)
+    return images, _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
+
+
 def weight_from_digits(digits, description: str = "") -> Weight:
     b = np.atleast_2d(np.asarray(digits, dtype=float))
     # |m_B|^2 has gradient bounded by 4 pi sqrt(N) max|b| / N * N = 4 pi max|b|

@@ -13,10 +13,12 @@ the repetition factors converge to 1 and the full path weight equals
 |mu_hat_B(x + k(prefix))|^2, the identity the closed-form harmonic
 estimator is built on.
 
-Monte Carlo sampling is vectorized across paths; the per-step branch
-probabilities W(tau_l z) are exact up to float rounding, and weights
-below 1e-15 are treated as exactly zero so paths cannot tunnel through
-zeros of W.
+Monte Carlo sampling runs the one branch walk of the package (`_walk`,
+also behind the stationary chains of `invariant`), vectorized across
+paths: each step evaluates W at all N branch images at once, draws the
+branch and moves to the chosen image.  The branch probabilities
+W(tau_l z) are exact up to float rounding, and weights below 1e-15 are
+treated as exactly zero so paths cannot tunnel through zeros of W.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import Cycle
-from .measure import Weight, mu_hat_batch
+from .measure import Weight, _branch_weights, _weight_at, mu_hat_batch
 from .spectrum import k_points_of_depth
 from .system import AffineSystem, IfsView
 
@@ -55,15 +57,20 @@ def _states_of_word(view: IfsView, x, word):
     return out
 
 
+def _word_weights(weight: Weight, view: IfsView, x, word) -> tuple:
+    """(states, w): the states z_1..z_n along a nonempty word and W(z_k),
+    with weights below the cutoff set to exactly zero."""
+    states = _states_of_word(view, x, word)
+    w = _weight_at(weight, states)
+    return states, np.where(w < ZERO_BRANCH_CUTOFF, 0.0, w)
+
+
 def cylinder_weight(weight: Weight, view: IfsView, x, word) -> float:
     """prod_k W(z_k) along the word; in [0, 1] under QMF; empty word -> 1."""
     word = list(word)
     if not word:
         return 1.0
-    states = _states_of_word(view, x, word)
-    w = np.asarray(weight(states if view.d > 1 else states[:, 0]), dtype=float)
-    w = np.where(w < ZERO_BRANCH_CUTOFF, 0.0, w)
-    return float(np.prod(w))
+    return float(np.prod(_word_weights(weight, view, x, word)[1]))
 
 
 def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
@@ -78,11 +85,8 @@ def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
     product = 1.0
     c = view.contraction_factor ** cycle.period
     for _ in range(max_blocks):
-        states = _states_of_word(view, zf, cycle.word)
-        w = np.asarray(weight(states if view.d > 1 else states[:, 0]), dtype=float)
-        w = np.where(w < ZERO_BRANCH_CUTOFF, 0.0, w)
-        block = float(np.prod(w))
-        product *= block
+        states, w = _word_weights(weight, view, zf, cycle.word)
+        product *= float(np.prod(w))
         if product == 0.0:
             return 0.0
         zf = states[-1]
@@ -94,13 +98,17 @@ def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
 
 def path_weight_with_tail(weight: Weight, view: IfsView, x, word, cycle: Cycle,
                           tol: float = 1e-12) -> float:
-    """P_x of the single infinite path (word, then cycle repeated forever)."""
-    prefix = cylinder_weight(weight, view, x, word)
+    """P_x of the single infinite path (word, then cycle repeated forever).
+
+    `word` may be any iterable, a one-shot iterator included."""
+    word = list(word)
+    if not word:
+        return cycle_tail_weight(weight, view, x, cycle, tol)
+    states, w = _word_weights(weight, view, x, word)
+    prefix = float(np.prod(w))
     if prefix == 0.0:
         return 0.0
-    states = _states_of_word(view, x, list(word)) if len(list(word)) else None
-    z = states[-1] if states is not None and len(states) else np.asarray(x, dtype=float)
-    return prefix * cycle_tail_weight(weight, view, z, cycle, tol)
+    return prefix * cycle_tail_weight(weight, view, states[-1], cycle, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,45 +142,42 @@ class PathEnsemble:
                 fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
-def _branch_probabilities(weight: Weight, view: IfsView, states: np.ndarray) -> np.ndarray:
-    """(count, N) branch probabilities W(tau_l z); validates QMF row sums."""
-    images = view.tau_all(states)  # (N, count, d)
-    probs = np.empty((states.shape[0], view.n_digits))
-    for i in range(view.n_digits):
-        w = np.asarray(weight(images[i] if view.d > 1 else images[i][:, 0]), dtype=float)
-        probs[:, i] = np.where(w < ZERO_BRANCH_CUTOFF, 0.0, w)
-    row_sums = probs.sum(axis=1)
-    worst = float(np.max(np.abs(row_sums - 1.0)))
-    if worst > QMF_SAMPLING_TOL:
-        raise ValueError(
-            "branch probabilities sum to 1 within %g only up to %g; "
-            "is the weight QMF-normalized?" % (QMF_SAMPLING_TOL, worst)
-        )
-    return probs / row_sums[:, None]
-
-
-def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed: int,
-          tail_window: int):
+def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
+          keep_from: int) -> tuple:
+    """The branch walk: `count` independent walks of `length` steps from x,
+    advanced in lockstep.  Each step moves z to tau_i z with probability
+    W(tau_i z), drawn by one uniform per walk against the cumulative
+    weights.  Returns the words (count, length) and the states z_k for
+    k >= keep_from, shape (count, length + 1 - keep_from, d), with z_0 = x.
+    """
     rng = np.random.default_rng(seed)
-    states = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
+    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
     words = np.empty((count, length), dtype=np.int8)
-    keep_from = length - tail_window
-    tail = np.empty((count, tail_window + 1, view.d))
-    for step in range(length):
-        probs = _branch_probabilities(weight, view, states)
-        u = rng.random(count)
-        choices = (u[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1)
-        choices = np.minimum(choices, view.n_digits - 1)
-        words[:, step] = choices
-        images = view.tau_all(states)
-        states = images[choices, np.arange(count)]
-        if step >= keep_from:
-            tail[:, step - keep_from + 1] = states
-        if step == keep_from - 1:
-            tail[:, 0] = states
+    kept = np.empty((count, length + 1 - keep_from, view.d))
     if keep_from == 0:
-        tail[:, 0] = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
-    return words, states, tail
+        kept[:, 0] = z
+    walks = np.arange(count)
+    last = view.n_digits - 1
+    # ufunc methods rather than their numpy wrappers: a step works on a few
+    # dozen numbers, so call overhead is most of its cost
+    for step in range(length):
+        images, w = _branch_weights(weight, view, z)
+        w = np.where(w < ZERO_BRANCH_CUTOFF, 0.0, w)
+        sums = np.add.reduce(w)
+        worst = np.maximum.reduce(np.abs(sums - 1.0))
+        if worst > QMF_SAMPLING_TOL:
+            raise ValueError(
+                "branch probabilities sum to 1 within %g only up to %g; "
+                "is the weight QMF-normalized?" % (QMF_SAMPLING_TOL, worst)
+            )
+        w /= sums
+        choices = np.add.reduce(rng.random(count) >= np.add.accumulate(w))
+        np.minimum(choices, last, out=choices)
+        words[:, step] = choices
+        z = images[choices, walks]
+        if step + 1 >= keep_from:
+            kept[:, step + 1 - keep_from] = z
+    return words, kept
 
 
 def sample_paths(weight: Weight, view: IfsView, x, length: int, count: int,
@@ -188,13 +193,13 @@ def sample_paths(weight: Weight, view: IfsView, x, length: int, count: int,
     if tail_window is None:
         tail_window = min(length, 8)
     tail_window = min(tail_window, length)
-    words, final_states, tail = _walk(weight, view, x, length, count, seed, tail_window)
+    words, tail = _walk(weight, view, x, length, count, seed, length - tail_window)
     return PathEnsemble(
         start=np.asarray(x, dtype=float).reshape(view.d),
         length=length,
         words=words,
         seed=seed,
-        final_states=final_states,
+        final_states=tail[:, -1].copy(),
         tail_states=tail,
     )
 

@@ -10,6 +10,7 @@ phrased against one of the two views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -55,11 +56,11 @@ class IfsView:
     def n_digits(self) -> int:
         return len(self.digits)
 
-    @property
+    @cached_property
     def inv(self) -> np.ndarray:
         return np.linalg.inv(self.matrix)
 
-    @property
+    @cached_property
     def inv_exact(self) -> np.ndarray | None:
         if self.matrix_exact is None:
             return None
@@ -93,11 +94,7 @@ class IfsView:
     def tau_all(self, points: np.ndarray) -> np.ndarray:
         """All branch images of a batch: shape (N, n_points, d)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((self.n_digits, pts.shape[0], self.d))
-        inv_t = self.inv.T
-        for i in range(self.n_digits):
-            out[i] = (pts + self.digits[i]) @ inv_t
-        return out
+        return (self.digits[:, None] + pts) @ self.inv.T
 
     def bounding_radius(self) -> float:
         """Radius a with tau_i(ball(0, a)) inside ball(0, a) for all i:

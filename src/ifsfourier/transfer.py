@@ -3,6 +3,9 @@
 (R_W f)(x) = sum_i W(tau_i x) f(tau_i x), evaluated on an axis-aligned
 grid: the weight W is always evaluated analytically (its zeros must not
 be smeared), while f is read off the grid by multilinear interpolation.
+The weights W(tau_i x) come from `measure._branch_weights`, the same
+evaluation that drives the branch walk of `pathspace`: R_W is the
+walk's one-step expectation.
 Harmonic functions are approached through Cesaro averages
 (1/n) sum_{k<n} R_W^k f rather than plain powers; plain iteration is
 kept as an option.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import Weight
+from .measure import Weight, _branch_weights
 from .system import IfsView
 
 __all__ = [
@@ -147,12 +150,10 @@ def ruelle_apply(weight: Weight, view: IfsView, f: GridFunction) -> GridFunction
     DomainError propagates from the interpolation).
     """
     nodes = f.nodes()
-    images = view.tau_all(nodes)  # (N, n, d)
+    images, w = _branch_weights(weight, view, nodes)
     acc = np.zeros(nodes.shape[0], dtype=f.values.dtype)
     for i in range(view.n_digits):
-        pts = images[i]
-        w = np.asarray(weight(pts if view.d > 1 else pts[:, 0]), dtype=float)
-        acc = acc + w * np.atleast_1d(f.eval(pts))
+        acc = acc + w[i] * np.atleast_1d(f.eval(images[i]))
     return GridFunction(lo=f.lo, hi=f.hi, values=acc.reshape(f.values.shape))
 
 
@@ -182,11 +183,8 @@ def check_qmf(weight: Weight, view: IfsView, n_probe: int = 10_000, seed: int = 
     rng = np.random.default_rng(seed)
     lo, hi = view.box(inflate=1.0)
     pts = rng.uniform(lo, hi, size=(n_probe, view.d))
-    images = view.tau_all(pts)
-    total = np.zeros(n_probe)
-    for i in range(view.n_digits):
-        total += np.asarray(weight(images[i] if view.d > 1 else images[i][:, 0]), dtype=float)
-    return float(np.max(np.abs(total - 1.0)))
+    _, w = _branch_weights(weight, view, pts)
+    return float(np.max(np.abs(w.sum(axis=0) - 1.0)))
 
 
 def harmonic_defect(weight: Weight, view: IfsView, h: GridFunction) -> float:

@@ -184,6 +184,23 @@ def test_riesz_command(tmp_path, capsys):
     assert curve.read_text().startswith("q,mass")
 
 
+@pytest.mark.parametrize("argv", [("--steps", "0"), ("--steps", "1"), ("--threads", "1"),
+                                  ("--threads", "-3")])
+def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
+    # batch-mean errors need two chains; fewer would print NaN stderrs
+    code = main(["riesz", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "riesz needs" in json.loads(captured.err)["error"]
+
+
+def test_riesz_two_steps_is_finite(capsys):
+    code, out = run_cli(capsys, "riesz", "--steps", "2", "--seed", "1")
+    rep = json.loads(out)
+    assert code == 0 and rep["steps"] == 2
+    assert "NaN" not in out
+
 def test_example_listing_and_dump(capsys):
     code, out = run_cli(capsys, "example")
     assert code == 0

@@ -15,6 +15,7 @@ from ifsfourier.invariant import (
     riesz_branch_normalization,
     riesz_chain,
     riesz_partial_density,
+    riesz_weight,
 )
 from ifsfourier.system import IfsView
 
@@ -70,6 +71,51 @@ def test_chain_deterministic_given_seed(cantor4):
     c = riesz_chain(2000, seed=9)
     d = riesz_chain(2000, seed=9)
     assert np.array_equal(c.states, d.states)
+
+
+def _reference_riesz_chain(n, seed, burn_in, n_chains, t0=0.0):
+    """The bespoke circle loop riesz_chain ran before it became a run_chain
+    call: angles in place of x = t / 2 pi, no QMF check.  Returns the
+    recorded angles, chain by chain, and every branch choice."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    t = np.full(n_chains, float(t0))
+    per_chain = n // n_chains
+    keep = np.empty((n_chains, burn_in + per_chain))
+    choices = np.empty((n_chains, burn_in + per_chain), dtype=int)
+    for step in range(burn_in + per_chain):
+        branches = (t[:, None] + 2.0 * np.pi * np.arange(3.0)[None, :]) / 3.0
+        probs = riesz_weight(branches)
+        probs = np.where(probs < 1e-15, 0.0, probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        u = rng.random(n_chains)
+        choice = np.minimum((u[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1), 2)
+        t = branches[np.arange(n_chains), choice]
+        keep[:, step] = t
+        choices[:, step] = choice
+    return keep[:, burn_in:], choices[:, burn_in:]
+
+
+@pytest.mark.parametrize("burn_in,t0", [(0, 0.0), (0, 1.3), (25, 4.0)])
+def test_riesz_chain_matches_reference_loop(burn_in, t0):
+    n, n_chains = 32 * 150, 32
+    chain = riesz_chain(n, seed=5, burn_in=burn_in, n_chains=n_chains, t0=t0)
+    angles, ref_choices = _reference_riesz_chain(n, 5, burn_in, n_chains, t0)
+    assert chain.states.shape == (n,)
+    got = chain.states.reshape(n_chains, -1)
+    assert np.max(np.abs(got - angles)) < 1e-14
+    # branch j maps t to (t + 2 pi j) / 3, so j = (3 t_k - t_{k-1}) / 2 pi
+    # (after a burn-in the state before the first recorded one is unknown)
+    prev = np.concatenate([np.full((n_chains, 1), float(t0)), got[:, :-1]], axis=1)
+    choices = np.rint((3.0 * got - prev) / (2.0 * np.pi)).astype(int)
+    start = 0 if burn_in == 0 else 1
+    assert np.array_equal(choices[:, start:], ref_choices[:, start:])
+
+
+def test_run_chain_rejects_empty():
+    w = Weight(lambda x: np.full(np.shape(x), 0.5), "1/N")
+    view = IfsView("B", np.array([[4.0]]), np.array([[0.0], [2.0]]))
+    with pytest.raises(ValueError):
+        run_chain(w, view, [0.1], 0)
 
 
 def test_batch_mean_stderr_iid_scale():

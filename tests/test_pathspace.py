@@ -8,10 +8,12 @@ from ifsfourier import (
     cylinder_weight,
     estimate_h,
     find_w_cycles,
+    get_system,
     h_closed_form,
     k_point,
     mu_hat_detail,
     path_weight_with_tail,
+    run_chain,
     sample_paths,
     weight_from_digits,
 )
@@ -178,3 +180,75 @@ def test_h_closed_form_cross_check_mc(cantor4, cantor4_weight, cantor4_w_cycles)
     cf = h_closed_form(cantor4, x, cantor4_w_cycles[0], 12)
     sigma = max(mc.stderrs[0], 1e-4)
     assert abs(mc.probabilities[0] - cf) < 3 * sigma + mc.unclassified
+
+
+def test_path_weight_with_tail_accepts_one_shot_iterables():
+    sys_ = get_system("lambda15")
+    w = weight_from_digits(sys_.B)
+    cycle = next(c for c in find_w_cycles(sys_, 1) if c.word == (0,))
+    word = [1, 0, 1]
+    ref = path_weight_with_tail(w, sys_.l_view, [0.3], list(word), cycle)
+    assert path_weight_with_tail(w, sys_.l_view, [0.3], tuple(word), cycle) == ref
+    assert path_weight_with_tail(w, sys_.l_view, [0.3], iter(word), cycle) == ref
+    assert ref == pytest.approx(2.96e-6, rel=1e-2)
+
+
+# --- reference equivalence of the branch walk ------------------------------
+
+def _reference_walk(weight, view, x, length, count, seed):
+    """The per-digit walk the package used before its walks were merged:
+    one weight call per digit, and the branch images computed a second
+    time to move.  Returns the words and all states z_0..z_length."""
+    inv_t = np.linalg.inv(view.matrix).T
+
+    def images_of(z):
+        return np.stack([(z + view.digits[i]) @ inv_t for i in range(view.n_digits)])
+
+    rng = np.random.default_rng(seed)
+    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
+    words = np.empty((count, length), dtype=np.int8)
+    states = [z]
+    for step in range(length):
+        images = images_of(z)
+        probs = np.empty((count, view.n_digits))
+        for i in range(view.n_digits):
+            w = np.asarray(weight(images[i] if view.d > 1 else images[i][:, 0]), dtype=float)
+            probs[:, i] = np.where(w < 1e-15, 0.0, w)
+        probs = probs / probs.sum(axis=1)[:, None]
+        u = rng.random(count)
+        choices = np.minimum((u[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1),
+                             view.n_digits - 1)
+        words[:, step] = choices
+        z = images_of(z)[choices, np.arange(count)]
+        states.append(z)
+    return words, np.stack(states, axis=1)
+
+
+WALK_CASES = [("cantor4", [0.3]), ("lambda15", [0.21]), ("twindragon", [0.1, -0.2]),
+              ("planar-shear", [0.15, 0.05])]
+
+
+@pytest.mark.parametrize("name,x", WALK_CASES)
+def test_sample_paths_matches_reference_walk(name, x):
+    sys_ = get_system(name)
+    w = weight_from_digits(sys_.B)
+    length, count, tail_window = 24, 300, 5
+    ens = sample_paths(w, sys_.l_view, x, length, count, seed=21, tail_window=tail_window)
+    words, states = _reference_walk(w, sys_.l_view, x, length, count, seed=21)
+    assert np.array_equal(ens.words, words)
+    assert np.array_equal(ens.tail_states, states[:, length - tail_window:])
+    assert np.array_equal(ens.final_states, states[:, -1])
+
+
+@pytest.mark.parametrize("name,x", WALK_CASES)
+def test_run_chain_matches_reference_walk(name, x):
+    sys_ = get_system(name)
+    w = weight_from_digits(sys_.B)
+    n, burn_in, n_chains = 1003, 40, 8  # the last chain runs three steps longer
+    chain = run_chain(w, sys_.l_view, x, n, burn_in=burn_in, seed=22, n_chains=n_chains)
+    counts = [n // n_chains] * n_chains
+    counts[-1] += n - sum(counts)
+    _, states = _reference_walk(w, sys_.l_view, x, burn_in + counts[-1], n_chains, seed=22)
+    expected = np.concatenate(
+        [states[i, burn_in + 1: burn_in + 1 + counts[i]] for i in range(n_chains)])
+    assert np.array_equal(chain.states, expected)
