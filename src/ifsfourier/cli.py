@@ -196,7 +196,15 @@ def cmd_mu_hat(args) -> int:
     return EXIT_OK
 
 
+def _require_positive(**values) -> None:
+    """Bad input (exit 2) unless every named count is >= 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise ConfigError("--%s must be >= 1, got %d" % (name, value))
+
+
 def cmd_attractor(args) -> int:
+    _require_positive(samples=args.samples, threads=args.threads)
     cfg, sys_obj = _load_system(args)
     view = sys_obj.b_view if args.view == "B" else sys_obj.l_view
     pts = chaos_game(view, args.samples, cfg.seed, n_streams=args.threads)
@@ -215,6 +223,7 @@ def cmd_attractor(args) -> int:
 
 
 def cmd_harmonic(args) -> int:
+    _require_positive(paths=args.paths, length=args.length)
     cfg, sys_obj = _load_system(args)
     cycles = _w_cycles_or_fail(sys_obj, cfg.p_max)
     if cycles is None:
@@ -245,7 +254,7 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_riesz(args) -> int:
-    n_chains = args.threads or 32
+    n_chains = args.threads
     if args.steps < 2 or n_chains < 2:
         raise ConfigError("riesz needs --steps >= 2 and --threads >= 2 for batch-mean "
                           "errors, got %d and %d" % (args.steps, n_chains))

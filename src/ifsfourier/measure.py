@@ -11,12 +11,21 @@ m_B(S^{-k} t) / sqrt(N), with the truncation depth chosen from a
 geometric tail bound.  Orthogonality of Fourier frequencies always comes
 from one product factor vanishing exactly, so the evaluator reduces
 rational arguments mod 1 exactly and reports such zeros as exact.
+
+At the N branch images tau_l z = S^{-1}(z + l) of the L-view, W_B
+factors through the duality matrix H[b, l] = exp(2 pi i R^{-1}b.l):
+
+    W_B(tau_l z) = |sum_b exp(2 pi i (R^{-1}b).z) H[b, l]|^2 / N^2,
+
+N exponentials per state instead of N^2.  QMF, sum_l W_B(tau_l z) = 1,
+is the unitarity of H / sqrt(N).  `_branch_weights` evaluates every
+weight built by `weight_from_digits` this way, on any affine view.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -77,11 +86,25 @@ class Weight:
 
     W is always evaluated analytically, never interpolated: its zeros are
     geometrically critical and interpolation would smear them.
+
+    `digits`, when set, are the frequencies of an exponential-sum weight
+    W(x) = |sum_b exp(2 pi i b.x)|^2 / K^2, K = len(digits), as a (K, d)
+    array; `fn` evaluates the same W.  On an affine view
+    tau_l x = M^{-1}(x + l) they factor W at all N branch images,
+
+        W(tau_l z) = |sum_b v_b(z) H[b, l]|^2 / K^2,
+        v_b(z) = exp(2 pi i g_b.z),  H[b, l] = exp(2 pi i g_b.l),
+
+    with g_b = M^{-t} b: K exponentials per state and one K x N matmul
+    instead of K N exponentials.  For W_B on the L-view of a triple, H is
+    the triple's Hadamard matrix, and QMF is its unitarity.  The digits
+    take no part in == or hash.
     """
 
     fn: object
     description: str = ""
     lipschitz_bound: float | None = None
+    digits: np.ndarray | None = field(default=None, compare=False)
 
     def __call__(self, x):
         return self.fn(x)
@@ -94,16 +117,24 @@ def _weight_at(weight, points: np.ndarray) -> np.ndarray:
 
 def _branch_weights(weight, view: IfsView, z: np.ndarray) -> tuple:
     """(images, w): the branch images tau_i z of a batch z, shape (N, n, d),
-    and the raw weights W(tau_i z), shape (N, n), from one weight call."""
+    and the raw weights W(tau_i z), shape (N, n).
+
+    A weight with digits takes the factored form of `Weight`; any other
+    weight is called once on all N n images."""
     images = view.tau_all(z)
-    return images, _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
+    digits = getattr(weight, "digits", None)
+    if digits is None:
+        return images, _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
+    g2pi_t, h = view.character_factors(digits)
+    s = (np.exp(1j * (np.atleast_2d(np.asarray(z, dtype=float)) @ g2pi_t)) @ h).T
+    return images, (s.real ** 2 + s.imag ** 2) / len(digits) ** 2
 
 
 def weight_from_digits(digits, description: str = "") -> Weight:
     b = np.atleast_2d(np.asarray(digits, dtype=float))
     # |m_B|^2 has gradient bounded by 4 pi sqrt(N) max|b| / N * N = 4 pi max|b|
     lip = 4.0 * np.pi * float(np.max(np.linalg.norm(b, axis=1))) if len(b) else 0.0
-    return Weight(weight_function(b), description or "|m_B|^2/N", lip)
+    return Weight(weight_function(b), description or "|m_B|^2/N", lip, b)
 
 
 def pi_truncated(view: IfsView, word) -> tuple:
@@ -136,8 +167,8 @@ def chaos_game(view: IfsView, n_samples: int, seed: int, x0=None, n_streams: int
     given (seed, n_streams): the seed is split into per-stream children
     and the streams' outputs are concatenated in stream order.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if n_samples < 1 or n_streams < 1:
+        raise ValueError("n_samples and n_streams must be >= 1")
     if x0 is None:
         x0 = np.zeros(view.d)
     counts = [n_samples // n_streams] * n_streams

@@ -47,6 +47,7 @@ class IfsView:
     digits: np.ndarray  # shape (N, d), float
     matrix_exact: np.ndarray | None = None
     digits_exact: tuple | None = None  # tuple of fvec
+    _character_factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -95,6 +96,23 @@ class IfsView:
         """All branch images of a batch: shape (N, n_points, d)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (self.digits[:, None] + pts) @ self.inv.T
+
+    def character_factors(self, freqs: np.ndarray) -> tuple:
+        """(2 pi G^t, H) for characters exp(2 pi i b.x), b the rows of a
+        (K, d) array: at the branch images they factor as
+
+            exp(2 pi i b.tau_l z) = exp(2 pi i g_b.z) H[b, l],
+
+        with g_b = matrix^{-t} b the rows of G and H[b, l] = exp(2 pi i g_b.l),
+        shape (K, N).  Cached per frequency set."""
+        freqs = np.asarray(freqs, dtype=float)
+        key = freqs.tobytes()
+        factors = self._character_factors.get(key)
+        if factors is None:
+            g = freqs @ self.inv
+            factors = (2.0 * np.pi * g.T, np.exp(2j * np.pi * (g @ self.digits.T)))
+            self._character_factors[key] = factors
+        return factors
 
     def bounding_radius(self) -> float:
         """Radius a with tau_i(ball(0, a)) inside ball(0, a) for all i:

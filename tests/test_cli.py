@@ -185,14 +185,30 @@ def test_riesz_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [("--steps", "0"), ("--steps", "1"), ("--threads", "1"),
-                                  ("--threads", "-3")])
+                                  ("--threads", "-3"), ("--threads", "0")])
 def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
     # batch-mean errors need two chains; fewer would print NaN stderrs
+    # (--threads 0 used to fall back to 32 chains)
     code = main(["riesz", *argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "riesz needs" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("attractor", "--samples", "100", "--threads", "0"), "--threads"),
+    (("attractor", "--samples", "100", "--threads", "-1"), "--threads"),
+    (("attractor", "--samples", "0"), "--samples"),
+    (("harmonic", "--x", "0.3", "--paths", "0"), "--paths"),
+    (("harmonic", "--x", "0.3", "--length", "0"), "--length"),
+])
+def test_nonpositive_counts_are_bad_input(capsys, argv, flag):
+    code = main([*argv, "--example", "cantor4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith(flag + " must be >= 1")
 
 
 def test_riesz_two_steps_is_finite(capsys):

@@ -1,11 +1,14 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ifsfourier import (
+    EXAMPLES,
     chaos_game,
+    check_qmf,
     empirical_char,
     get_system,
     m_eval,
@@ -14,7 +17,11 @@ from ifsfourier import (
     mu_hat_detail,
     pi_truncated,
     points_to_csv,
+    run_chain,
+    sample_paths,
+    weight_from_digits,
 )
+from ifsfourier.measure import _branch_weights
 
 
 def test_tau_cantor4_fixed_point(cantor4):
@@ -196,3 +203,76 @@ def test_points_csv_roundtrip(tmp_path, cantor4):
     assert lines[0] == "x0"
     got = np.array([[float(v)] for v in lines[1:]])
     assert np.allclose(got, pts, atol=1e-16)
+
+
+def test_chaos_game_rejects_no_streams(cantor4):
+    for n_streams in (0, -1):
+        with pytest.raises(ValueError, match="n_streams"):
+            chaos_game(cantor4.b_view, 100, seed=1, n_streams=n_streams)
+
+
+# --- the factored W_B kernel against the generic weight call ---------------
+
+AFFINE = sorted(name for name, entry in EXAMPLES.items() if entry.kind == "affine")
+
+
+def _generic(weight):
+    """The same W without its frequencies: evaluated by calling `fn`."""
+    return replace(weight, digits=None)
+
+
+def _kernel_deviation(weight, view, z):
+    fast_images, fast = _branch_weights(weight, view, z)
+    images, ref = _branch_weights(_generic(weight), view, z)
+    assert np.array_equal(fast_images, images)
+    assert fast.shape == ref.shape == (view.n_digits, len(z))
+    return float(np.max(np.abs(fast - ref)))
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_factored_kernel_matches_generic_on_l_view(name):
+    sys_ = get_system(name)
+    lo, hi = sys_.l_view.box()
+    z = np.random.default_rng(31).uniform(lo, hi, size=(2000, sys_.d))
+    assert _kernel_deviation(weight_from_digits(sys_.B), sys_.l_view, z) < 1e-13
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_factored_kernel_matches_generic_off_the_box(name):
+    # any frequencies on any affine view, at points up to three boxes out
+    sys_ = get_system(name)
+    for view in (sys_.b_view, sys_.l_view):
+        lo, hi = view.box()
+        z = np.random.default_rng(32).uniform(3 * lo, 3 * hi, size=(2000, sys_.d))
+        for digits in (sys_.B, sys_.L):
+            assert _kernel_deviation(weight_from_digits(digits), view, z) < 1e-11
+
+
+@pytest.mark.parametrize("name", [n for n in AFFINE if n != "cantor3"])
+def test_factored_kernel_qmf(name):
+    # cantor3 is no Hadamard triple, so W_B is not QMF on its L-view
+    sys_ = get_system(name)
+    assert check_qmf(weight_from_digits(sys_.B), sys_.l_view) < 1e-14
+
+
+@pytest.mark.parametrize("name,x", [("cantor4", [0.3]), ("lambda15", [0.21]),
+                                    ("twindragon", [0.1, -0.2]),
+                                    ("planar-shear", [0.15, 0.05])])
+def test_walk_same_under_factored_and_generic_kernel(name, x):
+    sys_ = get_system(name)
+    fast = weight_from_digits(sys_.B)
+    a = sample_paths(fast, sys_.l_view, x, 32, 2000, seed=23)
+    b = sample_paths(_generic(fast), sys_.l_view, x, 32, 2000, seed=23)
+    assert np.array_equal(a.words, b.words)
+    assert np.array_equal(a.tail_states, b.tail_states)
+    a = run_chain(fast, sys_.l_view, x, 4000, burn_in=50, seed=24, n_chains=32)
+    b = run_chain(_generic(fast), sys_.l_view, x, 4000, burn_in=50, seed=24, n_chains=32)
+    assert np.array_equal(a.states, b.states)
+
+
+def test_weight_with_digits_hashable_and_comparable(cantor4):
+    a = weight_from_digits(cantor4.B)
+    b = weight_from_digits(cantor4.B)
+    assert len({a, b, a}) == 2
+    assert a == a and a != b  # distinct evaluators; the digits take no part
+    assert hash(_generic(a)) == hash(a) and _generic(a) == a
