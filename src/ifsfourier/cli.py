@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -68,10 +69,13 @@ def _load_system(args):
     else:
         raise ConfigError("one of --example or --config is required")
     if getattr(args, "seed", None) is not None:
+        _require_at_least(0, seed=args.seed)
         cfg.seed = args.seed
     if getattr(args, "p_max", None) is not None:
+        _require_at_least(1, p_max=args.p_max)
         cfg.p_max = args.p_max
     if getattr(args, "levels", None) is not None:
+        _require_at_least(0, levels=args.levels)
         cfg.lambda_levels = args.levels
     return cfg, cfg.system()
 
@@ -90,7 +94,13 @@ def _parse_point(text: str, d: int):
         raise ConfigError("point %r has dimension %d, expected %d" % (text, len(parts), d))
     vals = []
     for p in parts:
-        vals.append(Fraction(p) if "/" in p else float(p))
+        try:
+            v = Fraction(p) if "/" in p else float(p)
+        except (ValueError, ZeroDivisionError):
+            v = None
+        if v is None or not math.isfinite(v):
+            raise ConfigError("point %r: coordinate %r is not a finite number" % (text, p))
+        vals.append(v)
     if all(isinstance(v, Fraction) or float(v).is_integer() for v in vals):
         return [Fraction(v) for v in vals]
     return [float(v) for v in vals]
@@ -129,6 +139,8 @@ def _w_cycles_or_fail(sys_obj, p_max):
 
 
 def cmd_spectrum(args) -> int:
+    if args.count is not None:
+        _require_at_least(0, count=args.count)
     cfg, sys_obj = _load_system(args)
     cycles = _w_cycles_or_fail(sys_obj, cfg.p_max)
     if cycles is None:
@@ -151,6 +163,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify_onb(args) -> int:
+    _require_at_least(0, window=args.window)
     cfg, sys_obj = _load_system(args)
     cycles = _w_cycles_or_fail(sys_obj, cfg.p_max)
     if cycles is None:
@@ -196,15 +209,16 @@ def cmd_mu_hat(args) -> int:
     return EXIT_OK
 
 
-def _require_positive(**values) -> None:
-    """Bad input (exit 2) unless every named count is >= 1."""
+def _require_at_least(low: int, **values) -> None:
+    """Bad input (exit 2) unless every named count is >= low."""
     for name, value in values.items():
-        if value < 1:
-            raise ConfigError("--%s must be >= 1, got %d" % (name, value))
+        if value < low:
+            raise ConfigError("--%s must be >= %d, got %d"
+                              % (name.replace("_", "-"), low, value))
 
 
 def cmd_attractor(args) -> int:
-    _require_positive(samples=args.samples, threads=args.threads)
+    _require_at_least(1, samples=args.samples, threads=args.threads)
     cfg, sys_obj = _load_system(args)
     view = sys_obj.b_view if args.view == "B" else sys_obj.l_view
     pts = chaos_game(view, args.samples, cfg.seed, n_streams=args.threads)
@@ -223,7 +237,7 @@ def cmd_attractor(args) -> int:
 
 
 def cmd_harmonic(args) -> int:
-    _require_positive(paths=args.paths, length=args.length)
+    _require_at_least(1, paths=args.paths, length=args.length)
     cfg, sys_obj = _load_system(args)
     cycles = _w_cycles_or_fail(sys_obj, cfg.p_max)
     if cycles is None:
@@ -254,12 +268,13 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_riesz(args) -> int:
+    _require_at_least(0, seed=args.seed)
     n_chains = args.threads
     if args.steps < 2 or n_chains < 2:
         raise ConfigError("riesz needs --steps >= 2 and --threads >= 2 for batch-mean "
                           "errors, got %d and %d" % (args.steps, n_chains))
     dev = riesz_branch_normalization()
-    chain = riesz_chain(args.steps, seed=args.seed or 0, n_chains=n_chains)
+    chain = riesz_chain(args.steps, seed=args.seed, n_chains=n_chains)
     coeffs = {}
     for freq in args.fourier:
         value, stderr = fourier_coefficient(chain, freq, angular=True)

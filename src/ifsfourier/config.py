@@ -139,11 +139,11 @@ def parse_config(text: str, name: str = "") -> SystemConfig:
         raise ConfigError("field 'B': cardinality %d does not match L's %d"
                           % (len(b), len(l_digits)))
     cfg = SystemConfig(d=d, R=r, B=b, L=l_digits, name=name)
-    for key in ("p_max", "lambda_levels", "seed"):
+    for key, low in (("p_max", 1), ("lambda_levels", 0), ("seed", 0)):
         if key in fields:
             v = fields.pop(key)
-            if not isinstance(v, int):
-                raise ConfigError("field %r: must be an integer" % key)
+            if not isinstance(v, int) or v < low:
+                raise ConfigError("field %r: must be an integer >= %d" % (key, low))
             setattr(cfg, key, v)
     for key in ("unitarity_tol", "tail_tol", "cycle_tol"):
         if key in fields:

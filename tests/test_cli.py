@@ -202,13 +202,55 @@ def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
     (("attractor", "--samples", "0"), "--samples"),
     (("harmonic", "--x", "0.3", "--paths", "0"), "--paths"),
     (("harmonic", "--x", "0.3", "--length", "0"), "--length"),
+    # a count of printed or checked elements, a level or a seed may be 0
+    (("spectrum", "--levels", "3", "--count", "-1"), "--count"),
+    (("verify-onb", "--levels", "3", "--window", "-2"), "--window"),
+    (("cycles", "--p-max", "0"), "--p-max"),
+    (("cycles", "--p-max", "-3"), "--p-max"),
+    (("spectrum", "--levels", "-1"), "--levels"),
+    (("attractor", "--samples", "10", "--seed", "-1"), "--seed"),
 ])
 def test_nonpositive_counts_are_bad_input(capsys, argv, flag):
+    low = 0 if flag in ("--count", "--window", "--levels", "--seed") else 1
     code = main([*argv, "--example", "cantor4"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert json.loads(captured.err)["error"].startswith(flag + " must be >= 1")
+    assert json.loads(captured.err)["error"].startswith("%s must be >= %d" % (flag, low))
+
+
+def test_riesz_negative_seed_is_bad_input(capsys):
+    code = main(["riesz", "--steps", "10", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.err)["error"].startswith("--seed must be >= 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("mu-hat", "--t", "abc"),
+    ("mu-hat", "--t=1/0"),
+    ("mu-hat", "--t", "nan"),
+    ("mu-hat", "--t=-inf"),
+    ("harmonic", "--x", "abc"),
+    ("verify-onb", "--levels", "3", "--x", "0.3x"),
+])
+def test_unparsable_point_is_bad_input(capsys, argv):
+    code = main([*argv, "--example", "cantor4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "is not a finite number" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("field", ["p_max = 0", "lambda_levels = -1", "seed = -2"])
+def test_config_out_of_range_is_bad_input(tmp_path, capsys, field):
+    p = tmp_path / "bad.cfg"
+    p.write_text("d = 1\nR = [[4]]\nB = [[0], [2]]\nL = [[0], [1]]\n%s\n" % field)
+    code = main(["cycles", "--config", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be an integer >=" in json.loads(captured.err)["error"]
 
 
 def test_riesz_two_steps_is_finite(capsys):

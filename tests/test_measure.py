@@ -211,9 +211,64 @@ def test_chaos_game_rejects_no_streams(cantor4):
             chaos_game(cantor4.b_view, 100, seed=1, n_streams=n_streams)
 
 
-# --- the factored W_B kernel against the generic weight call ---------------
-
 AFFINE = sorted(name for name, entry in EXAMPLES.items() if entry.kind == "affine")
+
+
+# --- the chaos-game scan against step-by-step iteration ----------------------
+
+def chaos_game_loop(view, n_samples, seed, x0=None, n_streams=1):
+    """Reference: the orbit x_k = tau_{d_k}(x_{k-1}) one sample at a time,
+    with the same digit draws and stream split as `chaos_game`."""
+    if x0 is None:
+        x0 = np.zeros(view.d)
+    counts = [n_samples // n_streams] * n_streams
+    counts[-1] += n_samples - sum(counts)
+    inv_t = view.inv.T
+    shifts = view.digits @ inv_t
+    chunks = []
+    for child, count in zip(np.random.SeedSequence(seed).spawn(n_streams), counts):
+        digits = np.random.default_rng(child).integers(0, view.n_digits, size=count)
+        out = np.empty((count, view.d))
+        x = np.asarray(x0, dtype=float).reshape(view.d)
+        for k in range(count):
+            x = x @ inv_t + shifts[digits[k]]
+            out[k] = x
+        chunks.append(out)
+    return np.concatenate(chunks, axis=0)
+
+
+def assert_scan_matches_loop(view, n_samples, seed, x0=None, n_streams=1):
+    """Same shape, and within 8 eps max(R, |x0|): the truncation bound
+    (eps/4) max(R, |x0|) plus rounding."""
+    fast = chaos_game(view, n_samples, seed, x0=x0, n_streams=n_streams)
+    ref = chaos_game_loop(view, n_samples, seed, x0=x0, n_streams=n_streams)
+    assert fast.shape == ref.shape == (n_samples, view.d)
+    scale = max(view.bounding_radius(), 0.0 if x0 is None else float(np.linalg.norm(x0)))
+    assert np.max(np.abs(fast - ref)) <= 8 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("name", AFFINE)
+@pytest.mark.parametrize("n_streams", [1, 3])
+def test_chaos_game_scan_matches_loop(name, n_streams):
+    sys_ = get_system(name)
+    for view in (sys_.b_view, sys_.l_view):
+        far = np.full(sys_.d, 3.0 * view.bounding_radius() + 5.0)  # outside the ball
+        for x0 in (None, far):
+            assert_scan_matches_loop(view, 3000, 41, x0=x0, n_streams=n_streams)
+
+
+@pytest.mark.parametrize("name", ["cantor4", "twindragon"])
+def test_chaos_game_scan_short_streams(name):
+    # 2 samples in 3 streams leaves the first two streams empty
+    view = get_system(name).l_view
+    far = np.full(view.d, 7.0)
+    for x0 in (None, far):
+        assert_scan_matches_loop(view, 2, 5, x0=x0, n_streams=3)
+        assert_scan_matches_loop(view, 1, 5, x0=x0)
+        assert_scan_matches_loop(view, 1, 5, x0=x0, n_streams=3)
+
+
+# --- the factored W_B kernel against the generic weight call ---------------
 
 
 def _generic(weight):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ifsfourier import AffineSystem, check_qmf, weight_from_digits
 from ifsfourier.measure import _branch_weights
+from test_measure import assert_scan_matches_loop
 
 
 @st.composite
@@ -38,3 +39,13 @@ def test_factored_kernel_and_qmf_on_generated_triples(sys_, seed):
     assert np.max(np.abs(fast - ref)) < 1e-12
     assert np.max(np.abs(fast.sum(axis=0) - 1.0)) < 1e-12
     assert check_qmf(weight, view, n_probe=500, seed=seed) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sys_=hadamard_triples_1d(), seed=st.integers(0, 2 ** 16),
+       n_samples=st.integers(1, 600), n_streams=st.integers(1, 3),
+       x0=st.one_of(st.none(), st.floats(-50.0, 50.0)))
+def test_chaos_game_scan_matches_loop_on_generated_triples(sys_, seed, n_samples,
+                                                           n_streams, x0):
+    assert_scan_matches_loop(sys_.b_view, n_samples, seed,
+                             x0=None if x0 is None else [x0], n_streams=n_streams)
