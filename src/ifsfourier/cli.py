@@ -107,6 +107,7 @@ def _parse_point(text: str, d: int):
 
 
 def cmd_check_hadamard(args) -> int:
+    _require_at_least(0, horizon=args.horizon)
     _, sys_obj = _load_system(args)
     report = check_duality(sys_obj, integrality_horizon=args.horizon)
     print(dumps({"system": sys_obj.name or "config", "duality": report.to_dict()}), end="")
@@ -141,6 +142,7 @@ def _w_cycles_or_fail(sys_obj, p_max):
 def cmd_spectrum(args) -> int:
     if args.count is not None:
         _require_at_least(0, count=args.count)
+    _require_at_least(1, cap=args.cap)
     cfg, sys_obj = _load_system(args)
     cycles = _w_cycles_or_fail(sys_obj, cfg.p_max)
     if cycles is None:
@@ -163,7 +165,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify_onb(args) -> int:
-    _require_at_least(0, window=args.window)
+    _require_at_least(0, window=args.window, grid_span=args.grid_span)
     cfg, sys_obj = _load_system(args)
     cycles = _w_cycles_or_fail(sys_obj, cfg.p_max)
     if cycles is None:
@@ -320,8 +322,6 @@ def _add_system_args(p, levels=False):
     p.add_argument("--p-max", dest="p_max", type=int, default=None)
     if levels:
         p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker stream cap for sampling subcommands")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--view", choices=("B", "L"), default="B")
     p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--threads", type=int, default=1,
+                   help="number of seed streams the samples are split into")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_attractor)
 

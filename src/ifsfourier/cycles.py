@@ -6,10 +6,16 @@ whose unique fixed point is
 
     x_0 = (S^p - I)^{-1} (l_0 + S l_1 + ... + S^{p-1} l_{p-1}),
 
-computed exactly over the rationals.  The cycle is the forward orbit
-x_{k+1} = tau_{l_k}(x_k); it is a W-cycle when the transfer weight
-W_B equals 1 at every orbit point, which for exact data reduces to
-(b - b_ref).x being an integer for every digit b.
+computed exactly over the rationals.  The right-hand side is p steps of
+the affine recurrence x -> S x + l from 0, whose one home is
+`IfsView.expand`: `enumerate_cycles` reads every length-p sum from one
+expansion table (row = the word's lexicographic rank), and
+`power_system` builds its compound digits the same way on both views.
+
+The cycle is the forward orbit x_{k+1} = tau_{l_k}(x_k); it is a
+W-cycle when the transfer weight W_B equals 1 at every orbit point,
+which for exact data reduces to (b - b_ref).x being an integer for
+every digit b.
 
 Words are enumerated up to rotation (canonical representative = the
 lexicographically least rotation) and words that are powers of shorter
@@ -26,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .measure import weight_function
-from .ratlinalg import identity_rational, mat_pow, solve_exact
+from .ratlinalg import identity_rational, mat_inverse, mat_pow, solve_exact
 from .system import AffineSystem, frac_str, fvec
 
 __all__ = [
@@ -98,24 +104,17 @@ def aperiodic_necklaces(n_letters: int, p: int):
             yield word
 
 
-def cycle_from_word(sys: AffineSystem, word) -> Cycle:
-    """Exact cycle for a word; validates the p-fold round trip exactly."""
-    if not sys.has_exact:
-        raise ValueError("cycle enumeration needs rational system data")
-    word = tuple(int(i) for i in word)
-    p = len(word)
-    s = sys.S_exact
-    sp = mat_pow(s, p) if p > 1 else s
-    m = sp - identity_rational(sys.d)
-    rhs = np.zeros(sys.d, dtype=object)
-    rhs[:] = [Fraction(0)] * sys.d
-    acc = identity_rational(sys.d)
-    for k, idx in enumerate(word):
-        l_vec = np.array(sys.L_exact[idx], dtype=object)
-        rhs = rhs + (acc @ l_vec)
-        if k + 1 < p:
-            acc = acc @ s
-    x0 = fvec(solve_exact(m, rhs))
+def _horner(view, word, start) -> tuple:
+    """sum_j M^j d_{w_j} + M^{|w|} start for one word on a view (matrix M,
+    digits d), exactly: |w| steps of x -> M x + d, last letter first."""
+    acc = np.array(start, dtype=object)
+    for idx in reversed(word):
+        acc = view.matrix_exact @ acc + np.array(view.digits_exact[idx], dtype=object)
+    return tuple(acc)
+
+
+def _cycle_from_fixed_point(sys: AffineSystem, word: tuple, x0: tuple) -> Cycle:
+    """The orbit of x0 under the word; validates the p-fold round trip exactly."""
     points = [x0]
     view = sys.l_view
     for idx in word[:-1]:
@@ -123,12 +122,24 @@ def cycle_from_word(sys: AffineSystem, word) -> Cycle:
     closing = fvec(view.tau(word[-1], points[-1]))
     if closing != x0:
         raise AssertionError("cycle round trip failed for word %s" % (word,))
-    return Cycle(word=word, period=p, points=tuple(points))
+    return Cycle(word=word, period=len(word), points=tuple(points))
+
+
+def cycle_from_word(sys: AffineSystem, word) -> Cycle:
+    """Exact cycle for a word; validates the p-fold round trip exactly."""
+    if not sys.has_exact:
+        raise ValueError("cycle enumeration needs rational system data")
+    word = tuple(int(i) for i in word)
+    m = mat_pow(sys.S_exact, len(word)) - identity_rational(sys.d)
+    rhs = np.array(_horner(sys.l_view, word, [Fraction(0)] * sys.d), dtype=object)
+    return _cycle_from_fixed_point(sys, word, fvec(solve_exact(m, rhs)))
 
 
 def enumerate_cycles(sys: AffineSystem, p_max: int, verify_distinct: bool = True) -> list:
     """One Cycle per rotation class of aperiodic words of length <= p_max.
 
+    The length-p table of right-hand sides is one expansion of the
+    length-(p-1) table, and (S^p - I)^{-1} is formed once per period.
     With verify_distinct the standing assumption that distinct length-p
     words have distinct fixed points is checked by exact comparison
     (skipped above 4^8 words per length).
@@ -136,8 +147,15 @@ def enumerate_cycles(sys: AffineSystem, p_max: int, verify_distinct: bool = True
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     out = []
+    rhs = np.full((1, sys.d), Fraction(0), dtype=object)
     for p in range(1, p_max + 1):
-        cycles_p = [cycle_from_word(sys, w) for w in aperiodic_necklaces(sys.N, p)]
+        rhs = sys.l_view.expand(rhs)
+        m_inv = mat_inverse(mat_pow(sys.S_exact, p) - identity_rational(sys.d))
+        cycles_p = [
+            _cycle_from_fixed_point(
+                sys, w, fvec(m_inv @ rhs[np.ravel_multi_index(w, (sys.N,) * p)]))
+            for w in aperiodic_necklaces(sys.N, p)
+        ]
         out.extend(cycles_p)
         if verify_distinct and sys.N ** p <= 65536:
             seen = set()
@@ -204,27 +222,12 @@ def power_system(sys: AffineSystem, p: int) -> AffineSystem:
         raise ValueError("p must be >= 1")
     if p == 1:
         return sys
-    if not sys.has_exact:
-        raise ValueError("power systems need rational system data")
-
-    def compound(mat, digits_exact):
-        powers = [identity_rational(sys.d)]
-        for _ in range(p - 1):
-            powers.append(powers[-1] @ mat)
-        out = []
-        for word in itertools.product(range(sys.N), repeat=p):
-            acc = np.zeros(sys.d, dtype=object)
-            acc[:] = [Fraction(0)] * sys.d
-            for k, idx in enumerate(word):
-                acc = acc + powers[k] @ np.array(digits_exact[idx], dtype=object)
-            out.append(tuple(acc))
-        return out
-
-    b_p = compound(sys.R_exact, sys.B_exact)
-    l_p = compound(sys.S_exact, sys.L_exact)
-    r_p = mat_pow(sys.R_exact, p)
+    b_p = l_p = np.full((1, sys.d), Fraction(0), dtype=object)
+    for _ in range(p):
+        b_p = sys.b_view.expand(b_p)
+        l_p = sys.l_view.expand(l_p)
     return AffineSystem.create(
-        r_p, b_p, l_p,
+        mat_pow(sys.R_exact, p), b_p.tolist(), l_p.tolist(),
         unitarity_tol=sys.unitarity_tol, tail_tol=sys.tail_tol, cycle_tol=sys.cycle_tol,
         name=(sys.name + "^%d" % p) if sys.name else "",
     )

@@ -11,7 +11,12 @@ k-points
 
 over W-cycles C (all rotations) and words omega of period-aligned
 length; appending the cycle word to omega leaves k unchanged, which is
-what makes the finite enumerations below well defined.
+what makes the finite enumerations below well defined.  Both are the
+affine recurrence x -> S x + l started from -x_C, and both run it
+through its one home, `IfsView.expand` on the L-view: one step per BFS
+level, or one step per letter for all words and rotation bases at once.
+`k_point` is the per-word reference (Horner's rule, shared with
+`cycle_from_word`).
 
 Orthogonality of the exponentials e_lambda is certified through
 mu_hat_B(lambda - lambda') = 0, always via an exactly vanishing product
@@ -30,9 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cycles import Cycle
+from .cycles import Cycle, _horner
 from .measure import mu_hat_batch, mu_hat_detail
-from .ratlinalg import identity_rational, mat_inverse
+from .ratlinalg import mat_inverse
 from .system import AffineSystem, frac_str, fvec
 
 __all__ = [
@@ -135,20 +140,12 @@ def generate_lambda(
             seeds.add(tuple(-c for c in pt))
     elements = set(seeds)
     frontier = set(seeds)
-    s = sys.S_exact
-    l_vecs = [np.array(l, dtype=object) for l in sys.L_exact]
     cap_hit = False
     for _ in range(levels):
-        new_frontier = set()
-        for x in frontier:
-            sx = s @ np.array(x, dtype=object)
-            for l in l_vecs:
-                y = tuple(sx + l)
-                if y not in elements:
-                    new_frontier.add(y)
+        new_frontier = set(map(tuple, sys.l_view.expand(list(frontier)).tolist())) - elements
         if len(elements) + len(new_frontier) > element_cap:
             cap_hit = True
-            room = element_cap - len(elements)
+            room = max(element_cap - len(elements), 0)
             new_frontier = set(sorted(new_frontier)[:room])
         elements |= new_frontier
         frontier = new_frontier
@@ -175,37 +172,16 @@ def k_point(sys: AffineSystem, cycle: Cycle, omega) -> tuple:
             "word length %d is not a multiple of the cycle period %d"
             % (len(omega), cycle.period)
         )
-    s = sys.S_exact
-    acc = np.array([Fraction(0)] * sys.d, dtype=object)
-    power = identity_rational(sys.d)
-    for idx in omega:
-        vec = np.array(sys.L_exact[idx], dtype=object)
-        acc = acc + power @ vec
-        power = power @ s
-    x0 = np.array(cycle.points[0], dtype=object)
-    return tuple(acc - power @ x0)
+    return _horner(sys.l_view, omega, [-c for c in cycle.points[0]])
 
 
-def _k_points_from_base(sys: AffineSystem, x0, n: int) -> set:
-    """{sum_j S^j omega_j - S^n x0 : omega in L^n} with exact dedup."""
-    s = sys.S_exact
-    # images[j][idx] = S^j l_idx, so each word reduces to a tuple sum
-    images = []
-    power = identity_rational(sys.d)
+def _k_points(sys: AffineSystem, bases, n: int) -> set:
+    """{sum_j S^j omega_j - S^n x0 : x0 in bases, omega in L^n}: n
+    expansions of all the negated bases at once, with exact dedup."""
+    points = -np.array(bases, dtype=object).reshape(-1, sys.d)
     for _ in range(n):
-        images.append([tuple(power @ np.array(l, dtype=object)) for l in sys.L_exact])
-        power = power @ s
-    base = tuple(-c for c in (power @ np.array(x0, dtype=object)))
-    d = sys.d
-    out = set()
-    for omega in itertools.product(range(sys.N), repeat=n):
-        acc = list(base)
-        for j, idx in enumerate(omega):
-            img = images[j][idx]
-            for c in range(d):
-                acc[c] += img[c]
-        out.add(tuple(acc))
-    return out
+        points = sys.l_view.expand(points)
+    return set(map(tuple, points.tolist()))
 
 
 def k_points_of_depth(sys: AffineSystem, cycle: Cycle, depth: int) -> set:
@@ -214,20 +190,16 @@ def k_points_of_depth(sys: AffineSystem, cycle: Cycle, depth: int) -> set:
     the cycle word to omega does not change k."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _k_points_from_base(sys, cycle.points[0], depth * cycle.period)
+    return _k_points(sys, [cycle.points[0]], depth * cycle.period)
 
 
 def lambda_from_k_points(sys: AffineSystem, w_cycles, length: int) -> set:
     """Union of k-values over all W-cycles, all their rotations, and all
     words of exactly `length` letters (length must be a multiple of every
     period).  Equals the BFS closure at that level."""
-    out = set()
-    for cyc in w_cycles:
-        if length % cyc.period:
-            raise ValueError("length must be a multiple of every cycle period")
-        for _, base in cyc.rotations():
-            out |= _k_points_from_base(sys, base, length)
-    return out
+    if any(length % cyc.period for cyc in w_cycles):
+        raise ValueError("length must be a multiple of every cycle period")
+    return _k_points(sys, [base for cyc in w_cycles for _, base in cyc.rotations()], length)
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,21 @@ class IfsView:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (self.digits[:, None] + pts) @ self.inv.T
 
+    def expand(self, points) -> np.ndarray:
+        """One exact step of the recurrence x -> matrix x + digit on a batch:
+        for each row x of the (n, d) Fraction array `points`, the N rows
+        matrix x + digit_i, digit-major (row i * n + k comes from x_k).
+
+        n steps from the zero row therefore list every word sum
+        sum_j matrix^j digit_{w_j} in lexicographic word order, w_0
+        outermost.  Cycle points, k-points, the spectrum closure and the
+        power-system digits are all such sums."""
+        if self.matrix_exact is None:
+            raise ValueError("exact expansion needs rational system data")
+        pts = np.asarray(points, dtype=object).reshape(-1, self.d)
+        digits = np.array(self.digits_exact, dtype=object)
+        return (digits[:, None] + pts @ self.matrix_exact.T).reshape(-1, self.d)
+
     def character_factors(self, freqs: np.ndarray) -> tuple:
         """(2 pi G^t, H) for characters exp(2 pi i b.x), b the rows of a
         (K, d) array: at the branch images they factor as
@@ -205,11 +220,11 @@ class AffineSystem:
     def has_exact(self) -> bool:
         return self.R_exact is not None
 
-    @property
+    @cached_property
     def b_view(self) -> IfsView:
         return IfsView("B", self.R, self.B, self.R_exact, self.B_exact)
 
-    @property
+    @cached_property
     def l_view(self) -> IfsView:
         return IfsView("L", self.S, self.L, self.S_exact, self.L_exact)
 

@@ -209,14 +209,32 @@ def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
     (("cycles", "--p-max", "-3"), "--p-max"),
     (("spectrum", "--levels", "-1"), "--levels"),
     (("attractor", "--samples", "10", "--seed", "-1"), "--seed"),
+    (("spectrum", "--levels", "3", "--cap", "0"), "--cap"),
+    (("spectrum", "--levels", "3", "--cap", "-1"), "--cap"),
+    (("verify-onb", "--levels", "3", "--grid", "--grid-span", "-1"), "--grid-span"),
+    (("check-hadamard", "--horizon", "-1"), "--horizon"),
 ])
 def test_nonpositive_counts_are_bad_input(capsys, argv, flag):
-    low = 0 if flag in ("--count", "--window", "--levels", "--seed") else 1
+    low = 0 if flag in ("--count", "--window", "--levels", "--seed", "--grid-span",
+                        "--horizon") else 1
     code = main([*argv, "--example", "cantor4"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert json.loads(captured.err)["error"].startswith("%s must be >= %d" % (flag, low))
+
+
+@pytest.mark.parametrize("argv", [
+    ("cycles",), ("check-hadamard",), ("spectrum",), ("verify-onb",), ("mu-hat", "--t", "1"),
+    ("harmonic", "--x", "0.3"),
+])
+def test_threads_only_on_sampling_subcommands(capsys, argv):
+    # only attractor and riesz read --threads; elsewhere it is unknown
+    code = main([*argv, "--example", "cantor4", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--threads" in captured.err
 
 
 def test_riesz_negative_seed_is_bad_input(capsys):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,17 @@ def test_lambda_element_cap(cantor4, cantor4_w_cycles):
     assert len(spec.elements) <= 100
 
 
+@pytest.mark.parametrize("cap", [1, 8, 16])
+def test_lambda_element_cap_at_or_below_seed_count(twindragon, cap):
+    # the 16 seeds always stay and nothing is added (a cap below the seed
+    # count used to keep all but the last few new points)
+    cycles = find_w_cycles(twindragon, 4)
+    spec = generate_lambda(twindragon, cycles, 3, element_cap=cap)
+    assert len(spec.seeds) == 16
+    assert spec.elements == spec.seeds
+    assert spec.cap_hit
+
+
 # --- k-points ----------------------------------------------------------------
 
 def test_k_point_empty_word_is_minus_fixed_point(cantor4, cantor4_w_cycles):
@@ -152,6 +164,14 @@ def test_lambda_equals_k_points(cantor4, cantor4_w_cycles, twindragon):
     td_cycles = find_w_cycles(twindragon, 4)
     spec_td = generate_lambda(twindragon, td_cycles, 4)
     assert spec_td.elements == frozenset(lambda_from_k_points(twindragon, td_cycles, 4))
+
+
+def test_k_points_of_depth_match_per_word_k_point_d2(twindragon, planar_shear):
+    for sys, depth in ((twindragon, 2), (planar_shear, 3)):
+        for cyc in find_w_cycles(sys, 4):
+            words = itertools.product(range(sys.N), repeat=depth * cyc.period)
+            expected = {k_point(sys, cyc, w) for w in words}
+            assert k_points_of_depth(sys, cyc, depth) == expected
 
 
 def test_k_points_absorb_cycle_suffix(cantor4, cantor4_w_cycles):
