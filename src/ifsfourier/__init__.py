@@ -35,7 +35,6 @@ from .measure import (
 from .cycles import (
     Cycle,
     classify_w,
-    cycles_to_json,
     enumerate_cycles,
     find_w_cycles,
     power_system,

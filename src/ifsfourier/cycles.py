@@ -25,7 +25,6 @@ words are skipped, so each stored cycle has minimal period.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +42,6 @@ __all__ = [
     "classify_w",
     "find_w_cycles",
     "power_system",
-    "cycles_to_json",
 ]
 
 W_EXACT_ONE = "w"
@@ -231,7 +229,3 @@ def power_system(sys: AffineSystem, p: int) -> AffineSystem:
         unitarity_tol=sys.unitarity_tol, tail_tol=sys.tail_tol, cycle_tol=sys.cycle_tol,
         name=(sys.name + "^%d" % p) if sys.name else "",
     )
-
-
-def cycles_to_json(cycles) -> str:
-    return json.dumps([c.to_json_dict() for c in cycles], indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratlinalg import is_expansive, spectral_margin
+from .ratlinalg import _exp_2pi_i, _over_common_denominator, is_expansive, spectral_margin
 from .system import AffineSystem
 
 __all__ = [
@@ -80,10 +80,12 @@ def build_matrix(a_set, b_set) -> np.ndarray:
 
 def check_pair(a_set, b_set, tol: float = 1e-12) -> UnitarityReport:
     """Report whether U*U = I within tol (max abs entry deviation)."""
-    u = build_matrix(a_set, b_set)
-    n = u.shape[0]
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    return UnitarityReport(passes=dev < tol, max_deviation=dev, order=n, tol=tol)
+    return _unitarity(build_matrix(a_set, b_set), tol)
+
+
+def _unitarity(u: np.ndarray, tol: float) -> UnitarityReport:
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+    return UnitarityReport(passes=dev < tol, max_deviation=dev, order=len(u), tol=tol)
 
 
 def check_duality(sys: AffineSystem, integrality_horizon: int = 16) -> DualityReport:
@@ -101,8 +103,13 @@ def check_duality(sys: AffineSystem, integrality_horizon: int = 16) -> DualityRe
     expansive = is_expansive(sys.R)
     if not expansive:
         failures.append("expansivity")
-    inv_b = sys.B @ np.linalg.inv(sys.R).T
-    unit = check_pair(inv_b, sys.L, sys.unitarity_tol)
+    if sys.has_exact:  # (R^{-1}b).l = b.S^{-1}l, reduced mod 1 exactly
+        phases = (np.array(sys.B_exact, dtype=object) @ sys.l_view.inv_exact
+                  @ np.array(sys.L_exact, dtype=object).T)
+        u = _exp_2pi_i(*_over_common_denominator(phases)) / np.sqrt(sys.N)
+    else:
+        u = build_matrix(sys.B @ np.linalg.inv(sys.R).T, sys.L)
+    unit = _unitarity(u, sys.unitarity_tol)
     if not unit.passes:
         failures.append("unitarity")
     if sys.exact_integer:

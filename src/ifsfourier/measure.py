@@ -8,9 +8,11 @@ transform of mu_B satisfies the refinement identity
 
 and is evaluated here as the truncated product over k of
 m_B(S^{-k} t) / sqrt(N), with the truncation depth chosen from a
-geometric tail bound.  Orthogonality of Fourier frequencies always comes
-from one product factor vanishing exactly, so the evaluator reduces
-rational arguments mod 1 exactly and reports such zeros as exact.
+geometric tail bound, by `_truncated_products`, the one loop over product
+levels.  Orthogonality of Fourier frequencies always comes from one factor
+vanishing exactly, so rational rows carry S^{-k} t as integer numerators,
+and `ratlinalg._exp_2pi_i` reduces each phase mod 1 exactly before the
+float exp; such zeros are reported as exact.
 
 At the N branch images tau_l z = S^{-1}(z + l) of the L-view, W_B
 factors through the duality matrix H[b, l] = exp(2 pi i R^{-1}b.l):
@@ -25,13 +27,14 @@ weight built by `weight_from_digits` this way, on any affine view.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .ratlinalg import mat_inverse
-from .system import AffineSystem, IfsView, fvec
+from .ratlinalg import _exp_2pi_i, _over_common_denominator
+from .system import AffineSystem, IfsView
 
 __all__ = [
     "m_eval",
@@ -218,64 +221,97 @@ class MuHatResult:
         return complex(self.value)
 
 
-def _tail_depth(sys: AffineSystem, t_norm: float, tail_tol: float) -> int:
-    """Smallest K with sum_{k>K} 2 pi max|b| |S^{-k} t| < tail_tol, using
-    the geometric bound |S^{-k} t| <= c^k |t|."""
-    c = float(np.linalg.norm(np.linalg.inv(sys.S), 2))
+def _tail_depth(sys: AffineSystem, t_norms, tail_tol: float | None) -> np.ndarray:
+    """Per norm |t|, the smallest K with sum_{k>K} 2 pi max|b| |S^{-k} t| <
+    tail_tol, using the geometric bound |S^{-k} t| <= c^k |t|; 0 for t = 0."""
+    tail_tol = sys.tail_tol if tail_tol is None else tail_tol
+    if tail_tol <= 0:
+        raise ValueError("tail_tol must be positive")
+    c = sys.l_view.contraction_factor
     if c >= 1.0:
         raise ValueError("S^{-1} is not a 2-norm contraction; cannot bound the tail")
     max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
-    if t_norm == 0.0 or max_b == 0.0:
-        return 0
-    k = 1
-    while 2.0 * np.pi * max_b * t_norm * c ** (k + 1) / (1.0 - c) >= tail_tol:
-        k += 1
-        if k > 10_000:
+    x = 2.0 * np.pi * max_b * np.asarray(t_norms, dtype=float)
+    x_max, powers = float(x.max(initial=0.0)), [c ** 2]  # c^(k+1), k = 1, 2, ...
+    while x_max * powers[-1] / (1.0 - c) >= tail_tol:  # until the bound fails at x_max
+        if len(powers) >= 10_000:
             raise RuntimeError("tail bound did not converge")
-    return k
+        powers.append(c ** (len(powers) + 2))
+    # the bound falls with k, so a row's depth is 1 + the number of k it holds at
+    return (x[..., None] * np.array(powers) / (1.0 - c) >= tail_tol).sum(axis=-1) + (x > 0.0)
+
+
+def _truncated_products(sys: AffineSystem, depth: np.ndarray, terms, scalar: bool) -> tuple:
+    """The one loop over truncated-product levels: row i is prod_{k <= depth[i]}
+    m_B(t_k) / sqrt(N), t_k = S^{-k} t_i; `terms(rows, k)` steps its rows to
+    level k and returns exp(2 pi i b.t_k).  A row stops at its depth or at its
+    first factor below the exact-zero cutoff, whose k is its zero_level (else
+    0).  numpy rounds a complex multiply of two or more rows (fused SIMD)
+    unlike one row; `scalar` multiplies Python complex numbers instead, so
+    that a row's value does not depend on its batch."""
+    sqrt_n = np.sqrt(sys.N)
+    values = np.ones(len(depth), dtype=object if scalar else complex)
+    zero_level = np.zeros(len(depth), dtype=np.int64)
+    rows, ends = np.flatnonzero(depth > 0), set(depth.tolist())  # ends: levels rows stop at
+    k = 0
+    while rows.size:
+        k += 1
+        live = slice(None) if rows.size == len(depth) else rows  # a view while all rows are
+        factors = terms(live, k).sum(axis=1) / sqrt_n
+        zero = np.abs(factors) < EXACT_ZERO_CUTOFF * sqrt_n
+        values[live] *= (factors / sqrt_n).astype(values.dtype, copy=False)
+        if k in ends or zero.any():
+            zero_level[rows[zero]] = k
+            rows = rows[~zero & (depth[rows] > k)]
+    values[zero_level > 0] = 0j
+    return values.astype(complex, copy=False), zero_level
+
+
+def _float_terms(sys: AffineSystem, pts: np.ndarray):
+    """`terms` of `_truncated_products` for float rows: t_k = t_{k-1} S^{-t}."""
+    s_inv_t, tk = sys.l_view.inv.T, np.array(pts, dtype=float)
+
+    def terms(live, k):
+        tk[...] = tk @ s_inv_t
+        return np.exp(2j * np.pi * (tk @ sys.B.T)[live])
+    return terms
+
+
+def _exact_terms(sys: AffineSystem, rows: np.ndarray):
+    """`terms` for rational rows, in integers: with A = D S^{-1}, t = n / q and
+    b = beta / e integral, b.t_k = (beta A^k).n / (e q D^k)."""
+    (adj, dd), (g, e), (num, q) = map(_over_common_denominator,
+                                      (sys.l_view.inv_exact, sys.B_exact, rows))
+
+    def terms(live, k):
+        nonlocal g
+        g = g @ adj  # beta A^k, shared by every row
+        return _exp_2pi_i(num[live] @ g.T, e * q * dd ** k)
+    return terms
+
+
+def _mu_hat_rows(sys: AffineSystem, ts, tail_tol: float | None = None) -> tuple:
+    """(values, n_factors, zero_level) at the rows of ts, each to its own depth;
+    exact if the system has exact data and every coordinate is rational."""
+    rows = np.asarray(ts, dtype=object).reshape(len(ts), sys.d)
+    exact = sys.has_exact and all(isinstance(c, numbers.Rational) for c in rows.flat)
+    tf = rows.astype(float)
+    depth = _tail_depth(sys, np.sqrt((tf * tf).sum(axis=1)), tail_tol)  # = norm(tf, axis=1)
+    terms = _exact_terms(sys, rows) if exact else _float_terms(sys, rows)
+    values, zero_level = _truncated_products(sys, depth, terms, scalar=True)
+    return values, np.where(zero_level > 0, zero_level, depth), zero_level
 
 
 def mu_hat_detail(sys: AffineSystem, t, tail_tol: float | None = None) -> MuHatResult:
     """Truncated-product evaluation of mu_hat_B(t) with exact-zero detection.
 
-    Rational t (ints/Fractions) takes the exact path: S^{-k} t is computed
-    in Fractions and each phase b.t_k is reduced mod 1 before
-    exponentiation, so a vanishing factor is hit at machine precision and
-    reported as an exact zero.  mu_hat(0) = 1 exactly; |mu_hat| <= 1.
+    One row of `_truncated_products`.  Rational t (ints, Fractions, numpy
+    integers) takes the exact path: `ratlinalg._exp_2pi_i` reduces each phase
+    b.t_k mod 1 before the exp, so a vanishing factor is hit at machine
+    precision and reported as an exact zero.  mu_hat(0) = 1; |mu_hat| <= 1.
     """
-    if tail_tol is None:
-        tail_tol = sys.tail_tol
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
-    coords = [t] if isinstance(t, (int, float, Fraction)) else list(t)
-    exact = sys.has_exact and all(isinstance(c, (int, Fraction)) for c in coords)
-    tf = np.asarray([float(c) for c in coords], dtype=float)
-    depth = _tail_depth(sys, float(np.linalg.norm(tf)), tail_tol)
-    sqrt_n = np.sqrt(sys.N)
-    if exact:
-        s_inv = mat_inverse(sys.S_exact)
-        tk = np.array(fvec(coords), dtype=object)
-        value = 1.0 + 0.0j
-        for k in range(1, depth + 1):
-            tk = s_inv @ tk
-            phases = np.array(
-                [float(sum((bb * cc) % 1 for bb, cc in zip(b, tk)) % 1) for b in sys.B_exact]
-            )
-            factor = np.exp(2j * np.pi * phases).sum() / sqrt_n
-            if abs(factor) < EXACT_ZERO_CUTOFF * sqrt_n:
-                return MuHatResult(0j, k, True, k)
-            value *= factor / sqrt_n
-        return MuHatResult(complex(value), depth, False, None)
-    s_inv_f = np.linalg.inv(sys.S)
-    tk_f = tf.copy()
-    value = 1.0 + 0.0j
-    for k in range(1, depth + 1):
-        tk_f = s_inv_f @ tk_f
-        factor = complex(m_eval(sys.B, tk_f if sys.d > 1 else tk_f[0]))
-        if abs(factor) < EXACT_ZERO_CUTOFF * sqrt_n:
-            return MuHatResult(0j, k, True, k)
-        value *= factor / sqrt_n
-    return MuHatResult(complex(value), depth, False, None)
+    (value,), (n_factors,), (level,) = _mu_hat_rows(sys, [t], tail_tol)
+    return MuHatResult(complex(value), int(n_factors), bool(level), int(level) or None)
 
 
 def mu_hat(sys: AffineSystem, t, tail_tol: float | None = None) -> complex:
@@ -283,28 +319,14 @@ def mu_hat(sys: AffineSystem, t, tail_tol: float | None = None) -> complex:
 
 
 def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = None) -> np.ndarray:
-    """Vectorized float-path mu_hat over rows of ts (n, d).
+    """Vectorized float-path mu_hat over rows of ts (n, d), all to one depth.
 
     Rows where a factor dips below the exact-zero cutoff are set to 0.
     """
-    if tail_tol is None:
-        tail_tol = sys.tail_tol
     pts = np.atleast_2d(np.asarray(ts, dtype=float))
-    if pts.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    depth = _tail_depth(sys, float(np.max(np.linalg.norm(pts, axis=1))), tail_tol)
-    sqrt_n = np.sqrt(sys.N)
-    s_inv_t = np.linalg.inv(sys.S).T
-    values = np.ones(pts.shape[0], dtype=complex)
-    zeroed = np.zeros(pts.shape[0], dtype=bool)
-    tk = pts.copy()
-    for _ in range(depth):
-        tk = tk @ s_inv_t
-        factors = np.exp(2j * np.pi * (tk @ sys.B.T)).sum(axis=1) / sqrt_n
-        zeroed |= np.abs(factors) < EXACT_ZERO_CUTOFF * sqrt_n
-        values *= factors / sqrt_n
-    values[zeroed] = 0j
-    return values
+    depth = np.full(len(pts), _tail_depth(sys, np.linalg.norm(pts, axis=1).max(initial=0.0),
+                                          tail_tol))
+    return _truncated_products(sys, depth, _float_terms(sys, pts), scalar=False)[0]
 
 
 def empirical_char(points: np.ndarray, t) -> complex:

@@ -9,6 +9,7 @@ precision absorbs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,21 @@ def as_fraction(e) -> Fraction:
     if isinstance(e, np.floating):
         return Fraction(float(e))
     return Fraction(e)
+
+
+def _over_common_denominator(a) -> tuple:
+    """(n, q): rationals a (ints, Fractions, numpy integers) as Python-int
+    numerators n over their lcd q."""
+    a = np.asarray(a, dtype=object)
+    fr = [(int(e.numerator), int(e.denominator)) for e in a.flat]
+    q = math.lcm(*(d for _, d in fr))
+    return np.array([n * (q // d) for n, d in fr], dtype=object).reshape(a.shape), q
+
+
+def _exp_2pi_i(numerators, q: int) -> np.ndarray:
+    """exp(2 pi i n/q) for integers n: n is reduced mod q exactly, so the
+    float phase is the correctly rounded n/q mod 1 however large n is."""
+    return np.exp(2j * np.pi * (np.asarray(numerators, dtype=object) % q / q).astype(float))
 
 
 def rational_vector(entries) -> np.ndarray:

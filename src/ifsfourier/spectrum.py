@@ -28,16 +28,14 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cycles import Cycle, _horner
-from .measure import mu_hat_batch, mu_hat_detail
-from .ratlinalg import mat_inverse
+from .measure import _mu_hat_rows, mu_hat_batch, mu_hat_detail
+from .ratlinalg import _over_common_denominator
 from .system import AffineSystem, frac_str, fvec
 
 __all__ = [
@@ -76,37 +74,9 @@ class SpectrumSet:
     def floats(self) -> np.ndarray:
         return np.array(sorted([[float(c) for c in e] for e in self.elements]))
 
-    def sorted_1d(self) -> list:
-        if self.d != 1:
-            raise ValueError("sorted_1d needs a one-dimensional spectrum")
-        return sorted(e[0] for e in self.elements)
-
     def smallest_nonnegative_1d(self, count: int) -> list:
         vals = sorted(v for v in (e[0] for e in self.elements) if v >= 0)
         return vals[:count]
-
-    def window_box(self, lo, hi) -> list:
-        """Elements inside the closed box [lo, hi], lexicographic order."""
-        lo = [Fraction(v) for v in np.atleast_1d(lo)]
-        hi = [Fraction(v) for v in np.atleast_1d(hi)]
-        picked = [
-            e for e in self.elements
-            if all(l <= c <= h for c, l, h in zip(e, lo, hi))
-        ]
-        return sorted(picked)
-
-    def to_json(self) -> str:
-        elems = sorted(self.elements)
-        return json.dumps(
-            {
-                "level": self.level,
-                "cap_hit": self.cap_hit,
-                "tz": "unverified hypothesis",
-                "count": len(elems),
-                "elements": [frac_str(e) for e in elems],
-            },
-            indent=2,
-        )
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -220,16 +190,16 @@ class GramReport:
 
 
 def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> GramReport:
-    """Max |mu_hat_B(lambda - lambda')| over distinct pairs (exact path)."""
+    """Max |mu_hat_B(lambda - lambda')| over distinct pairs (exact path).  Each
+    distinct difference is evaluated once, all in one exact batch; the pair
+    reported is the first in `itertools.combinations` order at the max."""
     elems = [fvec(e) for e in lambda_subset]
-    worst = 0.0
-    arg = None
-    for a, b in itertools.combinations(elems, 2):
-        diff = tuple(x - y for x, y in zip(a, b))
-        val = abs(mu_hat_detail(sys, diff, tail_tol).value)
-        if val > worst:
-            worst, arg = val, (a, b)
-    return GramReport(max_offdiag=worst, argmax_pair=arg, n_elements=len(elems))
+    pairs = list(itertools.combinations(elems, 2))
+    diffs = {}
+    which = [diffs.setdefault(tuple(x - y for x, y in zip(a, b)), len(diffs)) for a, b in pairs]
+    vals = np.abs(_mu_hat_rows(sys, list(diffs), tail_tol)[0])[which]
+    worst = float(vals.max(initial=0.0))
+    return GramReport(worst, pairs[int(np.argmax(vals))] if worst else None, len(elems))
 
 
 def completeness_sum(sys: AffineSystem, lambda_subset, x, tail_tol=None) -> float:
@@ -280,17 +250,11 @@ def grid_orthogonality(sys: AffineSystem, x, denom: int = 4, span: int = 100,
     """
     if sys.d != 1:
         raise ValueError("grid orthogonality analysis is one-dimensional")
-    zero_flag = {
-        m: mu_hat_detail(sys, (Fraction(m, denom),), tail_tol).exact_zero
-        for m in range(1, 2 * span + 1)
-    }
-    ks = list(range(-span, span + 1))
-    n = len(ks)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if zero_flag[abs(ks[i] - ks[j])]:
-                adj[i, j] = adj[j, i] = True
+    # zero_flag[m]: mu_hat(m / denom) vanishes exactly (never at m = 0)
+    zero_flag = _mu_hat_rows(sys, [Fraction(m, denom) for m in range(2 * span + 1)],
+                             tail_tol)[2] > 0
+    ks = range(-span, span + 1)
+    adj = zero_flag[np.abs(np.subtract.outer(ks, ks))]
     n_edges = int(adj.sum()) // 2
     has_triangle = bool((adj & ((adj.astype(np.int64) @ adj.astype(np.int64)) > 0)).any())
     if has_triangle:
@@ -326,10 +290,8 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
     if not sys.exact_integer:
         raise LatticeError("lattice basins need integer system data")
     q = int(lattice_scale)
-    det = int(round(float(np.linalg.det(sys.S))))
-    adj = np.array(
-        [[int(c * det) for c in row] for row in mat_inverse(sys.S_exact)], dtype=np.int64
-    )
+    adj, den = _over_common_denominator(sys.l_view.inv_exact)  # S^{-1} = adj / den
+    adj = adj.astype(np.int64)
     l_scaled = np.array([[int(c * q) for c in l] for l in sys.L_exact], dtype=np.int64)
     m = int(np.floor(radius * q))
     axes = [np.arange(-m, m + 1, dtype=np.int64)] * sys.d
@@ -357,9 +319,9 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
         valid_count = np.zeros(len(pts), dtype=np.int64)
         for l in l_scaled:
             num = (states + l) @ adj.T
-            ok = np.all(num % det == 0, axis=1)
+            ok = np.all(num % den == 0, axis=1)
             valid_count += ok
-            cand = np.where((ok & ~done)[:, None], num // det, cand)
+            cand = np.where((ok & ~done)[:, None], num // den, cand)
         if np.any(valid_count[~done] != 1):
             raise LatticeError("lattice point without a unique S y - l decomposition")
         states = np.where(done[:, None], states, cand)
@@ -417,13 +379,8 @@ def cycle_basin(sys: AffineSystem, x, w_cycles, max_steps: int = 256,
     unless given.
     """
     pt = fvec([x] if isinstance(x, (int, float, Fraction)) else x)
-    if lattice_scale is None:
-        q = 1
-        for c in pt:
-            q = q * c.denominator // math.gcd(q, c.denominator)
-    else:
-        q = int(lattice_scale)
-    s_inv = mat_inverse(sys.S_exact)
+    q = _over_common_denominator(pt)[1] if lattice_scale is None else int(lattice_scale)
+    s_inv = sys.l_view.inv_exact
     l_vecs = [np.array(l, dtype=object) for l in sys.L_exact]
     point_to_cycle = {}
     for cyc in w_cycles:

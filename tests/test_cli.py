@@ -96,7 +96,7 @@ def test_cycles_cantor4(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["count"] == 1
-    assert rep["cycles"][0]["points"] == ["(0)"]
+    assert rep["cycles"] == [{"word": [0], "period": 1, "points": ["(0)"], "is_w_cycle": True}]
 
 
 def test_cycles_twindragon_p4(capsys):

@@ -9,7 +9,6 @@ from ifsfourier import (
     AffineSystem,
     check_duality,
     classify_w,
-    cycles_to_json,
     enumerate_cycles,
     find_w_cycles,
     m_eval,
@@ -172,11 +171,9 @@ def test_power_system_cantor4_squared(cantor4):
     assert check_duality(sq).passes
 
 
-@pytest.mark.xfail(strict=True, reason="check_duality builds the duality matrix from float "
-                   "phases R^-p b.l of size ~8e3, whose round-off (1.1e-12) exceeds the "
-                   "inherited 1e-12 unitarity tolerance")
 def test_check_duality_on_large_power_system():
-    # R = 20, N = 5: a Hadamard triple, so its third power is one too
+    # R = 20, N = 5: a Hadamard triple, so its third power is one too; its
+    # phases (R^-3 b).l reach ~8e3, so they must be reduced mod 1 exactly
     sys = AffineSystem.create([[20]], [[0], [4], [28], [12], [16]], [[0], [-9], [7], [13], [4]])
     assert check_duality(sys).passes
     assert check_duality(power_system(sys, 3)).passes
@@ -204,7 +201,7 @@ def test_power_system_one_cycles_cover_p_cycle_points():
 
 def test_cycles_json_schema(cantor4):
     cycles = find_w_cycles(cantor4, 2)
-    data = json.loads(cycles_to_json(cycles))
+    data = json.loads(json.dumps([c.to_json_dict() for c in cycles]))
     assert data == [
         {"word": [0], "period": 1, "points": ["(0)"], "is_w_cycle": True}
     ]

@@ -21,7 +21,11 @@ from ifsfourier import (
     sample_paths,
     weight_from_digits,
 )
-from ifsfourier.measure import _branch_weights
+from ifsfourier.measure import EXACT_ZERO_CUTOFF, _branch_weights
+from ifsfourier.ratlinalg import mat_inverse
+from ifsfourier.system import fvec
+
+AFFINE = [name for name, entry in EXAMPLES.items() if entry.kind == "affine"]
 
 
 def test_tau_cantor4_fixed_point(cantor4):
@@ -185,6 +189,64 @@ def test_mu_hat_batch_matches_detail(cantor4):
     batch = mu_hat_batch(cantor4, ts, 1e-11)
     for t, v in zip(ts, batch):
         assert abs(v - mu_hat_detail(cantor4, (t[0],), 1e-11).value) < 1e-10
+
+
+def mu_hat_fraction_reference(sys, t, tail_tol=None) -> tuple:
+    """(value, n_factors, exact_zero, zero_level) by the per-level Fraction
+    loop: S^{-k} t in Fractions, every phase b.t_k reduced mod 1 on its own,
+    the depth from the scalar tail-bound loop."""
+    tail_tol = sys.tail_tol if tail_tol is None else tail_tol
+    tk = np.array(fvec(t), dtype=object)
+    c = float(np.linalg.norm(np.linalg.inv(sys.S), 2))
+    max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
+    t_norm = float(np.linalg.norm(tk.astype(float)))
+    depth = 0 if t_norm == 0.0 or max_b == 0.0 else 1
+    while depth and 2.0 * np.pi * max_b * t_norm * c ** (depth + 1) / (1.0 - c) >= tail_tol:
+        depth += 1
+    s_inv = mat_inverse(sys.S_exact)
+    sqrt_n = np.sqrt(sys.N)
+    value = 1.0 + 0.0j
+    for k in range(1, depth + 1):
+        tk = s_inv @ tk
+        phases = np.array(
+            [float(sum((bb * cc) % 1 for bb, cc in zip(b, tk)) % 1) for b in sys.B_exact]
+        )
+        factor = np.exp(2j * np.pi * phases).sum() / sqrt_n
+        if abs(factor) < EXACT_ZERO_CUTOFF * sqrt_n:
+            return 0j, k, True, k
+        value *= factor / sqrt_n
+    return complex(value), depth, False, None
+
+
+def seeded_rationals(d, count, seed):
+    rng = np.random.default_rng(seed)
+    denoms = [1, 2, 3, 4, 5, 8, 9, 16, 25, 64]
+    return [tuple(Fraction(int(rng.integers(-300, 301)), int(rng.choice(denoms)))
+                  for _ in range(d)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_mu_hat_detail_matches_fraction_reference(name):
+    sys = get_system(name)
+    zeros = 0
+    for t in seeded_rationals(sys.d, 120, seed=len(name)):
+        ref_value, *ref_meta = mu_hat_fraction_reference(sys, t)
+        got = mu_hat_detail(sys, t)
+        assert [got.n_factors, got.exact_zero, got.zero_level] == ref_meta, t
+        assert abs(got.value - ref_value) <= 1e-15, t
+        zeros += got.exact_zero
+    assert zeros > 0  # the draw reaches the exact-zero branch
+
+
+def test_mu_hat_detail_numpy_integers_are_exact(cantor4, twindragon):
+    # t = 12345 is an exact zero of the cantor4 mu_hat that float phases miss
+    ref = mu_hat_detail(cantor4, (Fraction(12345),))
+    assert ref.exact_zero and not mu_hat_detail(cantor4, 12345.0).exact_zero
+    for t in (np.int64(12345), np.array([12345]), (np.int32(12345),), 12345):
+        assert mu_hat_detail(cantor4, t) == ref
+    ref = mu_hat_detail(twindragon, (Fraction(3), Fraction(-4)))
+    assert mu_hat_detail(twindragon, np.array([3, -4])) == ref
+    assert mu_hat_detail(cantor4, np.float64(0.3)) == mu_hat_detail(cantor4, 0.3)
 
 
 def test_chaos_game_moments_match_mu_hat(cantor4):

@@ -15,8 +15,13 @@ from ifsfourier import (
     k_points_of_depth,
     lambda_from_k_points,
     LatticeError,
+    get_system,
+    lattice_basin_sums,
+    mu_hat_batch,
+    mu_hat_detail,
     verify_orthogonality,
 )
+from test_measure import mu_hat_fraction_reference
 
 
 def lam(l1):
@@ -208,6 +213,64 @@ def test_cantor3_no_three_orthogonal(cantor3):
     assert report.n_edges > 0
 
 
+def gram_pair_reference(sys, elems, tail_tol=None):
+    """(max_offdiag, argmax_pair) by one Fraction-loop evaluation per pair."""
+    worst, arg = 0.0, None
+    for a, b in itertools.combinations(elems, 2):
+        val = abs(mu_hat_fraction_reference(sys, tuple(x - y for x, y in zip(a, b)),
+                                            tail_tol)[0])
+        if val > worst:
+            worst, arg = val, (a, b)
+    return worst, arg
+
+
+@pytest.mark.parametrize("name,levels,window,shuffle", [
+    ("cantor4", 7, 50, False),  # c04
+    ("cantor4", 8, 100, False),  # bench verify-onb
+    ("lambda15", 7, 50, False),  # bench verify-onb
+    ("cantor3", 6, 50, False),  # not an ONB: the max is a nonzero value
+    ("cantor3", 6, 30, True),  # unsorted: differences of both signs, ties in the max
+])
+def test_orthogonality_matches_per_pair_reference(name, levels, window, shuffle):
+    sys = get_system(name)
+    elems = sorted(generate_lambda(sys, find_w_cycles(sys, 6), levels).elements)[:window]
+    if shuffle:
+        elems = [elems[i] for i in np.random.default_rng(3).permutation(len(elems))]
+    report = verify_orthogonality(sys, elems, sys.tail_tol)
+    assert (report.max_offdiag, report.argmax_pair) == gram_pair_reference(sys, elems)
+    assert report.n_elements == len(elems)
+    assert (report.max_offdiag > 0) == (name == "cantor3")
+
+
+def grid_reference(sys, x, denom=4, span=100, tail_tol=None):
+    """grid_orthogonality with one Fraction-loop evaluation per grid value."""
+    zero_flag = {m: mu_hat_fraction_reference(sys, (Fraction(m, denom),), tail_tol)[2]
+                 for m in range(1, 2 * span + 1)}
+    ks = list(range(-span, span + 1))
+    adj = np.zeros((len(ks), len(ks)), dtype=bool)
+    for i, j in itertools.combinations(range(len(ks)), 2):
+        adj[i, j] = adj[j, i] = zero_flag[abs(ks[i] - ks[j])]
+    n_edges = int(adj.sum()) // 2
+    has_triangle = bool((adj & ((adj.astype(np.int64) @ adj.astype(np.int64)) > 0)).any())
+    clique = 3 if has_triangle else (2 if n_edges else 1)
+    xf = float(x[0])
+    base = abs(mu_hat_detail(sys, (Fraction(xf).limit_denominator(10**12),), tail_tol).value) ** 2
+    partners = [Fraction(k, denom) for k in ks if k != 0 and zero_flag[abs(k)]]
+    if not partners:
+        return clique, n_edges, base, None
+    vals = np.abs(mu_hat_batch(sys, np.array([[float(p) + xf] for p in partners]), tail_tol)) ** 2
+    best = int(np.argmax(vals))
+    return clique, n_edges, base + float(vals[best]), (partners[best],)
+
+
+@pytest.mark.parametrize("name", ["cantor3", "cantor4"])
+def test_grid_orthogonality_matches_per_value_reference(name):
+    sys = get_system(name)
+    report = grid_orthogonality(sys, [0.3], span=100)
+    assert (report.clique_size, report.n_edges, report.zero_anchored_sum,
+            report.anchored_partner) == grid_reference(sys, [0.3])
+
+
 def test_completeness_contains_unit_term(cantor4, cantor4_w_cycles):
     spec = generate_lambda(cantor4, cantor4_w_cycles, 4)
     elems = sorted(spec.elements)
@@ -264,3 +327,16 @@ def test_basin_twindragon_lattice(twindragon):
     res = cycle_basin(twindragon, (Fraction(3, 5), Fraction(1, 5)), cycles, 256)
     assert res.found
     assert res.cycle.period == 6
+
+
+@pytest.mark.parametrize("p_max", [6, 8])
+def test_lattice_basin_sums_partition_the_window(twindragon, p_max):
+    # the 9 W-cycles up to period 8 catch every orbit of the window; up to
+    # period 6 there are 7, and the mass of the other basins goes to `other`
+    cycles = find_w_cycles(twindragon, p_max)
+    per_cycle, other, coverage = lattice_basin_sums(twindragon, [0.3, -0.7], cycles,
+                                                    radius=2.0, lattice_scale=5)
+    assert len(per_cycle) == len(cycles)
+    assert sum(per_cycle) + other == pytest.approx(coverage, abs=1e-12)
+    assert (other == 0.0) == (p_max == 8)
+    assert 0.0 < coverage <= 1.0
