@@ -29,7 +29,7 @@ import numpy as np
 
 from .cycles import Cycle
 from .measure import Weight, _branch_weights, _weight_at, mu_hat_batch
-from .spectrum import k_points_of_depth
+from .spectrum import _cycle_k_points
 from .system import AffineSystem, IfsView
 
 __all__ = [
@@ -300,8 +300,9 @@ def h_closed_form(sys: AffineSystem, x, cycle: Cycle, depth: int,
     omega (depth blocks, duplicates counted once) of
     |mu_hat_B(x + k(omega))|^2.  Nonnegative terms, so the sum increases
     monotonically to h_C(x) as depth grows."""
-    ks = k_points_of_depth(sys, cycle, depth)
-    pts = np.array([[float(c) for c in k] for k in sorted(ks)])
+    rows, q = _cycle_k_points(sys, cycle, depth)
+    # int / int is correctly rounded: the same floats as float(Fraction)
+    pts = np.array([[v / q for v in row] for row in sorted(rows)])
     pts = pts + np.atleast_1d(np.asarray(x, dtype=float))
     vals = mu_hat_batch(sys, pts, tail_tol)
     return float(np.sum(np.abs(vals) ** 2))

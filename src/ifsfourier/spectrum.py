@@ -13,15 +13,22 @@ over W-cycles C (all rotations) and words omega of period-aligned
 length; appending the cycle word to omega leaves k unchanged, which is
 what makes the finite enumerations below well defined.  Both are the
 affine recurrence x -> S x + l started from -x_C, and both run it
-through its one home, `IfsView.expand` on the L-view: one step per BFS
-level, or one step per letter for all words and rotation bases at once.
-`k_point` is the per-word reference (Horner's rule, shared with
-`cycle_from_word`).
+through its one home on the L-view: `IfsView.expand`, one step per BFS
+level, or its integer step on numerators over one denominator, one
+step per letter for all words and rotation bases at once (Fractions
+are formed only for the result).  `k_point` is the per-word reference
+(Horner's rule, shared with `cycle_from_word`).
 
 Orthogonality of the exponentials e_lambda is certified through
 mu_hat_B(lambda - lambda') = 0, always via an exactly vanishing product
 factor; completeness is probed through Parseval partial sums
 sum_lambda |mu_hat_B(x + lambda)|^2 <= 1.
+
+In the Lebesgue case the k-points of a W-cycle are also the negated
+basin of its base point under the lattice endomorphism R_L.
+`cycle_basin` follows one orbit in Fractions and is the reference;
+`lattice_basin_labels` labels a whole lattice window in int64, each
+step moving only the points not yet labelled.
 """
 
 from __future__ import annotations
@@ -145,22 +152,33 @@ def k_point(sys: AffineSystem, cycle: Cycle, omega) -> tuple:
     return _horner(sys.l_view, omega, [-c for c in cycle.points[0]])
 
 
-def _k_points(sys: AffineSystem, bases, n: int) -> set:
-    """{sum_j S^j omega_j - S^n x0 : x0 in bases, omega in L^n}: n
-    expansions of all the negated bases at once, with exact dedup."""
-    points = -np.array(bases, dtype=object).reshape(-1, sys.d)
+def _k_points(sys: AffineSystem, bases, n: int) -> tuple:
+    """(rows, q): {sum_j S^j omega_j - S^n x0 : x0 in bases, omega in L^n}
+    as a set of Python-int rows over the one denominator q > 0, from n
+    integer expansions of all the negated bases at once.  Equal rows are
+    equal points, and rows sort in the order of the points."""
+    rows, q = _over_common_denominator(-np.array(bases, dtype=object).reshape(-1, sys.d))
     for _ in range(n):
-        points = sys.l_view.expand(points)
-    return set(map(tuple, points.tolist()))
+        rows, q = sys.l_view._expand_numerators(rows, q)
+    return set(map(tuple, rows.tolist())), q
+
+
+def _as_fractions(rows, q: int) -> set:
+    return {tuple(Fraction(v, q) for v in row) for row in rows}
+
+
+def _cycle_k_points(sys: AffineSystem, cycle: Cycle, depth: int) -> tuple:
+    """`_k_points` over all words of depth * period letters for one rotation."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    return _k_points(sys, [cycle.points[0]], depth * cycle.period)
 
 
 def k_points_of_depth(sys: AffineSystem, cycle: Cycle, depth: int) -> set:
     """Distinct k-values over all words of length depth * period for one
     rotation of the cycle; shorter words are absorbed because appending
     the cycle word to omega does not change k."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return _k_points(sys, [cycle.points[0]], depth * cycle.period)
+    return _as_fractions(*_cycle_k_points(sys, cycle, depth))
 
 
 def lambda_from_k_points(sys: AffineSystem, w_cycles, length: int) -> set:
@@ -169,7 +187,8 @@ def lambda_from_k_points(sys: AffineSystem, w_cycles, length: int) -> set:
     period).  Equals the BFS closure at that level."""
     if any(length % cyc.period for cyc in w_cycles):
         raise ValueError("length must be a multiple of every cycle period")
-    return _k_points(sys, [base for cyc in w_cycles for _, base in cyc.rotations()], length)
+    bases = [base for cyc in w_cycles for _, base in cyc.rotations()]
+    return _as_fractions(*_k_points(sys, bases, length))
 
 
 @dataclass(frozen=True)
@@ -277,22 +296,55 @@ class LatticeError(ValueError):
     """Raised when a point has no (or no unique) representation S y - l."""
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable scalar per int64 row, equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple:
+    """(found, at): keys[found] == sorted_keys[at[found]], one binary search each."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=np.intp)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys, at
+
+
 def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
                          lattice_scale: int, max_steps: int = 512):
     """Classify the window (1/q) Z^d, max-norm <= radius, by basin.
 
     Follows the lattice endomorphism R_L (the unique y -> S^{-1}(y + l)
-    staying on the lattice) with exact integer arithmetic, vectorized
-    over the whole window.  Returns (points (n, d) scaled by q, labels):
-    label i means the orbit entered w_cycles[i], -1 that it entered no
-    listed cycle within max_steps.
+    staying on the lattice) with exact int64 arithmetic, one step at a
+    time on the points not yet labelled.  Returns (points (n, d) scaled
+    by q, labels): label i means the orbit entered w_cycles[i] within
+    max_steps moves (as in `cycle_basin`), -1 that it entered no listed
+    cycle.  An orbit that comes back to the state it had at the last
+    power-of-two step has closed a cycle it never left unlabelled, so it
+    is in an unlisted cycle for good and stops there with -1.
     """
     if not sys.exact_integer:
         raise LatticeError("lattice basins need integer system data")
+    if lattice_scale < 1:
+        raise ValueError("lattice_scale must be >= 1")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     q = int(lattice_scale)
     adj, den = _over_common_denominator(sys.l_view.inv_exact)  # S^{-1} = adj / den
     adj = adj.astype(np.int64)
-    l_scaled = np.array([[int(c * q) for c in l] for l in sys.L_exact], dtype=np.int64)
+    # R_L(z) = adj (z + q l) / den for the digit l with adj (z + q l) = 0 mod den.
+    # Writing adj z = den u + r (0 <= r < den), that digit is the one whose
+    # shift s_l = adj q l has -s_l = r mod den, and R_L(z) = u + (r + s_l) / den.
+    shifts = np.array([[int(c * q) for c in l] for l in sys.L_exact], dtype=np.int64) @ adj.T
+    place = den ** np.arange(sys.d, dtype=np.int64)
+    residues = (-shifts) % den
+    carries = (residues + shifts) // den
+    classes, digit_of, counts = np.unique(residues @ place, return_index=True,
+                                          return_counts=True)
+    classes = classes[counts == 1]  # a class two digits share has no unique step
+    digit_of = digit_of[counts == 1]
     m = int(np.floor(radius * q))
     axes = [np.arange(-m, m + 1, dtype=np.int64)] * sys.d
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -305,26 +357,29 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
                 raise LatticeError("cycle point %s is not on the 1/%d lattice"
                                    % (frac_str(p), q))
             cycle_of_point[tuple(int(c) for c in scaled)] = ci
-    states = pts.copy()
-    done = np.zeros(len(pts), dtype=bool)
+    cycle_keys = _row_keys(np.array(list(cycle_of_point), dtype=np.int64).reshape(-1, sys.d))
+    order = np.argsort(cycle_keys)
+    cycle_keys = cycle_keys[order]
+    cycle_labels = np.array(list(cycle_of_point.values()), dtype=np.int64)[order]
     label = np.full(len(pts), -1, dtype=np.int64)
-    for _ in range(max_steps):
-        for key, ci in cycle_of_point.items():
-            hit = ~done & np.all(states == np.array(key, dtype=np.int64), axis=1)
-            label[hit] = ci
-            done |= hit
-        if done.all():
+    active, states = np.arange(len(pts)), pts
+    for step in range(max_steps + 1):
+        keys = _row_keys(states)
+        hit, at = _lookup(cycle_keys, keys)
+        label[active[hit]] = cycle_labels[at[hit]]
+        keep = ~hit
+        if step:
+            keep &= keys != mark
+        if step == max_steps or not keep.any():
             break
-        cand = np.zeros_like(states)
-        valid_count = np.zeros(len(pts), dtype=np.int64)
-        for l in l_scaled:
-            num = (states + l) @ adj.T
-            ok = np.all(num % den == 0, axis=1)
-            valid_count += ok
-            cand = np.where((ok & ~done)[:, None], num // den, cand)
-        if np.any(valid_count[~done] != 1):
+        active, states, keys = active[keep], states[keep], keys[keep]
+        mark = keys if step & (step - 1) == 0 else mark[keep]
+        num = states @ adj.T
+        quot = num // den
+        found, at = _lookup(classes, (num - den * quot) @ place)
+        if not found.all():
             raise LatticeError("lattice point without a unique S y - l decomposition")
-        states = np.where(done[:, None], states, cand)
+        states = quot + carries[digit_of[at]]
     return pts, label
 
 

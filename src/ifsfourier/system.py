@@ -9,13 +9,21 @@ phrased against one of the two views.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .ratlinalg import as_fraction, is_expansive, mat_inverse, rational_matrix, to_float
+from .ratlinalg import (
+    _over_common_denominator,
+    as_fraction,
+    is_expansive,
+    mat_inverse,
+    rational_matrix,
+    to_float,
+)
 
 __all__ = ["IfsView", "AffineSystem", "fvec", "frac_str"]
 
@@ -67,12 +75,12 @@ class IfsView:
             return None
         return mat_inverse(self.matrix_exact)
 
-    @property
+    @cached_property
     def contraction_factor(self) -> float:
         """Operator 2-norm of matrix^{-1}; < 1 for all systems we target."""
         return float(np.linalg.norm(self.inv, 2))
 
-    @property
+    @cached_property
     def contraction_factor_inf(self) -> float:
         """Operator inf-norm of matrix^{-1} (row-sum norm); < 1 makes the
         axis-aligned bounding box forward-invariant, which grid transfer
@@ -97,6 +105,24 @@ class IfsView:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (self.digits[:, None] + pts) @ self.inv.T
 
+    @cached_property
+    def _integer_form(self) -> tuple:
+        """(A, D, lam, e): matrix = A / D and digits = lam / e, with A and
+        lam Python-int object arrays and D, e positive ints."""
+        a, den = _over_common_denominator(self.matrix_exact)
+        lam, e = _over_common_denominator(np.array(self.digits_exact, dtype=object))
+        return a, den, lam, e
+
+    def _expand_numerators(self, numerators, q: int) -> tuple:
+        """`expand` on the rows numerators / q in integers: returns (rows, q')
+        with the image rows over the one denominator q' = lcm(D q, e)."""
+        a, den, lam, e = self._integer_form
+        y = np.asarray(numerators, dtype=object).reshape(-1, self.d) @ a.T
+        q_out = math.lcm(den * q, e)
+        if q_out != den * q:
+            y = y * (q_out // (den * q))
+        return (lam[:, None] * (q_out // e) + y).reshape(-1, self.d), q_out
+
     def expand(self, points) -> np.ndarray:
         """One exact step of the recurrence x -> matrix x + digit on a batch:
         for each row x of the (n, d) Fraction array `points`, the N rows
@@ -105,12 +131,14 @@ class IfsView:
         n steps from the zero row therefore list every word sum
         sum_j matrix^j digit_{w_j} in lexicographic word order, w_0
         outermost.  Cycle points, k-points, the spectrum closure and the
-        power-system digits are all such sums."""
+        power-system digits are all such sums.  The step runs on integer
+        numerators (`_expand_numerators`); only its result is turned back
+        into Fractions."""
         if self.matrix_exact is None:
             raise ValueError("exact expansion needs rational system data")
         pts = np.asarray(points, dtype=object).reshape(-1, self.d)
-        digits = np.array(self.digits_exact, dtype=object)
-        return (digits[:, None] + pts @ self.matrix_exact.T).reshape(-1, self.d)
+        rows, q = self._expand_numerators(*_over_common_denominator(pts))
+        return np.array([Fraction(v, q) for v in rows.flat], dtype=object).reshape(rows.shape)
 
     def character_factors(self, freqs: np.ndarray) -> tuple:
         """(2 pi G^t, H) for characters exp(2 pi i b.x), b the rows of a

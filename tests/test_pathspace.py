@@ -11,6 +11,7 @@ from ifsfourier import (
     get_system,
     h_closed_form,
     k_point,
+    mu_hat_batch,
     mu_hat_detail,
     path_weight_with_tail,
     run_chain,
@@ -18,6 +19,7 @@ from ifsfourier import (
     weight_from_digits,
 )
 from ifsfourier.pathspace import classification_radius
+from test_spectrum import k_points_reference
 
 
 def test_cylinder_empty_word(cantor4, cantor4_weight):
@@ -160,6 +162,30 @@ def test_h_closed_form_unit_at_matching_frequency(cantor4, cantor4_w_cycles):
     val = h_closed_form(cantor4, [-float(k[0])], cantor4_w_cycles[0], 6)
     assert val >= 1.0 - 1e-9
     assert val <= 1.0 + 1e-9
+
+
+def h_closed_form_reference(sys, probes, cycle, depth):
+    """h_closed_form at each probe x from the Fraction k-points, each
+    coordinate float()ed."""
+    ks = k_points_reference(sys, [cycle.points[0]], depth * cycle.period)
+    pts = np.array([[float(c) for c in k] for k in sorted(ks)])
+    return [float(np.sum(np.abs(mu_hat_batch(sys, pts + np.asarray(x, dtype=float))) ** 2))
+            for x in probes]
+
+
+@pytest.mark.parametrize("name,p_max,depth", [
+    ("cantor4", 6, 8), ("lambda15", 6, 8), ("twindragon", 4, 6), ("planar-shear", 4, 6),
+])
+def test_h_closed_form_bit_identical_to_fraction_reference(name, p_max, depth):
+    sys = get_system(name)
+    rng = np.random.default_rng(23)
+    probes = [rng.normal(size=sys.d) for _ in range(2)]
+    if name == "planar-shear":
+        probes.append(np.array([1 / 3, 0.0]))  # c10's dual-lattice point
+    for cyc in find_w_cycles(sys, p_max):
+        n = max(1, depth // cyc.period)
+        assert ([h_closed_form(sys, x, cyc, n) for x in probes]
+                == h_closed_form_reference(sys, probes, cyc, n))
 
 
 def test_estimate_h_deficient_partition_planar_shear(planar_shear):

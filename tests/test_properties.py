@@ -31,6 +31,7 @@ from ifsfourier import (
 from ifsfourier.measure import _branch_weights
 from test_cycles import word_sum
 from test_measure import assert_scan_matches_loop
+from test_spectrum import assert_k_points_match_reference
 
 MAX_WORDS = 125  # words per enumeration, to keep exact arithmetic quick
 
@@ -76,6 +77,7 @@ def test_expansion_paths_agree_on_generated_triples(sys_):
     # the closure, the k-points and the power systems all expand x -> M x + d;
     # each must match its per-word definition
     cycles = find_w_cycles(sys_, 2)
+    assert_k_points_match_reference(sys_, cycles, MAX_WORDS)
     aligned = math.lcm(*(c.period for c in cycles))
     for level in range(0, 4, aligned):
         if sys_.N ** level <= MAX_WORDS:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,12 @@ from ifsfourier import (
     mu_hat_detail,
     verify_orthogonality,
 )
+from ifsfourier.ratlinalg import _over_common_denominator
+from ifsfourier.registry import EXAMPLES
+from ifsfourier.spectrum import _as_fractions, _k_points, lattice_basin_labels
 from test_measure import mu_hat_fraction_reference
+
+AFFINE_NAMES = sorted(n for n, e in EXAMPLES.items() if e.kind == "affine")
 
 
 def lam(l1):
@@ -185,6 +191,63 @@ def test_k_points_absorb_cycle_suffix(cantor4, cantor4_w_cycles):
     assert shallow <= deep
 
 
+def fraction_expand(view, points):
+    """IfsView.expand as one Fraction matrix product per batch."""
+    pts = np.asarray(points, dtype=object).reshape(-1, view.d)
+    digits = np.array(view.digits_exact, dtype=object)
+    return (digits[:, None] + pts @ view.matrix_exact.T).reshape(-1, view.d)
+
+
+def k_points_reference(sys, bases, n):
+    """The k-point set from n Fraction expansions of the negated bases."""
+    points = -np.array(bases, dtype=object).reshape(-1, sys.d)
+    for _ in range(n):
+        points = fraction_expand(sys.l_view, points)
+    return set(map(tuple, points.tolist()))
+
+
+def assert_k_points_match_reference(sys, cycles, max_words):
+    for cyc in cycles:
+        for depth in range(4):
+            n = depth * cyc.period
+            if sys.N ** n <= max_words:
+                assert k_points_of_depth(sys, cyc, depth) == k_points_reference(
+                    sys, [cyc.points[0]], n)
+    aligned = math.lcm(*(c.period for c in cycles))
+    for length in range(0, 9, aligned):
+        if sys.N ** length * len(cycles) <= max_words:
+            bases = [base for cyc in cycles for _, base in cyc.rotations()]
+            assert lambda_from_k_points(sys, cycles, length) == k_points_reference(
+                sys, bases, length)
+
+
+@pytest.mark.parametrize("name", AFFINE_NAMES)
+def test_expand_and_k_points_match_fraction_reference(name):
+    sys = get_system(name)
+    cycles = find_w_cycles(sys, 4)
+    assert_k_points_match_reference(sys, cycles, 4096)
+    rng = np.random.default_rng(7)
+    for view in (sys.b_view, sys.l_view):
+        pts = np.array([[Fraction(int(a), int(b)) for a, b in rng.integers(1, 9, (sys.d, 2))]
+                        for _ in range(5)], dtype=object)
+        for batch in (pts, pts[:0], np.full((1, sys.d), Fraction(0), dtype=object)):
+            new, ref = view.expand(batch), fraction_expand(view, batch)
+            assert new.shape == ref.shape and new.tolist() == ref.tolist()
+
+
+def test_integer_step_matches_fraction_reference_on_rational_data():
+    # matrix and digit denominators D, e > 1: each step lifts the common
+    # denominator to lcm(D q, e)
+    sys = AffineSystem.create([[Fraction(7, 2), 1], [0, 3]], [[0, 0], [Fraction(1, 3), 1]],
+                              [[0, Fraction(1, 2)], [Fraction(-2, 5), 1]])
+    bases = [(Fraction(1, 4), Fraction(-2, 3)), (Fraction(0), Fraction(5))]
+    for n in range(4):
+        assert _as_fractions(*_k_points(sys, bases, n)) == k_points_reference(sys, bases, n)
+    batch = np.array(bases, dtype=object)
+    for view in (sys.b_view, sys.l_view):
+        assert view.expand(batch).tolist() == fraction_expand(view, batch).tolist()
+
+
 # --- orthogonality and completeness -------------------------------------------
 
 def test_orthogonality_cantor4_window(cantor4, cantor4_w_cycles):
@@ -340,3 +403,87 @@ def test_lattice_basin_sums_partition_the_window(twindragon, p_max):
     assert sum(per_cycle) + other == pytest.approx(coverage, abs=1e-12)
     assert (other == 0.0) == (p_max == 8)
     assert 0.0 < coverage <= 1.0
+
+
+def basin_labels_reference(sys, w_cycles, radius, lattice_scale, max_steps=512):
+    """Basin labels with every cycle point scanned over the whole window at
+    each of max_steps steps (membership seen after 0..max_steps-1 moves)."""
+    q = int(lattice_scale)
+    adj, den = _over_common_denominator(sys.l_view.inv_exact)
+    adj = adj.astype(np.int64)
+    l_scaled = np.array([[int(c * q) for c in l] for l in sys.L_exact], dtype=np.int64)
+    m = int(np.floor(radius * q))
+    mesh = np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * sys.d, indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    cycle_of_point = {}
+    for ci, cyc in enumerate(w_cycles):
+        for p in cyc.points:
+            cycle_of_point[tuple(int(c * q) for c in p)] = ci
+    states = pts.copy()
+    done = np.zeros(len(pts), dtype=bool)
+    label = np.full(len(pts), -1, dtype=np.int64)
+    for _ in range(max_steps):
+        for key, ci in cycle_of_point.items():
+            hit = ~done & np.all(states == np.array(key, dtype=np.int64), axis=1)
+            label[hit] = ci
+            done |= hit
+        if done.all():
+            break
+        cand = np.zeros_like(states)
+        valid_count = np.zeros(len(pts), dtype=np.int64)
+        for l in l_scaled:
+            num = (states + l) @ adj.T
+            ok = np.all(num % den == 0, axis=1)
+            valid_count += ok
+            cand = np.where((ok & ~done)[:, None], num // den, cand)
+        assert np.all(valid_count[~done] == 1)
+        states = np.where(done[:, None], states, cand)
+    return pts, label
+
+
+def cycle_index(res, cycles):
+    """Index of the cycle a BasinResult entered, -1 for none."""
+    return -1 if res.cycle is None else next(k for k, c in enumerate(cycles) if c is res.cycle)
+
+
+@pytest.mark.parametrize("name,p_max,radius,q", [
+    ("twindragon", 8, 8.0, 5),
+    ("twindragon", 8, 20.0, 5),
+    ("planar-shear", 4, 10.0, 3),  # orbits off the integer lattice: -1 labels
+])
+def test_lattice_basin_labels_match_window_scan_reference(name, p_max, radius, q):
+    sys = get_system(name)
+    cycles = find_w_cycles(sys, p_max)
+    pts, labels = lattice_basin_labels(sys, cycles, radius, q)
+    ref_pts, ref_labels = basin_labels_reference(sys, cycles, radius, q)
+    assert np.array_equal(pts, ref_pts)
+    assert np.array_equal(labels, ref_labels)
+    assert (labels < 0).any() == (name == "planar-shear")
+    # per point, the exact orbit of cycle_basin enters the same cycle
+    for i in np.random.default_rng(11).choice(len(pts), 40, replace=False):
+        res = cycle_basin(sys, [Fraction(int(c), q) for c in pts[i]], cycles, 64, q)
+        assert labels[i] == cycle_index(res, cycles)
+
+
+@pytest.mark.parametrize("max_steps", [0, 1, 3, 4, 8])
+def test_lattice_basin_labels_count_moves_like_cycle_basin(twindragon, max_steps):
+    # label i means the orbit is on cycle i after at most max_steps moves
+    cycles = find_w_cycles(twindragon, 8)
+    pts, labels = lattice_basin_labels(twindragon, cycles, 1.0, 5, max_steps)
+    for pt, label in zip(pts, labels):
+        res = cycle_basin(twindragon, [Fraction(int(c), 5) for c in pt], cycles, max_steps, 5)
+        assert label == cycle_index(res, cycles)
+    # (-1, 2/5) reaches its cycle in exactly four moves
+    (at,) = np.flatnonzero(np.all(pts == [-5, 2], axis=1))
+    assert (labels[at] >= 0) == (max_steps >= 4)
+
+
+@pytest.mark.parametrize("bad", [{"lattice_scale": 0}, {"lattice_scale": -5},
+                                 {"radius": -1.0}, {"max_steps": -1}])
+def test_lattice_basins_reject_bad_input(twindragon, bad):
+    cycles = find_w_cycles(twindragon, 4)
+    kwargs = {"radius": 1.0, "lattice_scale": 5, **bad}
+    with pytest.raises(ValueError):
+        lattice_basin_labels(twindragon, cycles, **kwargs)
+    with pytest.raises(ValueError):
+        lattice_basin_sums(twindragon, [0.3, -0.7], cycles, **kwargs)
