@@ -13,7 +13,9 @@ samples the path measures P_x; only the recorded states differ.
 The worked circle example: scale 3, W(e^{it}) = (2/3) cos^2 t, whose
 stationary measure is the Riesz product
 d nu(t) = (1/2 pi) prod_{k>=1} (1 + cos(2 * 3^k t)).  Its chain is that
-walk on the 1-d view x = t / 2 pi, x -> (x + j)/3 for j in {0, 1, 2}.
+walk on the 1-d view x = t / 2 pi, x -> (x + j)/3 for j in {0, 1, 2},
+with the weight written as the cosine polynomial 1/3 + (1/3) cos(4 pi x),
+so it runs the same branch-weight kernel as W_B.
 """
 
 from __future__ import annotations
@@ -129,7 +131,9 @@ def riesz_partial_density(t, n_factors: int) -> np.ndarray:
 
 # x = t / 2 pi: the cube map on the circle as the 1-d IFS x -> (x + j)/3
 _RIESZ_VIEW = IfsView("riesz3", np.array([[3.0]]), np.arange(3.0).reshape(3, 1))
-_RIESZ_WEIGHT = Weight(lambda x: riesz_weight(2.0 * np.pi * x), "(2/3) cos^2(2 pi x)")
+# (2/3) cos^2(2 pi x) = 1/3 + (1/3) cos(2 pi 2x), a cosine polynomial like W_B
+_RIESZ_WEIGHT = Weight(lambda x: riesz_weight(2.0 * np.pi * x), "(2/3) cos^2(2 pi x)",
+                       cosines=(1.0 / 3.0, np.array([1.0 / 3.0]), np.array([[2.0]])))
 
 
 def riesz_chain(n: int, seed: int = 0, burn_in: int = DEFAULT_BURN_IN,

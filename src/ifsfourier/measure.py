@@ -14,14 +14,20 @@ vanishing exactly, so rational rows carry S^{-k} t as integer numerators,
 and `ratlinalg._exp_2pi_i` reduces each phase mod 1 exactly before the
 float exp; such zeros are reported as exact.
 
-At the N branch images tau_l z = S^{-1}(z + l) of the L-view, W_B
-factors through the duality matrix H[b, l] = exp(2 pi i R^{-1}b.l):
+W_B is also a real cosine polynomial over the difference set B - B,
 
-    W_B(tau_l z) = |sum_b exp(2 pi i (R^{-1}b).z) H[b, l]|^2 / N^2,
+    W_B(x) = N^{-2} sum_{b, b'} cos(2 pi (b - b').x)
+           = c_0 + sum_j a_j cos(2 pi f_j.x),
 
-N exponentials per state instead of N^2.  QMF, sum_l W_B(tau_l z) = 1,
-is the unitarity of H / sqrt(N).  `_branch_weights` evaluates every
-weight built by `weight_from_digits` this way, on any affine view.
+with one f_j per pair +-delta of nonzero differences, a_j = 2 c_delta / N^2
+for c_delta the number of pairs (b, b') with b - b' = delta, and
+c_0 = 1/N (plus 2/N^2 per repeated digit pair).  At the N branch images
+tau_l z = M^{-1}(z + l) of an affine view, f_j.tau_l z = g_j.z + g_j.l
+with g_j = M^{-t} f_j, so every W(tau_l z) comes from the same P cosines
+and P sines of 2 pi g_j.z: one trig pass per state for all N branches
+(`_branch_weights`, with the per-view factors of
+`IfsView.cosine_factors`).  QMF, sum_l W_B(tau_l z) = 1 on the L-view of
+a Hadamard triple, is the unitarity of its duality matrix.
 """
 
 from __future__ import annotations
@@ -90,24 +96,22 @@ class Weight:
     W is always evaluated analytically, never interpolated: its zeros are
     geometrically critical and interpolation would smear them.
 
-    `digits`, when set, are the frequencies of an exponential-sum weight
-    W(x) = |sum_b exp(2 pi i b.x)|^2 / K^2, K = len(digits), as a (K, d)
-    array; `fn` evaluates the same W.  On an affine view
-    tau_l x = M^{-1}(x + l) they factor W at all N branch images,
+    `cosines`, when set, is W as a real cosine polynomial (c0, a, f),
 
-        W(tau_l z) = |sum_b v_b(z) H[b, l]|^2 / K^2,
-        v_b(z) = exp(2 pi i g_b.z),  H[b, l] = exp(2 pi i g_b.l),
+        W(x) = c0 + sum_j a[j] cos(2 pi f[j].x),
 
-    with g_b = M^{-t} b: K exponentials per state and one K x N matmul
-    instead of K N exponentials.  For W_B on the L-view of a triple, H is
-    the triple's Hadamard matrix, and QMF is its unitarity.  The digits
-    take no part in == or hash.
+    with a of shape (P,) and f of shape (P, d); `fn` evaluates the same W
+    independently.  On an affine view tau_l z = M^{-1}(z + l) the
+    polynomial gives W at all N branch images from P cosines and P sines
+    of z alone, without forming the images (`_branch_weights`).
+    `weight_from_digits` fills it for W_B.  The polynomial takes no part
+    in == or hash.
     """
 
     fn: object
     description: str = ""
     lipschitz_bound: float | None = None
-    digits: np.ndarray | None = field(default=None, compare=False)
+    cosines: tuple | None = field(default=None, compare=False)
 
     def __call__(self, x):
         return self.fn(x)
@@ -118,26 +122,53 @@ def _weight_at(weight, points: np.ndarray) -> np.ndarray:
     return np.asarray(weight(points if points.shape[1] > 1 else points[:, 0]), dtype=float)
 
 
-def _branch_weights(weight, view: IfsView, z: np.ndarray) -> tuple:
-    """(images, w): the branch images tau_i z of a batch z, shape (N, n, d),
-    and the raw weights W(tau_i z), shape (N, n).
+def _branch_weights(weight, view: IfsView, z: np.ndarray) -> np.ndarray:
+    """W(tau_l z) for every digit l and row z of an (n, d) batch, as a
+    C-ordered (N, n) array.
 
-    A weight with digits takes the factored form of `Weight`; any other
-    weight is called once on all N n images."""
-    images = view.tau_all(z)
-    digits = getattr(weight, "digits", None)
-    if digits is None:
-        return images, _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
-    g2pi_t, h = view.character_factors(digits)
-    s = (np.exp(1j * (np.atleast_2d(np.asarray(z, dtype=float)) @ g2pi_t)) @ h).T
-    return images, (s.real ** 2 + s.imag ** 2) / len(digits) ** 2
+    A weight with `cosines` needs z alone: the phases g_j.z in turns are
+    reduced mod 1 (so the cosine sees arguments in [-pi, pi]), the sines
+    come from the same cosine pass as cos(2 pi (g_j.z - 1/4)), and one
+    (N, 2P) x (2P, n) product with the view's coefficients gives all N
+    weights.  Any other weight is called once on all N n branch images."""
+    cosines = getattr(weight, "cosines", None)
+    if cosines is None:
+        images = view.tau_all(z)
+        return _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
+    c0, coeffs, freqs = cosines
+    g, coef = view.cosine_factors(coeffs, freqs)
+    p = len(g)
+    turns = np.empty((2 * p, len(z)))
+    np.matmul(g, z.T, out=turns[:p])
+    np.subtract(turns[:p], 0.25, out=turns[p:])
+    turns -= np.rint(turns)
+    turns *= 2.0 * np.pi
+    np.cos(turns, out=turns)
+    w = coef @ turns
+    w += c0
+    return w
+
+
+def _cosine_polynomial(b: np.ndarray) -> tuple:
+    """(c0, a, f) with |sum_b exp(2 pi i b.x)|^2 / K^2 = c0 + sum_j a_j cos(2 pi f_j.x)
+    for the K rows b of an array.  The K diagonal pairs give c0 = 1/K; each
+    unordered pair of digits adds 2 cos(2 pi (b - b').x) / K^2, to c0 when
+    the digits are equal, else to the frequency +-(b - b'), whose sign is
+    fixed by its first nonzero coordinate."""
+    k = len(b)
+    i, j = np.triu_indices(k, 1)
+    delta = b[i] - b[j]
+    lead = delta[np.arange(len(delta)), np.argmax(delta != 0, axis=1)]
+    delta = np.where(lead[:, None] < 0, -delta, delta) + 0.0  # + 0.0: no -0.0 entries
+    freqs, pairs = np.unique(delta[lead != 0], axis=0, return_counts=True)
+    return (k + 2.0 * np.count_nonzero(lead == 0)) / k ** 2, 2.0 * pairs / k ** 2, freqs
 
 
 def weight_from_digits(digits, description: str = "") -> Weight:
     b = np.atleast_2d(np.asarray(digits, dtype=float))
     # |m_B|^2 has gradient bounded by 4 pi sqrt(N) max|b| / N * N = 4 pi max|b|
     lip = 4.0 * np.pi * float(np.max(np.linalg.norm(b, axis=1))) if len(b) else 0.0
-    return Weight(weight_function(b), description or "|m_B|^2/N", lip, b)
+    return Weight(weight_function(b), description or "|m_B|^2/N", lip, _cosine_polynomial(b))
 
 
 def pi_truncated(view: IfsView, word) -> tuple:

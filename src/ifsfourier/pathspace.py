@@ -15,10 +15,12 @@ estimator is built on.
 
 Monte Carlo sampling runs the one branch walk of the package (`_walk`,
 also behind the stationary chains of `invariant`), vectorized across
-paths: each step evaluates W at all N branch images at once, draws the
-branch and moves to the chosen image.  The branch probabilities
-W(tau_l z) are exact up to float rounding, and weights below 1e-15 are
-treated as exactly zero so paths cannot tunnel through zeros of W.
+paths: each step evaluates W at all N branch images at once (for a
+cosine-polynomial weight such as W_B, from the state alone, without
+forming the images), draws the branch and moves to the chosen image
+only.  The branch probabilities W(tau_l z) are exact up to float
+rounding, and weights below 1e-15 are treated as exactly zero so paths
+cannot tunnel through zeros of W.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
 
 ZERO_BRANCH_CUTOFF = 1e-15
 QMF_SAMPLING_TOL = 1e-9
+UNIFORM_BLOCK = 1 << 16  # uniforms per draw of the walk, over all its walks
 
 
 def _states_of_word(view: IfsView, x, word):
@@ -149,6 +152,14 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     W(tau_i z), drawn by one uniform per walk against the cumulative
     weights.  Returns the words (count, length) and the states z_k for
     k >= keep_from, shape (count, length + 1 - keep_from, d), with z_0 = x.
+
+    The weights come as a C-ordered (N, count) array, so the per-step
+    reductions run along the walks; the choice counts the cumulative rows
+    the uniform passes, one row at a time (the last row is 1 up to
+    rounding, and a uniform past it takes the last branch either way).
+    Only the chosen image is computed.  The uniforms are drawn for
+    several steps at once: `default_rng` gives the same stream in blocks
+    as in one call per step.
     """
     rng = np.random.default_rng(seed)
     z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
@@ -156,12 +167,15 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     kept = np.empty((count, length + 1 - keep_from, view.d))
     if keep_from == 0:
         kept[:, 0] = z
-    walks = np.arange(count)
-    last = view.n_digits - 1
+    inv_t, digits = view.inv.T, view.digits
+    block = max(1, UNIFORM_BLOCK // count)
     # ufunc methods rather than their numpy wrappers: a step works on a few
     # dozen numbers, so call overhead is most of its cost
     for step in range(length):
-        images, w = _branch_weights(weight, view, z)
+        if step % block == 0:
+            uniforms = rng.random(min(block, length - step) * count).reshape(-1, count)
+        u = uniforms[step % block]
+        w = _branch_weights(weight, view, z)
         w = np.where(w < ZERO_BRANCH_CUTOFF, 0.0, w)
         sums = np.add.reduce(w)
         worst = np.maximum.reduce(np.abs(sums - 1.0))
@@ -171,10 +185,13 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
                 "is the weight QMF-normalized?" % (QMF_SAMPLING_TOL, worst)
             )
         w /= sums
-        choices = np.add.reduce(rng.random(count) >= np.add.accumulate(w))
-        np.minimum(choices, last, out=choices)
+        cum = w[0]
+        choices = (u >= cum).astype(np.intp)
+        for row in w[1:-1]:
+            cum += row
+            choices += u >= cum
         words[:, step] = choices
-        z = images[choices, walks]
+        z = (z + digits.take(choices, axis=0)) @ inv_t
         if step + 1 >= keep_from:
             kept[:, step + 1 - keep_from] = z
     return words, kept

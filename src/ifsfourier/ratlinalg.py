@@ -137,10 +137,28 @@ def solve_exact(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def mat_inverse(m: np.ndarray) -> np.ndarray:
-    """Exact inverse, column by column via solve_exact."""
+    """Exact inverse by one Gauss-Jordan elimination of [m | I].
+
+    Partial (first nonzero) pivoting as in `solve_exact`, on all n identity
+    columns at once; raises SingularMatrixError when no pivot can be found.
+    """
     n = m.shape[0]
-    cols = [solve_exact(m, identity_rational(n)[:, j]) for j in range(n)]
-    return np.stack(cols, axis=1)
+    if m.shape != (n, n):
+        raise ValueError("expected a square matrix, got shape %s" % (m.shape,))
+    rows = [[as_fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is not invertible over the rationals")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        piv = rows[col][col]
+        pivot = rows[col] = [v / piv for v in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor != 0:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], pivot)]
+    return np.array([row[n:] for row in rows], dtype=object)
 
 
 def spectral_margin(r) -> float:

@@ -55,7 +55,7 @@ class IfsView:
     digits: np.ndarray  # shape (N, d), float
     matrix_exact: np.ndarray | None = None
     digits_exact: tuple | None = None  # tuple of fvec
-    _character_factors: dict = field(default_factory=dict, init=False, repr=False)
+    _cosine_factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -140,21 +140,27 @@ class IfsView:
         rows, q = self._expand_numerators(*_over_common_denominator(pts))
         return np.array([Fraction(v, q) for v in rows.flat], dtype=object).reshape(rows.shape)
 
-    def character_factors(self, freqs: np.ndarray) -> tuple:
-        """(2 pi G^t, H) for characters exp(2 pi i b.x), b the rows of a
-        (K, d) array: at the branch images they factor as
+    def cosine_factors(self, coeffs: np.ndarray, freqs: np.ndarray) -> tuple:
+        """(G, C) for a cosine polynomial sum_j a_j cos(2 pi f_j.x), a and f
+        float arrays of shapes (P,) and (P, d), at the branch images: with g_j =
+        matrix^{-t} f_j the rows of G (in turns) and phi_{j,l} = 2 pi g_j.l,
 
-            exp(2 pi i b.tau_l z) = exp(2 pi i g_b.z) H[b, l],
+            a_j cos(2 pi f_j.tau_l z)
+                = a_j cos phi_{j,l} cos(2 pi g_j.z) - a_j sin phi_{j,l} sin(2 pi g_j.z),
 
-        with g_b = matrix^{-t} b the rows of G and H[b, l] = exp(2 pi i g_b.l),
-        shape (K, N).  Cached per frequency set."""
-        freqs = np.asarray(freqs, dtype=float)
-        key = freqs.tobytes()
-        factors = self._character_factors.get(key)
+        so the N terms are C @ [cos(2 pi G z); sin(2 pi G z)], with
+        C[l] = (a cos phi_{., l}, -a sin phi_{., l}) of shape (N, 2P).
+        The phases g_j.l are reduced mod 1 before the trig call.  Cached
+        per polynomial."""
+        key = (coeffs.tobytes(), freqs.tobytes())
+        factors = self._cosine_factors.get(key)
         if factors is None:
             g = freqs @ self.inv
-            factors = (2.0 * np.pi * g.T, np.exp(2j * np.pi * (g @ self.digits.T)))
-            self._character_factors[key] = factors
+            phi = g @ self.digits.T
+            phi = 2.0 * np.pi * (phi - np.rint(phi))
+            a = coeffs[:, None]
+            factors = (g, np.concatenate([a * np.cos(phi), -a * np.sin(phi)]).T.copy())
+            self._cosine_factors[key] = factors
         return factors
 
     def bounding_radius(self) -> float:

@@ -2,10 +2,10 @@
 
 (R_W f)(x) = sum_i W(tau_i x) f(tau_i x), evaluated on an axis-aligned
 grid: the weight W is always evaluated analytically (its zeros must not
-be smeared), while f is read off the grid by multilinear interpolation.
-The weights W(tau_i x) come from `measure._branch_weights`, the same
-evaluation that drives the branch walk of `pathspace`: R_W is the
-walk's one-step expectation.
+be smeared), while f is read off the grid by multilinear interpolation
+at the branch images from `IfsView.tau_all`.  The weights W(tau_i x)
+come from `measure._branch_weights`, the same evaluation that drives the
+branch walk of `pathspace`: R_W is the walk's one-step expectation.
 Harmonic functions are approached through Cesaro averages
 (1/n) sum_{k<n} R_W^k f rather than plain powers; plain iteration is
 kept as an option.
@@ -150,7 +150,8 @@ def ruelle_apply(weight: Weight, view: IfsView, f: GridFunction) -> GridFunction
     DomainError propagates from the interpolation).
     """
     nodes = f.nodes()
-    images, w = _branch_weights(weight, view, nodes)
+    images = view.tau_all(nodes)
+    w = _branch_weights(weight, view, nodes)
     acc = np.zeros(nodes.shape[0], dtype=f.values.dtype)
     for i in range(view.n_digits):
         acc = acc + w[i] * np.atleast_1d(f.eval(images[i]))
@@ -183,7 +184,7 @@ def check_qmf(weight: Weight, view: IfsView, n_probe: int = 10_000, seed: int = 
     rng = np.random.default_rng(seed)
     lo, hi = view.box(inflate=1.0)
     pts = rng.uniform(lo, hi, size=(n_probe, view.d))
-    _, w = _branch_weights(weight, view, pts)
+    w = _branch_weights(weight, view, pts)
     return float(np.max(np.abs(w.sum(axis=0) - 1.0)))
 
 

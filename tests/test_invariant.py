@@ -197,3 +197,20 @@ def test_concentration_curve_shape():
     assert curve[0, 1] >= 0.9  # most mass in the single heaviest bin
     assert curve[-1, 1] == pytest.approx(1.0)
     assert np.all(np.diff(curve[:, 1]) >= -1e-12)
+
+
+def test_riesz_weight_is_a_cosine_polynomial():
+    # (2/3) cos^2(2 pi x) = 1/3 + (1/3) cos(4 pi x): the chain runs the W_B kernel
+    from dataclasses import replace
+
+    from ifsfourier.invariant import _RIESZ_VIEW, _RIESZ_WEIGHT
+    from ifsfourier.measure import _branch_weights
+
+    x = np.random.default_rng(35).uniform(-2.0, 2.0, size=(3000, 1))
+    fast = _branch_weights(_RIESZ_WEIGHT, _RIESZ_VIEW, x)
+    generic = replace(_RIESZ_WEIGHT, cosines=None)
+    assert np.max(np.abs(fast - _branch_weights(generic, _RIESZ_VIEW, x))) < 1e-15
+    assert np.max(np.abs(fast.sum(axis=0) - 1.0)) < 1e-15
+    chain = run_chain(_RIESZ_WEIGHT, _RIESZ_VIEW, [0.2], 32 * 300, burn_in=20, seed=4)
+    ref = run_chain(generic, _RIESZ_VIEW, [0.2], 32 * 300, burn_in=20, seed=4)
+    assert np.array_equal(chain.states, ref.states)

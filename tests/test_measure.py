@@ -23,7 +23,7 @@ from ifsfourier import (
 )
 from ifsfourier.measure import EXACT_ZERO_CUTOFF, _branch_weights
 from ifsfourier.ratlinalg import mat_inverse
-from ifsfourier.system import fvec
+from ifsfourier.system import IfsView, fvec
 
 AFFINE = [name for name, entry in EXAMPLES.items() if entry.kind == "affine"]
 
@@ -330,19 +330,19 @@ def test_chaos_game_scan_short_streams(name):
         assert_scan_matches_loop(view, 1, 5, x0=x0, n_streams=3)
 
 
-# --- the factored W_B kernel against the generic weight call ---------------
+# --- the cosine-polynomial W kernel against the generic weight call --------
 
 
 def _generic(weight):
-    """The same W without its frequencies: evaluated by calling `fn`."""
-    return replace(weight, digits=None)
+    """The same W without its cosine polynomial: evaluated by calling `fn`."""
+    return replace(weight, cosines=None)
 
 
 def _kernel_deviation(weight, view, z):
-    fast_images, fast = _branch_weights(weight, view, z)
-    images, ref = _branch_weights(_generic(weight), view, z)
-    assert np.array_equal(fast_images, images)
+    fast = _branch_weights(weight, view, z)
+    ref = _branch_weights(_generic(weight), view, z)
     assert fast.shape == ref.shape == (view.n_digits, len(z))
+    assert fast.flags.c_contiguous
     return float(np.max(np.abs(fast - ref)))
 
 
@@ -391,5 +391,36 @@ def test_weight_with_digits_hashable_and_comparable(cantor4):
     a = weight_from_digits(cantor4.B)
     b = weight_from_digits(cantor4.B)
     assert len({a, b, a}) == 2
-    assert a == a and a != b  # distinct evaluators; the digits take no part
+    assert a == a and a != b  # distinct evaluators; the polynomial takes no part
     assert hash(_generic(a)) == hash(a) and _generic(a) == a
+
+
+def test_cosine_polynomial_of_digit_sets():
+    # cantor4: |1 + e(2x)|^2 / 4 = 1/2 + (1/2) cos(2 pi 2x)
+    c0, a, f = weight_from_digits([[0], [2]]).cosines
+    assert c0 == 0.5 and a.tolist() == [0.5] and f.tolist() == [[2.0]]
+    # {0, 1, 2, 3}: differences 1, 2, 3 from 3, 2, 1 unordered pairs
+    c0, a, f = weight_from_digits([[0], [1], [2], [3]]).cosines
+    assert c0 == 0.25 and f.tolist() == [[1.0], [2.0], [3.0]]
+    assert a.tolist() == [6 / 16, 4 / 16, 2 / 16]
+    # +-delta share one frequency, whatever the order of the digits
+    c0, a, f = weight_from_digits([[1, 0], [0, 0], [0, 1], [1, -1]]).cosines
+    assert f.tolist() == [[0.0, 1.0], [1.0, -2.0], [1.0, -1.0], [1.0, 0.0]]
+    assert c0 == 0.25 and a.tolist() == [4 / 16, 2 / 16, 4 / 16, 2 / 16]
+    # a repeated digit is a pair with difference 0: it adds to the constant
+    c0, a, f = weight_from_digits([[0], [0], [1]]).cosines
+    assert c0 == 5 / 9 and a.tolist() == [4 / 9] and f.tolist() == [[1.0]]
+    # one digit: W = 1 and no cosines
+    c0, a, f = weight_from_digits([[3, 4]]).cosines
+    assert c0 == 1.0 and a.shape == (0,) and f.shape == (0, 2)
+
+
+@pytest.mark.parametrize("digits", [[[0], [0], [1]], [[1, 0], [0, 0], [0, 1], [1, -1]],
+                                    [[3, 4]], [[0.5], [1.25], [-2.0]]])
+def test_cosine_polynomial_matches_generic_weight(digits):
+    # repeated digits, sign-merged 2-d differences, one digit, non-integer digits
+    weight = weight_from_digits(digits)
+    d = len(digits[0])
+    view = IfsView("B", 3.0 * np.eye(d), np.zeros((2, d)) + np.arange(2.0)[:, None])
+    z = np.random.default_rng(33).uniform(-2.0, 2.0, size=(500, d))
+    assert _kernel_deviation(weight, view, z) < 1e-13

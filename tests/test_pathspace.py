@@ -18,7 +18,8 @@ from ifsfourier import (
     sample_paths,
     weight_from_digits,
 )
-from ifsfourier.pathspace import classification_radius
+from ifsfourier.measure import _branch_weights
+from ifsfourier.pathspace import UNIFORM_BLOCK, classification_radius
 from test_spectrum import k_points_reference
 
 
@@ -278,3 +279,98 @@ def test_run_chain_matches_reference_walk(name, x):
     expected = np.concatenate(
         [states[i, burn_in + 1: burn_in + 1 + counts[i]] for i in range(n_chains)])
     assert np.array_equal(chain.states, expected)
+
+
+# --- the walk before W_B became a cosine polynomial -------------------------
+
+def exponential_branch_weights(digits, view, z):
+    """The kernel `measure._branch_weights` ran for W_B = |m_B|^2 / N before
+    the cosine polynomial: (images, w) with all N branch images from
+    `tau_all` and w = |exp(2 pi i z G^t) H|^2 / K^2, where g_b = M^{-t} b are
+    the rows of G and H[b, l] = exp(2 pi i g_b.l); w is a transposed,
+    F-ordered (N, n) view."""
+    b = np.atleast_2d(np.asarray(digits, dtype=float))
+    g = b @ view.inv
+    h = np.exp(2j * np.pi * (g @ view.digits.T))
+    s = (np.exp(1j * (np.atleast_2d(z) @ (2.0 * np.pi * g.T))) @ h).T
+    return view.tau_all(z), (s.real ** 2 + s.imag ** 2) / len(b) ** 2
+
+
+def exponential_kernel_walk(digits, view, x, length, count, seed, keep_from):
+    """`pathspace._walk` as it ran on that kernel: every branch image formed,
+    axis-0 reductions over the F-ordered weights, one uniform draw per step.
+    Returns the words and the states z_k for k >= keep_from."""
+    rng = np.random.default_rng(seed)
+    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
+    words = np.empty((count, length), dtype=np.int8)
+    kept = np.empty((count, length + 1 - keep_from, view.d))
+    if keep_from == 0:
+        kept[:, 0] = z
+    walks = np.arange(count)
+    for step in range(length):
+        images, w = exponential_branch_weights(digits, view, z)
+        w = np.where(w < 1e-15, 0.0, w)
+        sums = np.add.reduce(w)
+        assert np.max(np.abs(sums - 1.0)) <= 1e-9
+        w /= sums
+        choices = np.add.reduce(rng.random(count) >= np.add.accumulate(w))
+        np.minimum(choices, view.n_digits - 1, out=choices)
+        words[:, step] = choices
+        z = images[choices, walks]
+        if step + 1 >= keep_from:
+            kept[:, step + 1 - keep_from] = z
+    return words, kept
+
+
+@pytest.mark.parametrize("name,x", WALK_CASES)
+def test_walk_matches_exponential_kernel_walk(name, x):
+    sys_ = get_system(name)
+    view, w = sys_.l_view, weight_from_digits(sys_.B)
+    # wide: 3000 walks draw their uniforms 21 steps at a time, so 40 steps
+    # end in a partial block
+    length, count, tail_window = 40, 3000, 6
+    assert UNIFORM_BLOCK // count == 21
+    ens = sample_paths(w, view, x, length, count, seed=25, tail_window=tail_window)
+    words, tail = exponential_kernel_walk(sys_.B, view, x, length, count, 25,
+                                          length - tail_window)
+    assert np.array_equal(ens.words, words)
+    assert np.array_equal(ens.tail_states, tail)
+    assert np.array_equal(ens.final_states, tail[:, -1])
+    # narrow: 32 chains draw 2048 steps at a time, so 2602 steps cross a block
+    n, burn_in, n_chains = 32 * 2500 + 2, 100, 32
+    assert UNIFORM_BLOCK // n_chains == 2048
+    chain = run_chain(w, view, x, n, burn_in=burn_in, seed=26, n_chains=n_chains)
+    counts = [n // n_chains] * n_chains
+    counts[-1] += n - sum(counts)
+    _, kept = exponential_kernel_walk(sys_.B, view, x, burn_in + counts[-1], n_chains, 26,
+                                      burn_in + 1)
+    expected = np.concatenate([kept[i, : counts[i]] for i in range(n_chains)])
+    assert np.array_equal(chain.states, expected)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in WALK_CASES])
+def test_cosine_kernel_matches_exponential_kernel(name):
+    sys_ = get_system(name)
+    for view in (sys_.l_view, sys_.b_view):
+        lo, hi = view.box()
+        z = np.random.default_rng(34).uniform(3 * lo, 3 * hi, size=(2000, sys_.d))
+        for digits in (sys_.B, sys_.L):
+            _, ref = exponential_branch_weights(digits, view, z)
+            assert np.max(np.abs(_branch_weights(weight_from_digits(digits), view, z) - ref)) < 1e-11
+
+
+@pytest.mark.parametrize("count,steps,block", [(7, 10, 3), (32, 5000, 2048), (3000, 40, 21),
+                                               (1, 5, 5)])
+def test_block_uniforms_match_per_step_draws(count, steps, block):
+    # the walk draws rng.random(k * count) for k steps at once; default_rng
+    # must give the same uniforms as k calls of rng.random(count), in a
+    # final partial block too
+    per_step = np.random.default_rng(np.random.SeedSequence(17))
+    blocked = np.random.default_rng(np.random.SeedSequence(17))
+    rows = []
+    for start in range(0, steps, block):
+        rows.extend(blocked.random(min(block, steps - start) * count).reshape(-1, count))
+    assert len(rows) == steps
+    for row in rows:
+        assert np.array_equal(row, per_step.random(count))
+    assert blocked.random() == per_step.random()  # both streams end at the same place

@@ -31,6 +31,7 @@ from ifsfourier import (
 from ifsfourier.measure import _branch_weights
 from test_cycles import word_sum
 from test_measure import assert_scan_matches_loop
+from test_pathspace import exponential_branch_weights
 from test_spectrum import assert_k_points_match_reference
 
 MAX_WORDS = 125  # words per enumeration, to keep exact arithmetic quick
@@ -50,15 +51,20 @@ def hadamard_triples_1d(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(sys_=hadamard_triples_1d(), seed=st.integers(0, 2 ** 16))
 def test_factored_kernel_and_qmf_on_generated_triples(sys_, seed):
-    view = sys_.l_view
-    weight = weight_from_digits(sys_.B)
-    lo, hi = view.box()
-    z = np.random.default_rng(seed).uniform(lo, hi, size=(200, 1))
-    _, fast = _branch_weights(weight, view, z)
-    _, ref = _branch_weights(replace(weight, digits=None), view, z)
-    assert np.max(np.abs(fast - ref)) < 1e-12
-    assert np.max(np.abs(fast.sum(axis=0) - 1.0)) < 1e-12
-    assert check_qmf(weight, view, n_probe=500, seed=seed) < 1e-12
+    # W_B on the L-view and, by the symmetry of the duality, W_L on the
+    # B-view: the cosine kernel against `fn` and against the complex
+    # exponential kernel it replaced, then QMF
+    for view, digits in ((sys_.l_view, sys_.B), (sys_.b_view, sys_.L)):
+        weight = weight_from_digits(digits)
+        lo, hi = view.box()
+        z = np.random.default_rng(seed).uniform(lo, hi, size=(200, 1))
+        fast = _branch_weights(weight, view, z)
+        ref = _branch_weights(replace(weight, cosines=None), view, z)
+        assert fast.shape == (sys_.N, 200) and fast.flags.c_contiguous
+        assert np.max(np.abs(fast - ref)) < 1e-12
+        assert np.max(np.abs(fast - exponential_branch_weights(digits, view, z)[1])) < 1e-12
+        assert np.max(np.abs(fast.sum(axis=0) - 1.0)) < 1e-12
+        assert check_qmf(weight, view, n_probe=500, seed=seed) < 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ifsfourier import EXAMPLES, get_system
 from ifsfourier.ratlinalg import (
     AmbiguousExpansivityError,
     SingularMatrixError,
@@ -116,3 +117,48 @@ def test_mat_inverse_roundtrip():
     m = rational_matrix([[2, 1], [0, 2]])
     inv = mat_inverse(m)
     assert (m @ inv).tolist() == identity_rational(2).tolist()
+
+
+def _inverse_by_columns(m):
+    """Reference: the inverse as n exact solves, one identity column each."""
+    n = m.shape[0]
+    return np.stack([solve_exact(m, identity_rational(n)[:, j]) for j in range(n)], axis=1)
+
+
+def _assert_inverse_matches_columns(m):
+    got = mat_inverse(m)
+    assert got.shape == m.shape
+    assert got.tolist() == _inverse_by_columns(m).tolist()
+    assert all(type(v) is Fraction for v in got.flat)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in EXAMPLES.items() if e.kind == "affine"))
+def test_mat_inverse_matches_column_solves_on_registry(name):
+    sys_ = get_system(name)
+    for m in (sys_.R_exact, sys_.S_exact):
+        _assert_inverse_matches_columns(m)
+        # the cycle solves invert S^p - I
+        _assert_inverse_matches_columns(mat_pow(m, 3) - identity_rational(sys_.d))
+
+
+def test_mat_inverse_matches_column_solves_on_random_integer_matrices():
+    rng = np.random.default_rng(19)
+    singular = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 5))
+        # small entries, so that some draws are singular
+        m = rational_matrix(rng.integers(-2, 3, size=(d, d)))
+        try:
+            ref = _inverse_by_columns(m)
+        except SingularMatrixError:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(m)
+            continue
+        assert mat_inverse(m).tolist() == ref.tolist()
+    assert 0 < singular < 300
+    # rational entries with a zero leading pivot
+    m = rational_matrix([[0, Fraction(1, 3), 2], [Fraction(-5, 7), 1, 0], [1, 1, Fraction(9, 2)]])
+    _assert_inverse_matches_columns(m)
+    with pytest.raises(SingularMatrixError):
+        mat_inverse(rational_matrix([[1, 2], [2, 4]]))
