@@ -7,6 +7,7 @@ import pytest
 
 from ifsfourier import (
     EXAMPLES,
+    AffineSystem,
     chaos_game,
     check_qmf,
     empirical_char,
@@ -21,7 +22,7 @@ from ifsfourier import (
     sample_paths,
     weight_from_digits,
 )
-from ifsfourier.measure import EXACT_ZERO_CUTOFF, _branch_weights
+from ifsfourier.measure import EXACT_ZERO_CUTOFF, _branch_weights, _mu_hat_rows
 from ifsfourier.ratlinalg import mat_inverse
 from ifsfourier.system import IfsView, fvec
 
@@ -191,18 +192,24 @@ def test_mu_hat_batch_matches_detail(cantor4):
         assert abs(v - mu_hat_detail(cantor4, (t[0],), 1e-11).value) < 1e-10
 
 
+def reference_depth(sys, t_norm, tail_tol=None) -> int:
+    """The scalar tail-bound loop: the smallest depth K >= 1 with
+    2 pi max|b| |t| c^(K+1) / (1 - c) < tail_tol; 0 for t = 0."""
+    tail_tol = sys.tail_tol if tail_tol is None else tail_tol
+    c = float(np.linalg.norm(np.linalg.inv(sys.S), 2))
+    max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
+    depth = 0 if t_norm == 0.0 or max_b == 0.0 else 1
+    while depth and 2.0 * np.pi * max_b * t_norm * c ** (depth + 1) / (1.0 - c) >= tail_tol:
+        depth += 1
+    return depth
+
+
 def mu_hat_fraction_reference(sys, t, tail_tol=None) -> tuple:
     """(value, n_factors, exact_zero, zero_level) by the per-level Fraction
     loop: S^{-k} t in Fractions, every phase b.t_k reduced mod 1 on its own,
     the depth from the scalar tail-bound loop."""
-    tail_tol = sys.tail_tol if tail_tol is None else tail_tol
     tk = np.array(fvec(t), dtype=object)
-    c = float(np.linalg.norm(np.linalg.inv(sys.S), 2))
-    max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
-    t_norm = float(np.linalg.norm(tk.astype(float)))
-    depth = 0 if t_norm == 0.0 or max_b == 0.0 else 1
-    while depth and 2.0 * np.pi * max_b * t_norm * c ** (depth + 1) / (1.0 - c) >= tail_tol:
-        depth += 1
+    depth = reference_depth(sys, float(np.linalg.norm(tk.astype(float))), tail_tol)
     s_inv = mat_inverse(sys.S_exact)
     sqrt_n = np.sqrt(sys.N)
     value = 1.0 + 0.0j
@@ -238,15 +245,124 @@ def test_mu_hat_detail_matches_fraction_reference(name):
     assert zeros > 0  # the draw reaches the exact-zero branch
 
 
+# an N = 5 triple whose mu_hat vanishes exactly at t = -131 (phases 0, .8,
+# .6, .4, .2 at level 1), where the float phase b.t_1 = 366.8 is off by
+# ~1e-13 and the float product misses the zero
+R20_TRIPLE = ([[20]], [[0], [4], [8], [12], [56]], [[0], [-9], [2], [-2], [4]])
+
+
 def test_mu_hat_detail_numpy_integers_are_exact(cantor4, twindragon):
-    # t = 12345 is an exact zero of the cantor4 mu_hat that float phases miss
+    r20 = AffineSystem.create(*R20_TRIPLE)
+    ref = mu_hat_detail(r20, (Fraction(-131),))
+    assert ref.exact_zero and not mu_hat_detail(r20, -131.0).exact_zero
+    for t in (np.int64(-131), np.array([-131]), (np.int32(-131),), -131):
+        assert mu_hat_detail(r20, t) == ref
     ref = mu_hat_detail(cantor4, (Fraction(12345),))
-    assert ref.exact_zero and not mu_hat_detail(cantor4, 12345.0).exact_zero
     for t in (np.int64(12345), np.array([12345]), (np.int32(12345),), 12345):
         assert mu_hat_detail(cantor4, t) == ref
     ref = mu_hat_detail(twindragon, (Fraction(3), Fraction(-4)))
     assert mu_hat_detail(twindragon, np.array([3, -4])) == ref
     assert mu_hat_detail(cantor4, np.float64(0.3)) == mu_hat_detail(cantor4, 0.3)
+
+
+# --- mu_hat_batch against the complex product --------------------------------
+
+N2 = [name for name in AFFINE if get_system(name).N == 2]
+
+
+def mu_hat_batch_complex_reference(sys, ts, tail_tol=None):
+    """`mu_hat_batch` as the complex float product on every N: at each level
+    the mean of exp(2 pi i b.t_k) over the digits, t_k = t_{k-1} S^{-t}, all
+    rows to the depth of the largest; a row stops at its first factor below
+    the cutoff and is set to 0."""
+    pts = np.atleast_2d(np.asarray(ts, dtype=float))
+    depth = reference_depth(sys, float(np.linalg.norm(pts, axis=1).max(initial=0.0)), tail_tol)
+    sqrt_n, s_inv_t, tk = np.sqrt(sys.N), sys.l_view.inv.T, pts
+    values, rows = np.ones(len(pts), dtype=complex), np.arange(len(pts))
+    for _ in range(depth):
+        tk = tk @ s_inv_t
+        factors = np.exp(2j * np.pi * (tk @ sys.B.T)[rows]).sum(axis=1) / sqrt_n
+        values[rows] *= factors / sqrt_n
+        rows = rows[np.abs(factors) >= EXACT_ZERO_CUTOFF * sqrt_n]
+    values[np.isin(np.arange(len(pts)), rows, invert=True)] = 0j
+    return values
+
+
+def assert_batch_matches_complex_reference(sys, ts, tail_tol=None) -> int:
+    """Values within 2 eps (depth + 2 pi max|b| |t| c / (1 - c)): both products
+    round about an eps per factor, and the reference's exp adds eps times its
+    phase 2 pi b.t_k, unreduced.  Every reference zero is a zero, and every
+    extra zero is an exact zero of mu_hat at the float t.  Returns the number
+    of extra zeros."""
+    ts = np.asarray(ts, dtype=float)
+    got, ref = mu_hat_batch(sys, ts, tail_tol), mu_hat_batch_complex_reference(sys, ts, tail_tol)
+    norms = np.linalg.norm(ts, axis=1)
+    c = float(np.linalg.norm(np.linalg.inv(sys.S), 2))
+    max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
+    depth = reference_depth(sys, float(norms.max()), tail_tol)
+    bound = 2 * np.finfo(float).eps * (depth + 2 * np.pi * max_b * norms * c / (1 - c))
+    assert np.all(np.abs(got - ref) <= bound)
+    assert np.all(got[ref == 0] == 0)
+    extra = np.flatnonzero((got == 0) & (ref != 0))
+    for i in extra:
+        assert mu_hat_detail(sys, tuple(map(Fraction, ts[i])), tail_tol).exact_zero, ts[i]
+    return len(extra)
+
+
+@pytest.mark.parametrize("name", N2)
+def test_mu_hat_batch_matches_complex_reference(name):
+    sys = get_system(name)
+    rng = np.random.default_rng(len(name))
+    zeros = 0
+    for scale in (2, 57, 500):
+        assert_batch_matches_complex_reference(sys, rng.uniform(-scale, scale, (2000, sys.d)))
+        quarters = rng.integers(-4 * scale, 4 * scale + 1, (2000, sys.d)) / 4
+        assert_batch_matches_complex_reference(sys, quarters)
+        zeros += np.count_nonzero(mu_hat_batch(sys, quarters) == 0)
+    assert zeros > 0  # the quarter lattices reach the exact-zero rows
+
+
+def test_mu_hat_batch_catches_more_zeros_on_the_basin_window(twindragon):
+    # c09b's window, radius 40 at lattice scale 5: the cosine form flags 208
+    # exact zeros that the complex product leaves at |value| <= 4e-16
+    grid = np.mgrid[-200:201, -200:201].reshape(2, -1).T
+    ts = np.array([0.3, -0.7]) - grid / 5
+    assert assert_batch_matches_complex_reference(twindragon, ts, 1e-10) == 208
+
+
+def test_mu_hat_batch_n4_is_the_complex_product(planar_shear):
+    rng = np.random.default_rng(15)
+    for ts in (rng.uniform(-57, 57, (3000, 2)), rng.integers(-200, 201, (3000, 2)) / 4):
+        got = mu_hat_batch(planar_shear, ts)
+        assert np.array_equal(got, mu_hat_batch_complex_reference(planar_shear, ts))
+    assert np.any(got == 0)  # the quarter lattice reaches the exact-zero rows
+
+
+@pytest.mark.parametrize("name", N2)
+def test_mu_hat_rows_do_not_depend_on_their_batch(name):
+    # rows of different norms (so depths) and exact zeros, in one float batch
+    sys = get_system(name)
+    rng = np.random.default_rng(16)
+    rows = np.concatenate([rng.uniform(-30, 30, (40, sys.d)),
+                           rng.integers(-40, 41, (40, sys.d)) / 4, np.zeros((1, sys.d))])
+    values, n_factors, _ = _mu_hat_rows(sys, rows)
+    for t, value, n in zip(rows, values, n_factors):
+        one = mu_hat_detail(sys, t)
+        assert (one.value, one.n_factors) == (value, n)
+    assert np.any(values == 0) and len(set(n_factors.tolist())) > 2
+
+
+def test_mu_hat_batch_input_shapes(cantor4, twindragon):
+    column = mu_hat_batch(cantor4, [[0.5], [0.25], [1.0]])
+    assert np.array_equal(mu_hat_batch(cantor4, np.array([0.5, 0.25, 1.0])), column)
+    assert np.array_equal(mu_hat_batch(cantor4, 0.25), mu_hat_batch(cantor4, [[0.25]]))
+    row = mu_hat_batch(twindragon, np.array([[0.3, -0.7]]))
+    assert np.array_equal(mu_hat_batch(twindragon, np.array([0.3, -0.7])), row)
+    for sys, ts in ((twindragon, np.zeros((4, 3))), (twindragon, np.zeros(3)),
+                    (twindragon, 0.5), (cantor4, np.zeros((4, 2))),
+                    (twindragon, np.zeros((2, 2, 2)))):
+        with pytest.raises(ValueError, match="d = %d" % sys.d):
+            mu_hat_batch(sys, ts)
 
 
 def test_chaos_game_moments_match_mu_hat(cantor4):

@@ -30,7 +30,7 @@ from ifsfourier import (
 )
 from ifsfourier.measure import _branch_weights
 from test_cycles import word_sum
-from test_measure import assert_scan_matches_loop
+from test_measure import assert_batch_matches_complex_reference, assert_scan_matches_loop
 from test_pathspace import exponential_branch_weights
 from test_spectrum import assert_k_points_match_reference
 
@@ -38,8 +38,8 @@ MAX_WORDS = 125  # words per enumeration, to keep exact arithmetic quick
 
 
 @st.composite
-def hadamard_triples_1d(draw):
-    n = draw(st.integers(2, 5))
+def hadamard_triples_1d(draw, n_digits=st.integers(2, 5)):
+    n = draw(n_digits)
     m = draw(st.integers(1, 4))
     shifts = st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1)
     k = [0] + draw(shifts)
@@ -122,3 +122,15 @@ def test_batch_zero_flags_match_exact_zeros_on_generated_triples(sys_, seed):
     batch = mu_hat_batch(sys_, np.array(ts, dtype=float))
     assert list(batch == 0) == exact
     assert any(exact)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sys_=hadamard_triples_1d(st.just(2)), seed=st.integers(0, 2 ** 16))
+def test_batch_matches_complex_reference_on_generated_two_digit_triples(sys_, seed):
+    # the N = 2 cosine form against the complex product, at float t and at
+    # rational t of denominators 2, 4 and R, up to |t| = 57
+    rng = np.random.default_rng(seed)
+    r = int(sys_.R[0, 0])
+    assert_batch_matches_complex_reference(sys_, rng.uniform(-57, 57, (300, 1)))
+    for q in (2, 4, r):
+        assert_batch_matches_complex_reference(sys_, rng.integers(-57 * q, 57 * q + 1, (300, 1)) / q)
