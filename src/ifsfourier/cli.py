@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import heapq
 import math
 import sys
 from fractions import Fraction
@@ -150,9 +151,8 @@ def cmd_spectrum(args) -> int:
     spec = generate_lambda(sys_obj, cycles, cfg.lambda_levels, element_cap=args.cap)
     if args.out:
         spec.to_csv(args.out)
-    elems = sorted(spec.elements)
-    if args.count is not None:
-        elems = elems[: args.count]
+    elems = (sorted(spec.elements) if args.count is None
+             else heapq.nsmallest(args.count, spec.elements))
     print(dumps({
         "system": sys_obj.name or "config",
         "levels": spec.level,
@@ -171,7 +171,7 @@ def cmd_verify_onb(args) -> int:
     if cycles is None:
         return EXIT_CHECK_FAILED
     spec = generate_lambda(sys_obj, cycles, cfg.lambda_levels)
-    elems = sorted(spec.elements)[: args.window]
+    elems = heapq.nsmallest(args.window, spec.elements)
     gram = verify_orthogonality(sys_obj, elems, sys_obj.tail_tol)
     probes = [_parse_point(p, sys_obj.d) for p in args.x] or [[0.3] * sys_obj.d]
     completeness = {

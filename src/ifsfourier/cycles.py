@@ -4,34 +4,46 @@ A length-p word (l_0, ..., l_{p-1}) over the L digits determines the
 composition tau_{l_{p-1}} o ... o tau_{l_0} (tau_{l_0} applied first),
 whose unique fixed point is
 
-    x_0 = (S^p - I)^{-1} (l_0 + S l_1 + ... + S^{p-1} l_{p-1}),
+    x_w = (S^p - I)^{-1} (l_0 + S l_1 + ... + S^{p-1} l_{p-1}),
 
 computed exactly over the rationals.  The right-hand side is p steps of
-the affine recurrence x -> S x + l from 0, whose one home is
-`IfsView.expand`: `enumerate_cycles` reads every length-p sum from one
-expansion table (row = the word's lexicographic rank), and
+the affine recurrence x -> S x + l from 0, whose one home is the
+expansion of `IfsView`: `enumerate_cycles` keeps every length-p sum as
+one table of integer numerators over one denominator (row = the word's
+lexicographic rank r = sum_j w_j N^{p-1-j}), and one product with the
+numerators of (S^p - I)^{-1} gives the fixed points of all N^p words.
 `power_system` builds its compound digits the same way on both views.
 
-The cycle is the forward orbit x_{k+1} = tau_{l_k}(x_k); it is a
-W-cycle when the transfer weight W_B equals 1 at every orbit point,
-which for exact data reduces to (b - b_ref).x being an integer for
-every digit b.
+The cycle is the forward orbit x_{k+1} = tau_{l_k}(x_k).  Its point x_k
+is the fixed point of the k-th left rotation of the word, whose rank is
+rot^k(r) with rot(r) = (r mod N^{p-1}) N + r div N^{p-1}, so the orbit
+is read off the table; the identity S x_{rot(w)} = x_w + l_{w_0}, checked
+exactly on every row, is the p-fold round trip of every orbit at once.
+It is a W-cycle when the transfer weight W_B equals 1 at every orbit
+point, which for exact data reduces to (b - b_ref).x being an integer
+for every digit b.
 
-Words are enumerated up to rotation (canonical representative = the
-lexicographically least rotation) and words that are powers of shorter
-words are skipped, so each stored cycle has minimal period.
+Words are enumerated up to rotation: a rank is kept when it is strictly
+below all its nontrivial rotations, which leaves exactly the aperiodic
+words that are their own least rotation (Lyndon words), in ascending
+rank order.  So each stored cycle has minimal period.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .measure import weight_function
-from .ratlinalg import identity_rational, mat_inverse, mat_pow, solve_exact
+from .ratlinalg import (
+    _over_common_denominator,
+    identity_rational,
+    mat_inverse,
+    mat_pow,
+    solve_exact,
+)
 from .system import AffineSystem, frac_str, fvec
 
 __all__ = [
@@ -82,24 +94,35 @@ class Cycle:
         }
 
 
-def _min_rotation(word: tuple) -> tuple:
-    return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
+def _rotate(ranks, n_letters: int, p: int):
+    """Ranks of the left rotations (w_1, ..., w_{p-1}, w_0) of the length-p
+    words with ranks `ranks` (rank = sum_j w_j n^{p-1-j})."""
+    high = n_letters ** (p - 1)
+    return ranks % high * n_letters + ranks // high
 
 
-def _is_aperiodic(word: tuple) -> bool:
-    p = len(word)
-    for q in range(1, p):
-        if p % q == 0 and word == word[:q] * (p // q):
-            return False
-    return True
+def _lyndon_ranks(n_letters: int, p: int) -> np.ndarray:
+    """Ascending ranks of the aperiodic length-p words that are their own
+    least rotation: the ranks strictly below all p - 1 nontrivial
+    rotations (a periodic word equals one of its rotations)."""
+    ranks = rot = np.arange(n_letters ** p, dtype=np.int64)
+    for _ in range(p - 1):
+        rot = _rotate(rot, n_letters, p)
+        keep = ranks < rot
+        ranks, rot = ranks[keep], rot[keep]
+    return ranks
+
+
+def _words(ranks, n_letters: int, p: int) -> list:
+    """The words of the given ranks as tuples of Python ints."""
+    letters = np.unravel_index(ranks, (n_letters,) * p)
+    return [tuple(w) for w in np.stack(letters, axis=1).tolist()]
 
 
 def aperiodic_necklaces(n_letters: int, p: int):
     """Canonical representatives of rotation classes of aperiodic length-p
-    words over {0..n_letters-1}."""
-    for word in itertools.product(range(n_letters), repeat=p):
-        if word == _min_rotation(word) and _is_aperiodic(word):
-            yield word
+    words over {0..n_letters-1}, in lexicographic order."""
+    yield from _words(_lyndon_ranks(n_letters, p), n_letters, p)
 
 
 def _horner(view, word, start) -> tuple:
@@ -111,59 +134,65 @@ def _horner(view, word, start) -> tuple:
     return tuple(acc)
 
 
-def _cycle_from_fixed_point(sys: AffineSystem, word: tuple, x0: tuple) -> Cycle:
-    """The orbit of x0 under the word; validates the p-fold round trip exactly."""
-    points = [x0]
-    view = sys.l_view
-    for idx in word[:-1]:
-        points.append(fvec(view.tau(idx, points[-1])))
-    closing = fvec(view.tau(word[-1], points[-1]))
-    if closing != x0:
-        raise AssertionError("cycle round trip failed for word %s" % (word,))
-    return Cycle(word=word, period=len(word), points=tuple(points))
-
-
 def cycle_from_word(sys: AffineSystem, word) -> Cycle:
-    """Exact cycle for a word; validates the p-fold round trip exactly."""
+    """Exact cycle for one word, the per-word reference of
+    `enumerate_cycles`: solves for the fixed point, walks its orbit with
+    `tau` and validates the p-fold round trip exactly."""
     if not sys.has_exact:
         raise ValueError("cycle enumeration needs rational system data")
     word = tuple(int(i) for i in word)
     m = mat_pow(sys.S_exact, len(word)) - identity_rational(sys.d)
     rhs = np.array(_horner(sys.l_view, word, [Fraction(0)] * sys.d), dtype=object)
-    return _cycle_from_fixed_point(sys, word, fvec(solve_exact(m, rhs)))
+    points = [fvec(solve_exact(m, rhs))]
+    for idx in word:
+        points.append(fvec(sys.l_view.tau(idx, points[-1])))
+    if points.pop() != points[0]:
+        raise AssertionError("cycle round trip failed for word %s" % (word,))
+    return Cycle(word=word, period=len(word), points=tuple(points))
 
 
 def enumerate_cycles(sys: AffineSystem, p_max: int, verify_distinct: bool = True) -> list:
     """One Cycle per rotation class of aperiodic words of length <= p_max.
 
     The length-p table of right-hand sides is one expansion of the
-    length-(p-1) table, and (S^p - I)^{-1} is formed once per period.
-    With verify_distinct the standing assumption that distinct length-p
-    words have distinct fixed points is checked by exact comparison
-    (skipped above 4^8 words per length).
+    length-(p-1) table, in integer numerators over one denominator q; the
+    fixed points of all N^p words are the rows of one product with the
+    numerators of (S^p - I)^{-1}, over Q = q den((S^p - I)^{-1}).  Orbits
+    are read off the rotated ranks and checked exactly (module
+    docstring); Fractions are formed only for the returned points.  With
+    verify_distinct the standing assumption that distinct length-p words
+    have distinct fixed points is checked by exact comparison (skipped
+    above 4^8 words per length).
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
+    if not sys.has_exact:
+        raise ValueError("cycle enumeration needs rational system data")
+    view, n = sys.l_view, sys.N
+    a, den, lam, e = view._integer_form
     out = []
-    rhs = np.full((1, sys.d), Fraction(0), dtype=object)
+    rows, q = np.zeros((1, sys.d), dtype=object), 1
     for p in range(1, p_max + 1):
-        rhs = sys.l_view.expand(rhs)
-        m_inv = mat_inverse(mat_pow(sys.S_exact, p) - identity_rational(sys.d))
-        cycles_p = [
-            _cycle_from_fixed_point(
-                sys, w, fvec(m_inv @ rhs[np.ravel_multi_index(w, (sys.N,) * p)]))
-            for w in aperiodic_necklaces(sys.N, p)
-        ]
-        out.extend(cycles_p)
-        if verify_distinct and sys.N ** p <= 65536:
-            seen = set()
-            for cyc in cycles_p:
-                for _, base_point in cyc.rotations():
-                    if base_point in seen:
-                        raise AssertionError(
-                            "distinct words share a fixed point at period %d" % p
-                        )
-                    seen.add(base_point)
+        rows, q = view._expand_numerators(rows, q)
+        m_inv, m_den = _over_common_denominator(
+            mat_inverse(mat_pow(sys.S_exact, p) - identity_rational(sys.d)))
+        x, x_den = rows @ m_inv.T, q * m_den
+        ranks = np.arange(n ** p, dtype=np.int64)
+        # S x_rot(w) = x_w + l_{w_0}, times D e x_den
+        if not np.array_equal(x[_rotate(ranks, n, p)] @ (e * a).T,
+                              den * e * x + den * x_den * lam[ranks // n ** (p - 1)]):
+            raise AssertionError("cycle round trip failed at period %d" % p)
+        words = _lyndon_ranks(n, p)
+        orbits = [words]
+        for _ in range(p - 1):
+            orbits.append(_rotate(orbits[-1], n, p))
+        orbit_rows = x[np.stack(orbits, axis=1).ravel()].tolist()
+        if verify_distinct and n ** p <= 65536:
+            if len(set(map(tuple, orbit_rows))) != len(orbit_rows):
+                raise AssertionError("distinct words share a fixed point at period %d" % p)
+        points = [tuple(Fraction(v, x_den) for v in row) for row in orbit_rows]
+        out.extend(Cycle(word=w, period=p, points=tuple(points[i * p:(i + 1) * p]))
+                   for i, w in enumerate(_words(words, n, p)))
     return out
 
 

@@ -1,5 +1,8 @@
 import itertools
 import json
+import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +14,14 @@ from ifsfourier import (
     classify_w,
     enumerate_cycles,
     find_w_cycles,
+    get_system,
     m_eval,
     power_system,
 )
-from ifsfourier.cycles import _horner, aperiodic_necklaces, cycle_from_word
-from ifsfourier.ratlinalg import identity_rational, mat_pow
-from ifsfourier.system import IfsView
+from ifsfourier.cycles import Cycle, _horner, aperiodic_necklaces, cycle_from_word
+from ifsfourier.ratlinalg import identity_rational, mat_inverse, mat_pow
+from ifsfourier.system import IfsView, fvec
+from strategies import product_triple
 
 
 def lam(l1):
@@ -36,6 +41,126 @@ def word_sum(mat, digits, word) -> tuple:
         total = total + power @ np.array(digits[idx], dtype=object)
         power = power @ mat
     return tuple(total)
+
+
+def _min_rotation(word: tuple) -> tuple:
+    return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
+
+
+def _is_aperiodic(word: tuple) -> bool:
+    p = len(word)
+    for q in range(1, p):
+        if p % q == 0 and word == word[:q] * (p // q):
+            return False
+    return True
+
+
+def _reference_necklaces(n_letters: int, p: int) -> list:
+    return [w for w in itertools.product(range(n_letters), repeat=p)
+            if w == _min_rotation(w) and _is_aperiodic(w)]
+
+
+def _reference_enumerate_cycles(sys, p_max: int) -> list:
+    """The Fraction enumeration: one expansion table per period, one
+    Fraction fixed point per necklace, its orbit walked with `tau`."""
+    out = []
+    rhs = np.full((1, sys.d), Fraction(0), dtype=object)
+    for p in range(1, p_max + 1):
+        rhs = sys.l_view.expand(rhs)
+        m_inv = mat_inverse(mat_pow(sys.S_exact, p) - identity_rational(sys.d))
+        for w in _reference_necklaces(sys.N, p):
+            points = [fvec(m_inv @ rhs[np.ravel_multi_index(w, (sys.N,) * p)])]
+            for idx in w:
+                points.append(fvec(sys.l_view.tau(idx, points[-1])))
+            assert points.pop() == points[0]
+            out.append(Cycle(word=w, period=p, points=tuple(points)))
+    return out
+
+
+def assert_cycles_match_reference(sys, p_max: int):
+    fast = enumerate_cycles(sys, p_max)
+    ref = _reference_enumerate_cycles(sys, p_max)
+    assert [(c.word, c.period, c.points) for c in fast] == [
+        (c.word, c.period, c.points) for c in ref]
+    assert all(type(i) is int for c in fast for i in c.word)
+    assert all(type(v) is Fraction for c in fast for pt in c.points for v in pt)
+
+
+def _mobius(n: int) -> int:
+    sign, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            sign = -sign
+        k += 1
+    return -sign if n > 1 else sign
+
+
+def test_necklaces_match_itertools_reference():
+    for n_letters in range(1, 5):
+        for p in range(1, 8):
+            assert list(aperiodic_necklaces(n_letters, p)) == _reference_necklaces(n_letters, p)
+
+
+def test_necklace_counts_follow_moebius_formula():
+    # aperiodic necklaces of length p over N letters: (1/p) sum_{d|p} mu(d) N^{p/d}
+    for n_letters in range(1, 5):
+        for p in range(1, 10):
+            total = sum(_mobius(d) * n_letters ** (p // d) for d in range(1, p + 1) if p % d == 0)
+            assert len(list(aperiodic_necklaces(n_letters, p))) * p == total
+
+
+def test_enumerate_cycles_match_fraction_reference(twindragon, planar_shear):
+    for sys, p_max in ((lam(63), 8), (twindragon, 10), (planar_shear, 6)):
+        assert_cycles_match_reference(sys, p_max)
+
+
+def test_enumerate_cycles_needs_exact_data(cantor4):
+    float_only = replace(cantor4, R_exact=None, B_exact=None, L_exact=None)
+    with pytest.raises(ValueError):
+        enumerate_cycles(float_only, 3)
+    with pytest.raises(ValueError):
+        cycle_from_word(float_only, (0, 1))
+
+
+def test_corrupted_table_row_fails_orbit_identity(twindragon, monkeypatch):
+    # the identity S x_rot(w) = x_w + l_{w_0} is checked on every row, so
+    # one wrong right-hand side at period 3 is caught there
+    expand = IfsView._expand_numerators
+
+    def corrupted(view, numerators, q):
+        rows, q_out = expand(view, numerators, q)
+        if len(rows) == twindragon.N ** 3:
+            rows = rows.copy()
+            rows[5, 0] += 1
+        return rows, q_out
+
+    monkeypatch.setattr(IfsView, "_expand_numerators", corrupted)
+    with pytest.raises(AssertionError, match="round trip failed at period 3"):
+        enumerate_cycles(twindragon, 3)
+
+
+@pytest.mark.parametrize("pair, expected", [
+    (("lambda15", "lambda63"), {1: 4, 2: 2, 3: 4, 6: 2}),
+    (("cantor4", "lambda15"), {1: 2, 2: 1}),
+    (("lambda15", "lambda15"), {1: 4, 2: 6}),
+])
+def test_product_census_counts_gcd_of_factor_periods(pair, expected):
+    # a product orbit is a pair of factor orbits in step: cycles of periods
+    # p1, p2 give gcd(p1, p2) product cycles of period lcm(p1, p2), and the
+    # product is a W-cycle iff both factors are (W = W_1 W_2, each <= 1)
+    p_max = 6
+    s1, s2 = (get_system(name) for name in pair)
+    census = Counter()
+    for c1, c2 in itertools.product(find_w_cycles(s1, p_max), find_w_cycles(s2, p_max)):
+        if math.lcm(c1.period, c2.period) <= p_max:
+            census[math.lcm(c1.period, c2.period)] += math.gcd(c1.period, c2.period)
+    assert census == expected
+    product = product_triple(s1, s2)
+    assert check_duality(product).passes
+    assert Counter(c.period for c in find_w_cycles(product, p_max)) == expected
 
 
 def test_necklace_counts_two_letters():

@@ -29,7 +29,7 @@ from ifsfourier import (
     weight_from_digits,
 )
 from ifsfourier.measure import _branch_weights
-from test_cycles import word_sum
+from test_cycles import assert_cycles_match_reference, word_sum
 from test_measure import assert_batch_matches_complex_reference, assert_scan_matches_loop
 from test_pathspace import exponential_branch_weights
 from test_spectrum import assert_k_points_match_reference
@@ -80,8 +80,10 @@ def test_chaos_game_scan_matches_loop_on_generated_triples(sys_, seed, n_samples
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(sys_=hadamard_triples_1d())
 def test_expansion_paths_agree_on_generated_triples(sys_):
-    # the closure, the k-points and the power systems all expand x -> M x + d;
-    # each must match its per-word definition
+    # the closure, the k-points, the cycle table and the power systems all
+    # expand x -> M x + d; each must match its per-word definition
+    p_max = max(p for p in range(1, 8) if sys_.N ** p <= MAX_WORDS)
+    assert_cycles_match_reference(sys_, p_max)
     cycles = find_w_cycles(sys_, 2)
     assert_k_points_match_reference(sys_, cycles, MAX_WORDS)
     aligned = math.lcm(*(c.period for c in cycles))
