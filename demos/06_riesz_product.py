@@ -10,15 +10,19 @@ vanishes off the balanced-ternary frequencies and equals 1/2 at 6.
 
 import numpy as np
 
+from ifsfourier import EXAMPLES, check_qmf
 from ifsfourier.invariant import (
     concentration_curve,
     fourier_coefficient,
-    riesz_branch_normalization,
     riesz_chain,
     riesz_partial_density,
 )
 
-print("branch normalization deviation:", riesz_branch_normalization(10_000, seed=0))
+# the registry entry holds the walk: x = t / 2 pi on x -> (x + j)/3,
+# with W = 1/3 + (1/3) cos(4 pi x)
+riesz = EXAMPLES["riesz3"]
+print("branch normalization deviation:",
+      check_qmf(riesz.weight, riesz.view, n_probe=10_000, seed=0))
 
 m = 3 ** 9
 t = np.arange(m) * (2 * np.pi / m)

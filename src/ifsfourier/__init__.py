@@ -23,12 +23,12 @@ from .hadamard import check_duality, check_pair, tensor, DualityReport, Unitarit
 from .measure import (
     Weight,
     chaos_game,
+    cosine_weight,
     empirical_char,
     m_eval,
     mu_hat,
     mu_hat_batch,
     mu_hat_detail,
-    pi_truncated,
     points_to_csv,
     weight_from_digits,
 )
@@ -62,7 +62,6 @@ from .transfer import (
     check_qmf,
     harmonic_defect,
     ruelle_apply,
-    ruelle_iterate,
 )
 from .pathspace import (
     HarmonicEstimate,
@@ -79,7 +78,6 @@ from .invariant import (
     batch_mean_stderr,
     concentration_curve,
     fourier_coefficient,
-    riesz_branch_normalization,
     riesz_chain,
     riesz_partial_density,
     run_chain,
@@ -87,3 +85,22 @@ from .invariant import (
 from .registry import EXAMPLES, example_names, get_system
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "AffineSystem", "IfsView", "frac_str", "fvec", "is_expansive", "mat_inverse",
+    "mat_pow", "rational_matrix", "rational_vector", "solve_exact",
+    "SingularMatrixError", "check_duality", "check_pair", "tensor", "DualityReport",
+    "UnitarityReport", "Weight", "chaos_game", "cosine_weight", "empirical_char",
+    "m_eval", "mu_hat", "mu_hat_batch", "mu_hat_detail", "points_to_csv",
+    "weight_from_digits", "Cycle", "classify_w", "enumerate_cycles", "find_w_cycles",
+    "power_system", "BasinResult", "GramReport", "GridOrthogonality", "LatticeError",
+    "SpectrumSet", "completeness_sum", "cycle_basin", "generate_lambda",
+    "grid_orthogonality", "k_point", "k_points_of_depth", "lambda_from_k_points",
+    "lattice_basin_sums", "verify_orthogonality", "DomainError", "GridFunction",
+    "cesaro", "check_qmf", "harmonic_defect", "ruelle_apply", "HarmonicEstimate",
+    "PathEnsemble", "cylinder_weight", "cycle_tail_weight", "estimate_h",
+    "h_closed_form", "path_weight_with_tail", "sample_paths", "ChainSample",
+    "batch_mean_stderr", "concentration_curve", "fourier_coefficient", "riesz_chain",
+    "riesz_partial_density", "run_chain", "EXAMPLES", "example_names", "get_system",
+    "__version__",
+]

@@ -1,9 +1,12 @@
 """Command-line frontend.
 
 Subcommands: check-hadamard, cycles, spectrum, verify-onb, mu-hat,
-attractor, harmonic, riesz, example.  Reports are JSON on stdout
-(deterministic given config and seed: floats at 17 significant digits,
-sorted keys); point clouds and grids go to CSV via --out.
+attractor, harmonic, riesz, example.  The affine subcommands take a
+registry example with a duality triple or a config file; riesz runs the
+walk of the registry entry riesz3, given by its view and weight.  Reports
+are JSON on stdout (deterministic given config and seed: floats at 17
+significant digits, sorted keys); point clouds and grids go to CSV via
+--out.
 
 Exit codes: 0 success, 1 check failed, 2 invalid input.
 """
@@ -30,12 +33,7 @@ from . import (
     weight_from_digits,
 )
 from .config import ConfigError, SystemConfig, emit_config, parse_config
-from .invariant import (
-    concentration_curve,
-    fourier_coefficient,
-    riesz_branch_normalization,
-    riesz_chain,
-)
+from .invariant import concentration_curve, fourier_coefficient, riesz_chain
 from .registry import EXAMPLES, example_names
 from .report import dumps
 from .system import frac_str
@@ -59,11 +57,7 @@ def _load_system(args):
         name = args.example
         if name not in EXAMPLES:
             raise ConfigError("unknown example %r; known: %s" % (name, ", ".join(example_names())))
-        entry = EXAMPLES[name]
-        if entry.kind != "affine":
-            raise ConfigError("example %r is not an affine system; use the riesz subcommand"
-                              % name)
-        cfg = _entry_config(entry)
+        cfg = _entry_config(EXAMPLES[name])
     elif getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = parse_config(fh.read(), name=args.config)
@@ -119,8 +113,7 @@ def cmd_cycles(args) -> int:
     cfg, sys_obj = _load_system(args)
     from .cycles import classify_w, enumerate_cycles
 
-    cycles = [classify_w(c, sys_obj, sys_obj.cycle_tol)
-              for c in enumerate_cycles(sys_obj, cfg.p_max)]
+    cycles = [classify_w(c, sys_obj) for c in enumerate_cycles(sys_obj, cfg.p_max)]
     if not args.all:
         cycles = [c for c in cycles if c.is_w_cycle]
     print(dumps({
@@ -271,12 +264,12 @@ def cmd_harmonic(args) -> int:
 
 def cmd_riesz(args) -> int:
     _require_at_least(0, seed=args.seed)
-    n_chains = args.threads
-    if args.steps < 2 or n_chains < 2:
-        raise ConfigError("riesz needs --steps >= 2 and --threads >= 2 for batch-mean "
-                          "errors, got %d and %d" % (args.steps, n_chains))
-    dev = riesz_branch_normalization()
-    chain = riesz_chain(args.steps, seed=args.seed, n_chains=n_chains)
+    if args.steps < 2 or args.chains < 2:
+        raise ConfigError("riesz needs --steps >= 2 and --chains >= 2 for batch-mean "
+                          "errors, got %d and %d" % (args.steps, args.chains))
+    entry = EXAMPLES["riesz3"]
+    dev = check_qmf(entry.weight, entry.view, n_probe=1000, seed=0)
+    chain = riesz_chain(args.steps, seed=args.seed, n_chains=args.chains)
     coeffs = {}
     for freq in args.fourier:
         value, stderr = fourier_coefficient(chain, freq, angular=True)
@@ -288,7 +281,7 @@ def cmd_riesz(args) -> int:
             for q, mass in curve:
                 fh.write("%.17g,%.17g\n" % (q, mass))
     print(dumps({
-        "system": "riesz3",
+        "system": entry.name,
         "steps": chain.n,
         "branch_normalization_deviation": dev,
         "nu_hat": coeffs,
@@ -302,11 +295,12 @@ def cmd_example(args) -> int:
         if args.name not in EXAMPLES:
             raise ConfigError("unknown example %r" % args.name)
         entry = EXAMPLES[args.name]
-        if entry.kind == "affine":
+        if entry.view is None:
             print(emit_config(_entry_config(entry)), end="")
         else:
-            print(dumps({"name": entry.name, "kind": entry.kind,
-                         "description": entry.description}), end="")
+            print(dumps({"name": entry.name, "kind": entry.kind, "description": entry.description,
+                         "matrix": entry.view.matrix, "digits": entry.view.digits,
+                         "weight": entry.weight.description}), end="")
         return EXIT_OK
     print(dumps({
         name: {"kind": e.kind, "description": e.description}
@@ -388,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("riesz", help="scale-3 Riesz product chain on the circle")
     p.add_argument("--steps", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=32)
+    p.add_argument("--chains", type=int, default=32,
+                   help="number of independent chains, for batch-mean errors")
     p.add_argument("--fourier", type=int, nargs="*", default=[1, 6])
     p.add_argument("--out", help="CSV path for the concentration curve")
     p.set_defaults(fn=cmd_riesz)

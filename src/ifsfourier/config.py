@@ -11,11 +11,10 @@ Grammar (one assignment per line, '#' starts a comment):
     seed = 7
     unitarity_tol = 1e-12
     tail_tol = 1e-10
-    cycle_tol = 1e-9
 
 Scalars are integers, floats, or exact fractions written a/b.  R may be
 given nested or as a flat row-major list of d*d numbers; digit vectors
-may be bare scalars when d = 1.
+may be bare scalars when d = 1.  Any other key is kept in `extras`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class SystemConfig:
     seed: int = 0
     unitarity_tol: float = 1e-12
     tail_tol: float = 1e-10
-    cycle_tol: float = 1e-9
     name: str = ""
     extras: dict = field(default_factory=dict)
 
@@ -53,7 +51,6 @@ class SystemConfig:
                 self.R, self.B, self.L,
                 unitarity_tol=self.unitarity_tol,
                 tail_tol=self.tail_tol,
-                cycle_tol=self.cycle_tol,
                 name=self.name,
             )
         except ValueError as exc:
@@ -145,7 +142,7 @@ def parse_config(text: str, name: str = "") -> SystemConfig:
             if not isinstance(v, int) or v < low:
                 raise ConfigError("field %r: must be an integer >= %d" % (key, low))
             setattr(cfg, key, v)
-    for key in ("unitarity_tol", "tail_tol", "cycle_tol"):
+    for key in ("unitarity_tol", "tail_tol"):
         if key in fields:
             v = fields.pop(key)
             if isinstance(v, (int, float, Fraction)):
@@ -209,6 +206,5 @@ def emit_config(cfg: SystemConfig) -> str:
         "seed = %d" % cfg.seed,
         "unitarity_tol = %.17g" % cfg.unitarity_tol,
         "tail_tol = %.17g" % cfg.tail_tol,
-        "cycle_tol = %.17g" % cfg.cycle_tol,
     ]
     return "\n".join(lines) + "\n"

@@ -20,8 +20,8 @@ rot^k(r) with rot(r) = (r mod N^{p-1}) N + r div N^{p-1}, so the orbit
 is read off the table; the identity S x_{rot(w)} = x_w + l_{w_0}, checked
 exactly on every row, is the p-fold round trip of every orbit at once.
 It is a W-cycle when the transfer weight W_B equals 1 at every orbit
-point, which for exact data reduces to (b - b_ref).x being an integer
-for every digit b.
+point, which reduces to (b - b_ref).x being an integer for every digit
+b; cycles exist only for exact data, so that test is always exact.
 
 Words are enumerated up to rotation: a rank is kept when it is strictly
 below all its nontrivial rotations, which leaves exactly the aperiodic
@@ -36,7 +36,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measure import weight_function
 from .ratlinalg import (
     _over_common_denominator,
     identity_rational,
@@ -56,10 +55,6 @@ __all__ = [
     "power_system",
 ]
 
-W_EXACT_ONE = "w"
-W_NOT = "not_w"
-W_INCONCLUSIVE = "inconclusive"
-
 
 @dataclass(frozen=True, eq=False)
 class Cycle:
@@ -68,8 +63,7 @@ class Cycle:
     word: tuple  # canonical (lexicographically least) rotation, L-indices
     period: int
     points: tuple  # p exact points, orbit order, points[0] = fixed point x_0
-    is_w_cycle: bool | None = None
-    w_status: str = ""
+    is_w_cycle: bool | None = None  # None until classified
 
     @property
     def points_float(self) -> np.ndarray:
@@ -206,33 +200,17 @@ def _w_equals_one_exact(point: tuple, b_exact) -> bool:
     return True
 
 
-def classify_w(cycle: Cycle, sys: AffineSystem, tol: float = 1e-9) -> Cycle:
-    """Attach the W_B verdict to a cycle.
-
-    Exact path for rational data; float fallback classifies
-    |W_B(x) - 1| < tol as a W-cycle and flags the band [tol, 1e-6] as
-    inconclusive instead of guessing.
-    """
-    if sys.has_exact:
-        ok = all(_w_equals_one_exact(pt, sys.B_exact) for pt in cycle.points)
-        status = W_EXACT_ONE if ok else W_NOT
-        return Cycle(cycle.word, cycle.period, cycle.points, ok, status)
-    w = weight_function(sys.B)
-    devs = [
-        abs(float(np.asarray(w(np.asarray(pt, dtype=float))).reshape(-1)[0]) - 1.0)
-        for pt in cycle.points
-    ]
-    worst = max(devs)
-    if worst < tol:
-        return Cycle(cycle.word, cycle.period, cycle.points, True, W_EXACT_ONE)
-    if worst < 1e-6:
-        return Cycle(cycle.word, cycle.period, cycle.points, None, W_INCONCLUSIVE)
-    return Cycle(cycle.word, cycle.period, cycle.points, False, W_NOT)
+def classify_w(cycle: Cycle, sys: AffineSystem) -> Cycle:
+    """Attach the exact W_B verdict to a cycle: W_B = 1 at every orbit point."""
+    if not sys.has_exact:
+        raise ValueError("cycle enumeration needs rational system data")
+    ok = all(_w_equals_one_exact(pt, sys.B_exact) for pt in cycle.points)
+    return Cycle(cycle.word, cycle.period, cycle.points, ok)
 
 
 def find_w_cycles(sys: AffineSystem, p_max: int) -> list:
     """Enumerate then classify; returns the W-cycles only."""
-    classified = [classify_w(c, sys, sys.cycle_tol) for c in enumerate_cycles(sys, p_max)]
+    classified = [classify_w(c, sys) for c in enumerate_cycles(sys, p_max)]
     return [c for c in classified if c.is_w_cycle]
 
 
@@ -255,6 +233,6 @@ def power_system(sys: AffineSystem, p: int) -> AffineSystem:
         l_p = sys.l_view.expand(l_p)
     return AffineSystem.create(
         mat_pow(sys.R_exact, p), b_p.tolist(), l_p.tolist(),
-        unitarity_tol=sys.unitarity_tol, tail_tol=sys.tail_tol, cycle_tol=sys.cycle_tol,
+        unitarity_tol=sys.unitarity_tol, tail_tol=sys.tail_tol,
         name=(sys.name + "^%d" % p) if sys.name else "",
     )

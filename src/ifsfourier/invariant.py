@@ -13,9 +13,10 @@ samples the path measures P_x; only the recorded states differ.
 The worked circle example: scale 3, W(e^{it}) = (2/3) cos^2 t, whose
 stationary measure is the Riesz product
 d nu(t) = (1/2 pi) prod_{k>=1} (1 + cos(2 * 3^k t)).  Its chain is that
-walk on the 1-d view x = t / 2 pi, x -> (x + j)/3 for j in {0, 1, 2},
-with the weight written as the cosine polynomial 1/3 + (1/3) cos(4 pi x),
-so it runs the same branch-weight kernel as W_B.
+walk on the registry entry riesz3: the 1-d view x = t / 2 pi,
+x -> (x + j)/3 for j in {0, 1, 2}, with the weight as the cosine
+polynomial 1/3 + (1/3) cos(4 pi x), so it runs the same branch-weight
+kernel as W_B.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .measure import Weight
 from .pathspace import _walk
+from .registry import EXAMPLES
 from .system import IfsView
 
 __all__ = [
@@ -33,8 +35,6 @@ __all__ = [
     "run_chain",
     "batch_mean_stderr",
     "fourier_coefficient",
-    "riesz_weight",
-    "riesz_branch_normalization",
     "riesz_partial_density",
     "riesz_chain",
     "concentration_curve",
@@ -105,19 +105,6 @@ def fourier_coefficient(sample: ChainSample, freq, angular: bool = False) -> tup
 
 # --- the scale-3 Riesz example on the circle -------------------------------
 
-def riesz_weight(t):
-    """W(e^{it}) = (2/3) cos^2 t, QMF-normalized for the cube map z -> z^3."""
-    return (2.0 / 3.0) * np.cos(np.asarray(t, dtype=float)) ** 2
-
-
-def riesz_branch_normalization(n_probe: int = 1000, seed: int = 0) -> float:
-    """max over probes of |sum_j W((t + 2 pi j)/3) - 1|."""
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, 2.0 * np.pi, n_probe)
-    total = sum(riesz_weight((t + 2.0 * np.pi * j) / 3.0) for j in range(3))
-    return float(np.max(np.abs(total - 1.0)))
-
-
 def riesz_partial_density(t, n_factors: int) -> np.ndarray:
     """(1/2 pi) prod_{k=1..K} (1 + cos(2 * 3^k t)) >= 0."""
     if n_factors < 1:
@@ -129,13 +116,6 @@ def riesz_partial_density(t, n_factors: int) -> np.ndarray:
     return dens / (2.0 * np.pi)
 
 
-# x = t / 2 pi: the cube map on the circle as the 1-d IFS x -> (x + j)/3
-_RIESZ_VIEW = IfsView("riesz3", np.array([[3.0]]), np.arange(3.0).reshape(3, 1))
-# (2/3) cos^2(2 pi x) = 1/3 + (1/3) cos(2 pi 2x), a cosine polynomial like W_B
-_RIESZ_WEIGHT = Weight(lambda x: riesz_weight(2.0 * np.pi * x), "(2/3) cos^2(2 pi x)",
-                       cosines=(1.0 / 3.0, np.array([1.0 / 3.0]), np.array([[2.0]])))
-
-
 def riesz_chain(n: int, seed: int = 0, burn_in: int = DEFAULT_BURN_IN,
                 n_chains: int = DEFAULT_BATCHES, t0: float = 0.0) -> ChainSample:
     """The circle walk t -> (t + 2 pi j)/3 with probability W((t + 2 pi j)/3).
@@ -143,7 +123,8 @@ def riesz_chain(n: int, seed: int = 0, burn_in: int = DEFAULT_BURN_IN,
     Stationary law: the Riesz product.  Runs as `run_chain` on the view
     x = t / 2 pi; states are angles in [0, 2 pi), shape (n,).
     """
-    sample = run_chain(_RIESZ_WEIGHT, _RIESZ_VIEW, [t0 / (2.0 * np.pi)], n,
+    entry = EXAMPLES["riesz3"]
+    sample = run_chain(entry.weight, entry.view, [t0 / (2.0 * np.pi)], n,
                        burn_in=burn_in, seed=seed, n_chains=n_chains)
     return replace(sample, states=2.0 * np.pi * sample.states[:, 0])
 

@@ -32,8 +32,9 @@ tau_l z = M^{-1}(z + l) of an affine view, f_j.tau_l z = g_j.z + g_j.l
 with g_j = M^{-t} f_j, so every W(tau_l z) comes from the same P cosines
 and P sines of 2 pi g_j.z: one trig pass per state for all N branches
 (`_branch_weights`, with the per-view factors of
-`IfsView.cosine_factors`).  QMF, sum_l W_B(tau_l z) = 1 on the L-view of
-a Hadamard triple, is the unitarity of its duality matrix.
+`IfsView.cosine_factors`); `fn` of `cosine_weight` runs the same pass at
+given points.  QMF, sum_l W_B(tau_l z) = 1 on the L-view of a Hadamard
+triple, is the unitarity of its duality matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import csv
 import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,10 +50,9 @@ from .system import AffineSystem, IfsView
 
 __all__ = [
     "m_eval",
-    "weight_function",
     "Weight",
+    "cosine_weight",
     "weight_from_digits",
-    "pi_truncated",
     "chaos_game",
     "MuHatResult",
     "mu_hat",
@@ -65,6 +64,8 @@ __all__ = [
 
 # a truncated-product factor below this magnitude is an exact zero of mu_hat
 EXACT_ZERO_CUTOFF = 1e-13
+# a branch weight below this is an exact zero of a weight with no cosine polynomial
+ZERO_BRANCH_CUTOFF = 1e-15
 
 
 def m_eval(digits, x) -> complex | np.ndarray:
@@ -83,18 +84,6 @@ def m_eval(digits, x) -> complex | np.ndarray:
     return complex(vals[0]) if (scalar_in or (xs.ndim == 1 and d > 1)) else vals
 
 
-def weight_function(digits):
-    """W_B = |m_B|^2 / N as a vectorized callable."""
-    b = np.atleast_2d(np.asarray(digits, dtype=float))
-    n = b.shape[0]
-
-    def w(x):
-        v = m_eval(b, x)
-        return (np.abs(v) ** 2) / n
-
-    return w
-
-
 @dataclass(frozen=True)
 class Weight:
     """A nonnegative weight W with an analytic (vectorized) evaluator.
@@ -106,12 +95,12 @@ class Weight:
 
         W(x) = c0 + sum_j a[j] cos(2 pi f[j].x),
 
-    with a of shape (P,) and f of shape (P, d); `fn` evaluates the same W
-    independently.  On an affine view tau_l z = M^{-1}(z + l) the
-    polynomial gives W at all N branch images from P cosines and P sines
-    of z alone, without forming the images (`_branch_weights`).
-    `weight_from_digits` fills it for W_B.  The polynomial takes no part
-    in == or hash.
+    with a of shape (P,) and f of shape (P, d).  `cosine_weight` builds
+    such a weight, with an `fn` that evaluates the polynomial at points;
+    `weight_from_digits` builds W_B that way.  On an affine view
+    tau_l z = M^{-1}(z + l) the polynomial gives W at all N branch images
+    from P cosines and P sines of z alone, without forming the images
+    (`_branch_weights`).  The polynomial takes no part in == or hash.
     """
 
     fn: object
@@ -128,31 +117,65 @@ def _weight_at(weight, points: np.ndarray) -> np.ndarray:
     return np.asarray(weight(points if points.shape[1] > 1 else points[:, 0]), dtype=float)
 
 
-def _branch_weights(weight, view: IfsView, z: np.ndarray) -> np.ndarray:
-    """W(tau_l z) for every digit l and row z of an (n, d) batch, as a
-    C-ordered (N, n) array.
-
-    A weight with `cosines` needs z alone: the phases g_j.z in turns are
-    reduced mod 1 (so the cosine sees arguments in [-pi, pi]), the sines
-    come from the same cosine pass as cos(2 pi (g_j.z - 1/4)), and one
-    (N, 2P) x (2P, n) product with the view's coefficients gives all N
-    weights.  Any other weight is called once on all N n branch images."""
-    cosines = getattr(weight, "cosines", None)
-    if cosines is None:
-        images = view.tau_all(z)
-        return _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
-    c0, coeffs, freqs = cosines
-    g, coef = view.cosine_factors(coeffs, freqs)
+def _cosine_terms(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """cos(2 pi g_j.z) for the rows g_j of g and z of z, shape (P, n), and
+    below them sin(2 pi g_j.z), from the same cosine pass as
+    cos(2 pi (g_j.z - 1/4)).  The phases in turns are reduced mod 1 first,
+    so the cosine sees arguments in [-pi, pi]."""
     p = len(g)
     turns = np.empty((2 * p, len(z)))
     np.matmul(g, z.T, out=turns[:p])
     np.subtract(turns[:p], 0.25, out=turns[p:])
     turns -= np.rint(turns)
     turns *= 2.0 * np.pi
-    np.cos(turns, out=turns)
-    w = coef @ turns
+    return np.cos(turns, out=turns)
+
+
+def _branch_weights(weight, view: IfsView, z: np.ndarray) -> np.ndarray:
+    """W(tau_l z) for every digit l and row z of an (n, d) batch, as a
+    C-ordered (N, n) array.
+
+    A weight with `cosines` needs z alone: one (N, 2P) x (2P, n) product of
+    the view's coefficients with the cosines and sines of 2 pi g_j.z gives
+    all N weights.  Any other weight is called once on all N n branch
+    images."""
+    cosines = getattr(weight, "cosines", None)
+    if cosines is None:
+        images = view.tau_all(z)
+        return _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
+    c0, coeffs, freqs = cosines
+    g, coef = view.cosine_factors(coeffs, freqs)
+    w = coef @ _cosine_terms(g, z)
     w += c0
     return w
+
+
+def _zero_cutoff(weight, view: IfsView, x) -> float:
+    """The weight below which a computed W(tau_l z) counts as an exact zero,
+    for walks on the view from the point (or points) x.
+
+    For a cosine polynomial it is the rounding bound of the evaluation of
+    c0 + sum_j a_j cos(2 pi theta_j), theta_j = g_j.z + g_j.l, g_j = M^{-t} f_j
+    (the phase of `_branch_weights`, and of `fn` at the image).  The states
+    stay within rho = K |x|_inf + S max|l|_inf (`IfsView.orbit_bound`), so
+    |theta_j| <= |g_j|_1 rho + max_l |g_j.l|, and the float phase is off by
+    about eps that many turns, which moves a_j cos by 2 pi |a_j| times as
+    much.  Each cosine, product and sum term adds about eps |a_j|, and c0
+    adds eps c0:
+
+        cutoff = 4 eps (c0 + sum_j |a_j| (1 + 2 pi (|g_j|_1 rho + max_l |g_j.l|))),
+
+    a first-order bound with a factor 4 to spare, still far below any weight
+    a walk could plausibly pick.  Any other weight gets ZERO_BRANCH_CUTOFF."""
+    cosines = getattr(weight, "cosines", None)
+    if cosines is None:
+        return ZERO_BRANCH_CUTOFF
+    c0, coeffs, freqs = cosines
+    g = view.cosine_factors(coeffs, freqs)[0]
+    k, total = view.orbit_bound
+    rho = k * float(np.max(np.abs(x))) + total * float(np.max(np.abs(view.digits)))
+    turns = np.abs(g).sum(axis=1) * rho + np.abs(g @ view.digits.T).max(axis=1, initial=0.0)
+    return 4.0 * np.finfo(float).eps * (c0 + float(np.abs(coeffs) @ (1.0 + 2.0 * np.pi * turns)))
 
 
 def _cosine_polynomial(b: np.ndarray) -> tuple:
@@ -170,33 +193,28 @@ def _cosine_polynomial(b: np.ndarray) -> tuple:
     return (k + 2.0 * np.count_nonzero(lead == 0)) / k ** 2, 2.0 * pairs / k ** 2, freqs
 
 
+def cosine_weight(c0: float, a, f, description: str = "") -> Weight:
+    """W(x) = c0 + sum_j a[j] cos(2 pi f[j].x), a of shape (P,), f of shape
+    (P, d), Lipschitz bound sum_j 2 pi |a_j| |f_j|.  `fn` runs the cosine pass
+    of `_branch_weights` at x: a scalar or flat array when d = 1, a d-vector
+    or (n, d) rows.  Each call makes a new `fn`, so == is identity."""
+    a, f = np.asarray(a, dtype=float), np.asarray(f, dtype=float)
+    d = f.shape[1]
+    lip = 2.0 * np.pi * float(np.abs(a) @ np.linalg.norm(f, axis=1))
+
+    def fn(x):
+        xs = np.asarray(x, dtype=float)
+        w = a @ _cosine_terms(f, xs.reshape(-1, d))[:len(a)]
+        w += c0
+        return w[0] if xs.ndim == 0 or (xs.ndim == 1 and d > 1) else w
+
+    return Weight(fn, description, lip, (c0, a, f))
+
+
 def weight_from_digits(digits, description: str = "") -> Weight:
+    """W_B = |m_B|^2 / N for the digit rows B, as its cosine polynomial."""
     b = np.atleast_2d(np.asarray(digits, dtype=float))
-    # |m_B|^2 has gradient bounded by 4 pi sqrt(N) max|b| / N * N = 4 pi max|b|
-    lip = 4.0 * np.pi * float(np.max(np.linalg.norm(b, axis=1))) if len(b) else 0.0
-    return Weight(weight_function(b), description or "|m_B|^2/N", lip, _cosine_polynomial(b))
-
-
-def pi_truncated(view: IfsView, word) -> tuple:
-    """Partial symbol-map sum: sum_{k=1..n} matrix^{-k} digit_{w_k}.
-
-    Returns (point, error_bound); the bound is c^n * a with c the
-    contraction factor and a the attractor's bounding radius, since the
-    dropped tail is the full attractor contracted n times.
-    """
-    word = list(word)
-    if view.digits_exact is not None:
-        x = tuple(Fraction(0) for _ in range(view.d))
-        for idx in reversed(word):
-            x = view.tau(int(idx), x)
-        point = x
-    else:
-        xf = np.zeros(view.d)
-        for idx in reversed(word):
-            xf = view.tau(int(idx), xf)
-        point = xf
-    bound = view.contraction_factor ** len(word) * max(view.bounding_radius(), 1e-300)
-    return point, bound
+    return cosine_weight(*_cosine_polynomial(b), description or "|m_B|^2/N")
 
 
 def chaos_game(view: IfsView, n_samples: int, seed: int, x0=None, n_streams: int = 1) -> np.ndarray:

@@ -19,8 +19,9 @@ paths: each step evaluates W at all N branch images at once (for a
 cosine-polynomial weight such as W_B, from the state alone, without
 forming the images), draws the branch and moves to the chosen image
 only.  The branch probabilities W(tau_l z) are exact up to float
-rounding, and weights below 1e-15 are treated as exactly zero so paths
-cannot tunnel through zeros of W.
+rounding, and weights below the rounding bound of their evaluation
+(`measure._zero_cutoff`, computed once per walk or word) are treated as
+exactly zero, so paths cannot tunnel through zeros of W.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import Cycle
-from .measure import Weight, _branch_weights, _weight_at, mu_hat_batch
+from .measure import Weight, _branch_weights, _weight_at, _zero_cutoff, mu_hat_batch
 from .spectrum import _cycle_k_points
 from .system import AffineSystem, IfsView
 
@@ -45,7 +46,6 @@ __all__ = [
     "h_closed_form",
 ]
 
-ZERO_BRANCH_CUTOFF = 1e-15
 QMF_SAMPLING_TOL = 1e-9
 UNIFORM_BLOCK = 1 << 16  # uniforms per draw of the walk, over all its walks
 
@@ -60,12 +60,13 @@ def _states_of_word(view: IfsView, x, word):
     return out
 
 
-def _word_weights(weight: Weight, view: IfsView, x, word) -> tuple:
+def _word_weights(weight: Weight, view: IfsView, x, word, cutoff: float) -> tuple:
     """(states, w): the states z_1..z_n along a nonempty word and W(z_k),
-    with weights below the cutoff set to exactly zero."""
+    with weights below the cutoff (`_zero_cutoff` from x or an earlier
+    state of the walk) set to exactly zero."""
     states = _states_of_word(view, x, word)
     w = _weight_at(weight, states)
-    return states, np.where(w < ZERO_BRANCH_CUTOFF, 0.0, w)
+    return states, np.where(w < cutoff, 0.0, w)
 
 
 def cylinder_weight(weight: Weight, view: IfsView, x, word) -> float:
@@ -73,7 +74,7 @@ def cylinder_weight(weight: Weight, view: IfsView, x, word) -> float:
     word = list(word)
     if not word:
         return 1.0
-    return float(np.prod(_word_weights(weight, view, x, word)[1]))
+    return float(np.prod(_word_weights(weight, view, x, word, _zero_cutoff(weight, view, x))[1]))
 
 
 def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
@@ -87,8 +88,9 @@ def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
     zf = np.asarray(z, dtype=float).reshape(view.d)
     product = 1.0
     c = view.contraction_factor ** cycle.period
+    cutoff = _zero_cutoff(weight, view, zf)
     for _ in range(max_blocks):
-        states, w = _word_weights(weight, view, zf, cycle.word)
+        states, w = _word_weights(weight, view, zf, cycle.word, cutoff)
         product *= float(np.prod(w))
         if product == 0.0:
             return 0.0
@@ -107,7 +109,7 @@ def path_weight_with_tail(weight: Weight, view: IfsView, x, word, cycle: Cycle,
     word = list(word)
     if not word:
         return cycle_tail_weight(weight, view, x, cycle, tol)
-    states, w = _word_weights(weight, view, x, word)
+    states, w = _word_weights(weight, view, x, word, _zero_cutoff(weight, view, x))
     prefix = float(np.prod(w))
     if prefix == 0.0:
         return 0.0
@@ -168,6 +170,7 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     if keep_from == 0:
         kept[:, 0] = z
     inv_t, digits = view.inv.T, view.digits
+    cutoff = _zero_cutoff(weight, view, x)
     block = max(1, UNIFORM_BLOCK // count)
     # ufunc methods rather than their numpy wrappers: a step works on a few
     # dozen numbers, so call overhead is most of its cost
@@ -176,7 +179,7 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
             uniforms = rng.random(min(block, length - step) * count).reshape(-1, count)
         u = uniforms[step % block]
         w = _branch_weights(weight, view, z)
-        w = np.where(w < ZERO_BRANCH_CUTOFF, 0.0, w)
+        w = np.where(w < cutoff, 0.0, w)
         sums = np.add.reduce(w)
         worst = np.maximum.reduce(np.abs(sums - 1.0))
         if worst > QMF_SAMPLING_TOL:

@@ -2,15 +2,20 @@
 
 Seven entries: five affine Hadamard-duality systems, the deliberate
 non-example cantor3 (scale 3 admits at most two orthogonal Fourier
-frequencies, so no ONB), and the scale-3 Riesz-product weight on the
-circle.  Golden values recorded here are the ones the test suite pins.
+frequencies, so no ONB), and riesz3, a weighted walk given by its view
+and weight alone: the scale-3 Riesz-product weight on the circle, on the
+1-d view x = t / 2 pi.  Golden values recorded here are the ones the
+test suite pins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .system import AffineSystem
+import numpy as np
+
+from .measure import Weight, cosine_weight
+from .system import AffineSystem, IfsView
 
 __all__ = ["ExampleEntry", "EXAMPLES", "get_system", "example_names"]
 
@@ -18,7 +23,7 @@ __all__ = ["ExampleEntry", "EXAMPLES", "get_system", "example_names"]
 @dataclass(frozen=True)
 class ExampleEntry:
     name: str
-    kind: str  # "affine" or "circle"
+    kind: str  # "affine": a duality triple (R, B, L); "circle": a view and weight
     description: str
     R: tuple = ()
     B: tuple = ()
@@ -26,10 +31,10 @@ class ExampleEntry:
     p_max: int = 6
     lambda_levels: int = 5
     golden: dict = field(default_factory=dict)
+    view: IfsView | None = None
+    weight: Weight | None = None
 
     def system(self) -> AffineSystem:
-        if self.kind != "affine":
-            raise ValueError("example %r is not an affine system" % self.name)
         return AffineSystem.create(self.R, self.B, self.L, name=self.name)
 
 
@@ -119,6 +124,10 @@ EXAMPLES = {
             kind="circle",
             description="scale-3 stretched-Haar weight on the circle; invariant "
             "measure is the Riesz product prod(1+cos(2*3^k t))/2pi",
+            # x = t / 2 pi: the cube map on the circle as the 1-d IFS x -> (x + j)/3
+            view=IfsView("riesz3", np.array([[3.0]]), np.arange(3.0).reshape(3, 1)),
+            # W(e^{it}) = (2/3) cos^2 t = 1/3 + (1/3) cos(2 pi 2x), QMF for the cube map
+            weight=cosine_weight(1.0 / 3.0, [1.0 / 3.0], [[2.0]], "(2/3) cos^2(2 pi x)"),
             golden={"nu_hat_1": 0.0, "nu_hat_6": 0.5},
         ),
     ]

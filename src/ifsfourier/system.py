@@ -163,6 +163,18 @@ class IfsView:
             self._cosine_factors[key] = factors
         return factors
 
+    @cached_property
+    def orbit_bound(self) -> tuple:
+        """(K, S), the sup over k >= 0 and the sum over k >= 1 of |matrix^{-k}|_inf
+        (to a term below eps of the sum, or 2^14 terms): every orbit z_k of x
+        has |z_k|_inf <= K |x|_inf + S max|digit|_inf, with no contracting norm."""
+        powers = self.inv[None]  # matrix^{-k}, k = 1..h, doubled until the terms are negligible
+        while True:
+            norms = np.abs(powers).sum(axis=2).max(axis=1)
+            if norms[-1] < np.finfo(float).eps * norms.sum() or len(powers) > 8192:
+                return max(1.0, float(norms.max())), float(norms.sum())
+            powers = np.concatenate([powers, powers @ powers[-1]])
+
     def bounding_radius(self) -> float:
         """Radius a with tau_i(ball(0, a)) inside ball(0, a) for all i:
         a > c * M / (1 - c) with c = ||matrix^{-1}|| and M = max |digit|."""
@@ -204,12 +216,11 @@ class AffineSystem:
     L_exact: tuple | None = None
     unitarity_tol: float = 1e-12
     tail_tol: float = 1e-10
-    cycle_tol: float = 1e-9
     name: str = ""
     exact_integer: bool = field(default=False)
 
     @staticmethod
-    def create(R, B, L, *, unitarity_tol=1e-12, tail_tol=1e-10, cycle_tol=1e-9, name=""):
+    def create(R, B, L, *, unitarity_tol=1e-12, tail_tol=1e-10, name=""):
         """Validate and build a system; accepts int/Fraction/float data."""
         Rf = np.atleast_2d(np.asarray(R, dtype=float))
         d = Rf.shape[0]
@@ -242,7 +253,7 @@ class AffineSystem:
         return AffineSystem(
             d=d, R=Rf, S=Rf.T.copy(), B=Bf, L=Lf, N=len(Bf),
             R_exact=R_exact, B_exact=B_exact, L_exact=L_exact,
-            unitarity_tol=unitarity_tol, tail_tol=tail_tol, cycle_tol=cycle_tol,
+            unitarity_tol=unitarity_tol, tail_tol=tail_tol,
             name=name, exact_integer=all_int,
         )
 

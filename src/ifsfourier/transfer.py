@@ -7,8 +7,7 @@ at the branch images from `IfsView.tau_all`.  The weights W(tau_i x)
 come from `measure._branch_weights`, the same evaluation that drives the
 branch walk of `pathspace`: R_W is the walk's one-step expectation.
 Harmonic functions are approached through Cesaro averages
-(1/n) sum_{k<n} R_W^k f rather than plain powers; plain iteration is
-kept as an option.
+(1/n) sum_{k<n} R_W^k f rather than plain powers.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "DomainError",
     "GridFunction",
     "ruelle_apply",
-    "ruelle_iterate",
     "cesaro",
     "check_qmf",
     "harmonic_defect",
@@ -156,14 +154,6 @@ def ruelle_apply(weight: Weight, view: IfsView, f: GridFunction) -> GridFunction
     for i in range(view.n_digits):
         acc = acc + w[i] * np.atleast_1d(f.eval(images[i]))
     return GridFunction(lo=f.lo, hi=f.hi, values=acc.reshape(f.values.shape))
-
-
-def ruelle_iterate(weight: Weight, view: IfsView, f: GridFunction, n_iter: int) -> GridFunction:
-    """Plain power iteration R_W^n f."""
-    g = f
-    for _ in range(n_iter):
-        g = ruelle_apply(weight, view, g)
-    return g
 
 
 def cesaro(weight: Weight, view: IfsView, f: GridFunction, n_iter: int) -> GridFunction:

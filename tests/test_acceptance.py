@@ -26,6 +26,7 @@ import pytest
 
 import ifsfourier as ff
 from ifsfourier import (
+    EXAMPLES,
     check_duality,
     completeness_sum,
     cycle_basin,
@@ -41,11 +42,7 @@ from ifsfourier import (
     verify_orthogonality,
     weight_from_digits,
 )
-from ifsfourier.invariant import (
-    fourier_coefficient,
-    riesz_branch_normalization,
-    riesz_chain,
-)
+from ifsfourier.invariant import fourier_coefficient, riesz_chain
 from ifsfourier.transfer import check_qmf
 
 
@@ -208,13 +205,14 @@ def test_c06_cantor3_witness():
 def test_c07_qmf_normalization():
     # the five duality systems carry the QMF-normalized weight |m_B|^2/N;
     # cantor3 is the deliberate non-orthogonal witness whose weight is not
-    # branch-normalized, and riesz3 is checked through its circle branches
+    # branch-normalized, and riesz3 is checked on its own view and weight
     worst = 0.0
     for name in ("cantor4", "lambda15", "lambda63", "planar-shear", "twindragon"):
         sys = get_system(name)
         dev = check_qmf(weight_from_digits(sys.B), sys.l_view, n_probe=10_000, seed=7)
         worst = max(worst, dev)
-    worst = max(worst, riesz_branch_normalization(10_000, seed=7))
+    riesz = EXAMPLES["riesz3"]
+    worst = max(worst, check_qmf(riesz.weight, riesz.view, n_probe=10_000, seed=7))
     ok = worst < 1e-12
     assert line("7", ok, "sup |R_W 1 - 1| over 1e4 probes = %.2e" % worst)
 
@@ -319,7 +317,8 @@ def test_c10_planar_shear_deficiency():
 # -- 11: Riesz product -----------------------------------------------------------
 
 def test_c11_riesz_chain():
-    norm_dev = riesz_branch_normalization(2_000, seed=11)
+    riesz = EXAMPLES["riesz3"]
+    norm_dev = check_qmf(riesz.weight, riesz.view, n_probe=2_000, seed=11)
     chain = riesz_chain(1_000_000, seed=11)
     v1, s1 = fourier_coefficient(chain, 1, angular=True)
     v6, s6 = fourier_coefficient(chain, 6, angular=True)

@@ -1,0 +1,35 @@
+"""The public surface: every exported name resolves, and removed names stay gone."""
+
+import dataclasses
+import importlib
+import pkgutil
+
+import pytest
+
+import ifsfourier
+from ifsfourier import AffineSystem
+from ifsfourier.config import SystemConfig
+
+MODULES = ["ifsfourier"] + ["ifsfourier." + m.name for m in pkgutil.iter_modules(ifsfourier.__path__)]
+REMOVED = {"weight_function", "pi_truncated", "ruelle_iterate", "riesz_weight",
+           "riesz_branch_normalization", "W_INCONCLUSIVE", "_RIESZ_VIEW", "_RIESZ_WEIGHT"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_resolve(name):
+    mod = importlib.import_module(name)
+    exported = getattr(mod, "__all__", [])
+    assert [n for n in exported if not hasattr(mod, n)] == []
+    assert REMOVED.isdisjoint(exported)
+    assert [n for n in REMOVED if hasattr(mod, n)] == []
+
+
+def test_package_exports_are_unique_and_cover_the_core():
+    assert len(ifsfourier.__all__) == len(set(ifsfourier.__all__))
+    assert {"Weight", "cosine_weight", "weight_from_digits", "classify_w", "riesz_chain",
+            "check_qmf", "EXAMPLES"} <= set(ifsfourier.__all__)
+
+
+def test_cycle_tol_is_no_field():
+    for cls in (AffineSystem, SystemConfig):
+        assert "cycle_tol" not in {f.name for f in dataclasses.fields(cls)}

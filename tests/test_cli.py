@@ -45,7 +45,7 @@ def test_parse_config_tolerances():
     sys = cfg.system()
     assert sys.unitarity_tol == 1e-10
     assert sys.tail_tol == 1e-9
-    assert sys.cycle_tol == 1e-8
+    assert cfg.extras == {"cycle_tol": 1e-8}  # no longer a field: kept like any unknown key
 
 
 def test_parse_config_cardinality_error():
@@ -184,11 +184,11 @@ def test_riesz_command(tmp_path, capsys):
     assert curve.read_text().startswith("q,mass")
 
 
-@pytest.mark.parametrize("argv", [("--steps", "0"), ("--steps", "1"), ("--threads", "1"),
-                                  ("--threads", "-3"), ("--threads", "0")])
+@pytest.mark.parametrize("argv", [("--steps", "0"), ("--steps", "1"), ("--chains", "1"),
+                                  ("--chains", "-3"), ("--chains", "0")])
 def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
     # batch-mean errors need two chains; fewer would print NaN stderrs
-    # (--threads 0 used to fall back to 32 chains)
+    # (a count of 0 used to fall back to 32 chains)
     code = main(["riesz", *argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -229,8 +229,17 @@ def test_nonpositive_counts_are_bad_input(capsys, argv, flag):
     ("harmonic", "--x", "0.3"),
 ])
 def test_threads_only_on_sampling_subcommands(capsys, argv):
-    # only attractor and riesz read --threads; elsewhere it is unknown
+    # only attractor reads --threads; elsewhere it is unknown
     code = main([*argv, "--example", "cantor4", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--threads" in captured.err
+
+
+def test_riesz_threads_is_unknown(capsys):
+    # riesz splits its steps over --chains; --threads has no alias
+    code = main(["riesz", "--steps", "10", "--threads", "2"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -285,6 +294,18 @@ def test_example_listing_and_dump(capsys):
     assert code == 0
     cfg = parse_config(out)
     assert cfg.R == [[4]]
+    code, out = run_cli(capsys, "example", "riesz3")
+    rep = json.loads(out)
+    assert code == 0 and rep["matrix"] == [[3]] and rep["digits"] == [[0], [1], [2]]
+    assert rep["weight"] == "(2/3) cos^2(2 pi x)"
+
+
+def test_entry_without_triple_is_bad_input(capsys):
+    # riesz3 is a view and a weight; the affine subcommands need a triple
+    code = main(["cycles", "--example", "riesz3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
 
 
 def test_reports_are_deterministic(capsys):

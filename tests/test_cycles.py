@@ -123,6 +123,9 @@ def test_enumerate_cycles_needs_exact_data(cantor4):
         enumerate_cycles(float_only, 3)
     with pytest.raises(ValueError):
         cycle_from_word(float_only, (0, 1))
+    # the W verdict is exact only: a cycle cannot be classified on float data
+    with pytest.raises(ValueError, match="rational system data"):
+        classify_w(cycle_from_word(cantor4, (0,)), float_only)
 
 
 def test_corrupted_table_row_fails_orbit_identity(twindragon, monkeypatch):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ifsfourier import (
+    EXAMPLES,
     Weight,
+    check_qmf,
     empirical_char,
     mu_hat_detail,
     run_chain,
@@ -12,12 +14,15 @@ from ifsfourier.invariant import (
     batch_mean_stderr,
     concentration_curve,
     fourier_coefficient,
-    riesz_branch_normalization,
     riesz_chain,
     riesz_partial_density,
-    riesz_weight,
 )
 from ifsfourier.system import IfsView
+
+
+def riesz_weight(t):
+    """W(e^{it}) = (2/3) cos^2 t, the Riesz weight on angles."""
+    return (2.0 / 3.0) * np.cos(np.asarray(t, dtype=float)) ** 2
 
 
 def test_chain_uniform_weight_samples_mu(cantor4):
@@ -127,7 +132,8 @@ def test_batch_mean_stderr_iid_scale():
 
 
 def test_riesz_weight_normalization():
-    assert riesz_branch_normalization(1000, seed=0) < 1e-12
+    riesz = EXAMPLES["riesz3"]
+    assert check_qmf(riesz.weight, riesz.view, n_probe=1000, seed=0) < 1e-12
 
 
 def test_riesz_partial_density_values():
@@ -201,16 +207,14 @@ def test_concentration_curve_shape():
 
 def test_riesz_weight_is_a_cosine_polynomial():
     # (2/3) cos^2(2 pi x) = 1/3 + (1/3) cos(4 pi x): the chain runs the W_B kernel
-    from dataclasses import replace
-
-    from ifsfourier.invariant import _RIESZ_VIEW, _RIESZ_WEIGHT
     from ifsfourier.measure import _branch_weights
 
+    riesz = EXAMPLES["riesz3"]
     x = np.random.default_rng(35).uniform(-2.0, 2.0, size=(3000, 1))
-    fast = _branch_weights(_RIESZ_WEIGHT, _RIESZ_VIEW, x)
-    generic = replace(_RIESZ_WEIGHT, cosines=None)
-    assert np.max(np.abs(fast - _branch_weights(generic, _RIESZ_VIEW, x))) < 1e-15
+    fast = _branch_weights(riesz.weight, riesz.view, x)
+    generic = Weight(lambda x: riesz_weight(2.0 * np.pi * x), "(2/3) cos^2(2 pi x)")
+    assert np.max(np.abs(fast - _branch_weights(generic, riesz.view, x))) < 1e-15
     assert np.max(np.abs(fast.sum(axis=0) - 1.0)) < 1e-15
-    chain = run_chain(_RIESZ_WEIGHT, _RIESZ_VIEW, [0.2], 32 * 300, burn_in=20, seed=4)
-    ref = run_chain(generic, _RIESZ_VIEW, [0.2], 32 * 300, burn_in=20, seed=4)
+    chain = run_chain(riesz.weight, riesz.view, [0.2], 32 * 300, burn_in=20, seed=4)
+    ref = run_chain(generic, riesz.view, [0.2], 32 * 300, burn_in=20, seed=4)
     assert np.array_equal(chain.states, ref.states)

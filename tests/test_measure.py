@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 from ifsfourier import (
     EXAMPLES,
     AffineSystem,
+    Weight,
     chaos_game,
     check_qmf,
     empirical_char,
@@ -16,7 +16,6 @@ from ifsfourier import (
     mu_hat,
     mu_hat_batch,
     mu_hat_detail,
-    pi_truncated,
     points_to_csv,
     run_chain,
     sample_paths,
@@ -41,39 +40,6 @@ def test_tau_twindragon_exact(twindragon):
     # oracle: exact solve of S x = (1,0) for S = [[1,-1],[1,1]]
     got = twindragon.l_view.tau(1, (Fraction(0), Fraction(0)))
     assert got == (Fraction(1, 2), Fraction(-1, 2))
-
-
-def test_pi_truncated_zero_word(cantor4):
-    for n in (1, 4, 9):
-        pt, bound = pi_truncated(cantor4.b_view, [0] * n)
-        assert pt == (Fraction(0),)
-        assert bound <= 0.25 ** n * 0.7
-
-
-def test_pi_truncated_digit2_twice(cantor4):
-    pt, _ = pi_truncated(cantor4.b_view, [1, 1])
-    assert pt == (Fraction(5, 8),)
-
-
-def test_pi_truncated_depth2_enumeration(cantor4):
-    pts = {
-        pi_truncated(cantor4.b_view, w)[0][0]
-        for w in itertools.product(range(2), repeat=2)
-    }
-    assert pts == {Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(5, 8)}
-
-
-def test_pi_truncated_geometric_convergence(cantor4):
-    # appending copies of digit 2 contracts toward the limit at rate 1/4
-    prefix = [1, 0, 1]
-    errs = []
-    limit, _ = pi_truncated(cantor4.b_view, prefix + [1] * 40)
-    for k in (2, 4, 6):
-        pt, _ = pi_truncated(cantor4.b_view, prefix + [1] * k)
-        errs.append(abs(float(pt[0] - limit[0])))
-    assert errs[0] > 0
-    assert errs[1] / errs[0] == pytest.approx(0.25 ** 2, rel=1e-6)
-    assert errs[2] / errs[1] == pytest.approx(0.25 ** 2, rel=1e-4)
 
 
 def test_chaos_game_cantor4_range(cantor4):
@@ -446,17 +412,19 @@ def test_chaos_game_scan_short_streams(name):
         assert_scan_matches_loop(view, 1, 5, x0=x0, n_streams=3)
 
 
-# --- the cosine-polynomial W kernel against the generic weight call --------
+# --- the cosine-polynomial W kernel against the exponential symbol ---------
 
 
-def _generic(weight):
-    """The same W without its cosine polynomial: evaluated by calling `fn`."""
-    return replace(weight, cosines=None)
+def _generic(digits):
+    """W_B = |m_B|^2 / N from the exponential sum `m_eval`, with no cosine
+    polynomial: `_branch_weights` calls it on all N branch images."""
+    b = np.atleast_2d(np.asarray(digits, dtype=float))
+    return Weight(lambda x: np.abs(m_eval(b, x)) ** 2 / len(b), "|m_B|^2/N")
 
 
-def _kernel_deviation(weight, view, z):
-    fast = _branch_weights(weight, view, z)
-    ref = _branch_weights(_generic(weight), view, z)
+def _kernel_deviation(digits, view, z):
+    fast = _branch_weights(weight_from_digits(digits), view, z)
+    ref = _branch_weights(_generic(digits), view, z)
     assert fast.shape == ref.shape == (view.n_digits, len(z))
     assert fast.flags.c_contiguous
     return float(np.max(np.abs(fast - ref)))
@@ -467,7 +435,7 @@ def test_factored_kernel_matches_generic_on_l_view(name):
     sys_ = get_system(name)
     lo, hi = sys_.l_view.box()
     z = np.random.default_rng(31).uniform(lo, hi, size=(2000, sys_.d))
-    assert _kernel_deviation(weight_from_digits(sys_.B), sys_.l_view, z) < 1e-13
+    assert _kernel_deviation(sys_.B, sys_.l_view, z) < 1e-13
 
 
 @pytest.mark.parametrize("name", AFFINE)
@@ -478,7 +446,7 @@ def test_factored_kernel_matches_generic_off_the_box(name):
         lo, hi = view.box()
         z = np.random.default_rng(32).uniform(3 * lo, 3 * hi, size=(2000, sys_.d))
         for digits in (sys_.B, sys_.L):
-            assert _kernel_deviation(weight_from_digits(digits), view, z) < 1e-11
+            assert _kernel_deviation(digits, view, z) < 1e-11
 
 
 @pytest.mark.parametrize("name", [n for n in AFFINE if n != "cantor3"])
@@ -495,11 +463,11 @@ def test_walk_same_under_factored_and_generic_kernel(name, x):
     sys_ = get_system(name)
     fast = weight_from_digits(sys_.B)
     a = sample_paths(fast, sys_.l_view, x, 32, 2000, seed=23)
-    b = sample_paths(_generic(fast), sys_.l_view, x, 32, 2000, seed=23)
+    b = sample_paths(_generic(sys_.B), sys_.l_view, x, 32, 2000, seed=23)
     assert np.array_equal(a.words, b.words)
     assert np.array_equal(a.tail_states, b.tail_states)
     a = run_chain(fast, sys_.l_view, x, 4000, burn_in=50, seed=24, n_chains=32)
-    b = run_chain(_generic(fast), sys_.l_view, x, 4000, burn_in=50, seed=24, n_chains=32)
+    b = run_chain(_generic(sys_.B), sys_.l_view, x, 4000, burn_in=50, seed=24, n_chains=32)
     assert np.array_equal(a.states, b.states)
 
 
@@ -508,7 +476,7 @@ def test_weight_with_digits_hashable_and_comparable(cantor4):
     b = weight_from_digits(cantor4.B)
     assert len({a, b, a}) == 2
     assert a == a and a != b  # distinct evaluators; the polynomial takes no part
-    assert hash(_generic(a)) == hash(a) and _generic(a) == a
+    assert hash(replace(a, cosines=None)) == hash(a) and replace(a, cosines=None) == a
 
 
 def test_cosine_polynomial_of_digit_sets():
@@ -535,8 +503,10 @@ def test_cosine_polynomial_of_digit_sets():
                                     [[3, 4]], [[0.5], [1.25], [-2.0]]])
 def test_cosine_polynomial_matches_generic_weight(digits):
     # repeated digits, sign-merged 2-d differences, one digit, non-integer digits
-    weight = weight_from_digits(digits)
     d = len(digits[0])
     view = IfsView("B", 3.0 * np.eye(d), np.zeros((2, d)) + np.arange(2.0)[:, None])
     z = np.random.default_rng(33).uniform(-2.0, 2.0, size=(500, d))
-    assert _kernel_deviation(weight, view, z) < 1e-13
+    assert _kernel_deviation(digits, view, z) < 1e-13
+    # `fn`, the same cosine pass at the points themselves
+    pts = z if d > 1 else z[:, 0]
+    assert np.max(np.abs(weight_from_digits(digits)(pts) - _generic(digits)(pts))) < 1e-13

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ifsfourier import (
+    EXAMPLES,
+    AffineSystem,
     cylinder_weight,
     estimate_h,
     find_w_cycles,
@@ -18,8 +20,9 @@ from ifsfourier import (
     sample_paths,
     weight_from_digits,
 )
-from ifsfourier.measure import _branch_weights
+from ifsfourier.measure import _branch_weights, _zero_cutoff
 from ifsfourier.pathspace import UNIFORM_BLOCK, classification_radius
+from strategies import product_triple
 from test_spectrum import k_points_reference
 
 
@@ -281,6 +284,20 @@ def test_run_chain_matches_reference_walk(name, x):
     assert np.array_equal(chain.states, expected)
 
 
+def test_walk_on_a_view_no_norm_contracts():
+    # S^{-1} = [[1/2, 0], [-5/2, 1/2]] contracts in neither the inf- nor the
+    # 2-norm, so the view has no `box`; the walk's zero cutoff does not need one
+    sys_ = AffineSystem.create([[2, 10], [0, 2]], [[0, 0], [1, 0], [0, 1], [1, 1]],
+                               [[0, 0], [1, 0], [0, 1], [1, 1]])
+    w, x = weight_from_digits(sys_.B), [0.1, 0.2]
+    with pytest.raises(ValueError):
+        sys_.l_view.box()
+    ens = sample_paths(w, sys_.l_view, x, 16, 200, seed=27, tail_window=16)
+    words, states = _reference_walk(w, sys_.l_view, x, 16, 200, seed=27)
+    assert np.array_equal(ens.words, words)
+    assert np.array_equal(ens.tail_states, states)
+
+
 # --- the walk before W_B became a cosine polynomial -------------------------
 
 def exponential_branch_weights(digits, view, z):
@@ -374,3 +391,90 @@ def test_block_uniforms_match_per_step_draws(count, steps, block):
     for row in rows:
         assert np.array_equal(row, per_step.random(count))
     assert blocked.random() == per_step.random()  # both streams end at the same place
+
+
+# --- zeros of W: the walk and the cylinder weights cut them exactly --------
+
+# R = 20, B = 4 {0, 1, 2, 3, 14}, L = {0, -9, 2, -2, 4}: W_B vanishes at x = r / 20, 5 not | r
+N5_TRIPLE = AffineSystem.create([[20]], [[0], [4], [8], [12], [56]], [[0], [-9], [2], [-2], [4]],
+                                name="n5")
+
+
+def two_digit_zeros(sys_):
+    """|1 + exp(2 pi i delta.y)| = 0 on delta.y = 1/2 mod 1, delta = b1 - b0."""
+    return [(sys_.B[1] - sys_.B[0], 2, [1])]
+
+
+def states_onto_zeros(view, families, n, seed=0):
+    """(z, l): n states and branches with tau_l z on the zero set of W, given
+    as families (delta, q, residues), the hyperplanes delta.y = r/q mod 1
+    with r in residues.  Uniform states of the view's box are nudged so
+    that their branch l lands on a hyperplane."""
+    rng = np.random.default_rng(seed)
+    lo, hi = view.box(inflate=1.0)
+    z = rng.uniform(lo, hi, size=(n, view.d))
+    l = rng.integers(view.n_digits, size=n)
+    y = (z + view.digits[l]) @ view.inv.T
+    fam = rng.integers(len(families), size=n)
+    for i, (delta, q, residues) in enumerate(families):
+        rows = fam == i
+        delta = np.asarray(delta, dtype=float)
+        r = rng.choice(residues, size=int(rows.sum()))
+        target = (r + q * np.rint((q * (y[rows] @ delta) - r) / q)) / q
+        y[rows] += np.outer(target - y[rows] @ delta, delta / (delta @ delta))
+    return y @ view.matrix.T - view.digits[l], l
+
+
+def assert_zeros_cut(weight, view, z, l):
+    """At states z whose branch l lands on a zero of W: the branch weight
+    `_walk` computes there is below its cutoff, so the walk sets it to
+    exactly 0; the cylinder weight of a word through the zero is exactly
+    0.0; and the cutoff stays at most 1e-12.  Returns the largest branch
+    weight at the zeros."""
+    cutoff = _zero_cutoff(weight, view, z)  # as `_walk` from a start among the z
+    assert cutoff <= 1e-12
+    assert _zero_cutoff(weight, view, np.zeros(view.d)) <= cutoff
+    w = _branch_weights(weight, view, z)[l, np.arange(len(z))]
+    assert np.all(w < cutoff), np.count_nonzero(w >= cutoff)
+    for k in range(0, len(z), max(1, len(z) // 40)):
+        assert cylinder_weight(weight, view, z[k], [l[k]]) == 0.0
+        # a longer word, through the zero at its second step
+        z0 = z[k] @ view.matrix.T - view.digits[0]
+        assert cylinder_weight(weight, view, z0, [0, l[k], 1 % view.n_digits]) == 0.0
+    return float(np.max(w))
+
+
+ZERO_CASES = [
+    (name, two_digit_zeros) for name in ("cantor4", "cantor3", "lambda15", "lambda63",
+                                         "twindragon")
+] + [("planar-shear", lambda s: [((3, 0), 2, [1]), ((0, 1), 2, [1])])]
+
+
+@pytest.mark.parametrize("name,families", ZERO_CASES)
+def test_zeros_of_w_b_are_cut_on_registry_systems(name, families):
+    # on planar-shear 2 or 3 in 10^4 of these weights exceed 1e-15
+    sys_ = get_system(name)
+    z, l = states_onto_zeros(sys_.l_view, families(sys_), 20_000)
+    assert_zeros_cut(weight_from_digits(sys_.B), sys_.l_view, z, l)
+
+
+def test_zeros_of_the_riesz_weight_are_cut():
+    # (2/3) cos^2(2 pi x) vanishes on 2x = 1/2 mod 1
+    riesz = EXAMPLES["riesz3"]
+    assert_zeros_cut(riesz.weight, riesz.view, *states_onto_zeros(riesz.view, [((2,), 2, [1])],
+                                                                  4000))
+
+
+def test_zeros_of_w_b_are_cut_on_a_scale_20_triple():
+    weight, view = weight_from_digits(N5_TRIPLE.B), N5_TRIPLE.l_view
+    families = [((4,), 5, [1, 2, 3, 4])]
+    assert_zeros_cut(weight, view, *states_onto_zeros(view, families, 4000))
+    # the images x = r / 20, |x| <= 1, from the integer states z = r - l (up to 8.6e-15 uncut)
+    r, l = np.meshgrid([r for r in range(-20, 21) if r % 5], range(5))
+    z = (r - view.digits[l, 0]).reshape(-1, 1)
+    assert_zeros_cut(weight, view, z, l.ravel())
+    # and on its product with lambda15, whose zeros are the two factors' zeros
+    prod = product_triple(get_system("lambda15"), N5_TRIPLE)
+    families = [((2, 0), 2, [1]), ((0, 4), 5, [1, 2, 3, 4])]
+    assert_zeros_cut(weight_from_digits(prod.B), prod.l_view,
+                     *states_onto_zeros(prod.l_view, families, 4000))

@@ -31,7 +31,7 @@ from ifsfourier import (
 from ifsfourier.measure import _branch_weights
 from test_cycles import assert_cycles_match_reference, word_sum
 from test_measure import assert_batch_matches_complex_reference, assert_scan_matches_loop
-from test_pathspace import exponential_branch_weights
+from test_pathspace import assert_zeros_cut, exponential_branch_weights, states_onto_zeros
 from test_spectrum import assert_k_points_match_reference
 
 MAX_WORDS = 125  # words per enumeration, to keep exact arithmetic quick
@@ -136,3 +136,12 @@ def test_batch_matches_complex_reference_on_generated_two_digit_triples(sys_, se
     assert_batch_matches_complex_reference(sys_, rng.uniform(-57, 57, (300, 1)))
     for q in (2, 4, r):
         assert_batch_matches_complex_reference(sys_, rng.integers(-57 * q, 57 * q + 1, (300, 1)) / q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sys_=hadamard_triples_1d(), seed=st.integers(0, 2 ** 16))
+def test_zeros_of_w_b_are_cut_on_generated_triples(sys_, seed):
+    # B = m {j + N k_j} and R = N m: m_B vanishes where m x = r / N, N not | r
+    n, m = sys_.N, int(sys_.R[0, 0]) // sys_.N
+    z, l = states_onto_zeros(sys_.l_view, [((m,), n, list(range(1, n)))], 2000, seed)
+    assert_zeros_cut(weight_from_digits(sys_.B), sys_.l_view, z, l)

@@ -10,7 +10,6 @@ from ifsfourier import (
     get_system,
     harmonic_defect,
     ruelle_apply,
-    ruelle_iterate,
     weight_from_digits,
 )
 from ifsfourier.transfer import default_grid
@@ -148,13 +147,6 @@ def test_harmonic_defect_reference_values(cantor4, cantor4_weight, grid1d):
     rng = np.random.default_rng(0)
     noise = GridFunction(lo=const.lo, hi=const.hi, values=rng.uniform(0, 1, 256))
     assert harmonic_defect(cantor4_weight, cantor4.l_view, noise) > 0.1
-
-
-def test_plain_iteration_option(cantor4, cantor4_weight, grid1d):
-    lo, hi = grid1d
-    one = GridFunction.constant(1.0, lo, hi, 256)
-    out = ruelle_iterate(cantor4_weight, cantor4.l_view, one, 5)
-    assert np.max(np.abs(out.values - 1.0)) < 1e-11
 
 
 def test_planar_shear_grid_qmf(planar_shear):
