@@ -111,11 +111,9 @@ def cmd_check_hadamard(args) -> int:
 
 def cmd_cycles(args) -> int:
     cfg, sys_obj = _load_system(args)
-    from .cycles import classify_w, enumerate_cycles
+    from .cycles import _classified_cycles
 
-    cycles = [classify_w(c, sys_obj) for c in enumerate_cycles(sys_obj, cfg.p_max)]
-    if not args.all:
-        cycles = [c for c in cycles if c.is_w_cycle]
+    cycles = _classified_cycles(sys_obj, cfg.p_max, w_only=not args.all)
     print(dumps({
         "system": sys_obj.name or "config",
         "p_max": cfg.p_max,
@@ -213,10 +211,15 @@ def _require_at_least(low: int, **values) -> None:
 
 
 def cmd_attractor(args) -> int:
-    _require_at_least(1, samples=args.samples, threads=args.threads)
+    flag = "streams" if args.threads is None else "threads"
+    streams = 1 if getattr(args, flag) is None else getattr(args, flag)
+    _require_at_least(1, samples=args.samples, **{flag: streams})
+    if args.threads is not None:
+        print("warning: --threads is deprecated, use --streams (the number of seeded "
+              "sample streams; nothing runs in parallel)", file=sys.stderr)
     cfg, sys_obj = _load_system(args)
     view = sys_obj.b_view if args.view == "B" else sys_obj.l_view
-    pts = chaos_game(view, args.samples, cfg.seed, n_streams=args.threads)
+    pts = chaos_game(view, args.samples, cfg.seed, n_streams=streams)
     if args.out:
         points_to_csv(args.out, pts)
     print(dumps({
@@ -365,8 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--view", choices=("B", "L"), default="B")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--threads", type=int, default=1,
-                   help="number of seed streams the samples are split into")
+    streams = p.add_mutually_exclusive_group()
+    # default None, not 1: argparse lets an excluded option through when it
+    # parses to its default
+    streams.add_argument("--streams", type=int, default=None,
+                         help="number of seeded streams the samples are split into, "
+                              "concatenated in stream order; nothing runs in parallel "
+                              "(default 1)")
+    streams.add_argument("--threads", type=int, default=None,
+                         help="deprecated spelling of --streams")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_attractor)
 

@@ -31,7 +31,7 @@ c_0 = 1/N (plus 2/N^2 per repeated digit pair).  At the N branch images
 tau_l z = M^{-1}(z + l) of an affine view, f_j.tau_l z = g_j.z + g_j.l
 with g_j = M^{-t} f_j, so every W(tau_l z) comes from the same P cosines
 and P sines of 2 pi g_j.z: one trig pass per state for all N branches
-(`_branch_weights`, with the per-view factors of
+(`_branch_pass`, with the per-view factors of
 `IfsView.cosine_factors`); `fn` of `cosine_weight` runs the same pass at
 given points.  QMF, sum_l W_B(tau_l z) = 1 on the L-view of a Hadamard
 triple, is the unitarity of its duality matrix.
@@ -117,13 +117,15 @@ def _weight_at(weight, points: np.ndarray) -> np.ndarray:
     return np.asarray(weight(points if points.shape[1] > 1 else points[:, 0]), dtype=float)
 
 
-def _cosine_terms(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _cosine_terms(g: np.ndarray, z: np.ndarray, turns: np.ndarray | None = None) -> np.ndarray:
     """cos(2 pi g_j.z) for the rows g_j of g and z of z, shape (P, n), and
     below them sin(2 pi g_j.z), from the same cosine pass as
     cos(2 pi (g_j.z - 1/4)).  The phases in turns are reduced mod 1 first,
-    so the cosine sees arguments in [-pi, pi]."""
+    so the cosine sees arguments in [-pi, pi].  Written into `turns`, a
+    (2P, n) buffer, when one is given."""
     p = len(g)
-    turns = np.empty((2 * p, len(z)))
+    if turns is None:
+        turns = np.empty((2 * p, len(z)))
     np.matmul(g, z.T, out=turns[:p])
     np.subtract(turns[:p], 0.25, out=turns[p:])
     turns -= np.rint(turns)
@@ -131,23 +133,39 @@ def _cosine_terms(g: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.cos(turns, out=turns)
 
 
-def _branch_weights(weight, view: IfsView, z: np.ndarray) -> np.ndarray:
-    """W(tau_l z) for every digit l and row z of an (n, d) batch, as a
-    C-ordered (N, n) array.
+def _branch_pass(weight, view: IfsView, n: int):
+    """The branch-weight pass for batches of n states: a function of an
+    (n, d) array z that writes W(tau_l z) for every digit l and row of z
+    into one C-ordered (N, n) buffer and returns it, so each call
+    overwrites the result of the last.  The view's cosine factors and the
+    buffers are fetched once per pass, not once per batch.
 
     A weight with `cosines` needs z alone: one (N, 2P) x (2P, n) product of
     the view's coefficients with the cosines and sines of 2 pi g_j.z gives
     all N weights.  Any other weight is called once on all N n branch
-    images."""
+    images, and its values are copied into the buffer."""
+    out = np.empty((view.n_digits, n))
     cosines = getattr(weight, "cosines", None)
     if cosines is None:
-        images = view.tau_all(z)
-        return _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
+        def weights_at(z):
+            images = view.tau_all(z)
+            out[...] = _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
+            return out
+        return weights_at
     c0, coeffs, freqs = cosines
     g, coef = view.cosine_factors(coeffs, freqs)
-    w = coef @ _cosine_terms(g, z)
-    w += c0
-    return w
+    turns = np.empty((2 * len(g), n))
+
+    def weights_at(z):
+        np.matmul(coef, _cosine_terms(g, z, turns), out=out)
+        return np.add(out, c0, out=out)
+    return weights_at
+
+
+def _branch_weights(weight, view: IfsView, z: np.ndarray) -> np.ndarray:
+    """W(tau_l z) for every digit l and row z of an (n, d) batch, as a new
+    C-ordered (N, n) array: one run of `_branch_pass`."""
+    return _branch_pass(weight, view, len(z))(z)
 
 
 def _zero_cutoff(weight, view: IfsView, x) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import Cycle
-from .measure import Weight, _branch_weights, _weight_at, _zero_cutoff, mu_hat_batch
+from .measure import Weight, _branch_pass, _weight_at, _zero_cutoff, mu_hat_batch
 from .spectrum import _cycle_k_points
 from .system import AffineSystem, IfsView
 
@@ -162,6 +162,20 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     Only the chosen image is computed.  The uniforms are drawn for
     several steps at once: `default_rng` gives the same stream in blocks
     as in one call per step.
+
+    A step on a few dozen walks costs numpy's per-call overhead more than
+    arithmetic, so the branch-weight pass (`_branch_pass`) and the zero
+    cutoff are set up once per walk, and every step writes into buffers
+    allocated once: the weights, the zero mask, the choices and the moved
+    states.  The row sums of all steps of a uniform block go to one
+    buffer, and the QMF check runs once per block, at its last step, so a
+    walk that breaks QMF raises after the rest of its block has run.  It
+    raises on exactly the inputs a check at every step raises on, but the
+    deviation it reports is the block's worst, which may come from a later
+    step than the first that broke.  The worst is taken with fmax, so a
+    NaN deviation (from a NaN weight or start point, which never raised)
+    cannot hide a break, and the steps after a break run with
+    floating-point warnings off.
     """
     rng = np.random.default_rng(seed)
     z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
@@ -170,33 +184,47 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     if keep_from == 0:
         kept[:, 0] = z
     inv_t, digits = view.inv.T, view.digits
+    weights_at = _branch_pass(weight, view, count)
     cutoff = _zero_cutoff(weight, view, x)
     block = max(1, UNIFORM_BLOCK // count)
-    # ufunc methods rather than their numpy wrappers: a step works on a few
-    # dozen numbers, so call overhead is most of its cost
-    for step in range(length):
-        if step % block == 0:
-            uniforms = rng.random(min(block, length - step) * count).reshape(-1, count)
-        u = uniforms[step % block]
-        w = _branch_weights(weight, view, z)
-        w = np.where(w < cutoff, 0.0, w)
-        sums = np.add.reduce(w)
-        worst = np.maximum.reduce(np.abs(sums - 1.0))
-        if worst > QMF_SAMPLING_TOL:
-            raise ValueError(
-                "branch probabilities sum to 1 within %g only up to %g; "
-                "is the weight QMF-normalized?" % (QMF_SAMPLING_TOL, worst)
-            )
-        w /= sums
-        cum = w[0]
-        choices = (u >= cum).astype(np.intp)
-        for row in w[1:-1]:
-            cum += row
-            choices += u >= cum
-        words[:, step] = choices
-        z = (z + digits.take(choices, axis=0)) @ inv_t
-        if step + 1 >= keep_from:
-            kept[:, step + 1 - keep_from] = z
+    sums = np.empty((min(block, length), count))
+    zero = np.empty((view.n_digits, count), dtype=bool)
+    passed = np.empty(count, dtype=bool)
+    choices = np.empty(count, dtype=np.intp)
+    moved = np.empty_like(z)
+    # ufunc methods with out= rather than their numpy wrappers: a step works
+    # on a few dozen numbers, so call overhead is most of its cost
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(length):
+            k = step % block
+            if k == 0:
+                uniforms = rng.random(min(block, length - step) * count).reshape(-1, count)
+            u, row_sums = uniforms[k], sums[k]
+            w = weights_at(z)
+            np.less(w, cutoff, out=zero)
+            np.putmask(w, zero, 0.0)
+            np.add.reduce(w, out=row_sums)
+            w /= row_sums
+            cum = w[0]
+            choices[...] = np.greater_equal(u, cum, out=passed)
+            for row in w[1:-1]:
+                cum += row
+                choices += np.greater_equal(u, cum, out=passed)
+            words[:, step] = choices
+            digits.take(choices, axis=0, out=moved)
+            moved += z
+            np.matmul(moved, inv_t, out=z)
+            if step + 1 >= keep_from:
+                kept[:, step + 1 - keep_from] = z
+            if k == len(uniforms) - 1:
+                block_sums = sums[: k + 1]
+                block_sums -= 1.0
+                worst = np.fmax.reduce(np.abs(block_sums, out=block_sums), axis=None)
+                if worst > QMF_SAMPLING_TOL:
+                    raise ValueError(
+                        "branch probabilities sum to 1 within %g only up to %g; "
+                        "is the weight QMF-normalized?" % (QMF_SAMPLING_TOL, worst)
+                    )
     return words, kept
 
 

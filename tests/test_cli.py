@@ -213,6 +213,7 @@ def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
     (("spectrum", "--levels", "3", "--cap", "-1"), "--cap"),
     (("verify-onb", "--levels", "3", "--grid", "--grid-span", "-1"), "--grid-span"),
     (("check-hadamard", "--horizon", "-1"), "--horizon"),
+    (("attractor", "--samples", "100", "--streams", "0"), "--streams"),
 ])
 def test_nonpositive_counts_are_bad_input(capsys, argv, flag):
     low = 0 if flag in ("--count", "--window", "--levels", "--seed", "--grid-span",
@@ -235,6 +236,20 @@ def test_threads_only_on_sampling_subcommands(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "--threads" in captured.err
+
+
+@pytest.mark.parametrize("streams", ["1", "3"])
+def test_attractor_threads_is_a_deprecated_alias_of_streams(capsys, streams):
+    argv = ["attractor", "--example", "twindragon", "--samples", "300", "--seed", "5"]
+    assert main([*argv, "--streams", streams]) == 0
+    new = capsys.readouterr()
+    assert main([*argv, "--threads", streams]) == 0
+    old = capsys.readouterr()
+    assert old.out == new.out  # byte-identical reports
+    assert new.err == ""
+    assert old.err.count("\n") == 1 and "--threads is deprecated" in old.err
+    # the two spellings cannot be mixed
+    assert main([*argv, "--streams", streams, "--threads", streams]) == 2
 
 
 def test_riesz_threads_is_unknown(capsys):

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from ifsfourier import (
+    EXAMPLES,
     AffineSystem,
     check_duality,
     classify_w,
     enumerate_cycles,
     find_w_cycles,
+    example_names,
     get_system,
     m_eval,
     power_system,
@@ -200,6 +202,44 @@ def test_cycle_points_in_attractor_ball(twindragon):
     r = twindragon.l_view.bounding_radius() + 1e-9
     for cyc in enumerate_cycles(twindragon, 6):
         assert np.all(np.linalg.norm(cyc.points_float, axis=1) <= r)
+
+
+def _reference_w_equals_one(point, b_exact) -> bool:
+    """The Fraction test `classify_w` ran before the integer table:
+    (b - b_ref).x has denominator 1 for every digit b."""
+    ref = b_exact[0]
+    for b in b_exact[1:]:
+        dot = sum((bb - rr) * xx for bb, rr, xx in zip(b, ref, point))
+        if dot.denominator != 1:
+            return False
+    return True
+
+
+def assert_w_verdicts_match_fraction_reference(sys, p_max: int):
+    """classify_w and find_w_cycles against the per-point Fraction test."""
+    cycles = enumerate_cycles(sys, p_max)
+    ref = [all(_reference_w_equals_one(pt, sys.B_exact) for pt in c.points) for c in cycles]
+    assert [classify_w(c, sys).is_w_cycle for c in cycles] == ref
+    expected = [(c.word, c.period, c.points) for c, ok in zip(cycles, ref) if ok]
+    found = find_w_cycles(sys, p_max)
+    assert [(c.word, c.period, c.points) for c in found] == expected
+    assert all(c.is_w_cycle is True for c in found)
+    return sum(ref), len(ref)
+
+
+@pytest.mark.parametrize("name", [name for name in example_names()
+                                  if EXAMPLES[name].kind == "affine"])
+def test_w_verdicts_match_fraction_reference_on_registry(name):
+    sys = get_system(name)
+    n_w, n_all = assert_w_verdicts_match_fraction_reference(sys, min(EXAMPLES[name].p_max,
+                                                                     6 if sys.N < 4 else 4))
+    assert 0 < n_w < n_all
+
+
+def test_w_verdicts_with_fractional_digits():
+    # B = {0, 1/2} with R = 2 over L = {0, 1}: lam / e has e = 2
+    sys = AffineSystem.create([[2]], [[0], [Fraction(1, 2)]], [[0], [1]])
+    assert_w_verdicts_match_fraction_reference(sys, 6)
 
 
 def test_classify_cantor4(cantor4):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from ifsfourier import (
     EXAMPLES,
     AffineSystem,
+    Weight,
     cylinder_weight,
     estimate_h,
     find_w_cycles,
@@ -21,7 +23,7 @@ from ifsfourier import (
     weight_from_digits,
 )
 from ifsfourier.measure import _branch_weights, _zero_cutoff
-from ifsfourier.pathspace import UNIFORM_BLOCK, classification_radius
+from ifsfourier.pathspace import QMF_SAMPLING_TOL, UNIFORM_BLOCK, _walk, classification_radius
 from strategies import product_triple
 from test_spectrum import k_points_reference
 
@@ -391,6 +393,150 @@ def test_block_uniforms_match_per_step_draws(count, steps, block):
     for row in rows:
         assert np.array_equal(row, per_step.random(count))
     assert blocked.random() == per_step.random()  # both streams end at the same place
+
+
+# --- the walk on fixed buffers against the walk that allocated per step ----
+
+def per_step_walk(weight, view, x, length, count, seed, keep_from):
+    """`pathspace._walk` as it ran before its buffers: new arrays every step,
+    the zero cutoff by `np.where`, and the QMF check on every step, raising
+    at the first step that breaks it.  Returns (words, kept) as `_walk`."""
+    rng = np.random.default_rng(seed)
+    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
+    words = np.empty((count, length), dtype=np.int8)
+    kept = np.empty((count, length + 1 - keep_from, view.d))
+    if keep_from == 0:
+        kept[:, 0] = z
+    inv_t, digits = view.inv.T, view.digits
+    cutoff = _zero_cutoff(weight, view, x)
+    block = max(1, UNIFORM_BLOCK // count)
+    for step in range(length):
+        if step % block == 0:
+            uniforms = rng.random(min(block, length - step) * count).reshape(-1, count)
+        u = uniforms[step % block]
+        w = _branch_weights(weight, view, z)
+        w = np.where(w < cutoff, 0.0, w)
+        sums = np.add.reduce(w)
+        worst = np.maximum.reduce(np.abs(sums - 1.0))
+        if worst > QMF_SAMPLING_TOL:
+            raise ValueError("branch probabilities sum to 1 within %g only up to %g; "
+                             "is the weight QMF-normalized?" % (QMF_SAMPLING_TOL, worst))
+        w /= sums
+        cum = w[0]
+        choices = (u >= cum).astype(np.intp)
+        for row in w[1:-1]:
+            cum += row
+            choices += u >= cum
+        words[:, step] = choices
+        z = (z + digits.take(choices, axis=0)) @ inv_t
+        if step + 1 >= keep_from:
+            kept[:, step + 1 - keep_from] = z
+    return words, kept
+
+
+def _walk_case(name):
+    """(weight, view, start) of a registry entry: W_B on the L-view, or the
+    riesz3 (view, weight)."""
+    if name == "riesz3":
+        return EXAMPLES[name].weight, EXAMPLES[name].view, [0.1]
+    sys_ = get_system(name)
+    x = dict(WALK_CASES).get(name, [0.21] * sys_.d)
+    return weight_from_digits(sys_.B), sys_.l_view, x
+
+
+@pytest.mark.parametrize("name", [name for name, _ in WALK_CASES] + ["lambda63", "riesz3"])
+@pytest.mark.parametrize("count,length,keep_from", [
+    (32, 2 * 2048 + 5, 2 * 2048 - 3),  # two full uniform blocks and a partial one
+    (6000, 25, 0),  # blocks of 10 steps; the last one partial
+])
+def test_walk_bit_identical_to_per_step_walk(name, count, length, keep_from):
+    weight, view, x = _walk_case(name)
+    assert UNIFORM_BLOCK // count in (2048, 10)
+    words, kept = _walk(weight, view, x, length, count, 31, keep_from)
+    ref_words, ref_kept = per_step_walk(weight, view, x, length, count, 31, keep_from)
+    assert np.array_equal(words, ref_words)
+    assert np.array_equal(kept, ref_kept)
+
+
+class StepWeight:
+    """A weight without a cosine polynomial that gives every branch 1/N at
+    first and, from each step in `changes` on, that step's value;
+    `_branch_weights` calls a weight without cosines once per walk step."""
+
+    def __init__(self, n_digits, changes):
+        self.value, self.changes, self.calls = 1.0 / n_digits, changes, 0
+
+    def __call__(self, x):
+        self.value = self.changes.get(self.calls, self.value)
+        self.calls += 1
+        return np.full(len(x), self.value)
+
+
+def _qmf_outcome(walk, weight_of, view, count, length):
+    """The message of the ValueError a walk raises, or None."""
+    try:
+        walk(weight_of(), view, [0.3], length, count, 7, length)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("count,length,start", [
+    (32, 3000, 1000),   # mid-block in the first block of 2048 steps
+    (32, 3000, 2500),   # mid-block in the last, partial block
+    (32, 3000, 2047),   # the last step of a full block
+    (3000, 40, 10),     # blocks of 21 steps
+    (3000, 40, 39),     # the last step of the walk
+])
+@pytest.mark.parametrize("after", [
+    [0.5 * (1.0 + 1e-6)],  # a break: row sums 1 + 1e-6
+    [0.5 * (1.0 + 1e-10)],  # within QMF_SAMPLING_TOL: no break
+    [0.0],  # row sums 0: probabilities 0/0 after the step
+    [np.nan],  # NaN weights: they never raised
+    [0.5 * (1.0 + 1e-6), np.nan],  # a break, then NaN row sums that must not hide it
+])
+def test_block_qmf_check_raises_on_exactly_the_per_step_inputs(count, length, start, after):
+    view = get_system("cantor4").l_view
+
+    def weight():
+        return StepWeight(2, {start + i: value for i, value in enumerate(after)})
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the steps after a break leak no RuntimeWarning
+        got = _qmf_outcome(_walk, weight, view, count, length)
+        ref = _qmf_outcome(per_step_walk, weight, view, count, min(length, start + 1))
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got == ref  # the rows after the break deviate no more than it
+
+
+@pytest.mark.parametrize("count,length", [(32, 3000), (3000, 40)])
+def test_block_qmf_check_after_a_break_at_a_state_reached_mid_block(count, length):
+    # the Riesz weight (its walk never locks into a cycle) scaled by 1 + 1e-6
+    # on a short interval around a branch image the walk reaches mid-block,
+    # and not before
+    view, w_b = EXAMPLES["riesz3"].view, EXAMPLES["riesz3"].weight
+    block = UNIFORM_BLOCK // count
+    _, kept = _walk(w_b, view, [0.3], length, count, 9, 0)
+    images = ((kept[:, :-1, None, :] + view.digits) @ view.inv.T)[..., 0]  # (walk, step, branch)
+    target = images[0, block // 2, 1]
+    lo, hi = target - 1e-12, target + 1e-12
+    hit = np.any((lo < images) & (images < hi), axis=(0, 2))
+    assert int(np.argmax(hit)) == block // 2
+
+    def scaled(x):
+        w = w_b(x)
+        return np.where((lo < x) & (x < hi), w * (1.0 + 1e-6), w)
+
+    bad = Weight(scaled, "W scaled near one image")
+    with pytest.raises(ValueError, match="only up to") as got:
+        _walk(bad, view, [0.3], length, count, 9, 0)
+    with pytest.raises(ValueError, match="only up to") as ref:
+        per_step_walk(bad, view, [0.3], length, count, 9, 0)
+    # the block's worst deviation, at least that of the first step that broke
+    worst = float(str(got.value).split("only up to ")[1].split(";")[0])
+    first_worst = float(str(ref.value).split("only up to ")[1].split(";")[0])
+    assert 1e-7 < first_worst <= worst < 1e-6
 
 
 # --- zeros of W: the walk and the cylinder weights cut them exactly --------

@@ -29,7 +29,11 @@ from ifsfourier import (
     weight_from_digits,
 )
 from ifsfourier.measure import _branch_weights
-from test_cycles import assert_cycles_match_reference, word_sum
+from test_cycles import (
+    assert_cycles_match_reference,
+    assert_w_verdicts_match_fraction_reference,
+    word_sum,
+)
 from test_measure import assert_batch_matches_complex_reference, assert_scan_matches_loop
 from test_pathspace import assert_zeros_cut, exponential_branch_weights, states_onto_zeros
 from test_spectrum import assert_k_points_match_reference
@@ -75,6 +79,14 @@ def test_chaos_game_scan_matches_loop_on_generated_triples(sys_, seed, n_samples
                                                            n_streams, x0):
     assert_scan_matches_loop(sys_.b_view, n_samples, seed,
                              x0=None if x0 is None else [x0], n_streams=n_streams)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sys_=hadamard_triples_1d())
+def test_w_verdicts_match_fraction_reference_on_generated_triples(sys_):
+    # 0 is a W-cycle of every generated triple, so some cycle is one
+    p_max = max(p for p in range(1, 8) if sys_.N ** p <= MAX_WORDS)
+    assert assert_w_verdicts_match_fraction_reference(sys_, p_max)[0] >= 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

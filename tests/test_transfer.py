@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ifsfourier import (
     ruelle_apply,
     weight_from_digits,
 )
+from ifsfourier.measure import _branch_weights
 from ifsfourier.transfer import default_grid
 
 RES = 2049  # odd so the origin is a grid node
@@ -169,3 +172,137 @@ def test_grid_csv(tmp_path, cantor4):
     assert lines[0] == "x0,value"
     assert len(lines) == 6
     assert float(lines[2].split(",")[1]) == pytest.approx(0.0625)
+
+
+# --- the stencil against the per-branch interpolation it replaced ------------
+
+def reference_eval(f, pts):
+    """`GridFunction.eval` before the stencil: one pass per corner, corners in
+    `itertools.product` order, each adding weight * value to the sum."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    res = np.array(f.values.shape)
+    u = (pts - f.lo) / f.spacing
+    if np.any(u < -1e-9) or np.any(u > res - 1 + 1e-9):
+        raise DomainError("outside")
+    u = np.clip(u, 0.0, res - 1)
+    base = np.minimum(u.astype(int), res - 2)
+    frac = u - base
+    out = np.zeros(pts.shape[0], dtype=f.values.dtype)
+    flat = f.values.ravel()
+    strides = np.cumprod((1,) + f.values.shape[::-1][:-1])[::-1]
+    for corner in itertools.product((0, 1), repeat=f.d):
+        idx = (base + np.array(corner)) @ strides
+        w = np.ones(pts.shape[0])
+        for a in range(f.d):
+            w = w * (frac[:, a] if corner[a] else 1.0 - frac[:, a])
+        out = out + w * flat[idx]
+    return out
+
+
+def reference_ruelle_apply(weight, view, f):
+    """`ruelle_apply` before the stencil: W at the branch images times the
+    interpolated f, summed branch by branch."""
+    nodes = f.nodes()
+    images = view.tau_all(nodes)
+    w = _branch_weights(weight, view, nodes)
+    acc = np.zeros(nodes.shape[0], dtype=f.values.dtype)
+    for i in range(view.n_digits):
+        acc = acc + w[i] * reference_eval(f, images[i])
+    return acc.reshape(f.values.shape)
+
+
+def reference_cesaro(weight, view, f, n_iter):
+    acc, g = f.values.copy(), f
+    for _ in range(n_iter - 1):
+        g = GridFunction(lo=f.lo, hi=f.hi, values=reference_ruelle_apply(weight, view, g))
+        acc = acc + g.values
+    return acc / n_iter
+
+
+def apply_ulps(view):
+    """The summation-order bound, in ulps of max|f|, between the stencil and
+    the per-branch sum: both sum N 2^d nonnegative products W coef |f| whose
+    coefficients add up to R_W 1 = 1 (QMF), each with a rounding error of at
+    most (N 2^d + 1) eps times that sum."""
+    return 2 * (view.n_digits * 2 ** view.d + 1)
+
+
+STENCIL_CASES = [
+    ("cantor4", 4097, lambda p: np.maximum(0.0, 1.0 - np.abs(p[:, 0]) / 0.05)),
+    ("lambda15", 2049, lambda p: np.cos(7 * p[:, 0]) + 0.5 * np.sin(31 * p[:, 0])),
+    ("planar-shear", 97, lambda p: 1.0 + 0.5 * np.cos(2 * np.pi * (p @ np.array([1.0, 2.0])))),
+]
+
+
+@pytest.mark.parametrize("name,res,fn", STENCIL_CASES)
+def test_stencil_matches_per_branch_interpolation(name, res, fn):
+    sys_ = get_system(name)
+    view, w = sys_.l_view, weight_from_digits(sys_.B)
+    lo, hi, _ = default_grid(view, res)
+    f = GridFunction.sample(fn, lo, hi, res)
+    eps, scale = np.finfo(float).eps, f.max_abs()
+    bound = apply_ulps(view) * eps * scale
+    got = ruelle_apply(w, view, f)
+    assert got.values.shape == f.values.shape
+    assert np.max(np.abs(got.values - reference_ruelle_apply(w, view, f))) <= bound
+    # n Cesaro terms: each iterate adds at most one bound (R_W is a sup-norm
+    # contraction), and the running sum rounds once per term
+    n_iter = 16
+    avg = cesaro(w, view, f, n_iter)
+    ref = reference_cesaro(w, view, f, n_iter)
+    assert np.max(np.abs(avg.values - ref)) <= n_iter * (bound + eps * scale)
+    interior = (slice(1, -1),) * view.d
+    ref_defect = float(np.max(np.abs(reference_ruelle_apply(w, view, avg) - avg.values)[interior]))
+    assert abs(harmonic_defect(w, view, avg) - ref_defect) <= bound
+
+
+@pytest.mark.parametrize("name,res,fn", STENCIL_CASES)
+def test_eval_matches_per_corner_loop(name, res, fn):
+    view = get_system(name).l_view
+    lo, hi, _ = default_grid(view, res)
+    f = GridFunction.sample(fn, lo, hi, res)
+    pts = np.random.default_rng(5).uniform(lo, hi, size=(3000, view.d))
+    bound = 2 ** view.d * np.finfo(float).eps * f.max_abs()
+    for n in (1, 2, 7, 3000):
+        assert np.max(np.abs(np.atleast_1d(f.eval(pts[:n])) - reference_eval(f, pts[:n]))) <= bound
+    # complex samples interpolate as such
+    g = GridFunction(lo=f.lo, hi=f.hi, values=f.values * (1 + 2j))
+    assert np.allclose(g.eval(pts), (1 + 2j) * f.eval(pts), rtol=0, atol=4 * bound)
+
+
+def test_eval_of_one_point_is_a_scalar(cantor4, grid1d):
+    # float() of a shape-(1,) array is an error in numpy >= 2.4; callers do
+    # float(avg.eval([[0.0]]))
+    lo, hi = grid1d
+    f = GridFunction.sample(lambda p: 1.0 + p[:, 0], lo, hi, 513)
+    one = f.eval([[0.0]])
+    assert one.shape == ()
+    assert float(one) == pytest.approx(1.0, abs=1e-12)
+    assert f.eval([[0.0], [0.1]]).shape == (2,)
+    pts = np.array([[0.25]])
+    f.eval(pts)
+    assert pts[0, 0] == 0.25  # the caller's points are left alone
+
+
+def _domain_outcome(fn):
+    try:
+        fn()
+    except DomainError:
+        return "DomainError"
+    return "ok"
+
+
+@pytest.mark.parametrize("name,shrink,expected", [
+    ("cantor4", 1.0, "ok"), ("cantor4", 0.1, "DomainError"), ("lambda15", 0.5, "DomainError"),
+    ("twindragon", 1.0, "DomainError"),  # no axis-aligned box holds its own nodes' images
+    ("planar-shear", 1.0, "ok"), ("planar-shear", 0.5, "DomainError"),
+])
+def test_stencil_raises_domain_error_on_the_same_grids(name, shrink, expected):
+    sys_ = get_system(name)
+    view, w = sys_.l_view, weight_from_digits(sys_.B)
+    lo, hi, _ = default_grid(view, 33)
+    f = GridFunction.sample(lambda p: np.cos(p.sum(axis=1)), lo * shrink, hi * shrink, 33)
+    assert _domain_outcome(lambda: reference_ruelle_apply(w, view, f)) == expected
+    assert _domain_outcome(lambda: ruelle_apply(w, view, f)) == expected
+    assert _domain_outcome(lambda: cesaro(w, view, f, 3)) == expected
+    assert _domain_outcome(lambda: harmonic_defect(w, view, f)) == expected
