@@ -23,6 +23,7 @@ from . import (
     chaos_game,
     check_duality,
     completeness_sum,
+    enumerate_cycles,
     estimate_h,
     find_w_cycles,
     generate_lambda,
@@ -111,9 +112,7 @@ def cmd_check_hadamard(args) -> int:
 
 def cmd_cycles(args) -> int:
     cfg, sys_obj = _load_system(args)
-    from .cycles import _classified_cycles
-
-    cycles = _classified_cycles(sys_obj, cfg.p_max, w_only=not args.all)
+    cycles = enumerate_cycles(sys_obj, cfg.p_max, w_only=not args.all)
     print(dumps({
         "system": sys_obj.name or "config",
         "p_max": cfg.p_max,

@@ -44,6 +44,9 @@ class SystemConfig:
     extras: dict = field(default_factory=dict)
 
     def system(self):
+        """The AffineSystem of this config; any entry `AffineSystem.create`
+        refuses (a NaN or infinite entry of R, B or L, say) is a
+        ConfigError, so the CLI reports it as invalid input."""
         from .system import AffineSystem
 
         try:

@@ -21,8 +21,8 @@ is read off the table; the identity S x_{rot(w)} = x_w + l_{w_0}, checked
 exactly on every row, is the p-fold round trip of every orbit at once.
 It is a W-cycle when the transfer weight W_B equals 1 at every orbit
 point, which reduces to (b - b_ref).x being an integer for every digit
-b; cycles exist only for exact data, so that test is always exact, and
-`find_w_cycles` runs it on the integer table, before any Fraction is
+b; every system carries exact data, so that test is always exact, and
+`enumerate_cycles` runs it on the integer table, before any Fraction is
 formed.
 
 Words are enumerated up to rotation: a rank is kept when it is strictly
@@ -65,7 +65,7 @@ class Cycle:
     word: tuple  # canonical (lexicographically least) rotation, L-indices
     period: int
     points: tuple  # p exact points, orbit order, points[0] = fixed point x_0
-    is_w_cycle: bool | None = None  # None until classified
+    is_w_cycle: bool | None = None  # None until classified (cycle_from_word)
 
     @property
     def points_float(self) -> np.ndarray:
@@ -134,8 +134,6 @@ def cycle_from_word(sys: AffineSystem, word) -> Cycle:
     """Exact cycle for one word, the per-word reference of
     `enumerate_cycles`: solves for the fixed point, walks its orbit with
     `tau` and validates the p-fold round trip exactly."""
-    if not sys.has_exact:
-        raise ValueError("cycle enumeration needs rational system data")
     word = tuple(int(i) for i in word)
     m = mat_pow(sys.S_exact, len(word)) - identity_rational(sys.d)
     rhs = np.array(_horner(sys.l_view, word, [Fraction(0)] * sys.d), dtype=object)
@@ -147,18 +145,36 @@ def cycle_from_word(sys: AffineSystem, word) -> Cycle:
     return Cycle(word=word, period=len(word), points=tuple(points))
 
 
-def _cycle_tables(sys: AffineSystem, p_max: int, verify_distinct: bool):
-    """Per period p = 1..p_max: (p, ranks, rows, q), the ranks of the
-    Lyndon words and the orbit points of their cycles as integer
-    numerators over one denominator q, p rows per cycle in orbit order
-    (Python-int lists).  The body of `enumerate_cycles`."""
+def _w_equals_one(rows, q: int, sys: AffineSystem) -> np.ndarray:
+    """W_B(x) = 1 at each point x = X / q (rows X of integer numerators):
+    all digit phases agree, (b - b_ref).x in Z for every digit b.  With
+    B = lam / e over one denominator, that is e q | (lam_b - lam_ref).X,
+    so the test runs on integers, with no Fractions."""
+    lam, e = sys.b_view._integer_form[2:]
+    dots = np.asarray(rows, dtype=object).reshape(-1, sys.d) @ (lam[1:] - lam[0]).T
+    return np.all(dots % (e * q) == 0, axis=1)
+
+
+def enumerate_cycles(sys: AffineSystem, p_max: int, w_only: bool = False) -> list:
+    """One Cycle per rotation class of aperiodic words of length <= p_max,
+    each with its exact W_B verdict; with w_only, the W-cycles only.
+
+    The length-p table of right-hand sides is one expansion of the
+    length-(p-1) table, in integer numerators over one denominator q; the
+    fixed points of all N^p words are the rows of one product with the
+    numerators of (S^p - I)^{-1}, over Q = q den((S^p - I)^{-1}).  Orbits
+    are read off the rotated ranks and checked exactly (module
+    docstring), the standing assumption that distinct length-p words have
+    distinct fixed points is checked by exact comparison (up to 4^8 words
+    per length), and every orbit row is classified on the table
+    (`_w_equals_one`).  Fractions are formed only for the returned cycles.
+    """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    if not sys.has_exact:
-        raise ValueError("cycle enumeration needs rational system data")
     view, n = sys.l_view, sys.N
     a, den, lam, e = view._integer_form
     rows, q = np.zeros((1, sys.d), dtype=object), 1
+    out = []
     for p in range(1, p_max + 1):
         rows, q = view._expand_numerators(rows, q)
         m_inv, m_den = _over_common_denominator(
@@ -174,75 +190,29 @@ def _cycle_tables(sys: AffineSystem, p_max: int, verify_distinct: bool):
         for _ in range(p - 1):
             orbits.append(_rotate(orbits[-1], n, p))
         orbit_rows = x[np.stack(orbits, axis=1).ravel()].tolist()
-        if verify_distinct and n ** p <= 65536:
-            if len(set(map(tuple, orbit_rows))) != len(orbit_rows):
-                raise AssertionError("distinct words share a fixed point at period %d" % p)
-        yield p, words, orbit_rows, x_den
-
-
-def _cycles(sys: AffineSystem, p: int, words, orbit_rows, q: int, is_w_cycle=None,
-            w_only: bool = False) -> list:
-    """The Cycles of one period's table (`_cycle_tables`), their Fractions
-    formed here, with a W_B verdict per word if given; with w_only, only
-    the W-cycles."""
-    keep = np.flatnonzero(is_w_cycle) if w_only else np.arange(len(words))
-    return [Cycle(word=w, period=p,
-                  points=tuple(tuple(Fraction(v, q) for v in row)
-                               for row in orbit_rows[i * p:(i + 1) * p]),
-                  is_w_cycle=None if is_w_cycle is None else bool(is_w_cycle[i]))
-            for i, w in zip(keep, _words(words[keep], sys.N, p))]
-
-
-def enumerate_cycles(sys: AffineSystem, p_max: int, verify_distinct: bool = True) -> list:
-    """One Cycle per rotation class of aperiodic words of length <= p_max.
-
-    The length-p table of right-hand sides is one expansion of the
-    length-(p-1) table, in integer numerators over one denominator q; the
-    fixed points of all N^p words are the rows of one product with the
-    numerators of (S^p - I)^{-1}, over Q = q den((S^p - I)^{-1}).  Orbits
-    are read off the rotated ranks and checked exactly (module
-    docstring); Fractions are formed only for the returned points.  With
-    verify_distinct the standing assumption that distinct length-p words
-    have distinct fixed points is checked by exact comparison (skipped
-    above 4^8 words per length).
-    """
-    return [cycle for table in _cycle_tables(sys, p_max, verify_distinct)
-            for cycle in _cycles(sys, *table)]
-
-
-def _w_equals_one(rows, q: int, sys: AffineSystem) -> np.ndarray:
-    """W_B(x) = 1 at each point x = X / q (rows X of integer numerators):
-    all digit phases agree, (b - b_ref).x in Z for every digit b.  With
-    B = lam / e over one denominator, that is e q | (lam_b - lam_ref).X,
-    so the test runs on integers, with no Fractions."""
-    lam, e = sys.b_view._integer_form[2:]
-    dots = np.asarray(rows, dtype=object).reshape(-1, sys.d) @ (lam[1:] - lam[0]).T
-    return np.all(dots % (e * q) == 0, axis=1)
+        if n ** p <= 65536 and len(set(map(tuple, orbit_rows))) != len(orbit_rows):
+            raise AssertionError("distinct words share a fixed point at period %d" % p)
+        ok = _w_equals_one(orbit_rows, x_den, sys).reshape(-1, p).all(axis=1)
+        keep = np.flatnonzero(ok) if w_only else np.arange(len(words))
+        out.extend(Cycle(word=w, period=p,
+                         points=tuple(tuple(Fraction(v, x_den) for v in row)
+                                      for row in orbit_rows[i * p:(i + 1) * p]),
+                         is_w_cycle=bool(ok[i]))
+                   for i, w in zip(keep, _words(words[keep], n, p)))
+    return out
 
 
 def classify_w(cycle: Cycle, sys: AffineSystem) -> Cycle:
-    """Attach the exact W_B verdict to a cycle: W_B = 1 at every orbit point."""
-    if not sys.has_exact:
-        raise ValueError("cycle enumeration needs rational system data")
+    """Attach the exact W_B verdict to one cycle, W_B = 1 at every orbit
+    point: the per-cycle reference of `enumerate_cycles`' verdicts."""
     rows, q = _over_common_denominator(np.array(cycle.points, dtype=object))
     ok = bool(np.all(_w_equals_one(rows, q, sys)))
     return Cycle(cycle.word, cycle.period, cycle.points, ok)
 
 
-def _classified_cycles(sys: AffineSystem, p_max: int, w_only: bool) -> list:
-    """`enumerate_cycles` with the W_B verdict of every cycle, decided on the
-    integer table (`_w_equals_one` on every orbit row); with w_only, only
-    the W-cycles, and Fractions formed for them only."""
-    out = []
-    for p, words, orbit_rows, q in _cycle_tables(sys, p_max, True):
-        ok = _w_equals_one(orbit_rows, q, sys).reshape(-1, p).all(axis=1)
-        out.extend(_cycles(sys, p, words, orbit_rows, q, ok, w_only))
-    return out
-
-
 def find_w_cycles(sys: AffineSystem, p_max: int) -> list:
-    """The W-cycles of period <= p_max, classified on the integer table."""
-    return _classified_cycles(sys, p_max, w_only=True)
+    """The W-cycles of period <= p_max: `enumerate_cycles` with w_only."""
+    return enumerate_cycles(sys, p_max, w_only=True)
 
 
 def power_system(sys: AffineSystem, p: int) -> AffineSystem:

@@ -103,12 +103,10 @@ def check_duality(sys: AffineSystem, integrality_horizon: int = 16) -> DualityRe
     expansive = is_expansive(sys.R)
     if not expansive:
         failures.append("expansivity")
-    if sys.has_exact:  # (R^{-1}b).l = b.S^{-1}l, reduced mod 1 exactly
-        phases = (np.array(sys.B_exact, dtype=object) @ sys.l_view.inv_exact
-                  @ np.array(sys.L_exact, dtype=object).T)
-        u = _exp_2pi_i(*_over_common_denominator(phases)) / np.sqrt(sys.N)
-    else:
-        u = build_matrix(sys.B @ np.linalg.inv(sys.R).T, sys.L)
+    # (R^{-1}b).l = b.S^{-1}l, reduced mod 1 exactly
+    phases = (np.array(sys.B_exact, dtype=object) @ sys.l_view.inv_exact
+              @ np.array(sys.L_exact, dtype=object).T)
+    u = _exp_2pi_i(*_over_common_denominator(phases)) / np.sqrt(sys.N)
     unit = _unitarity(u, sys.unitarity_tol)
     if not unit.passes:
         failures.append("unitarity")

@@ -105,7 +105,6 @@ class Weight:
 
     fn: object
     description: str = ""
-    lipschitz_bound: float | None = None
     cosines: tuple | None = field(default=None, compare=False)
 
     def __call__(self, x):
@@ -213,12 +212,11 @@ def _cosine_polynomial(b: np.ndarray) -> tuple:
 
 def cosine_weight(c0: float, a, f, description: str = "") -> Weight:
     """W(x) = c0 + sum_j a[j] cos(2 pi f[j].x), a of shape (P,), f of shape
-    (P, d), Lipschitz bound sum_j 2 pi |a_j| |f_j|.  `fn` runs the cosine pass
-    of `_branch_weights` at x: a scalar or flat array when d = 1, a d-vector
-    or (n, d) rows.  Each call makes a new `fn`, so == is identity."""
+    (P, d).  `fn` runs the cosine pass of `_branch_weights` at x: a scalar
+    or flat array when d = 1, a d-vector or (n, d) rows.  Each call makes a
+    new `fn`, so == is identity."""
     a, f = np.asarray(a, dtype=float), np.asarray(f, dtype=float)
     d = f.shape[1]
-    lip = 2.0 * np.pi * float(np.abs(a) @ np.linalg.norm(f, axis=1))
 
     def fn(x):
         xs = np.asarray(x, dtype=float)
@@ -226,7 +224,7 @@ def cosine_weight(c0: float, a, f, description: str = "") -> Weight:
         w += c0
         return w[0] if xs.ndim == 0 or (xs.ndim == 1 and d > 1) else w
 
-    return Weight(fn, description, lip, (c0, a, f))
+    return Weight(fn, description, (c0, a, f))
 
 
 def weight_from_digits(digits, description: str = "") -> Weight:
@@ -394,9 +392,9 @@ def _exact_terms(sys: AffineSystem, rows: np.ndarray):
 
 def _mu_hat_rows(sys: AffineSystem, ts, tail_tol: float | None = None) -> tuple:
     """(values, n_factors, zero_level) at the rows of ts, each to its own depth;
-    exact if the system has exact data and every coordinate is rational."""
+    exact if every coordinate is rational."""
     rows = np.asarray(ts, dtype=object).reshape(len(ts), sys.d)
-    exact = sys.has_exact and all(isinstance(c, numbers.Rational) for c in rows.flat)
+    exact = all(isinstance(c, numbers.Rational) for c in rows.flat)
     tf = rows.astype(float)
     depth = _tail_depth(sys, np.sqrt((tf * tf).sum(axis=1)), tail_tol)  # = norm(tf, axis=1)
     terms = _exact_terms(sys, rows) if exact else _float_terms(sys, rows)

@@ -20,7 +20,6 @@ __all__ = [
     "rational_vector",
     "rational_matrix",
     "identity_rational",
-    "to_float",
     "mat_pow",
     "mat_inverse",
     "solve_exact",
@@ -81,11 +80,6 @@ def identity_rational(d: int) -> np.ndarray:
         [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)],
         dtype=object,
     )
-
-
-def to_float(a: np.ndarray) -> np.ndarray:
-    """Float view of an exact array (or pass floats through)."""
-    return np.asarray(a, dtype=float)
 
 
 def mat_pow(m: np.ndarray, p: int) -> np.ndarray:
@@ -163,7 +157,7 @@ def mat_inverse(m: np.ndarray) -> np.ndarray:
 
 def spectral_margin(r) -> float:
     """min |eigenvalue| - 1, computed in floating point."""
-    ev = np.linalg.eigvals(to_float(r))
+    ev = np.linalg.eigvals(np.asarray(r, dtype=float))
     return float(np.min(np.abs(ev))) - 1.0
 
 
@@ -174,7 +168,7 @@ def is_expansive(r, margin: float = 1e-9) -> bool:
     classified: expansivity is a strict inequality and the float
     eigensolver cannot certify a boundary case.
     """
-    r = to_float(r)
+    r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (r.shape,))
     moduli = np.abs(np.linalg.eigvals(r))

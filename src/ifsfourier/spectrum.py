@@ -72,7 +72,6 @@ class SpectrumSet:
     level: int
     seeds: frozenset
     cap_hit: bool = False
-    tz_verified: bool = False  # the TZ hypothesis is never certified here
 
     @property
     def d(self) -> int:

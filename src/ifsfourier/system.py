@@ -4,7 +4,10 @@ The triple carries an expansive d x d matrix R, its transpose S = R^t,
 and two digit sets B, L of common size N.  The B-side IFS is
 tau_b(x) = R^{-1}(x + b); the L-side is tau_l(x) = S^{-1}(x + l).
 Everything downstream (weights, cycles, spectra, path measures) is
-phrased against one of the two views.
+phrased against one of the two views.  A system always carries its data
+exactly, as Fractions beside the float arrays: `AffineSystem.create`
+refuses entries that are not finite floats, so every cycle, k-point and
+spectrum computation has rationals to work on.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .ratlinalg import (
     is_expansive,
     mat_inverse,
     rational_matrix,
-    to_float,
 )
 
 __all__ = ["IfsView", "AffineSystem", "fvec", "frac_str"]
@@ -46,8 +48,9 @@ class IfsView:
     """One of the two IFSs of a duality system: x -> matrix^{-1}(x + digit).
 
     `matrix` is R for the B-system and S for the L-system.  The exact
-    (Fraction) mirrors are present whenever the system was built from
-    rational data, which is the case for every registry example.
+    (Fraction) mirrors are always present on the views of an AffineSystem,
+    whose data is rational; they are optional only on a bare view built
+    from floats, such as the registry's riesz3 circle map.
     """
 
     label: str
@@ -211,9 +214,9 @@ class AffineSystem:
     B: np.ndarray  # (N, d) float
     L: np.ndarray  # (N, d) float
     N: int
-    R_exact: np.ndarray | None = None
-    B_exact: tuple | None = None
-    L_exact: tuple | None = None
+    R_exact: np.ndarray  # (d, d) Fraction object array
+    B_exact: tuple  # tuple of fvec
+    L_exact: tuple
     unitarity_tol: float = 1e-12
     tail_tol: float = 1e-10
     name: str = ""
@@ -221,8 +224,12 @@ class AffineSystem:
 
     @staticmethod
     def create(R, B, L, *, unitarity_tol=1e-12, tail_tol=1e-10, name=""):
-        """Validate and build a system; accepts int/Fraction/float data."""
-        Rf = np.atleast_2d(np.asarray(R, dtype=float))
+        """Validate and build a system from int, Fraction, float or numeric
+        string entries.  Every entry must be a finite float (NaN, +-inf and
+        numbers beyond the float range raise a ValueError naming R, B or L)
+        and is kept exactly, as a Fraction; the float arrays are the
+        correctly rounded values of those Fractions."""
+        Rf = np.atleast_2d(_finite_floats(R, "R"))
         d = Rf.shape[0]
         if Rf.shape != (d, d):
             raise ValueError("R must be square, got shape %s" % (Rf.shape,))
@@ -235,21 +242,11 @@ class AffineSystem:
             raise ValueError("digit sets must be nonempty")
         if not is_expansive(Rf):
             raise ValueError("R is not expansive (an eigenvalue modulus is <= 1)")
-        exact = _try_exact(R, B, L, d)
-        if exact is not None:
-            R_exact, B_exact, L_exact = exact
-            # exact and float views must agree
-            if np.max(np.abs(to_float(R_exact) - Rf)) > 1e-12:
-                raise ValueError("exact and float views of R disagree")
-            all_int = all(
-                f.denominator == 1
-                for f in list(R_exact.ravel())
-                + [c for v in B_exact for c in v]
-                + [c for v in L_exact for c in v]
-            )
-        else:
-            R_exact = B_exact = L_exact = None
-            all_int = False
+        R_exact = rational_matrix(np.atleast_2d(np.asarray(R, dtype=object)))
+        B_exact = tuple(fvec(np.atleast_1d(v)) for v in B)
+        L_exact = tuple(fvec(np.atleast_1d(v)) for v in L)
+        all_int = all(f.denominator == 1 for f in list(R_exact.ravel())
+                      + [c for v in B_exact + L_exact for c in v])
         return AffineSystem(
             d=d, R=Rf, S=Rf.T.copy(), B=Bf, L=Lf, N=len(Bf),
             R_exact=R_exact, B_exact=B_exact, L_exact=L_exact,
@@ -258,12 +255,8 @@ class AffineSystem:
         )
 
     @property
-    def S_exact(self) -> np.ndarray | None:
-        return None if self.R_exact is None else self.R_exact.T.copy()
-
-    @property
-    def has_exact(self) -> bool:
-        return self.R_exact is not None
+    def S_exact(self) -> np.ndarray:
+        return self.R_exact.T.copy()
 
     @cached_property
     def b_view(self) -> IfsView:
@@ -274,23 +267,28 @@ class AffineSystem:
         return IfsView("L", self.S, self.L, self.S_exact, self.L_exact)
 
     def zero_in_digits(self) -> bool:
-        return any(all(c == 0 for c in v) for v in self.B_exact or ()) and any(
-            all(c == 0 for c in v) for v in self.L_exact or ()
+        return any(all(c == 0 for c in v) for v in self.B_exact) and any(
+            all(c == 0 for c in v) for v in self.L_exact
         )
 
 
+def _finite_floats(entries, field_name) -> np.ndarray:
+    """entries as a float array, refusing NaN, +-inf and numbers beyond the
+    float range (which have no rational value, or no float one)."""
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except OverflowError:
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ValueError("%s has a non-finite entry (NaN, inf or beyond the float range)"
+                         % field_name)
+    return arr
+
+
 def _digit_array(digits, d, field_name) -> np.ndarray:
-    arr = np.asarray([np.atleast_1d(np.asarray(v, dtype=float)) for v in digits], dtype=float)
+    arr = _finite_floats([np.atleast_1d(np.asarray(v, dtype=object)) for v in digits],
+                         field_name)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ValueError("%s digits must be vectors of dimension %d" % (field_name, d))
     return arr
 
-
-def _try_exact(R, B, L, d):
-    try:
-        R_exact = rational_matrix(np.atleast_2d(np.asarray(R, dtype=object)))
-        B_exact = tuple(fvec(np.atleast_1d(v)) for v in B)
-        L_exact = tuple(fvec(np.atleast_1d(v)) for v in L)
-    except (TypeError, ValueError):
-        return None
-    return R_exact, B_exact, L_exact

@@ -145,12 +145,15 @@ def _corners(grid: GridFunction, u: np.ndarray) -> tuple:
     the sum over the rows of coef * values.ravel()[idx].  The points come
     as the rows of a C-ordered (d, n) array, one row per axis, so every
     elementwise pass runs along n, and the array is overwritten.  Raises
-    DomainError when a point lies outside the grid box."""
+    DomainError when a point lies outside the grid box or has a NaN or
+    infinite coordinate, before any coordinate is cast to an index."""
     shape = grid.values.shape
     top = np.array(shape)[:, None] - 1
     u -= grid.lo[:, None]
     u /= grid.spacing[:, None]
-    if np.any(u < -1e-9) or np.any(u > top + 1e-9):
+    if not np.all((u >= -1e-9) & (u <= top + 1e-9)):  # False at NaN
+        if not np.all(np.isfinite(u)):
+            raise DomainError("point has a non-finite coordinate")
         worst = float(np.max(np.maximum(-u, u - top)))
         raise DomainError("point outside grid box by %g cells" % worst)
     np.clip(u, 0.0, top, out=u)

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, and removed names stay gone."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -12,7 +13,8 @@ from ifsfourier.config import SystemConfig
 
 MODULES = ["ifsfourier"] + ["ifsfourier." + m.name for m in pkgutil.iter_modules(ifsfourier.__path__)]
 REMOVED = {"weight_function", "pi_truncated", "ruelle_iterate", "riesz_weight",
-           "riesz_branch_normalization", "W_INCONCLUSIVE", "_RIESZ_VIEW", "_RIESZ_WEIGHT"}
+           "riesz_branch_normalization", "W_INCONCLUSIVE", "_RIESZ_VIEW", "_RIESZ_WEIGHT",
+           "_try_exact", "_classified_cycles", "_cycle_tables", "to_float"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,3 +35,26 @@ def test_package_exports_are_unique_and_cover_the_core():
 def test_cycle_tol_is_no_field():
     for cls in (AffineSystem, SystemConfig):
         assert "cycle_tol" not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_exact_data_is_no_option():
+    # every AffineSystem is rational: there is no float-only state to test for
+    assert not hasattr(AffineSystem, "has_exact")
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(AffineSystem)
+               if f.name in ("R_exact", "B_exact", "L_exact"))
+
+
+def test_cli_imports_public_names_only():
+    # the CLI's work runs through public names, which `bench/tracing.py`
+    # wraps; a private import would hide it from the per-layer metrics
+    with open(importlib.import_module("ifsfourier.cli").__file__) as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        (node.lineno, alias.name) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ifsfourier")
+        for alias in node.names
+        if alias.name.startswith("_")
+        or any(part.startswith("_") for part in (node.module or "").split("."))
+    ]
+    assert private == []

@@ -295,6 +295,39 @@ def test_config_out_of_range_is_bad_input(tmp_path, capsys, field):
     assert "must be an integer >=" in json.loads(captured.err)["error"]
 
 
+@pytest.mark.parametrize("command", [("check-hadamard",), ("cycles",), ("mu-hat", "--t", "1")])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("field", ["R", "B", "L"])
+def test_non_finite_config_entry_is_bad_input(tmp_path, capsys, command, bad, field):
+    rows = {"R": "[[4]]", "B": "[[0], [2]]", "L": "[[0], [1]]"}
+    rows[field] = "[[%s]]" % bad if field == "R" else "[[0], [%s]]" % bad
+    p = tmp_path / "bad.cfg"
+    p.write_text("d = 1\n" + "".join("%s = %s\n" % kv for kv in rows.items()))
+    code = main([*command, "--config", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("%s has a non-finite entry" % field)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-hadamard",),
+    ("cycles",),
+    ("spectrum", "--levels", "2"),
+    ("verify-onb", "--levels", "2", "--window", "4"),
+    ("attractor", "--samples", "10"),
+    ("harmonic", "--x", "0.3", "--paths", "10", "--length", "4"),
+])
+def test_report_names_its_system(tmp_path, capsys, argv):
+    p = tmp_path / "cantor.cfg"
+    p.write_text(GOOD_CONFIG)
+    for source, name in (("--example", "cantor4"), ("--config", str(p))):
+        code, out = run_cli(capsys, *argv, source, name)
+        assert code == 0 and json.loads(out)["system"] == name
+    code, out = run_cli(capsys, "riesz", "--steps", "2")
+    assert code == 0 and json.loads(out)["system"] == "riesz3"
+
+
 def test_riesz_two_steps_is_finite(capsys):
     code, out = run_cli(capsys, "riesz", "--steps", "2", "--seed", "1")
     rep = json.loads(out)

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -119,15 +118,22 @@ def test_enumerate_cycles_match_fraction_reference(twindragon, planar_shear):
         assert_cycles_match_reference(sys, p_max)
 
 
-def test_enumerate_cycles_needs_exact_data(cantor4):
-    float_only = replace(cantor4, R_exact=None, B_exact=None, L_exact=None)
-    with pytest.raises(ValueError):
-        enumerate_cycles(float_only, 3)
-    with pytest.raises(ValueError):
-        cycle_from_word(float_only, (0, 1))
-    # the W verdict is exact only: a cycle cannot be classified on float data
-    with pytest.raises(ValueError, match="rational system data"):
-        classify_w(cycle_from_word(cantor4, (0,)), float_only)
+@pytest.mark.parametrize("field", ["R", "B", "L"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+def test_create_rejects_non_finite_entries(field, bad):
+    # every system carries exact data and its float image: a NaN or infinite
+    # entry has no rational value, and 10**400 no float one
+    data = {"R": [[4]], "B": [[0], [2]], "L": [[0], [1]]}
+    data[field] = [[bad]] if field == "R" else [[0], [bad]]
+    with pytest.raises(ValueError, match="^%s has a non-finite entry" % field):
+        AffineSystem.create(data["R"], data["B"], data["L"])
+
+
+def test_float_entries_are_kept_exactly():
+    sys = AffineSystem.create([[4.0]], [[0.0], [0.1]], ["0", "1"])
+    assert sys.B_exact[1] == (Fraction(0.1),) and sys.L_exact[1] == (Fraction(1),)
+    assert sys.B[1, 0] == 0.1 and not sys.exact_integer
 
 
 def test_corrupted_table_row_fails_orbit_identity(twindragon, monkeypatch):
@@ -216,14 +222,19 @@ def _reference_w_equals_one(point, b_exact) -> bool:
 
 
 def assert_w_verdicts_match_fraction_reference(sys, p_max: int):
-    """classify_w and find_w_cycles against the per-point Fraction test."""
+    """enumerate_cycles' own verdicts, classify_w, find_w_cycles and the
+    w_only census against the per-point Fraction test."""
     cycles = enumerate_cycles(sys, p_max)
     ref = [all(_reference_w_equals_one(pt, sys.B_exact) for pt in c.points) for c in cycles]
+    assert [c.is_w_cycle for c in cycles] == ref
     assert [classify_w(c, sys).is_w_cycle for c in cycles] == ref
     expected = [(c.word, c.period, c.points) for c, ok in zip(cycles, ref) if ok]
     found = find_w_cycles(sys, p_max)
     assert [(c.word, c.period, c.points) for c in found] == expected
     assert all(c.is_w_cycle is True for c in found)
+    w_only = enumerate_cycles(sys, p_max, w_only=True)
+    assert [(c.word, c.period, c.points, c.is_w_cycle) for c in w_only] == [
+        (c.word, c.period, c.points, c.is_w_cycle) for c in found]
     return sum(ref), len(ref)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ifsfourier import (
     DomainError,
     GridFunction,
+    IfsView,
     Weight,
     cesaro,
     check_qmf,
@@ -102,6 +104,28 @@ def test_domain_error_outside_box(cantor4, cantor4_weight, grid1d):
     f = GridFunction.constant(1.0, lo / 10, hi / 10, 64)  # box too small
     with pytest.raises(DomainError):
         ruelle_apply(cantor4_weight, cantor4.l_view, f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_at_non_finite_point_is_a_domain_error(bad):
+    # NaN passes both box comparisons, so it is refused before the cast to
+    # an index, which would turn it into INT64_MIN
+    f = GridFunction.sample(lambda p: p[:, 0], [0.0], [1.0], 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            f.eval([[bad]])
+        with pytest.raises(DomainError, match="non-finite"):
+            f.eval([[0.5], [bad]])
+    assert f.eval([[0.5]]) == pytest.approx(0.5)
+
+
+def test_non_finite_branch_images_are_a_domain_error():
+    view = IfsView("L", np.array([[2.0]]), np.array([[0.0], [np.nan]]))
+    w = Weight(lambda x: np.full(np.shape(x) or (1,), 0.5), "1/N")
+    f = GridFunction.constant(1.0, [-0.1], [1.1], 16)
+    with pytest.raises(DomainError, match="non-finite"):
+        ruelle_apply(w, view, f)
 
 
 def test_qmf_registry_systems():
