@@ -66,6 +66,7 @@ from .transfer import (
 from .pathspace import (
     HarmonicEstimate,
     PathEnsemble,
+    QmfError,
     cylinder_weight,
     cycle_tail_weight,
     estimate_h,
@@ -98,7 +99,7 @@ __all__ = [
     "grid_orthogonality", "k_point", "k_points_of_depth", "lambda_from_k_points",
     "lattice_basin_sums", "verify_orthogonality", "DomainError", "GridFunction",
     "cesaro", "check_qmf", "harmonic_defect", "ruelle_apply", "HarmonicEstimate",
-    "PathEnsemble", "cylinder_weight", "cycle_tail_weight", "estimate_h",
+    "PathEnsemble", "QmfError", "cylinder_weight", "cycle_tail_weight", "estimate_h",
     "h_closed_form", "path_weight_with_tail", "sample_paths", "ChainSample",
     "batch_mean_stderr", "concentration_curve", "fourier_coefficient", "riesz_chain",
     "riesz_partial_density", "run_chain", "EXAMPLES", "example_names", "get_system",

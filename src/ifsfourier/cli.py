@@ -8,7 +8,17 @@ are JSON on stdout (deterministic given config and seed: floats at 17
 significant digits, sorted keys); point clouds and grids go to CSV via
 --out.
 
-Exit codes: 0 success, 1 check failed, 2 invalid input.
+Each subcommand returns its report (a dict, or the config text of
+`example NAME`), and raises `CheckFailed` with its report when a standing
+hypothesis fails on the data.  `main` alone writes the report and picks
+the exit code:
+
+    0  success: the report on stdout;
+    1  a check failed (`CheckFailed`): its report on stdout;
+    2  invalid input (`ConfigError`, `OSError` or an argparse error):
+       {"error": ...} or the usage message on stderr, nothing on stdout;
+    3  any other exception, an internal error or a system the code cannot
+       handle: its traceback on stderr, nothing on stdout.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import argparse
 import heapq
 import math
 import sys
+import traceback
 from fractions import Fraction
 
 from . import (
@@ -35,6 +46,7 @@ from . import (
 )
 from .config import ConfigError, SystemConfig, emit_config, parse_config
 from .invariant import concentration_curve, fourier_coefficient, riesz_chain
+from .pathspace import QMF_SAMPLING_TOL, QmfError
 from .registry import EXAMPLES, example_names
 from .report import dumps
 from .system import frac_str
@@ -43,6 +55,15 @@ from .transfer import check_qmf
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL_ERROR = 3
+
+
+class CheckFailed(Exception):
+    """A hypothesis of the paper fails on the given data; `report` says how."""
+
+    def __init__(self, report: dict):
+        super().__init__(report.get("error", "check failed"))
+        self.report = report
 
 
 def _entry_config(entry) -> SystemConfig:
@@ -102,65 +123,72 @@ def _parse_point(text: str, d: int):
     return [float(v) for v in vals]
 
 
-def cmd_check_hadamard(args) -> int:
+def cmd_check_hadamard(args) -> dict:
     _require_at_least(0, horizon=args.horizon)
     _, sys_obj = _load_system(args)
     report = check_duality(sys_obj, integrality_horizon=args.horizon)
-    print(dumps({"system": sys_obj.name or "config", "duality": report.to_dict()}), end="")
-    return EXIT_OK if report.passes else EXIT_CHECK_FAILED
+    out = {"system": sys_obj.name or "config", "duality": report.to_dict()}
+    if not report.passes:
+        raise CheckFailed(out)
+    return out
 
 
-def cmd_cycles(args) -> int:
+def cmd_cycles(args) -> dict:
     cfg, sys_obj = _load_system(args)
     cycles = enumerate_cycles(sys_obj, cfg.p_max, w_only=not args.all)
-    print(dumps({
+    return {
         "system": sys_obj.name or "config",
         "p_max": cfg.p_max,
         "count": len(cycles),
         "cycles": [c.to_json_dict() for c in cycles],
-    }), end="")
-    return EXIT_OK
+    }
 
 
-def _w_cycles_or_fail(sys_obj, p_max):
+def _w_cycles(sys_obj, p_max) -> list:
+    """The W-cycles of period <= p_max; a failed check when there are none."""
     cycles = find_w_cycles(sys_obj, p_max)
     if not cycles:
-        print(dumps({"error": "no W-cycles found up to p_max", "p_max": p_max}), end="")
-        return None
+        raise CheckFailed({"error": "no W-cycles found up to p_max", "p_max": p_max})
     return cycles
 
 
-def cmd_spectrum(args) -> int:
+def _spectrum_seeds(sys_obj, p_max) -> list:
+    """The W-cycles that seed the candidate spectrum, which also needs the
+    normalization 0 in B and 0 in L of the input."""
+    cycles = _w_cycles(sys_obj, p_max)
+    if not sys_obj.zero_in_digits():
+        raise ConfigError("spectrum generation requires 0 in B and 0 in L")
+    return cycles
+
+
+def cmd_spectrum(args) -> dict:
     if args.count is not None:
         _require_at_least(0, count=args.count)
     _require_at_least(1, cap=args.cap)
     cfg, sys_obj = _load_system(args)
-    cycles = _w_cycles_or_fail(sys_obj, cfg.p_max)
-    if cycles is None:
-        return EXIT_CHECK_FAILED
-    spec = generate_lambda(sys_obj, cycles, cfg.lambda_levels, element_cap=args.cap)
+    spec = generate_lambda(sys_obj, _spectrum_seeds(sys_obj, cfg.p_max),
+                           cfg.lambda_levels, element_cap=args.cap)
     if args.out:
         spec.to_csv(args.out)
     elems = (sorted(spec.elements) if args.count is None
              else heapq.nsmallest(args.count, spec.elements))
-    print(dumps({
+    return {
         "system": sys_obj.name or "config",
         "levels": spec.level,
         "count": len(spec.elements),
         "cap_hit": spec.cap_hit,
         "tz": "unverified hypothesis",
         "elements": [frac_str(e) for e in elems],
-    }), end="")
-    return EXIT_OK
+    }
 
 
-def cmd_verify_onb(args) -> int:
+def cmd_verify_onb(args) -> dict:
     _require_at_least(0, window=args.window, grid_span=args.grid_span)
     cfg, sys_obj = _load_system(args)
-    cycles = _w_cycles_or_fail(sys_obj, cfg.p_max)
-    if cycles is None:
-        return EXIT_CHECK_FAILED
-    spec = generate_lambda(sys_obj, cycles, cfg.lambda_levels)
+    if args.grid and sys_obj.d != 1:
+        raise ConfigError("--grid analyzes the quarter-integer grid of a d = 1 system, "
+                          "got d = %d" % sys_obj.d)
+    spec = generate_lambda(sys_obj, _spectrum_seeds(sys_obj, cfg.p_max), cfg.lambda_levels)
     elems = heapq.nsmallest(args.window, spec.elements)
     gram = verify_orthogonality(sys_obj, elems, sys_obj.tail_tol)
     probes = [_parse_point(p, sys_obj.d) for p in args.x] or [[0.3] * sys_obj.d]
@@ -183,22 +211,20 @@ def cmd_verify_onb(args) -> int:
         report["grid"] = grid_orthogonality(
             sys_obj, [float(c) for c in probes[0]], span=args.grid_span
         ).to_dict()
-    print(dumps(report), end="")
-    return EXIT_OK
+    return report
 
 
-def cmd_mu_hat(args) -> int:
+def cmd_mu_hat(args) -> dict:
     _, sys_obj = _load_system(args)
     t = _parse_point(args.t, sys_obj.d)
     res = mu_hat_detail(sys_obj, t if len(t) > 1 else t[0], sys_obj.tail_tol)
-    print(dumps({
+    return {
         "t": _point_str(t),
         "value": res.value,
         "abs": abs(res.value),
         "n_factors": res.n_factors,
         "exact_zero": res.exact_zero,
-    }), end="")
-    return EXIT_OK
+    }
 
 
 def _require_at_least(low: int, **values) -> None:
@@ -209,7 +235,7 @@ def _require_at_least(low: int, **values) -> None:
                               % (name.replace("_", "-"), low, value))
 
 
-def cmd_attractor(args) -> int:
+def cmd_attractor(args) -> dict:
     flag = "streams" if args.threads is None else "threads"
     streams = 1 if getattr(args, flag) is None else getattr(args, flag)
     _require_at_least(1, samples=args.samples, **{flag: streams})
@@ -221,7 +247,7 @@ def cmd_attractor(args) -> int:
     pts = chaos_game(view, args.samples, cfg.seed, n_streams=streams)
     if args.out:
         points_to_csv(args.out, pts)
-    print(dumps({
+    return {
         "system": sys_obj.name or "config",
         "view": args.view,
         "samples": int(pts.shape[0]),
@@ -229,28 +255,34 @@ def cmd_attractor(args) -> int:
         "bbox_hi": pts.max(axis=0),
         "radius_bound": view.bounding_radius(),
         "out": args.out or None,
-    }), end="")
-    return EXIT_OK
+    }
 
 
-def cmd_harmonic(args) -> int:
+def _qmf_failed(sys_obj, error: str, deviation: float) -> CheckFailed:
+    return CheckFailed({"system": sys_obj.name or "config", "error": error,
+                        "qmf_deviation": deviation})
+
+
+def cmd_harmonic(args) -> dict:
     _require_at_least(1, paths=args.paths, length=args.length)
     cfg, sys_obj = _load_system(args)
-    cycles = _w_cycles_or_fail(sys_obj, cfg.p_max)
-    if cycles is None:
-        return EXIT_CHECK_FAILED
+    cycles = _w_cycles(sys_obj, cfg.p_max)
     x = _parse_point(args.x, sys_obj.d)
     xf = [float(c) for c in x]
     weight = weight_from_digits(sys_obj.B)
-    if args.words_out:
-        from .pathspace import sample_paths
-
-        ens = sample_paths(weight, sys_obj.l_view, xf, args.length,
-                           min(args.paths, 10_000), cfg.seed)
-        ens.words_to_csv(args.words_out)
-    est = estimate_h(weight, sys_obj.l_view, xf, cycles, args.length, args.paths, cfg.seed)
-    closed = [h_closed_form(sys_obj, xf, c, max(1, args.depth // c.period)) for c in cycles]
     qmf_dev = check_qmf(weight, sys_obj.l_view, n_probe=1000, seed=cfg.seed)
+    if qmf_dev > QMF_SAMPLING_TOL:
+        raise _qmf_failed(sys_obj, "W_B is not QMF-normalized within %g, so the path "
+                          "measures are not probabilities" % QMF_SAMPLING_TOL, qmf_dev)
+    closed = [h_closed_form(sys_obj, xf, c, max(1, args.depth // c.period)) for c in cycles]
+    try:
+        est = estimate_h(weight, sys_obj.l_view, xf, cycles, args.length, args.paths, cfg.seed)
+    except QmfError as exc:
+        # the probes passed, but the row sums along the walk from x did not
+        # (its zero cutoff is a rounding bound that grows with |x|)
+        raise _qmf_failed(sys_obj, str(exc), exc.deviation) from exc
+    if args.words_out:
+        est.paths.words_to_csv(args.words_out)
     report = est.to_dict(cycles)
     for row, cf in zip(report["per_cycle"], closed):
         row["closed_form"] = cf
@@ -260,11 +292,10 @@ def cmd_harmonic(args) -> int:
         "closed_form_total": float(sum(closed)),
         "qmf_deviation": qmf_dev,
     })
-    print(dumps(report), end="")
-    return EXIT_OK
+    return report
 
 
-def cmd_riesz(args) -> int:
+def cmd_riesz(args) -> dict:
     _require_at_least(0, seed=args.seed)
     if args.steps < 2 or args.chains < 2:
         raise ConfigError("riesz needs --steps >= 2 and --chains >= 2 for batch-mean "
@@ -282,38 +313,35 @@ def cmd_riesz(args) -> int:
             fh.write("q,mass\n")
             for q, mass in curve:
                 fh.write("%.17g,%.17g\n" % (q, mass))
-    print(dumps({
+    return {
         "system": entry.name,
         "steps": chain.n,
         "branch_normalization_deviation": dev,
         "nu_hat": coeffs,
         "out": args.out or None,
-    }), end="")
-    return EXIT_OK
+    }
 
 
-def cmd_example(args) -> int:
-    if args.name:
-        if args.name not in EXAMPLES:
-            raise ConfigError("unknown example %r" % args.name)
-        entry = EXAMPLES[args.name]
-        if entry.view is None:
-            print(emit_config(_entry_config(entry)), end="")
-        else:
-            print(dumps({"name": entry.name, "kind": entry.kind, "description": entry.description,
-                         "matrix": entry.view.matrix, "digits": entry.view.digits,
-                         "weight": entry.weight.description}), end="")
-        return EXIT_OK
-    print(dumps({
-        name: {"kind": e.kind, "description": e.description}
-        for name, e in EXAMPLES.items()
-    }), end="")
-    return EXIT_OK
+def cmd_example(args) -> dict | str:
+    """The registry listing, an entry's view and weight, or an affine
+    entry's config text (a str, printed as it is)."""
+    if not args.name:
+        return {name: {"kind": e.kind, "description": e.description}
+                for name, e in EXAMPLES.items()}
+    if args.name not in EXAMPLES:
+        raise ConfigError("unknown example %r" % args.name)
+    entry = EXAMPLES[args.name]
+    if entry.view is None:
+        return emit_config(_entry_config(entry))
+    return {"name": entry.name, "kind": entry.kind, "description": entry.description,
+            "matrix": entry.view.matrix, "digits": entry.view.digits,
+            "weight": entry.weight.description}
 
 
 def _add_system_args(p, levels=False):
-    p.add_argument("--example", help="registry system name")
-    p.add_argument("--config", help="path to a config file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--example", help="registry system name")
+    source.add_argument("--config", help="path to a config file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--p-max", dest="p_max", type=int, default=None)
     if levels:
@@ -385,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--length", type=int, default=64)
     p.add_argument("--depth", type=int, default=10, help="closed-form word depth")
-    p.add_argument("--words-out", help="CSV path for raw sampled words (<= 10^4 paths)")
+    p.add_argument("--words-out", help="CSV path for the first 10^4 words of the estimate's walk")
     p.set_defaults(fn=cmd_harmonic)
 
     p = sub.add_parser("riesz", help="scale-3 Riesz product chain on the circle")
@@ -405,19 +433,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: the one place that writes a report and picks
+    the exit code (see the module docstring)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
+        report, code = args.fn(args), EXIT_OK
+    except CheckFailed as exc:
+        report, code = exc.report, EXIT_CHECK_FAILED
+    except (ConfigError, OSError) as exc:
         print(dumps({"error": str(exc)}), end="", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except ValueError as exc:
-        print(dumps({"error": str(exc)}), end="", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
+    print(report if isinstance(report, str) else dumps(report), end="")
+    return code
 
 
 if __name__ == "__main__":

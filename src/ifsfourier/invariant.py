@@ -59,9 +59,6 @@ class ChainSample:
     def n(self) -> int:
         return self.states.shape[0]
 
-    def blocks(self) -> list:
-        return np.array_split(self.states, self.n_chains, axis=0)
-
 
 def batch_mean_stderr(values: np.ndarray, n_batches: int = DEFAULT_BATCHES) -> tuple:
     """(mean, stderr) by batch means; robust to chain autocorrelation."""

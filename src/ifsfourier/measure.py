@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ratlinalg import _exp_2pi_i, _over_common_denominator
-from .system import AffineSystem, IfsView
+from .system import AffineSystem, IfsView, _positive_tolerance
 
 __all__ = [
     "m_eval",
@@ -295,9 +295,7 @@ class MuHatResult:
 def _tail_depth(sys: AffineSystem, t_norms, tail_tol: float | None) -> np.ndarray:
     """Per norm |t|, the smallest K with sum_{k>K} 2 pi max|b| |S^{-k} t| <
     tail_tol, using the geometric bound |S^{-k} t| <= c^k |t|; 0 for t = 0."""
-    tail_tol = sys.tail_tol if tail_tol is None else tail_tol
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
+    tail_tol = sys.tail_tol if tail_tol is None else _positive_tolerance(tail_tol, "tail_tol")
     c = sys.l_view.contraction_factor
     if c >= 1.0:
         raise ValueError("S^{-1} is not a 2-norm contraction; cannot bound the tail")

@@ -38,6 +38,7 @@ from .system import AffineSystem, IfsView
 __all__ = [
     "PathEnsemble",
     "HarmonicEstimate",
+    "QmfError",
     "cylinder_weight",
     "cycle_tail_weight",
     "path_weight_with_tail",
@@ -47,7 +48,19 @@ __all__ = [
 ]
 
 QMF_SAMPLING_TOL = 1e-9
+WORDS_CSV_ROWS = 10_000  # words `PathEnsemble.words_to_csv` writes, at most
 UNIFORM_BLOCK = 1 << 16  # uniforms per draw of the walk, over all its walks
+
+
+class QmfError(ValueError):
+    """The branch probabilities at a sampled state sum to 1 only up to
+    `deviation`, more than QMF_SAMPLING_TOL: the weight is not
+    QMF-normalized there, in exact terms or after rounding."""
+
+    def __init__(self, deviation: float):
+        super().__init__("branch probabilities sum to 1 within %g only up to %g; "
+                         "is the weight QMF-normalized?" % (QMF_SAMPLING_TOL, deviation))
+        self.deviation = float(deviation)
 
 
 def _states_of_word(view: IfsView, x, word):
@@ -140,10 +153,11 @@ class PathEnsemble:
         return float(np.mean(hits))
 
     def words_to_csv(self, path) -> None:
-        """One sampled word per row, digit indices in step order."""
+        """One sampled word per row, digit indices in step order: the first
+        WORDS_CSV_ROWS (10^4) words."""
         with open(path, "w", newline="") as fh:
             fh.write(",".join("w%d" % k for k in range(self.length)) + "\n")
-            for row in self.words:
+            for row in self.words[:WORDS_CSV_ROWS]:
                 fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
@@ -221,10 +235,7 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
                 block_sums -= 1.0
                 worst = np.fmax.reduce(np.abs(block_sums, out=block_sums), axis=None)
                 if worst > QMF_SAMPLING_TOL:
-                    raise ValueError(
-                        "branch probabilities sum to 1 within %g only up to %g; "
-                        "is the weight QMF-normalized?" % (QMF_SAMPLING_TOL, worst)
-                    )
+                    raise QmfError(worst)
     return words, kept
 
 
@@ -254,13 +265,15 @@ def sample_paths(weight: Weight, view: IfsView, x, length: int, count: int,
 
 @dataclass(frozen=True, eq=False)
 class HarmonicEstimate:
-    """Monte Carlo estimate of h_C(x) = P_x(paths converging into C)."""
+    """Monte Carlo estimate of h_C(x) = P_x(paths converging into C), with
+    the sampled paths it was read from (not part of `to_dict`)."""
 
     probabilities: tuple  # one per supplied cycle
     stderrs: tuple
     unclassified: float
     count: int
     radius: float
+    paths: PathEnsemble
 
     @property
     def total(self) -> float:
@@ -339,6 +352,7 @@ def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
         unclassified=unclassified,
         count=count,
         radius=radius,
+        paths=ens,
     )
 
 

@@ -77,9 +77,6 @@ class SpectrumSet:
     def d(self) -> int:
         return len(next(iter(self.elements)))
 
-    def floats(self) -> np.ndarray:
-        return np.array(sorted([[float(c) for c in e] for e in self.elements]))
-
     def smallest_nonnegative_1d(self, count: int) -> list:
         vals = sorted(v for v in (e[0] for e in self.elements) if v >= 0)
         return vals[:count]

@@ -228,7 +228,10 @@ class AffineSystem:
         string entries.  Every entry must be a finite float (NaN, +-inf and
         numbers beyond the float range raise a ValueError naming R, B or L)
         and is kept exactly, as a Fraction; the float arrays are the
-        correctly rounded values of those Fractions."""
+        correctly rounded values of those Fractions.  Each tolerance must be
+        a finite positive number (a ValueError names it otherwise)."""
+        unitarity_tol = _positive_tolerance(unitarity_tol, "unitarity_tol")
+        tail_tol = _positive_tolerance(tail_tol, "tail_tol")
         Rf = np.atleast_2d(_finite_floats(R, "R"))
         d = Rf.shape[0]
         if Rf.shape != (d, d):
@@ -283,6 +286,18 @@ def _finite_floats(entries, field_name) -> np.ndarray:
         raise ValueError("%s has a non-finite entry (NaN, inf or beyond the float range)"
                          % field_name)
     return arr
+
+
+def _positive_tolerance(value, field_name) -> float:
+    """value as a float, refusing anything but a finite positive number (a
+    NaN or infinite tolerance passes or fails every comparison)."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError, OverflowError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("%s must be a finite positive number, got %r" % (field_name, value))
+    return tol
 
 
 def _digit_array(digits, d, field_name) -> np.ndarray:

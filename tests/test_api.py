@@ -15,6 +15,7 @@ MODULES = ["ifsfourier"] + ["ifsfourier." + m.name for m in pkgutil.iter_modules
 REMOVED = {"weight_function", "pi_truncated", "ruelle_iterate", "riesz_weight",
            "riesz_branch_normalization", "W_INCONCLUSIVE", "_RIESZ_VIEW", "_RIESZ_WEIGHT",
            "_try_exact", "_classified_cycles", "_cycle_tables", "to_float"}
+REMOVED_METHODS = {("SpectrumSet", "floats"), ("ChainSample", "blocks")}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -24,6 +25,11 @@ def test_exported_names_resolve(name):
     assert [n for n in exported if not hasattr(mod, n)] == []
     assert REMOVED.isdisjoint(exported)
     assert [n for n in REMOVED if hasattr(mod, n)] == []
+
+
+@pytest.mark.parametrize("cls, name", sorted(REMOVED_METHODS))
+def test_removed_methods_stay_gone(cls, name):
+    assert not hasattr(getattr(ifsfourier, cls), name)
 
 
 def test_package_exports_are_unique_and_cover_the_core():
@@ -58,3 +64,28 @@ def test_cli_imports_public_names_only():
         or any(part.startswith("_") for part in (node.module or "").split("."))
     ]
     assert private == []
+
+
+def _is_stderr(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "stderr"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def test_only_cli_main_decides_the_outcome():
+    # a subcommand returns its report or raises; `main` alone prints it to
+    # stdout and picks the exit code, so no other function in the CLI may
+    # print to stdout or name an exit code
+    with open(importlib.import_module("ifsfourier.cli").__file__) as fh:
+        tree = ast.parse(fh.read())
+    offences = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"
+                    and not any(k.arg == "file" and _is_stderr(k.value) for k in node.keywords)):
+                offences.append((fn.name, node.lineno, "print to stdout"))
+            if isinstance(node, ast.Name) and node.id.startswith("EXIT_"):
+                offences.append((fn.name, node.lineno, node.id))
+    assert offences == []

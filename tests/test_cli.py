@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifsfourier.cli import main
 from ifsfourier.config import ConfigError, emit_config, parse_config
@@ -386,3 +393,177 @@ def test_harmonic_words_export(tmp_path, capsys):
     assert lines[0] == ",".join("w%d" % k for k in range(8))
     assert len(lines) == 201
     assert set("".join(lines[1:]).replace(",", "")) <= {"0", "1"}
+
+
+# -- one place decides the outcome: 1 a failed check, 2 bad input, 3 a bug ---------
+
+NO_W_CONFIG = "d = 1\nR = [[4]]\nB = [[0], [2]]\nL = [[1], [2]]\np_max = 4\n"
+
+
+def run_main(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (("check-hadamard", "--example", "cantor3"), "duality"),
+    (("spectrum", "--config", "{no_w}"), "error"),
+    (("verify-onb", "--config", "{no_w}"), "error"),
+    (("harmonic", "--config", "{no_w}", "--x", "0.3"), "error"),
+])
+def test_failed_check_exits_1_with_its_report_on_stdout(tmp_path, capsys, argv, key):
+    no_w = tmp_path / "no_w.cfg"
+    no_w.write_text(NO_W_CONFIG)
+    code, out, err = run_main(capsys, *(a.format(no_w=no_w) for a in argv))
+    assert code == 1
+    assert key in json.loads(out) and err == ""
+
+
+@pytest.mark.parametrize("example,x,paths,length,low,high", [
+    # cantor3 is no Hadamard triple: its branch weights W_B(tau_l x) do not
+    # sum to 1, so P_x is no probability and the walk does not start
+    ("cantor3", "0.3", "100", "4", 0.4, math.inf),
+    # cantor4 is QMF-normalized and its probes pass, but from x = 10^8 + 0.3
+    # the walk's zero cutoff (~1.4e-7, a rounding bound for |x| = 10^8) cuts
+    # true weights once the walk nears the attractor, and its row sums miss 1
+    ("cantor4", "100000000.3", "2000", "32", 1e-9, 1e-6),
+])
+def test_harmonic_without_qmf_reports_the_deviation(capsys, example, x, paths, length,
+                                                   low, high):
+    code, out, err = run_main(capsys, "harmonic", "--example", example, "--x", x,
+                              "--paths", paths, "--length", length)
+    rep = json.loads(out)
+    assert code == 1 and err == "" and rep["system"] == example
+    assert low < rep["qmf_deviation"] < high and "QMF" in rep["error"]
+
+
+CANTOR4_TRIPLE = "d = 1\nR = [[4]]\nB = [[0], [2]]\nL = [[0], [1]]\n"
+
+
+@pytest.mark.parametrize("command,extra,fragment", [
+    # d = 1 only: the grid is the quarter-integer frequency grid
+    (("verify-onb", "--example", "twindragon", "--grid", "--levels", "2"), "",
+     "--grid analyzes"),
+    # W-cycles exist ({1} for L = {1, 3}, {0} for B = {1, 3}), but the spectrum
+    # is seeded from 0 in B and in L
+    (("spectrum", "--config", "{cfg}", "--levels", "2"), "L = [[1], [3]]\n", "0 in B and 0 in L"),
+    (("verify-onb", "--config", "{cfg}", "--levels", "2"), "B = [[1], [3]]\n",
+     "0 in B and 0 in L"),
+    # a NaN or infinite tolerance passes or fails every comparison; 1e-400 reads as 0
+    (("mu-hat", "--config", "{cfg}", "--t", "0.3"), "tail_tol = nan\n", "tail_tol"),
+    (("mu-hat", "--config", "{cfg}", "--t", "0.3"), "tail_tol = inf\n", "tail_tol"),
+    (("mu-hat", "--config", "{cfg}", "--t", "0.3"), "tail_tol = 1e-400\n", "tail_tol"),
+    (("mu-hat", "--config", "{cfg}", "--t", "0.3"), "tail_tol = -1\n", "tail_tol"),
+    (("check-hadamard", "--config", "{cfg}"), "unitarity_tol = nan\n", "unitarity_tol"),
+    (("check-hadamard", "--config", "{cfg}"), "unitarity_tol = 0\n", "unitarity_tol"),
+])
+def test_audited_bad_input_exits_2(tmp_path, capsys, command, extra, fragment):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text(CANTOR4_TRIPLE + extra)
+    code, out, err = run_main(capsys, *(a.format(cfg=cfg) for a in command))
+    assert code == 2 and out == ""
+    assert fragment in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("mu-hat", "--t", "1"), ("cycles",), ("check-hadamard",), ("spectrum",),
+    ("harmonic", "--x", "0.3"), ("attractor",),
+])
+def test_example_and_config_are_exclusive(capsys, argv):
+    # --config used to be ignored when --example was given
+    code, out, err = run_main(capsys, *argv, "--example", "cantor4",
+                              "--config", "/nonexistent.cfg")
+    assert code == 2 and out == ""
+    assert "not allowed with argument --example" in err
+
+
+@pytest.mark.parametrize("exc", [ValueError("injected"), KeyError("injected")])
+def test_internal_error_exits_3_with_a_traceback(monkeypatch, capsys, exc):
+    # a library error that is not a typed outcome is a bug, not a failed
+    # check (ValueError used to exit 1) or bad input (KeyError used to exit 2)
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("ifsfourier.cli.enumerate_cycles", broken)
+    code, out, err = run_main(capsys, "cycles", "--example", "cantor4")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback") and "injected" in err and "in broken" in err
+
+
+def test_harmonic_words_export_is_the_estimates_walk(tmp_path, capsys):
+    # the export holds the first 10^4 words of the walk the estimate read,
+    # not the words of a second, smaller walk
+    from ifsfourier import get_system, sample_paths, weight_from_digits
+    from ifsfourier.pathspace import WORDS_CSV_ROWS
+
+    argv = ["harmonic", "--example", "lambda15", "--x", "0.3", "--paths", "12000",
+            "--length", "6", "--depth", "2", "--seed", "5"]
+    code, plain, _ = run_main(capsys, *argv)
+    words = tmp_path / "words.csv"
+    code_out, exported, _ = run_main(capsys, *argv, "--words-out", str(words))
+    assert code == code_out == 0 and exported == plain
+    sys_obj = get_system("lambda15")
+    walk = sample_paths(weight_from_digits(sys_obj.B), sys_obj.l_view, [0.3], 6, 12000, 5)
+    rows = [[int(v) for v in line.split(",")] for line in words.read_text().splitlines()[1:]]
+    assert WORDS_CSV_ROWS == 10_000 and rows == walk.words[:10_000].tolist()
+
+
+# -- config fuzz: any text is a system (0 or 1) or bad input (2), never a bug (3) ----
+
+# numbers of every kind the grammar reads (ints, floats, a/b) and the ones
+# it must refuse: NaN, infinities, a float overflow, an underflow to 0, a
+# zero denominator and words
+FUZZ_SCALARS = st.sampled_from([
+    "0", "1", "2", "3", "4", "-1", "-2", "5", "1/2", "3/2", "-5/3", "1/0", "0.25",
+    "2.0", "1e-12", "nan", "inf", "-inf", "1e999", "1e-400", "abc", "",
+])
+FUZZ_VALUES = st.recursive(
+    FUZZ_SCALARS,
+    lambda inner: st.lists(inner, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    max_leaves=8,
+) | st.sampled_from(["[", "]", "[[4]", "[[0], [2]]]", "[[0] [2]]"])
+FUZZ_BASE = {"d": "1", "R": "[[4]]", "B": "[[0], [2]]", "L": "[[0], [1]]"}
+FUZZ_KEYS = list(FUZZ_BASE) + ["p_max", "lambda_levels", "seed", "unitarity_tol",
+                               "tail_tol", "cycle_tol", "colour"]
+
+
+@st.composite
+def config_texts(draw):
+    """cantor4's triple with some fields dropped and some set to fuzzed
+    values, plus at most one line that is no assignment."""
+    fields = dict(FUZZ_BASE)
+    for key in draw(st.sets(st.sampled_from(list(FUZZ_BASE)), max_size=1)):
+        del fields[key]
+    fields.update(draw(st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=3)))
+    lines = ["%s = %s" % kv for kv in fields.items()]
+    lines += draw(st.lists(st.sampled_from(["garbage", "= 3", "R =", "# comment"]), max_size=1))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def _run_quietly(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=config_texts())
+@example(text=CANTOR4_TRIPLE + "tail_tol = 1e-400\n")  # reads as 0.0
+@example(text=CANTOR4_TRIPLE + "tail_tol = 0\n")
+def test_config_text_is_a_system_or_bad_input(text):
+    fd, path = tempfile.mkstemp(suffix=".cfg")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        for argv, codes in ((["check-hadamard", "--config", path], (0, 1, 2)),
+                            (["mu-hat", "--config", path, "--t", "1/3"], (0, 2))):
+            code, out, err = _run_quietly(argv)
+            assert code in codes, (argv[0], text, err)
+            if code == 2:
+                assert out == "" and "error" in json.loads(err)
+            elif code == 1:  # check-hadamard's own verdict, with its report
+                assert json.loads(out)["duality"]["failures"]
+    finally:
+        os.unlink(path)

@@ -130,6 +130,16 @@ def test_create_rejects_non_finite_entries(field, bad):
         AffineSystem.create(data["R"], data["B"], data["L"])
 
 
+@pytest.mark.parametrize("field", ["unitarity_tol", "tail_tol"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-10, None],
+                         ids=["nan", "inf", "zero", "negative", "None"])
+def test_create_rejects_tolerances_that_are_no_finite_positive_number(field, bad):
+    # a NaN tolerance fails every comparison and an infinite one passes every
+    # bound: tail_tol = inf truncated mu_hat after one factor
+    with pytest.raises(ValueError, match="^%s must be a finite positive number" % field):
+        AffineSystem.create([[4]], [[0], [2]], [[0], [1]], **{field: bad})
+
+
 def test_float_entries_are_kept_exactly():
     sys = AffineSystem.create([[4.0]], [[0.0], [0.1]], ["0", "1"])
     assert sys.B_exact[1] == (Fraction(0.1),) and sys.L_exact[1] == (Fraction(1),)

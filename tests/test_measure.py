@@ -510,3 +510,11 @@ def test_cosine_polynomial_matches_generic_weight(digits):
     # `fn`, the same cosine pass at the points themselves
     pts = z if d > 1 else z[:, 0]
     assert np.max(np.abs(weight_from_digits(digits)(pts) - _generic(digits)(pts))) < 1e-13
+
+
+@pytest.mark.parametrize("tail_tol", [np.nan, np.inf, 0.0, -1.0])
+def test_per_call_tail_tol_must_be_finite_and_positive(cantor4, tail_tol):
+    with pytest.raises(ValueError, match="tail_tol must be a finite positive number"):
+        mu_hat_detail(cantor4, 0.3, tail_tol)
+    with pytest.raises(ValueError, match="tail_tol must be a finite positive number"):
+        mu_hat_batch(cantor4, [0.3], tail_tol)
