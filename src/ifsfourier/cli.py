@@ -113,9 +113,10 @@ def _parse_point(text: str, d: int):
     for p in parts:
         try:
             v = Fraction(p) if "/" in p else float(p)
-        except (ValueError, ZeroDivisionError):
-            v = None
-        if v is None or not math.isfinite(v):
+            finite = math.isfinite(v)  # a Fraction beyond the float range overflows here
+        except (ValueError, ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
             raise ConfigError("point %r: coordinate %r is not a finite number" % (text, p))
         vals.append(v)
     if all(isinstance(v, Fraction) or float(v).is_integer() for v in vals):
@@ -217,7 +218,10 @@ def cmd_verify_onb(args) -> dict:
 def cmd_mu_hat(args) -> dict:
     _, sys_obj = _load_system(args)
     t = _parse_point(args.t, sys_obj.d)
-    res = mu_hat_detail(sys_obj, t if len(t) > 1 else t[0], sys_obj.tail_tol)
+    try:
+        res = mu_hat_detail(sys_obj, t if len(t) > 1 else t[0], sys_obj.tail_tol)
+    except OverflowError as exc:  # |t| too large for a float tail bound
+        raise ConfigError("--t %s: %s" % (args.t, exc)) from exc
     return {
         "t": _point_str(t),
         "value": res.value,

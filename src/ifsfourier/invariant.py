@@ -16,7 +16,10 @@ d nu(t) = (1/2 pi) prod_{k>=1} (1 + cos(2 * 3^k t)).  Its chain is that
 walk on the registry entry riesz3: the 1-d view x = t / 2 pi,
 x -> (x + j)/3 for j in {0, 1, 2}, with the weight as the cosine
 polynomial 1/3 + (1/3) cos(4 pi x), so it runs the same branch-weight
-kernel as W_B.
+kernel as W_B.  Here sup W = 2/3 < 1, so riesz3 has no W-cycle: its
+chain forgets its start, and two copies driven by the same uniforms
+merge.  That is what lets `_walk` run each chain in segments side by
+side (see `pathspace`).
 """
 
 from __future__ import annotations
@@ -82,9 +85,11 @@ def run_chain(weight: Weight, view: IfsView, x0, n: int, burn_in: int = DEFAULT_
     counts[-1] += n - int(counts.sum())
     _, kept = _walk(weight, view, x0, burn_in + int(counts[-1]), n_chains, seed,
                     keep_from=burn_in + 1)
-    blocks = [kept[i, : counts[i]] for i in range(n_chains)]
-    return ChainSample(states=np.concatenate(blocks, axis=0), burn_in=burn_in,
-                       seed=seed, n_chains=n_chains)
+    if n % n_chains == 0:  # every chain keeps all its states: no copy
+        states = kept.reshape(-1, view.d)
+    else:
+        states = np.concatenate([kept[i, : counts[i]] for i in range(n_chains)], axis=0)
+    return ChainSample(states=states, burn_in=burn_in, seed=seed, n_chains=n_chains)
 
 
 def fourier_coefficient(sample: ChainSample, freq, angular: bool = False) -> tuple:
@@ -93,11 +98,11 @@ def fourier_coefficient(sample: ChainSample, freq, angular: bool = False) -> tup
     Returns (value, stderr) by batch means over the chains."""
     states = sample.states
     if angular:
-        vals = np.exp(1j * float(freq) * states.reshape(-1))
+        vals = 1j * float(freq) * states.reshape(-1)
     else:
         tv = np.atleast_1d(np.asarray(freq, dtype=float))
-        vals = np.exp(2j * np.pi * (np.atleast_2d(states) @ tv))
-    return batch_mean_stderr(vals, sample.n_chains)
+        vals = 2j * np.pi * (np.atleast_2d(states) @ tv)
+    return batch_mean_stderr(np.exp(vals, out=vals), sample.n_chains)  # in place: one array
 
 
 # --- the scale-3 Riesz example on the circle -------------------------------
@@ -123,7 +128,9 @@ def riesz_chain(n: int, seed: int = 0, burn_in: int = DEFAULT_BURN_IN,
     entry = EXAMPLES["riesz3"]
     sample = run_chain(entry.weight, entry.view, [t0 / (2.0 * np.pi)], n,
                        burn_in=burn_in, seed=seed, n_chains=n_chains)
-    return replace(sample, states=2.0 * np.pi * sample.states[:, 0])
+    states = sample.states[:, 0]
+    states *= 2.0 * np.pi  # in place: the walk's buffer becomes the angles
+    return replace(sample, states=states)
 
 
 def concentration_curve(states: np.ndarray, n_bins: int = 512) -> np.ndarray:

@@ -294,13 +294,19 @@ class MuHatResult:
 
 def _tail_depth(sys: AffineSystem, t_norms, tail_tol: float | None) -> np.ndarray:
     """Per norm |t|, the smallest K with sum_{k>K} 2 pi max|b| |S^{-k} t| <
-    tail_tol, using the geometric bound |S^{-k} t| <= c^k |t|; 0 for t = 0."""
+    tail_tol, using the geometric bound |S^{-k} t| <= c^k |t|; 0 for t = 0.
+    Raises OverflowError when some 2 pi max|b| |t| is not finite (an
+    infinite norm included): no float depth bounds that tail."""
     tail_tol = sys.tail_tol if tail_tol is None else _positive_tolerance(tail_tol, "tail_tol")
     c = sys.l_view.contraction_factor
     if c >= 1.0:
         raise ValueError("S^{-1} is not a 2-norm contraction; cannot bound the tail")
     max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
-    x = 2.0 * np.pi * max_b * np.asarray(t_norms, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = 2.0 * np.pi * max_b * np.asarray(t_norms, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise OverflowError("the tail bound 2 pi max|b| |t| of mu_hat overflows the float "
+                            "range (max|b| = %g)" % max_b)
     x_max, powers = float(x.max(initial=0.0)), [c ** 2]  # c^(k+1), k = 1, 2, ...
     while x_max * powers[-1] / (1.0 - c) >= tail_tol:  # until the bound fails at x_max
         if len(powers) >= 10_000:
@@ -394,7 +400,9 @@ def _mu_hat_rows(sys: AffineSystem, ts, tail_tol: float | None = None) -> tuple:
     rows = np.asarray(ts, dtype=object).reshape(len(ts), sys.d)
     exact = all(isinstance(c, numbers.Rational) for c in rows.flat)
     tf = rows.astype(float)
-    depth = _tail_depth(sys, np.sqrt((tf * tf).sum(axis=1)), tail_tol)  # = norm(tf, axis=1)
+    with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
+        norms = np.sqrt((tf * tf).sum(axis=1))  # = norm(tf, axis=1)
+    depth = _tail_depth(sys, norms, tail_tol)
     terms = _exact_terms(sys, rows) if exact else _float_terms(sys, rows)
     values, zero_level = _truncated_products(depth, terms, scalar=True)
     return values, np.where(zero_level > 0, zero_level, depth), zero_level
@@ -445,8 +453,9 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
     if pts.ndim != 2 or pts.shape[1] != sys.d:
         raise ValueError("mu_hat_batch takes rows of d = %d coordinates, got shape %s"
                          % (sys.d, np.shape(ts)))
-    depth = np.full(len(pts), _tail_depth(sys, np.linalg.norm(pts, axis=1).max(initial=0.0),
-                                          tail_tol))
+    with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
+        norm = np.linalg.norm(pts, axis=1).max(initial=0.0)
+    depth = np.full(len(pts), _tail_depth(sys, norm, tail_tol))
     return _truncated_products(depth, _float_terms(sys, pts), scalar=False)[0]
 
 

@@ -22,6 +22,16 @@ only.  The branch probabilities W(tau_l z) are exact up to float
 rounding, and weights below the rounding bound of their evaluation
 (`measure._zero_cutoff`, computed once per walk or word) are treated as
 exactly zero, so paths cannot tunnel through zeros of W.
+
+A walk whose weight has sup W < 1 has no W-cycle, and two copies of it
+driven by the same uniforms merge (Diaconis-Freedman, Iterated random
+functions, SIAM Rev. 1999; Propp-Wilson, coupling from the past, 1996).
+Such a walk runs in split time: each walk is cut into segments walked
+side by side, and each segment is joined to its predecessor at the first
+step where the two float states are equal bit for bit, so the result is
+bit-identical to one sequential walk.  W_B walks stay sequential: W_B is
+1 on its W-cycles, copies can be absorbed into different ones, and then
+they never merge.
 """
 
 from __future__ import annotations
@@ -50,6 +60,8 @@ __all__ = [
 QMF_SAMPLING_TOL = 1e-9
 WORDS_CSV_ROWS = 10_000  # words `PathEnsemble.words_to_csv` writes, at most
 UNIFORM_BLOCK = 1 << 16  # uniforms per draw of the walk, over all its walks
+WIDTH = 2048  # rows a time-split walk steps at once, over all its segments
+WINDOW = 128  # steps a segment's head may take to merge with its speculative steps
 
 
 class QmfError(ValueError):
@@ -161,58 +173,72 @@ class PathEnsemble:
                 fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
-def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
-          keep_from: int) -> tuple:
-    """The branch walk: `count` independent walks of `length` steps from x,
-    advanced in lockstep.  Each step moves z to tau_i z with probability
-    W(tau_i z), drawn by one uniform per walk against the cumulative
-    weights.  Returns the words (count, length) and the states z_k for
-    k >= keep_from, shape (count, length + 1 - keep_from, d), with z_0 = x.
+def _segment_count(weight: Weight, x, length: int, count: int) -> int:
+    """K, the segments each of `count` walks of `length` steps from x is split
+    into: 1 unless the weight is a cosine polynomial with
+    c0 + sum_j |a_j| < 1, the start is finite and the walk is long enough.
 
-    The weights come as a C-ordered (N, count) array, so the per-step
-    reductions run along the walks; the choice counts the cumulative rows
-    the uniform passes, one row at a time (the last row is 1 up to
-    rounding, and a uniform past it takes the last branch either way).
-    Only the chosen image is computed.  The uniforms are drawn for
-    several steps at once: `default_rng` gives the same stream in blocks
-    as in one call per step.
+    That bound is sup W < 1 (with room for the rounding of the
+    coefficients), so the walk has no W-cycle to be absorbed into and two
+    copies driven by the same uniforms merge.  W_B is 1 at 0, so its walks
+    stay in one segment."""
+    cosines = getattr(weight, "cosines", None)
+    if cosines is None or not np.all(np.isfinite(x)):
+        return 1
+    c0, coeffs, _ = cosines
+    if not c0 + float(np.abs(coeffs).sum()) < 1.0 - 2 * (len(coeffs) + 1) * np.finfo(float).eps:
+        return 1
+    return max(1, min(WIDTH // count, length // (4 * WINDOW)))
 
-    A step on a few dozen walks costs numpy's per-call overhead more than
-    arithmetic, so the branch-weight pass (`_branch_pass`) and the zero
-    cutoff are set up once per walk, and every step writes into buffers
+
+def _stream(rng, skip: int):
+    """A generator on a copy of rng's PCG64 state, advanced by skip draws."""
+    bits = np.random.PCG64()
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits.advance(skip))
+
+
+def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_steps: int,
+           block: int, split: bool) -> None:
+    """Advance the rows of z (n, d) by n_steps steps of the branch walk, in
+    lockstep and in place.  Each step moves a row to tau_i z with probability
+    W(tau_i z), drawn by one uniform per row against the cumulative weights;
+    `draw(k)` gives the uniforms of the next k steps as a (k, n) array,
+    called every `block` steps, and `record(step, choices, z)` stores each
+    step's choices and new states.
+
+    The weights come as a C-ordered (N, n) array, so the per-step reductions
+    run along the rows; the choice counts the cumulative rows the uniform
+    passes, one row at a time (the last row is 1 up to rounding, and a
+    uniform past it takes the last branch either way).  Only the chosen
+    image is computed.  A step on a few dozen rows costs numpy's per-call
+    overhead more than arithmetic, so the branch-weight pass
+    (`_branch_pass`) is set up once, and every step writes into buffers
     allocated once: the weights, the zero mask, the choices and the moved
-    states.  The row sums of all steps of a uniform block go to one
-    buffer, and the QMF check runs once per block, at its last step, so a
-    walk that breaks QMF raises after the rest of its block has run.  It
-    raises on exactly the inputs a check at every step raises on, but the
-    deviation it reports is the block's worst, which may come from a later
-    step than the first that broke.  The worst is taken with fmax, so a
-    NaN deviation (from a NaN weight or start point, which never raised)
-    cannot hide a break, and the steps after a break run with
-    floating-point warnings off.
-    """
-    rng = np.random.default_rng(seed)
-    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
-    words = np.empty((count, length), dtype=np.int8)
-    kept = np.empty((count, length + 1 - keep_from, view.d))
-    if keep_from == 0:
-        kept[:, 0] = z
-    inv_t, digits = view.inv.T, view.digits
-    weights_at = _branch_pass(weight, view, count)
-    cutoff = _zero_cutoff(weight, view, x)
-    block = max(1, UNIFORM_BLOCK // count)
-    sums = np.empty((min(block, length), count))
-    zero = np.empty((view.n_digits, count), dtype=bool)
-    passed = np.empty(count, dtype=bool)
-    choices = np.empty(count, dtype=np.intp)
+    states.
+
+    The row sums of all steps of a block go to one buffer, and the QMF check
+    runs once per block, at its last step: a walk that breaks QMF raises
+    `QmfError` after the rest of its block has run, with the block's worst
+    deviation.  The worst is taken with fmax, so a NaN deviation (from a NaN
+    weight or start point) cannot hide a break, and the steps after a break
+    run with floating-point warnings off.  A `split` pass (see `_walk`)
+    raises on a NaN worst too."""
+    rows = len(z)
+    weights_at = _branch_pass(weight, view, rows)
+    sums = np.empty((min(block, n_steps), rows))
+    zero = np.empty((view.n_digits, rows), dtype=bool)
+    passed = np.empty(rows, dtype=bool)
+    choices = np.empty(rows, dtype=np.intp)
     moved = np.empty_like(z)
+    inv_t, digits = view.inv.T, view.digits
     # ufunc methods with out= rather than their numpy wrappers: a step works
     # on a few dozen numbers, so call overhead is most of its cost
     with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(length):
+        for step in range(n_steps):
             k = step % block
             if k == 0:
-                uniforms = rng.random(min(block, length - step) * count).reshape(-1, count)
+                uniforms = draw(min(block, n_steps - step))
             u, row_sums = uniforms[k], sums[k]
             w = weights_at(z)
             np.less(w, cutoff, out=zero)
@@ -224,18 +250,146 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
             for row in w[1:-1]:
                 cum += row
                 choices += np.greater_equal(u, cum, out=passed)
-            words[:, step] = choices
             digits.take(choices, axis=0, out=moved)
             moved += z
             np.matmul(moved, inv_t, out=z)
-            if step + 1 >= keep_from:
-                kept[:, step + 1 - keep_from] = z
+            record(step, choices, z)
             if k == len(uniforms) - 1:
                 block_sums = sums[: k + 1]
                 block_sums -= 1.0
                 worst = np.fmax.reduce(np.abs(block_sums, out=block_sums), axis=None)
-                if worst > QMF_SAMPLING_TOL:
+                if worst > QMF_SAMPLING_TOL or (split and np.isnan(worst)):
                     raise QmfError(worst)
+
+
+def _split_walk(weight: Weight, view: IfsView, x, length: int, count: int, rng,
+                keep_from: int, n_seg: int, cutoff: float):
+    """`_walk` on n_seg segments per walk, walked side by side; None when a
+    head does not merge within WINDOW steps.
+
+    The rows are segment-major (row j count + r is segment j of walk r).
+    The first length % n_seg segments have s + 1 steps, the others s; each
+    segment draws its uniforms from its own copy of the stream, advanced to
+    its first step.  Words and kept states go straight into flat buffers,
+    addressed per row; a step outside a row's segment, or a state before
+    keep_from, goes to the buffers' last entry, the sink.  Two copies that
+    are equal after some step stay equal, so a head has merged within
+    WINDOW steps exactly when it equals its speculative state after step
+    WINDOW: that state is the one kept for the test."""
+    s, extra = divmod(length, n_seg)
+    firsts = np.arange(n_seg) * s + np.minimum(np.arange(n_seg), extra)
+    width = length + 1 - keep_from
+    words = np.empty(count * length + 1, dtype=np.int8)
+    kept = np.empty((count * width + 1, view.d))
+    if keep_from == 0:
+        kept[:-1].reshape(count, width, view.d)[:, 0] = x
+    walk, first = np.tile(np.arange(count), n_seg), np.repeat(firsts, count)
+    word_at = walk * length + first
+    state_at = walk * width + first + 1 - keep_from
+    kept_after = keep_from - 1 - first  # the local step from which a row's states are kept
+    long_rows = extra * count
+    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (n_seg * count, 1))
+    ends, at_window = np.empty_like(z), np.empty_like(z)
+
+    def run(segs, z, n_steps, speculative):
+        """Walk the rows of segments `segs` from z for n_steps steps; the
+        speculative pass keeps its states after step WINDOW in `at_window`
+        and those of the rows of s-step segments after step s in `ends`."""
+        rows = slice(segs.start * count, segs.stop * count)
+        word0, state0, after = word_at[rows], state_at[rows], kept_after[rows]
+        done = max(0, long_rows - rows.start)  # the rows from here on have s steps
+        n = len(z)
+        pw, pk, skip = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n, dtype=bool)
+        streams = [_stream(rng, int(firsts[j]) * count) for j in segs]
+        block = max(1, UNIFORM_BLOCK // n)
+        drawn = np.empty((len(streams), block * count))
+        uniforms = np.empty((block, n))
+
+        def draw(k):
+            for stream, chunk in zip(streams, drawn):
+                stream.random(out=chunk[: k * count])
+            by_step = uniforms[:k].reshape(k, len(streams), count)
+            by_step[...] = drawn[:, : k * count].reshape(-1, k, count).transpose(1, 0, 2)
+            return uniforms[:k]
+
+        def record(i, choices, z):
+            np.add(word0, i, out=pw)
+            np.add(state0, i, out=pk)
+            np.greater(after, i, out=skip)
+            if i == s:
+                skip[done:] = True
+                pw[done:] = len(words) - 1
+            np.putmask(pk, skip, len(kept) - 1)
+            words.put(pw, choices)
+            kept[pk] = z
+            if speculative and i == WINDOW - 1:
+                at_window[...] = z
+            if speculative and i == s - 1:
+                ends[done:] = z[done:]
+
+        _steps(weight, view, cutoff, z, draw, record, n_steps, block, split=True)
+
+    # the speculative pass: every segment from x
+    run(range(n_seg), z, s + (extra > 0), speculative=True)
+    ends[:long_rows] = z[:long_rows]
+    # the head pass: segments 1.. from the speculative ends of their predecessors
+    heads = ends[:-count]
+    run(range(1, n_seg), heads, WINDOW, speculative=False)
+    if not np.array_equal(heads.view(np.int64), at_window[count:].view(np.int64)):
+        return None
+    return words[:-1].reshape(count, length), kept[:-1].reshape(count, width, view.d)
+
+
+def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
+          keep_from: int) -> tuple:
+    """The branch walk: `count` independent walks of `length` steps from x.
+    Returns the words (count, length) and the states z_k for k >= keep_from,
+    shape (count, length + 1 - keep_from, d), with z_0 = x.
+
+    The walks run in lockstep (`_steps`) on uniforms from one stream, drawn
+    for several steps at once: `default_rng` gives the same stream in
+    blocks as in one call per step.  Step k of walk r takes draw k count + r.
+
+    *Split time.*  When the walk has no W-cycle (`_segment_count`), each
+    walk is cut into K segments, all walked side by side from x (the
+    speculative pass), each on its own draws of the stream.  Segment 0
+    starts at the true x, so its steps are the walk's.  Then a head pass
+    restarts every later segment from the speculative end of its
+    predecessor, on the same draws, for WINDOW steps.  Two copies of a
+    walk with sup W < 1 driven by the same uniforms merge: once a head's
+    state equals the speculative state bit for bit, every later step of
+    the segment is the same as well, so the head's steps up to there and
+    the speculative steps after it are the walk's, and by induction over
+    the segments the words and states are bit-identical to one segment's.
+    A head that does not merge within WINDOW steps, or a QmfError (a NaN
+    worst deviation included) in either pass, sends the walk back to one
+    segment, which raises what it raises.  W_B walks stay in one segment: W_B(0) = 1, copies fall
+    into different W-cycles and need not merge at all.
+    """
+    rng = np.random.default_rng(seed)
+    cutoff = _zero_cutoff(weight, view, x)
+    n_seg = _segment_count(weight, x, length, count)
+    if n_seg > 1:
+        try:
+            split = _split_walk(weight, view, x, length, count, rng, keep_from, n_seg, cutoff)
+        except QmfError:
+            split = None
+        if split is not None:
+            return split
+    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
+    words = np.empty((count, length), dtype=np.int8)
+    kept = np.empty((count, length + 1 - keep_from, view.d))
+    if keep_from == 0:
+        kept[:, 0] = z
+
+    def record(step, choices, z):
+        words[:, step] = choices
+        if step + 1 >= keep_from:
+            kept[:, step + 1 - keep_from] = z
+
+    block = max(1, UNIFORM_BLOCK // count)
+    _steps(weight, view, cutoff, z, lambda k: rng.random(k * count).reshape(-1, count),
+           record, length, block, split=False)
     return words, kept
 
 

@@ -226,7 +226,8 @@ class AffineSystem:
     def create(R, B, L, *, unitarity_tol=1e-12, tail_tol=1e-10, name=""):
         """Validate and build a system from int, Fraction, float or numeric
         string entries.  Every entry must be a finite float (NaN, +-inf and
-        numbers beyond the float range raise a ValueError naming R, B or L)
+        numbers beyond the float range raise a ValueError naming R, B or L,
+        and so does a digit of B or L whose 2 pi |b| is not finite in floats)
         and is kept exactly, as a Fraction; the float arrays are the
         correctly rounded values of those Fractions.  Each tolerance must be
         a finite positive number (a ValueError names it otherwise)."""
@@ -305,5 +306,10 @@ def _digit_array(digits, d, field_name) -> np.ndarray:
                          field_name)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ValueError("%s digits must be vectors of dimension %d" % (field_name, d))
+    with np.errstate(over="ignore"):
+        reach = 2.0 * np.pi * np.linalg.norm(arr, axis=1).max(initial=0.0)
+    if not np.isfinite(reach):  # the tail bound of mu_hat scales with it
+        raise ValueError("%s has a digit beyond the float range: 2 pi max |%s| is not finite"
+                         % (field_name, field_name.lower()))
     return arr
 

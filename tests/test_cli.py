@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -567,3 +568,34 @@ def test_config_text_is_a_system_or_bad_input(text):
                 assert json.loads(out)["duality"]["failures"]
     finally:
         os.unlink(path)
+
+
+@pytest.mark.parametrize("command,extra,fragment", [
+    # digits beyond the float range: 2 pi max|b| |t| was inf, and the tail
+    # depth loop ran until c^k underflowed (537 factors, RuntimeWarnings)
+    (("mu-hat", "--config", "{cfg}", "--t", "0.3"),
+     "d = 1\nR = [[4]]\nB = [[0], [1e308]]\nL = [[0], [1]]\n", "B has a digit"),
+    (("check-hadamard", "--config", "{cfg}"),
+     "d = 1\nR = [[4]]\nB = [[0], [2]]\nL = [[0], [1e308]]\n", "L has a digit"),
+    # a frequency whose tail bound overflows
+    (("mu-hat", "--example", "cantor4", "--t", "1e307"), "", "--t 1e307"),
+    (("mu-hat", "--example", "cantor4", "--t", "1e200"), "", "--t 1e200"),
+    (("mu-hat", "--example", "twindragon", "--t", "1e307,0"), "", "tail bound"),
+    # a fraction beyond the float range (an OverflowError traceback, exit 3, before)
+    (("mu-hat", "--example", "cantor4", "--t", "1" + "0" * 400 + "/3"), "", "not a finite"),
+])
+def test_overflowing_tail_bound_is_bad_input(tmp_path, capsys, command, extra, fragment):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text(extra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capsys, *(a.format(cfg=cfg) for a in command))
+    assert code == 2 and out == ""
+    assert fragment in json.loads(err)["error"]
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "ifsfourier", "example"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "riesz3" in json.loads(proc.stdout)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -518,3 +519,25 @@ def test_per_call_tail_tol_must_be_finite_and_positive(cantor4, tail_tol):
         mu_hat_detail(cantor4, 0.3, tail_tol)
     with pytest.raises(ValueError, match="tail_tol must be a finite positive number"):
         mu_hat_batch(cantor4, [0.3], tail_tol)
+
+
+def test_an_overflowing_tail_bound_raises(cantor4):
+    # the depth loop used to run on an infinite bound until c^k underflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e307, 1e200):
+            with pytest.raises(OverflowError, match="tail bound"):
+                mu_hat_batch(cantor4, [0.5, t])
+            with pytest.raises(OverflowError, match="tail bound"):
+                mu_hat_detail(cantor4, t)
+        assert mu_hat_detail(cantor4, 1e150).n_factors > 0
+
+
+@pytest.mark.parametrize("field", ["B", "L"])
+def test_digits_beyond_the_float_range_are_refused(field):
+    digits = {"B": [[0], [2]], "L": [[0], [1]]}
+    digits[field] = [[0], [1e200]]  # |b|^2 overflows, so the norm is not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="%s has a digit beyond the float range" % field):
+            AffineSystem.create([[4]], digits["B"], digits["L"])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from ifsfourier import (
     EXAMPLES,
     AffineSystem,
     Weight,
+    cosine_weight,
     cylinder_weight,
     estimate_h,
     find_w_cycles,
@@ -18,10 +20,12 @@ from ifsfourier import (
     mu_hat_batch,
     mu_hat_detail,
     path_weight_with_tail,
+    riesz_chain,
     run_chain,
     sample_paths,
     weight_from_digits,
 )
+from ifsfourier import pathspace
 from ifsfourier.measure import _branch_weights, _zero_cutoff
 from ifsfourier.pathspace import QMF_SAMPLING_TOL, UNIFORM_BLOCK, _walk, classification_radius
 from strategies import product_triple
@@ -624,3 +628,115 @@ def test_zeros_of_w_b_are_cut_on_a_scale_20_triple():
     families = [((2, 0), 2, [1]), ((0, 4), 5, [1, 2, 3, 4])]
     assert_zeros_cut(weight_from_digits(prod.B), prod.l_view,
                      *states_onto_zeros(prod.l_view, families, 4000))
+
+
+# --- the time-split walk against the walk that allocated per step ----------
+
+def _riesz_case():
+    return EXAMPLES["riesz3"].weight, EXAMPLES["riesz3"].view, [0.1]
+
+
+def _scale3_plane_case():
+    """R = 3 I, B = L = {0, 1, 2}^2, and W(x) = 1/9 + (1/10) cos(2 pi (x_1 + x_2)),
+    QMF-normalized on the L-view with sup W < 1: a 2-d walk that splits, whose
+    phases g.z = (z_1 + z_2) / 3 sum two products."""
+    digits = [[i, j] for i in range(3) for j in range(3)]
+    sys_ = AffineSystem.create([[3, 0], [0, 3]], digits, digits, name="scale3-plane")
+    return cosine_weight(1 / 9, [0.1], [[1.0, 1.0]]), sys_.l_view, [0.3, -0.7]
+
+
+@pytest.mark.parametrize("count,length,keep_from", [
+    (32, 32_250, 1001),  # the riesz bench shape: 62 segments of 520 or 521 steps
+    (31, 20_000, 500),  # count does not divide WIDTH
+    (32, 10_001, 0),  # 19 segments, length % 19 = 7; z_0 kept
+    (32, 5000, 5000),  # only the final state kept
+    (5, 3001, 17),  # 5 segments, one of 601 steps
+])
+def test_split_walk_bit_identical_to_per_step_walk(count, length, keep_from):
+    weight, view, x = _riesz_case()
+    assert pathspace._segment_count(weight, x, length, count) > 1
+    words, kept = _walk(weight, view, x, length, count, 23, keep_from)
+    ref_words, ref_kept = per_step_walk(weight, view, x, length, count, 23, keep_from)
+    assert np.array_equal(words, ref_words)
+    assert np.array_equal(kept, ref_kept)
+
+
+def _spy_split(monkeypatch):
+    """The results of every `_split_walk` call, None for a walk sent back to
+    one segment."""
+    results, split_walk = [], pathspace._split_walk
+
+    def spy(*args):
+        results.append(split_walk(*args))
+        return results[-1]
+
+    monkeypatch.setattr(pathspace, "_split_walk", spy)
+    return results
+
+
+def test_split_walk_in_the_plane_bit_identical_to_per_step_walk(monkeypatch):
+    weight, view, x = _scale3_plane_case()
+    results = _spy_split(monkeypatch)
+    words, kept = _walk(weight, view, x, 4000, 32, 5, 100)
+    ref_words, ref_kept = per_step_walk(weight, view, x, 4000, 32, 5, 100)
+    assert len(results) == 1 and results[0] is not None  # the heads merged
+    assert np.array_equal(words, ref_words)
+    assert np.array_equal(kept, ref_kept)
+
+
+def test_split_walk_falls_back_when_a_head_does_not_merge(monkeypatch):
+    weight, view, x = _riesz_case()
+    monkeypatch.setattr(pathspace, "WINDOW", 1)
+    results = _spy_split(monkeypatch)
+    words, kept = _walk(weight, view, x, 6000, 32, 8, 10)
+    assert len(results) == 1 and results[0] is None
+    ref_words, ref_kept = per_step_walk(weight, view, x, 6000, 32, 8, 10)
+    assert np.array_equal(words, ref_words)
+    assert np.array_equal(kept, ref_kept)
+
+
+def test_split_walk_raises_what_one_segment_raises(monkeypatch):
+    # the Riesz weight scaled by 1 + 1e-6: sup W < 1 still, so the walk splits,
+    # and every row sum breaks QMF
+    c0, a, f = EXAMPLES["riesz3"].weight.cosines
+    bad = cosine_weight(c0 * (1 + 1e-6), a * (1 + 1e-6), f)
+    view = EXAMPLES["riesz3"].view
+    assert pathspace._segment_count(bad, [0.1], 6000, 32) > 1
+    with pytest.raises(pathspace.QmfError) as split:
+        _walk(bad, view, [0.1], 6000, 32, 4, 0)
+    monkeypatch.setattr(pathspace, "WIDTH", 1)
+    assert pathspace._segment_count(bad, [0.1], 6000, 32) == 1
+    with pytest.raises(pathspace.QmfError) as one:
+        _walk(bad, view, [0.1], 6000, 32, 4, 0)
+    assert str(split.value) == str(one.value)
+
+
+@pytest.mark.parametrize("name", [n for n, e in EXAMPLES.items() if e.kind == "affine"])
+def test_w_b_walks_keep_one_segment(name):
+    # W_B(0) = 1: a W_B walk may be absorbed into a W-cycle, so it never splits
+    sys_ = get_system(name)
+    weight = weight_from_digits(sys_.B)
+    for count, length in [(32, 32_250), (1, 10 ** 6), (6000, 64)]:
+        assert pathspace._segment_count(weight, [0.1] * sys_.d, length, count) == 1
+
+
+def test_riesz_walk_splits_at_the_bench_shape():
+    weight, _, x = _riesz_case()
+    assert pathspace._segment_count(weight, x, 32_250, 32) == 62
+    assert pathspace._segment_count(weight, [np.nan], 32_250, 32) == 1
+    assert pathspace._segment_count(weight, x, 32_250, 4096) == 1
+
+
+def test_riesz_chain_peak_memory():
+    # the chain's angles are the walk's state buffer, scaled in place, not a
+    # concatenated copy and a scaled one: 17.0 MB before, with the 8 MB
+    # states alongside the copies; the walk adds its words and the split's
+    # small buffers to the states
+    riesz_chain(1000)
+    tracemalloc.start()
+    try:
+        riesz_chain(10 ** 6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17.0e6
