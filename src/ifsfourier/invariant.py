@@ -57,6 +57,7 @@ class ChainSample:
     burn_in: int
     seed: int
     n_chains: int
+    retired_at: int | None = None  # the step at which the walk retired (`pathspace._walk`), or None
 
     @property
     def n(self) -> int:
@@ -64,8 +65,12 @@ class ChainSample:
 
 
 def batch_mean_stderr(values: np.ndarray, n_batches: int = DEFAULT_BATCHES) -> tuple:
-    """(mean, stderr) by batch means; robust to chain autocorrelation."""
+    """(mean, stderr) by batch means; robust to chain autocorrelation.
+    Needs at least 2 batches and a value for each."""
     vals = np.asarray(values)
+    if n_batches < 2 or len(vals) < n_batches:
+        raise ValueError("batch means need at least 2 batches and a value per batch, "
+                         "got %d values in %d batches" % (len(vals), n_batches))
     batches = np.array_split(vals, n_batches)
     means = np.array([b.mean() for b in batches])
     mean = complex(means.mean()) if np.iscomplexobj(vals) else float(means.mean())
@@ -83,13 +88,15 @@ def run_chain(weight: Weight, view: IfsView, x0, n: int, burn_in: int = DEFAULT_
     n_chains = min(n_chains, n)
     counts = np.full(n_chains, n // n_chains)
     counts[-1] += n - int(counts.sum())
-    _, kept = _walk(weight, view, x0, burn_in + int(counts[-1]), n_chains, seed,
-                    keep_from=burn_in + 1)
+    walk = _walk(weight, view, x0, burn_in + int(counts[-1]), n_chains, seed,
+                 keep_from=burn_in + 1)
+    kept = walk.kept
     if n % n_chains == 0:  # every chain keeps all its states: no copy
         states = kept.reshape(-1, view.d)
     else:
         states = np.concatenate([kept[i, : counts[i]] for i in range(n_chains)], axis=0)
-    return ChainSample(states=states, burn_in=burn_in, seed=seed, n_chains=n_chains)
+    return ChainSample(states=states, burn_in=burn_in, seed=seed, n_chains=n_chains,
+                       retired_at=walk.retired_at)
 
 
 def fourier_coefficient(sample: ChainSample, freq, angular: bool = False) -> tuple:

@@ -32,6 +32,16 @@ step where the two float states are equal bit for bit, so the result is
 bit-identical to one sequential walk.  W_B walks stay sequential: W_B is
 1 on its W-cycles, copies can be absorbed into different ones, and then
 they never merge.
+
+A W_B walk retires instead.  Its paths end in an endless repetition of a
+W-cycle (Dutkay-Jorgensen, Fourier frequencies in affine iterated
+function systems, JFA 2007), and in floats a walk reaches that end
+exactly: a state that repeats bit for bit, with one branch carrying the
+whole weight at each state of the period, after which the walk reads no
+more of its uniforms.  The walk tests for this every RETIRE_STRIDE steps,
+stops once every walk has retired, and fills the later steps by
+repeating each walk's period; words and states are again bit-identical
+to the walk of every step.
 """
 
 from __future__ import annotations
@@ -62,6 +72,8 @@ WORDS_CSV_ROWS = 10_000  # words `PathEnsemble.words_to_csv` writes, at most
 UNIFORM_BLOCK = 1 << 16  # uniforms per draw of the walk, over all its walks
 WIDTH = 2048  # rows a time-split walk steps at once, over all its segments
 WINDOW = 128  # steps a segment's head may take to merge with its speculative steps
+RETIRE_STRIDE = 64  # steps between two tests of whether every walk has retired
+RING = 16  # the longest float period a walk is tested for when it may retire
 
 
 class QmfError(ValueError):
@@ -151,6 +163,7 @@ class PathEnsemble:
     seed: int
     final_states: np.ndarray  # (count, d)
     tail_states: np.ndarray  # (count, tail_window + 1, d), last steps
+    retired_at: int | None = None  # the step at which the walk retired (`_walk`), or None
 
     @property
     def count(self) -> int:
@@ -199,7 +212,7 @@ def _stream(rng, skip: int):
 
 
 def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_steps: int,
-           block: int, split: bool) -> None:
+           block: int, split: bool):
     """Advance the rows of z (n, d) by n_steps steps of the branch walk, in
     lockstep and in place.  Each step moves a row to tau_i z with probability
     W(tau_i z), drawn by one uniform per row against the cumulative weights;
@@ -223,7 +236,17 @@ def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_step
     deviation.  The worst is taken with fmax, so a NaN deviation (from a NaN
     weight or start point) cannot hide a break, and the steps after a break
     run with floating-point warnings off.  A `split` pass (see `_walk`)
-    raises on a NaN worst too."""
+    raises on a NaN worst too.
+
+    A walk of more than RETIRE_STRIDE steps that is not a split pass keeps
+    its states in a ring of RING + 1 buffers (step k writes z_{k+1} into
+    slot k + 1 mod RING + 1, so the ring costs no copy) and may retire:
+    every RETIRE_STRIDE steps `_periods` tests whether every row has
+    retired, and if so the walk runs the QMF check of its partial block and
+    stops, with z at its last state.  It then returns (k, period, ring):
+    the steps taken, each row's period and the ring, which holds
+    z_{k-RING}..z_k; the caller fills the later steps (`_tile`).  Otherwise
+    it returns None."""
     rows = len(z)
     weights_at = _branch_pass(weight, view, rows)
     sums = np.empty((min(block, n_steps), rows))
@@ -232,6 +255,17 @@ def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_step
     choices = np.empty(rows, dtype=np.intp)
     moved = np.empty_like(z)
     inv_t, digits = view.inv.T, view.digits
+    retiring = not split and n_steps > RETIRE_STRIDE
+    ring = np.empty((RING + 1,) + z.shape) if retiring else z[None]
+    ring[0] = z
+    slots, state = list(ring), z
+
+    def check(block_sums):
+        block_sums -= 1.0
+        worst = np.fmax.reduce(np.abs(block_sums, out=block_sums), axis=None)
+        if worst > QMF_SAMPLING_TOL or (split and np.isnan(worst)):
+            raise QmfError(worst)
+
     # ufunc methods with out= rather than their numpy wrappers: a step works
     # on a few dozen numbers, so call overhead is most of its cost
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -240,7 +274,8 @@ def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_step
             if k == 0:
                 uniforms = draw(min(block, n_steps - step))
             u, row_sums = uniforms[k], sums[k]
-            w = weights_at(z)
+            state = slots[step % len(slots)]
+            w = weights_at(state)
             np.less(w, cutoff, out=zero)
             np.putmask(w, zero, 0.0)
             np.add.reduce(w, out=row_sums)
@@ -251,15 +286,68 @@ def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_step
                 cum += row
                 choices += np.greater_equal(u, cum, out=passed)
             digits.take(choices, axis=0, out=moved)
-            moved += z
-            np.matmul(moved, inv_t, out=z)
-            record(step, choices, z)
+            moved += state
+            state = np.matmul(moved, inv_t, out=slots[(step + 1) % len(slots)])
+            record(step, choices, state)
             if k == len(uniforms) - 1:
-                block_sums = sums[: k + 1]
-                block_sums -= 1.0
-                worst = np.fmax.reduce(np.abs(block_sums, out=block_sums), axis=None)
-                if worst > QMF_SAMPLING_TOL or (split and np.isnan(worst)):
-                    raise QmfError(worst)
+                check(sums[: k + 1])
+            done = step + 1
+            if retiring and done % RETIRE_STRIDE == 0 and done < n_steps:
+                period = _periods(ring, done, weights_at, cutoff)
+                if period is not None:
+                    if k < len(uniforms) - 1:
+                        check(sums[: k + 1])
+                    z[...] = state
+                    return done, period, ring
+    z[...] = state
+    return None
+
+
+def _periods(ring, k: int, weights_at, cutoff: float):
+    """Each row's period at step k, if every row has retired, else None.
+
+    A row has retired when z_k equals z_{k-p} bit for bit for some
+    p <= min(RING, k), and at each of z_{k-p}..z_{k-1} exactly one branch
+    weight is at or above the cutoff.  Then that branch takes the whole
+    normalized weight, 1.0 exactly, so the choice there is the same whatever
+    the uniform, and from z_k on the row repeats z_{k-p}..z_{k-1} and their
+    choices forever: a W-cycle reached in floats.  Its later row sums repeat
+    sums of steps already taken, so no QMF check it would meet can fail
+    where an earlier one passed, nor report another worst deviation.  The
+    weights at the ring's states are computed again by the walk's own pass
+    on the walk's own buffers, so they are the weights its steps used, bit
+    for bit.  The period is the least such p.
+
+    This holds because the step map is the same at every step.  A zero
+    cutoff that changed with the step (a per-step schedule) may retire a
+    row only from the step where the schedule has reached its floor."""
+    lags = np.arange(1, min(RING, k) + 1)
+    bits = ring.view(np.int64)
+    # every slot against z_k, then the rows of the lags: no copy of the states
+    same = np.all(bits == bits[k % len(ring)], axis=2)[(k - lags) % len(ring)]
+    if not np.all(np.any(same, axis=0)):
+        return None
+    period = lags[np.argmax(same, axis=0)]
+    for lag in range(1, int(period.max()) + 1):
+        single = np.count_nonzero(weights_at(ring[(k - lag) % len(ring)]) >= cutoff, axis=0) == 1
+        if not np.all(single | (period < lag)):
+            return None
+    return period
+
+
+def _tile(words, kept, keep_from: int, k: int, period, ring) -> None:
+    """Fill the words of steps k.. and the kept states z_{k+1}.. of a walk
+    that retired at step k (see `_steps`): row r repeats its last period[r]
+    choices and states, z_{k+i+m p} = z_{k-p+i}."""
+    first = max(k + 1, keep_from)  # the first state to fill
+    for p in range(1, int(period.max()) + 1):
+        rows = period == p
+        if not rows.any():
+            continue
+        for i in range(p):
+            words[rows, k + i::p] = words[rows, k - p + i, None]
+            at = first + (k + i - first) % p  # the first state from `first` on that is z_{k-p+i}
+            kept[rows, at - keep_from::p] = ring[(k - p + i) % len(ring), rows, None]
 
 
 def _split_walk(weight: Weight, view: IfsView, x, length: int, count: int, rng,
@@ -340,8 +428,20 @@ def _split_walk(weight: Weight, view: IfsView, x, length: int, count: int, rng,
     return words[:-1].reshape(count, length), kept[:-1].reshape(count, width, view.d)
 
 
+@dataclass(frozen=True, eq=False)
+class Walk:
+    """The result of `_walk`; it unpacks as (words, kept)."""
+
+    words: np.ndarray  # (count, length) int8 digit indices
+    kept: np.ndarray  # (count, length + 1 - keep_from, d), the states z_k for k >= keep_from
+    retired_at: int | None  # the step at which the walk stopped, every row retired; or None
+
+    def __iter__(self):
+        return iter((self.words, self.kept))
+
+
 def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
-          keep_from: int) -> tuple:
+          keep_from: int) -> Walk:
     """The branch walk: `count` independent walks of `length` steps from x.
     Returns the words (count, length) and the states z_k for k >= keep_from,
     shape (count, length + 1 - keep_from, d), with z_0 = x.
@@ -363,8 +463,17 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     the segments the words and states are bit-identical to one segment's.
     A head that does not merge within WINDOW steps, or a QmfError (a NaN
     worst deviation included) in either pass, sends the walk back to one
-    segment, which raises what it raises.  W_B walks stay in one segment: W_B(0) = 1, copies fall
-    into different W-cycles and need not merge at all.
+    segment, which raises what it raises.
+
+    *Retirement.*  A W_B walk is not split: W_B(0) = 1, copies fall into
+    different W-cycles and need not merge at all.  Instead it retires: the
+    one-segment walk stops once every row is locked in a float W-cycle
+    (`_periods`, tested every RETIRE_STRIDE steps), and `_tile` fills each
+    row's later words and states by repeating its period.  A live row's
+    steps, and so its draws, are the same as without retirement, and the
+    words and states are bit-identical to a walk of every step.
+    `retired_at` is the step at which the walk stopped, a multiple of
+    RETIRE_STRIDE, or None when it took all `length` steps.
     """
     rng = np.random.default_rng(seed)
     cutoff = _zero_cutoff(weight, view, x)
@@ -375,7 +484,7 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
         except QmfError:
             split = None
         if split is not None:
-            return split
+            return Walk(*split, retired_at=None)
     z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
     words = np.empty((count, length), dtype=np.int8)
     kept = np.empty((count, length + 1 - keep_from, view.d))
@@ -388,9 +497,12 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
             kept[:, step + 1 - keep_from] = z
 
     block = max(1, UNIFORM_BLOCK // count)
-    _steps(weight, view, cutoff, z, lambda k: rng.random(k * count).reshape(-1, count),
-           record, length, block, split=False)
-    return words, kept
+    retired = _steps(weight, view, cutoff, z, lambda k: rng.random(k * count).reshape(-1, count),
+                     record, length, block, split=False)
+    if retired is None:
+        return Walk(words, kept, retired_at=None)
+    _tile(words, kept, keep_from, *retired)
+    return Walk(words, kept, retired_at=retired[0])
 
 
 def sample_paths(weight: Weight, view: IfsView, x, length: int, count: int,
@@ -406,14 +518,15 @@ def sample_paths(weight: Weight, view: IfsView, x, length: int, count: int,
     if tail_window is None:
         tail_window = min(length, 8)
     tail_window = min(tail_window, length)
-    words, tail = _walk(weight, view, x, length, count, seed, length - tail_window)
+    walk = _walk(weight, view, x, length, count, seed, length - tail_window)
     return PathEnsemble(
         start=np.asarray(x, dtype=float).reshape(view.d),
         length=length,
-        words=words,
+        words=walk.words,
         seed=seed,
-        final_states=tail[:, -1].copy(),
-        tail_states=tail,
+        final_states=walk.kept[:, -1].copy(),
+        tail_states=walk.kept,
+        retired_at=walk.retired_at,
     )
 
 
@@ -479,12 +592,13 @@ def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
         radius = classification_radius(w_cycles, view)
     max_period = max(c.period for c in w_cycles)
     ens = sample_paths(weight, view, x, length, count, seed, tail_window=max_period)
+    window = ens.tail_states.shape[1] - 1  # max_period, or length if that is shorter
     assigned = np.full(count, -1)
     ambiguous = np.zeros(count, dtype=bool)
     for ci, cyc in enumerate(w_cycles):
         p = cyc.period
-        aligned = (length // p) * p
-        offset = aligned - (length - max_period)  # index into tail_states
+        aligned = (length // p) * p  # 0 when p > length: the start x
+        offset = aligned - (length - window)  # index into tail_states
         states = ens.tail_states[:, offset]
         dist = np.min(
             np.linalg.norm(states[:, None, :] - cyc.points_float[None, :, :], axis=2),

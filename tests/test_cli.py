@@ -182,6 +182,17 @@ def test_harmonic_cantor4(capsys):
     assert abs(rep["per_cycle"][0]["closed_form"] - 1.0) < 1e-4
 
 
+def test_harmonic_with_cycles_longer_than_the_paths(capsys):
+    # --p-max 8 finds twindragon cycles of period 8 > --length 4; this exited
+    # 3 with an IndexError
+    code, out = run_cli(capsys, "harmonic", "--example", "twindragon", "--x", "0.2,0.1",
+                        "--paths", "100", "--length", "4", "--p-max", "8")
+    assert code == 0
+    rep = json.loads(out)
+    assert max(row["period"] for row in rep["per_cycle"]) == 8
+    assert rep["total"] + rep["unclassified"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_riesz_command(tmp_path, capsys):
     curve = tmp_path / "curve.csv"
     code, out = run_cli(capsys, "riesz", "--steps", "60000", "--seed", "3",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,25 @@ def test_batch_mean_stderr_iid_scale():
     mean, err = batch_mean_stderr(vals)
     assert abs(mean) < 4 * err
     assert err == pytest.approx(1.0 / np.sqrt(len(vals)), rel=0.4)
+
+
+@pytest.mark.parametrize("n_values,n_batches", [(100, 1), (100, 0), (5, 6), (0, 32)])
+def test_batch_mean_stderr_refuses_fewer_than_two_batches_or_values(n_values, n_batches):
+    with pytest.raises(ValueError, match="at least 2 batches"):
+        batch_mean_stderr(np.ones(n_values), n_batches)
+
+
+def test_fourier_coefficient_of_one_chain_is_refused(cantor4):
+    # one chain is one batch: the stderr was NaN, with a RuntimeWarning
+    chain = run_chain(weight_from_digits(cantor4.B), cantor4.l_view, [0.3], 200, burn_in=10,
+                      n_chains=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least 2 batches"):
+            fourier_coefficient(chain, [0.5])
+    _, stderr = fourier_coefficient(run_chain(weight_from_digits(cantor4.B), cantor4.l_view,
+                                              [0.3], 200, burn_in=10, n_chains=2), [0.5])
+    assert np.isfinite(stderr)
 
 
 def test_riesz_weight_normalization():

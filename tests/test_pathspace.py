@@ -26,6 +26,7 @@ from ifsfourier import (
     weight_from_digits,
 )
 from ifsfourier import pathspace
+from ifsfourier.system import IfsView
 from ifsfourier.measure import _branch_weights, _zero_cutoff
 from ifsfourier.pathspace import QMF_SAMPLING_TOL, UNIFORM_BLOCK, _walk, classification_radius
 from strategies import product_triple
@@ -740,3 +741,141 @@ def test_riesz_chain_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 17.0e6
+
+
+# --- retirement: a W_B walk stops once every row is locked in a float W-cycle
+
+W_B_NAMES = ["cantor4", "lambda15", "lambda63", "twindragon", "planar-shear"]
+
+
+def _spy_periods(monkeypatch):
+    """The (step, periods) of every `_periods` call that found every row retired."""
+    found, periods = [], pathspace._periods
+
+    def spy(ring, k, *args):
+        period = periods(ring, k, *args)
+        if period is not None:
+            found.append((k, period))
+        return period
+
+    monkeypatch.setattr(pathspace, "_periods", spy)
+    return found
+
+
+@pytest.mark.parametrize("stride", [pathspace.RETIRE_STRIDE, 1])
+@pytest.mark.parametrize("count,length,keep_from", [
+    (32, 4500, 501),  # the stationary run_chain shape
+    (6000, 64, 56),  # the harmonic shape: 64 steps, an 8-step tail
+])
+@pytest.mark.parametrize("name", W_B_NAMES)
+def test_retiring_walk_bit_identical_to_per_step_walk(monkeypatch, name, count, length, keep_from,
+                                                      stride):
+    monkeypatch.setattr(pathspace, "RETIRE_STRIDE", stride)
+    found = _spy_periods(monkeypatch)
+    weight, view, x = _walk_case(name)
+    walk = _walk(weight, view, x, length, count, 29, keep_from)
+    ref_words, ref_kept = per_step_walk(weight, view, x, length, count, 29, keep_from)
+    assert np.array_equal(walk.words, ref_words)
+    assert np.array_equal(walk.kept, ref_kept)
+    assert walk.retired_at == (found[0][0] if found else None)
+    if walk.retired_at is not None:
+        assert walk.retired_at % stride == 0 and walk.retired_at < length
+    if stride == pathspace.RETIRE_STRIDE and length <= stride:
+        assert walk.retired_at is None  # a walk of at most one stride takes every step
+    if (name, length) in [("cantor4", 4500), ("lambda15", 4500), ("lambda63", 4500)]:
+        assert walk.retired_at is not None  # every row underflows onto a W-cycle by ~540 steps
+
+
+def test_every_stationary_w_b_chain_retires():
+    # the bench shape of run_chain on cantor4 and twindragon, at bench-like starts
+    for name, x in [("cantor4", [0.3]), ("twindragon", [0.21, -0.3])]:
+        sys_ = get_system(name)
+        weight = weight_from_digits(sys_.B)
+        for seed in range(3):
+            chain = run_chain(weight, sys_.l_view, x, 32 * 4000, burn_in=500, seed=seed)
+            walk = _walk(weight, sys_.l_view, x, 4500, 32, seed, 501)
+            assert chain.retired_at == walk.retired_at is not None
+            assert np.array_equal(chain.states, walk.kept.reshape(-1, sys_.d))
+
+
+@pytest.mark.parametrize("case", ["planar-shear", "riesz3", "riesz3-one-segment"])
+def test_walks_that_never_retire(monkeypatch, case):
+    # planar-shear: some rows reach a float fixed point, never all of them;
+    # riesz3: sup W = 2/3 < 1, so every state has two branches of weight >= 1/6
+    if case == "riesz3-one-segment":
+        monkeypatch.setattr(pathspace, "WIDTH", 1)
+    weight, view, x = _walk_case(case.replace("-one-segment", ""))
+    walk = _walk(weight, view, x, 6000, 32, 3, 5999)
+    assert walk.retired_at is None
+    if case == "planar-shear":
+        ens = sample_paths(weight, view, x, 6000, 32, 3)
+        assert ens.retired_at is None and np.array_equal(ens.words, walk.words)
+    if case == "riesz3":
+        assert riesz_chain(20_000, seed=3).retired_at is None
+
+
+def test_a_repeated_state_with_two_live_branches_does_not_retire():
+    # two equal digits and W = 1/2: every state moves to z/4 whichever branch
+    # is drawn, so the states underflow to 0 and repeat, but the words stay
+    # a coin toss per step
+    view = IfsView("L", np.array([[4.0]]), np.array([[1.0], [1.0]]))
+    half = Weight(lambda x: np.full(len(x), 0.5), "1/2")
+    walk = _walk(half, view, [0.3], 1200, 32, 4, 1100)
+    ref_words, ref_kept = per_step_walk(half, view, [0.3], 1200, 32, 4, 1100)
+    assert walk.retired_at is None
+    assert np.array_equal(walk.words, ref_words)
+    assert np.array_equal(walk.kept, ref_kept)
+    assert np.all(ref_kept == ref_kept[0, -1])  # one float fixed point
+
+
+@pytest.mark.parametrize("stride", [pathspace.RETIRE_STRIDE, 1])
+def test_retirement_on_an_orbit_across_a_uniform_block_boundary(monkeypatch, stride):
+    # from x = 1 every lambda63 walk runs the W-cycle 1 -> 16 -> 4 -> 1, whatever
+    # its uniforms; with 2114 rows a uniform block is 31 steps, so at the
+    # retirement test of step 64 the orbit z_61..z_63 straddles the block that
+    # starts at step 62, and the walk stops two steps into that block
+    monkeypatch.setattr(pathspace, "RETIRE_STRIDE", stride)
+    found = _spy_periods(monkeypatch)
+    sys_ = get_system("lambda63")
+    weight, view, count = weight_from_digits(sys_.B), sys_.l_view, 2114
+    assert UNIFORM_BLOCK // count == 31
+    walk = _walk(weight, view, [1.0], 200, count, 6, 0)
+    ref_words, ref_kept = per_step_walk(weight, view, [1.0], 200, count, 6, 0)
+    assert np.array_equal(walk.words, ref_words)
+    assert np.array_equal(walk.kept, ref_kept)
+    assert walk.retired_at == (3 if stride == 1 else 64)
+    assert np.all(found[0][1] == 3)
+    assert set(ref_kept[:, :, 0].ravel()) == {1.0, 16.0, 4.0}
+
+
+def test_retiring_walk_raises_what_the_walk_of_every_step_raises(monkeypatch):
+    # from cantor4's x = 10^8 + 0.3 the zero cutoff (1.4e-7) cuts true weights
+    # near the attractor, and row sums miss 1 by ~6e-8: the first uniform
+    # block (2048 steps) breaks QMF.  Every row retires at step 576, inside
+    # that block, and the walk raises the block's message and deviation
+    sys_ = get_system("cantor4")
+    weight, view, x = weight_from_digits(sys_.B), sys_.l_view, [1e8 + 0.3]
+    found = _spy_periods(monkeypatch)
+    with pytest.raises(pathspace.QmfError) as retiring:
+        _walk(weight, view, x, 4500, 32, 11, 501)
+    assert found and found[0][0] < UNIFORM_BLOCK // 32
+    monkeypatch.setattr(pathspace, "RETIRE_STRIDE", 10 ** 9)  # no retirement test at all
+    with pytest.raises(pathspace.QmfError) as every_step:
+        _walk(weight, view, x, 4500, 32, 11, 501)
+    assert str(retiring.value) == str(every_step.value)
+    assert retiring.value.deviation == every_step.value.deviation > QMF_SAMPLING_TOL
+
+
+def test_estimate_h_with_cycles_longer_than_the_paths(twindragon):
+    # periods up to 8 on paths of 4 steps: a cycle of period p > length is
+    # read at z_0 = x, the others at the largest multiple of p <= length
+    cycles = find_w_cycles(twindragon, 8)
+    assert max(c.period for c in cycles) == 8
+    weight, view = weight_from_digits(twindragon.B), twindragon.l_view
+    est = estimate_h(weight, view, [0.2, 0.1], cycles, 4, 100, seed=5)
+    assert est.total + est.unclassified == pytest.approx(1.0, abs=1e-12)
+    # from a point of a period-8 cycle every path follows the cycle (W = 1 on
+    # it), so the start is that cycle's, and z_4 is no other cycle's point
+    c8 = next(c for c in cycles if c.period == 8)
+    est = estimate_h(weight, view, c8.points_float[0], cycles, 4, 50, seed=5)
+    assert est.probabilities[cycles.index(c8)] == 1.0

@@ -11,6 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from ifsfourier import (
     power_system,
     weight_from_digits,
 )
+from ifsfourier import pathspace
 from ifsfourier.measure import _branch_weights
 from test_cycles import (
     assert_cycles_match_reference,
@@ -35,7 +37,12 @@ from test_cycles import (
     word_sum,
 )
 from test_measure import assert_batch_matches_complex_reference, assert_scan_matches_loop
-from test_pathspace import assert_zeros_cut, exponential_branch_weights, states_onto_zeros
+from test_pathspace import (
+    assert_zeros_cut,
+    exponential_branch_weights,
+    per_step_walk,
+    states_onto_zeros,
+)
 from test_spectrum import assert_k_points_match_reference
 
 MAX_WORDS = 125  # words per enumeration, to keep exact arithmetic quick
@@ -157,3 +164,23 @@ def test_zeros_of_w_b_are_cut_on_generated_triples(sys_, seed):
     n, m = sys_.N, int(sys_.R[0, 0]) // sys_.N
     z, l = states_onto_zeros(sys_.l_view, [((m,), n, list(range(1, n)))], 2000, seed)
     assert_zeros_cut(weight_from_digits(sys_.B), sys_.l_view, z, l)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(sys_=hadamard_triples_1d(), seed=st.integers(0, 2 ** 16))
+def test_retiring_walk_matches_per_step_walk_on_generated_triples(sys_, seed):
+    # W_B walks on the L-view from a point of the box: words and states as
+    # the walk of every step, with the retirement test at its stride and at
+    # every step.  Each walk here retires (at step 64 to 1088 by the stride:
+    # the states reach a float W-cycle, or underflow to 0 at scale 2)
+    weight, view = weight_from_digits(sys_.B), sys_.l_view
+    lo, hi = view.box()
+    x = np.random.default_rng(seed).uniform(lo, hi)
+    ref_words, ref_kept = per_step_walk(weight, view, x, 1200, 32, seed, 0)
+    for stride in (pathspace.RETIRE_STRIDE, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathspace, "RETIRE_STRIDE", stride)
+            walk = pathspace._walk(weight, view, x, 1200, 32, seed, 0)
+        assert np.array_equal(walk.words, ref_words)
+        assert np.array_equal(walk.kept, ref_kept)
+        assert walk.retired_at is not None
