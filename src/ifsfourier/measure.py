@@ -32,8 +32,9 @@ tau_l z = M^{-1}(z + l) of an affine view, f_j.tau_l z = g_j.z + g_j.l
 with g_j = M^{-t} f_j, so every W(tau_l z) comes from the same P cosines
 and P sines of 2 pi g_j.z: one trig pass per state for all N branches
 (`_branch_pass`, with the per-view factors of
-`IfsView.cosine_factors`); `fn` of `cosine_weight` runs the same pass at
-given points.  QMF, sum_l W_B(tau_l z) = 1 on the L-view of a Hadamard
+`IfsView.cosine_factors`).  A `Weight` is such a polynomial, stored as
+its data (c0, a, f), and calling it runs the same pass at given points.
+QMF, sum_l W_B(tau_l z) = 1 on the L-view of a Hadamard
 triple, is the unitarity of its duality matrix.
 """
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import csv
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +65,6 @@ __all__ = [
 
 # a truncated-product factor below this magnitude is an exact zero of mu_hat
 EXACT_ZERO_CUTOFF = 1e-13
-# a branch weight below this is an exact zero of a weight with no cosine polynomial
-ZERO_BRANCH_CUTOFF = 1e-15
 
 
 def m_eval(digits, x) -> complex | np.ndarray:
@@ -84,36 +83,59 @@ def m_eval(digits, x) -> complex | np.ndarray:
     return complex(vals[0]) if (scalar_in or (xs.ndim == 1 and d > 1)) else vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight:
-    """A nonnegative weight W with an analytic (vectorized) evaluator.
-
-    W is always evaluated analytically, never interpolated: its zeros are
-    geometrically critical and interpolation would smear them.
-
-    `cosines`, when set, is W as a real cosine polynomial (c0, a, f),
+    """A nonnegative weight W as a real cosine polynomial,
 
         W(x) = c0 + sum_j a[j] cos(2 pi f[j].x),
 
-    with a of shape (P,) and f of shape (P, d).  `cosine_weight` builds
-    such a weight, with an `fn` that evaluates the polynomial at points;
-    `weight_from_digits` builds W_B that way.  On an affine view
+    with a of shape (P,) and f of shape (P, d); P = 0 is the constant c0.
+    W is always evaluated analytically, never interpolated: its zeros are
+    geometrically critical and interpolation would smear them.  Called at
+    x (a scalar or flat array when d = 1, a d-vector or (n, d) rows), it
+    runs the cosine pass of `_branch_weights` at x.  On an affine view
     tau_l z = M^{-1}(z + l) the polynomial gives W at all N branch images
     from P cosines and P sines of z alone, without forming the images
-    (`_branch_weights`).  The polynomial takes no part in == or hash.
+    (`_branch_weights`).
+
+    A Weight is a value: a and f are read-only float copies (with no -0.0
+    entries), and == and hash compare c0, a, f and the description.
+    Raises ValueError unless a is 1-d, f is 2-d and len(a) == len(f).
     """
 
-    fn: object
+    c0: float
+    a: np.ndarray
+    f: np.ndarray
     description: str = ""
-    cosines: tuple | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        a, f = (np.array(v, dtype=float) + 0.0 for v in (self.a, self.f))
+        if a.ndim != 1 or f.ndim != 2 or len(a) != len(f):
+            raise ValueError("a cosine polynomial takes a of shape (P,) and f of shape (P, d), "
+                             "got %s and %s" % (a.shape, f.shape))
+        a.flags.writeable = f.flags.writeable = False
+        object.__setattr__(self, "c0", float(self.c0))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "f", f)
+
+    def _key(self) -> tuple:
+        return self.c0, self.a.tobytes(), self.f.shape, self.f.tobytes(), self.description
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Weight) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return Weight, (self.c0, self.a, self.f, self.description)
 
     def __call__(self, x):
-        return self.fn(x)
-
-
-def _weight_at(weight, points: np.ndarray) -> np.ndarray:
-    """W at each row of an (n, d) array; a 1-d weight takes flat coordinates."""
-    return np.asarray(weight(points if points.shape[1] > 1 else points[:, 0]), dtype=float)
+        xs = np.asarray(x, dtype=float)
+        d = self.f.shape[1]
+        w = self.a @ _cosine_terms(self.f, xs.reshape(-1, d))[:len(self.a)]
+        w += self.c0
+        return w[0] if xs.ndim == 0 or (xs.ndim == 1 and d > 1) else w
 
 
 def _cosine_terms(g: np.ndarray, z: np.ndarray, turns: np.ndarray | None = None) -> np.ndarray:
@@ -132,28 +154,19 @@ def _cosine_terms(g: np.ndarray, z: np.ndarray, turns: np.ndarray | None = None)
     return np.cos(turns, out=turns)
 
 
-def _branch_pass(weight, view: IfsView, n: int):
+def _branch_pass(weight: Weight, view: IfsView, n: int):
     """The branch-weight pass for batches of n states: a function of an
     (n, d) array z that writes W(tau_l z) for every digit l and row of z
     into one C-ordered (N, n) buffer and returns it, so each call
-    overwrites the result of the last.  The view's cosine factors and the
-    buffers are fetched once per pass, not once per batch.
-
-    A weight with `cosines` needs z alone: one (N, 2P) x (2P, n) product of
-    the view's coefficients with the cosines and sines of 2 pi g_j.z gives
-    all N weights.  Any other weight is called once on all N n branch
-    images, and its values are copied into the buffer."""
+    overwrites the result of the last.  It needs z alone: one
+    (N, 2P) x (2P, n) product of the view's cosine factors with the
+    cosines and sines of 2 pi g_j.z gives all N weights, without forming
+    the images.  The factors and the buffers are fetched once per pass,
+    not once per batch."""
     out = np.empty((view.n_digits, n))
-    cosines = getattr(weight, "cosines", None)
-    if cosines is None:
-        def weights_at(z):
-            images = view.tau_all(z)
-            out[...] = _weight_at(weight, images.reshape(-1, view.d)).reshape(images.shape[:2])
-            return out
-        return weights_at
-    c0, coeffs, freqs = cosines
-    g, coef = view.cosine_factors(coeffs, freqs)
+    g, coef = view.cosine_factors(weight.a, weight.f)
     turns = np.empty((2 * len(g), n))
+    c0 = weight.c0
 
     def weights_at(z):
         np.matmul(coef, _cosine_terms(g, z, turns), out=out)
@@ -161,38 +174,35 @@ def _branch_pass(weight, view: IfsView, n: int):
     return weights_at
 
 
-def _branch_weights(weight, view: IfsView, z: np.ndarray) -> np.ndarray:
+def _branch_weights(weight: Weight, view: IfsView, z: np.ndarray) -> np.ndarray:
     """W(tau_l z) for every digit l and row z of an (n, d) batch, as a new
     C-ordered (N, n) array: one run of `_branch_pass`."""
     return _branch_pass(weight, view, len(z))(z)
 
 
-def _zero_cutoff(weight, view: IfsView, x) -> float:
+def _zero_cutoff(weight: Weight, view: IfsView, x) -> float:
     """The weight below which a computed W(tau_l z) counts as an exact zero,
     for walks on the view from the point (or points) x.
 
-    For a cosine polynomial it is the rounding bound of the evaluation of
+    It is the rounding bound of the evaluation of
     c0 + sum_j a_j cos(2 pi theta_j), theta_j = g_j.z + g_j.l, g_j = M^{-t} f_j
-    (the phase of `_branch_weights`, and of `fn` at the image).  The states
-    stay within rho = K |x|_inf + S max|l|_inf (`IfsView.orbit_bound`), so
-    |theta_j| <= |g_j|_1 rho + max_l |g_j.l|, and the float phase is off by
-    about eps that many turns, which moves a_j cos by 2 pi |a_j| times as
-    much.  Each cosine, product and sum term adds about eps |a_j|, and c0
-    adds eps c0:
+    (the phase of `_branch_weights`, and of the weight called at the image).
+    The states stay within rho = K |x|_inf + S max|l|_inf
+    (`IfsView.orbit_bound`), so |theta_j| <= |g_j|_1 rho + max_l |g_j.l|,
+    and the float phase is off by about eps that many turns, which moves
+    a_j cos by 2 pi |a_j| times as much.  Each cosine, product and sum term
+    adds about eps |a_j|, and c0 adds eps c0:
 
         cutoff = 4 eps (c0 + sum_j |a_j| (1 + 2 pi (|g_j|_1 rho + max_l |g_j.l|))),
 
     a first-order bound with a factor 4 to spare, still far below any weight
-    a walk could plausibly pick.  Any other weight gets ZERO_BRANCH_CUTOFF."""
-    cosines = getattr(weight, "cosines", None)
-    if cosines is None:
-        return ZERO_BRANCH_CUTOFF
-    c0, coeffs, freqs = cosines
-    g = view.cosine_factors(coeffs, freqs)[0]
+    a walk could plausibly pick; for a constant weight (P = 0) it is 4 eps c0."""
+    g = view.cosine_factors(weight.a, weight.f)[0]
     k, total = view.orbit_bound
     rho = k * float(np.max(np.abs(x))) + total * float(np.max(np.abs(view.digits)))
     turns = np.abs(g).sum(axis=1) * rho + np.abs(g @ view.digits.T).max(axis=1, initial=0.0)
-    return 4.0 * np.finfo(float).eps * (c0 + float(np.abs(coeffs) @ (1.0 + 2.0 * np.pi * turns)))
+    bound = weight.c0 + float(np.abs(weight.a) @ (1.0 + 2.0 * np.pi * turns))
+    return 4.0 * np.finfo(float).eps * bound
 
 
 def _cosine_polynomial(b: np.ndarray) -> tuple:
@@ -205,26 +215,16 @@ def _cosine_polynomial(b: np.ndarray) -> tuple:
     i, j = np.triu_indices(k, 1)
     delta = b[i] - b[j]
     lead = delta[np.arange(len(delta)), np.argmax(delta != 0, axis=1)]
-    delta = np.where(lead[:, None] < 0, -delta, delta) + 0.0  # + 0.0: no -0.0 entries
+    delta = np.where(lead[:, None] < 0, -delta, delta)
     freqs, pairs = np.unique(delta[lead != 0], axis=0, return_counts=True)
     return (k + 2.0 * np.count_nonzero(lead == 0)) / k ** 2, 2.0 * pairs / k ** 2, freqs
 
 
 def cosine_weight(c0: float, a, f, description: str = "") -> Weight:
-    """W(x) = c0 + sum_j a[j] cos(2 pi f[j].x), a of shape (P,), f of shape
-    (P, d).  `fn` runs the cosine pass of `_branch_weights` at x: a scalar
-    or flat array when d = 1, a d-vector or (n, d) rows.  Each call makes a
-    new `fn`, so == is identity."""
-    a, f = np.asarray(a, dtype=float), np.asarray(f, dtype=float)
-    d = f.shape[1]
-
-    def fn(x):
-        xs = np.asarray(x, dtype=float)
-        w = a @ _cosine_terms(f, xs.reshape(-1, d))[:len(a)]
-        w += c0
-        return w[0] if xs.ndim == 0 or (xs.ndim == 1 and d > 1) else w
-
-    return Weight(fn, description, (c0, a, f))
+    """W(x) = c0 + sum_j a[j] cos(2 pi f[j].x) as a `Weight`, a of shape (P,)
+    and f of shape (P, d); a constant is P = 0 terms, f of shape (0, d).
+    Raises ValueError on other shapes."""
+    return Weight(c0, a, f, description)
 
 
 def weight_from_digits(digits, description: str = "") -> Weight:

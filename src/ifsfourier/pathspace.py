@@ -15,9 +15,9 @@ estimator is built on.
 
 Monte Carlo sampling runs the one branch walk of the package (`_walk`,
 also behind the stationary chains of `invariant`), vectorized across
-paths: each step evaluates W at all N branch images at once (for a
-cosine-polynomial weight such as W_B, from the state alone, without
-forming the images), draws the branch and moves to the chosen image
+paths: each step evaluates W at all N branch images at once (from the
+state alone, without forming the images: W is a cosine polynomial, see
+`measure.Weight`), draws the branch and moves to the chosen image
 only.  The branch probabilities W(tau_l z) are exact up to float
 rounding, and weights below the rounding bound of their evaluation
 (`measure._zero_cutoff`, computed once per walk or word) are treated as
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import Cycle
-from .measure import Weight, _branch_pass, _weight_at, _zero_cutoff, mu_hat_batch
+from .measure import Weight, _branch_pass, _zero_cutoff, mu_hat_batch
 from .spectrum import _cycle_k_points
 from .system import AffineSystem, IfsView
 
@@ -102,7 +102,7 @@ def _word_weights(weight: Weight, view: IfsView, x, word, cutoff: float) -> tupl
     with weights below the cutoff (`_zero_cutoff` from x or an earlier
     state of the walk) set to exactly zero."""
     states = _states_of_word(view, x, word)
-    w = _weight_at(weight, states)
+    w = weight(states)
     return states, np.where(w < cutoff, 0.0, w)
 
 
@@ -188,18 +188,15 @@ class PathEnsemble:
 
 def _segment_count(weight: Weight, x, length: int, count: int) -> int:
     """K, the segments each of `count` walks of `length` steps from x is split
-    into: 1 unless the weight is a cosine polynomial with
-    c0 + sum_j |a_j| < 1, the start is finite and the walk is long enough.
+    into: 1 unless c0 + sum_j |a_j| < 1, the start is finite and the walk is
+    long enough.
 
     That bound is sup W < 1 (with room for the rounding of the
     coefficients), so the walk has no W-cycle to be absorbed into and two
     copies driven by the same uniforms merge.  W_B is 1 at 0, so its walks
     stay in one segment."""
-    cosines = getattr(weight, "cosines", None)
-    if cosines is None or not np.all(np.isfinite(x)):
-        return 1
-    c0, coeffs, _ = cosines
-    if not c0 + float(np.abs(coeffs).sum()) < 1.0 - 2 * (len(coeffs) + 1) * np.finfo(float).eps:
+    sup = weight.c0 + float(np.abs(weight.a).sum())
+    if not np.all(np.isfinite(x)) or not sup < 1.0 - 2 * (len(weight.a) + 1) * np.finfo(float).eps:
         return 1
     return max(1, min(WIDTH // count, length // (4 * WINDOW)))
 

@@ -4,8 +4,10 @@
 grid: the weight W is always evaluated analytically (its zeros must not
 be smeared), while f is read off the grid by multilinear interpolation
 at the branch images from `IfsView.tau_all`.  The weights W(tau_i x)
-come from `measure._branch_weights`, the same evaluation that drives the
-branch walk of `pathspace`: R_W is the walk's one-step expectation.
+come from `measure._branch_weights`, which evaluates W's cosine
+polynomial from x without forming the images, the same evaluation that
+drives the branch walk of `pathspace`: R_W is the walk's one-step
+expectation.
 Harmonic functions are approached through Cesaro averages
 (1/n) sum_{k<n} R_W^k f rather than plain powers.
 

@@ -5,8 +5,8 @@ import pytest
 
 from ifsfourier import (
     EXAMPLES,
-    Weight,
     check_qmf,
+    cosine_weight,
     empirical_char,
     mu_hat_detail,
     run_chain,
@@ -29,7 +29,7 @@ def riesz_weight(t):
 
 def test_chain_uniform_weight_samples_mu(cantor4):
     # W = 1/N on the B view: stationary law is mu_B itself
-    w = Weight(lambda x: np.full(np.shape(x) or (1,), 0.5), "1/N")
+    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
     chain = run_chain(w, cantor4.b_view, [0.1], 60_000, burn_in=200, seed=1)
     for t in (0.2, -0.35):
         emp = empirical_char(chain.states, [t])
@@ -41,7 +41,7 @@ def test_chain_uniform_weight_samples_mu(cantor4):
 
 def test_chain_single_map_collapses(cantor4):
     view = IfsView("B", cantor4.R, np.array([[0.0]]))
-    w = Weight(lambda x: np.ones(np.shape(x) or (1,)), "1")
+    w = cosine_weight(1.0, [], np.empty((0, 1)), "1")
     chain = run_chain(w, view, [0.5], 500, burn_in=100, seed=2)
     assert np.max(np.abs(chain.states)) < 1e-12
 
@@ -119,7 +119,7 @@ def test_riesz_chain_matches_reference_loop(burn_in, t0):
 
 
 def test_run_chain_rejects_empty():
-    w = Weight(lambda x: np.full(np.shape(x), 0.5), "1/N")
+    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
     view = IfsView("B", np.array([[4.0]]), np.array([[0.0], [2.0]]))
     with pytest.raises(ValueError):
         run_chain(w, view, [0.1], 0)
@@ -226,16 +226,28 @@ def test_concentration_curve_shape():
     assert np.all(np.diff(curve[:, 1]) >= -1e-12)
 
 
-def test_riesz_weight_is_a_cosine_polynomial():
+def test_riesz_weight_is_a_cosine_polynomial(monkeypatch):
     # (2/3) cos^2(2 pi x) = 1/3 + (1/3) cos(4 pi x): the chain runs the W_B kernel
+    from ifsfourier import pathspace
     from ifsfourier.measure import _branch_weights
+    from test_measure import at_images
+    from test_pathspace import patch_branch_pass
 
     riesz = EXAMPLES["riesz3"]
     x = np.random.default_rng(35).uniform(-2.0, 2.0, size=(3000, 1))
     fast = _branch_weights(riesz.weight, riesz.view, x)
-    generic = Weight(lambda x: riesz_weight(2.0 * np.pi * x), "(2/3) cos^2(2 pi x)")
-    assert np.max(np.abs(fast - _branch_weights(generic, riesz.view, x))) < 1e-15
+
+    def generic(x):
+        return riesz_weight(2.0 * np.pi * x[:, 0])
+    assert np.max(np.abs(fast - at_images(generic, riesz.view, x))) < 1e-15
     assert np.max(np.abs(fast.sum(axis=0) - 1.0)) < 1e-15
+    # the split chain against one segment that reads W at the branch images
     chain = run_chain(riesz.weight, riesz.view, [0.2], 32 * 300, burn_in=20, seed=4)
-    ref = run_chain(generic, riesz.view, [0.2], 32 * 300, burn_in=20, seed=4)
+
+    def at_the_images(w, z, view):
+        w[...] = at_images(generic, view, z)
+        return w
+    monkeypatch.setattr(pathspace, "_segment_count", lambda *args: 1)
+    patch_branch_pass(monkeypatch, at_the_images)
+    ref = run_chain(riesz.weight, riesz.view, [0.2], 32 * 300, burn_in=20, seed=4)
     assert np.array_equal(chain.states, ref.states)

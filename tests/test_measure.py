@@ -1,5 +1,5 @@
+import pickle
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +8,9 @@ import pytest
 from ifsfourier import (
     EXAMPLES,
     AffineSystem,
-    Weight,
     chaos_game,
     check_qmf,
+    cosine_weight,
     empirical_char,
     get_system,
     m_eval,
@@ -417,15 +417,20 @@ def test_chaos_game_scan_short_streams(name):
 
 
 def _generic(digits):
-    """W_B = |m_B|^2 / N from the exponential sum `m_eval`, with no cosine
-    polynomial: `_branch_weights` calls it on all N branch images."""
+    """W_B = |m_B|^2 / N from the exponential sum `m_eval`, at (n, d) rows or
+    flat d = 1 coordinates: no cosine polynomial."""
     b = np.atleast_2d(np.asarray(digits, dtype=float))
-    return Weight(lambda x: np.abs(m_eval(b, x)) ** 2 / len(b), "|m_B|^2/N")
+    return lambda x: np.abs(m_eval(b, x)) ** 2 / len(b)
+
+
+def at_images(fn, view, z):
+    """fn at all N branch images of the rows of z, as an (N, n) array."""
+    return fn(view.tau_all(z).reshape(-1, view.d)).reshape(view.n_digits, len(z))
 
 
 def _kernel_deviation(digits, view, z):
     fast = _branch_weights(weight_from_digits(digits), view, z)
-    ref = _branch_weights(_generic(digits), view, z)
+    ref = at_images(_generic(digits), view, z)
     assert fast.shape == ref.shape == (view.n_digits, len(z))
     assert fast.flags.c_contiguous
     return float(np.max(np.abs(fast - ref)))
@@ -460,43 +465,80 @@ def test_factored_kernel_qmf(name):
 @pytest.mark.parametrize("name,x", [("cantor4", [0.3]), ("lambda15", [0.21]),
                                     ("twindragon", [0.1, -0.2]),
                                     ("planar-shear", [0.15, 0.05])])
-def test_walk_same_under_factored_and_generic_kernel(name, x):
+def test_walk_same_under_factored_and_generic_kernel(monkeypatch, name, x):
+    from test_pathspace import patch_branch_pass  # not at the top: a circular import
+
     sys_ = get_system(name)
-    fast = weight_from_digits(sys_.B)
-    a = sample_paths(fast, sys_.l_view, x, 32, 2000, seed=23)
-    b = sample_paths(_generic(sys_.B), sys_.l_view, x, 32, 2000, seed=23)
+    weight = weight_from_digits(sys_.B)
+    a = sample_paths(weight, sys_.l_view, x, 32, 2000, seed=23)
+    c = run_chain(weight, sys_.l_view, x, 4000, burn_in=50, seed=24, n_chains=32)
+    generic = _generic(sys_.B)
+
+    def at_the_images(w, z, view):
+        w[...] = at_images(generic, view, z)
+        return w
+    patch_branch_pass(monkeypatch, at_the_images)
+    b = sample_paths(weight, sys_.l_view, x, 32, 2000, seed=23)
     assert np.array_equal(a.words, b.words)
     assert np.array_equal(a.tail_states, b.tail_states)
-    a = run_chain(fast, sys_.l_view, x, 4000, burn_in=50, seed=24, n_chains=32)
-    b = run_chain(_generic(sys_.B), sys_.l_view, x, 4000, burn_in=50, seed=24, n_chains=32)
-    assert np.array_equal(a.states, b.states)
+    d = run_chain(weight, sys_.l_view, x, 4000, burn_in=50, seed=24, n_chains=32)
+    assert np.array_equal(c.states, d.states)
 
 
 def test_weight_with_digits_hashable_and_comparable(cantor4):
-    a = weight_from_digits(cantor4.B)
-    b = weight_from_digits(cantor4.B)
-    assert len({a, b, a}) == 2
-    assert a == a and a != b  # distinct evaluators; the polynomial takes no part
-    assert hash(replace(a, cosines=None)) == hash(a) and replace(a, cosines=None) == a
+    # a Weight is a value: c0, a, f and the description decide == and hash,
+    # and == compares the arrays without raising
+    digits = [[0], [1], [2], [3]]  # three cosine terms
+    a, b = weight_from_digits(digits), weight_from_digits(digits)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b, a}) == 1
+    assert a != weight_from_digits(digits, "W") and a != weight_from_digits(cantor4.B)
+    assert a != "|m_B|^2/N"
+    assert cosine_weight(0.5, [], np.empty((0, 1))) != cosine_weight(0.5, [], np.empty((0, 2)))
+    minus, plus = cosine_weight(0.5, [-0.0], [[1.0]]), cosine_weight(0.5, [0.0], [[1.0]])
+    assert minus == plus and hash(minus) == hash(plus)
+    with pytest.raises(ValueError, match="read-only"):
+        a.a[0] = 1.0
+    for weight in (a, weight_from_digits(cantor4.B), EXAMPLES["riesz3"].weight):
+        again = pickle.loads(pickle.dumps(weight))
+        assert again == weight and hash(again) == hash(weight)
+        assert not again.a.flags.writeable and again(0.3) == weight(0.3)
+
+
+def test_cosine_weight_refuses_malformed_polynomials():
+    # one coefficient and two frequencies: called at a point and in the
+    # branch pass, such a weight would give two different values
+    for a, f in [([0.25], [[1.0], [3.0]]), ([[0.25]], [[1.0]]), ([0.25], [1.0]), ([], [])]:
+        with pytest.raises(ValueError, match="a of shape"):
+            cosine_weight(0.25, a, f)
+    # no terms: the constant c0, with f of shape (0, d)
+    view = get_system("cantor4").l_view
+    half = cosine_weight(0.5, [], np.empty((0, 1)), "1/2")
+    assert half(0.1) == 0.5 and half([0.1, 0.2]).tolist() == [0.5, 0.5]
+    assert np.all(_branch_weights(half, view, np.array([[0.1], [7.0]])) == 0.5)
+
+
+def _polynomial(digits):
+    weight = weight_from_digits(digits)
+    return weight.c0, weight.a, weight.f
 
 
 def test_cosine_polynomial_of_digit_sets():
     # cantor4: |1 + e(2x)|^2 / 4 = 1/2 + (1/2) cos(2 pi 2x)
-    c0, a, f = weight_from_digits([[0], [2]]).cosines
+    c0, a, f = _polynomial([[0], [2]])
     assert c0 == 0.5 and a.tolist() == [0.5] and f.tolist() == [[2.0]]
     # {0, 1, 2, 3}: differences 1, 2, 3 from 3, 2, 1 unordered pairs
-    c0, a, f = weight_from_digits([[0], [1], [2], [3]]).cosines
+    c0, a, f = _polynomial([[0], [1], [2], [3]])
     assert c0 == 0.25 and f.tolist() == [[1.0], [2.0], [3.0]]
     assert a.tolist() == [6 / 16, 4 / 16, 2 / 16]
     # +-delta share one frequency, whatever the order of the digits
-    c0, a, f = weight_from_digits([[1, 0], [0, 0], [0, 1], [1, -1]]).cosines
+    c0, a, f = _polynomial([[1, 0], [0, 0], [0, 1], [1, -1]])
     assert f.tolist() == [[0.0, 1.0], [1.0, -2.0], [1.0, -1.0], [1.0, 0.0]]
     assert c0 == 0.25 and a.tolist() == [4 / 16, 2 / 16, 4 / 16, 2 / 16]
     # a repeated digit is a pair with difference 0: it adds to the constant
-    c0, a, f = weight_from_digits([[0], [0], [1]]).cosines
+    c0, a, f = _polynomial([[0], [0], [1]])
     assert c0 == 5 / 9 and a.tolist() == [4 / 9] and f.tolist() == [[1.0]]
     # one digit: W = 1 and no cosines
-    c0, a, f = weight_from_digits([[3, 4]]).cosines
+    c0, a, f = _polynomial([[3, 4]])
     assert c0 == 1.0 and a.shape == (0,) and f.shape == (0, 2)
 
 
@@ -508,7 +550,7 @@ def test_cosine_polynomial_matches_generic_weight(digits):
     view = IfsView("B", 3.0 * np.eye(d), np.zeros((2, d)) + np.arange(2.0)[:, None])
     z = np.random.default_rng(33).uniform(-2.0, 2.0, size=(500, d))
     assert _kernel_deviation(digits, view, z) < 1e-13
-    # `fn`, the same cosine pass at the points themselves
+    # the weight called at the points themselves: the same cosine pass
     pts = z if d > 1 else z[:, 0]
     assert np.max(np.abs(weight_from_digits(digits)(pts) - _generic(digits)(pts))) < 1e-13
 

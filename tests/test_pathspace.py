@@ -9,7 +9,6 @@ import pytest
 from ifsfourier import (
     EXAMPLES,
     AffineSystem,
-    Weight,
     cosine_weight,
     cylinder_weight,
     estimate_h,
@@ -25,9 +24,9 @@ from ifsfourier import (
     sample_paths,
     weight_from_digits,
 )
-from ifsfourier import pathspace
+from ifsfourier import measure, pathspace
 from ifsfourier.system import IfsView
-from ifsfourier.measure import _branch_weights, _zero_cutoff
+from ifsfourier.measure import _branch_pass, _branch_weights, _zero_cutoff
 from ifsfourier.pathspace import QMF_SAMPLING_TOL, UNIFORM_BLOCK, _walk, classification_radius
 from strategies import product_triple
 from test_spectrum import k_points_reference
@@ -96,9 +95,7 @@ def test_sample_paths_zero_start_locks(cantor4, cantor4_weight):
 
 
 def test_sample_paths_uniform_weight_is_bernoulli(cantor4):
-    from ifsfourier import Weight
-
-    w = Weight(lambda x: np.full(np.shape(x) or (1,), 0.5), "1/N")
+    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
     ens = sample_paths(w, cantor4.l_view, [0.1], 4, 20_000, seed=8)
     # chi-square over the 16 length-4 cylinders
     counts = np.zeros(16)
@@ -439,6 +436,18 @@ def per_step_walk(weight, view, x, length, count, seed, keep_from):
     return words, kept
 
 
+def patch_branch_pass(monkeypatch, alter):
+    """Make every branch pass, that of `_walk` and, through
+    `measure._branch_weights`, that of `per_step_walk`, return
+    alter(w, z, view) for its weights w at the states z: a test's way to
+    give a walk weights that no cosine polynomial has."""
+    def patched(weight, view, n):
+        weights_at = _branch_pass(weight, view, n)
+        return lambda z: alter(weights_at(z), z, view)
+    monkeypatch.setattr(pathspace, "_branch_pass", patched)
+    monkeypatch.setattr(measure, "_branch_pass", patched)
+
+
 def _walk_case(name):
     """(weight, view, start) of a registry entry: W_B on the L-view, or the
     riesz3 (view, weight)."""
@@ -463,24 +472,20 @@ def test_walk_bit_identical_to_per_step_walk(name, count, length, keep_from):
     assert np.array_equal(kept, ref_kept)
 
 
-class StepWeight:
-    """A weight without a cosine polynomial that gives every branch 1/N at
-    first and, from each step in `changes` on, that step's value;
-    `_branch_weights` calls a weight without cosines once per walk step."""
+def _qmf_outcome(monkeypatch, walk, changes, count, length):
+    """The message of the ValueError a walk of W = 1/2 on cantor4 raises
+    when, from each call of its branch pass in `changes` on (one call per
+    walk step), every branch weight is that call's value; or None."""
+    values, calls = [0.5], itertools.count()
 
-    def __init__(self, n_digits, changes):
-        self.value, self.changes, self.calls = 1.0 / n_digits, changes, 0
-
-    def __call__(self, x):
-        self.value = self.changes.get(self.calls, self.value)
-        self.calls += 1
-        return np.full(len(x), self.value)
-
-
-def _qmf_outcome(walk, weight_of, view, count, length):
-    """The message of the ValueError a walk raises, or None."""
+    def step_weights(w, z, view):
+        values[0] = changes.get(next(calls), values[0])
+        w.fill(values[0])
+        return w
+    patch_branch_pass(monkeypatch, step_weights)
+    half = cosine_weight(0.5, [], np.empty((0, 1)), "1/2")
     try:
-        walk(weight_of(), view, [0.3], length, count, 7, length)
+        walk(half, get_system("cantor4").l_view, [0.3], length, count, 7, length)
     except ValueError as exc:
         return str(exc)
     return None
@@ -500,23 +505,21 @@ def _qmf_outcome(walk, weight_of, view, count, length):
     [np.nan],  # NaN weights: they never raised
     [0.5 * (1.0 + 1e-6), np.nan],  # a break, then NaN row sums that must not hide it
 ])
-def test_block_qmf_check_raises_on_exactly_the_per_step_inputs(count, length, start, after):
-    view = get_system("cantor4").l_view
-
-    def weight():
-        return StepWeight(2, {start + i: value for i, value in enumerate(after)})
-
+def test_block_qmf_check_raises_on_exactly_the_per_step_inputs(monkeypatch, count, length,
+                                                              start, after):
+    monkeypatch.setattr(pathspace, "_segment_count", lambda *args: 1)  # one pass call a step
+    changes = {start + i: value for i, value in enumerate(after)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the steps after a break leak no RuntimeWarning
-        got = _qmf_outcome(_walk, weight, view, count, length)
-        ref = _qmf_outcome(per_step_walk, weight, view, count, min(length, start + 1))
+        got = _qmf_outcome(monkeypatch, _walk, changes, count, length)
+        ref = _qmf_outcome(monkeypatch, per_step_walk, changes, count, min(length, start + 1))
     assert (got is None) == (ref is None)
     if ref is not None:
         assert got == ref  # the rows after the break deviate no more than it
 
 
 @pytest.mark.parametrize("count,length", [(32, 3000), (3000, 40)])
-def test_block_qmf_check_after_a_break_at_a_state_reached_mid_block(count, length):
+def test_block_qmf_check_after_a_break_at_a_state_reached_mid_block(monkeypatch, count, length):
     # the Riesz weight (its walk never locks into a cycle) scaled by 1 + 1e-6
     # on a short interval around a branch image the walk reaches mid-block,
     # and not before
@@ -529,15 +532,17 @@ def test_block_qmf_check_after_a_break_at_a_state_reached_mid_block(count, lengt
     hit = np.any((lo < images) & (images < hi), axis=(0, 2))
     assert int(np.argmax(hit)) == block // 2
 
-    def scaled(x):
-        w = w_b(x)
-        return np.where((lo < x) & (x < hi), w * (1.0 + 1e-6), w)
+    def scaled(w, z, view):
+        x = view.tau_all(z)[..., 0]
+        w[(lo < x) & (x < hi)] *= 1.0 + 1e-6
+        return w
 
-    bad = Weight(scaled, "W scaled near one image")
+    monkeypatch.setattr(pathspace, "_segment_count", lambda *args: 1)  # the one-segment walk
+    patch_branch_pass(monkeypatch, scaled)
     with pytest.raises(ValueError, match="only up to") as got:
-        _walk(bad, view, [0.3], length, count, 9, 0)
+        _walk(w_b, view, [0.3], length, count, 9, 0)
     with pytest.raises(ValueError, match="only up to") as ref:
-        per_step_walk(bad, view, [0.3], length, count, 9, 0)
+        per_step_walk(w_b, view, [0.3], length, count, 9, 0)
     # the block's worst deviation, at least that of the first step that broke
     worst = float(str(got.value).split("only up to ")[1].split(";")[0])
     first_worst = float(str(ref.value).split("only up to ")[1].split(";")[0])
@@ -699,8 +704,8 @@ def test_split_walk_falls_back_when_a_head_does_not_merge(monkeypatch):
 def test_split_walk_raises_what_one_segment_raises(monkeypatch):
     # the Riesz weight scaled by 1 + 1e-6: sup W < 1 still, so the walk splits,
     # and every row sum breaks QMF
-    c0, a, f = EXAMPLES["riesz3"].weight.cosines
-    bad = cosine_weight(c0 * (1 + 1e-6), a * (1 + 1e-6), f)
+    riesz = EXAMPLES["riesz3"].weight
+    bad = cosine_weight(riesz.c0 * (1 + 1e-6), riesz.a * (1 + 1e-6), riesz.f)
     view = EXAMPLES["riesz3"].view
     assert pathspace._segment_count(bad, [0.1], 6000, 32) > 1
     with pytest.raises(pathspace.QmfError) as split:
@@ -814,12 +819,14 @@ def test_walks_that_never_retire(monkeypatch, case):
         assert riesz_chain(20_000, seed=3).retired_at is None
 
 
-def test_a_repeated_state_with_two_live_branches_does_not_retire():
+def test_a_repeated_state_with_two_live_branches_does_not_retire(monkeypatch):
     # two equal digits and W = 1/2: every state moves to z/4 whichever branch
     # is drawn, so the states underflow to 0 and repeat, but the words stay
-    # a coin toss per step
+    # a coin toss per step.  sup W < 1 would split the walk, which never
+    # retires; one segment is the walk that tests for retirement
+    monkeypatch.setattr(pathspace, "_segment_count", lambda *args: 1)
     view = IfsView("L", np.array([[4.0]]), np.array([[1.0], [1.0]]))
-    half = Weight(lambda x: np.full(len(x), 0.5), "1/2")
+    half = cosine_weight(0.5, [], np.empty((0, 1)), "1/2")
     walk = _walk(half, view, [0.3], 1200, 32, 4, 1100)
     ref_words, ref_kept = per_step_walk(half, view, [0.3], 1200, 32, 4, 1100)
     assert walk.retired_at is None

@@ -7,7 +7,6 @@ the duality matrix is the N-point DFT matrix and the triple is Hadamard.
 
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +35,11 @@ from test_cycles import (
     assert_w_verdicts_match_fraction_reference,
     word_sum,
 )
-from test_measure import assert_batch_matches_complex_reference, assert_scan_matches_loop
+from test_measure import (
+    assert_batch_matches_complex_reference,
+    assert_scan_matches_loop,
+    at_images,
+)
 from test_pathspace import (
     assert_zeros_cut,
     exponential_branch_weights,
@@ -63,14 +66,14 @@ def hadamard_triples_1d(draw, n_digits=st.integers(2, 5)):
 @given(sys_=hadamard_triples_1d(), seed=st.integers(0, 2 ** 16))
 def test_factored_kernel_and_qmf_on_generated_triples(sys_, seed):
     # W_B on the L-view and, by the symmetry of the duality, W_L on the
-    # B-view: the cosine kernel against `fn` and against the complex
-    # exponential kernel it replaced, then QMF
+    # B-view: the cosine kernel against the weight called at the branch
+    # images and against the complex exponential kernel it replaced, then QMF
     for view, digits in ((sys_.l_view, sys_.B), (sys_.b_view, sys_.L)):
         weight = weight_from_digits(digits)
         lo, hi = view.box()
         z = np.random.default_rng(seed).uniform(lo, hi, size=(200, 1))
         fast = _branch_weights(weight, view, z)
-        ref = _branch_weights(replace(weight, cosines=None), view, z)
+        ref = at_images(weight, view, z)
         assert fast.shape == (sys_.N, 200) and fast.flags.c_contiguous
         assert np.max(np.abs(fast - ref)) < 1e-12
         assert np.max(np.abs(fast - exponential_branch_weights(digits, view, z)[1])) < 1e-12

@@ -8,9 +8,9 @@ from ifsfourier import (
     DomainError,
     GridFunction,
     IfsView,
-    Weight,
     cesaro,
     check_qmf,
+    cosine_weight,
     get_system,
     harmonic_defect,
     ruelle_apply,
@@ -38,7 +38,7 @@ def test_ruelle_preserves_one(cantor4, cantor4_weight, grid1d):
 def test_ruelle_uniform_weight_is_branch_mean(cantor4, grid1d):
     lo, hi = grid1d
     view = cantor4.l_view
-    w = Weight(lambda x: np.full(np.shape(x) or (1,), 0.5), "1/N")
+    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
     f = GridFunction.sample(lambda p: np.sin(p[:, 0]), lo, hi, RES)
     out = ruelle_apply(w, view, f)
     nodes = f.nodes()[:, 0]
@@ -122,7 +122,7 @@ def test_eval_at_non_finite_point_is_a_domain_error(bad):
 
 def test_non_finite_branch_images_are_a_domain_error():
     view = IfsView("L", np.array([[2.0]]), np.array([[0.0], [np.nan]]))
-    w = Weight(lambda x: np.full(np.shape(x) or (1,), 0.5), "1/N")
+    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
     f = GridFunction.constant(1.0, [-0.1], [1.1], 16)
     with pytest.raises(DomainError, match="non-finite"):
         ruelle_apply(w, view, f)
@@ -136,7 +136,7 @@ def test_qmf_registry_systems():
 
 
 def test_qmf_uniform_weight_exact(cantor4):
-    w = Weight(lambda x: np.full(np.shape(x) or (1,), 0.5), "1/N")
+    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
     assert check_qmf(w, cantor4.l_view, n_probe=500, seed=1) == 0.0
 
 
