@@ -7,8 +7,8 @@ transform of mu_B satisfies the refinement identity
     mu_hat(t) = m_B(S^{-1} t) / sqrt(N) * mu_hat(S^{-1} t)
 
 and is evaluated here as the truncated product over k of
-m_B(S^{-k} t) / sqrt(N), with the truncation depth chosen from a
-geometric tail bound, by `_truncated_products`, the one loop over product
+m_B(S^{-k} t) / sqrt(N), to a depth from the power norms of S^{-1}
+(`_tail_depth`), by `_truncated_products`, the one loop over product
 levels.  Orthogonality of Fourier frequencies always comes from one factor
 vanishing exactly, so rational rows carry S^{-k} t as integer numerators,
 and `ratlinalg._exp_2pi_i` reduces each phase mod 1 exactly before the
@@ -65,22 +65,31 @@ __all__ = [
 
 # a truncated-product factor below this magnitude is an exact zero of mu_hat
 EXACT_ZERO_CUTOFF = 1e-13
+MAX_FACTORS = 10_000  # the most factors a truncated product of mu_hat may take
+
+
+def _as_rows(x, d: int, caller: str) -> tuple:
+    """(rows, one): the points x as (n, d) float rows, and whether x is one
+    point.  A flat array is a d-vector when d > 1, one point per entry when
+    d = 1; any other shape raises ValueError."""
+    xs = np.asarray(x, dtype=float)
+    rows = xs.reshape(-1, 1) if d == 1 and xs.ndim <= 1 else np.atleast_2d(xs)
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise ValueError("%s takes rows of d = %d coordinates, got shape %s"
+                         % (caller, d, xs.shape))
+    return rows, xs.ndim == 0 or (xs.ndim == 1 and d > 1)
 
 
 def m_eval(digits, x) -> complex | np.ndarray:
     """Exponential sum N^{-1/2} sum_b exp(2 pi i b.x); |m_eval| <= sqrt(N).
 
-    Vectorized over a trailing batch of points: x may be a scalar (d=1),
-    a d-vector, or an (n, d) array.
+    Vectorized over a batch of points: x may be a scalar or a flat array
+    (d = 1), a d-vector, or an (n, d) array (see `_as_rows`).
     """
     b = np.atleast_2d(np.asarray(digits, dtype=float))
-    n, d = b.shape
-    xs = np.asarray(x, dtype=float)
-    scalar_in = xs.ndim == 0 and d == 1
-    pts = xs.reshape(-1, d) if xs.ndim <= 1 else xs
-    phases = pts @ b.T
-    vals = np.exp(2j * np.pi * phases).sum(axis=1) / np.sqrt(n)
-    return complex(vals[0]) if (scalar_in or (xs.ndim == 1 and d > 1)) else vals
+    pts, one = _as_rows(x, b.shape[1], "m_eval")
+    vals = np.exp(2j * np.pi * (pts @ b.T)).sum(axis=1) / np.sqrt(len(b))
+    return complex(vals[0]) if one else vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +101,10 @@ class Weight:
     with a of shape (P,) and f of shape (P, d); P = 0 is the constant c0.
     W is always evaluated analytically, never interpolated: its zeros are
     geometrically critical and interpolation would smear them.  Called at
-    x (a scalar or flat array when d = 1, a d-vector or (n, d) rows), it
-    runs the cosine pass of `_branch_weights` at x.  On an affine view
-    tau_l z = M^{-1}(z + l) the polynomial gives W at all N branch images
-    from P cosines and P sines of z alone, without forming the images
-    (`_branch_weights`).
+    points x (as `_as_rows` reads them), it runs the cosine pass of
+    `_branch_weights` at x.  On an affine view tau_l z = M^{-1}(z + l) the
+    polynomial gives W at all N branch images from P cosines and P sines
+    of z alone, without forming the images (`_branch_weights`).
 
     A Weight is a value: a and f are read-only float copies (with no -0.0
     entries), and == and hash compare c0, a, f and the description.
@@ -131,11 +139,10 @@ class Weight:
         return Weight, (self.c0, self.a, self.f, self.description)
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        d = self.f.shape[1]
-        w = self.a @ _cosine_terms(self.f, xs.reshape(-1, d))[:len(self.a)]
+        pts, one = _as_rows(x, self.f.shape[1], "a Weight")
+        w = self.a @ _cosine_terms(self.f, pts)[:len(self.a)]
         w += self.c0
-        return w[0] if xs.ndim == 0 or (xs.ndim == 1 and d > 1) else w
+        return w[0] if one else w
 
 
 def _cosine_terms(g: np.ndarray, z: np.ndarray, turns: np.ndarray | None = None) -> np.ndarray:
@@ -187,18 +194,20 @@ def _zero_cutoff(weight: Weight, view: IfsView, x) -> float:
     It is the rounding bound of the evaluation of
     c0 + sum_j a_j cos(2 pi theta_j), theta_j = g_j.z + g_j.l, g_j = M^{-t} f_j
     (the phase of `_branch_weights`, and of the weight called at the image).
-    The states stay within rho = K |x|_inf + S max|l|_inf
-    (`IfsView.orbit_bound`), so |theta_j| <= |g_j|_1 rho + max_l |g_j.l|,
-    and the float phase is off by about eps that many turns, which moves
-    a_j cos by 2 pi |a_j| times as much.  Each cosine, product and sum term
-    adds about eps |a_j|, and c0 adds eps c0:
+    The states stay within rho = K |x|_inf + S max|l|_inf, K the sup over
+    k >= 0 and S the sum over k >= 1 of |M^{-k}|_inf (`IfsView.power_norms`,
+    `power_tail`), so |theta_j| <= |g_j|_1 rho + max_l |g_j.l|, and the
+    float phase is off by about eps that many turns, which moves a_j cos by
+    2 pi |a_j| times as much.  Each cosine, product and sum term adds about
+    eps |a_j|, and c0 adds eps c0:
 
         cutoff = 4 eps (c0 + sum_j |a_j| (1 + 2 pi (|g_j|_1 rho + max_l |g_j.l|))),
 
     a first-order bound with a factor 4 to spare, still far below any weight
     a walk could plausibly pick; for a constant weight (P = 0) it is 4 eps c0."""
     g = view.cosine_factors(weight.a, weight.f)[0]
-    k, total = view.orbit_bound
+    norms = view.power_norms(np.inf)
+    k, total = max(1.0, float(norms.max())), float(norms.sum()) + view.power_tail(np.inf)
     rho = k * float(np.max(np.abs(x))) + total * float(np.max(np.abs(view.digits)))
     turns = np.abs(g).sum(axis=1) * rho + np.abs(g @ view.digits.T).max(axis=1, initial=0.0)
     bound = weight.c0 + float(np.abs(weight.a) @ (1.0 + 2.0 * np.pi * turns))
@@ -249,13 +258,13 @@ def chaos_game(view: IfsView, n_samples: int, seed: int, x0=None, n_streams: int
     row k holds sum_{j<K} A^j s_{k-j}, plus A^k x0 if k < K.  The scan
     stops once K reaches the stream length or ||A^K||_2 <= eps/4.  What
     it then drops from row k >= K is A^K x_{k-K}, with x_{k-K} an exact
-    orbit point, which lies in the ball of radius max(R, |x0|) (R =
-    `view.bounding_radius()`).  So truncation moves each point by at most
-    (eps/4) max(R, |x0|), on top of the rounding of the additions.  For a
-    2-norm contraction c < 1 there are at most
-    ceil(log2(log(eps/4) / log c)) + 1 passes: 6 for c = 1/4, 8 for
-    c = 1/sqrt(2).  The points agree with step-by-step iteration to a few
-    ulps of max(R, |x0|), not bit for bit.
+    orbit point, within R + P |x0| of 0 (R = `view.bounding_radius()`, P
+    the largest ||A^k||_2).  So truncation moves each point by at most
+    (eps/4) (R + P |x0|), on top of the rounding of the additions.  There
+    are log2 K passes, K the first power of two with ||A^K||_2 <= eps/4
+    (`IfsView.power_norms(2)`), even where no step contracts: 5 on cantor4,
+    6 on planar-shear, 7 on twindragon.  The points agree with step-by-step
+    iteration to a few ulps of R + P |x0|, not bit for bit.
     """
     if n_samples < 1 or n_streams < 1:
         raise ValueError("n_samples and n_streams must be >= 1")
@@ -293,27 +302,32 @@ class MuHatResult:
 
 
 def _tail_depth(sys: AffineSystem, t_norms, tail_tol: float | None) -> np.ndarray:
-    """Per norm |t|, the smallest K with sum_{k>K} 2 pi max|b| |S^{-k} t| <
-    tail_tol, using the geometric bound |S^{-k} t| <= c^k |t|; 0 for t = 0.
-    Raises OverflowError when some 2 pi max|b| |t| is not finite (an
-    infinite norm included): no float depth bounds that tail."""
+    """Per norm |t|, the smallest K >= 1 with 2 pi max|b| |t| T_K < tail_tol
+    (0 for t = 0).  T_K bounds sum_{k>K} |S^{-k}|_2: below h it sums the
+    `IfsView.power_norms` past K, from h on it is q = |S^{-h}|_2 times T_{K-h}.
+    Raises OverflowError when 2 pi max|b| |t| is not finite, when a depth
+    exceeds MAX_FACTORS (naming it) or when `IfsView.power_tail` does."""
     tail_tol = sys.tail_tol if tail_tol is None else _positive_tolerance(tail_tol, "tail_tol")
-    c = sys.l_view.contraction_factor
-    if c >= 1.0:
-        raise ValueError("S^{-1} is not a 2-norm contraction; cannot bound the tail")
+    norms = sys.l_view.power_norms(2)
+    h, q = len(norms), float(norms[-1])
+    tails = norms[::-1].cumsum()[::-1] + sys.l_view.power_tail(2)  # T_K, K = 0..h-1
     max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
     with np.errstate(over="ignore", invalid="ignore"):
         x = 2.0 * np.pi * max_b * np.asarray(t_norms, dtype=float)
     if not np.all(np.isfinite(x)):
         raise OverflowError("the tail bound 2 pi max|b| |t| of mu_hat overflows the float "
                             "range (max|b| = %g)" % max_b)
-    x_max, powers = float(x.max(initial=0.0)), [c ** 2]  # c^(k+1), k = 1, 2, ...
-    while x_max * powers[-1] / (1.0 - c) >= tail_tol:  # until the bound fails at x_max
-        if len(powers) >= 10_000:
-            raise RuntimeError("tail bound did not converge")
-        powers.append(c ** (len(powers) + 2))
-    # the bound falls with k, so a row's depth is 1 + the number of k it holds at
-    return (x[..., None] * np.array(powers) / (1.0 - c) >= tail_tol).sum(axis=-1) + (x > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the first block j whose last bound x q^j T_{h-1} holds: from logs, made exact
+        j = np.maximum(np.ceil(np.log(tail_tol / (x * tails[-1])) / np.log(q)), 0.0)
+        j += x * q ** j * tails[-1] >= tail_tol
+        j -= (j > 0) & (x * q ** (j - 1) * tails[-1] < tail_tol)
+        depth = np.maximum(h * j + ((x * q ** j)[..., None] * tails >= tail_tol).sum(axis=-1), 1)
+    depth = np.where(x > 0.0, depth, 0)
+    if depth.max(initial=0) > MAX_FACTORS:
+        raise OverflowError("the tail bound of mu_hat at 2 pi max|b| |t| = %g needs %.0f "
+                            "factors, more than %s" % (x.max(), depth.max(), f"{MAX_FACTORS:,}"))
+    return depth.astype(np.int64)
 
 
 def _truncated_products(depth: np.ndarray, terms, scalar: bool) -> tuple:
@@ -438,8 +452,8 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
     is the flag |mean of exp(2 pi i b.t_k)| < cutoff of other N.  The phases
     are reduced mod 1 before the trig, so the values are at least as accurate
     as the complex product of the digit exponentials; the two agree to
-    2 eps (depth + 2 pi max|b| |t| c / (1 - c)), c the contraction factor of
-    S^{-1} (at most 6.5e-15 at |t| <= 57 and 2.2e-13 at |t| <= 5000 over
+    2 eps (depth + 2 pi max|b| |t| T), T = sum_k ||S^{-k}||_2 (`power_norms`)
+    (at most 6.5e-15 at |t| <= 57 and 2.2e-13 at |t| <= 5000 over
     20,000 uniform rows of cantor4).  Where the float t_k and h are exact,
     as on the lattice windows of twindragon, a flagged row is an exact zero
     of mu_hat at its float t, and the cosine form flags some that the
@@ -447,12 +461,7 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
     `lattice_basin_labels(twindragon, radius=40, lattice_scale=5)` at
     x = (0.3, -0.7)).
     """
-    pts = np.asarray(ts, dtype=float)
-    if pts.ndim <= 1:
-        pts = pts.reshape(-1, 1) if sys.d == 1 else pts.reshape(1, -1)
-    if pts.ndim != 2 or pts.shape[1] != sys.d:
-        raise ValueError("mu_hat_batch takes rows of d = %d coordinates, got shape %s"
-                         % (sys.d, np.shape(ts)))
+    pts = _as_rows(ts, sys.d, "mu_hat_batch")[0]
     with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
         norm = np.linalg.norm(pts, axis=1).max(initial=0.0)
     depth = np.full(len(pts), _tail_depth(sys, norm, tail_tol))

@@ -119,12 +119,13 @@ def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
     """prod of W over endless repetitions of the cycle word starting at z.
 
     Converges because the states spiral into the W-cycle where W = 1;
-    iteration stops once a whole block contributes less than tol to the
-    log-product (with a geometric safety factor from the contraction).
+    iteration stops once the largest |1 - W| of a block, times the
+    sum_{j>=0} |M^{-jp}|_2 of `IfsView.power_norms` (p the period), is < tol.
     """
     zf = np.asarray(z, dtype=float).reshape(view.d)
     product = 1.0
-    c = view.contraction_factor ** cycle.period
+    norms = view.power_norms(2)
+    power_sum = 1.0 + float(norms[cycle.period - 1::cycle.period].sum()) + view.power_tail(2)
     cutoff = _zero_cutoff(weight, view, zf)
     for _ in range(max_blocks):
         states, w = _word_weights(weight, view, zf, cycle.word, cutoff)
@@ -133,7 +134,7 @@ def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
             return 0.0
         zf = states[-1]
         dev = float(np.max(np.abs(1.0 - w)))
-        if dev / max(1.0 - c, 1e-12) < tol:
+        if dev * power_sum < tol:
             break
     return product
 

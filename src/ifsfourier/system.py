@@ -59,6 +59,7 @@ class IfsView:
     matrix_exact: np.ndarray | None = None
     digits_exact: tuple | None = None  # tuple of fvec
     _cosine_factors: dict = field(default_factory=dict, init=False, repr=False)
+    _power_norms: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -77,18 +78,6 @@ class IfsView:
         if self.matrix_exact is None:
             return None
         return mat_inverse(self.matrix_exact)
-
-    @cached_property
-    def contraction_factor(self) -> float:
-        """Operator 2-norm of matrix^{-1}; < 1 for all systems we target."""
-        return float(np.linalg.norm(self.inv, 2))
-
-    @cached_property
-    def contraction_factor_inf(self) -> float:
-        """Operator inf-norm of matrix^{-1} (row-sum norm); < 1 makes the
-        axis-aligned bounding box forward-invariant, which grid transfer
-        iteration relies on."""
-        return float(np.linalg.norm(self.inv, np.inf))
 
     def tau(self, digit_index: int, x):
         """Apply one inverse branch.  Exact when x is Fraction data and the
@@ -166,42 +155,53 @@ class IfsView:
             self._cosine_factors[key] = factors
         return factors
 
-    @cached_property
-    def orbit_bound(self) -> tuple:
-        """(K, S), the sup over k >= 0 and the sum over k >= 1 of |matrix^{-k}|_inf
-        (to a term below eps of the sum, or 2^14 terms): every orbit z_k of x
-        has |z_k|_inf <= K |x|_inf + S max|digit|_inf, with no contracting norm."""
-        powers = self.inv[None]  # matrix^{-k}, k = 1..h, doubled until the terms are negligible
-        while True:
-            norms = np.abs(powers).sum(axis=2).max(axis=1)
-            if norms[-1] < np.finfo(float).eps * norms.sum() or len(powers) > 8192:
-                return max(1.0, float(norms.max())), float(norms.sum())
-            powers = np.concatenate([powers, powers @ powers[-1]])
+    def power_norms(self, ord=np.inf) -> np.ndarray:
+        """|matrix^{-k}|_ord for k = 1..h, ord 2 or inf, the powers doubled until
+        the last norm is below eps of the sum, or h = 2^14: the one measure of
+        how fast the inverse shrinks, which needs R expansive, not one step
+        contracting.  Past h, each block of h norms is at most q = |matrix^{-h}|
+        times the block before (`power_tail`).  Cached per ord, read-only."""
+        norms = self._power_norms.get(ord)
+        if norms is None:
+            powers = self.inv[None]  # matrix^{-k}, k = 1..h
+            while True:
+                norms = np.linalg.norm(powers, ord, axis=(1, 2))
+                if norms[-1] < np.finfo(float).eps * norms.sum() or len(powers) > 8192:
+                    break
+                powers = np.concatenate([powers, powers @ powers[-1]])
+            norms.flags.writeable = False
+            self._power_norms[ord] = norms
+        return norms
+
+    def power_tail(self, ord=np.inf) -> float:
+        """A bound on sum_{k > h} |matrix^{-k}|_ord past the h norms of
+        `power_norms`: S_h q / (1 - q), S_h their sum.  Raises OverflowError
+        when q >= 1 (a transient longer than 2^14 powers): they bound no tail."""
+        norms = self.power_norms(ord)
+        q = float(norms[-1])
+        if q >= 1.0:
+            raise OverflowError("|matrix^{-%d}| = %g >= 1 bounds no tail" % (len(norms), q))
+        return float(norms.sum()) * q / (1.0 - q)
 
     def bounding_radius(self) -> float:
-        """Radius a with tau_i(ball(0, a)) inside ball(0, a) for all i:
-        a > c * M / (1 - c) with c = ||matrix^{-1}|| and M = max |digit|."""
-        c = self.contraction_factor
-        if c >= 1.0:
-            raise ValueError("matrix inverse is not a 2-norm contraction")
-        m = float(np.max(np.linalg.norm(self.digits, axis=1))) if len(self.digits) else 0.0
-        return c * m / (1.0 - c)
+        """max|digit|_2 sum_{k >= 1} |matrix^{-k}|_2: the ball of that radius
+        holds every orbit from 0, and so the attractor, though a branch may
+        map it out of itself."""
+        m = float(np.linalg.norm(self.digits, axis=1).max(initial=0.0))
+        return m * (float(self.power_norms(2).sum()) + self.power_tail(2))
 
     def box(self, inflate: float = 1.05) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned box for grid work, inflated to absorb interpolation
-        stencils.  Prefers the inf-norm radius (box-invariant) when the
-        inverse contracts in that norm, else falls back to the 2-norm ball
-        radius (box invariance then not guaranteed; grid ops will check)."""
-        c = self.contraction_factor_inf
-        if c < 1.0:
-            m = float(np.max(np.abs(self.digits))) if len(self.digits) else 0.0
-            r = c * m / (1.0 - c)
-        else:
-            r = self.bounding_radius()
+        stencils.  When c = |matrix^{-1}|_inf < 1 it has half-width
+        c max|digit|_inf / (1 - c), and every branch maps it into itself.
+        Otherwise it is the box around the `bounding_radius` ball: it holds
+        every orbit from 0, but a branch may map it out of itself (grid ops
+        check)."""
+        c = float(self.power_norms(np.inf)[0])
+        m = float(np.abs(self.digits).max(initial=0.0))
+        r = c * m / (1.0 - c) if c < 1.0 else self.bounding_radius()
         r = r * inflate if r > 0 else 1e-3
-        lo = -r * np.ones(self.d)
-        hi = r * np.ones(self.d)
-        return lo, hi
+        return -r * np.ones(self.d), r * np.ones(self.d)
 
 
 @dataclass(frozen=True, eq=False)

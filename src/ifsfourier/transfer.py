@@ -82,10 +82,7 @@ class GridFunction:
 
     def nodes(self) -> np.ndarray:
         """All grid nodes as an (n_points, d) array, row-major order."""
-        axes = [
-            np.linspace(self.lo[a], self.hi[a], self.values.shape[a])
-            for a in range(self.d)
-        ]
+        axes = [np.linspace(lo, hi, n) for lo, hi, n in zip(self.lo, self.hi, self.values.shape)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -115,21 +112,14 @@ class GridFunction:
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         res = (resolution,) * len(lo) if np.isscalar(resolution) else tuple(resolution)
-        axes = [np.linspace(lo[a], hi[a], res[a]) for a in range(len(lo))]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.asarray(fn(pts)).reshape(res)
-        return GridFunction(lo=lo, hi=hi, values=vals)
+        nodes = GridFunction(lo=lo, hi=hi, values=np.empty(res)).nodes()
+        return GridFunction(lo=lo, hi=hi, values=np.asarray(fn(nodes)).reshape(res))
 
     @staticmethod
     def constant(value, lo, hi, resolution) -> "GridFunction":
         dtype = complex if isinstance(value, complex) else float
-        return GridFunction.sample(
-            lambda pts: np.full(pts.shape[0], value, dtype=dtype),
-            lo,
-            hi,
-            resolution,
-        )
+        return GridFunction.sample(lambda pts: np.full(len(pts), value, dtype=dtype),
+                                   lo, hi, resolution)
 
 
 def _weighted_sum(stencil: tuple, values: np.ndarray) -> np.ndarray:
@@ -206,7 +196,7 @@ def ruelle_apply(weight: Weight, view: IfsView, f: GridFunction) -> GridFunction
     one stencil many times.  The N 2^d corner terms of a node are summed
     in one pass, so values differ by a few ulps of max|f| from summing
     each branch's interpolation first.  Requires every branch image of
-    the box to stay inside the box (true for the invariant box whenever
+    the box to stay inside the box (true for `IfsView.box` whenever
     ||matrix^{-1}||_inf < 1; otherwise the stencil raises DomainError).
     """
     values = _weighted_sum(_stencil(weight, view, f), f.values)

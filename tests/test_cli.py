@@ -451,6 +451,31 @@ def test_harmonic_without_qmf_reports_the_deviation(capsys, example, x, paths, l
 
 
 CANTOR4_TRIPLE = "d = 1\nR = [[4]]\nB = [[0], [2]]\nL = [[0], [1]]\n"
+# S^{-1} = [[1/2, 0], [-5/2, 1/2]] contracts in no norm, only its powers do
+SHEAR10_TRIPLE = ("d = 2\nR = [[2, 10], [0, 2]]\nB = [[0, 0], [1, 0], [0, 1], [1, 1]]\n"
+                  "L = [[0, 0], [1, 0], [0, 1], [1, 1]]\n")
+# S^{-1} = 1000/1001 contracts so slowly that mu_hat needs 30,583 factors
+SLOW_TRIPLE = "d = 1\nR = [[1001/1000]]\nB = [[0], [1]]\nL = [[0], [1]]\n"
+
+
+@pytest.mark.parametrize("config,argv,code", [
+    (SHEAR10_TRIPLE, ("mu-hat", "--t", "0.3,0.2"), 0),
+    (SHEAR10_TRIPLE, ("harmonic", "--x", "0.1,0.2", "--depth", "4", "--paths", "2000",
+                      "--length", "32"), 0),
+    (SLOW_TRIPLE, ("mu-hat", "--t", "0.3"), 2),
+])
+def test_slowly_or_nowhere_contracting_inverse_runs_or_is_bad_input(tmp_path, capsys, config,
+                                                                     argv, code):
+    # no step of S^{-1} need contract: the tail depth, radius and box read
+    # its power norms, and a depth past 10,000 factors is bad input
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text(config)
+    got, out, err = run_main(capsys, argv[0], "--config", str(cfg), *argv[1:])
+    assert got == code
+    if code == 0:
+        assert json.loads(out) and err == ""
+    else:
+        assert out == "" and "needs 30583 factors, more than 10,000" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("command,extra,fragment", [
@@ -564,6 +589,8 @@ def _run_quietly(argv) -> tuple:
 @given(text=config_texts())
 @example(text=CANTOR4_TRIPLE + "tail_tol = 1e-400\n")  # reads as 0.0
 @example(text=CANTOR4_TRIPLE + "tail_tol = 0\n")
+@example(text=SHEAR10_TRIPLE)
+@example(text=SLOW_TRIPLE)
 def test_config_text_is_a_system_or_bad_input(text):
     fd, path = tempfile.mkstemp(suffix=".cfg")
     try:

@@ -1,3 +1,4 @@
+import functools
 import pickle
 import warnings
 from fractions import Fraction
@@ -22,7 +23,7 @@ from ifsfourier import (
     sample_paths,
     weight_from_digits,
 )
-from ifsfourier.measure import EXACT_ZERO_CUTOFF, _branch_weights, _mu_hat_rows
+from ifsfourier.measure import EXACT_ZERO_CUTOFF, _branch_weights, _mu_hat_rows, _tail_depth
 from ifsfourier.ratlinalg import mat_inverse
 from ifsfourier.system import IfsView, fvec
 
@@ -159,8 +160,28 @@ def test_mu_hat_batch_matches_detail(cantor4):
         assert abs(v - mu_hat_detail(cantor4, (t[0],), 1e-11).value) < 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def reference_tails(sys) -> np.ndarray:
+    """T_K = sum_{k>K} ||S^{-k}||_2 for K = 0, 1, ..., with each power from
+    `np.linalg.matrix_power` on its own, summed until the norms underflow
+    to 0; the last entry is 0."""
+    s_inv, norms = np.linalg.inv(sys.S), []
+    while not norms or norms[-1] > 0.0:
+        norms.append(np.linalg.norm(np.linalg.matrix_power(s_inv, len(norms) + 1), 2))
+    return np.cumsum(norms[::-1])[::-1]
+
+
 def reference_depth(sys, t_norm, tail_tol=None) -> int:
-    """The scalar tail-bound loop: the smallest depth K >= 1 with
+    """The smallest depth K >= 1 with 2 pi max|b| |t| T_K < tail_tol, T_K from
+    `reference_tails`; 0 for t = 0."""
+    tail_tol = sys.tail_tol if tail_tol is None else tail_tol
+    x = 2.0 * np.pi * float(np.max(np.linalg.norm(sys.B, axis=1))) * t_norm
+    return 0 if x == 0.0 else max(1, int(np.argmax(x * reference_tails(sys) < tail_tol)))
+
+
+def geometric_depth(sys, t_norm, tail_tol=None) -> int:
+    """The depth rule for a contraction c = ||S^{-1}||_2 whose powers have
+    norm c^k (S^{-1} normal): the smallest K >= 1 with
     2 pi max|b| |t| c^(K+1) / (1 - c) < tail_tol; 0 for t = 0."""
     tail_tol = sys.tail_tol if tail_tol is None else tail_tol
     c = float(np.linalg.norm(np.linalg.inv(sys.S), 2))
@@ -169,6 +190,34 @@ def reference_depth(sys, t_norm, tail_tol=None) -> int:
     while depth and 2.0 * np.pi * max_b * t_norm * c ** (depth + 1) / (1.0 - c) >= tail_tol:
         depth += 1
     return depth
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_depths_are_the_geometric_rule_where_s_inverse_is_normal(name):
+    # a normal S^{-1} has ||S^{-k}||_2 = c^k, so its power norms give the
+    # depths of the geometric rule; planar-shear's Jordan block needs fewer
+    sys = get_system(name)
+    s_inv = np.linalg.inv(sys.S)
+    ts = np.geomspace(1e-3, 1e150, 300)
+    depths = _tail_depth(sys, ts, None)
+    rule = np.array([geometric_depth(sys, t) for t in ts])
+    if np.allclose(s_inv @ s_inv.T, s_inv.T @ s_inv):
+        assert np.array_equal(depths, rule)
+    else:
+        assert np.all(depths <= rule) and np.any(depths < rule)
+    # below h the bound is the sum of the power norms, past h it is looser
+    first = depths < len(sys.l_view.power_norms(2))
+    assert depths[first].tolist() == [reference_depth(sys, t) for t in ts[first]]
+
+
+def test_power_sums_cover_the_powers_past_the_doubling_cap():
+    # R = 1001/1000: the doubling stops at its cap of 2^14 powers, whose sum is
+    # 999.99992; the remainder past the cap makes it a bound on c / (1 - c)
+    c = Fraction(1000, 1001)
+    view = AffineSystem.create([[Fraction(1001, 1000)]], [[0], [1]], [[0], [1]]).l_view
+    assert len(view.power_norms()) == 2 ** 14 and view.power_norms().sum() < 999.99993
+    assert view.power_norms().sum() + view.power_tail() >= float(c / (1 - c))
+    assert view.bounding_radius() >= float(c / (1 - c))
 
 
 def mu_hat_fraction_reference(sys, t, tail_tol=None) -> tuple:
@@ -256,7 +305,7 @@ def mu_hat_batch_complex_reference(sys, ts, tail_tol=None):
 
 
 def assert_batch_matches_complex_reference(sys, ts, tail_tol=None) -> int:
-    """Values within 2 eps (depth + 2 pi max|b| |t| c / (1 - c)): both products
+    """Values within 2 eps (depth + 2 pi max|b| |t| T_0): both products
     round about an eps per factor, and the reference's exp adds eps times its
     phase 2 pi b.t_k, unreduced.  Every reference zero is a zero, and every
     extra zero is an exact zero of mu_hat at the float t.  Returns the number
@@ -264,10 +313,9 @@ def assert_batch_matches_complex_reference(sys, ts, tail_tol=None) -> int:
     ts = np.asarray(ts, dtype=float)
     got, ref = mu_hat_batch(sys, ts, tail_tol), mu_hat_batch_complex_reference(sys, ts, tail_tol)
     norms = np.linalg.norm(ts, axis=1)
-    c = float(np.linalg.norm(np.linalg.inv(sys.S), 2))
     max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
     depth = reference_depth(sys, float(norms.max()), tail_tol)
-    bound = 2 * np.finfo(float).eps * (depth + 2 * np.pi * max_b * norms * c / (1 - c))
+    bound = 2 * np.finfo(float).eps * (depth + 2 * np.pi * max_b * norms * reference_tails(sys)[0])
     assert np.all(np.abs(got - ref) <= bound)
     assert np.all(got[ref == 0] == 0)
     extra = np.flatnonzero((got == 0) & (ref != 0))
@@ -330,6 +378,23 @@ def test_mu_hat_batch_input_shapes(cantor4, twindragon):
                     (twindragon, np.zeros((2, 2, 2)))):
         with pytest.raises(ValueError, match="d = %d" % sys.d):
             mu_hat_batch(sys, ts)
+
+
+def test_weight_and_m_eval_input_shapes(cantor4, twindragon):
+    # a flat array is one point on d = 2, and anything but a d-vector is
+    # refused rather than cut to its first point; on d = 1 a flat array is
+    # one point per entry
+    rows = np.array([[0.12, 0.3], [0.2, 0.4]])
+    for fn in (weight_from_digits(twindragon.B), lambda x: m_eval(twindragon.B, x)):
+        assert fn(rows[0]) == fn(rows)[0]
+        for bad in (rows.ravel(), 0.3, np.zeros((2, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="d = 2"):
+                fn(bad)
+    for fn in (weight_from_digits(cantor4.B), lambda x: m_eval(cantor4.B, x)):
+        assert np.array_equal(fn(np.array([0.12, 0.3])), fn([[0.12], [0.3]]))
+        assert fn(0.3) == fn([[0.3]])[0]
+        with pytest.raises(ValueError, match="d = 1"):
+            fn(rows)
 
 
 def test_chaos_game_moments_match_mu_hat(cantor4):

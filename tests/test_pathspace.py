@@ -9,6 +9,7 @@ import pytest
 from ifsfourier import (
     EXAMPLES,
     AffineSystem,
+    chaos_game,
     cosine_weight,
     cylinder_weight,
     estimate_h,
@@ -290,12 +291,13 @@ def test_run_chain_matches_reference_walk(name, x):
 
 def test_walk_on_a_view_no_norm_contracts():
     # S^{-1} = [[1/2, 0], [-5/2, 1/2]] contracts in neither the inf- nor the
-    # 2-norm, so the view has no `box`; the walk's zero cutoff does not need one
+    # 2-norm: its box comes from the power norms and holds every orbit from 0
     sys_ = AffineSystem.create([[2, 10], [0, 2]], [[0, 0], [1, 0], [0, 1], [1, 1]],
                                [[0, 0], [1, 0], [0, 1], [1, 1]])
     w, x = weight_from_digits(sys_.B), [0.1, 0.2]
-    with pytest.raises(ValueError):
-        sys_.l_view.box()
+    lo, hi = sys_.l_view.box(inflate=1.0)
+    points = chaos_game(sys_.l_view, 5000, 3)
+    assert np.all((lo <= points) & (points <= hi))
     ens = sample_paths(w, sys_.l_view, x, 16, 200, seed=27, tail_window=16)
     words, states = _reference_walk(w, sys_.l_view, x, 16, 200, seed=27)
     assert np.array_equal(ens.words, words)

@@ -29,7 +29,8 @@ from ifsfourier import (
     weight_from_digits,
 )
 from ifsfourier import pathspace
-from ifsfourier.measure import _branch_weights
+from ifsfourier.measure import _branch_weights, _float_terms, _tail_depth, _truncated_products
+from strategies import product_triple
 from test_cycles import (
     assert_cycles_match_reference,
     assert_w_verdicts_match_fraction_reference,
@@ -39,6 +40,7 @@ from test_measure import (
     assert_batch_matches_complex_reference,
     assert_scan_matches_loop,
     at_images,
+    reference_tails,
 )
 from test_pathspace import (
     assert_zeros_cut,
@@ -158,6 +160,23 @@ def test_batch_matches_complex_reference_on_generated_two_digit_triples(sys_, se
     assert_batch_matches_complex_reference(sys_, rng.uniform(-57, 57, (300, 1)))
     for q in (2, 4, r):
         assert_batch_matches_complex_reference(sys_, rng.integers(-57 * q, 57 * q + 1, (300, 1)) / q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.tuples(hadamard_triples_1d(), hadamard_triples_1d()), product=st.booleans(),
+       seed=st.integers(0, 2 ** 16), tail_tol=st.sampled_from([1e-3, 1e-6, 1e-10]))
+def test_truncation_depth_bounds_the_tail_on_generated_triples(pair, product, seed, tail_tol):
+    # the factors past the depth K move the product by at most
+    # sum_{k>K} |1 - m_B(t_k) / sqrt(N)| <= 2 pi max|b| |t| T_K < tail_tol: against
+    # the product 50 factors deeper, on a triple or a product of two (d = 2)
+    sys_ = product_triple(*pair) if product else pair[0]
+    ts = np.random.default_rng(seed).uniform(-50, 50, (200, sys_.d))
+    norm = np.linalg.norm(ts, axis=1).max()
+    depth = _tail_depth(sys_, norm, tail_tol)
+    deeper = _truncated_products(np.full(len(ts), depth + 50), _float_terms(sys_, ts), False)[0]
+    reach = 2 * np.pi * np.linalg.norm(sys_.B, axis=1).max() * norm * reference_tails(sys_)[0]
+    rounding = 4 * np.finfo(float).eps * (depth + 50 + reach)
+    assert np.max(np.abs(mu_hat_batch(sys_, ts, tail_tol) - deeper)) <= tail_tol + rounding
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
