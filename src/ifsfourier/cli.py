@@ -28,6 +28,7 @@ import heapq
 import math
 import sys
 import traceback
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import (
@@ -64,6 +65,15 @@ class CheckFailed(Exception):
     def __init__(self, report: dict):
         super().__init__(report.get("error", "check failed"))
         self.report = report
+
+
+@contextmanager
+def _bounded(what: str):
+    """Bad input (exit 2) for an OverflowError: a float bound not closing on the data."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ConfigError("%s: %s" % (what, exc)) from exc
 
 
 def _entry_config(entry) -> SystemConfig:
@@ -218,10 +228,8 @@ def cmd_verify_onb(args) -> dict:
 def cmd_mu_hat(args) -> dict:
     _, sys_obj = _load_system(args)
     t = _parse_point(args.t, sys_obj.d)
-    try:
+    with _bounded("--t %s" % args.t):
         res = mu_hat_detail(sys_obj, t if len(t) > 1 else t[0], sys_obj.tail_tol)
-    except OverflowError as exc:  # |t| too large for a float tail bound
-        raise ConfigError("--t %s: %s" % (args.t, exc)) from exc
     return {
         "t": _point_str(t),
         "value": res.value,
@@ -240,15 +248,12 @@ def _require_at_least(low: int, **values) -> None:
 
 
 def cmd_attractor(args) -> dict:
-    flag = "streams" if args.threads is None else "threads"
-    streams = 1 if getattr(args, flag) is None else getattr(args, flag)
-    _require_at_least(1, samples=args.samples, **{flag: streams})
-    if args.threads is not None:
-        print("warning: --threads is deprecated, use --streams (the number of seeded "
-              "sample streams; nothing runs in parallel)", file=sys.stderr)
+    _require_at_least(1, samples=args.samples, streams=args.streams)
     cfg, sys_obj = _load_system(args)
     view = sys_obj.b_view if args.view == "B" else sys_obj.l_view
-    pts = chaos_game(view, args.samples, cfg.seed, n_streams=streams)
+    with _bounded("the %s-view" % args.view):
+        radius = view.bounding_radius()
+    pts = chaos_game(view, args.samples, cfg.seed, n_streams=args.streams)
     if args.out:
         points_to_csv(args.out, pts)
     return {
@@ -257,7 +262,7 @@ def cmd_attractor(args) -> dict:
         "samples": int(pts.shape[0]),
         "bbox_lo": pts.min(axis=0),
         "bbox_hi": pts.max(axis=0),
-        "radius_bound": view.bounding_radius(),
+        "radius_bound": radius,
         "out": args.out or None,
     }
 
@@ -274,16 +279,16 @@ def cmd_harmonic(args) -> dict:
     x = _parse_point(args.x, sys_obj.d)
     xf = [float(c) for c in x]
     weight = weight_from_digits(sys_obj.B)
-    qmf_dev = check_qmf(weight, sys_obj.l_view, n_probe=1000, seed=cfg.seed)
-    if qmf_dev > QMF_SAMPLING_TOL:
-        raise _qmf_failed(sys_obj, "W_B is not QMF-normalized within %g, so the path "
-                          "measures are not probabilities" % QMF_SAMPLING_TOL, qmf_dev)
-    closed = [h_closed_form(sys_obj, xf, c, max(1, args.depth // c.period)) for c in cycles]
+    with _bounded("the L-view"):
+        qmf_dev = check_qmf(weight, sys_obj.l_view, n_probe=1000, seed=cfg.seed)
+        if qmf_dev > QMF_SAMPLING_TOL:
+            raise _qmf_failed(sys_obj, "W_B is not QMF-normalized within %g, so the path "
+                              "measures are not probabilities" % QMF_SAMPLING_TOL, qmf_dev)
+        closed = [h_closed_form(sys_obj, xf, c, max(1, args.depth // c.period)) for c in cycles]
     try:
         est = estimate_h(weight, sys_obj.l_view, xf, cycles, args.length, args.paths, cfg.seed)
     except QmfError as exc:
-        # the probes passed, but the row sums along the walk from x did not
-        # (its zero cutoff is a rounding bound that grows with |x|)
+        # the probes passed, but a row sum at a state the walk reached did not
         raise _qmf_failed(sys_obj, str(exc), exc.deviation) from exc
     if args.words_out:
         est.paths.words_to_csv(args.words_out)
@@ -399,15 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--view", choices=("B", "L"), default="B")
     p.add_argument("--samples", type=int, default=100_000)
-    streams = p.add_mutually_exclusive_group()
-    # default None, not 1: argparse lets an excluded option through when it
-    # parses to its default
-    streams.add_argument("--streams", type=int, default=None,
-                         help="number of seeded streams the samples are split into, "
-                              "concatenated in stream order; nothing runs in parallel "
-                              "(default 1)")
-    streams.add_argument("--threads", type=int, default=None,
-                         help="deprecated spelling of --streams")
+    p.add_argument("--streams", type=int, default=1,
+                   help="number of seeded streams the samples are split into, "
+                        "concatenated in stream order; nothing runs in parallel")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_attractor)
 

@@ -34,6 +34,8 @@ and P sines of 2 pi g_j.z: one trig pass per state for all N branches
 (`_branch_pass`, with the per-view factors of
 `IfsView.cosine_factors`).  A `Weight` is such a polynomial, stored as
 its data (c0, a, f), and calling it runs the same pass at given points.
+A computed W(tau_l z) below the rounding bound of that pass at the state
+z (`_zero_cutoff`, a floor plus a term linear in |z|) is an exact zero.
 QMF, sum_l W_B(tau_l z) = 1 on the L-view of a Hadamard
 triple, is the unitarity of its duality matrix.
 """
@@ -187,31 +189,27 @@ def _branch_weights(weight: Weight, view: IfsView, z: np.ndarray) -> np.ndarray:
     return _branch_pass(weight, view, len(z))(z)
 
 
-def _zero_cutoff(weight: Weight, view: IfsView, x) -> float:
-    """The weight below which a computed W(tau_l z) counts as an exact zero,
-    for walks on the view from the point (or points) x.
+def _zero_cutoff(weight: Weight, view: IfsView) -> tuple:
+    """(floor, s): a computed W(tau_l z) counts as an exact zero when it is
+    below floor + sum_i s_i |z_i|, z the state it is weighed from.
 
-    It is the rounding bound of the evaluation of
+    That is the rounding bound of the evaluation of
     c0 + sum_j a_j cos(2 pi theta_j), theta_j = g_j.z + g_j.l, g_j = M^{-t} f_j
-    (the phase of `_branch_weights`, and of the weight called at the image).
-    The states stay within rho = K |x|_inf + S max|l|_inf, K the sup over
-    k >= 0 and S the sum over k >= 1 of |M^{-k}|_inf (`IfsView.power_norms`,
-    `power_tail`), so |theta_j| <= |g_j|_1 rho + max_l |g_j.l|, and the
-    float phase is off by about eps that many turns, which moves a_j cos by
-    2 pi |a_j| times as much.  Each cosine, product and sum term adds about
-    eps |a_j|, and c0 adds eps c0:
+    (the phase of `_branch_weights`).  |theta_j| <= |g_j|.|z| + max_l |g_j.l|,
+    and the float phase is off by about eps that many turns, which moves
+    a_j cos by 2 pi |a_j| times as much.  Each cosine, product and sum term
+    adds about eps |a_j|, and c0 adds eps c0:
 
-        cutoff = 4 eps (c0 + sum_j |a_j| (1 + 2 pi (|g_j|_1 rho + max_l |g_j.l|))),
+        floor = 4 eps (c0 + sum_j |a_j| (1 + 2 pi max_l |g_j.l|)),
+        s = 8 pi eps sum_j |a_j| |g_j|  (entrywise |g_j|, one entry per coordinate),
 
     a first-order bound with a factor 4 to spare, still far below any weight
     a walk could plausibly pick; for a constant weight (P = 0) it is 4 eps c0."""
     g = view.cosine_factors(weight.a, weight.f)[0]
-    norms = view.power_norms(np.inf)
-    k, total = max(1.0, float(norms.max())), float(norms.sum()) + view.power_tail(np.inf)
-    rho = k * float(np.max(np.abs(x))) + total * float(np.max(np.abs(view.digits)))
-    turns = np.abs(g).sum(axis=1) * rho + np.abs(g @ view.digits.T).max(axis=1, initial=0.0)
-    bound = weight.c0 + float(np.abs(weight.a) @ (1.0 + 2.0 * np.pi * turns))
-    return 4.0 * np.finfo(float).eps * bound
+    eps, a = np.finfo(float).eps, np.abs(weight.a)
+    turns = np.abs(g @ view.digits.T).max(axis=1, initial=0.0)
+    floor = 4.0 * eps * (weight.c0 + float(a @ (1.0 + 2.0 * np.pi * turns)))
+    return floor, 8.0 * np.pi * eps * (a @ np.abs(g))
 
 
 def _cosine_polynomial(b: np.ndarray) -> tuple:
@@ -262,7 +260,7 @@ def chaos_game(view: IfsView, n_samples: int, seed: int, x0=None, n_streams: int
     the largest ||A^k||_2).  So truncation moves each point by at most
     (eps/4) (R + P |x0|), on top of the rounding of the additions.  There
     are log2 K passes, K the first power of two with ||A^K||_2 <= eps/4
-    (`IfsView.power_norms(2)`), even where no step contracts: 5 on cantor4,
+    (`IfsView.power_norms`), even where no step contracts: 5 on cantor4,
     6 on planar-shear, 7 on twindragon.  The points agree with step-by-step
     iteration to a few ulps of R + P |x0|, not bit for bit.
     """
@@ -308,9 +306,9 @@ def _tail_depth(sys: AffineSystem, t_norms, tail_tol: float | None) -> np.ndarra
     Raises OverflowError when 2 pi max|b| |t| is not finite, when a depth
     exceeds MAX_FACTORS (naming it) or when `IfsView.power_tail` does."""
     tail_tol = sys.tail_tol if tail_tol is None else _positive_tolerance(tail_tol, "tail_tol")
-    norms = sys.l_view.power_norms(2)
+    norms = sys.l_view.power_norms()
     h, q = len(norms), float(norms[-1])
-    tails = norms[::-1].cumsum()[::-1] + sys.l_view.power_tail(2)  # T_K, K = 0..h-1
+    tails = norms[::-1].cumsum()[::-1] + sys.l_view.power_tail()  # T_K, K = 0..h-1
     max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
     with np.errstate(over="ignore", invalid="ignore"):
         x = 2.0 * np.pi * max_b * np.asarray(t_norms, dtype=float)

@@ -19,9 +19,10 @@ paths: each step evaluates W at all N branch images at once (from the
 state alone, without forming the images: W is a cosine polynomial, see
 `measure.Weight`), draws the branch and moves to the chosen image
 only.  The branch probabilities W(tau_l z) are exact up to float
-rounding, and weights below the rounding bound of their evaluation
-(`measure._zero_cutoff`, computed once per walk or word) are treated as
-exactly zero, so paths cannot tunnel through zeros of W.
+rounding, and weights below the rounding bound of their evaluation at
+the state they are read from (`measure._zero_cutoff`) are treated as
+exactly zero, so paths cannot tunnel through zeros of W, and a walk's
+step is one map of its state, the same at every step.
 
 A walk whose weight has sup W < 1 has no W-cycle, and two copies of it
 driven by the same uniforms merge (Diaconis-Freedman, Iterated random
@@ -87,31 +88,43 @@ class QmfError(ValueError):
         self.deviation = float(deviation)
 
 
-def _states_of_word(view: IfsView, x, word):
-    """Float states z_1..z_n along a word (digit indices, first applied first)."""
-    z = np.asarray(x, dtype=float).reshape(view.d)
-    out = np.empty((len(word), view.d))
+def _cut_pass(weight: Weight, view: IfsView, n: int):
+    """The walk's branch pass for batches of n states: `_branch_pass`, with
+    each weight below the zero cut at its row's state z, floor + sum_i
+    s_i |z_i| (`_zero_cutoff`), set to exactly 0.  The cut is one dot
+    product, the floor the coefficient of a row of ones below |z|^t, and
+    every buffer is allocated once, so each call overwrites the last."""
+    weights_at, (floor, s) = _branch_pass(weight, view, n), _zero_cutoff(weight, view)
+    coef, terms, cut = np.append(s, floor), np.ones((view.d + 1, n)), np.empty(n)
+    abs_z, zero = terms[:-1], np.empty((view.n_digits, n), dtype=bool)
+
+    def cut_weights_at(z):
+        w = weights_at(z)
+        np.abs(z.T, out=abs_z)
+        np.less(w, np.dot(coef, terms, out=cut), out=zero)
+        np.putmask(w, zero, 0.0)
+        return w
+    return cut_weights_at
+
+
+def _word_weights(weight: Weight, view: IfsView, x, word) -> tuple:
+    """(states, w): the states z_1..z_n along a word (digit indices, first
+    applied first) and W(z_k), read as the walk reads it at z_{k-1}: its move
+    (d_l + z) M^{-t}, then one `_cut_pass` over z_0..z_{n-1}, of at least two
+    rows, as numpy rounds a one-row product otherwise than a batch."""
+    word = np.asarray(word, dtype=np.intp)
+    n, inv_t = len(word), view.inv.T
+    z = np.empty((n + 1, view.d))
+    z[0] = np.asarray(x, dtype=float).reshape(view.d)
     for k, idx in enumerate(word):
-        z = view.inv @ (z + view.digits[int(idx)])
-        out[k] = z
-    return out
-
-
-def _word_weights(weight: Weight, view: IfsView, x, word, cutoff: float) -> tuple:
-    """(states, w): the states z_1..z_n along a nonempty word and W(z_k),
-    with weights below the cutoff (`_zero_cutoff` from x or an earlier
-    state of the walk) set to exactly zero."""
-    states = _states_of_word(view, x, word)
-    w = weight(states)
-    return states, np.where(w < cutoff, 0.0, w)
+        z[k + 1] = (view.digits[idx] + z[k]) @ inv_t
+    pred = z[:max(2, n)]
+    return z[1:], _cut_pass(weight, view, len(pred))(pred)[word, np.arange(n)]
 
 
 def cylinder_weight(weight: Weight, view: IfsView, x, word) -> float:
     """prod_k W(z_k) along the word; in [0, 1] under QMF; empty word -> 1."""
-    word = list(word)
-    if not word:
-        return 1.0
-    return float(np.prod(_word_weights(weight, view, x, word, _zero_cutoff(weight, view, x))[1]))
+    return float(np.prod(_word_weights(weight, view, x, list(word))[1]))
 
 
 def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
@@ -122,17 +135,15 @@ def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
     iteration stops once the largest |1 - W| of a block, times the
     sum_{j>=0} |M^{-jp}|_2 of `IfsView.power_norms` (p the period), is < tol.
     """
-    zf = np.asarray(z, dtype=float).reshape(view.d)
     product = 1.0
-    norms = view.power_norms(2)
-    power_sum = 1.0 + float(norms[cycle.period - 1::cycle.period].sum()) + view.power_tail(2)
-    cutoff = _zero_cutoff(weight, view, zf)
+    norms = view.power_norms()
+    power_sum = 1.0 + float(norms[cycle.period - 1::cycle.period].sum()) + view.power_tail()
     for _ in range(max_blocks):
-        states, w = _word_weights(weight, view, zf, cycle.word, cutoff)
+        states, w = _word_weights(weight, view, z, cycle.word)
         product *= float(np.prod(w))
         if product == 0.0:
             return 0.0
-        zf = states[-1]
+        z = states[-1]
         dev = float(np.max(np.abs(1.0 - w)))
         if dev * power_sum < tol:
             break
@@ -147,7 +158,7 @@ def path_weight_with_tail(weight: Weight, view: IfsView, x, word, cycle: Cycle,
     word = list(word)
     if not word:
         return cycle_tail_weight(weight, view, x, cycle, tol)
-    states, w = _word_weights(weight, view, x, word, _zero_cutoff(weight, view, x))
+    states, w = _word_weights(weight, view, x, word)
     prefix = float(np.prod(w))
     if prefix == 0.0:
         return 0.0
@@ -209,11 +220,12 @@ def _stream(rng, skip: int):
     return np.random.Generator(bits.advance(skip))
 
 
-def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_steps: int,
-           block: int, split: bool):
+def _steps(weight: Weight, view: IfsView, z, draw, record, n_steps: int, block: int,
+           split: bool):
     """Advance the rows of z (n, d) by n_steps steps of the branch walk, in
     lockstep and in place.  Each step moves a row to tau_i z with probability
-    W(tau_i z), drawn by one uniform per row against the cumulative weights;
+    W(tau_i z), cut to 0 below the zero cut at z (`_cut_pass`), drawn by one
+    uniform per row against the cumulative weights;
     `draw(k)` gives the uniforms of the next k steps as a (k, n) array,
     called every `block` steps, and `record(step, choices, z)` stores each
     step's choices and new states.
@@ -223,10 +235,9 @@ def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_step
     passes, one row at a time (the last row is 1 up to rounding, and a
     uniform past it takes the last branch either way).  Only the chosen
     image is computed.  A step on a few dozen rows costs numpy's per-call
-    overhead more than arithmetic, so the branch-weight pass
-    (`_branch_pass`) is set up once, and every step writes into buffers
-    allocated once: the weights, the zero mask, the choices and the moved
-    states.
+    overhead more than arithmetic, so the branch-weight pass (`_cut_pass`)
+    is set up once, and every step writes into buffers allocated once: the
+    weights, the cut and its mask, the choices and the moved states.
 
     The row sums of all steps of a block go to one buffer, and the QMF check
     runs once per block, at its last step: a walk that breaks QMF raises
@@ -246,9 +257,8 @@ def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_step
     z_{k-RING}..z_k; the caller fills the later steps (`_tile`).  Otherwise
     it returns None."""
     rows = len(z)
-    weights_at = _branch_pass(weight, view, rows)
+    weights_at = _cut_pass(weight, view, rows)
     sums = np.empty((min(block, n_steps), rows))
-    zero = np.empty((view.n_digits, rows), dtype=bool)
     passed = np.empty(rows, dtype=bool)
     choices = np.empty(rows, dtype=np.intp)
     moved = np.empty_like(z)
@@ -274,8 +284,6 @@ def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_step
             u, row_sums = uniforms[k], sums[k]
             state = slots[step % len(slots)]
             w = weights_at(state)
-            np.less(w, cutoff, out=zero)
-            np.putmask(w, zero, 0.0)
             np.add.reduce(w, out=row_sums)
             w /= row_sums
             cum = w[0]
@@ -291,7 +299,7 @@ def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_step
                 check(sums[: k + 1])
             done = step + 1
             if retiring and done % RETIRE_STRIDE == 0 and done < n_steps:
-                period = _periods(ring, done, weights_at, cutoff)
+                period = _periods(ring, done, weights_at)
                 if period is not None:
                     if k < len(uniforms) - 1:
                         check(sums[: k + 1])
@@ -301,12 +309,12 @@ def _steps(weight: Weight, view: IfsView, cutoff: float, z, draw, record, n_step
     return None
 
 
-def _periods(ring, k: int, weights_at, cutoff: float):
+def _periods(ring, k: int, weights_at):
     """Each row's period at step k, if every row has retired, else None.
 
     A row has retired when z_k equals z_{k-p} bit for bit for some
     p <= min(RING, k), and at each of z_{k-p}..z_{k-1} exactly one branch
-    weight is at or above the cutoff.  Then that branch takes the whole
+    weight is not cut to 0 (`_cut_pass`).  Then that branch takes the whole
     normalized weight, 1.0 exactly, so the choice there is the same whatever
     the uniform, and from z_k on the row repeats z_{k-p}..z_{k-1} and their
     choices forever: a W-cycle reached in floats.  Its later row sums repeat
@@ -314,11 +322,7 @@ def _periods(ring, k: int, weights_at, cutoff: float):
     where an earlier one passed, nor report another worst deviation.  The
     weights at the ring's states are computed again by the walk's own pass
     on the walk's own buffers, so they are the weights its steps used, bit
-    for bit.  The period is the least such p.
-
-    This holds because the step map is the same at every step.  A zero
-    cutoff that changed with the step (a per-step schedule) may retire a
-    row only from the step where the schedule has reached its floor."""
+    for bit.  The period is the least such p."""
     lags = np.arange(1, min(RING, k) + 1)
     bits = ring.view(np.int64)
     # every slot against z_k, then the rows of the lags: no copy of the states
@@ -327,7 +331,7 @@ def _periods(ring, k: int, weights_at, cutoff: float):
         return None
     period = lags[np.argmax(same, axis=0)]
     for lag in range(1, int(period.max()) + 1):
-        single = np.count_nonzero(weights_at(ring[(k - lag) % len(ring)]) >= cutoff, axis=0) == 1
+        single = np.count_nonzero(weights_at(ring[(k - lag) % len(ring)]), axis=0) == 1
         if not np.all(single | (period < lag)):
             return None
     return period
@@ -349,7 +353,7 @@ def _tile(words, kept, keep_from: int, k: int, period, ring) -> None:
 
 
 def _split_walk(weight: Weight, view: IfsView, x, length: int, count: int, rng,
-                keep_from: int, n_seg: int, cutoff: float):
+                keep_from: int, n_seg: int):
     """`_walk` on n_seg segments per walk, walked side by side; None when a
     head does not merge within WINDOW steps.
 
@@ -413,7 +417,7 @@ def _split_walk(weight: Weight, view: IfsView, x, length: int, count: int, rng,
             if speculative and i == s - 1:
                 ends[done:] = z[done:]
 
-        _steps(weight, view, cutoff, z, draw, record, n_steps, block, split=True)
+        _steps(weight, view, z, draw, record, n_steps, block, split=True)
 
     # the speculative pass: every segment from x
     run(range(n_seg), z, s + (extra > 0), speculative=True)
@@ -474,11 +478,10 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     RETIRE_STRIDE, or None when it took all `length` steps.
     """
     rng = np.random.default_rng(seed)
-    cutoff = _zero_cutoff(weight, view, x)
     n_seg = _segment_count(weight, x, length, count)
     if n_seg > 1:
         try:
-            split = _split_walk(weight, view, x, length, count, rng, keep_from, n_seg, cutoff)
+            split = _split_walk(weight, view, x, length, count, rng, keep_from, n_seg)
         except QmfError:
             split = None
         if split is not None:
@@ -495,8 +498,8 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
             kept[:, step + 1 - keep_from] = z
 
     block = max(1, UNIFORM_BLOCK // count)
-    retired = _steps(weight, view, cutoff, z, lambda k: rng.random(k * count).reshape(-1, count),
-                     record, length, block, split=False)
+    retired = _steps(weight, view, z, lambda k: rng.random(k * count).reshape(-1, count), record,
+                     length, block, split=False)
     if retired is None:
         return Walk(words, kept, retired_at=None)
     _tile(words, kept, keep_from, *retired)

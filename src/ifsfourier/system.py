@@ -59,7 +59,6 @@ class IfsView:
     matrix_exact: np.ndarray | None = None
     digits_exact: tuple | None = None  # tuple of fvec
     _cosine_factors: dict = field(default_factory=dict, init=False, repr=False)
-    _power_norms: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -155,29 +154,30 @@ class IfsView:
             self._cosine_factors[key] = factors
         return factors
 
-    def power_norms(self, ord=np.inf) -> np.ndarray:
-        """|matrix^{-k}|_ord for k = 1..h, ord 2 or inf, the powers doubled until
-        the last norm is below eps of the sum, or h = 2^14: the one measure of
-        how fast the inverse shrinks, which needs R expansive, not one step
-        contracting.  Past h, each block of h norms is at most q = |matrix^{-h}|
-        times the block before (`power_tail`).  Cached per ord, read-only."""
-        norms = self._power_norms.get(ord)
-        if norms is None:
-            powers = self.inv[None]  # matrix^{-k}, k = 1..h
-            while True:
-                norms = np.linalg.norm(powers, ord, axis=(1, 2))
-                if norms[-1] < np.finfo(float).eps * norms.sum() or len(powers) > 8192:
-                    break
-                powers = np.concatenate([powers, powers @ powers[-1]])
-            norms.flags.writeable = False
-            self._power_norms[ord] = norms
+    @cached_property
+    def _power_norms(self) -> np.ndarray:
+        powers = self.inv[None]  # matrix^{-k}, k = 1..h
+        while True:
+            norms = np.linalg.norm(powers, 2, axis=(1, 2))
+            if norms[-1] < np.finfo(float).eps * norms.sum() or len(powers) > 8192:
+                break
+            powers = np.concatenate([powers, powers @ powers[-1]])
+        norms.flags.writeable = False
         return norms
 
-    def power_tail(self, ord=np.inf) -> float:
-        """A bound on sum_{k > h} |matrix^{-k}|_ord past the h norms of
+    def power_norms(self) -> np.ndarray:
+        """|matrix^{-k}|_2 for k = 1..h, the powers doubled until the last norm
+        is below eps of the sum, or h = 2^14: the one measure of how fast the
+        inverse shrinks, which needs R expansive, not one step contracting.
+        Past h, each block of h norms is at most q = |matrix^{-h}|_2 times the
+        block before (`power_tail`).  Cached, read-only."""
+        return self._power_norms
+
+    def power_tail(self) -> float:
+        """A bound on sum_{k > h} |matrix^{-k}|_2 past the h norms of
         `power_norms`: S_h q / (1 - q), S_h their sum.  Raises OverflowError
         when q >= 1 (a transient longer than 2^14 powers): they bound no tail."""
-        norms = self.power_norms(ord)
+        norms = self.power_norms()
         q = float(norms[-1])
         if q >= 1.0:
             raise OverflowError("|matrix^{-%d}| = %g >= 1 bounds no tail" % (len(norms), q))
@@ -188,7 +188,7 @@ class IfsView:
         holds every orbit from 0, and so the attractor, though a branch may
         map it out of itself."""
         m = float(np.linalg.norm(self.digits, axis=1).max(initial=0.0))
-        return m * (float(self.power_norms(2).sum()) + self.power_tail(2))
+        return m * (float(self.power_norms().sum()) + self.power_tail())
 
     def box(self, inflate: float = 1.05) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned box for grid work, inflated to absorb interpolation
@@ -197,7 +197,7 @@ class IfsView:
         Otherwise it is the box around the `bounding_radius` ball: it holds
         every orbit from 0, but a branch may map it out of itself (grid ops
         check)."""
-        c = float(self.power_norms(np.inf)[0])
+        c = float(np.linalg.norm(self.inv, np.inf))
         m = float(np.abs(self.digits).max(initial=0.0))
         r = c * m / (1.0 - c) if c < 1.0 else self.bounding_radius()
         r = r * inflate if r > 0 else 1e-3

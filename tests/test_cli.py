@@ -216,8 +216,8 @@ def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (("attractor", "--samples", "100", "--threads", "0"), "--threads"),
-    (("attractor", "--samples", "100", "--threads", "-1"), "--threads"),
+    (("attractor", "--samples", "100", "--streams", "-1"), "--streams"),
+    (("harmonic", "--x", "0.3", "--paths", "-1"), "--paths"),
     (("attractor", "--samples", "0"), "--samples"),
     (("harmonic", "--x", "0.3", "--paths", "0"), "--paths"),
     (("harmonic", "--x", "0.3", "--length", "0"), "--length"),
@@ -245,12 +245,16 @@ def test_nonpositive_counts_are_bad_input(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv", [
-    ("cycles",), ("check-hadamard",), ("spectrum",), ("verify-onb",), ("mu-hat", "--t", "1"),
-    ("harmonic", "--x", "0.3"),
+    ("cycles", "--threads", "2"), ("check-hadamard", "--threads", "2"),
+    ("spectrum", "--threads", "2"), ("verify-onb", "--threads", "2"),
+    ("mu-hat", "--t", "1", "--threads", "2"), ("harmonic", "--x", "0.3", "--threads", "2"),
+    # no count check sees these: --threads is unknown before any count is read
+    ("attractor", "--samples", "100", "--threads", "0"),
+    ("attractor", "--samples", "100", "--threads", "-1"),
 ])
 def test_threads_only_on_sampling_subcommands(capsys, argv):
-    # only attractor reads --threads; elsewhere it is unknown
-    code = main([*argv, "--example", "cantor4", "--threads", "2"])
+    # no subcommand reads --threads; attractor's samples are split by --streams
+    code = main([*argv, "--example", "cantor4"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -258,17 +262,13 @@ def test_threads_only_on_sampling_subcommands(capsys, argv):
 
 
 @pytest.mark.parametrize("streams", ["1", "3"])
-def test_attractor_threads_is_a_deprecated_alias_of_streams(capsys, streams):
+def test_attractor_threads_is_no_longer_an_alias_of_streams(capsys, streams):
     argv = ["attractor", "--example", "twindragon", "--samples", "300", "--seed", "5"]
     assert main([*argv, "--streams", streams]) == 0
-    new = capsys.readouterr()
-    assert main([*argv, "--threads", streams]) == 0
-    old = capsys.readouterr()
-    assert old.out == new.out  # byte-identical reports
-    assert new.err == ""
-    assert old.err.count("\n") == 1 and "--threads is deprecated" in old.err
-    # the two spellings cannot be mixed
-    assert main([*argv, "--streams", streams, "--threads", streams]) == 2
+    assert capsys.readouterr().err == ""
+    assert main([*argv, "--threads", streams]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --threads" in captured.err
 
 
 def test_riesz_threads_is_unknown(capsys):
@@ -436,10 +436,6 @@ def test_failed_check_exits_1_with_its_report_on_stdout(tmp_path, capsys, argv, 
     # cantor3 is no Hadamard triple: its branch weights W_B(tau_l x) do not
     # sum to 1, so P_x is no probability and the walk does not start
     ("cantor3", "0.3", "100", "4", 0.4, math.inf),
-    # cantor4 is QMF-normalized and its probes pass, but from x = 10^8 + 0.3
-    # the walk's zero cutoff (~1.4e-7, a rounding bound for |x| = 10^8) cuts
-    # true weights once the walk nears the attractor, and its row sums miss 1
-    ("cantor4", "100000000.3", "2000", "32", 1e-9, 1e-6),
 ])
 def test_harmonic_without_qmf_reports_the_deviation(capsys, example, x, paths, length,
                                                    low, high):
@@ -448,6 +444,16 @@ def test_harmonic_without_qmf_reports_the_deviation(capsys, example, x, paths, l
     rep = json.loads(out)
     assert code == 1 and err == "" and rep["system"] == example
     assert low < rep["qmf_deviation"] < high and "QMF" in rep["error"]
+
+
+def test_harmonic_from_a_far_start_passes_its_qmf_check(capsys):
+    # the zero cut is the rounding bound at each state weighed, so from
+    # x = 10^8 + 0.3 it follows the walk down to the attractor and cuts no
+    # true weight there (a cut fixed at the start's bound, ~1.4e-7, did)
+    code, out, err = run_main(capsys, "harmonic", "--example", "cantor4", "--x", "100000000.3",
+                              "--paths", "2000", "--length", "32")
+    assert code == 0 and err == ""
+    assert json.loads(out)["qmf_deviation"] < 1e-9
 
 
 CANTOR4_TRIPLE = "d = 1\nR = [[4]]\nB = [[0], [2]]\nL = [[0], [1]]\n"
@@ -476,6 +482,25 @@ def test_slowly_or_nowhere_contracting_inverse_runs_or_is_bad_input(tmp_path, ca
         assert json.loads(out) and err == ""
     else:
         assert out == "" and "needs 30583 factors, more than 10,000" in json.loads(err)["error"]
+
+
+# expansive, but |S^{-k}|_2 is still 16,118 at k = 2^14, the last power
+# the norms are doubled to, so they bound no tail
+TRANSIENT_TRIPLE = ("d = 2\nR = [[1.000001, 1], [0, 1.000001]]\nB = [[0, 0], [1, 0]]\n"
+                    "L = [[0, 0], [1, 0]]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("attractor", "--samples", "100"),
+    ("harmonic", "--x", "0.1,0.2", "--paths", "10", "--length", "4"),
+    ("mu-hat", "--t", "0.3,0.1"),
+])
+def test_power_norms_that_bound_no_tail_are_bad_input(tmp_path, capsys, argv):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text(TRANSIENT_TRIPLE)
+    code, out, err = run_main(capsys, argv[0], "--config", str(cfg), *argv[1:])
+    assert code == 2 and out == ""
+    assert "16384}| = 16117.7 >= 1 bounds no tail" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("command,extra,fragment", [

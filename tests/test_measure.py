@@ -206,7 +206,7 @@ def test_depths_are_the_geometric_rule_where_s_inverse_is_normal(name):
     else:
         assert np.all(depths <= rule) and np.any(depths < rule)
     # below h the bound is the sum of the power norms, past h it is looser
-    first = depths < len(sys.l_view.power_norms(2))
+    first = depths < len(sys.l_view.power_norms())
     assert depths[first].tolist() == [reference_depth(sys, t) for t in ts[first]]
 
 

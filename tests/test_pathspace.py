@@ -403,8 +403,9 @@ def test_block_uniforms_match_per_step_draws(count, steps, block):
 
 def per_step_walk(weight, view, x, length, count, seed, keep_from):
     """`pathspace._walk` as it ran before its buffers: new arrays every step,
-    the zero cutoff by `np.where`, and the QMF check on every step, raising
-    at the first step that breaks it.  Returns (words, kept) as `_walk`."""
+    the zero cut at each row's state by `np.where`, and the QMF check on
+    every step, raising at the first step that breaks it.  Returns (words,
+    kept) as `_walk`."""
     rng = np.random.default_rng(seed)
     z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
     words = np.empty((count, length), dtype=np.int8)
@@ -412,14 +413,14 @@ def per_step_walk(weight, view, x, length, count, seed, keep_from):
     if keep_from == 0:
         kept[:, 0] = z
     inv_t, digits = view.inv.T, view.digits
-    cutoff = _zero_cutoff(weight, view, x)
+    floor, scale = _zero_cutoff(weight, view)
     block = max(1, UNIFORM_BLOCK // count)
     for step in range(length):
         if step % block == 0:
             uniforms = rng.random(min(block, length - step) * count).reshape(-1, count)
         u = uniforms[step % block]
         w = _branch_weights(weight, view, z)
-        w = np.where(w < cutoff, 0.0, w)
+        w = np.where(w < floor + np.abs(z) @ scale, 0.0, w)
         sums = np.add.reduce(w)
         worst = np.maximum.reduce(np.abs(sums - 1.0))
         if worst > QMF_SAMPLING_TOL:
@@ -436,6 +437,22 @@ def per_step_walk(weight, view, x, length, count, seed, keep_from):
         if step + 1 >= keep_from:
             kept[:, step + 1 - keep_from] = z
     return words, kept
+
+
+@pytest.mark.parametrize("name", ["cantor4", "twindragon", "planar-shear", "riesz3"])
+def test_cylinder_weights_are_the_walks_branch_weights(name):
+    # each sampled word's cylinder weight is the product of the branch
+    # weights its walk read, bit for bit: the same move, pass and cut
+    weight, view, _ = _walk_case(name)
+    x, count, length = [0.21] * view.d, 200, 12
+    words, kept = _walk(weight, view, x, length, count, 3, 0)
+    floor, scale = _zero_cutoff(weight, view)
+    product = np.ones(count)
+    for k in range(length):
+        z = kept[:, k]
+        w = _branch_weights(weight, view, z)[words[:, k], np.arange(count)]
+        product *= np.where(w < floor + np.abs(z) @ scale, 0.0, w)
+    assert [cylinder_weight(weight, view, x, word) for word in words] == product.tolist()
 
 
 def patch_branch_pass(monkeypatch, alter):
@@ -563,14 +580,17 @@ def two_digit_zeros(sys_):
     return [(sys_.B[1] - sys_.B[0], 2, [1])]
 
 
-def states_onto_zeros(view, families, n, seed=0):
+def states_onto_zeros(view, families, n, seed=0, far=False):
     """(z, l): n states and branches with tau_l z on the zero set of W, given
     as families (delta, q, residues), the hyperplanes delta.y = r/q mod 1
-    with r in residues.  Uniform states of the view's box are nudged so
-    that their branch l lands on a hyperplane."""
+    with r in residues.  Uniform states of the view's box, scaled by
+    10^u for u uniform in [0, 8] when `far`, are nudged so that their
+    branch l lands on a hyperplane."""
     rng = np.random.default_rng(seed)
     lo, hi = view.box(inflate=1.0)
     z = rng.uniform(lo, hi, size=(n, view.d))
+    if far:
+        z *= 10.0 ** rng.uniform(0, 8, size=(n, 1))
     l = rng.integers(view.n_digits, size=n)
     y = (z + view.digits[l]) @ view.inv.T
     fam = rng.integers(len(families), size=n)
@@ -585,21 +605,21 @@ def states_onto_zeros(view, families, n, seed=0):
 
 def assert_zeros_cut(weight, view, z, l):
     """At states z whose branch l lands on a zero of W: the branch weight
-    `_walk` computes there is below its cutoff, so the walk sets it to
-    exactly 0; the cylinder weight of a word through the zero is exactly
-    0.0; and the cutoff stays at most 1e-12.  Returns the largest branch
-    weight at the zeros."""
-    cutoff = _zero_cutoff(weight, view, z)  # as `_walk` from a start among the z
-    assert cutoff <= 1e-12
-    assert _zero_cutoff(weight, view, np.zeros(view.d)) <= cutoff
+    `_walk` computes there is below the zero cut at z, so the walk sets it
+    to exactly 0; the cylinder weight of a word through the zero is exactly
+    0.0; and the cut is at most 1e-12 per unit of max(1, |z|_inf).
+    Returns the largest ratio of a branch weight at the zeros to its cut."""
+    floor, scale = _zero_cutoff(weight, view)
+    cut = floor + np.abs(z) @ scale
+    assert np.all(cut <= 1e-12 * np.maximum(1.0, np.abs(z).max(axis=1)))
     w = _branch_weights(weight, view, z)[l, np.arange(len(z))]
-    assert np.all(w < cutoff), np.count_nonzero(w >= cutoff)
+    assert np.all(w < cut), np.count_nonzero(w >= cut)
     for k in range(0, len(z), max(1, len(z) // 40)):
         assert cylinder_weight(weight, view, z[k], [l[k]]) == 0.0
         # a longer word, through the zero at its second step
         z0 = z[k] @ view.matrix.T - view.digits[0]
         assert cylinder_weight(weight, view, z0, [0, l[k], 1 % view.n_digits]) == 0.0
-    return float(np.max(w))
+    return float(np.max(w / cut))
 
 
 ZERO_CASES = [
@@ -621,6 +641,17 @@ def test_zeros_of_the_riesz_weight_are_cut():
     riesz = EXAMPLES["riesz3"]
     assert_zeros_cut(riesz.weight, riesz.view, *states_onto_zeros(riesz.view, [((2,), 2, [1])],
                                                                   4000))
+
+
+@pytest.mark.parametrize("name,families", ZERO_CASES + [("riesz3", lambda _: [((2,), 2, [1])])])
+def test_zeros_are_cut_at_states_far_from_the_attractor(name, families):
+    # the cut grows with the state weighed, |z| out to 10^8, and stays well
+    # above the computed weights at the zeros there
+    weight, view, _ = _walk_case(name)
+    z, l = states_onto_zeros(view, families(None if name == "riesz3" else get_system(name)), 4000,
+                             far=True)
+    assert np.abs(z).max() > 1e7
+    assert assert_zeros_cut(weight, view, z, l) < 0.25  # the factor 4 the cut has to spare
 
 
 def test_zeros_of_w_b_are_cut_on_a_scale_20_triple():
@@ -858,12 +889,12 @@ def test_retirement_on_an_orbit_across_a_uniform_block_boundary(monkeypatch, str
 
 
 def test_retiring_walk_raises_what_the_walk_of_every_step_raises(monkeypatch):
-    # from cantor4's x = 10^8 + 0.3 the zero cutoff (1.4e-7) cuts true weights
-    # near the attractor, and row sums miss 1 by ~6e-8: the first uniform
-    # block (2048 steps) breaks QMF.  Every row retires at step 576, inside
-    # that block, and the walk raises the block's message and deviation
-    sys_ = get_system("cantor4")
-    weight, view, x = weight_from_digits(sys_.B), sys_.l_view, [1e8 + 0.3]
+    # cantor4's W_B scaled by 1 + 1e-6: row sums miss 1 by ~1e-6, so the first
+    # uniform block (2048 steps) breaks QMF.  Every row retires inside that
+    # block, and the walk raises the block's message and deviation
+    w_b = weight_from_digits(get_system("cantor4").B)
+    weight = cosine_weight(w_b.c0 * (1 + 1e-6), w_b.a * (1 + 1e-6), w_b.f)
+    view, x = get_system("cantor4").l_view, [0.3]
     found = _spy_periods(monkeypatch)
     with pytest.raises(pathspace.QmfError) as retiring:
         _walk(weight, view, x, 4500, 32, 11, 501)
@@ -873,6 +904,25 @@ def test_retiring_walk_raises_what_the_walk_of_every_step_raises(monkeypatch):
         _walk(weight, view, x, 4500, 32, 11, 501)
     assert str(retiring.value) == str(every_step.value)
     assert retiring.value.deviation == every_step.value.deviation > QMF_SAMPLING_TOL
+
+
+def test_walks_from_far_starts_bit_identical_to_per_step_walk(monkeypatch):
+    # the zero cut follows each row's state from |x| = 10^8 down to the
+    # attractor: cantor4 retires in one segment, riesz3 splits and merges
+    found = _spy_periods(monkeypatch)
+    weight, view, _ = _walk_case("cantor4")
+    walk = _walk(weight, view, [1e8 + 0.3], 4500, 32, 11, 501)
+    ref_words, ref_kept = per_step_walk(weight, view, [1e8 + 0.3], 4500, 32, 11, 501)
+    assert walk.retired_at is not None and found[0][0] == walk.retired_at
+    assert np.array_equal(walk.words, ref_words)
+    assert np.array_equal(walk.kept, ref_kept)
+    results = _spy_split(monkeypatch)
+    weight, view, _ = _walk_case("riesz3")
+    words, kept = _walk(weight, view, [1e6], 20_000, 32, 12, 500)
+    ref_words, ref_kept = per_step_walk(weight, view, [1e6], 20_000, 32, 12, 500)
+    assert len(results) == 1 and results[0] is not None  # the heads merged
+    assert np.array_equal(words, ref_words)
+    assert np.array_equal(kept, ref_kept)
 
 
 def test_estimate_h_with_cycles_longer_than_the_paths(twindragon):
