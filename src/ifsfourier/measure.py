@@ -29,11 +29,16 @@ with one f_j per pair +-delta of nonzero differences, a_j = 2 c_delta / N^2
 for c_delta the number of pairs (b, b') with b - b' = delta, and
 c_0 = 1/N (plus 2/N^2 per repeated digit pair).  At the N branch images
 tau_l z = M^{-1}(z + l) of an affine view, f_j.tau_l z = g_j.z + g_j.l
-with g_j = M^{-t} f_j, so every W(tau_l z) comes from the same P cosines
-and P sines of 2 pi g_j.z: one trig pass per state for all N branches
-(`_branch_pass`, with the per-view factors of
-`IfsView.cosine_factors`).  A `Weight` is such a polynomial, stored as
-its data (c0, a, f), and calling it runs the same pass at given points.
+with g_j = M^{-t} f_j, so every W(tau_l z) comes from the cosines and
+sines of 2 pi g_j.z: one trig pass per state for all N branches
+(`_branch_pass`, with the per-view factors of `IfsView.cosine_factors`).
+The trig runs on the direct frequencies only; a frequency that is the
+sum or difference of two direct ones (on planar-shear (3, +-1) =
+(3, 0) +- (0, 1)) takes its cosine and sine from theirs by angle
+addition, as products folded into the same coefficient matmul, so
+planar-shear runs 4 trig evaluations per state instead of 8.  A `Weight`
+is such a polynomial, stored as its data (c0, a, f), and calling it runs
+the same pass at given points, on the one-branch view x -> x.
 A computed W(tau_l z) below the rounding bound of that pass at the state
 z (`_zero_cutoff`, a floor plus a term linear in |z|) is an exact zero.
 QMF, sum_l W_B(tau_l z) = 1 on the L-view of a Hadamard
@@ -45,6 +50,7 @@ from __future__ import annotations
 import csv
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,10 +109,11 @@ class Weight:
     with a of shape (P,) and f of shape (P, d); P = 0 is the constant c0.
     W is always evaluated analytically, never interpolated: its zeros are
     geometrically critical and interpolation would smear them.  Called at
-    points x (as `_as_rows` reads them), it runs the cosine pass of
-    `_branch_weights` at x.  On an affine view tau_l z = M^{-1}(z + l) the
-    polynomial gives W at all N branch images from P cosines and P sines
-    of z alone, without forming the images (`_branch_weights`).
+    points x (as `_as_rows` reads them), it runs `_branch_pass` on the
+    one-branch view x -> x.  On an affine view tau_l z = M^{-1}(z + l) the
+    polynomial gives W at all N branch images from the cosines and sines
+    of its direct frequencies at z alone, without forming the images
+    (`_branch_pass`).
 
     A Weight is a value: a and f are read-only float copies (with no -0.0
     entries), and == and hash compare c0, a, f and the description.
@@ -140,22 +147,26 @@ class Weight:
     def __reduce__(self):
         return Weight, (self.c0, self.a, self.f, self.description)
 
+    @cached_property
+    def _points(self) -> IfsView:
+        """The one-branch view x -> x: W at points is its branch pass."""
+        d = self.f.shape[1]
+        return IfsView("x", np.eye(d), np.zeros((1, d)))
+
     def __call__(self, x):
         pts, one = _as_rows(x, self.f.shape[1], "a Weight")
-        w = self.a @ _cosine_terms(self.f, pts)[:len(self.a)]
-        w += self.c0
+        w = _branch_pass(self, self._points, len(pts))(pts)[0]
         return w[0] if one else w
 
 
-def _cosine_terms(g: np.ndarray, z: np.ndarray, turns: np.ndarray | None = None) -> np.ndarray:
+def _cosine_terms(g: np.ndarray, z: np.ndarray, turns: np.ndarray) -> np.ndarray:
     """cos(2 pi g_j.z) for the rows g_j of g and z of z, shape (P, n), and
     below them sin(2 pi g_j.z), from the same cosine pass as
-    cos(2 pi (g_j.z - 1/4)).  The phases in turns are reduced mod 1 first,
-    so the cosine sees arguments in [-pi, pi].  Written into `turns`, a
-    (2P, n) buffer, when one is given."""
+    cos(2 pi (g_j.z - 1/4)), written into `turns`, a (2P, n) buffer.  The
+    phases are reduced mod 1 first, so the cosine sees arguments in
+    [-pi, pi].  The branch pass gives it the direct rows of
+    `IfsView.cosine_factors` only."""
     p = len(g)
-    if turns is None:
-        turns = np.empty((2 * p, len(z)))
     np.matmul(g, z.T, out=turns[:p])
     np.subtract(turns[:p], 0.25, out=turns[p:])
     turns -= np.rint(turns)
@@ -167,18 +178,29 @@ def _branch_pass(weight: Weight, view: IfsView, n: int):
     """The branch-weight pass for batches of n states: a function of an
     (n, d) array z that writes W(tau_l z) for every digit l and row of z
     into one C-ordered (N, n) buffer and returns it, so each call
-    overwrites the result of the last.  It needs z alone: one
-    (N, 2P) x (2P, n) product of the view's cosine factors with the
-    cosines and sines of 2 pi g_j.z gives all N weights, without forming
-    the images.  The factors and the buffers are fetched once per pass,
-    not once per batch."""
-    out = np.empty((view.n_digits, n))
-    g, coef = view.cosine_factors(weight.a, weight.f)
-    turns = np.empty((2 * len(g), n))
-    c0 = weight.c0
+    overwrites the result of the last.  It needs z alone, without forming
+    the images.  With the view's cosine factors (G, E, left, right, C)
+    (`IfsView.cosine_factors`) it runs the trig on the D direct rows of G
+    only (`_cosine_terms`), gathers the K pair products of a derived
+    frequency's angle addition with one `take` pair and one `multiply`,
+    and gives all N weights by one (N, 2D + K) x (2D + K, n) product.
+    Real ufuncs only: numpy's SIMD complex multiply would round a batch
+    unlike one row.  When no frequency is derived, as for every P = 1
+    weight, K = 0 and the pass is the P cosines and P sines of every
+    term.  The factors and the buffers are fetched once per pass, not
+    once per batch."""
+    g, _, left, right, coef = view.cosine_factors(weight.a, weight.f)
+    p, k, c0 = len(g), len(left), weight.c0
+    terms, out = np.empty((2 * p + k, n)), np.empty((view.n_digits, n))
+    trig, products, factors = terms[:2 * p], terms[2 * p:], np.empty((k, n))
 
     def weights_at(z):
-        np.matmul(coef, _cosine_terms(g, z, turns), out=out)
+        _cosine_terms(g, z, trig)
+        if k:
+            trig.take(left, axis=0, out=products, mode="clip")
+            trig.take(right, axis=0, out=factors, mode="clip")
+            np.multiply(products, factors, out=products)
+        np.matmul(coef, terms, out=out)
         return np.add(out, c0, out=out)
     return weights_at
 
@@ -195,21 +217,28 @@ def _zero_cutoff(weight: Weight, view: IfsView) -> tuple:
 
     That is the rounding bound of the evaluation of
     c0 + sum_j a_j cos(2 pi theta_j), theta_j = g_j.z + g_j.l, g_j = M^{-t} f_j
-    (the phase of `_branch_weights`).  |theta_j| <= |g_j|.|z| + max_l |g_j.l|,
+    (the phase of `_branch_pass`).  |theta_j| <= |g_j|.|z| + max_l |g_j.l|,
     and the float phase is off by about eps that many turns, which moves
     a_j cos by 2 pi |a_j| times as much.  Each cosine, product and sum term
-    adds about eps |a_j|, and c0 adds eps c0:
+    adds about eps |a_j|, and c0 adds eps c0.  A derived term (see
+    `IfsView.cosine_factors`) reads the phases of its two direct terms a
+    and b, so its z-part is off by eps (|g_a| + |g_b|).|z| turns, and each
+    of its two trig values adds its own eps |a_j| (the products add no more
+    than a direct term's, as |c_a c_b| + |s_a s_b| <= 1 and
+    |s_a c_b| + |c_a s_b| <= 1).  With E the plan of `cosine_factors`,
+    n_j = sum_p |E[j, p]| (1 direct, 2 derived) and
+    h_j = sum_p |E[j, p]| |g_p| (|g_j| direct, |g_a| + |g_b| derived):
 
-        floor = 4 eps (c0 + sum_j |a_j| (1 + 2 pi max_l |g_j.l|)),
-        s = 8 pi eps sum_j |a_j| |g_j|  (entrywise |g_j|, one entry per coordinate),
+        floor = 4 eps (c0 + sum_j |a_j| (n_j + 2 pi max_l |g_j.l|)),
+        s = 8 pi eps sum_j |a_j| h_j  (entrywise |g_p|, one entry per coordinate),
 
     a first-order bound with a factor 4 to spare, still far below any weight
     a walk could plausibly pick; for a constant weight (P = 0) it is 4 eps c0."""
-    g = view.cosine_factors(weight.a, weight.f)[0]
-    eps, a = np.finfo(float).eps, np.abs(weight.a)
-    turns = np.abs(g @ view.digits.T).max(axis=1, initial=0.0)
-    floor = 4.0 * eps * (weight.c0 + float(a @ (1.0 + 2.0 * np.pi * turns)))
-    return floor, 8.0 * np.pi * eps * (a @ np.abs(g))
+    g, plan = view.cosine_factors(weight.a, weight.f)[:2]
+    eps, a, reach = np.finfo(float).eps, np.abs(weight.a), np.abs(plan)
+    turns = np.abs((plan @ g) @ view.digits.T).max(axis=1, initial=0.0)
+    floor = 4.0 * eps * (weight.c0 + float(a @ (reach.sum(axis=1) + 2.0 * np.pi * turns)))
+    return floor, 8.0 * np.pi * eps * ((a @ reach) @ np.abs(g))
 
 
 def _cosine_polynomial(b: np.ndarray) -> tuple:

@@ -577,6 +577,26 @@ def classification_radius(w_cycles, view: IfsView) -> float:
     return max(view.bounding_radius(), 1e-6) / 8.0
 
 
+def _cycle_labels(ens: PathEnsemble, w_cycles, radius: float) -> np.ndarray:
+    """Each path's index in w_cycles, or -1: the cycle whose points its
+    last state aligned to that cycle's period is within `radius` of, when
+    exactly one cycle's is.  The distances are formed coordinate by
+    coordinate, the float operations of `np.linalg.norm` for d < 8 without
+    its reduction over an axis of d entries, as (points, paths) arrays, so
+    that the test against the radius reduces over whole rows of paths."""
+    length, window = ens.length, ens.tail_states.shape[1] - 1
+    hits = np.empty((len(w_cycles), ens.count), dtype=bool)
+    for ci, cyc in enumerate(w_cycles):
+        aligned = (length // cyc.period) * cyc.period  # 0 when p > length: the start x
+        states, points = ens.tail_states[:, aligned - (length - window)], cyc.points_float
+        dist = np.zeros((len(points), ens.count))
+        for i in range(points.shape[1]):
+            diff = np.subtract.outer(points[:, i], states[:, i])
+            dist += np.multiply(diff, diff, out=diff)
+        np.any(np.sqrt(dist, out=dist) < radius, axis=0, out=hits[ci])
+    return np.where(np.count_nonzero(hits, axis=0) == 1, np.argmax(hits, axis=0), -1)
+
+
 def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
                count: int, seed: int, radius: float | None = None) -> HarmonicEstimate:
     """Classify sampled paths by which W-cycle their tail has entered.
@@ -585,7 +605,8 @@ def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
     for a cycle of period p the state at the largest multiple of p not
     exceeding the path length must fall within `radius` of one of the
     cycle's points.  Paths near no cycle (or, pathologically, near more
-    than one) are reported as unclassified mass, never silently dropped.
+    than one) are reported as unclassified mass, never silently dropped
+    (`_cycle_labels`).
     """
     if not w_cycles:
         raise ValueError("at least one W-cycle is required")
@@ -593,22 +614,7 @@ def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
         radius = classification_radius(w_cycles, view)
     max_period = max(c.period for c in w_cycles)
     ens = sample_paths(weight, view, x, length, count, seed, tail_window=max_period)
-    window = ens.tail_states.shape[1] - 1  # max_period, or length if that is shorter
-    assigned = np.full(count, -1)
-    ambiguous = np.zeros(count, dtype=bool)
-    for ci, cyc in enumerate(w_cycles):
-        p = cyc.period
-        aligned = (length // p) * p  # 0 when p > length: the start x
-        offset = aligned - (length - window)  # index into tail_states
-        states = ens.tail_states[:, offset]
-        dist = np.min(
-            np.linalg.norm(states[:, None, :] - cyc.points_float[None, :, :], axis=2),
-            axis=1,
-        )
-        hit = dist < radius
-        ambiguous |= hit & (assigned >= 0)
-        assigned = np.where(hit & (assigned < 0), ci, assigned)
-    assigned[ambiguous] = -1
+    assigned = _cycle_labels(ens, w_cycles, radius)
     probs, errs = [], []
     for ci in range(len(w_cycles)):
         p_hat = float(np.mean(assigned == ci))

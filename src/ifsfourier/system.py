@@ -43,6 +43,38 @@ def frac_str(v) -> str:
     return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
 
 
+def _angle_sums(freqs: np.ndarray) -> tuple:
+    """(direct, E): which rows of the (P, d) frequencies f run the trig of a
+    cosine pass, and every row in their terms.
+
+    The rows are visited in order of increasing |f_j|_1, ties by row.  A
+    row equal to f_a + f_b or f_a - f_b, with a and b rows already direct
+    (a = b allowed for the sum), is derived; any other is direct.  A
+    derived row never reads another derived row.  `direct` lists the D
+    direct rows in row order, and row j of the (P, D) float array E is f_j
+    in them: a unit row for a direct f_j, two entries +-1 (or one 2) for a
+    derived one.  On planar-shear's W_B, (0, 1) and (3, 0) are direct and
+    (3, +-1) derived."""
+    terms = {}  # row -> its terms ((row, sign), ...) in direct rows
+    sums = {}  # f_a + f_b, f_a - f_b of direct rows a, b -> their terms
+    for j in np.argsort(np.abs(freqs).sum(axis=1), kind="stable"):
+        f = freqs[j]
+        terms[j] = sums.get(tuple(f), ((j, 1),))
+        if len(terms[j]) == 1:
+            for k in [k for k, t in terms.items() if len(t) == 1]:
+                sums.setdefault(tuple(f + freqs[k]), ((j, 1), (k, 1)))
+                if k != j:
+                    sums.setdefault(tuple(f - freqs[k]), ((j, 1), (k, -1)))
+                    sums.setdefault(tuple(freqs[k] - f), ((k, 1), (j, -1)))
+    direct = np.array(sorted(j for j, t in terms.items() if len(t) == 1), dtype=np.intp)
+    column = {int(j): p for p, j in enumerate(direct)}
+    plan = np.zeros((len(freqs), len(direct)))
+    for j, t in terms.items():
+        for k, sign in t:
+            plan[j, column[int(k)]] += sign
+    return direct, plan
+
+
 @dataclass(frozen=True, eq=False)
 class IfsView:
     """One of the two IFSs of a duality system: x -> matrix^{-1}(x + digit).
@@ -132,25 +164,51 @@ class IfsView:
         return np.array([Fraction(v, q) for v in rows.flat], dtype=object).reshape(rows.shape)
 
     def cosine_factors(self, coeffs: np.ndarray, freqs: np.ndarray) -> tuple:
-        """(G, C) for a cosine polynomial sum_j a_j cos(2 pi f_j.x), a and f
-        float arrays of shapes (P,) and (P, d), at the branch images: with g_j =
-        matrix^{-t} f_j the rows of G (in turns) and phi_{j,l} = 2 pi g_j.l,
+        """(G, E, left, right, C) for a cosine polynomial sum_j a_j cos(2 pi f_j.x),
+        a and f float arrays of shapes (P,) and (P, d), at the branch images.
+        With g_j = matrix^{-t} f_j (in turns), theta_j = 2 pi g_j.z and
+        phi_{j,l} = 2 pi g_j.l,
 
-            a_j cos(2 pi f_j.tau_l z)
-                = a_j cos phi_{j,l} cos(2 pi g_j.z) - a_j sin phi_{j,l} sin(2 pi g_j.z),
+            a_j cos(2 pi f_j.tau_l z) = A_{j,l} cos theta_j + B_{j,l} sin theta_j,
+            A_{j,l} = a_j cos phi_{j,l},  B_{j,l} = -a_j sin phi_{j,l}.
 
-        so the N terms are C @ [cos(2 pi G z); sin(2 pi G z)], with
-        C[l] = (a cos phi_{., l}, -a sin phi_{., l}) of shape (N, 2P).
-        The phases g_j.l are reduced mod 1 before the trig call.  Cached
-        per polynomial."""
+        The trig runs on the D direct frequencies of `_angle_sums` only: G
+        holds their rows g_j, and E is the (P, D) plan, f_j = sum_p E[j, p]
+        f_{direct p}.  A derived theta_j = u theta_a + v theta_b (u, v = +-1)
+        takes its cosine and sine from angle addition,
+
+            cos theta_j = c_a c_b - u v s_a s_b,  sin theta_j = u s_a c_b + v c_a s_b,
+
+        so its term is A c_a c_b - u v A s_a s_b + u B s_a c_b + v B c_a s_b.
+        The N weights are then C @ T, T = [cos 2 pi G z; sin 2 pi G z; products]:
+        product k is T[left[k]] T[right[k]], one per distinct pair of trig rows,
+        and C of shape (N, 2D + K) holds A and B of the direct terms and the
+        summed coefficients of each product.  When no frequency is derived
+        (any P = 1 weight), D = P, K = 0 and C[l] = (A_{., l}, B_{., l}).
+        The phases g_j.l are reduced mod 1 before the trig call.  Cached per
+        polynomial."""
         key = (coeffs.tobytes(), freqs.tobytes())
         factors = self._cosine_factors.get(key)
         if factors is None:
+            direct, plan = _angle_sums(freqs)
             g = freqs @ self.inv
             phi = g @ self.digits.T
             phi = 2.0 * np.pi * (phi - np.rint(phi))
             a = coeffs[:, None]
-            factors = (g, np.concatenate([a * np.cos(phi), -a * np.sin(phi)]).T.copy())
+            big_a, big_b = a * np.cos(phi), -a * np.sin(phi)
+            n_direct, products = len(direct), {}  # (row, row) of T -> its coefficients
+            for j in np.flatnonzero(np.abs(plan).sum(axis=1) == 2):  # the derived rows
+                p, q = np.flatnonzero(plan[j])[[0, -1]]  # p = q for 2 f_p
+                u, v = plan[j, [p, q]] if p != q else (1.0, 1.0)
+                sp, sq = n_direct + p, n_direct + q  # the sine rows
+                for rows, c in (((p, q), big_a[j]), ((sp, sq), -u * v * big_a[j]),
+                                ((sp, q), u * big_b[j]), ((p, sq), v * big_b[j])):
+                    rows = tuple(sorted(rows))
+                    products[rows] = products.get(rows, 0.0) + c
+            left, right = np.array(list(products), dtype=np.intp).reshape(-1, 2).T.copy()
+            coef = np.concatenate([big_a[direct], big_b[direct]]
+                                  + [c[None] for c in products.values()]).T.copy()
+            factors = (g[direct], plan, left, right, coef)
             self._cosine_factors[key] = factors
         return factors
 

@@ -23,9 +23,10 @@ from ifsfourier import (
     sample_paths,
     weight_from_digits,
 )
-from ifsfourier.measure import EXACT_ZERO_CUTOFF, _branch_weights, _mu_hat_rows, _tail_depth
+from ifsfourier.measure import (EXACT_ZERO_CUTOFF, _branch_weights, _cosine_terms, _mu_hat_rows,
+                                _tail_depth, _zero_cutoff)
 from ifsfourier.ratlinalg import mat_inverse
-from ifsfourier.system import IfsView, fvec
+from ifsfourier.system import IfsView, _angle_sums, fvec
 
 AFFINE = [name for name, entry in EXAMPLES.items() if entry.kind == "affine"]
 
@@ -618,6 +619,119 @@ def test_cosine_polynomial_matches_generic_weight(digits):
     # the weight called at the points themselves: the same cosine pass
     pts = z if d > 1 else z[:, 0]
     assert np.max(np.abs(weight_from_digits(digits)(pts) - _generic(digits)(pts))) < 1e-13
+
+
+# --- the branch pass by angle addition against the direct pass -------------
+
+EPS = np.finfo(float).eps
+
+
+def direct_branch_pass(weight, view, n):
+    """`measure._branch_pass` before angle addition: the trig of every
+    frequency, P cosines and P sines of 2 pi g_j.z with g_j = M^{-t} f_j, and
+    one (N, 2P) x (2P, n) product with the coefficients (a cos phi, -a sin phi),
+    phi_{j,l} = 2 pi g_j.l reduced mod 1.  Patched in for `_branch_pass`, it
+    gives the walk of that pass."""
+    g = weight.f @ view.inv
+    phi = g @ view.digits.T
+    phi = 2.0 * np.pi * (phi - np.rint(phi))
+    a = weight.a[:, None]
+    coef = np.concatenate([a * np.cos(phi), -a * np.sin(phi)]).T.copy()
+    out, turns = np.empty((view.n_digits, n)), np.empty((2 * len(g), n))
+
+    def weights_at(z):
+        np.matmul(coef, _cosine_terms(g, z, turns), out=out)
+        return np.add(out, weight.c0, out=out)
+    return weights_at
+
+
+def walk_weight(name):
+    """(weight, view) of a registry entry's walk: W_B on the L-view, or the
+    riesz3 (weight, view)."""
+    if EXAMPLES[name].kind == "circle":
+        return EXAMPLES[name].weight, EXAMPLES[name].view
+    sys_ = get_system(name)
+    return weight_from_digits(sys_.B), sys_.l_view
+
+
+def assert_near_direct_pass(weight, view, z):
+    """The branch weights at the states z equal the direct pass's bit for bit
+    when no frequency is derived, and are within a quarter of the zero cut
+    at z otherwise: the first-order rounding bound of either pass, without
+    the factor 4 the cut has to spare.  Returns the largest deviation."""
+    fast = _branch_weights(weight, view, z)
+    ref = direct_branch_pass(weight, view, len(z))(z)
+    if len(view.cosine_factors(weight.a, weight.f)[0]) == len(weight.a):
+        assert np.array_equal(fast, ref)
+    floor, scale = _zero_cutoff(weight, view)
+    assert np.all(np.abs(fast - ref) < (floor + np.abs(z) @ scale) / 4)
+    return float(np.max(np.abs(fast - ref)))
+
+
+@pytest.mark.parametrize("name", list(EXAMPLES))
+def test_branch_pass_within_8_eps_of_the_direct_pass(name):
+    # at 6,000 states of the box, the walk's weights: bit for bit on every
+    # P = 1 weight (no derived frequency), within 8 eps on planar-shear
+    weight, view = walk_weight(name)
+    lo, hi = view.box()
+    z = np.random.default_rng(35).uniform(lo, hi, size=(6000, view.d))
+    derived = len(weight.a) - len(view.cosine_factors(weight.a, weight.f)[0])
+    assert derived == (2 if name == "planar-shear" else 0)
+    assert assert_near_direct_pass(weight, view, z) <= 8 * EPS
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_branch_pass_near_the_direct_pass_on_both_views(name):
+    # either digit set's weight on either view, out to three boxes: phases of
+    # several turns, where the two passes round apart by more than 8 eps
+    # (19 eps for W_L on planar-shear's B-view) but within the rounding bound
+    sys_ = get_system(name)
+    for view in (sys_.l_view, sys_.b_view):
+        lo, hi = view.box()
+        z = np.random.default_rng(36).uniform(3 * lo, 3 * hi, size=(2000, sys_.d))
+        for digits in (sys_.B, sys_.L):
+            assert_near_direct_pass(weight_from_digits(digits), view, z)
+
+
+def test_planar_shear_runs_the_trig_on_two_of_its_four_frequencies():
+    sys_ = get_system("planar-shear")
+    weight = weight_from_digits(sys_.B)
+    assert weight.f.tolist() == [[0, 1], [3, -1], [3, 0], [3, 1]]
+    direct, plan = _angle_sums(weight.f)
+    # (0, 1) and (3, 0) direct; (3, -1) = (3, 0) - (0, 1) and (3, 1) their sum
+    assert direct.tolist() == [0, 2]
+    assert plan.tolist() == [[1, 0], [-1, 1], [0, 1], [1, 1]]
+    g, plan, left, right, coef = sys_.l_view.cosine_factors(weight.a, weight.f)
+    assert g.tolist() == (weight.f[direct] @ sys_.l_view.inv).tolist()
+    # 4 trig rows and the 4 products c_a c_b, s_a s_b, s_a c_b, c_a s_b the two
+    # derived terms share: the same (4, 8) coefficients as 8 trig rows took
+    assert sorted(zip(left.tolist(), right.tolist())) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert coef.shape == (4, 8)
+
+
+def test_a_derived_frequency_never_reads_another():
+    # 2 = 1 + 1 is derived, so 3 = 1 + 2 is not: 3 is direct, and 4 = 3 + 1
+    direct, plan = _angle_sums(np.array([[1.0], [2.0], [3.0], [4.0]]))
+    assert direct.tolist() == [0, 2]
+    assert plan.tolist() == [[1, 0], [2, 0], [0, 1], [1, 1]]
+    # rows are visited by |f|_1, ties by row, whatever their order
+    direct, plan = _angle_sums(np.array([[3.0, 1.0], [0.0, 1.0], [3.0, -1.0], [3.0, 0.0]]))
+    assert direct.tolist() == [1, 3] and plan.tolist() == [[1, 1], [1, 0], [-1, 1], [0, 1]]
+    # a constant weight has no terms
+    direct, plan = _angle_sums(np.empty((0, 2)))
+    assert direct.shape == (0,) and plan.shape == (0, 0)
+
+
+def test_weight_at_points_is_the_one_branch_pass():
+    # W(x) runs the branch pass of the view x -> x: derived terms included,
+    # within 8 eps of c0 + sum_j a_j cos(2 pi f_j.x) formed term by term
+    x = np.random.default_rng(37).uniform(-1.0, 1.0, size=(1000, 2))
+    for digits in ([[0, 0], [3, 0], [0, 1], [3, 1]], [[0, 0], [1, 0], [2, 0], [3, 0]]):
+        weight = weight_from_digits(digits)
+        assert len(weight._points.cosine_factors(weight.a, weight.f)[0]) < len(weight.a)
+        ref = weight.c0 + weight.a @ np.cos(2.0 * np.pi * (weight.f @ x.T))
+        assert np.max(np.abs(weight(x) - ref)) <= 8 * EPS
+        assert weight(x).tolist() == _branch_weights(weight, weight._points, x)[0].tolist()
 
 
 @pytest.mark.parametrize("tail_tol", [np.nan, np.inf, 0.0, -1.0])

@@ -28,8 +28,10 @@ from ifsfourier import (
 from ifsfourier import measure, pathspace
 from ifsfourier.system import IfsView
 from ifsfourier.measure import _branch_pass, _branch_weights, _zero_cutoff
-from ifsfourier.pathspace import QMF_SAMPLING_TOL, UNIFORM_BLOCK, _walk, classification_radius
+from ifsfourier.pathspace import (QMF_SAMPLING_TOL, UNIFORM_BLOCK, PathEnsemble, _cycle_labels,
+                                  _walk, classification_radius)
 from strategies import product_triple
+from test_measure import direct_branch_pass
 from test_spectrum import k_points_reference
 
 
@@ -154,6 +156,54 @@ def test_classification_radius_multi_cycle(twindragon):
     cycles = find_w_cycles(twindragon, 4)
     # minimum pairwise distance among the twelve points is 1/5
     assert classification_radius(cycles, twindragon.l_view) == pytest.approx(1 / 40)
+
+
+def per_cycle_labels(ens, w_cycles, radius):
+    """(labels, ambiguous): the labels `estimate_h` formed before
+    `_cycle_labels`, by one distance pass per cycle, in cycle order, with
+    `np.linalg.norm`, at the tail state aligned to its period; and which
+    paths were near two cycles' points, and so -1."""
+    length, window = ens.length, ens.tail_states.shape[1] - 1
+    assigned = np.full(ens.count, -1)
+    ambiguous = np.zeros(ens.count, dtype=bool)
+    for ci, cyc in enumerate(w_cycles):
+        aligned = (length // cyc.period) * cyc.period
+        states = ens.tail_states[:, aligned - (length - window)]
+        dist = np.min(np.linalg.norm(states[:, None, :] - cyc.points_float[None, :, :], axis=2),
+                      axis=1)
+        hit = dist < radius
+        ambiguous |= hit & (assigned >= 0)
+        assigned = np.where(hit & (assigned < 0), ci, assigned)
+    assigned[ambiguous] = -1
+    return assigned, ambiguous
+
+
+@pytest.mark.parametrize("name", [n for n, e in EXAMPLES.items() if e.kind == "affine"])
+def test_cycle_labels_match_the_per_cycle_loop(name):
+    # tails scattered about the W-cycle points, at lengths that align the
+    # periods at different tail states (one shorter than the longest
+    # period), and radii at which paths are near one cycle, none, or several
+    sys_ = get_system(name)
+    cycles = find_w_cycles(sys_, EXAMPLES[name].p_max)
+    radius = classification_radius(cycles, sys_.l_view)
+    points = np.concatenate([c.points_float for c in cycles])
+    max_period = max(c.period for c in cycles)
+    rng = np.random.default_rng(39)
+    kinds, ambiguous = set(), 0
+    for length in (64, max_period + 1, max(1, max_period - 1)):
+        shape = (3000, min(max_period, length) + 1)
+        tail = points[rng.integers(len(points), size=shape)]
+        tail += rng.normal(size=tail.shape) * radius * rng.uniform(0.0, 3.0, shape + (1,))
+        ens = PathEnsemble(start=tail[0, 0], length=length,
+                           words=np.zeros((shape[0], length), dtype=np.int8), seed=0,
+                           final_states=tail[:, -1], tail_states=tail)
+        for r in (radius, 4 * radius, 100 * radius):
+            labels, near_two = per_cycle_labels(ens, cycles, r)
+            assert np.array_equal(_cycle_labels(ens, cycles, r), labels)
+            kinds.update(np.sign(labels).tolist())
+            ambiguous += np.count_nonzero(near_two)
+    assert kinds == ({-1, 0, 1} if len(cycles) > 1 else {-1, 0})
+    assert (ambiguous > 0) == (len(cycles) > 1)
 
 
 def test_h_closed_form_monotone_in_depth(cantor4, cantor4_w_cycles):
@@ -491,6 +541,18 @@ def test_walk_bit_identical_to_per_step_walk(name, count, length, keep_from):
     assert np.array_equal(kept, ref_kept)
 
 
+@pytest.mark.parametrize("count,length", [(6000, 64), (32, 4500)])
+def test_planar_shear_walk_bit_identical_to_the_direct_pass_walk(monkeypatch, count, length):
+    # the harmonic and run_chain shapes: the trig on 2 of the 4 frequencies
+    # moves the branch weights by a few eps, and no word or state
+    weight, view, x = _walk_case("planar-shear")
+    words, kept = _walk(weight, view, x, length, count, 41, 0)
+    monkeypatch.setattr(pathspace, "_branch_pass", direct_branch_pass)
+    ref_words, ref_kept = _walk(weight, view, x, length, count, 41, 0)
+    assert np.array_equal(words, ref_words)
+    assert np.array_equal(kept, ref_kept)
+
+
 def _qmf_outcome(monkeypatch, walk, changes, count, length):
     """The message of the ValueError a walk of W = 1/2 on cantor4 raises
     when, from each call of its branch pass in `changes` on (one call per
@@ -634,6 +696,22 @@ def test_zeros_of_w_b_are_cut_on_registry_systems(name, families):
     sys_ = get_system(name)
     z, l = states_onto_zeros(sys_.l_view, families(sys_), 20_000)
     assert_zeros_cut(weight_from_digits(sys_.B), sys_.l_view, z, l)
+
+
+def test_the_cut_of_a_derived_term_reads_both_its_phases():
+    # planar-shear: (0, 1) and (3, 0) direct, (3, -1) and (3, 1) derived from
+    # both, so their phases carry the rounding of two and their values two
+    # trig roundings: h_j = |g_a| + |g_b| and n_j = 2 in the cut
+    weight, view, _ = _walk_case("planar-shear")
+    g = np.abs(weight.f @ view.inv)  # the rows of (0, 1), (3, -1), (3, 0), (3, 1)
+    h = np.array([g[0], g[0] + g[2], g[2], g[0] + g[2]])
+    n = np.array([1.0, 2.0, 1.0, 2.0])
+    turns = np.abs(weight.f @ view.inv @ view.digits.T).max(axis=1)
+    eps = np.finfo(float).eps
+    floor, scale = _zero_cutoff(weight, view)
+    assert np.isclose(floor, 4 * eps * (weight.c0 + weight.a @ (n + 2 * np.pi * turns)),
+                      rtol=1e-14, atol=0.0)
+    assert np.allclose(scale, 8 * np.pi * eps * (weight.a @ h), rtol=1e-14, atol=0.0)
 
 
 def test_zeros_of_the_riesz_weight_are_cut():

@@ -38,8 +38,10 @@ from test_cycles import (
 )
 from test_measure import (
     assert_batch_matches_complex_reference,
+    assert_near_direct_pass,
     assert_scan_matches_loop,
     at_images,
+    direct_branch_pass,
     reference_tails,
 )
 from test_pathspace import (
@@ -206,3 +208,31 @@ def test_retiring_walk_matches_per_step_walk_on_generated_triples(sys_, seed):
         assert np.array_equal(walk.words, ref_words)
         assert np.array_equal(walk.kept, ref_kept)
         assert walk.retired_at is not None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(pair=st.tuples(hadamard_triples_1d(st.just(2)), hadamard_triples_1d(st.just(2))),
+       seed=st.integers(0, 2 ** 16))
+def test_angle_addition_pass_on_generated_product_triples(pair, seed):
+    # N = 4 in the plane: W_B has the frequencies (d1, 0) and (0, d2), direct,
+    # and (d1, +-d2), derived.  The branch weights stay within the rounding
+    # bound of the direct pass: 8 eps does not hold here, as the phases reach
+    # a few turns (up to 13 eps for W_B on the L-view at box states in 400
+    # such triples).  The walks' words and states are the direct pass's walk's
+    sys_ = product_triple(*pair)
+    rng = np.random.default_rng(seed)
+    for view, digits in ((sys_.l_view, sys_.B), (sys_.b_view, sys_.L)):
+        weight = weight_from_digits(digits)
+        plan = view.cosine_factors(weight.a, weight.f)[1]
+        assert plan.shape == (4, 2) and np.count_nonzero(plan) == 6
+        lo, hi = view.box()
+        assert_near_direct_pass(weight, view, rng.uniform(lo, hi, size=(1000, 2)))
+    weight, view = weight_from_digits(sys_.B), sys_.l_view
+    x = rng.uniform(*view.box())
+    for count, length in ((2000, 64), (32, 1000)):
+        walk = pathspace._walk(weight, view, x, length, count, seed, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathspace, "_branch_pass", direct_branch_pass)
+            ref = pathspace._walk(weight, view, x, length, count, seed, 0)
+        assert np.array_equal(walk.words, ref.words)
+        assert np.array_equal(walk.kept, ref.kept)
