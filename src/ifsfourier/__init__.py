@@ -51,7 +51,6 @@ from .spectrum import (
     grid_orthogonality,
     k_point,
     k_points_of_depth,
-    lambda_from_k_points,
     lattice_basin_sums,
     verify_orthogonality,
 )
@@ -96,8 +95,8 @@ __all__ = [
     "weight_from_digits", "Cycle", "classify_w", "enumerate_cycles", "find_w_cycles",
     "power_system", "BasinResult", "GramReport", "GridOrthogonality", "LatticeError",
     "SpectrumSet", "completeness_sum", "cycle_basin", "generate_lambda",
-    "grid_orthogonality", "k_point", "k_points_of_depth", "lambda_from_k_points",
-    "lattice_basin_sums", "verify_orthogonality", "DomainError", "GridFunction",
+    "grid_orthogonality", "k_point", "k_points_of_depth", "lattice_basin_sums",
+    "verify_orthogonality", "DomainError", "GridFunction",
     "cesaro", "check_qmf", "harmonic_defect", "ruelle_apply", "HarmonicEstimate",
     "PathEnsemble", "QmfError", "cylinder_weight", "cycle_tail_weight", "estimate_h",
     "h_closed_form", "path_weight_with_tail", "sample_paths", "ChainSample",

@@ -273,8 +273,11 @@ def _qmf_failed(sys_obj, error: str, deviation: float) -> CheckFailed:
 
 
 def cmd_harmonic(args) -> dict:
-    _require_at_least(1, paths=args.paths, length=args.length)
     cfg, sys_obj = _load_system(args)
+    depth = args.depth
+    if depth is None:  # the largest depth up to 10 with N^depth <= 1024 words
+        depth = max((k for k in range(1, 11) if sys_obj.N ** k <= 1024), default=1)
+    _require_at_least(1, paths=args.paths, length=args.length, depth=depth)
     cycles = _w_cycles(sys_obj, cfg.p_max)
     x = _parse_point(args.x, sys_obj.d)
     xf = [float(c) for c in x]
@@ -284,7 +287,7 @@ def cmd_harmonic(args) -> dict:
         if qmf_dev > QMF_SAMPLING_TOL:
             raise _qmf_failed(sys_obj, "W_B is not QMF-normalized within %g, so the path "
                               "measures are not probabilities" % QMF_SAMPLING_TOL, qmf_dev)
-        closed = [h_closed_form(sys_obj, xf, c, max(1, args.depth // c.period)) for c in cycles]
+        closed = [h_closed_form(sys_obj, xf, c, max(1, depth // c.period)) for c in cycles]
     try:
         est = estimate_h(weight, sys_obj.l_view, xf, cycles, args.length, args.paths, cfg.seed)
     except QmfError as exc:
@@ -415,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="start point, comma separated")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--length", type=int, default=64)
-    p.add_argument("--depth", type=int, default=10, help="closed-form word depth")
+    p.add_argument("--depth", type=int, default=None,
+                   help="closed-form word depth (default: the largest depth up to 10 "
+                        "with N^depth <= 1024, so 10 for N = 2 and 5 for N = 4)")
     p.add_argument("--words-out", help="CSV path for the first 10^4 words of the estimate's walk")
     p.set_defaults(fn=cmd_harmonic)
 

@@ -7,9 +7,9 @@ whose unique fixed point is
     x_w = (S^p - I)^{-1} (l_0 + S l_1 + ... + S^{p-1} l_{p-1}),
 
 computed exactly over the rationals.  The right-hand side is p steps of
-the affine recurrence x -> S x + l from 0, whose one home is the
-expansion of `IfsView`: `enumerate_cycles` keeps every length-p sum as
-one table of integer numerators over one denominator (row = the word's
+the affine recurrence x -> S x + l from 0, whose one home is
+`IfsView.expand`: `enumerate_cycles` keeps every length-p sum as one
+table of integer numerators over one denominator (row = the word's
 lexicographic rank r = sum_j w_j N^{p-1-j}), and one product with the
 numerators of (S^p - I)^{-1} gives the fixed points of all N^p words.
 `power_system` builds its compound digits the same way on both views.
@@ -39,6 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ratlinalg import (
+    _from_common_denominator,
     _over_common_denominator,
     identity_rational,
     mat_inverse,
@@ -176,7 +177,7 @@ def enumerate_cycles(sys: AffineSystem, p_max: int, w_only: bool = False) -> lis
     rows, q = np.zeros((1, sys.d), dtype=object), 1
     out = []
     for p in range(1, p_max + 1):
-        rows, q = view._expand_numerators(rows, q)
+        rows, q = view.expand(rows, q)
         m_inv, m_den = _over_common_denominator(
             mat_inverse(mat_pow(sys.S_exact, p) - identity_rational(sys.d)))
         x, x_den = rows @ m_inv.T, q * m_den
@@ -195,8 +196,8 @@ def enumerate_cycles(sys: AffineSystem, p_max: int, w_only: bool = False) -> lis
         ok = _w_equals_one(orbit_rows, x_den, sys).reshape(-1, p).all(axis=1)
         keep = np.flatnonzero(ok) if w_only else np.arange(len(words))
         out.extend(Cycle(word=w, period=p,
-                         points=tuple(tuple(Fraction(v, x_den) for v in row)
-                                      for row in orbit_rows[i * p:(i + 1) * p]),
+                         points=tuple(_from_common_denominator(orbit_rows[i * p:(i + 1) * p],
+                                                               x_den)),
                          is_w_cycle=bool(ok[i]))
                    for i, w in zip(keep, _words(words[keep], n, p)))
     return out
@@ -228,12 +229,14 @@ def power_system(sys: AffineSystem, p: int) -> AffineSystem:
         raise ValueError("p must be >= 1")
     if p == 1:
         return sys
-    b_p = l_p = np.full((1, sys.d), Fraction(0), dtype=object)
-    for _ in range(p):
-        b_p = sys.b_view.expand(b_p)
-        l_p = sys.l_view.expand(l_p)
+    digits = []
+    for view in (sys.b_view, sys.l_view):
+        rows, q = np.zeros((1, sys.d), dtype=object), 1
+        for _ in range(p):
+            rows, q = view.expand(rows, q)
+        digits.append(_from_common_denominator(rows.tolist(), q))
     return AffineSystem.create(
-        mat_pow(sys.R_exact, p), b_p.tolist(), l_p.tolist(),
+        mat_pow(sys.R_exact, p), *digits,
         unitarity_tol=sys.unitarity_tol, tail_tol=sys.tail_tol,
         name=(sys.name + "^%d" % p) if sys.name else "",
     )

@@ -633,10 +633,14 @@ def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
 
 def h_closed_form(sys: AffineSystem, x, cycle: Cycle, depth: int,
                   tail_tol: float | None = None) -> float:
-    """Closed-form partial sum of h_C(x): sum over period-aligned words
-    omega (depth blocks, duplicates counted once) of
-    |mu_hat_B(x + k(omega))|^2.  Nonnegative terms, so the sum increases
-    monotonically to h_C(x) as depth grows."""
+    """Closed-form sum over period-aligned words omega (depth blocks,
+    duplicates counted once) of |mu_hat_B(x + k(omega))|^2, k(omega) the
+    k-points of one rotation, the one based at cycle.points[0]
+    (`k_points_of_depth`).  Nonnegative terms, so the sum increases with
+    depth; but it counts only the paths that enter C at points[0].  For
+    period 1 that is h_C(x); for period p > 1 it is a part of h_C(x)
+    (lambda15 from 0.3 at depth 8: 0.0125 for its 2-cycle, and 0.191 from
+    the k-points based at its other point, which this sum leaves out)."""
     rows, q = _cycle_k_points(sys, cycle, depth)
     # int / int is correctly rounded: the same floats as float(Fraction)
     pts = np.array([[v / q for v in row] for row in sorted(rows)])

@@ -4,7 +4,9 @@ Matrices and vectors on the exact path are numpy object arrays whose
 entries are ``fractions.Fraction``.  That keeps the code close to the
 float path (same indexing, same ``@``) while every operation stays exact;
 denominators grow like |det S|^p during cycle searches, which arbitrary
-precision absorbs.
+precision absorbs.  Batches of exact rows go between steps as integer
+tables, Python-int numerators over one denominator
+(`_over_common_denominator`, and back with `_from_common_denominator`).
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ def _over_common_denominator(a) -> tuple:
     return np.array([n * (q // d) for n, d in fr], dtype=object).reshape(a.shape), q
 
 
+def _from_common_denominator(rows, q: int) -> list:
+    """Rows of integer numerators over q as tuples of Fractions: the inverse
+    of `_over_common_denominator` on a table."""
+    return list(map(tuple, [[Fraction(v, q) for v in row] for row in rows]))
+
+
 def _exp_2pi_i(numerators, q: int) -> np.ndarray:
     """exp(2 pi i n/q) for integers n: n is reduced mod q exactly, so the
     float phase is the correctly rounded n/q mod 1 however large n is."""
@@ -98,43 +106,22 @@ def mat_pow(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def solve_exact(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve m x = v exactly over the rationals.
+    """Solve m x = v exactly over the rationals: `mat_inverse`(m) @ v.
 
-    Gaussian elimination with partial (first nonzero) pivoting; raises
-    SingularMatrixError when no pivot can be found.  For the cycle-point
-    systems (S^p - I) x = ... this never happens: an expansive S has no
-    eigenvalue on the unit circle, so S^p - I is invertible.
+    Raises SingularMatrixError when m is not invertible.  For the
+    cycle-point systems (S^p - I) x = ... this never happens: an expansive
+    S has no eigenvalue on the unit circle, so S^p - I is invertible.
     """
     n = m.shape[0]
     if m.shape != (n, n) or v.shape != (n,):
         raise ValueError("shape mismatch: %s vs %s" % (m.shape, v.shape))
-    a = m.astype(object).copy()
-    b = v.astype(object).copy()
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r, col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is not invertible over the rationals")
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        piv = a[col, col]
-        for r in range(col + 1, n):
-            if a[r, col] != 0:
-                factor = a[r, col] / piv
-                a[r, col:] = a[r, col:] - factor * a[col, col:]
-                b[r] = b[r] - factor * b[col]
-    x = np.zeros(n, dtype=object)
-    for r in range(n - 1, -1, -1):
-        s = b[r] - (a[r, r + 1 :] * x[r + 1 :]).sum() if r + 1 < n else b[r]
-        x[r] = Fraction(s) / a[r, r]
-    return x
+    return mat_inverse(m) @ v.astype(object)
 
 
 def mat_inverse(m: np.ndarray) -> np.ndarray:
-    """Exact inverse by one Gauss-Jordan elimination of [m | I].
-
-    Partial (first nonzero) pivoting as in `solve_exact`, on all n identity
-    columns at once; raises SingularMatrixError when no pivot can be found.
+    """Exact inverse by one Gauss-Jordan elimination of [m | I], with
+    partial (first nonzero) pivoting on all n identity columns at once;
+    raises SingularMatrixError when no pivot can be found.
     """
     n = m.shape[0]
     if m.shape != (n, n):

@@ -3,21 +3,20 @@
 The candidate spectrum Lambda is the smallest set containing -C for
 every W-cycle C and closed under x -> S x + l, l in L.  It is realized
 here as a breadth-first closure with exact rational elements, an element
-cap and a level cap (both reported).  Equivalently Lambda is the set of
-k-points
+cap and a level cap (both reported).  Its level n, Lambda_n, is also the
+set of k-points over W-cycles C (all rotations) and words omega of
+exactly n letters,
 
-    k(omega) = omega_0 + S omega_1 + ... + S^{kp-1} omega_{kp-1}
-               - S^{kp} x_C,
+    k(omega) = omega_0 + S omega_1 + ... + S^{n-1} omega_{n-1} - S^n x_C,
 
-over W-cycles C (all rotations) and words omega of period-aligned
-length; appending the cycle word to omega leaves k unchanged, which is
-what makes the finite enumerations below well defined.  Both are the
-affine recurrence x -> S x + l started from -x_C, and both run it
-through its one home on the L-view: `IfsView.expand`, one step per BFS
-level, or its integer step on numerators over one denominator, one
-step per letter for all words and rotation bases at once (Fractions
-are formed only for the result).  `k_point` is the per-word reference
-(Horner's rule, shared with `cycle_from_word`).
+for every n: each seed -x_C is the image S(-x_C') + l of the seed of
+the next rotation C', so n steps from the seeds reach every shorter
+closure level.  The closure and the k-points of one rotation
+(`k_points_of_depth`, words of depth * period letters, where appending
+the cycle word leaves k unchanged) both run the recurrence through its
+one home, `IfsView.expand`, on integer numerators over one denominator;
+Fractions are formed only for the result.  `k_point` is the per-word
+reference (Horner's rule, shared with `cycle_from_word`).
 
 Orthogonality of the exponentials e_lambda is certified through
 mu_hat_B(lambda - lambda') = 0, always via an exactly vanishing product
@@ -34,7 +33,6 @@ step moving only the points not yet labelled.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +40,7 @@ import numpy as np
 
 from .cycles import Cycle, _horner
 from .measure import _mu_hat_rows, mu_hat_batch, mu_hat_detail
-from .ratlinalg import _over_common_denominator
+from .ratlinalg import _from_common_denominator, _over_common_denominator
 from .system import AffineSystem, frac_str, fvec
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "generate_lambda",
     "k_point",
     "k_points_of_depth",
-    "lambda_from_k_points",
     "GramReport",
     "verify_orthogonality",
     "completeness_sum",
@@ -89,17 +86,16 @@ class SpectrumSet:
                 writer.writerow(["%.17g" % float(c) for c in e])
 
 
-def generate_lambda(
-    sys: AffineSystem,
-    w_cycles,
-    levels: int,
-    element_cap: int = 100_000,
-) -> SpectrumSet:
+def generate_lambda(sys: AffineSystem, w_cycles, levels: int,
+                    element_cap: int = 100_000) -> SpectrumSet:
     """Breadth-first closure from the negated W-cycle points.
 
     Start from {-x : x a point of some W-cycle}, apply x -> S x + l for
-    all l in L for `levels` rounds with exact dedup.  Requires 0 in B and
-    0 in L (the standing normalization for the spectral pipeline).
+    all l in L for `levels` rounds with exact dedup.  When a round would
+    pass `element_cap`, only its least new elements that fit are kept and
+    the closure stops there.  The rounds run on one integer table
+    (`IfsView.expand`).  Requires 0 in B and 0 in L (the standing
+    normalization for the spectral pipeline).
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
@@ -107,29 +103,25 @@ def generate_lambda(
         raise ValueError("spectrum generation requires 0 in B and 0 in L")
     if not w_cycles:
         raise ValueError("no W-cycles supplied: the seed set is empty")
-    seeds = set()
-    for cyc in w_cycles:
-        for pt in cyc.points:
-            seeds.add(tuple(-c for c in pt))
-    elements = set(seeds)
-    frontier = set(seeds)
+    seeds = {tuple(-c for c in pt) for cyc in w_cycles for pt in cyc.points}
+    rows, q = _over_common_denominator(np.array(list(seeds), dtype=object))
+    frontier = set(map(tuple, rows.tolist()))
+    elements = set(frontier)
     cap_hit = False
     for _ in range(levels):
-        new_frontier = set(map(tuple, sys.l_view.expand(list(frontier)).tolist())) - elements
-        if len(elements) + len(new_frontier) > element_cap:
+        rows, q_next = sys.l_view.expand(list(frontier), q)
+        if q_next != q:  # a multiple of q
+            elements = {tuple(v * (q_next // q) for v in e) for e in elements}
+            q = q_next
+        frontier = set(map(tuple, rows.tolist())) - elements
+        if len(elements) + len(frontier) > element_cap:
             cap_hit = True
-            room = max(element_cap - len(elements), 0)
-            new_frontier = set(sorted(new_frontier)[:room])
-        elements |= new_frontier
-        frontier = new_frontier
+            frontier = set(sorted(frontier)[:max(element_cap - len(elements), 0)])
+        elements |= frontier
         if cap_hit or not frontier:
             break
-    return SpectrumSet(
-        elements=frozenset(elements),
-        level=levels,
-        seeds=frozenset(seeds),
-        cap_hit=cap_hit,
-    )
+    return SpectrumSet(frozenset(_from_common_denominator(elements, q)), levels,
+                       frozenset(seeds), cap_hit)
 
 
 def k_point(sys: AffineSystem, cycle: Cycle, omega) -> tuple:
@@ -148,43 +140,23 @@ def k_point(sys: AffineSystem, cycle: Cycle, omega) -> tuple:
     return _horner(sys.l_view, omega, [-c for c in cycle.points[0]])
 
 
-def _k_points(sys: AffineSystem, bases, n: int) -> tuple:
-    """(rows, q): {sum_j S^j omega_j - S^n x0 : x0 in bases, omega in L^n}
-    as a set of Python-int rows over the one denominator q > 0, from n
-    integer expansions of all the negated bases at once.  Equal rows are
-    equal points, and rows sort in the order of the points."""
-    rows, q = _over_common_denominator(-np.array(bases, dtype=object).reshape(-1, sys.d))
-    for _ in range(n):
-        rows, q = sys.l_view._expand_numerators(rows, q)
-    return set(map(tuple, rows.tolist())), q
-
-
-def _as_fractions(rows, q: int) -> set:
-    return {tuple(Fraction(v, q) for v in row) for row in rows}
-
-
 def _cycle_k_points(sys: AffineSystem, cycle: Cycle, depth: int) -> tuple:
-    """`_k_points` over all words of depth * period letters for one rotation."""
+    """(rows, q): the k-points of one rotation over all words of
+    depth * period letters, as a set of Python-int rows over the one
+    denominator q > 0, from that many integer expansions of -x_0."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _k_points(sys, [cycle.points[0]], depth * cycle.period)
+    rows, q = _over_common_denominator([[-c for c in cycle.points[0]]])
+    for _ in range(depth * cycle.period):
+        rows, q = sys.l_view.expand(rows, q)
+    return set(map(tuple, rows.tolist())), q
 
 
 def k_points_of_depth(sys: AffineSystem, cycle: Cycle, depth: int) -> set:
     """Distinct k-values over all words of length depth * period for one
     rotation of the cycle; shorter words are absorbed because appending
     the cycle word to omega does not change k."""
-    return _as_fractions(*_cycle_k_points(sys, cycle, depth))
-
-
-def lambda_from_k_points(sys: AffineSystem, w_cycles, length: int) -> set:
-    """Union of k-values over all W-cycles, all their rotations, and all
-    words of exactly `length` letters (length must be a multiple of every
-    period).  Equals the BFS closure at that level."""
-    if any(length % cyc.period for cyc in w_cycles):
-        raise ValueError("length must be a multiple of every cycle period")
-    bases = [base for cyc in w_cycles for _, base in cyc.rotations()]
-    return _as_fractions(*_k_points(sys, bases, length))
+    return set(_from_common_denominator(*_cycle_k_points(sys, cycle, depth)))
 
 
 @dataclass(frozen=True)
@@ -205,16 +177,21 @@ class GramReport:
 
 
 def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> GramReport:
-    """Max |mu_hat_B(lambda - lambda')| over distinct pairs (exact path).  Each
-    distinct difference is evaluated once, all in one exact batch; the pair
-    reported is the first in `itertools.combinations` order at the max."""
+    """Max |mu_hat_B(lambda - lambda')| over distinct pairs (exact path).  The
+    window is differenced once as an integer table; each distinct difference
+    is evaluated once, all in one exact batch; the pair reported is the
+    first in `itertools.combinations` order at the max."""
     elems = [fvec(e) for e in lambda_subset]
-    pairs = list(itertools.combinations(elems, 2))
+    rows, q = _over_common_denominator(np.array(elems, dtype=object).reshape(len(elems), sys.d))
+    first, second = np.triu_indices(len(elems), 1)  # combinations order
     diffs = {}
-    which = [diffs.setdefault(tuple(x - y for x, y in zip(a, b)), len(diffs)) for a, b in pairs]
-    vals = np.abs(_mu_hat_rows(sys, list(diffs), tail_tol)[0])[which]
+    which = [diffs.setdefault(row, len(diffs))
+             for row in map(tuple, (rows[first] - rows[second]).tolist())]
+    vals = np.abs(_mu_hat_rows(sys, _from_common_denominator(diffs, q), tail_tol)[0])[which]
     worst = float(vals.max(initial=0.0))
-    return GramReport(worst, pairs[int(np.argmax(vals))] if worst else None, len(elems))
+    at = int(np.argmax(vals)) if worst else None
+    pair = None if at is None else (elems[first[at]], elems[second[at]])
+    return GramReport(worst, pair, len(elems))
 
 
 def completeness_sum(sys: AffineSystem, lambda_subset, x, tail_tol=None) -> float:

@@ -136,32 +136,25 @@ class IfsView:
         lam, e = _over_common_denominator(np.array(self.digits_exact, dtype=object))
         return a, den, lam, e
 
-    def _expand_numerators(self, numerators, q: int) -> tuple:
-        """`expand` on the rows numerators / q in integers: returns (rows, q')
-        with the image rows over the one denominator q' = lcm(D q, e)."""
+    def expand(self, numerators, q: int) -> tuple:
+        """One exact step of the recurrence x -> matrix x + digit on the (n, d)
+        table x = numerators / q of integers over one q > 0: (rows, q'), the
+        N rows matrix x + digit_i of each x over q' = lcm(D q, e) (matrix =
+        A / D, digits = lam / e), digit-major (row i * n + k comes from x_k).
+
+        n steps from the zero row therefore list every word sum
+        sum_j matrix^j digit_{w_j} in lexicographic word order, w_0
+        outermost.  Cycle points, k-points, the spectrum closure and the
+        power-system digits are all such sums; each forms Fractions only
+        for its result."""
+        if self.matrix_exact is None:
+            raise ValueError("exact expansion needs rational system data")
         a, den, lam, e = self._integer_form
         y = np.asarray(numerators, dtype=object).reshape(-1, self.d) @ a.T
         q_out = math.lcm(den * q, e)
         if q_out != den * q:
             y = y * (q_out // (den * q))
         return (lam[:, None] * (q_out // e) + y).reshape(-1, self.d), q_out
-
-    def expand(self, points) -> np.ndarray:
-        """One exact step of the recurrence x -> matrix x + digit on a batch:
-        for each row x of the (n, d) Fraction array `points`, the N rows
-        matrix x + digit_i, digit-major (row i * n + k comes from x_k).
-
-        n steps from the zero row therefore list every word sum
-        sum_j matrix^j digit_{w_j} in lexicographic word order, w_0
-        outermost.  Cycle points, k-points, the spectrum closure and the
-        power-system digits are all such sums.  The step runs on integer
-        numerators (`_expand_numerators`); only its result is turned back
-        into Fractions."""
-        if self.matrix_exact is None:
-            raise ValueError("exact expansion needs rational system data")
-        pts = np.asarray(points, dtype=object).reshape(-1, self.d)
-        rows, q = self._expand_numerators(*_over_common_denominator(pts))
-        return np.array([Fraction(v, q) for v in rows.flat], dtype=object).reshape(rows.shape)
 
     def cosine_factors(self, coeffs: np.ndarray, freqs: np.ndarray) -> tuple:
         """(G, E, left, right, C) for a cosine polynomial sum_j a_j cos(2 pi f_j.x),

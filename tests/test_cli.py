@@ -193,6 +193,25 @@ def test_harmonic_with_cycles_longer_than_the_paths(capsys):
     assert rep["total"] + rep["unclassified"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("example,x,depth", [("planar-shear", "0.1,0.2", 5),
+                                             ("cantor4", "0.3", 10)])
+def test_harmonic_default_depth_keeps_to_1024_words(capsys, monkeypatch, example, x, depth):
+    # planar-shear (N = 4) used to default to depth 10, 4^10 words per cycle
+    from ifsfourier import cli
+
+    asked = []
+
+    def closed_form(sys, x, cycle, depth_blocks, tail_tol=None):
+        asked.append(depth_blocks * cycle.period)
+        return 0.0
+
+    monkeypatch.setattr(cli, "h_closed_form", closed_form)
+    code, _ = run_cli(capsys, "harmonic", "--example", example, "--x", x,
+                      "--paths", "100", "--length", "8")
+    assert code == 0
+    assert asked and set(asked) == {depth}
+
+
 def test_riesz_command(tmp_path, capsys):
     curve = tmp_path / "curve.csv"
     code, out = run_cli(capsys, "riesz", "--steps", "60000", "--seed", "3",
@@ -233,6 +252,9 @@ def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
     (("verify-onb", "--levels", "3", "--grid", "--grid-span", "-1"), "--grid-span"),
     (("check-hadamard", "--horizon", "-1"), "--horizon"),
     (("attractor", "--samples", "100", "--streams", "0"), "--streams"),
+    # a closed-form depth below 1 used to run one block silently
+    (("harmonic", "--x", "0.3", "--depth", "0"), "--depth"),
+    (("harmonic", "--x", "0.3", "--depth", "-5"), "--depth"),
 ])
 def test_nonpositive_counts_are_bad_input(capsys, argv, flag):
     low = 0 if flag in ("--count", "--window", "--levels", "--seed", "--grid-span",

@@ -20,7 +20,13 @@ from ifsfourier import (
     power_system,
 )
 from ifsfourier.cycles import Cycle, _horner, aperiodic_necklaces, cycle_from_word
-from ifsfourier.ratlinalg import identity_rational, mat_inverse, mat_pow
+from ifsfourier.ratlinalg import (
+    _from_common_denominator,
+    _over_common_denominator,
+    identity_rational,
+    mat_inverse,
+    mat_pow,
+)
 from ifsfourier.system import IfsView, fvec
 from strategies import product_triple
 
@@ -31,6 +37,22 @@ def lam(l1):
 
 def point_sets(cycles):
     return {frozenset(c.points) for c in cycles}
+
+
+def fraction_expand(view, points):
+    """IfsView.expand as one Fraction matrix product per batch."""
+    pts = np.asarray(points, dtype=object).reshape(-1, view.d)
+    digits = np.array(view.digits_exact, dtype=object)
+    return (digits[:, None] + pts @ view.matrix_exact.T).reshape(-1, view.d)
+
+
+def table_expand(view, points, n: int = 1) -> list:
+    """n steps of IfsView.expand on the Fraction rows `points`, through the
+    integer table, as a list of Fraction rows."""
+    rows, q = _over_common_denominator(np.asarray(points, dtype=object).reshape(-1, view.d))
+    for _ in range(n):
+        rows, q = view.expand(rows, q)
+    return _from_common_denominator(rows.tolist(), q)
 
 
 def word_sum(mat, digits, word) -> tuple:
@@ -67,7 +89,7 @@ def _reference_enumerate_cycles(sys, p_max: int) -> list:
     out = []
     rhs = np.full((1, sys.d), Fraction(0), dtype=object)
     for p in range(1, p_max + 1):
-        rhs = sys.l_view.expand(rhs)
+        rhs = fraction_expand(sys.l_view, rhs)
         m_inv = mat_inverse(mat_pow(sys.S_exact, p) - identity_rational(sys.d))
         for w in _reference_necklaces(sys.N, p):
             points = [fvec(m_inv @ rhs[np.ravel_multi_index(w, (sys.N,) * p)])]
@@ -149,7 +171,7 @@ def test_float_entries_are_kept_exactly():
 def test_corrupted_table_row_fails_orbit_identity(twindragon, monkeypatch):
     # the identity S x_rot(w) = x_w + l_{w_0} is checked on every row, so
     # one wrong right-hand side at period 3 is caught there
-    expand = IfsView._expand_numerators
+    expand = IfsView.expand
 
     def corrupted(view, numerators, q):
         rows, q_out = expand(view, numerators, q)
@@ -158,7 +180,7 @@ def test_corrupted_table_row_fails_orbit_identity(twindragon, monkeypatch):
             rows[5, 0] += 1
         return rows, q_out
 
-    monkeypatch.setattr(IfsView, "_expand_numerators", corrupted)
+    monkeypatch.setattr(IfsView, "expand", corrupted)
     with pytest.raises(AssertionError, match="round trip failed at period 3"):
         enumerate_cycles(twindragon, 3)
 
@@ -322,15 +344,16 @@ def test_find_w_cycles_invariant_under_relabeling():
 
 def test_expand_lists_word_sums_in_lexicographic_order(planar_shear):
     view = planar_shear.l_view
-    sums = np.full((1, 2), Fraction(0), dtype=object)
+    zero = np.zeros((1, 2), dtype=object)
     for n in range(1, 4):
-        sums = view.expand(sums)
+        sums = table_expand(view, zero, n)
         words = itertools.product(range(planar_shear.N), repeat=n)
-        assert [tuple(row) for row in sums] == [
-            word_sum(planar_shear.S_exact, planar_shear.L_exact, w) for w in words]
-    assert all(type(c) is Fraction for c in sums.ravel())
+        assert sums == [word_sum(planar_shear.S_exact, planar_shear.L_exact, w) for w in words]
+        shorter = table_expand(view, zero, n - 1)
+        assert sums == [tuple(row) for row in fraction_expand(view, shorter)]
+    assert all(type(c) is Fraction for row in sums for c in row)
     with pytest.raises(ValueError):
-        IfsView("L", view.matrix, view.digits).expand(sums)
+        IfsView("L", view.matrix, view.digits).expand(zero, 1)
 
 
 def test_enumerate_cycles_match_per_word_sums_d2(twindragon, planar_shear):

@@ -6,7 +6,6 @@ the duality matrix is the N-point DFT matrix and the triple is Hadamard.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +18,8 @@ from ifsfourier import (
     check_duality,
     check_qmf,
     find_w_cycles,
-    generate_lambda,
     k_point,
     k_points_of_depth,
-    lambda_from_k_points,
     mu_hat_batch,
     mu_hat_detail,
     power_system,
@@ -50,7 +47,7 @@ from test_pathspace import (
     per_step_walk,
     states_onto_zeros,
 )
-from test_spectrum import assert_k_points_match_reference
+from test_spectrum import assert_k_points_match_reference, assert_lambda_is_rotation_k_points
 
 MAX_WORDS = 125  # words per enumeration, to keep exact arithmetic quick
 
@@ -112,11 +109,7 @@ def test_expansion_paths_agree_on_generated_triples(sys_):
     assert_cycles_match_reference(sys_, p_max)
     cycles = find_w_cycles(sys_, 2)
     assert_k_points_match_reference(sys_, cycles, MAX_WORDS)
-    aligned = math.lcm(*(c.period for c in cycles))
-    for level in range(0, 4, aligned):
-        if sys_.N ** level <= MAX_WORDS:
-            assert (generate_lambda(sys_, cycles, level).elements
-                    == lambda_from_k_points(sys_, cycles, level))
+    assert assert_lambda_is_rotation_k_points(sys_, cycles, MAX_WORDS)[:2] == [0, 1]
     for cyc in cycles:
         for depth in range(3):
             n = depth * cyc.period

@@ -14,7 +14,6 @@ from ifsfourier import (
     grid_orthogonality,
     k_point,
     k_points_of_depth,
-    lambda_from_k_points,
     LatticeError,
     get_system,
     lattice_basin_sums,
@@ -22,9 +21,11 @@ from ifsfourier import (
     mu_hat_detail,
     verify_orthogonality,
 )
+from ifsfourier.cycles import _horner
 from ifsfourier.ratlinalg import _over_common_denominator
 from ifsfourier.registry import EXAMPLES
-from ifsfourier.spectrum import _as_fractions, _k_points, lattice_basin_labels
+from ifsfourier.spectrum import lattice_basin_labels
+from test_cycles import fraction_expand, table_expand
 from test_measure import mu_hat_fraction_reference
 
 AFFINE_NAMES = sorted(n for n, e in EXAMPLES.items() if e.kind == "affine")
@@ -169,12 +170,35 @@ def test_k_point_recursion(twindragon):
             assert list(lhs) == list(rhs)
 
 
-def test_lambda_equals_k_points(cantor4, cantor4_w_cycles, twindragon):
-    spec = generate_lambda(cantor4, cantor4_w_cycles, 6)
-    assert spec.elements == frozenset(lambda_from_k_points(cantor4, cantor4_w_cycles, 6))
-    td_cycles = find_w_cycles(twindragon, 4)
-    spec_td = generate_lambda(twindragon, td_cycles, 4)
-    assert spec_td.elements == frozenset(lambda_from_k_points(twindragon, td_cycles, 4))
+def rotation_k_points(sys, cycles, n):
+    """Lambda_n as k-points: the per-word Horner sum of `k_point`,
+    sum_j S^j w_j - S^n x_r, for every word w of n letters and every
+    rotation base x_r of every cycle, n a multiple of the periods or not."""
+    bases = [base for cyc in cycles for _, base in cyc.rotations()]
+    words = list(itertools.product(range(sys.N), repeat=n))
+    return {_horner(sys.l_view, w, [-c for c in base]) for base in bases for w in words}
+
+
+def assert_lambda_is_rotation_k_points(sys, cycles, max_words, levels=range(7)):
+    n_bases = sum(c.period for c in cycles)
+    checked = [n for n in levels if sys.N ** n * n_bases <= max_words]
+    for n in checked:
+        assert generate_lambda(sys, cycles, n).elements == rotation_k_points(sys, cycles, n)
+    return checked
+
+
+def test_lambda_equals_k_points():
+    # levels 0-6 within 4096 words, also those that are not multiples of
+    # the periods (2 on lambda15, 3 on lambda63, 2 and 4 on twindragon)
+    misaligned = set()
+    for name in AFFINE_NAMES:
+        sys = get_system(name)
+        cycles = find_w_cycles(sys, 4)
+        checked = assert_lambda_is_rotation_k_points(sys, cycles, 4096)
+        assert checked[:4] == [0, 1, 2, 3]
+        if any(n % math.lcm(*(c.period for c in cycles)) for n in checked):
+            misaligned.add(name)
+    assert misaligned == {"lambda15", "lambda63", "twindragon"}
 
 
 def test_k_points_of_depth_match_per_word_k_point_d2(twindragon, planar_shear):
@@ -189,13 +213,6 @@ def test_k_points_absorb_cycle_suffix(cantor4, cantor4_w_cycles):
     shallow = k_points_of_depth(cantor4, cantor4_w_cycles[0], 2)
     deep = k_points_of_depth(cantor4, cantor4_w_cycles[0], 4)
     assert shallow <= deep
-
-
-def fraction_expand(view, points):
-    """IfsView.expand as one Fraction matrix product per batch."""
-    pts = np.asarray(points, dtype=object).reshape(-1, view.d)
-    digits = np.array(view.digits_exact, dtype=object)
-    return (digits[:, None] + pts @ view.matrix_exact.T).reshape(-1, view.d)
 
 
 def k_points_reference(sys, bases, n):
@@ -213,12 +230,6 @@ def assert_k_points_match_reference(sys, cycles, max_words):
             if sys.N ** n <= max_words:
                 assert k_points_of_depth(sys, cyc, depth) == k_points_reference(
                     sys, [cyc.points[0]], n)
-    aligned = math.lcm(*(c.period for c in cycles))
-    for length in range(0, 9, aligned):
-        if sys.N ** length * len(cycles) <= max_words:
-            bases = [base for cyc in cycles for _, base in cyc.rotations()]
-            assert lambda_from_k_points(sys, cycles, length) == k_points_reference(
-                sys, bases, length)
 
 
 @pytest.mark.parametrize("name", AFFINE_NAMES)
@@ -231,8 +242,9 @@ def test_expand_and_k_points_match_fraction_reference(name):
         pts = np.array([[Fraction(int(a), int(b)) for a, b in rng.integers(1, 9, (sys.d, 2))]
                         for _ in range(5)], dtype=object)
         for batch in (pts, pts[:0], np.full((1, sys.d), Fraction(0), dtype=object)):
-            new, ref = view.expand(batch), fraction_expand(view, batch)
-            assert new.shape == ref.shape and new.tolist() == ref.tolist()
+            new, ref = table_expand(view, batch), fraction_expand(view, batch)
+            assert len(new) == len(ref) == sys.N * len(batch)
+            assert new == [tuple(row) for row in ref.tolist()]
 
 
 def test_integer_step_matches_fraction_reference_on_rational_data():
@@ -242,10 +254,17 @@ def test_integer_step_matches_fraction_reference_on_rational_data():
                               [[0, Fraction(1, 2)], [Fraction(-2, 5), 1]])
     bases = [(Fraction(1, 4), Fraction(-2, 3)), (Fraction(0), Fraction(5))]
     for n in range(4):
-        assert _as_fractions(*_k_points(sys, bases, n)) == k_points_reference(sys, bases, n)
-    batch = np.array(bases, dtype=object)
-    for view in (sys.b_view, sys.l_view):
-        assert view.expand(batch).tolist() == fraction_expand(view, batch).tolist()
+        for view in (sys.b_view, sys.l_view):
+            ref = np.array(bases, dtype=object)
+            for _ in range(n):
+                ref = fraction_expand(view, ref)
+            assert table_expand(view, bases, n) == [tuple(row) for row in ref.tolist()]
+    # the closure rescales its elements when the denominator grows
+    zero = AffineSystem.create(sys.R_exact, [[0, 0], [Fraction(1, 3), 1]],
+                               [[0, 0], [Fraction(-2, 5), 1]])
+    cycles = find_w_cycles(zero, 3)
+    for n in range(6):
+        assert generate_lambda(zero, cycles, n).elements == rotation_k_points(zero, cycles, n)
 
 
 # --- orthogonality and completeness -------------------------------------------
