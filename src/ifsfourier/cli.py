@@ -273,11 +273,12 @@ def _qmf_failed(sys_obj, error: str, deviation: float) -> CheckFailed:
 
 
 def cmd_harmonic(args) -> dict:
+    _require_at_least(1, paths=args.paths, length=args.length,
+                      depth=1 if args.depth is None else args.depth)
     cfg, sys_obj = _load_system(args)
     depth = args.depth
     if depth is None:  # the largest depth up to 10 with N^depth <= 1024 words
         depth = max((k for k in range(1, 11) if sys_obj.N ** k <= 1024), default=1)
-    _require_at_least(1, paths=args.paths, length=args.length, depth=depth)
     cycles = _w_cycles(sys_obj, cfg.p_max)
     x = _parse_point(args.x, sys_obj.d)
     xf = [float(c) for c in x]

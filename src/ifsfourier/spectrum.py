@@ -86,8 +86,12 @@ class SpectrumSet:
                 writer.writerow(["%.17g" % float(c) for c in e])
 
 
-def generate_lambda(sys: AffineSystem, w_cycles, levels: int,
-                    element_cap: int = 100_000) -> SpectrumSet:
+def generate_lambda(
+    sys: AffineSystem,
+    w_cycles,
+    levels: int,
+    element_cap: int = 100_000,
+) -> SpectrumSet:
     """Breadth-first closure from the negated W-cycle points.
 
     Start from {-x : x a point of some W-cycle}, apply x -> S x + l for
@@ -103,7 +107,10 @@ def generate_lambda(sys: AffineSystem, w_cycles, levels: int,
         raise ValueError("spectrum generation requires 0 in B and 0 in L")
     if not w_cycles:
         raise ValueError("no W-cycles supplied: the seed set is empty")
-    seeds = {tuple(-c for c in pt) for cyc in w_cycles for pt in cyc.points}
+    seeds = set()
+    for cyc in w_cycles:
+        for pt in cyc.points:
+            seeds.add(tuple(-c for c in pt))
     rows, q = _over_common_denominator(np.array(list(seeds), dtype=object))
     frontier = set(map(tuple, rows.tolist()))
     elements = set(frontier)
@@ -120,8 +127,12 @@ def generate_lambda(sys: AffineSystem, w_cycles, levels: int,
         elements |= frontier
         if cap_hit or not frontier:
             break
-    return SpectrumSet(frozenset(_from_common_denominator(elements, q)), levels,
-                       frozenset(seeds), cap_hit)
+    return SpectrumSet(
+        elements=frozenset(_from_common_denominator(elements, q)),
+        level=levels,
+        seeds=frozenset(seeds),
+        cap_hit=cap_hit,
+    )
 
 
 def k_point(sys: AffineSystem, cycle: Cycle, omega) -> tuple:

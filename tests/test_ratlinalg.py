@@ -119,16 +119,44 @@ def test_mat_inverse_roundtrip():
     assert (m @ inv).tolist() == identity_rational(2).tolist()
 
 
-def _inverse_by_columns(m):
-    """Reference: the inverse as n exact solves, one identity column each."""
+def _solve_by_elimination(m, v):
+    """Reference solve of m x = v, independent of `mat_inverse`: Gaussian
+    elimination with first-nonzero pivoting, then back substitution."""
     n = m.shape[0]
-    return np.stack([solve_exact(m, identity_rational(n)[:, j]) for j in range(n)], axis=1)
+    a = m.astype(object).copy()
+    b = v.astype(object).copy()
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r, col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is not invertible over the rationals")
+        if pivot_row != col:
+            a[[col, pivot_row]] = a[[pivot_row, col]]
+            b[[col, pivot_row]] = b[[pivot_row, col]]
+        piv = a[col, col]
+        for r in range(col + 1, n):
+            if a[r, col] != 0:
+                factor = a[r, col] / piv
+                a[r, col:] = a[r, col:] - factor * a[col, col:]
+                b[r] = b[r] - factor * b[col]
+    x = np.zeros(n, dtype=object)
+    for r in range(n - 1, -1, -1):
+        s = b[r] - (a[r, r + 1 :] * x[r + 1 :]).sum() if r + 1 < n else b[r]
+        x[r] = Fraction(s) / a[r, r]
+    return x
+
+
+def _inverse_by_columns(m):
+    """Reference: the inverse as n eliminations, one identity column each."""
+    n = m.shape[0]
+    return np.stack([_solve_by_elimination(m, identity_rational(n)[:, j]) for j in range(n)],
+                    axis=1)
 
 
 def _assert_inverse_matches_columns(m):
     got = mat_inverse(m)
     assert got.shape == m.shape
     assert got.tolist() == _inverse_by_columns(m).tolist()
+    assert (m @ got).tolist() == identity_rational(m.shape[0]).tolist()
     assert all(type(v) is Fraction for v in got.flat)
 
 
@@ -155,7 +183,9 @@ def test_mat_inverse_matches_column_solves_on_random_integer_matrices():
             with pytest.raises(SingularMatrixError):
                 mat_inverse(m)
             continue
-        assert mat_inverse(m).tolist() == ref.tolist()
+        got = mat_inverse(m)
+        assert got.tolist() == ref.tolist()
+        assert (m @ got).tolist() == identity_rational(d).tolist()
     assert 0 < singular < 300
     # rational entries with a zero leading pivot
     m = rational_matrix([[0, Fraction(1, 3), 2], [Fraction(-5, 7), 1, 0], [1, 1, Fraction(9, 2)]])
