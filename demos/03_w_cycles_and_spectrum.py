@@ -31,10 +31,10 @@ cycles = find_w_cycles(c4, 6)
 spec = generate_lambda(c4, cycles, 5)
 print("cantor4 spectrum, smallest 12:", [int(v) for v in spec.smallest_nonnegative_1d(12)])
 
-window = sorted(spec.elements)[:40]
+window = spec.smallest(40)
 gram = verify_orthogonality(c4, window)
 print("40-element window: max off-diagonal Gram entry = %.2e" % gram.max_offdiag)
 for levels in (4, 6, 8):
     s = generate_lambda(c4, cycles, levels)
     print("completeness at x=0.3, levels %d: %.8f"
-          % (levels, completeness_sum(c4, sorted(s.elements), [0.3])))
+          % (levels, completeness_sum(c4, s.smallest(), [0.3])))

@@ -24,7 +24,6 @@ the exit code:
 from __future__ import annotations
 
 import argparse
-import heapq
 import math
 import sys
 import traceback
@@ -39,6 +38,7 @@ from . import (
     estimate_h,
     find_w_cycles,
     generate_lambda,
+    grid_orthogonality,
     h_closed_form,
     mu_hat_detail,
     points_to_csv,
@@ -181,15 +181,13 @@ def cmd_spectrum(args) -> dict:
                            cfg.lambda_levels, element_cap=args.cap)
     if args.out:
         spec.to_csv(args.out)
-    elems = (sorted(spec.elements) if args.count is None
-             else heapq.nsmallest(args.count, spec.elements))
     return {
         "system": sys_obj.name or "config",
         "levels": spec.level,
-        "count": len(spec.elements),
+        "count": len(spec.rows),
         "cap_hit": spec.cap_hit,
         "tz": "unverified hypothesis",
-        "elements": [frac_str(e) for e in elems],
+        "elements": [frac_str(e) for e in spec.smallest(args.count)],
     }
 
 
@@ -200,7 +198,7 @@ def cmd_verify_onb(args) -> dict:
         raise ConfigError("--grid analyzes the quarter-integer grid of a d = 1 system, "
                           "got d = %d" % sys_obj.d)
     spec = generate_lambda(sys_obj, _spectrum_seeds(sys_obj, cfg.p_max), cfg.lambda_levels)
-    elems = heapq.nsmallest(args.window, spec.elements)
+    elems = spec.smallest(args.window)
     gram = verify_orthogonality(sys_obj, elems, sys_obj.tail_tol)
     probes = [_parse_point(p, sys_obj.d) for p in args.x] or [[0.3] * sys_obj.d]
     completeness = {
@@ -212,13 +210,10 @@ def cmd_verify_onb(args) -> dict:
         "system": sys_obj.name or "config",
         "window": len(elems),
         "max_offdiag": gram.max_offdiag,
-        "argmax_pair": None if gram.argmax_pair is None else
-        [frac_str(gram.argmax_pair[0]), frac_str(gram.argmax_pair[1])],
+        "argmax_pair": None if gram.argmax_pair is None else list(map(frac_str, gram.argmax_pair)),
         "completeness_sum": completeness,
     }
     if args.grid:
-        from .spectrum import grid_orthogonality
-
         report["grid"] = grid_orthogonality(
             sys_obj, [float(c) for c in probes[0]], span=args.grid_span
         ).to_dict()

@@ -421,11 +421,10 @@ def _float_terms(sys: AffineSystem, pts: np.ndarray):
     return terms
 
 
-def _exact_terms(sys: AffineSystem, rows: np.ndarray):
-    """`terms` for rational rows, in integers: with A = D S^{-1}, t = n / q and
-    b = beta / e integral, b.t_k = (beta A^k).n / (e q D^k)."""
-    (adj, dd), (g, e), (num, q) = map(_over_common_denominator,
-                                      (sys.l_view.inv_exact, sys.B_exact, rows))
+def _exact_terms(sys: AffineSystem, num: np.ndarray, q: int):
+    """`terms` for an integer table, rows t = n / q, in integers: with
+    A = D S^{-1} and b = beta / e integral, b.t_k = (beta A^k).n / (e q D^k)."""
+    (adj, dd), (g, e) = map(_over_common_denominator, (sys.l_view.inv_exact, sys.B_exact))
     sqrt_n = np.sqrt(sys.N)
 
     def terms(live, k):
@@ -435,16 +434,16 @@ def _exact_terms(sys: AffineSystem, rows: np.ndarray):
     return terms
 
 
-def _mu_hat_rows(sys: AffineSystem, ts, tail_tol: float | None = None) -> tuple:
-    """(values, n_factors, zero_level) at the rows of ts, each to its own depth;
-    exact if every coordinate is rational."""
-    rows = np.asarray(ts, dtype=object).reshape(len(ts), sys.d)
-    exact = all(isinstance(c, numbers.Rational) for c in rows.flat)
-    tf = rows.astype(float)
+def _mu_hat_rows(sys: AffineSystem, rows, q: int | None = None, tail_tol=None) -> tuple:
+    """(values, n_factors, zero_level) at the rows, each to its own depth: float
+    rows, or with q an integer table of numerators over q > 0, the one form of
+    exact rows inside the package (the exact path; Fractions only at its edge)."""
+    rows = np.asarray(rows, dtype=float if q is None else object).reshape(-1, sys.d)
+    tf = rows if q is None else (rows / q).astype(float)  # int / int: correctly rounded
     with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
         norms = np.sqrt((tf * tf).sum(axis=1))  # = norm(tf, axis=1)
     depth = _tail_depth(sys, norms, tail_tol)
-    terms = _exact_terms(sys, rows) if exact else _float_terms(sys, rows)
+    terms = _float_terms(sys, rows) if q is None else _exact_terms(sys, rows, q)
     values, zero_level = _truncated_products(depth, terms, scalar=True)
     return values, np.where(zero_level > 0, zero_level, depth), zero_level
 
@@ -458,7 +457,10 @@ def mu_hat_detail(sys: AffineSystem, t, tail_tol: float | None = None) -> MuHatR
     precision and reported as an exact zero.  Float t takes the float path of
     `mu_hat_batch`.  mu_hat(0) = 1; |mu_hat| <= 1.
     """
-    (value,), (n_factors,), (level,) = _mu_hat_rows(sys, [t], tail_tol)
+    row = np.asarray([t], dtype=object).reshape(1, sys.d)
+    table = _over_common_denominator(row) if all(
+        isinstance(c, numbers.Rational) for c in row.flat) else (row, None)
+    (value,), (n_factors,), (level,) = _mu_hat_rows(sys, *table, tail_tol)
     return MuHatResult(complex(value), int(n_factors), bool(level), int(level) or None)
 
 

@@ -1,12 +1,13 @@
 """Exact rational linear algebra for small matrices (d <= 4 in practice).
 
-Matrices and vectors on the exact path are numpy object arrays whose
-entries are ``fractions.Fraction``.  That keeps the code close to the
-float path (same indexing, same ``@``) while every operation stays exact;
-denominators grow like |det S|^p during cycle searches, which arbitrary
-precision absorbs.  Batches of exact rows go between steps as integer
-tables, Python-int numerators over one denominator
-(`_over_common_denominator`, and back with `_from_common_denominator`).
+Exact matrices and single vectors are numpy object arrays of
+``fractions.Fraction``, close to the float path (same indexing, same
+``@``) while every operation stays exact; denominators grow like
+|det S|^p during cycle searches, which arbitrary precision absorbs.
+Batches of exact rows are integer tables inside the package: Python-int
+numerators over one denominator (`_over_common_denominator`), made
+Fractions (`_from_common_denominator`) only at the public edge:
+`Cycle.points`, `SpectrumSet.elements`, `k_points_of_depth`, CLI strings.
 """
 
 from __future__ import annotations

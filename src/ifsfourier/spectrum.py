@@ -2,10 +2,9 @@
 
 The candidate spectrum Lambda is the smallest set containing -C for
 every W-cycle C and closed under x -> S x + l, l in L.  It is realized
-here as a breadth-first closure with exact rational elements, an element
-cap and a level cap (both reported).  Its level n, Lambda_n, is also the
-set of k-points over W-cycles C (all rotations) and words omega of
-exactly n letters,
+here as a breadth-first closure with exact elements, an element cap and
+a level cap (both reported).  Its level n, Lambda_n, is also the set of
+k-points over W-cycles C (all rotations) and words omega of exactly n letters,
 
     k(omega) = omega_0 + S omega_1 + ... + S^{n-1} omega_{n-1} - S^n x_C,
 
@@ -14,9 +13,10 @@ the next rotation C', so n steps from the seeds reach every shorter
 closure level.  The closure and the k-points of one rotation
 (`k_points_of_depth`, words of depth * period letters, where appending
 the cycle word leaves k unchanged) both run the recurrence through its
-one home, `IfsView.expand`, on integer numerators over one denominator;
-Fractions are formed only for the result.  `k_point` is the per-word
-reference (Horner's rule, shared with `cycle_from_word`).
+one home, `IfsView.expand`, on an integer table, which Lambda stays
+(`SpectrumSet.rows` over `q`; Fractions only at the public edge, by the
+rule of `ratlinalg`).  `k_point` is the per-word reference (Horner's
+rule, shared with `cycle_from_word`).
 
 Orthogonality of the exponentials e_lambda is certified through
 mu_hat_B(lambda - lambda') = 0, always via an exactly vanishing product
@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -63,27 +64,37 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SpectrumSet:
-    """Finite generation of Lambda: exact elements, closed to `level`."""
+    """Lambda through `level` as its integer table: distinct rows over q > 0, ascending."""
 
-    elements: frozenset  # of fvec tuples
+    rows: tuple  # of Python-int tuples, numerators over q, in Fraction order
+    q: int
     level: int
     seeds: frozenset
     cap_hit: bool = False
 
+    @cached_property
+    def elements(self) -> frozenset:  # of fvec tuples, formed on first read
+        return frozenset(_from_common_denominator(self.rows, self.q))
+
     @property
     def d(self) -> int:
-        return len(next(iter(self.elements)))
+        return len(self.rows[0])
+
+    def smallest(self, count: int | None = None) -> list:
+        """The least `count` >= 0 elements (all for None), ascending, as fvec tuples."""
+        if count is not None and count < 0:
+            raise ValueError("count must be >= 0")
+        return _from_common_denominator(self.rows[:count], self.q)
 
     def smallest_nonnegative_1d(self, count: int) -> list:
-        vals = sorted(v for v in (e[0] for e in self.elements) if v >= 0)
-        return vals[:count]
+        return [Fraction(v, self.q) for v in [r[0] for r in self.rows if r[0] >= 0][:count]]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["l%d" % i for i in range(self.d)])
-            for e in sorted(self.elements):
-                writer.writerow(["%.17g" % float(c) for c in e])
+            for row in self.rows:
+                writer.writerow(["%.17g" % (v / self.q) for v in row])
 
 
 def generate_lambda(
@@ -97,8 +108,9 @@ def generate_lambda(
     Start from {-x : x a point of some W-cycle}, apply x -> S x + l for
     all l in L for `levels` rounds with exact dedup.  When a round would
     pass `element_cap`, only its least new elements that fit are kept and
-    the closure stops there.  The rounds run on one integer table
-    (`IfsView.expand`).  Requires 0 in B and 0 in L (the standing
+    the closure stops there, complete through the round before (`level`;
+    0 when the seeds alone fill the cap).  The rounds run on one integer
+    table (`IfsView.expand`).  Requires 0 in B and 0 in L (the standing
     normalization for the spectral pipeline).
     """
     if levels < 0:
@@ -114,22 +126,23 @@ def generate_lambda(
     rows, q = _over_common_denominator(np.array(list(seeds), dtype=object))
     frontier = set(map(tuple, rows.tolist()))
     elements = set(frontier)
-    cap_hit = False
-    for _ in range(levels):
+    level, cap_hit = levels, False
+    for done in range(levels):
         rows, q_next = sys.l_view.expand(list(frontier), q)
         if q_next != q:  # a multiple of q
             elements = {tuple(v * (q_next // q) for v in e) for e in elements}
             q = q_next
         frontier = set(map(tuple, rows.tolist())) - elements
         if len(elements) + len(frontier) > element_cap:
-            cap_hit = True
+            level, cap_hit = done, True
             frontier = set(sorted(frontier)[:max(element_cap - len(elements), 0)])
         elements |= frontier
         if cap_hit or not frontier:
             break
     return SpectrumSet(
-        elements=frozenset(_from_common_denominator(elements, q)),
-        level=levels,
+        rows=tuple(sorted(elements)),
+        q=q,
+        level=level,
         seeds=frozenset(seeds),
         cap_hit=cap_hit,
     )
@@ -176,16 +189,6 @@ class GramReport:
     argmax_pair: tuple | None
     n_elements: int
 
-    def to_dict(self):
-        pair = None
-        if self.argmax_pair is not None:
-            pair = [frac_str(self.argmax_pair[0]), frac_str(self.argmax_pair[1])]
-        return {
-            "max_offdiag": self.max_offdiag,
-            "argmax_pair": pair,
-            "n_elements": self.n_elements,
-        }
-
 
 def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> GramReport:
     """Max |mu_hat_B(lambda - lambda')| over distinct pairs (exact path).  The
@@ -198,7 +201,7 @@ def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> Gra
     diffs = {}
     which = [diffs.setdefault(row, len(diffs))
              for row in map(tuple, (rows[first] - rows[second]).tolist())]
-    vals = np.abs(_mu_hat_rows(sys, _from_common_denominator(diffs, q), tail_tol)[0])[which]
+    vals = np.abs(_mu_hat_rows(sys, list(diffs), q, tail_tol)[0])[which]
     worst = float(vals.max(initial=0.0))
     at = int(np.argmax(vals)) if worst else None
     pair = None if at is None else (elems[first[at]], elems[second[at]])
@@ -254,8 +257,7 @@ def grid_orthogonality(sys: AffineSystem, x, denom: int = 4, span: int = 100,
     if sys.d != 1:
         raise ValueError("grid orthogonality analysis is one-dimensional")
     # zero_flag[m]: mu_hat(m / denom) vanishes exactly (never at m = 0)
-    zero_flag = _mu_hat_rows(sys, [Fraction(m, denom) for m in range(2 * span + 1)],
-                             tail_tol)[2] > 0
+    zero_flag = _mu_hat_rows(sys, np.arange(2 * span + 1), denom, tail_tol)[2] > 0
     ks = range(-span, span + 1)
     adj = zero_flag[np.abs(np.subtract.outer(ks, ks))]
     n_edges = int(adj.sum()) // 2

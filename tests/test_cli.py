@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import heapq
 import io
 import json
 import math
@@ -14,6 +16,10 @@ from hypothesis import strategies as st
 
 from ifsfourier.cli import main
 from ifsfourier.config import ConfigError, emit_config, parse_config
+from ifsfourier.registry import EXAMPLES
+from ifsfourier.spectrum import SpectrumSet
+
+AFFINE_NAMES = sorted(n for n, e in EXAMPLES.items() if e.kind == "affine")
 
 GOOD_CONFIG = """
 # scale-4 quarter Cantor system
@@ -127,6 +133,71 @@ def test_spectrum_cantor4_first_ten(capsys):
     rep = json.loads(out)
     assert rep["elements"] == ["(0)", "(1)", "(4)", "(5)", "(16)", "(17)",
                                "(20)", "(21)", "(64)", "(65)"]
+
+
+def test_spectrum_levels_on_a_cap_hit(capsys):
+    # the last closure level held in full, not the levels asked for
+    for cap, levels, elements in (("1", 0, ["(0)"]), ("3", 1, ["(0)", "(1)", "(4)"])):
+        code, out = run_cli(capsys, "spectrum", "--example", "cantor4", "--levels", "3",
+                            "--cap", cap)
+        rep = json.loads(out)
+        assert (code, rep["levels"], rep["cap_hit"], rep["elements"]) == (0, levels, True,
+                                                                          elements)
+
+
+# rational data (S not integral) whose closure denominator grows mid-closure
+GROWING_DENOMINATOR_CONFIG = """d = 2
+R = [[7/2, 1], [0, 3]]
+B = [[0, 0], [1/3, 1]]
+L = [[0, 0], [-2/5, 1]]
+p_max = 3
+"""
+
+
+def fraction_route_smallest(self, count=None):
+    """The printed elements as chosen from the set of Fraction tuples."""
+    return sorted(self.elements) if count is None else heapq.nsmallest(count, self.elements)
+
+
+def fraction_route_to_csv(self, path):
+    """The spectrum CSV as written from the sorted set of Fraction tuples."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["l%d" % i for i in range(self.d)])
+        for e in sorted(self.elements):
+            writer.writerow(["%.17g" % float(c) for c in e])
+
+
+@pytest.mark.parametrize("name", AFFINE_NAMES + ["growing-denominator"])
+def test_table_route_prints_the_fraction_route_bytes(name, tmp_path, monkeypatch, capsys):
+    source = ["--example", name]
+    if name == "growing-denominator":
+        (tmp_path / "growing.cfg").write_text(GROWING_DENOMINATOR_CONFIG)
+        source = ["--config", str(tmp_path / "growing.cfg")]
+    csv_path = tmp_path / "lambda.csv"
+    runs = [["spectrum", *source, "--levels", "5", "--count", "9"],
+            ["spectrum", *source, "--levels", "6", "--cap", "40", "--count", "50"],
+            ["spectrum", *source, "--levels", "4", "--out", str(csv_path)],
+            ["verify-onb", *source, "--levels", "5", "--window", "12"]]
+
+    def printed():
+        return [run_cli(capsys, *argv) for argv in runs], csv_path.read_bytes()
+    table = printed()
+    assert [code for code, _ in table[0]] == [0] * len(runs)
+    monkeypatch.setattr(SpectrumSet, "smallest", fraction_route_smallest)
+    monkeypatch.setattr(SpectrumSet, "to_csv", fraction_route_to_csv)
+    assert printed() == table
+
+
+def test_spectrum_commands_never_form_the_fraction_set(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("SpectrumSet.elements was read")
+    monkeypatch.setattr(SpectrumSet, "elements", property(refuse))
+    for extra in ([], ["--count", "5"], ["--cap", "20"], ["--out", str(tmp_path / "l.csv")]):
+        code, out = run_cli(capsys, "spectrum", "--example", "twindragon", "--levels", "4",
+                            *extra)
+        assert code == 0 and json.loads(out)["count"] > 0
+    assert run_cli(capsys, "verify-onb", "--example", "twindragon", "--window", "9")[0] == 0
 
 
 def test_spectrum_no_w_cycles_exit_1(tmp_path, capsys):

@@ -368,6 +368,27 @@ def test_mu_hat_rows_do_not_depend_on_their_batch(name):
     assert np.any(values == 0) and len(set(n_factors.tolist())) > 2
 
 
+# a Hadamard triple with S = 5/2 not integral (D = 2, e = 4): mu_hat
+# vanishes at the odd integers, at its first factor
+RATIONAL_S_TRIPLE = ([[Fraction(5, 2)]], [[0], [Fraction(5, 4)]], [[0], [1]])
+
+
+@pytest.mark.parametrize("name", AFFINE + ["rational-S"])
+def test_exact_mu_hat_rows_do_not_depend_on_their_batch(name):
+    # one integer table over q = 60 of rows of many depths, with the
+    # lattices (1/3)Z, (1/4)Z and (1/5)Z where the registry's exact zeros
+    # lie: each row is mu_hat_detail of its Fractions
+    sys = AffineSystem.create(*RATIONAL_S_TRIPLE) if name == "rational-S" else get_system(name)
+    q, rng = 60, np.random.default_rng(17)
+    table = np.concatenate([rng.integers(-3000, 3001, (40, sys.d)), np.zeros((1, sys.d), int)]
+                           + [m * rng.integers(-40, 41, (20, sys.d)) for m in (12, 15, 20)])
+    values, n_factors, zero_level = _mu_hat_rows(sys, table, q)
+    for row, value, n, level in zip(table.tolist(), values, n_factors, zero_level):
+        one = mu_hat_detail(sys, tuple(Fraction(v, q) for v in row))
+        assert (one.value, one.n_factors, one.zero_level or 0) == (value, n, level), row
+    assert np.any(zero_level > 0) and len(set(n_factors.tolist())) > 2
+
+
 def test_mu_hat_batch_input_shapes(cantor4, twindragon):
     column = mu_hat_batch(cantor4, [[0.5], [0.25], [1.0]])
     assert np.array_equal(mu_hat_batch(cantor4, np.array([0.5, 0.25, 1.0])), column)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -115,6 +116,18 @@ def test_lambda_element_cap(cantor4, cantor4_w_cycles):
     spec = generate_lambda(cantor4, cantor4_w_cycles, 30, element_cap=100)
     assert spec.cap_hit
     assert len(spec.elements) <= 100
+    assert spec.level == 6  # |Lambda_6| = 64, |Lambda_7| = 128
+
+
+@pytest.mark.parametrize("cap,level,kept", [
+    (1, 0, [0]),  # round 1 would pass the cap: only Lambda_0 = {0}
+    (3, 1, [0, 1, 4]),  # Lambda_1 and the least element of round 2
+    (8, 3, [0, 1, 4, 5, 16, 17, 20, 21]),  # Lambda_3 fills the cap: no hit
+])
+def test_lambda_level_is_the_last_complete_round(cantor4, cantor4_w_cycles, cap, level, kept):
+    spec = generate_lambda(cantor4, cantor4_w_cycles, 3, element_cap=cap)
+    assert (spec.level, spec.cap_hit) == (level, cap < 8)
+    assert spec.elements == one_d(kept)
 
 
 @pytest.mark.parametrize("cap", [1, 8, 16])
@@ -125,7 +138,7 @@ def test_lambda_element_cap_at_or_below_seed_count(twindragon, cap):
     spec = generate_lambda(twindragon, cycles, 3, element_cap=cap)
     assert len(spec.seeds) == 16
     assert spec.elements == spec.seeds
-    assert spec.cap_hit
+    assert spec.cap_hit and spec.level == 0
 
 
 # --- k-points ----------------------------------------------------------------
@@ -247,6 +260,13 @@ def test_expand_and_k_points_match_fraction_reference(name):
             assert new == [tuple(row) for row in ref.tolist()]
 
 
+def growing_denominator_system():
+    """Rational data with 0 in B and 0 in L whose closure denominator grows
+    mid-closure, so that `generate_lambda` rescales its table."""
+    return AffineSystem.create([[Fraction(7, 2), 1], [0, 3]], [[0, 0], [Fraction(1, 3), 1]],
+                               [[0, 0], [Fraction(-2, 5), 1]])
+
+
 def test_integer_step_matches_fraction_reference_on_rational_data():
     # matrix and digit denominators D, e > 1: each step lifts the common
     # denominator to lcm(D q, e)
@@ -260,11 +280,35 @@ def test_integer_step_matches_fraction_reference_on_rational_data():
                 ref = fraction_expand(view, ref)
             assert table_expand(view, bases, n) == [tuple(row) for row in ref.tolist()]
     # the closure rescales its elements when the denominator grows
-    zero = AffineSystem.create(sys.R_exact, [[0, 0], [Fraction(1, 3), 1]],
-                               [[0, 0], [Fraction(-2, 5), 1]])
+    zero = growing_denominator_system()
     cycles = find_w_cycles(zero, 3)
     for n in range(6):
         assert generate_lambda(zero, cycles, n).elements == rotation_k_points(zero, cycles, n)
+
+
+@pytest.mark.parametrize("name", AFFINE_NAMES + ["growing-denominator"])
+def test_spectrum_set_is_its_sorted_table(name):
+    # rows strictly ascending (so distinct), rows / q the elements, and the
+    # public readers the Fraction-set routes they replace, with and without
+    # cap hits
+    sys = growing_denominator_system() if name == "growing-denominator" else get_system(name)
+    cycles = find_w_cycles(sys, 3)
+    denominators = set()
+    for levels, cap in [(n, 100_000) for n in range(6)] + [(6, 50), (6, 333)]:
+        spec = generate_lambda(sys, cycles, levels, element_cap=cap)
+        rows = spec.rows
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert spec.elements == {tuple(Fraction(v, spec.q) for v in row) for row in rows}
+        assert len(spec.elements) == len(rows)
+        assert spec.smallest() == sorted(spec.elements)
+        for k in (0, 1, 7, len(rows) + 3):
+            assert spec.smallest(k) == heapq.nsmallest(k, spec.elements)
+        assert spec.smallest_nonnegative_1d(9) == sorted(
+            e[0] for e in spec.elements if e[0] >= 0)[:9]
+        denominators.add(spec.q)
+    assert (len(denominators) > 1) == (name == "growing-denominator")
+    with pytest.raises(ValueError, match="count"):
+        spec.smallest(-1)
 
 
 # --- orthogonality and completeness -------------------------------------------
