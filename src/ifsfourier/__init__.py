@@ -50,7 +50,6 @@ from .spectrum import (
     generate_lambda,
     grid_orthogonality,
     k_point,
-    k_points_of_depth,
     lattice_basin_sums,
     verify_orthogonality,
 )
@@ -95,7 +94,7 @@ __all__ = [
     "weight_from_digits", "Cycle", "classify_w", "enumerate_cycles", "find_w_cycles",
     "power_system", "BasinResult", "GramReport", "GridOrthogonality", "LatticeError",
     "SpectrumSet", "completeness_sum", "cycle_basin", "generate_lambda",
-    "grid_orthogonality", "k_point", "k_points_of_depth", "lattice_basin_sums",
+    "grid_orthogonality", "k_point", "lattice_basin_sums",
     "verify_orthogonality", "DomainError", "GridFunction",
     "cesaro", "check_qmf", "harmonic_defect", "ruelle_apply", "HarmonicEstimate",
     "PathEnsemble", "QmfError", "cylinder_weight", "cycle_tail_weight", "estimate_h",

@@ -283,7 +283,7 @@ def cmd_harmonic(args) -> dict:
         if qmf_dev > QMF_SAMPLING_TOL:
             raise _qmf_failed(sys_obj, "W_B is not QMF-normalized within %g, so the path "
                               "measures are not probabilities" % QMF_SAMPLING_TOL, qmf_dev)
-        closed = [h_closed_form(sys_obj, xf, c, max(1, depth // c.period)) for c in cycles]
+        closed = [h_closed_form(sys_obj, xf, c, depth) for c in cycles]
     try:
         est = estimate_h(weight, sys_obj.l_view, xf, cycles, args.length, args.paths, cfg.seed)
     except QmfError as exc:
@@ -415,8 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--length", type=int, default=64)
     p.add_argument("--depth", type=int, default=None,
-                   help="closed-form word depth (default: the largest depth up to 10 "
-                        "with N^depth <= 1024, so 10 for N = 2 and 5 for N = 4)")
+                   help="closed-form budget of at most N^depth k-points per W-cycle "
+                        "(default: the largest depth up to 10 with N^depth <= 1024, so 10 "
+                        "for N = 2 and 5 for N = 4)")
     p.add_argument("--words-out", help="CSV path for the first 10^4 words of the estimate's walk")
     p.set_defaults(fn=cmd_harmonic)
 

@@ -9,6 +9,7 @@ pair, plus the integrality condition R^n b . l in Z for all n >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class DualityReport:
     expansive: bool
     eigenvalue_margin: float
     unitarity: UnitarityReport
-    integrality_mode: str  # "structural" or "numeric"
+    integrality_mode: str  # "structural" or "exact"
     integrality_horizon: int
     integrality_deviation: float
 
@@ -94,9 +95,10 @@ def check_duality(sys: AffineSystem, integrality_horizon: int = 16) -> DualityRe
 
     Integrality quantifies over all n >= 0.  For integer-valued data it is
     proven structurally (R^n b stays an integer vector, so every dot with
-    an integer l is an integer).  Otherwise only the finite horizon
-    n = 0..integrality_horizon is certified numerically, with the horizon
-    reported.
+    an integer l is an integer).  Otherwise it is checked exactly on
+    integer tables for n = 0..integrality_horizon, with the horizon
+    reported, and the deviation is the largest distance of a dot (R^n b).l
+    to the nearest integer.
     """
     failures = []
     margin = spectral_margin(sys.R)
@@ -113,17 +115,17 @@ def check_duality(sys: AffineSystem, integrality_horizon: int = 16) -> DualityRe
     if sys.exact_integer:
         mode, dev = "structural", 0.0
     else:
-        # relative deviation: R^n b grows geometrically, so the float
-        # round-off on a genuinely integral dot grows with its magnitude
-        mode = "numeric"
-        dev = 0.0
-        rb = sys.B.copy()
-        for _ in range(integrality_horizon + 1):
-            dots = rb @ sys.L.T
-            frac = np.abs(dots - np.round(dots)) / np.maximum(1.0, np.abs(dots))
-            dev = max(dev, float(np.max(frac)))
-            rb = rb @ sys.R.T
-        if dev > 1e-9:
+        # with R = A / D, B = beta / e and L = lam / f (integer numerators),
+        # (R^n b).l is entry (b, l) of beta (A^t)^n lam^t over D^n e f
+        mode, worst = "exact", Fraction(0)
+        a, den, beta, e = sys.b_view._integer_form
+        lam, f = sys.l_view._integer_form[2:]
+        for n in range(integrality_horizon + 1):
+            q = den ** n * e * f
+            worst = max([worst] + [Fraction(min(v % q, -v % q), q) for v in (beta @ lam.T).flat])
+            beta = beta @ a.T
+        dev = float(worst)
+        if worst:
             failures.append("integrality")
     return DualityReport(
         passes=not failures,

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import Cycle
-from .measure import Weight, _branch_pass, _zero_cutoff, mu_hat_batch
-from .spectrum import _cycle_k_points
+from .measure import Weight, _branch_pass, _zero_cutoff
+from .spectrum import _closure, _parseval_terms
 from .system import AffineSystem, IfsView
 
 __all__ = [
@@ -633,17 +633,18 @@ def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
 
 def h_closed_form(sys: AffineSystem, x, cycle: Cycle, depth: int,
                   tail_tol: float | None = None) -> float:
-    """Closed-form sum over period-aligned words omega (depth blocks,
-    duplicates counted once) of |mu_hat_B(x + k(omega))|^2, k(omega) the
-    k-points of one rotation, the one based at cycle.points[0]
-    (`k_points_of_depth`).  Nonnegative terms, so the sum increases with
-    depth; but it counts only the paths that enter C at points[0].  For
-    period 1 that is h_C(x); for period p > 1 it is a part of h_C(x)
-    (lambda15 from 0.3 at depth 8: 0.0125 for its 2-cycle, and 0.191 from
-    the k-points based at its other point, which this sum leaves out)."""
-    rows, q = _cycle_k_points(sys, cycle, depth)
-    # int / int is correctly rounded: the same floats as float(Fraction)
-    pts = np.array([[v / q for v in row] for row in sorted(rows)])
-    pts = pts + np.atleast_1d(np.asarray(x, dtype=float))
-    vals = mu_hat_batch(sys, pts, tail_tol)
-    return float(np.sum(np.abs(vals) ** 2))
+    """Closed-form partial sum of h_C(x) = sum_{lambda in Lambda(C)}
+    |mu_hat_B(x + lambda)|^2, the probability that a path from x ends in
+    the cycle C: the sum over Lambda_n(C), the k-points of all p rotations
+    of C with words of n letters (`spectrum._closure` of -C, duplicates
+    counted once).  n = max(1, depth - m) for m the least integer with
+    N^m >= p, so a cycle costs at most N^depth k-points whatever its
+    period, and n = depth for fixed points.  Nonnegative terms, so the sum
+    increases with depth."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    m = 0
+    while sys.N ** m < cycle.period:
+        m += 1
+    spec = _closure(sys, cycle.points, max(1, depth - m))
+    return float(np.sum(_parseval_terms(sys, spec.rows, spec.q, x, tail_tol)))

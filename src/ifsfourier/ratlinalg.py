@@ -7,7 +7,7 @@ Exact matrices and single vectors are numpy object arrays of
 Batches of exact rows are integer tables inside the package: Python-int
 numerators over one denominator (`_over_common_denominator`), made
 Fractions (`_from_common_denominator`) only at the public edge:
-`Cycle.points`, `SpectrumSet.elements`, `k_points_of_depth`, CLI strings.
+`Cycle.points`, `SpectrumSet.elements`, CLI strings.
 """
 
 from __future__ import annotations

@@ -10,18 +10,19 @@ k-points over W-cycles C (all rotations) and words omega of exactly n letters,
 
 for every n: each seed -x_C is the image S(-x_C') + l of the seed of
 the next rotation C', so n steps from the seeds reach every shorter
-closure level.  The closure and the k-points of one rotation
-(`k_points_of_depth`, words of depth * period letters, where appending
-the cycle word leaves k unchanged) both run the recurrence through its
-one home, `IfsView.expand`, on an integer table, which Lambda stays
-(`SpectrumSet.rows` over `q`; Fractions only at the public edge, by the
-rule of `ratlinalg`).  `k_point` is the per-word reference (Horner's
-rule, shared with `cycle_from_word`).
+closure level.  The one closure (`_closure`) builds Lambda from all
+W-cycles (`generate_lambda`) and Lambda_n(C) from one cycle, the
+frequencies of the closed-form harmonic function h_C of `pathspace`.  It
+runs the recurrence through its one home, `IfsView.expand`, on an integer
+table, which Lambda stays (`SpectrumSet.rows` over `q`; Fractions only at
+the public edge, by the rule of `ratlinalg`).  `k_point` is the per-word
+reference (Horner's rule, shared with `cycle_from_word`).
 
 Orthogonality of the exponentials e_lambda is certified through
 mu_hat_B(lambda - lambda') = 0, always via an exactly vanishing product
 factor; completeness is probed through Parseval partial sums
-sum_lambda |mu_hat_B(x + lambda)|^2 <= 1.
+sum_lambda |mu_hat_B(x + lambda)|^2 <= 1, whose terms over an integer table
+have one home, `_parseval_terms`.
 
 In the Lebesgue case the k-points of a W-cycle are also the negated
 basin of its base point under the lattice endomorphism R_L.
@@ -48,7 +49,6 @@ __all__ = [
     "SpectrumSet",
     "generate_lambda",
     "k_point",
-    "k_points_of_depth",
     "GramReport",
     "verify_orthogonality",
     "completeness_sum",
@@ -103,26 +103,29 @@ def generate_lambda(
     levels: int,
     element_cap: int = 100_000,
 ) -> SpectrumSet:
-    """Breadth-first closure from the negated W-cycle points.
-
-    Start from {-x : x a point of some W-cycle}, apply x -> S x + l for
-    all l in L for `levels` rounds with exact dedup.  When a round would
-    pass `element_cap`, only its least new elements that fit are kept and
-    the closure stops there, complete through the round before (`level`;
-    0 when the seeds alone fill the cap).  The rounds run on one integer
-    table (`IfsView.expand`).  Requires 0 in B and 0 in L (the standing
-    normalization for the spectral pipeline).
-    """
+    """Lambda through `levels`: the closure (`_closure`) of the negated
+    points of all W-cycles, with at most `element_cap` elements.  Requires
+    0 in B and 0 in L (the standing normalization for the spectral
+    pipeline)."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
     if not sys.zero_in_digits():
         raise ValueError("spectrum generation requires 0 in B and 0 in L")
     if not w_cycles:
         raise ValueError("no W-cycles supplied: the seed set is empty")
-    seeds = set()
-    for cyc in w_cycles:
-        for pt in cyc.points:
-            seeds.add(tuple(-c for c in pt))
+    return _closure(sys, [pt for cyc in w_cycles for pt in cyc.points], levels, element_cap)
+
+
+def _closure(sys: AffineSystem, points, levels: int, element_cap: int | None = None) -> SpectrumSet:
+    """Breadth-first closure of {-x : x in points} under x -> S x + l.
+
+    Applies the maps for all l in L for `levels` rounds with exact dedup.
+    When a round would pass `element_cap`, only its least new elements that
+    fit are kept and the closure stops there, complete through the round
+    before (`level`; 0 when the seeds alone fill the cap).  The rounds run
+    on one integer table (`IfsView.expand`).
+    """
+    seeds = {tuple(-c for c in pt) for pt in points}
     rows, q = _over_common_denominator(np.array(list(seeds), dtype=object))
     frontier = set(map(tuple, rows.tolist()))
     elements = set(frontier)
@@ -133,7 +136,7 @@ def generate_lambda(
             elements = {tuple(v * (q_next // q) for v in e) for e in elements}
             q = q_next
         frontier = set(map(tuple, rows.tolist())) - elements
-        if len(elements) + len(frontier) > element_cap:
+        if element_cap is not None and len(elements) + len(frontier) > element_cap:
             level, cap_hit = done, True
             frontier = set(sorted(frontier)[:max(element_cap - len(elements), 0)])
         elements |= frontier
@@ -164,25 +167,6 @@ def k_point(sys: AffineSystem, cycle: Cycle, omega) -> tuple:
     return _horner(sys.l_view, omega, [-c for c in cycle.points[0]])
 
 
-def _cycle_k_points(sys: AffineSystem, cycle: Cycle, depth: int) -> tuple:
-    """(rows, q): the k-points of one rotation over all words of
-    depth * period letters, as a set of Python-int rows over the one
-    denominator q > 0, from that many integer expansions of -x_0."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    rows, q = _over_common_denominator([[-c for c in cycle.points[0]]])
-    for _ in range(depth * cycle.period):
-        rows, q = sys.l_view.expand(rows, q)
-    return set(map(tuple, rows.tolist())), q
-
-
-def k_points_of_depth(sys: AffineSystem, cycle: Cycle, depth: int) -> set:
-    """Distinct k-values over all words of length depth * period for one
-    rotation of the cycle; shorter words are absorbed because appending
-    the cycle word to omega does not change k."""
-    return set(_from_common_denominator(*_cycle_k_points(sys, cycle, depth)))
-
-
 @dataclass(frozen=True)
 class GramReport:
     max_offdiag: float
@@ -208,19 +192,29 @@ def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> Gra
     return GramReport(worst, pair, len(elems))
 
 
+def _parseval_terms(sys: AffineSystem, rows, q: int, x, tail_tol=None) -> np.ndarray:
+    """|mu_hat_B(x + row / q)|^2 at the rows of an integer table, in order, on
+    the float path (`mu_hat_batch`, one depth for the batch).  Each row / q
+    is the correctly rounded float that float(Fraction) gives: Python
+    int / int, or numpy's division on an int64 table whose entries and q
+    are exact in float (at most 2^53)."""
+    if (isinstance(rows, np.ndarray) and rows.dtype == np.int64 and q <= 2**53
+            and np.abs(rows).max(initial=0) <= 2**53):
+        t = rows / q
+    else:
+        t = (np.array(rows, dtype=object).reshape(-1, sys.d) / q).astype(float)
+    t = t + np.atleast_1d(np.asarray(x, dtype=float))
+    return np.abs(mu_hat_batch(sys, t, tail_tol)) ** 2
+
+
 def completeness_sum(sys: AffineSystem, lambda_subset, x, tail_tol=None) -> float:
     """Parseval partial sum sum_lambda |mu_hat_B(x + lambda)|^2.
 
     Monotone nondecreasing in the subset; bounded by 1 (Bessel) up to
     truncation error of the products.
     """
-    elems = [fvec(e) for e in lambda_subset]
-    if not elems:
-        return 0.0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    pts = np.array([[float(c) for c in e] for e in elems]) + xv
-    vals = mu_hat_batch(sys, pts, tail_tol)
-    return float(np.sum(np.abs(vals) ** 2))
+    table = _over_common_denominator([fvec(e) for e in lambda_subset])
+    return float(np.sum(_parseval_terms(sys, *table, x, tail_tol)))
 
 
 @dataclass(frozen=True)
@@ -268,13 +262,12 @@ def grid_orthogonality(sys: AffineSystem, x, denom: int = 4, span: int = 100,
         clique = 2 if n_edges else 1
     xf = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
     base = abs(mu_hat_detail(sys, (Fraction(xf).limit_denominator(10**12),), tail_tol).value) ** 2
-    partners = [Fraction(k, denom) for k in ks if k != 0 and zero_flag[abs(k)]]
+    partners = [[k] for k in ks if k != 0 and zero_flag[abs(k)]]
     if partners:
-        pts = np.array([[float(p) + xf] for p in partners])
-        vals = np.abs(mu_hat_batch(sys, pts, tail_tol)) ** 2
+        vals = _parseval_terms(sys, partners, denom, xf, tail_tol)
         best = int(np.argmax(vals))
         return GridOrthogonality(clique, n_edges, base + float(vals[best]),
-                                 (partners[best],))
+                                 (Fraction(partners[best][0], denom),))
     return GridOrthogonality(clique, n_edges, base, None)
 
 
@@ -388,11 +381,7 @@ def lattice_basin_sums(sys: AffineSystem, x, w_cycles, radius: float,
     exponentials form an ONB).
     """
     pts, label = lattice_basin_labels(sys, w_cycles, radius, lattice_scale, max_steps)
-    q = int(lattice_scale)
-    weights = (
-        np.abs(mu_hat_batch(sys, np.atleast_1d(np.asarray(x, dtype=float)) - pts / q,
-                            tail_tol)) ** 2
-    )
+    weights = _parseval_terms(sys, -pts, int(lattice_scale), x, tail_tol)
     per_cycle = [float(weights[label == ci].sum()) for ci in range(len(w_cycles))]
     other = float(weights[label < 0].sum())
     return per_cycle, other, float(weights.sum())

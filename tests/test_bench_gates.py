@@ -20,13 +20,20 @@ from run import run_job  # noqa: E402
 import workloads  # noqa: E402
 
 
+# harmonic-mc runs three seeds: its gate "MC >= closed form - 5 sigma"
+# tightens as the closed forms grow toward h_C
+SEEDS = {"harmonic-mc": (1, 2, 3)}
+
+
 @pytest.mark.parametrize("workload", ["harmonic-mc", "spectral-exact", "stationary"])
 def test_tiny_jobs_pass_their_gates(workload):
     systems = {name: get_system(name) for name in workloads.systems_for(workload)}
-    jobs = workloads.build_jobs(workload, 1, systems, tiny=True)
     failed = {}
-    for job in jobs:
-        _, _, problems = run_job(job, cli_main)
-        if problems:
-            failed[job.name] = problems
-    assert jobs and failed == {}
+    for seed in SEEDS.get(workload, (1,)):
+        jobs = workloads.build_jobs(workload, seed, systems, tiny=True)
+        assert jobs
+        for job in jobs:
+            _, _, problems = run_job(job, cli_main)
+            if problems:
+                failed["%s (seed %d)" % (job.name, seed)] = problems
+    assert failed == {}

@@ -264,6 +264,38 @@ def test_harmonic_with_cycles_longer_than_the_paths(capsys):
     assert rep["total"] + rep["unclassified"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_harmonic_closed_form_needs_no_zero_digit(tmp_path, capsys):
+    # B = {1, 3} has no 0, and |mu_hat_B| and the W-cycles are cantor4's;
+    # the closed form seeds its closure from the cycle, not from Lambda
+    argv = ["--x", "0.3", "--paths", "200", "--length", "16", "--depth", "8"]
+    cfg = tmp_path / "shifted.cfg"
+    cfg.write_text(GOOD_CONFIG.replace("B = [[0], [2]]", "B = [[1], [3]]"))
+    code, out = run_cli(capsys, "harmonic", "--config", str(cfg), *argv)
+    assert code == 0
+    _, ref = run_cli(capsys, "harmonic", "--example", "cantor4", *argv)
+    got, want = (json.loads(o) for o in (out, ref))
+    assert len(got["per_cycle"]) == len(want["per_cycle"]) == 1
+    assert got["closed_form_total"] == pytest.approx(want["closed_form_total"], abs=1e-14)
+
+
+def test_harmonic_pins_the_closed_form_of_every_rotation(capsys):
+    # each closed form is a partial sum of h_C: at most the Monte Carlo
+    # value, and at least it less the mass the closed forms miss in total
+    code, out = run_cli(capsys, "harmonic", "--example", "twindragon", "--x", "0.3,0.2",
+                        "--p-max", "8", "--depth", "8", "--paths", "20000", "--seed", "1")
+    assert code == 0
+    rep = json.loads(out)
+    missing = 1.0 - rep["closed_form_total"]
+    for row in rep["per_cycle"]:
+        sigma = row["stderr"]
+        assert row["closed_form"] <= row["probability"] + 3 * sigma
+        assert row["closed_form"] >= row["probability"] - 3 * sigma - missing
+    assert next(r["closed_form"] for r in rep["per_cycle"] if r["word"] == [0, 1, 1, 1]) >= 0.3
+    _, out = run_cli(capsys, "harmonic", "--example", "lambda15", "--x", "0.3",
+                     "--depth", "8", "--paths", "100")
+    assert json.loads(out)["closed_form_total"] >= 0.9999
+
+
 @pytest.mark.parametrize("example,x,depth", [("planar-shear", "0.1,0.2", 5),
                                              ("cantor4", "0.3", 10)])
 def test_harmonic_default_depth_keeps_to_1024_words(capsys, monkeypatch, example, x, depth):
@@ -272,8 +304,8 @@ def test_harmonic_default_depth_keeps_to_1024_words(capsys, monkeypatch, example
 
     asked = []
 
-    def closed_form(sys, x, cycle, depth_blocks, tail_tol=None):
-        asked.append(depth_blocks * cycle.period)
+    def closed_form(sys, x, cycle, depth, tail_tol=None):
+        asked.append(depth)
         return 0.0
 
     monkeypatch.setattr(cli, "h_closed_form", closed_form)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -81,9 +83,28 @@ def test_numeric_integrality_path():
     # genuinely non-integer digits, still a Hadamard pair: B scaled by 1/4
     sys = AffineSystem.create([[4]], [[0], [0.5]], [[0], [4]])
     rep = check_duality(sys, integrality_horizon=12)
-    assert rep.integrality_mode == "numeric"
+    assert rep.integrality_mode == "exact"
     assert rep.integrality_horizon == 12
+    assert rep.integrality_deviation == 0.0
     assert rep.passes
+
+
+def test_integrality_fails_on_a_dot_far_below_float_resolution():
+    # (R^n b).l = 2 4^(n - 40) is no integer for n <= 16; a float test
+    # relative to the dot saw at most 7e-15 and passed it
+    sys = AffineSystem.create([[4]], [[0], [2]], [[0], [Fraction(1, 4 ** 40)]])
+    rep = check_duality(sys)
+    assert "integrality" in rep.failures
+    assert rep.integrality_deviation == float(Fraction(2, 4 ** 24))
+
+
+def test_integrality_fails_on_a_half_beside_a_large_dot():
+    # b = 10^10 + 1/2 with l = 1: a Hadamard pair at R = 3, but 3^n b is
+    # never an integer; the relative float deviation was 5e-11
+    sys = AffineSystem.create([[3]], [[0], [Fraction(2 * 10 ** 10 + 1, 2)]], [[0], [1]])
+    rep = check_duality(sys)
+    assert rep.failures == ("integrality",)
+    assert rep.integrality_deviation == 0.5
 
 
 def test_tensor_two_fourier_matrices():

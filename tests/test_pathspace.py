@@ -223,13 +223,31 @@ def test_h_closed_form_unit_at_matching_frequency(cantor4, cantor4_w_cycles):
     assert val <= 1.0 + 1e-9
 
 
+def closed_form_letters(sys, cycle, depth):
+    """The word length h_closed_form sums over: depth - m letters, m the
+    least with N^m >= period, so at most N^depth k-points per cycle."""
+    m = min(m for m in range(cycle.period) if sys.N ** m >= cycle.period)
+    return max(1, depth - m)
+
+
 def h_closed_form_reference(sys, probes, cycle, depth):
-    """h_closed_form at each probe x from the Fraction k-points, each
-    coordinate float()ed."""
-    ks = k_points_reference(sys, [cycle.points[0]], depth * cycle.period)
+    """h_closed_form at each probe x from the Fraction k-points of every
+    rotation of the cycle, each coordinate float()ed."""
+    ks = k_points_reference(sys, cycle.points, closed_form_letters(sys, cycle, depth))
     pts = np.array([[float(c) for c in k] for k in sorted(ks)])
     return [float(np.sum(np.abs(mu_hat_batch(sys, pts + np.asarray(x, dtype=float))) ** 2))
             for x in probes]
+
+
+def assert_closed_forms_match_reference(sys, probes, cycles, depths):
+    """Each closed form equals its per-word reference bit for bit and is
+    nondecreasing in depth; at each probe the cycles sum to at most 1."""
+    for x in probes:
+        table = [[h_closed_form(sys, x, cyc, depth) for depth in depths] for cyc in cycles]
+        for cyc, row in zip(cycles, table):
+            assert row == [h_closed_form_reference(sys, [x], cyc, depth)[0] for depth in depths]
+            assert all(a <= b + 1e-15 for a, b in zip(row, row[1:]))
+        assert sum(row[-1] for row in table) <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("name,p_max,depth", [
@@ -241,10 +259,19 @@ def test_h_closed_form_bit_identical_to_fraction_reference(name, p_max, depth):
     probes = [rng.normal(size=sys.d) for _ in range(2)]
     if name == "planar-shear":
         probes.append(np.array([1 / 3, 0.0]))  # c10's dual-lattice point
-    for cyc in find_w_cycles(sys, p_max):
-        n = max(1, depth // cyc.period)
-        assert ([h_closed_form(sys, x, cyc, n) for x in probes]
-                == h_closed_form_reference(sys, probes, cyc, n))
+    assert_closed_forms_match_reference(sys, probes, find_w_cycles(sys, p_max),
+                                        (depth - 2, depth))
+
+
+def test_h_closed_form_budget_is_n_to_the_depth():
+    # twindragon at --p-max 8 --depth 8: 2,240 k-points over its nine cycles
+    sys = get_system("twindragon")
+    cycles = find_w_cycles(sys, 8)
+    sizes = [c.period * sys.N ** closed_form_letters(sys, c, 8) for c in cycles]
+    assert all(size <= sys.N ** 8 for size in sizes)
+    assert sum(sizes) == 2240
+    with pytest.raises(ValueError):
+        h_closed_form(sys, [0.3, 0.2], cycles[0], 0)
 
 
 def test_estimate_h_deficient_partition_planar_shear(planar_shear):

@@ -18,8 +18,6 @@ from ifsfourier import (
     check_duality,
     check_qmf,
     find_w_cycles,
-    k_point,
-    k_points_of_depth,
     mu_hat_batch,
     mu_hat_detail,
     power_system,
@@ -27,6 +25,7 @@ from ifsfourier import (
 )
 from ifsfourier import pathspace
 from ifsfourier.measure import _branch_weights, _float_terms, _tail_depth, _truncated_products
+from ifsfourier.spectrum import _closure
 from strategies import product_triple
 from test_cycles import (
     assert_cycles_match_reference,
@@ -42,12 +41,17 @@ from test_measure import (
     reference_tails,
 )
 from test_pathspace import (
+    assert_closed_forms_match_reference,
     assert_zeros_cut,
     exponential_branch_weights,
     per_step_walk,
     states_onto_zeros,
 )
-from test_spectrum import assert_k_points_match_reference, assert_lambda_is_rotation_k_points
+from test_spectrum import (
+    assert_k_points_match_reference,
+    assert_lambda_is_rotation_k_points,
+    rotation_k_points,
+)
 
 MAX_WORDS = 125  # words per enumeration, to keep exact arithmetic quick
 
@@ -111,12 +115,9 @@ def test_expansion_paths_agree_on_generated_triples(sys_):
     assert_k_points_match_reference(sys_, cycles, MAX_WORDS)
     assert assert_lambda_is_rotation_k_points(sys_, cycles, MAX_WORDS)[:2] == [0, 1]
     for cyc in cycles:
-        for depth in range(3):
-            n = depth * cyc.period
-            if sys_.N ** n <= MAX_WORDS:
-                words = itertools.product(range(sys_.N), repeat=n)
-                assert k_points_of_depth(sys_, cyc, depth) == {k_point(sys_, cyc, w)
-                                                               for w in words}
+        for n in range(4):
+            if sys_.N ** n * cyc.period <= MAX_WORDS:
+                assert _closure(sys_, cyc.points, n).elements == rotation_k_points(sys_, [cyc], n)
     for p in (2, 3):
         if sys_.N ** p <= MAX_WORDS:
             power = power_system(sys_, p)
@@ -124,6 +125,16 @@ def test_expansion_paths_agree_on_generated_triples(sys_):
             assert list(power.B_exact) == [word_sum(sys_.R_exact, sys_.B_exact, w) for w in words]
             assert list(power.L_exact) == [word_sum(sys_.S_exact, sys_.L_exact, w) for w in words]
             assert check_duality(power).passes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sys_=hadamard_triples_1d(), x=st.floats(-3.0, 3.0))
+def test_closed_forms_match_reference_on_generated_triples(sys_, x):
+    # h_C sums |mu_hat|^2 over the k-points of every rotation of C
+    depth = max(d for d in range(1, 8) if sys_.N ** d <= MAX_WORDS)
+    p_max = max(p for p in range(1, 4) if sys_.N ** p <= MAX_WORDS)
+    assert_closed_forms_match_reference(sys_, [[x]], find_w_cycles(sys_, p_max),
+                                        range(1, depth + 1))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

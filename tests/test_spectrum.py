@@ -14,7 +14,6 @@ from ifsfourier import (
     generate_lambda,
     grid_orthogonality,
     k_point,
-    k_points_of_depth,
     LatticeError,
     get_system,
     lattice_basin_sums,
@@ -25,7 +24,7 @@ from ifsfourier import (
 from ifsfourier.cycles import _horner
 from ifsfourier.ratlinalg import _over_common_denominator
 from ifsfourier.registry import EXAMPLES
-from ifsfourier.spectrum import lattice_basin_labels
+from ifsfourier.spectrum import _closure, lattice_basin_labels
 from test_cycles import fraction_expand, table_expand
 from test_measure import mu_hat_fraction_reference
 
@@ -215,17 +214,24 @@ def test_lambda_equals_k_points():
 
 
 def test_k_points_of_depth_match_per_word_k_point_d2(twindragon, planar_shear):
+    # the closure of one cycle's -C through n letters is its k-points over
+    # all rotations, n a multiple of the period or not; those of the base
+    # rotation are the per-word k_point sums
     for sys, depth in ((twindragon, 2), (planar_shear, 3)):
         for cyc in find_w_cycles(sys, 4):
+            for n in (depth * cyc.period - 1, depth * cyc.period):
+                assert _closure(sys, cyc.points, n).elements == rotation_k_points(sys, [cyc], n)
             words = itertools.product(range(sys.N), repeat=depth * cyc.period)
-            expected = {k_point(sys, cyc, w) for w in words}
-            assert k_points_of_depth(sys, cyc, depth) == expected
+            assert ({k_point(sys, cyc, w) for w in words}
+                    <= _closure(sys, cyc.points, depth * cyc.period).elements)
 
 
 def test_k_points_absorb_cycle_suffix(cantor4, cantor4_w_cycles):
-    shallow = k_points_of_depth(cantor4, cantor4_w_cycles[0], 2)
-    deep = k_points_of_depth(cantor4, cantor4_w_cycles[0], 4)
-    assert shallow <= deep
+    lambda15 = lam(15)
+    for sys, cycles in ((cantor4, cantor4_w_cycles), (lambda15, find_w_cycles(lambda15, 2))):
+        for cyc in cycles:
+            shallow = _closure(sys, cyc.points, 2).elements
+            assert shallow <= _closure(sys, cyc.points, 4).elements
 
 
 def k_points_reference(sys, bases, n):
@@ -237,12 +243,13 @@ def k_points_reference(sys, bases, n):
 
 
 def assert_k_points_match_reference(sys, cycles, max_words):
+    """One cycle's closure through n letters is the k-point set of n Fraction
+    expansions of its negated points (every rotation)."""
     for cyc in cycles:
-        for depth in range(4):
-            n = depth * cyc.period
-            if sys.N ** n <= max_words:
-                assert k_points_of_depth(sys, cyc, depth) == k_points_reference(
-                    sys, [cyc.points[0]], n)
+        for n in range(7):
+            if sys.N ** n * cyc.period <= max_words:
+                assert _closure(sys, cyc.points, n).elements == k_points_reference(
+                    sys, cyc.points, n)
 
 
 @pytest.mark.parametrize("name", AFFINE_NAMES)
