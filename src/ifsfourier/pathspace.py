@@ -43,6 +43,18 @@ more of its uniforms.  The walk tests for this every RETIRE_STRIDE steps,
 stops once every walk has retired, and fills the later steps by
 repeating each walk's period; words and states are again bit-identical
 to the walk of every step.
+
+A walk of many paths steps the nodes of its path tree instead of its
+paths.  P_x is a Markov measure on the tree of words from x, and W_B paths
+gather on few of its nodes: over the 6,000 paths of 64 steps of the
+harmonic benchmark jobs (seed 1, mean over the steps), a step has 7.3
+distinct word prefixes on cantor4, 14.4 on lambda15, 518 on twindragon
+and 3,801 on planar-shear.  So a one-segment walk of at least NODE_ROWS
+paths that does not retire runs its branch pass on a table of the
+distinct nodes, each path keeping only its node's index, until the table
+holds more than NODE_SHARE of the paths; from then on it steps paths.
+Words and states are again bit-identical to the walk of every path
+(`_steps`).
 """
 
 from __future__ import annotations
@@ -75,6 +87,8 @@ WIDTH = 2048  # rows a time-split walk steps at once, over all its segments
 WINDOW = 128  # steps a segment's head may take to merge with its speculative steps
 RETIRE_STRIDE = 64  # steps between two tests of whether every walk has retired
 RING = 16  # the longest float period a walk is tested for when it may retire
+NODE_ROWS = 512  # the fewest rows a one-segment walk steps as a table of nodes
+NODE_SHARE = 0.5  # a node walk steps rows for good once its table holds more of its rows
 
 
 class QmfError(ValueError):
@@ -88,38 +102,55 @@ class QmfError(ValueError):
         self.deviation = float(deviation)
 
 
-def _cut_pass(weight: Weight, view: IfsView, n: int):
-    """The walk's branch pass for batches of n states: `_branch_pass`, with
-    each weight below the zero cut at its row's state z, floor + sum_i
-    s_i |z_i| (`_zero_cutoff`), set to exactly 0.  The cut is one dot
-    product, the floor the coefficient of a row of ones below |z|^t, and
-    every buffer is allocated once, so each call overwrites the last."""
-    weights_at, (floor, s) = _branch_pass(weight, view, n), _zero_cutoff(weight, view)
-    coef, terms, cut = np.append(s, floor), np.ones((view.d + 1, n)), np.empty(n)
-    abs_z, zero = terms[:-1], np.empty((view.n_digits, n), dtype=bool)
+def _cut_pass(weight: Weight, view: IfsView):
+    """The walk's branch pass for batches of states: `_branch_pass`, with
+    each weight below the zero cut at its row's state z,
+    floor + sum_i s_i |z_i| (`_zero_cutoff`), set to exactly 0.  The cut is
+    one dot product, the floor the coefficient of a row of ones below
+    |z|^t.  A `_branch_pass` and the cut's buffers are set up for the size
+    of the batch, and again when a batch of another size comes (a node
+    walk's table grows, see `_steps`), so each call of the same size
+    overwrites the last.  A batch of one state runs as two rows, the state
+    twice, as numpy rounds a one-row product otherwise than a batch: a
+    state's weights are then the same bits in every batch it is weighed
+    in."""
+    floor, s = _zero_cutoff(weight, view)
+    coef, pair = np.append(s, floor), np.empty((2, view.d))
+
+    def setup(m):
+        terms, zero = np.ones((view.d + 1, m)), np.empty((view.n_digits, m), dtype=bool)
+        return m, _branch_pass(weight, view, m), terms, terms[:-1], np.empty(m), zero
+    held = (None,)
 
     def cut_weights_at(z):
+        nonlocal held
+        one = len(z) == 1
+        if one:
+            pair[...] = z
+            z = pair
+        if len(z) != held[0]:
+            held = None  # freed before the next size is set up
+            held = setup(len(z))
+        _, weights_at, terms, abs_z, cut, zero = held
         w = weights_at(z)
         np.abs(z.T, out=abs_z)
         np.less(w, np.dot(coef, terms, out=cut), out=zero)
         np.putmask(w, zero, 0.0)
-        return w
+        return w[:, :1] if one else w
     return cut_weights_at
 
 
 def _word_weights(weight: Weight, view: IfsView, x, word) -> tuple:
     """(states, w): the states z_1..z_n along a word (digit indices, first
     applied first) and W(z_k), read as the walk reads it at z_{k-1}: its move
-    (d_l + z) M^{-t}, then one `_cut_pass` over z_0..z_{n-1}, of at least two
-    rows, as numpy rounds a one-row product otherwise than a batch."""
+    (d_l + z) M^{-t}, then one `_cut_pass` over z_0..z_{n-1}."""
     word = np.asarray(word, dtype=np.intp)
     n, inv_t = len(word), view.inv.T
     z = np.empty((n + 1, view.d))
     z[0] = np.asarray(x, dtype=float).reshape(view.d)
     for k, idx in enumerate(word):
         z[k + 1] = (view.digits[idx] + z[k]) @ inv_t
-    pred = z[:max(2, n)]
-    return z[1:], _cut_pass(weight, view, len(pred))(pred)[word, np.arange(n)]
+    return z[1:], _cut_pass(weight, view)(z[:-1])[word, np.arange(n)]
 
 
 def cylinder_weight(weight: Weight, view: IfsView, x, word) -> float:
@@ -227,17 +258,45 @@ def _steps(weight: Weight, view: IfsView, z, draw, record, n_steps: int, block: 
     W(tau_i z), cut to 0 below the zero cut at z (`_cut_pass`), drawn by one
     uniform per row against the cumulative weights;
     `draw(k)` gives the uniforms of the next k steps as a (k, n) array,
-    called every `block` steps, and `record(step, choices, z)` stores each
-    step's choices and new states.
+    called every `block` steps, and `record(step, choices, table, node)`
+    stores each step's choices and new states: the rows' states are
+    table[node], or table itself when node is None.
 
-    The weights come as a C-ordered (N, n) array, so the per-step reductions
+    The weights come as a C-ordered (N, m) array, so the per-step reductions
     run along the rows; the choice counts the cumulative rows the uniform
     passes, one row at a time (the last row is 1 up to rounding, and a
     uniform past it takes the last branch either way).  Only the chosen
     image is computed.  A step on a few dozen rows costs numpy's per-call
     overhead more than arithmetic, so the branch-weight pass (`_cut_pass`)
     is set up once, and every step writes into buffers allocated once: the
-    weights, the cut and its mask, the choices and the moved states.
+    weights, the cut and its mask (again whenever a node table below
+    changes size), the choices and the moved states.
+
+    *The node table.*  The rows of a walk that is not `split` all start at
+    one state.  Such a walk of at least NODE_ROWS rows that does not retire
+    (below) steps the nodes of its path tree, not its rows: `table` holds
+    one state per node and `node` each row's index into it.  The pass, the
+    row sums, the QMF check (the worst deviation over the nodes is the worst
+    over the rows) and the cumulative weights run on the table; per row
+    there remain the comparison of the uniform with its node's cumulative
+    weights and the word write.  The move keys each row by node N + choice,
+    and each occupied key becomes one new node, (d_choice + z_node) M^{-t}:
+    rows that share a node and a choice get one state, the bits each of them
+    would get alone, so words and states are those of the walk of every row.
+    (A table of one node is weighed as two rows, `_cut_pass`; its one-row
+    move rounds as a batch's move does.)  Every node has an occupied child,
+    so the table never shrinks; once it holds more than NODE_SHARE of the
+    rows, the walk steps rows for good.  Measured per step of 64-step walks
+    (2-core Xeon VM, numpy 2.4.6, one thread, best of 9): at 32 rows the
+    table's bookkeeping makes a cantor4 step 58 us against 41 us on rows,
+    and the two break even near 512 rows on every registry system.  At 6,000
+    rows a step takes 0.17 ms on nodes against 0.38 ms on rows on cantor4
+    (at most 19 nodes), and on planar-shear 0.34 against 0.82 ms from a
+    sparse start (606 nodes at the end) and 0.73 against 0.88 ms from a
+    dense one, which switches at step 20.  Over the 15 planar-shear starts
+    of the harmonic benchmark jobs (seeds 1-3), never switching took 8%
+    longer than switching at half the rows, and switching at 0.3 or 0.7 of
+    them the same within 2.5%.
 
     The row sums of all steps of a block go to one buffer, and the QMF check
     runs once per block, at its last step: a walk that breaks QMF raises
@@ -249,16 +308,16 @@ def _steps(weight: Weight, view: IfsView, z, draw, record, n_steps: int, block: 
 
     A walk of more than RETIRE_STRIDE steps that is not a split pass keeps
     its states in a ring of RING + 1 buffers (step k writes z_{k+1} into
-    slot k + 1 mod RING + 1, so the ring costs no copy) and may retire:
-    every RETIRE_STRIDE steps `_periods` tests whether every row has
-    retired, and if so the walk runs the QMF check of its partial block and
-    stops, with z at its last state.  It then returns (k, period, ring):
-    the steps taken, each row's period and the ring, which holds
-    z_{k-RING}..z_k; the caller fills the later steps (`_tile`).  Otherwise
-    it returns None."""
-    rows = len(z)
-    weights_at = _cut_pass(weight, view, rows)
-    sums = np.empty((min(block, n_steps), rows))
+    slot k + 1 mod RING + 1, so the ring costs no copy) and may retire; it
+    steps rows, whatever its row count.  Every RETIRE_STRIDE steps
+    `_periods` tests whether every row has retired, and if so the walk runs
+    the QMF check of its partial block and stops, with z at its last
+    state.  It then returns (k, period, ring): the steps taken, each row's
+    period and the ring, which holds z_{k-RING}..z_k; the caller fills the
+    later steps (`_tile`).  Otherwise it returns None."""
+    rows, n_dig = len(z), view.n_digits
+    weights_at = _cut_pass(weight, view)
+    sums = np.empty(min(block, n_steps) * rows)
     passed = np.empty(rows, dtype=bool)
     choices = np.empty(rows, dtype=np.intp)
     moved = np.empty_like(z)
@@ -266,7 +325,14 @@ def _steps(weight: Weight, view: IfsView, z, draw, record, n_steps: int, block: 
     retiring = not split and n_steps > RETIRE_STRIDE
     ring = np.empty((RING + 1,) + z.shape) if retiring else z[None]
     ring[0] = z
-    slots, state = list(ring), z
+    slots, table, node = list(ring), ring[0], None
+    if not split and not retiring and rows >= NODE_ROWS:  # every row at z[0]: one node
+        table, node, at_rows = z[:1], np.zeros(rows, dtype=np.intp), np.empty(rows)
+        key, index = np.empty(rows, dtype=np.intp), np.empty(rows * n_dig, dtype=np.intp)
+        occupied = np.empty(rows * n_dig, dtype=bool)
+
+    def at_nodes(cum):  # each row's entry of a per-node array
+        return cum.take(node, out=at_rows, mode="clip")
 
     def check(block_sums):
         block_sums -= 1.0
@@ -280,32 +346,51 @@ def _steps(weight: Weight, view: IfsView, z, draw, record, n_steps: int, block: 
         for step in range(n_steps):
             k = step % block
             if k == 0:
-                uniforms = draw(min(block, n_steps - step))
-            u, row_sums = uniforms[k], sums[k]
-            state = slots[step % len(slots)]
-            w = weights_at(state)
+                uniforms, filled = draw(min(block, n_steps - step)), 0
+            u, m = uniforms[k], len(table)
+            w = weights_at(table)
+            row_sums = sums[filled:filled + m]
+            filled += m
             np.add.reduce(w, out=row_sums)
             w /= row_sums
             cum = w[0]
-            choices[...] = np.greater_equal(u, cum, out=passed)
+            choices[...] = np.greater_equal(u, cum if node is None else at_nodes(cum), out=passed)
             for row in w[1:-1]:
                 cum += row
-                choices += np.greater_equal(u, cum, out=passed)
-            digits.take(choices, axis=0, out=moved)
-            moved += state
-            state = np.matmul(moved, inv_t, out=slots[(step + 1) % len(slots)])
-            record(step, choices, state)
+                choices += np.greater_equal(u, cum if node is None else at_nodes(cum), out=passed)
+            slot = (step + 1) % len(slots)
+            if node is None:
+                digits.take(choices, axis=0, out=moved)
+                moved += table
+                table = np.matmul(moved, inv_t, out=slots[slot])
+            else:
+                np.multiply(node, n_dig, out=key)
+                key += choices
+                seen = occupied[:m * n_dig]
+                seen.fill(False)
+                seen[key] = True
+                kids = np.flatnonzero(seen)
+                index.put(kids, np.arange(len(kids)))
+                index.take(key, out=node, mode="clip")
+                parent, branch = np.divmod(kids, n_dig)
+                new = digits.take(branch, axis=0, out=moved[:len(kids)])
+                new += table.take(parent, axis=0)
+                table = np.matmul(new, inv_t, out=z[:len(kids)])
+                if len(kids) > NODE_SHARE * rows:  # to rows, for good
+                    table, node = table.take(node, axis=0), None
+                    key = index = occupied = at_rows = None  # freed for the row pass
+            record(step, choices, table, node)
             if k == len(uniforms) - 1:
-                check(sums[: k + 1])
+                check(sums[:filled])
             done = step + 1
             if retiring and done % RETIRE_STRIDE == 0 and done < n_steps:
                 period = _periods(ring, done, weights_at)
                 if period is not None:
                     if k < len(uniforms) - 1:
-                        check(sums[: k + 1])
-                    z[...] = state
+                        check(sums[:filled])
+                    z[...] = table
                     return done, period, ring
-    z[...] = state
+    z[...] = table if node is None else table.take(node, axis=0)
     return None
 
 
@@ -402,7 +487,7 @@ def _split_walk(weight: Weight, view: IfsView, x, length: int, count: int, rng,
             by_step[...] = drawn[:, : k * count].reshape(-1, k, count).transpose(1, 0, 2)
             return uniforms[:k]
 
-        def record(i, choices, z):
+        def record(i, choices, z, node):
             np.add(word0, i, out=pw)
             np.add(state0, i, out=pk)
             np.greater(after, i, out=skip)
@@ -492,10 +577,10 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     if keep_from == 0:
         kept[:, 0] = z
 
-    def record(step, choices, z):
+    def record(step, choices, table, node):
         words[:, step] = choices
         if step + 1 >= keep_from:
-            kept[:, step + 1 - keep_from] = z
+            kept[:, step + 1 - keep_from] = table if node is None else table.take(node, axis=0)
 
     block = max(1, UNIFORM_BLOCK // count)
     retired = _steps(weight, view, z, lambda k: rng.random(k * count).reshape(-1, count), record,

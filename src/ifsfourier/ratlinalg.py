@@ -51,10 +51,13 @@ def as_fraction(e) -> Fraction:
 
 
 def _over_common_denominator(a) -> tuple:
-    """(n, q): rationals a (ints, Fractions, numpy integers) as Python-int
-    numerators n over their lcd q."""
+    """(n, q): exact numbers a as Python-int numerators n over their lcd q.
+    Rational entries (ints, Fractions, numpy integers) are read as they
+    are; only an entry without a numerator, such as a float, goes through
+    `as_fraction`, so a table of Fractions makes no new one."""
     a = np.asarray(a, dtype=object)
-    fr = [(int(e.numerator), int(e.denominator)) for e in a.flat]
+    fr = [(int(e.numerator), int(e.denominator))
+          for e in (e if hasattr(e, "numerator") else as_fraction(e) for e in a.flat)]
     q = math.lcm(*(d for _, d in fr))
     return np.array([n * (q // d) for n, d in fr], dtype=object).reshape(a.shape), q
 

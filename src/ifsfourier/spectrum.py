@@ -174,13 +174,21 @@ class GramReport:
     n_elements: int
 
 
+def _window_table(sys: AffineSystem, points) -> tuple:
+    """(points, rows, q): exact points of d entries each, as a list and as
+    one integer table over their lcd (`_over_common_denominator`, which
+    makes no Fraction for a rational entry)."""
+    points = list(points)
+    return (points,) + _over_common_denominator(
+        np.array(points, dtype=object).reshape(len(points), sys.d))
+
+
 def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> GramReport:
     """Max |mu_hat_B(lambda - lambda')| over distinct pairs (exact path).  The
     window is differenced once as an integer table; each distinct difference
     is evaluated once, all in one exact batch; the pair reported is the
     first in `itertools.combinations` order at the max."""
-    elems = [fvec(e) for e in lambda_subset]
-    rows, q = _over_common_denominator(np.array(elems, dtype=object).reshape(len(elems), sys.d))
+    elems, rows, q = _window_table(sys, lambda_subset)
     first, second = np.triu_indices(len(elems), 1)  # combinations order
     diffs = {}
     which = [diffs.setdefault(row, len(diffs))
@@ -188,7 +196,7 @@ def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> Gra
     vals = np.abs(_mu_hat_rows(sys, list(diffs), q, tail_tol)[0])[which]
     worst = float(vals.max(initial=0.0))
     at = int(np.argmax(vals)) if worst else None
-    pair = None if at is None else (elems[first[at]], elems[second[at]])
+    pair = None if at is None else (fvec(elems[first[at]]), fvec(elems[second[at]]))
     return GramReport(worst, pair, len(elems))
 
 
@@ -213,8 +221,8 @@ def completeness_sum(sys: AffineSystem, lambda_subset, x, tail_tol=None) -> floa
     Monotone nondecreasing in the subset; bounded by 1 (Bessel) up to
     truncation error of the products.
     """
-    table = _over_common_denominator([fvec(e) for e in lambda_subset])
-    return float(np.sum(_parseval_terms(sys, *table, x, tail_tol)))
+    _, rows, q = _window_table(sys, lambda_subset)
+    return float(np.sum(_parseval_terms(sys, rows, q, x, tail_tol)))
 
 
 @dataclass(frozen=True)

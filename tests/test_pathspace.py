@@ -28,8 +28,9 @@ from ifsfourier import (
 from ifsfourier import measure, pathspace
 from ifsfourier.system import IfsView
 from ifsfourier.measure import _branch_pass, _branch_weights, _zero_cutoff
-from ifsfourier.pathspace import (QMF_SAMPLING_TOL, UNIFORM_BLOCK, PathEnsemble, _cycle_labels,
-                                  _walk, classification_radius)
+from ifsfourier.pathspace import (NODE_ROWS, NODE_SHARE, QMF_SAMPLING_TOL, UNIFORM_BLOCK,
+                                  PathEnsemble, _cut_pass, _cycle_labels, _walk,
+                                  classification_radius)
 from strategies import product_triple
 from test_measure import direct_branch_pass
 from test_spectrum import k_points_reference
@@ -1026,6 +1027,127 @@ def test_walks_from_far_starts_bit_identical_to_per_step_walk(monkeypatch):
     words, kept = _walk(weight, view, [1e6], 20_000, 32, 12, 500)
     ref_words, ref_kept = per_step_walk(weight, view, [1e6], 20_000, 32, 12, 500)
     assert len(results) == 1 and results[0] is not None  # the heads merged
+    assert np.array_equal(words, ref_words)
+    assert np.array_equal(kept, ref_kept)
+
+
+# --- the node table: a walk of many rows steps its distinct path-tree nodes
+
+def walk_with_pass_sizes(weight, view, x, length, count, seed, keep_from):
+    """`_walk` and the batch size of each of its branch passes in order: the
+    node table's size (a table of one node runs as two rows), the row count
+    once the walk steps rows, and the rows of each retirement test."""
+    sizes = []
+
+    def spy(w, z, view):
+        sizes.append(len(z))
+        return w
+    with pytest.MonkeyPatch.context() as mp:
+        patch_branch_pass(mp, spy)
+        walk = _walk(weight, view, x, length, count, seed, keep_from)
+    return walk, sizes
+
+
+def assert_table_grows(sizes, count):
+    """The node count never exceeds the row count and never falls."""
+    assert sizes[0] == 2 and min(sizes) < count  # one node, padded: a node walk
+    assert all(a <= b <= count for a, b in zip(sizes, sizes[1:]))
+
+
+@pytest.mark.parametrize("name,length", [("cantor4", 700), ("lambda63", 700),
+                                         ("twindragon", 2300)])
+def test_walk_that_may_retire_steps_rows_above_the_row_gate(name, length):
+    # above the row gate but longer than RETIRE_STRIDE: the walk steps rows,
+    # keeps its ring of row states, and stops with every row locked in a
+    # W-cycle (at step 576 on cantor4 and lambda63, 2176 on twindragon)
+    weight, view, x = _walk_case(name)
+    count = 2 * NODE_ROWS
+    ref_words, ref_kept = per_step_walk(weight, view, x, length, count, 17, length - 40)
+    walk, sizes = walk_with_pass_sizes(weight, view, x, length, count, 17, length - 40)
+    assert np.array_equal(walk.words, ref_words)
+    assert np.array_equal(walk.kept, ref_kept)
+    assert walk.retired_at is not None and walk.retired_at > pathspace.RETIRE_STRIDE
+    assert set(sizes) == {count}
+
+
+@pytest.mark.parametrize("name", ["twindragon", "planar-shear"])
+def test_node_walk_on_a_w_cycle_keeps_one_node(name):
+    # from a nonzero W-cycle point one branch survives the cut at every
+    # step: the table stays at one node, weighed as two rows and moved as
+    # one, and its words and states are those of the 6,000-row walk
+    sys_ = get_system(name)
+    weight, view = weight_from_digits(sys_.B), sys_.l_view
+    points = [x for c in find_w_cycles(sys_, 4) for x in c.points_float if np.any(x)]
+    assert points
+    for x in points[:4]:
+        ref_words, ref_kept = per_step_walk(weight, view, x, 64, 6000, 5, 0)
+        walk, sizes = walk_with_pass_sizes(weight, view, x, 64, 6000, 5, 0)
+        assert np.array_equal(walk.words, ref_words)
+        assert np.array_equal(walk.kept, ref_kept)
+        assert sizes == [2] * 64
+
+
+@pytest.mark.parametrize("x,switches", [
+    ([0.3, 0.2], True),  # more than half the rows are nodes after 20 steps
+    ([-0.251111, -1.976175], True),  # a bench start: after 21 steps
+    ([0.15, 0.05], False),  # 2,931 nodes at the end, just below half
+    ([1.059566, -1.119308], False),  # a sparse bench start: 592 nodes at the end
+])
+def test_planar_shear_node_walk_switches_to_rows(x, switches):
+    # the table grows with the walk, and the walk steps rows for good once
+    # the table holds more than NODE_SHARE of them
+    weight, view, _ = _walk_case("planar-shear")
+    ref_words, ref_kept = per_step_walk(weight, view, x, 64, 6000, 41, 56)
+    walk, sizes = walk_with_pass_sizes(weight, view, x, 64, 6000, 41, 56)
+    assert np.array_equal(walk.words, ref_words)
+    assert np.array_equal(walk.kept, ref_kept)
+    assert len(sizes) == 64
+    assert_table_grows(sizes, 6000)
+    nodes = [s for s in sizes if s < 6000]
+    assert max(nodes) <= NODE_SHARE * 6000
+    assert (len(nodes) < 64) == switches
+
+
+@pytest.mark.parametrize("start", [3, 9, 30])
+def test_qmf_break_in_a_node_walk_raises_the_per_step_message(monkeypatch, start):
+    # W = 1/2 on cantor4 doubles the table each step: a break on 8 nodes, on
+    # 512, and after the switch to rows at step 11
+    monkeypatch.setattr(pathspace, "_segment_count", lambda *args: 1)
+    count, length, changes = 4 * NODE_ROWS, 40, {start: 0.5 * (1.0 + 1e-6)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _qmf_outcome(monkeypatch, _walk, changes, count, length)
+        ref = _qmf_outcome(monkeypatch, per_step_walk, changes, count, start + 1)
+    assert ref is not None and got == ref
+
+
+@pytest.mark.parametrize("name", ["twindragon", "planar-shear", "riesz3"])
+def test_a_lone_state_is_weighed_as_in_a_batch(name):
+    # numpy rounds a one-row product otherwise than a batch; the cut pass
+    # weighs a lone state as two rows, and its weights are the batch's bits
+    weight, view, _ = _walk_case(name)
+    lo, hi = view.box()
+    z = np.random.default_rng(0).uniform(lo, hi, size=(2048, view.d))
+    batch = _cut_pass(weight, view)(z).copy()
+    lone = _cut_pass(weight, view)
+    alone = np.concatenate([lone(z[i:i + 1]).copy() for i in range(len(z))], axis=1)
+    assert alone.shape == batch.shape
+    assert np.count_nonzero(alone != batch) == 0
+    # the move of a lone state is not padded: it rounds as the batch's move
+    inv_t = view.inv.T
+    moved = np.concatenate([np.matmul(z[i:i + 1], inv_t) for i in range(len(z))])
+    assert np.count_nonzero(moved != np.matmul(z, inv_t)) == 0
+
+
+@pytest.mark.parametrize("name", ["twindragon", "planar-shear", "riesz3"])
+def test_a_one_row_walk_reads_the_weights_of_a_batch(monkeypatch, name):
+    # the walk of every step with each lone state weighed in a batch of two
+    weight, view, x = _walk_case(name)
+    words, kept = _walk(weight, view, x, 300, 1, 13, 0)
+    batch_weights = _branch_weights
+    monkeypatch.setitem(globals(), "_branch_weights", lambda weight, view, z: batch_weights(
+        weight, view, np.repeat(z, 2, axis=0))[:, :1])
+    ref_words, ref_kept = per_step_walk(weight, view, x, 300, 1, 13, 0)
     assert np.array_equal(words, ref_words)
     assert np.array_equal(kept, ref_kept)
 

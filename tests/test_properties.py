@@ -42,10 +42,12 @@ from test_measure import (
 )
 from test_pathspace import (
     assert_closed_forms_match_reference,
+    assert_table_grows,
     assert_zeros_cut,
     exponential_branch_weights,
     per_step_walk,
     states_onto_zeros,
+    walk_with_pass_sizes,
 )
 from test_spectrum import (
     assert_k_points_match_reference,
@@ -212,6 +214,24 @@ def test_retiring_walk_matches_per_step_walk_on_generated_triples(sys_, seed):
         assert np.array_equal(walk.words, ref_words)
         assert np.array_equal(walk.kept, ref_kept)
         assert walk.retired_at is not None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(sys_=st.one_of(hadamard_triples_1d(),
+                      st.tuples(hadamard_triples_1d(st.just(2)), hadamard_triples_1d(st.just(2)))
+                      .map(lambda pair: product_triple(*pair))),
+       seed=st.integers(0, 2 ** 16))
+def test_node_walk_matches_per_step_walk_on_generated_triples(sys_, seed):
+    # W_B walks of 6,000 rows step the table of their distinct nodes (or
+    # switch to rows when it fills): words and states as the walk of every row
+    weight, view = weight_from_digits(sys_.B), sys_.l_view
+    lo, hi = view.box()
+    x = np.random.default_rng(seed).uniform(lo, hi)
+    ref_words, ref_kept = per_step_walk(weight, view, x, 25, 6000, seed, 0)
+    walk, sizes = walk_with_pass_sizes(weight, view, x, 25, 6000, seed, 0)
+    assert np.array_equal(walk.words, ref_words)
+    assert np.array_equal(walk.kept, ref_kept)
+    assert_table_grows(sizes, 6000)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -24,7 +24,8 @@ from ifsfourier import (
 from ifsfourier.cycles import _horner
 from ifsfourier.ratlinalg import _over_common_denominator
 from ifsfourier.registry import EXAMPLES
-from ifsfourier.spectrum import _closure, lattice_basin_labels
+from ifsfourier.spectrum import _closure, _parseval_terms, lattice_basin_labels
+from ifsfourier.system import fvec
 from test_cycles import fraction_expand, table_expand
 from test_measure import mu_hat_fraction_reference
 
@@ -420,6 +421,41 @@ def test_completeness_monotone_bessel(cantor4, cantor4_w_cycles):
         sums.append(completeness_sum(cantor4, sorted(spec.elements), [0.3]))
     assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
     assert all(s <= 1.0 + 5e-10 for s in sums)
+
+
+def window_kinds(window):
+    """A window of Fraction points, with its entries as ints (where whole),
+    as np.int64 rows (the whole points) and as floats."""
+    return {
+        "fraction": window,
+        "int": [tuple(int(c) if c.denominator == 1 else c for c in e) for e in window],
+        "int64": [np.array(e, dtype=np.int64) for e in window
+                  if all(c.denominator == 1 for c in e)],
+        "float": [tuple(float(c) for c in e) for e in window],
+    }
+
+
+@pytest.mark.parametrize("name", AFFINE_NAMES + ["deficiency"])
+def test_windows_are_tabled_as_the_fvec_route_tables_them(name):
+    # completeness_sum and verify_orthogonality table rational entries as
+    # they are; the route they replace ran fvec on every entry first
+    if name == "deficiency":  # the c10 window of the planar shear
+        sys = get_system("planar-shear")
+        window = [(Fraction(a, 3), Fraction(b)) for a in range(-18, 19) for b in range(-6, 7)]
+    else:
+        sys = get_system(name)
+        window = generate_lambda(sys, find_w_cycles(sys, 4), 6).smallest(40)
+    x = [0.3] * sys.d
+    for kind, elems in window_kinds(window).items():
+        fvec_route = [fvec(e) for e in elems]
+        ref = float(np.sum(_parseval_terms(sys, *_over_common_denominator(fvec_route), x,
+                                           sys.tail_tol)))
+        assert completeness_sum(sys, elems, x, sys.tail_tol) == ref, kind
+        got = verify_orthogonality(sys, elems[:60], sys.tail_tol)
+        assert got == verify_orthogonality(sys, fvec_route[:60], sys.tail_tol), kind
+        assert got.argmax_pair is None or all(
+            type(c) is Fraction for point in got.argmax_pair for c in point)
+    assert len(window_kinds(window)["int64"]) > 0 or name == "cantor3"  # no whole point
 
 
 # --- basins -------------------------------------------------------------------
