@@ -29,6 +29,7 @@ import sys
 import traceback
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 from . import (
     chaos_game,
@@ -356,7 +357,9 @@ def _add_system_args(p, levels=False):
         p.add_argument("--levels", type=int, default=None)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="ifsfourier",
         description="Harmonic analysis of affine IFS Hadamard-duality systems.",

@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_BURN_IN = 1_000
-DEFAULT_CHAIN_LENGTH = 1_000_000
 DEFAULT_BATCHES = 32
 
 

@@ -10,10 +10,13 @@ and is evaluated here as the truncated product over k of
 m_B(S^{-k} t) / sqrt(N), to a depth from the power norms of S^{-1}
 (`_tail_depth`), by `_truncated_products`, the one loop over product
 levels.  Orthogonality of Fourier frequencies always comes from one factor
-vanishing exactly, so rational rows carry S^{-k} t as integer numerators,
-and `ratlinalg._exp_2pi_i` reduces each phase mod 1 exactly before the
-float exp; such zeros are reported as exact.  On float rows of a
-two-digit system each factor is real up to a unit phase,
+vanishing exactly, so one rule holds: a point is exact, a batch is float.
+A single point (`mu_hat_detail`) is read as the rational it is, even a
+float one, and carries S^{-k} t as integer numerators;
+`ratlinalg._exp_2pi_i` reduces each phase mod 1 exactly before the float
+exp, and such zeros are reported as exact.  A batch (`mu_hat_batch`) runs
+in floats.  On the float rows of a two-digit system each factor is real up
+to a unit phase,
 
     m_B(t) / sqrt(2) = exp(pi i s.t) cos(pi delta.t),  s = b0 + b1,  delta = b1 - b0,
 
@@ -48,7 +51,6 @@ triple, is the unitarity of its duality matrix.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -396,19 +398,16 @@ def _float_terms(sys: AffineSystem, pts: np.ndarray):
     For N = 2, m_B(t) / sqrt(2) = exp(pi i s.t) cos(pi delta.t) with s = b0 + b1
     and delta = b1 - b0.  Each level then gives the real factor cos(2 pi h),
     h = delta.t_k / 2 reduced mod 1, and the turns s.t_k / 2, also reduced
-    mod 1; only the rows still live are stepped.  For other N the factor is
-    the mean of exp(2 pi i b.t_k) over the digits."""
+    mod 1.  For other N the factor is the mean of exp(2 pi i b.t_k) over the
+    digits.  Every row is stepped at every level; only the live rows give
+    factors."""
     s_inv_t, tk = sys.l_view.inv.T, np.array(pts, dtype=float)
     if sys.N == 2:
         half = np.stack([sys.B[1] - sys.B[0], sys.B[0] + sys.B[1]]) / 2.0
-        held = np.arange(len(tk))  # the rows tk holds
 
         def cosines(live, k):
-            nonlocal tk, held
-            if not isinstance(live, slice) and len(live) < len(held):
-                tk, held = tk[np.searchsorted(held, live)], live
-            tk = tk @ s_inv_t
-            h, turns = ht = half @ tk.T
+            tk[...] = tk @ s_inv_t
+            h, turns = ht = half @ tk[live].T
             ht -= np.rint(ht)
             h *= 2.0 * np.pi
             return np.cos(h, out=h), turns
@@ -434,33 +433,33 @@ def _exact_terms(sys: AffineSystem, num: np.ndarray, q: int):
     return terms
 
 
-def _mu_hat_rows(sys: AffineSystem, rows, q: int | None = None, tail_tol=None) -> tuple:
-    """(values, n_factors, zero_level) at the rows, each to its own depth: float
-    rows, or with q an integer table of numerators over q > 0, the one form of
-    exact rows inside the package (the exact path; Fractions only at its edge)."""
-    rows = np.asarray(rows, dtype=float if q is None else object).reshape(-1, sys.d)
-    tf = rows if q is None else (rows / q).astype(float)  # int / int: correctly rounded
+def _mu_hat_rows(sys: AffineSystem, rows, q: int, tail_tol=None) -> tuple:
+    """(values, n_factors, zero_level) at the rows of an integer table of
+    numerators over q > 0, each row to its own depth: the exact path, and the
+    one form of a point inside the package (Fractions only at its edge).  A
+    point is exact, a batch is float: float batches take `mu_hat_batch`."""
+    rows = np.asarray(rows, dtype=object).reshape(-1, sys.d)
+    tf = (rows / q).astype(float)  # int / int: correctly rounded
     with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
         norms = np.sqrt((tf * tf).sum(axis=1))  # = norm(tf, axis=1)
     depth = _tail_depth(sys, norms, tail_tol)
-    terms = _float_terms(sys, rows) if q is None else _exact_terms(sys, rows, q)
-    values, zero_level = _truncated_products(depth, terms, scalar=True)
+    values, zero_level = _truncated_products(depth, _exact_terms(sys, rows, q), scalar=True)
     return values, np.where(zero_level > 0, zero_level, depth), zero_level
 
 
 def mu_hat_detail(sys: AffineSystem, t, tail_tol: float | None = None) -> MuHatResult:
     """Truncated-product evaluation of mu_hat_B(t) with exact-zero detection.
 
-    One row of `_truncated_products`.  Rational t (ints, Fractions, numpy
-    integers) takes the exact path: `ratlinalg._exp_2pi_i` reduces each phase
-    b.t_k mod 1 before the exp, so a vanishing factor is hit at machine
-    precision and reported as an exact zero.  Float t takes the float path of
-    `mu_hat_batch`.  mu_hat(0) = 1; |mu_hat| <= 1.
+    One row of `_truncated_products`.  A point is exact, a batch is float:
+    every coordinate of t (int, Fraction, numpy integer or float) is read as
+    the rational it is (`Fraction(0.3)` is exact), and
+    `ratlinalg._exp_2pi_i` reduces each phase b.t_k mod 1 before the exp,
+    so a vanishing factor is hit at machine precision and reported as an
+    exact zero.  A NaN coordinate raises ValueError and an infinite one
+    OverflowError.  mu_hat(0) = 1; |mu_hat| <= 1.
     """
     row = np.asarray([t], dtype=object).reshape(1, sys.d)
-    table = _over_common_denominator(row) if all(
-        isinstance(c, numbers.Rational) for c in row.flat) else (row, None)
-    (value,), (n_factors,), (level,) = _mu_hat_rows(sys, *table, tail_tol)
+    (value,), (n_factors,), (level,) = _mu_hat_rows(sys, *_over_common_denominator(row), tail_tol)
     return MuHatResult(complex(value), int(n_factors), bool(level), int(level) or None)
 
 
@@ -471,6 +470,7 @@ def mu_hat(sys: AffineSystem, t, tail_tol: float | None = None) -> complex:
 def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = None) -> np.ndarray:
     """Vectorized float-path mu_hat over the rows of ts, all to one depth.
 
+    A point is exact, a batch is float: a single point takes `mu_hat_detail`.
     ts is an (n, d) array.  On a d = 1 system a scalar or a 1-d array gives one
     value per entry; on d > 1 a length-d 1-d array is one row.  Any other
     trailing dimension raises ValueError.  Rows where a factor dips below the

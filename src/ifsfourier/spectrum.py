@@ -26,9 +26,9 @@ have one home, `_parseval_terms`.
 
 In the Lebesgue case the k-points of a W-cycle are also the negated
 basin of its base point under the lattice endomorphism R_L.
-`cycle_basin` follows one orbit in Fractions and is the reference;
-`lattice_basin_labels` labels a whole lattice window in int64, each
-step moving only the points not yet labelled.
+`cycle_basin` follows one orbit in Fractions, through `IfsView.tau`, and
+is the reference; `lattice_basin_labels` labels a whole lattice window in
+int64, each step moving only the points not yet labelled.
 """
 
 from __future__ import annotations
@@ -204,13 +204,8 @@ def _parseval_terms(sys: AffineSystem, rows, q: int, x, tail_tol=None) -> np.nda
     """|mu_hat_B(x + row / q)|^2 at the rows of an integer table, in order, on
     the float path (`mu_hat_batch`, one depth for the batch).  Each row / q
     is the correctly rounded float that float(Fraction) gives: Python
-    int / int, or numpy's division on an int64 table whose entries and q
-    are exact in float (at most 2^53)."""
-    if (isinstance(rows, np.ndarray) and rows.dtype == np.int64 and q <= 2**53
-            and np.abs(rows).max(initial=0) <= 2**53):
-        t = rows / q
-    else:
-        t = (np.array(rows, dtype=object).reshape(-1, sys.d) / q).astype(float)
+    int / int on an object table."""
+    t = (np.array(rows, dtype=object).reshape(-1, sys.d) / q).astype(float)
     t = t + np.atleast_1d(np.asarray(x, dtype=float))
     return np.abs(mu_hat_batch(sys, t, tail_tol)) ** 2
 
@@ -418,8 +413,6 @@ def cycle_basin(sys: AffineSystem, x, w_cycles, max_steps: int = 256,
     """
     pt = fvec([x] if isinstance(x, (int, float, Fraction)) else x)
     q = _over_common_denominator(pt)[1] if lattice_scale is None else int(lattice_scale)
-    s_inv = sys.l_view.inv_exact
-    l_vecs = [np.array(l, dtype=object) for l in sys.L_exact]
     point_to_cycle = {}
     for cyc in w_cycles:
         for p in cyc.points:
@@ -429,12 +422,8 @@ def cycle_basin(sys: AffineSystem, x, w_cycles, max_steps: int = 256,
     for step in range(max_steps + 1):
         if current in point_to_cycle:
             return BasinResult(point_to_cycle[current], step, tuple(orbit))
-        candidates = []
-        cur_vec = np.array(current, dtype=object)
-        for l in l_vecs:
-            y = tuple(s_inv @ (cur_vec + l))
-            if all((c * q).denominator == 1 for c in y):
-                candidates.append(y)
+        candidates = [y for y in (sys.l_view.tau(i, current) for i in range(sys.N))
+                      if all((c * q).denominator == 1 for c in y)]
         if len(candidates) != 1:
             raise LatticeError(
                 "point %s has %d lattice representations S y - l (expected 1)"

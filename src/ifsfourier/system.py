@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
@@ -110,18 +109,17 @@ class IfsView:
             return None
         return mat_inverse(self.matrix_exact)
 
-    def tau(self, digit_index: int, x):
-        """Apply one inverse branch.  Exact when x is Fraction data and the
-        exact mirrors exist, float otherwise."""
-        coords = [x] if isinstance(x, (int, float, Fraction)) else list(x)
-        if self.digits_exact is not None and all(
-            isinstance(c, (int, Fraction)) for c in coords
-        ):
-            xe = np.array(fvec(coords), dtype=object)
-            de = np.array(self.digits_exact[digit_index], dtype=object)
-            return tuple(self.inv_exact @ (xe + de))
-        xf = np.asarray(coords, dtype=float)
-        return self.inv @ (xf + self.digits[digit_index])
+    def tau(self, digit_index: int, x) -> tuple:
+        """Apply one inverse branch exactly: the point x (a scalar or a
+        d-vector of ints, Fractions or floats, each read as the rational it
+        is) maps to the tuple of Fractions matrix^{-1}(x + digit).  A point is
+        exact, a batch is float: batches take `tau_all`.  Raises ValueError
+        on a view without exact mirrors, as `expand` does."""
+        if self.matrix_exact is None:
+            raise ValueError("exact branches need rational view data")
+        xe = np.array(fvec(np.ravel(np.asarray(x, dtype=object))), dtype=object)
+        de = np.array(self.digits_exact[digit_index], dtype=object)
+        return tuple(self.inv_exact @ (xe + de))
 
     def tau_all(self, points: np.ndarray) -> np.ndarray:
         """All branch images of a batch: shape (N, n_points, d)."""

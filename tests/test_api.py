@@ -15,7 +15,7 @@ MODULES = ["ifsfourier"] + ["ifsfourier." + m.name for m in pkgutil.iter_modules
 REMOVED = {"weight_function", "pi_truncated", "ruelle_iterate", "riesz_weight",
            "riesz_branch_normalization", "W_INCONCLUSIVE", "_RIESZ_VIEW", "_RIESZ_WEIGHT",
            "_try_exact", "_classified_cycles", "_cycle_tables", "to_float",
-           "k_points_of_depth", "_cycle_k_points"}
+           "k_points_of_depth", "_cycle_k_points", "DEFAULT_CHAIN_LENGTH"}
 REMOVED_METHODS = {("SpectrumSet", "floats"), ("ChainSample", "blocks")}
 
 

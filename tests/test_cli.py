@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifsfourier.cli import main
+from ifsfourier.cli import build_parser, main
 from ifsfourier.config import ConfigError, emit_config, parse_config
 from ifsfourier.registry import EXAMPLES
 from ifsfourier.spectrum import SpectrumSet
@@ -37,6 +37,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_the_cached_parser_prints_what_a_fresh_one_prints(capsys):
+    # main builds its parser once per process: the default list that --x
+    # appends to must not carry over from one run to the next
+    onb = ("verify-onb", "--example", "cantor4", "--levels", "3", "--window", "6")
+    runs = [onb + ("--x", "0.1"), onb + ("--x", "0.2"), onb,
+            ("mu-hat", "--example", "cantor4", "--t", "0.3")]
+    cached = [run_cli(capsys, *argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cached == fresh
+    assert [list(json.loads(out)["completeness_sum"]) for _, out in cached[:3]] == [
+        ["0.10000000000000001"], ["0.20000000000000001"], ["0.29999999999999999"]]
+    assert build_parser() is build_parser()
 
 
 def test_parse_config_roundtrip():

@@ -25,7 +25,7 @@ from ifsfourier import (
 )
 from ifsfourier.measure import (EXACT_ZERO_CUTOFF, _branch_weights, _cosine_terms, _mu_hat_rows,
                                 _tail_depth, _zero_cutoff)
-from ifsfourier.ratlinalg import mat_inverse
+from ifsfourier.ratlinalg import _over_common_denominator, mat_inverse
 from ifsfourier.system import IfsView, _angle_sums, fvec
 
 AFFINE = [name for name, entry in EXAMPLES.items() if entry.kind == "affine"]
@@ -43,6 +43,23 @@ def test_tau_twindragon_exact(twindragon):
     # oracle: exact solve of S x = (1,0) for S = [[1,-1],[1,1]]
     got = twindragon.l_view.tau(1, (Fraction(0), Fraction(0)))
     assert got == (Fraction(1, 2), Fraction(-1, 2))
+
+
+def test_tau_reads_float_coordinates_as_their_fractions(cantor4, twindragon, planar_shear):
+    # a point is exact: float coordinates map as the rationals they are
+    rng = np.random.default_rng(41)
+    for view in (cantor4.b_view, cantor4.l_view, twindragon.l_view, planar_shear.l_view):
+        for x in rng.uniform(-3, 3, (10, view.d)):
+            for i in range(view.n_digits):
+                got = view.tau(i, x)
+                assert got == view.tau(i, tuple(map(Fraction, x)))
+                assert all(type(c) is Fraction for c in got)
+    assert cantor4.l_view.tau(1, 0.25) == cantor4.l_view.tau(1, (Fraction(1, 4),))
+
+
+def test_tau_needs_exact_mirrors():
+    with pytest.raises(ValueError, match="exact"):
+        EXAMPLES["riesz3"].view.tau(0, (0.25,))
 
 
 def test_chaos_game_cantor4_range(cantor4):
@@ -271,8 +288,8 @@ R20_TRIPLE = ([[20]], [[0], [4], [8], [12], [56]], [[0], [-9], [2], [-2], [4]])
 def test_mu_hat_detail_numpy_integers_are_exact(cantor4, twindragon):
     r20 = AffineSystem.create(*R20_TRIPLE)
     ref = mu_hat_detail(r20, (Fraction(-131),))
-    assert ref.exact_zero and not mu_hat_detail(r20, -131.0).exact_zero
-    for t in (np.int64(-131), np.array([-131]), (np.int32(-131),), -131):
+    assert ref.exact_zero and ref.zero_level == 1
+    for t in (np.int64(-131), np.array([-131]), (np.int32(-131),), -131, -131.0):
         assert mu_hat_detail(r20, t) == ref
     ref = mu_hat_detail(cantor4, (Fraction(12345),))
     for t in (np.int64(12345), np.array([12345]), (np.int32(12345),), 12345):
@@ -280,6 +297,26 @@ def test_mu_hat_detail_numpy_integers_are_exact(cantor4, twindragon):
     ref = mu_hat_detail(twindragon, (Fraction(3), Fraction(-4)))
     assert mu_hat_detail(twindragon, np.array([3, -4])) == ref
     assert mu_hat_detail(cantor4, np.float64(0.3)) == mu_hat_detail(cantor4, 0.3)
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_float_points_are_read_as_their_fractions(name):
+    # a point is exact: mu_hat_detail of a float t is, bit for bit, that of
+    # its Fractions, up to |t| = 10^3 and on the quarter lattice of the zeros
+    sys = get_system(name)
+    rng = np.random.default_rng(42)
+    ts = np.concatenate([rng.uniform(-1e3, 1e3, (10, sys.d)),
+                         rng.integers(-40, 41, (10, sys.d)) / 4])
+    for t in ts:
+        assert repr(mu_hat_detail(sys, t)) == repr(mu_hat_detail(sys, tuple(map(Fraction, t))))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_point_raises(cantor4, twindragon, t):
+    with pytest.raises((ValueError, OverflowError)):
+        mu_hat_detail(cantor4, t)
+    with pytest.raises((ValueError, OverflowError)):
+        mu_hat_detail(twindragon, (0.5, t))
 
 
 # --- mu_hat_batch against the complex product --------------------------------
@@ -354,14 +391,15 @@ def test_mu_hat_batch_n4_is_the_complex_product(planar_shear):
     assert np.any(got == 0)  # the quarter lattice reaches the exact-zero rows
 
 
-@pytest.mark.parametrize("name", N2)
+@pytest.mark.parametrize("name", AFFINE)
 def test_mu_hat_rows_do_not_depend_on_their_batch(name):
-    # rows of different norms (so depths) and exact zeros, in one float batch
+    # rows of different norms (so depths) and exact zeros, in one table of
+    # the float rows: each row is mu_hat_detail of its float point
     sys = get_system(name)
     rng = np.random.default_rng(16)
     rows = np.concatenate([rng.uniform(-30, 30, (40, sys.d)),
                            rng.integers(-40, 41, (40, sys.d)) / 4, np.zeros((1, sys.d))])
-    values, n_factors, _ = _mu_hat_rows(sys, rows)
+    values, n_factors, _ = _mu_hat_rows(sys, *_over_common_denominator(rows))
     for t, value, n in zip(rows, values, n_factors):
         one = mu_hat_detail(sys, t)
         assert (one.value, one.n_factors) == (value, n)

@@ -172,6 +172,23 @@ def test_batch_matches_complex_reference_on_generated_two_digit_triples(sys_, se
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(pair=st.tuples(hadamard_triples_1d(), hadamard_triples_1d()), product=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_float_points_are_exact_on_generated_triples(pair, product, seed):
+    # a point is exact: mu_hat_detail of a float t, uniform up to |t| = 10^3
+    # or integer-valued, is bit for bit that of its Fractions.  t = 1 is a
+    # level-1 zero of every generated triple (N does not divide 1)
+    sys_ = product_triple(*pair) if product else pair[0]
+    rng = np.random.default_rng(seed)
+    ts = np.concatenate([rng.uniform(-1e3, 1e3, (5, sys_.d)),
+                         rng.integers(-1000, 1001, (5, sys_.d)).astype(float),
+                         np.ones((1, sys_.d))])
+    for t in ts:
+        assert repr(mu_hat_detail(sys_, t)) == repr(mu_hat_detail(sys_, tuple(map(Fraction, t))))
+    assert mu_hat_detail(sys_, ts[-1]).zero_level == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.tuples(hadamard_triples_1d(), hadamard_triples_1d()), product=st.booleans(),
        seed=st.integers(0, 2 ** 16), tail_tol=st.sampled_from([1e-3, 1e-6, 1e-10]))
 def test_truncation_depth_bounds_the_tail_on_generated_triples(pair, product, seed, tail_tol):
     # the factors past the depth K move the product by at most

@@ -460,6 +460,40 @@ def test_windows_are_tabled_as_the_fvec_route_tables_them(name):
 
 # --- basins -------------------------------------------------------------------
 
+def cycle_basin_inline_reference(sys, x, w_cycles, max_steps, lattice_scale=None):
+    """(cycle, steps, orbit) of `cycle_basin`, with the branch map written out:
+    S^{-1}(z + l) in Fractions for every digit l."""
+    pt = fvec([x] if isinstance(x, (int, float, Fraction)) else x)
+    q = _over_common_denominator(pt)[1] if lattice_scale is None else int(lattice_scale)
+    s_inv = sys.l_view.inv_exact
+    l_vecs = [np.array(l, dtype=object) for l in sys.L_exact]
+    point_to_cycle = {p: cyc for cyc in w_cycles for p in cyc.points}
+    orbit, current = [pt], pt
+    for step in range(max_steps + 1):
+        if current in point_to_cycle:
+            return point_to_cycle[current], step, tuple(orbit)
+        images = [tuple(s_inv @ (np.array(current, dtype=object) + l)) for l in l_vecs]
+        (current,) = [y for y in images if all((c * q).denominator == 1 for c in y)]
+        orbit.append(current)
+    return None, max_steps, tuple(orbit)
+
+
+def test_cycle_basin_matches_the_inline_branch_map(planar_shear, twindragon):
+    # the planar-shear golden window [-10, 10]^2, random integer points of
+    # planar-shear and random points of (1/5)Z^2 on twindragon
+    rng = np.random.default_rng(43)
+    shear, dragon = find_w_cycles(planar_shear, 4), find_w_cycles(twindragon, 8)
+    cases = [(planar_shear, shear, (x, y), None) for x in range(-10, 11) for y in range(-10, 11)]
+    cases += [(planar_shear, shear, tuple(map(int, rng.integers(-200, 201, 2))), None)
+              for _ in range(40)]
+    cases += [(twindragon, dragon, tuple(Fraction(int(v), 5) for v in rng.integers(-100, 101, 2)),
+               5) for _ in range(40)]
+    for sys, cycles, x, q in cases:
+        res = cycle_basin(sys, x, cycles, 64, q)
+        assert (res.cycle, res.steps, res.orbit) == cycle_basin_inline_reference(sys, x, cycles,
+                                                                                 64, q), x
+
+
 def test_basin_cycle_point_immediate(planar_shear):
     cycles = find_w_cycles(planar_shear, 1)
     res = cycle_basin(planar_shear, (1, -1), cycles)
@@ -509,6 +543,17 @@ def test_lattice_basin_sums_partition_the_window(twindragon, p_max):
     assert sum(per_cycle) + other == pytest.approx(coverage, abs=1e-12)
     assert (other == 0.0) == (p_max == 8)
     assert 0.0 < coverage <= 1.0
+
+
+def test_parseval_terms_of_an_int64_window_are_its_python_int_terms(twindragon):
+    # lattice_basin_sums hands _parseval_terms an int64 window: its terms are
+    # those of the Python-int table, and of numpy's int64 division rows / q
+    pts = lattice_basin_labels(twindragon, find_w_cycles(twindragon, 8), 8.0, 5)[0]
+    x = np.array([0.3, -0.7])
+    got = _parseval_terms(twindragon, -pts, 5, x)
+    assert pts.dtype == np.int64 and len(pts) > 1000
+    assert got.tobytes() == _parseval_terms(twindragon, (-pts).astype(object), 5, x).tobytes()
+    assert got.tobytes() == (np.abs(mu_hat_batch(twindragon, -pts / 5 + x)) ** 2).tobytes()
 
 
 def basin_labels_reference(sys, w_cycles, radius, lattice_scale, max_steps=512):
