@@ -69,6 +69,7 @@ from .pathspace import (
     cycle_tail_weight,
     estimate_h,
     h_closed_form,
+    h_closed_forms,
     path_weight_with_tail,
     sample_paths,
 )
@@ -98,7 +99,7 @@ __all__ = [
     "verify_orthogonality", "DomainError", "GridFunction",
     "cesaro", "check_qmf", "harmonic_defect", "ruelle_apply", "HarmonicEstimate",
     "PathEnsemble", "QmfError", "cylinder_weight", "cycle_tail_weight", "estimate_h",
-    "h_closed_form", "path_weight_with_tail", "sample_paths", "ChainSample",
+    "h_closed_form", "h_closed_forms", "path_weight_with_tail", "sample_paths", "ChainSample",
     "batch_mean_stderr", "concentration_curve", "fourier_coefficient", "riesz_chain",
     "riesz_partial_density", "run_chain", "EXAMPLES", "example_names", "get_system",
     "__version__",

@@ -40,7 +40,7 @@ from . import (
     find_w_cycles,
     generate_lambda,
     grid_orthogonality,
-    h_closed_form,
+    h_closed_forms,
     mu_hat_detail,
     points_to_csv,
     verify_orthogonality,
@@ -51,6 +51,7 @@ from .invariant import concentration_curve, fourier_coefficient, riesz_chain
 from .pathspace import QMF_SAMPLING_TOL, QmfError
 from .registry import EXAMPLES, example_names
 from .report import dumps
+from .spectrum import ELEMENT_CAP
 from .system import frac_str
 from .transfer import check_qmf
 
@@ -202,11 +203,11 @@ def cmd_verify_onb(args) -> dict:
     elems = spec.smallest(args.window)
     gram = verify_orthogonality(sys_obj, elems, sys_obj.tail_tol)
     probes = [_parse_point(p, sys_obj.d) for p in args.x] or [[0.3] * sys_obj.d]
-    completeness = {
-        _point_str(p): completeness_sum(sys_obj, elems, [float(c) for c in p],
-                                        sys_obj.tail_tol)
-        for p in probes
-    }
+    texts, completeness = args.x or [_point_str(probes[0])], {}
+    for text, p in zip(texts, probes):
+        with _bounded("--x %s" % text):
+            completeness[_point_str(p)] = completeness_sum(
+                sys_obj, elems, [float(c) for c in p], sys_obj.tail_tol)
     report = {
         "system": sys_obj.name or "config",
         "window": len(elems),
@@ -215,9 +216,10 @@ def cmd_verify_onb(args) -> dict:
         "completeness_sum": completeness,
     }
     if args.grid:
-        report["grid"] = grid_orthogonality(
-            sys_obj, [float(c) for c in probes[0]], span=args.grid_span
-        ).to_dict()
+        with _bounded("--x %s" % texts[0]):
+            report["grid"] = grid_orthogonality(
+                sys_obj, [float(c) for c in probes[0]], span=args.grid_span
+            ).to_dict()
     return report
 
 
@@ -275,6 +277,10 @@ def cmd_harmonic(args) -> dict:
     depth = args.depth
     if depth is None:  # the largest depth up to 10 with N^depth <= 1024 words
         depth = max((k for k in range(1, 11) if sys_obj.N ** k <= 1024), default=1)
+    elif sys_obj.N ** min(depth, ELEMENT_CAP.bit_length()) > ELEMENT_CAP:
+        # N^depth > ELEMENT_CAP, never formed: N >= 2 passes the cap within its bit length
+        raise ConfigError("--depth %d asks for up to N^depth = %d^%d k-points per W-cycle, "
+                          "more than %s" % (depth, sys_obj.N, depth, f"{ELEMENT_CAP:,}"))
     cycles = _w_cycles(sys_obj, cfg.p_max)
     x = _parse_point(args.x, sys_obj.d)
     xf = [float(c) for c in x]
@@ -284,7 +290,7 @@ def cmd_harmonic(args) -> dict:
         if qmf_dev > QMF_SAMPLING_TOL:
             raise _qmf_failed(sys_obj, "W_B is not QMF-normalized within %g, so the path "
                               "measures are not probabilities" % QMF_SAMPLING_TOL, qmf_dev)
-        closed = [h_closed_form(sys_obj, xf, c, depth) for c in cycles]
+        closed = h_closed_forms(sys_obj, xf, cycles, depth)
     try:
         est = estimate_h(weight, sys_obj.l_view, xf, cycles, args.length, args.paths, cfg.seed)
     except QmfError as exc:
@@ -383,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="generate the candidate spectrum")
     _add_system_args(p, levels=True)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=ELEMENT_CAP)
     p.add_argument("--count", type=int, default=None, help="truncate printed elements")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_spectrum)
@@ -418,9 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--length", type=int, default=64)
     p.add_argument("--depth", type=int, default=None,
-                   help="closed-form budget of at most N^depth k-points per W-cycle "
-                        "(default: the largest depth up to 10 with N^depth <= 1024, so 10 "
-                        "for N = 2 and 5 for N = 4)")
+                   help="closed-form budget of at most N^depth k-points per W-cycle, "
+                        "refused above %s (default: the largest depth up to 10 with "
+                        "N^depth <= 1024, so 10 for N = 2 and 5 for N = 4)"
+                        % f"{ELEMENT_CAP:,}")
     p.add_argument("--words-out", help="CSV path for the first 10^4 words of the estimate's walk")
     p.set_defaults(fn=cmd_harmonic)
 

@@ -467,14 +467,19 @@ def mu_hat(sys: AffineSystem, t, tail_tol: float | None = None) -> complex:
     return mu_hat_detail(sys, t, tail_tol).value
 
 
-def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = None) -> np.ndarray:
+def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = None,
+                 spans=None) -> np.ndarray:
     """Vectorized float-path mu_hat over the rows of ts, all to one depth.
 
     A point is exact, a batch is float: a single point takes `mu_hat_detail`.
     ts is an (n, d) array.  On a d = 1 system a scalar or a 1-d array gives one
     value per entry; on d > 1 a length-d 1-d array is one row.  Any other
     trailing dimension raises ValueError.  Rows where a factor dips below the
-    exact-zero cutoff are set to 0.
+    exact-zero cutoff are set to 0.  `spans`, lengths that sum to n, cuts the
+    rows into runs of consecutive rows, each taken to the depth of its own
+    largest norm (default: one run).  A row's value is then the one it has
+    in a batch of its run alone, for runs of two rows or more (numpy rounds
+    the phases of a one-row batch on N >= 3 its own way: a one-row matmul).
 
     On N = 2 systems the product is real until one phase per row (see
     `_float_terms`): one cosine per factor, and the zero flag |cos| < cutoff
@@ -491,9 +496,14 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
     x = (0.3, -0.7)).
     """
     pts = _as_rows(ts, sys.d, "mu_hat_batch")[0]
+    spans = [len(pts)] if spans is None else [int(n) for n in spans]
+    if sum(spans) != len(pts) or min(spans, default=0) < 0:
+        raise ValueError("spans must be lengths >= 0 that sum to the %d rows" % len(pts))
     with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
-        norm = np.linalg.norm(pts, axis=1).max(initial=0.0)
-    depth = np.full(len(pts), _tail_depth(sys, norm, tail_tol))
+        norms = np.linalg.norm(pts, axis=1)
+    depth = np.repeat(np.array([_tail_depth(sys, run.max(initial=0.0), tail_tol)
+                                for run in np.split(norms, np.cumsum(spans)[:-1])],
+                               dtype=np.int64), spans)
     return _truncated_products(depth, _float_terms(sys, pts), scalar=False)[0]
 
 

@@ -64,8 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import Cycle
-from .measure import Weight, _branch_pass, _zero_cutoff
-from .spectrum import _closure, _parseval_terms
+from .measure import Weight, _branch_pass, _zero_cutoff, mu_hat_batch
+from .spectrum import _closure, _table_floats
 from .system import AffineSystem, IfsView
 
 __all__ = [
@@ -77,6 +77,7 @@ __all__ = [
     "path_weight_with_tail",
     "sample_paths",
     "estimate_h",
+    "h_closed_forms",
     "h_closed_form",
 ]
 
@@ -422,17 +423,17 @@ def _periods(ring, k: int, weights_at):
     return period
 
 
-def _tile(words, kept, keep_from: int, k: int, period, ring) -> None:
-    """Fill the words of steps k.. and the kept states z_{k+1}.. of a walk
-    that retired at step k (see `_steps`): row r repeats its last period[r]
-    choices and states, z_{k+i+m p} = z_{k-p+i}."""
+def _tile(by_step, kept, keep_from: int, k: int, period, ring) -> None:
+    """Fill the words of steps k.. (`by_step`, a row per step) and the kept
+    states z_{k+1}.. of a walk that retired at step k (see `_steps`): walk r
+    repeats its last period[r] choices and states, z_{k+i+m p} = z_{k-p+i}."""
     first = max(k + 1, keep_from)  # the first state to fill
     for p in range(1, int(period.max()) + 1):
         rows = period == p
         if not rows.any():
             continue
         for i in range(p):
-            words[rows, k + i::p] = words[rows, k - p + i, None]
+            by_step[k + i::p, rows] = by_step[k - p + i, rows]
             at = first + (k + i - first) % p  # the first state from `first` on that is z_{k-p+i}
             kept[rows, at - keep_from::p] = ring[(k - p + i) % len(ring), rows, None]
 
@@ -572,23 +573,23 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
         if split is not None:
             return Walk(*split, retired_at=None)
     z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
-    words = np.empty((count, length), dtype=np.int8)
+    by_step = np.empty((length, count), dtype=np.int8)  # the words, a contiguous row per step
     kept = np.empty((count, length + 1 - keep_from, view.d))
     if keep_from == 0:
         kept[:, 0] = z
 
     def record(step, choices, table, node):
-        words[:, step] = choices
+        by_step[step] = choices
         if step + 1 >= keep_from:
             kept[:, step + 1 - keep_from] = table if node is None else table.take(node, axis=0)
 
     block = max(1, UNIFORM_BLOCK // count)
     retired = _steps(weight, view, z, lambda k: rng.random(k * count).reshape(-1, count), record,
                      length, block, split=False)
-    if retired is None:
-        return Walk(words, kept, retired_at=None)
-    _tile(words, kept, keep_from, *retired)
-    return Walk(words, kept, retired_at=retired[0])
+    if retired is not None:
+        _tile(by_step, kept, keep_from, *retired)
+    return Walk(np.ascontiguousarray(by_step.T), kept,
+                retired_at=None if retired is None else retired[0])
 
 
 def sample_paths(weight: Weight, view: IfsView, x, length: int, count: int,
@@ -716,20 +717,41 @@ def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
     )
 
 
-def h_closed_form(sys: AffineSystem, x, cycle: Cycle, depth: int,
-                  tail_tol: float | None = None) -> float:
-    """Closed-form partial sum of h_C(x) = sum_{lambda in Lambda(C)}
+def h_closed_forms(sys: AffineSystem, x, cycles, depth: int,
+                   tail_tol: float | None = None) -> list:
+    """Closed-form partial sums of h_C(x) = sum_{lambda in Lambda(C)}
     |mu_hat_B(x + lambda)|^2, the probability that a path from x ends in
-    the cycle C: the sum over Lambda_n(C), the k-points of all p rotations
-    of C with words of n letters (`spectrum._closure` of -C, duplicates
-    counted once).  n = max(1, depth - m) for m the least integer with
-    N^m >= p, so a cycle costs at most N^depth k-points whatever its
-    period, and n = depth for fixed points.  Nonnegative terms, so the sum
-    increases with depth."""
+    the cycle C, for every C in `cycles`, in one batch: each sum runs over
+    Lambda_n(C), the k-points of all p rotations of C with words of n
+    letters (`spectrum._closure` of -C, duplicates counted once).
+    n = max(1, depth - m) for m the least integer with N^m >= p, so a cycle
+    costs at most N^depth k-points whatever its period, and n = depth for
+    fixed points.  Nonnegative terms, so each sum increases with depth.
+
+    Each cycle's table becomes its floats as soon as its closure is built
+    (`spectrum._table_floats`, the floats `_parseval_terms` forms), and the
+    floats of all cycles take one `mu_hat_batch` call, each cycle's rows a
+    run of its spans at that cycle's own depth.  Each cycle's terms are
+    summed on their own, so every sum is bit for bit the one of its cycle
+    alone (`h_closed_form`)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    m = 0
-    while sys.N ** m < cycle.period:
-        m += 1
-    spec = _closure(sys, cycle.points, max(1, depth - m))
-    return float(np.sum(_parseval_terms(sys, spec.rows, spec.q, x, tail_tol)))
+    tables = []
+    for cycle in cycles:
+        m = 0
+        while sys.N ** m < cycle.period:
+            m += 1
+        spec = _closure(sys, cycle.points, max(1, depth - m))
+        tables.append(_table_floats(spec.rows, spec.q, sys.d))
+    if not tables:
+        return []
+    spans = [len(t) for t in tables]
+    t = np.concatenate(tables) + np.atleast_1d(np.asarray(x, dtype=float))
+    terms = np.abs(mu_hat_batch(sys, t, tail_tol, spans)) ** 2
+    return [float(np.sum(part)) for part in np.split(terms, np.cumsum(spans)[:-1])]
+
+
+def h_closed_form(sys: AffineSystem, x, cycle: Cycle, depth: int,
+                  tail_tol: float | None = None) -> float:
+    """The closed-form partial sum of h_C(x) of one cycle (`h_closed_forms`)."""
+    return h_closed_forms(sys, x, [cycle], depth, tail_tol)[0]

@@ -22,13 +22,19 @@ Orthogonality of the exponentials e_lambda is certified through
 mu_hat_B(lambda - lambda') = 0, always via an exactly vanishing product
 factor; completeness is probed through Parseval partial sums
 sum_lambda |mu_hat_B(x + lambda)|^2 <= 1, whose terms over an integer table
-have one home, `_parseval_terms`.
+have one home, `_parseval_terms`, on the floats of `_table_floats` (which
+the batched closed forms of `pathspace` share).
 
-In the Lebesgue case the k-points of a W-cycle are also the negated
-basin of its base point under the lattice endomorphism R_L.
-`cycle_basin` follows one orbit in Fractions, through `IfsView.tau`, and
-is the reference; `lattice_basin_labels` labels a whole lattice window in
-int64, each step moving only the points not yet labelled.
+In the Lebesgue case (N = |det S|) the k-points of a W-cycle are also
+the negated basin of its points under the lattice endomorphism R_L, the
+one y -> S^{-1}(y + l) that stays on the lattice (Dutkay-Jorgensen,
+Fourier frequencies in affine iterated function systems, JFA 2007).
+R_L(S y - l) = y, so that basin is the closure of the cycle's points
+under y -> S y - l, run backward from the cycle: `lattice_basin_labels`
+labels a whole lattice window by one breadth-first closure per cycle in
+int64, kept to the ball that holds every orbit from the window.
+`cycle_basin` follows one orbit forward in Fractions, through
+`IfsView.tau`, and is the per-point reference.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ __all__ = [
     "lattice_basin_labels",
     "lattice_basin_sums",
 ]
+
+ELEMENT_CAP = 100_000  # the default cap on the elements of one closure
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +109,7 @@ def generate_lambda(
     sys: AffineSystem,
     w_cycles,
     levels: int,
-    element_cap: int = 100_000,
+    element_cap: int = ELEMENT_CAP,
 ) -> SpectrumSet:
     """Lambda through `levels`: the closure (`_closure`) of the negated
     points of all W-cycles, with at most `element_cap` elements.  Requires
@@ -200,13 +208,17 @@ def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> Gra
     return GramReport(worst, pair, len(elems))
 
 
+def _table_floats(rows, q: int, d: int) -> np.ndarray:
+    """The rows of an integer table over q > 0 as an (n, d) float array: each
+    row / q the correctly rounded float that float(Fraction) gives, by
+    Python int / int on an object table."""
+    return (np.array(rows, dtype=object).reshape(-1, d) / q).astype(float)
+
+
 def _parseval_terms(sys: AffineSystem, rows, q: int, x, tail_tol=None) -> np.ndarray:
     """|mu_hat_B(x + row / q)|^2 at the rows of an integer table, in order, on
-    the float path (`mu_hat_batch`, one depth for the batch).  Each row / q
-    is the correctly rounded float that float(Fraction) gives: Python
-    int / int on an object table."""
-    t = (np.array(rows, dtype=object).reshape(-1, sys.d) / q).astype(float)
-    t = t + np.atleast_1d(np.asarray(x, dtype=float))
+    the float path (`mu_hat_batch`, one depth for the batch)."""
+    t = _table_floats(rows, q, sys.d) + np.atleast_1d(np.asarray(x, dtype=float))
     return np.abs(mu_hat_batch(sys, t, tail_tol)) ** 2
 
 
@@ -278,32 +290,29 @@ class LatticeError(ValueError):
     """Raised when a point has no (or no unique) representation S y - l."""
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable scalar per int64 row, equal exactly when the rows are."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple:
-    """(found, at): keys[found] == sorted_keys[at[found]], one binary search each."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=np.intp)
-    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[at] == keys, at
-
-
 def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
                          lattice_scale: int, max_steps: int = 512):
     """Classify the window (1/q) Z^d, max-norm <= radius, by basin.
 
-    Follows the lattice endomorphism R_L (the unique y -> S^{-1}(y + l)
-    staying on the lattice) with exact int64 arithmetic, one step at a
-    time on the points not yet labelled.  Returns (points (n, d) scaled
-    by q, labels): label i means the orbit entered w_cycles[i] within
-    max_steps moves (as in `cycle_basin`), -1 that it entered no listed
-    cycle.  An orbit that comes back to the state it had at the last
-    power-of-two step has closed a cycle it never left unlabelled, so it
-    is in an unlisted cycle for good and stops there with -1.
+    The lattice endomorphism R_L (the unique y -> S^{-1}(y + l) staying on
+    the lattice) is a function, and the N points S y - l are all its
+    preimages of y.  So the basin of a cycle is the backward closure of its
+    points, and each listed cycle is closed breadth first in int64: level k
+    holds the points whose orbit first meets the cycle after k moves.
+    Levels are disjoint and distinct points have distinct preimages, so the
+    closure needs no dedup; it drops only the cycle's own points, on its
+    first level.  Every window orbit stays in the ball |z|_2 <= P m sqrt(d)
+    + q R_b (m = floor(radius q), P = max(1, max |S^{-k}|_2) over
+    `power_norms`, R_b the L-view's `bounding_radius`), so the closure
+    keeps only the points in it (with a margin for rounding), and each
+    point it reaches in the window has its label written at its index.
+
+    Returns (points (n, d) scaled by q, labels): label i means the orbit
+    entered w_cycles[i] within max_steps moves (as in `cycle_basin`), so
+    the closure stops after level max_steps; -1 that it entered no listed
+    cycle.  Raises LatticeError unless N = |det S| and the digits q l lie
+    in distinct classes mod S Z^d: then every lattice point has one
+    decomposition S y - l.
     """
     if not sys.exact_integer:
         raise LatticeError("lattice basins need integer system data")
@@ -313,55 +322,39 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
         raise ValueError("radius must be >= 0")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    q = int(lattice_scale)
+    q, d = int(lattice_scale), sys.d
+    s = np.array(sys.l_view.matrix_exact, dtype=np.int64)
+    digits = np.array([[int(c * q) for c in l] for l in sys.L_exact], dtype=np.int64)
     adj, den = _over_common_denominator(sys.l_view.inv_exact)  # S^{-1} = adj / den
-    adj = adj.astype(np.int64)
-    # R_L(z) = adj (z + q l) / den for the digit l with adj (z + q l) = 0 mod den.
-    # Writing adj z = den u + r (0 <= r < den), that digit is the one whose
-    # shift s_l = adj q l has -s_l = r mod den, and R_L(z) = u + (r + s_l) / den.
-    shifts = np.array([[int(c * q) for c in l] for l in sys.L_exact], dtype=np.int64) @ adj.T
-    place = den ** np.arange(sys.d, dtype=np.int64)
-    residues = (-shifts) % den
-    carries = (residues + shifts) // den
-    classes, digit_of, counts = np.unique(residues @ place, return_index=True,
-                                          return_counts=True)
-    classes = classes[counts == 1]  # a class two digits share has no unique step
-    digit_of = digit_of[counts == 1]
+    # z + q l is in S Z^d exactly when adj (z + q l) = 0 mod den
+    residues = (digits @ adj.astype(np.int64).T) % den
+    if sys.N != round(abs(np.linalg.det(sys.S))) or len(np.unique(residues, axis=0)) < sys.N:
+        raise LatticeError("lattice points without a unique S y - l decomposition")
     m = int(np.floor(radius * q))
-    axes = [np.arange(-m, m + 1, dtype=np.int64)] * sys.d
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * d, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
-    cycle_of_point = {}
+    place = (2 * m + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)  # window index = place.(z + m)
+    reach = max(1.0, float(sys.l_view.power_norms().max())) * m * np.sqrt(d)
+    reach = (reach + q * sys.l_view.bounding_radius()) * (1.0 + 1e-9) + 1.0
+    label = np.full(len(pts), -1, dtype=np.int64)
+    shifts = digits.T[:, :, None]  # (d, N, 1): the levels are (d, n), a coordinate per row
     for ci, cyc in enumerate(w_cycles):
         for p in cyc.points:
-            scaled = [c * q for c in p]
-            if any(c.denominator != 1 for c in scaled):
+            if any((c * q).denominator != 1 for c in p):
                 raise LatticeError("cycle point %s is not on the 1/%d lattice"
                                    % (frac_str(p), q))
-            cycle_of_point[tuple(int(c) for c in scaled)] = ci
-    cycle_keys = _row_keys(np.array(list(cycle_of_point), dtype=np.int64).reshape(-1, sys.d))
-    order = np.argsort(cycle_keys)
-    cycle_keys = cycle_keys[order]
-    cycle_labels = np.array(list(cycle_of_point.values()), dtype=np.int64)[order]
-    label = np.full(len(pts), -1, dtype=np.int64)
-    active, states = np.arange(len(pts)), pts
-    for step in range(max_steps + 1):
-        keys = _row_keys(states)
-        hit, at = _lookup(cycle_keys, keys)
-        label[active[hit]] = cycle_labels[at[hit]]
-        keep = ~hit
-        if step:
-            keep &= keys != mark
-        if step == max_steps or not keep.any():
-            break
-        active, states, keys = active[keep], states[keep], keys[keep]
-        mark = keys if step & (step - 1) == 0 else mark[keep]
-        num = states @ adj.T
-        quot = num // den
-        found, at = _lookup(classes, (num - den * quot) @ place)
-        if not found.all():
-            raise LatticeError("lattice point without a unique S y - l decomposition")
-        states = quot + carries[digit_of[at]]
+        level = own = np.array([[int(c * q) for c in p] for p in cyc.points], dtype=np.int64).T
+        for k in range(max_steps + 1):
+            inside = np.all((level >= -m) & (level <= m), axis=0)
+            label[place @ (level[:, inside] + m)] = ci
+            if k == max_steps:
+                break
+            level = ((s @ level)[:, None] - shifts).reshape(d, -1)
+            if k == 0:
+                level = level[:, ~np.all(level[:, :, None] == own[:, None], axis=0).any(axis=1)]
+            level = level[:, (level * level).sum(axis=0) <= reach * reach]
+            if not level.shape[1]:
+                break
     return pts, label
 
 

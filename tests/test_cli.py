@@ -316,20 +316,21 @@ def test_harmonic_pins_the_closed_form_of_every_rotation(capsys):
 @pytest.mark.parametrize("example,x,depth", [("planar-shear", "0.1,0.2", 5),
                                              ("cantor4", "0.3", 10)])
 def test_harmonic_default_depth_keeps_to_1024_words(capsys, monkeypatch, example, x, depth):
-    # planar-shear (N = 4) used to default to depth 10, 4^10 words per cycle
+    # planar-shear (N = 4) used to default to depth 10, 4^10 words per cycle;
+    # the closed forms of all cycles are one batched call
     from ifsfourier import cli
 
     asked = []
 
-    def closed_form(sys, x, cycle, depth, tail_tol=None):
+    def closed_forms(sys, x, cycles, depth, tail_tol=None):
         asked.append(depth)
-        return 0.0
+        return [0.0] * len(cycles)
 
-    monkeypatch.setattr(cli, "h_closed_form", closed_form)
+    monkeypatch.setattr(cli, "h_closed_forms", closed_forms)
     code, _ = run_cli(capsys, "harmonic", "--example", example, "--x", x,
                       "--paths", "100", "--length", "8")
     assert code == 0
-    assert asked and set(asked) == {depth}
+    assert asked == [depth]
 
 
 def test_riesz_command(tmp_path, capsys):
@@ -797,6 +798,64 @@ def test_overflowing_tail_bound_is_bad_input(tmp_path, capsys, command, extra, f
         code, out, err = run_main(capsys, *(a.format(cfg=cfg) for a in command))
     assert code == 2 and out == ""
     assert fragment in json.loads(err)["error"]
+
+
+def assert_verify_onb_overflow_is_bad_input(capsys, *argv):
+    """verify-onb runs its completeness sums and --grid under _bounded: a probe
+    whose tail bound overflows is bad input naming it (exit 3, an internal
+    error, before)."""
+    code, out, err = run_main(capsys, "verify-onb", "--levels", "3", *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith("--x %s: " % argv[-1]) and "tail bound" in error
+
+
+def test_verify_onb_overflowing_probe_is_bad_input(capsys):
+    assert_verify_onb_overflow_is_bad_input(capsys, "--example", "cantor4", "--window", "5",
+                                            "--x", "1e300")
+
+
+def test_verify_onb_grid_overflowing_probe_is_bad_input(capsys):
+    # with --window 0 the completeness sum has no terms, so --grid meets the probe first
+    for window in ("5", "0"):
+        assert_verify_onb_overflow_is_bad_input(capsys, "--example", "cantor4", "--grid",
+                                                "--window", window, "--x", "1e300")
+
+
+def test_verify_onb_overflowing_planar_probe_is_bad_input(capsys):
+    assert_verify_onb_overflow_is_bad_input(capsys, "--example", "twindragon", "--window", "5",
+                                            "--x", "0.3,0.2", "--x", "1e300,0")
+
+
+def test_harmonic_refuses_a_depth_past_the_element_cap(capsys, monkeypatch):
+    # N^depth k-points per cycle above 100,000 is bad input, refused before
+    # any closure is built (--depth 60 on cantor4 allocated until killed)
+    from ifsfourier import pathspace
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the closure is built")
+
+    monkeypatch.setattr(pathspace, "_closure", no_closure)
+    code, out, err = run_main(capsys, "harmonic", "--example", "cantor4", "--x", "0.3",
+                              "--paths", "10", "--length", "4", "--depth", "60")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("--depth 60 asks for up to N^depth = 2^60")
+
+
+@pytest.mark.parametrize("example,x,depth,code", [
+    ("cantor4", "0.3", 16, 0), ("cantor4", "0.3", 17, 2), ("cantor4", "0.3", 10 ** 30, 2),
+    ("planar-shear", "0.1,0.2", 8, 0), ("planar-shear", "0.1,0.2", 9, 2),
+])
+def test_harmonic_depth_cap_is_n_to_the_depth(capsys, monkeypatch, example, x, depth, code):
+    # 2^16 and 4^8 = 65,536 k-points fit under the cap, 2^17 and 4^9 do not;
+    # the budget is never formed, so a depth of 10^30 is refused at once
+    from ifsfourier import cli
+
+    monkeypatch.setattr(cli, "h_closed_forms", lambda sys, x, cycles, depth: [0.0] * len(cycles))
+    got, _, err = run_main(capsys, "harmonic", "--example", example, "--x", x,
+                           "--paths", "10", "--length", "4", "--depth", str(depth))
+    assert got == code, err
+    assert (code == 2) == ("more than 100,000" in err)
 
 
 def test_package_runs_as_a_module():

@@ -440,6 +440,28 @@ def test_mu_hat_batch_input_shapes(cantor4, twindragon):
             mu_hat_batch(sys, ts)
 
 
+@pytest.mark.parametrize("name", AFFINE)
+def test_mu_hat_batch_spans_are_their_runs_alone(name):
+    # each run of `spans` goes to the depth of its own largest norm: its
+    # values are those of a batch of the run alone, bit for bit, whatever
+    # depths its neighbours take.  Runs have two rows or more, as the closed
+    # forms' have (N >= 2 k-points a cycle): numpy rounds the phases of a
+    # one-row batch on N >= 3 its own way (a one-row matmul)
+    sys = get_system(name)
+    rng = np.random.default_rng(37)
+    runs = [rng.normal(scale=s, size=(n, sys.d)) for s, n in ((0.5, 40), (60.0, 7), (3.0, 2),
+                                                             (0.0, 5), (9.0, 33))]
+    runs.insert(2, np.empty((0, sys.d)))
+    spans = [len(run) for run in runs]
+    got = mu_hat_batch(sys, np.concatenate(runs), spans=spans)
+    assert got.tobytes() == np.concatenate([mu_hat_batch(sys, run) for run in runs]).tobytes()
+    assert got.tobytes() == mu_hat_batch(sys, np.concatenate(runs)[::-1],
+                                         spans=spans[::-1])[::-1].tobytes()
+    for bad in ([40, 7], spans + [1], [-1] + spans[:-1] + [spans[-1] + 1]):
+        with pytest.raises(ValueError, match="spans"):
+            mu_hat_batch(sys, np.concatenate(runs), spans=bad)
+
+
 def test_weight_and_m_eval_input_shapes(cantor4, twindragon):
     # a flat array is one point on d = 2, and anything but a d-vector is
     # refused rather than cut to its first point; on d = 1 a flat array is

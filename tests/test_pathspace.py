@@ -16,6 +16,7 @@ from ifsfourier import (
     find_w_cycles,
     get_system,
     h_closed_form,
+    h_closed_forms,
     k_point,
     mu_hat_batch,
     mu_hat_detail,
@@ -242,12 +243,15 @@ def h_closed_form_reference(sys, probes, cycle, depth):
 
 def assert_closed_forms_match_reference(sys, probes, cycles, depths):
     """Each closed form equals its per-word reference bit for bit and is
-    nondecreasing in depth; at each probe the cycles sum to at most 1."""
+    nondecreasing in depth; the batch of all cycles equals the per-cycle
+    calls bit for bit; at each probe the cycles sum to at most 1."""
     for x in probes:
         table = [[h_closed_form(sys, x, cyc, depth) for depth in depths] for cyc in cycles]
         for cyc, row in zip(cycles, table):
             assert row == [h_closed_form_reference(sys, [x], cyc, depth)[0] for depth in depths]
             assert all(a <= b + 1e-15 for a, b in zip(row, row[1:]))
+        assert [h_closed_forms(sys, x, cycles, depth) for depth in depths] == [
+            list(column) for column in zip(*table)]
         assert sum(row[-1] for row in table) <= 1.0 + 1e-9
 
 
@@ -262,6 +266,27 @@ def test_h_closed_form_bit_identical_to_fraction_reference(name, p_max, depth):
         probes.append(np.array([1 / 3, 0.0]))  # c10's dual-lattice point
     assert_closed_forms_match_reference(sys, probes, find_w_cycles(sys, p_max),
                                         (depth - 2, depth))
+
+
+def assert_batch_is_per_cycle(sys, probes, cycles, depths):
+    """h_closed_forms over all cycles == h_closed_form of each cycle alone."""
+    for x in probes:
+        for depth in depths:
+            assert h_closed_forms(sys, x, cycles, depth) == [
+                h_closed_form(sys, x, cyc, depth) for cyc in cycles]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in EXAMPLES.items() if e.kind == "affine"))
+def test_batched_closed_forms_are_the_per_cycle_calls(name):
+    # one batch over one lcm q, each cycle's rows at their own depth, gives
+    # every cycle's sum bit for bit; probes near and far (deeper products)
+    sys = get_system(name)
+    rng = np.random.default_rng(29)
+    probes = [[0.3] * sys.d, rng.normal(size=sys.d), rng.normal(scale=40.0, size=sys.d)]
+    cycles = find_w_cycles(sys, 8 if name == "twindragon" else EXAMPLES[name].p_max)
+    assert len(cycles) > 1 or name == "cantor4"
+    assert_batch_is_per_cycle(sys, probes, cycles, (1, 4, 6))
+    assert h_closed_forms(sys, probes[0], [], 4) == []
 
 
 def test_h_closed_form_budget_is_n_to_the_depth():
@@ -567,6 +592,8 @@ def test_walk_bit_identical_to_per_step_walk(name, count, length, keep_from):
     ref_words, ref_kept = per_step_walk(weight, view, x, length, count, 31, keep_from)
     assert np.array_equal(words, ref_words)
     assert np.array_equal(kept, ref_kept)
+    # recorded a step per row, the words are one C-ordered table: the same bytes
+    assert words.flags.c_contiguous and words.tobytes() == ref_words.tobytes()
 
 
 @pytest.mark.parametrize("count,length", [(6000, 64), (32, 4500)])
@@ -921,6 +948,7 @@ def test_retiring_walk_bit_identical_to_per_step_walk(monkeypatch, name, count, 
     ref_words, ref_kept = per_step_walk(weight, view, x, length, count, 29, keep_from)
     assert np.array_equal(walk.words, ref_words)
     assert np.array_equal(walk.kept, ref_kept)
+    assert walk.words.flags.c_contiguous and walk.words.tobytes() == ref_words.tobytes()
     assert walk.retired_at == (found[0][0] if found else None)
     if walk.retired_at is not None:
         assert walk.retired_at % stride == 0 and walk.retired_at < length

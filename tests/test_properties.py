@@ -41,6 +41,7 @@ from test_measure import (
     reference_tails,
 )
 from test_pathspace import (
+    assert_batch_is_per_cycle,
     assert_closed_forms_match_reference,
     assert_table_grows,
     assert_zeros_cut,
@@ -50,18 +51,21 @@ from test_pathspace import (
     walk_with_pass_sizes,
 )
 from test_spectrum import (
+    assert_closure_labels_match_the_stepper,
     assert_k_points_match_reference,
     assert_lambda_is_rotation_k_points,
+    lattice_scale_of,
     rotation_k_points,
+    stepper_basin_labels,
 )
 
 MAX_WORDS = 125  # words per enumeration, to keep exact arithmetic quick
 
 
 @st.composite
-def hadamard_triples_1d(draw, n_digits=st.integers(2, 5)):
+def hadamard_triples_1d(draw, n_digits=st.integers(2, 5), scale=st.integers(1, 4)):
     n = draw(n_digits)
-    m = draw(st.integers(1, 4))
+    m = draw(scale)
     shifts = st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1)
     k = [0] + draw(shifts)
     k_dual = [0] + draw(shifts)
@@ -170,6 +174,42 @@ def test_batch_matches_complex_reference_on_generated_two_digit_triples(sys_, se
         assert_batch_matches_complex_reference(sys_, rng.integers(-57 * q, 57 * q + 1, (300, 1)) / q)
 
 
+LEBESGUE_TRIPLES = hadamard_triples_1d(scale=st.just(1))  # R = N: Lebesgue measure
+
+
+def assert_closure_labels_on_lebesgue_triple(sys_) -> bool:
+    """The closure's labels against the stepper's on a window of about 60
+    points a side (d = 1) or 13 (d = 2), with the W-cycles up to the period
+    whose words stay within MAX_WORDS; whether labels compared."""
+    p_max = max(p for p in range(1, 4) if sys_.N ** p <= MAX_WORDS)
+    cycles = find_w_cycles(sys_, p_max)
+    q = lattice_scale_of(cycles)
+    radius = (30.0 if sys_.d == 1 else 6.0) / q
+    labelled = assert_closure_labels_match_the_stepper(sys_, cycles, radius, q, (0, 1, 3, 512))
+    if labelled:
+        assert (stepper_basin_labels(sys_, cycles, radius, q)[1] >= 0).any()
+    return labelled
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sys_=LEBESGUE_TRIPLES)
+def test_closure_labels_match_the_stepper_on_generated_triples(sys_):
+    # N = R on a triple with m = 1: the backward closure labels each window
+    # point as the forward stepper does, at every level cap, unlisted
+    # cycles (-1) included
+    assert assert_closure_labels_on_lebesgue_triple(sys_)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(pair=st.tuples(hadamard_triples_1d(st.integers(2, 3), st.just(1)),
+                      hadamard_triples_1d(st.integers(2, 3), st.just(1))))
+def test_closure_labels_match_the_stepper_on_generated_product_triples(pair):
+    # N = |det R| on a product of two such triples.  One whose cycle points
+    # need a q that merges the digits of a factor has no lattice to label:
+    # the stepper raises LatticeError, and so does the closure
+    assert_closure_labels_on_lebesgue_triple(product_triple(*pair))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(pair=st.tuples(hadamard_triples_1d(), hadamard_triples_1d()), product=st.booleans(),
        seed=st.integers(0, 2 ** 16))
@@ -202,6 +242,18 @@ def test_truncation_depth_bounds_the_tail_on_generated_triples(pair, product, se
     reach = 2 * np.pi * np.linalg.norm(sys_.B, axis=1).max() * norm * reference_tails(sys_)[0]
     rounding = 4 * np.finfo(float).eps * (depth + 50 + reach)
     assert np.max(np.abs(mu_hat_batch(sys_, ts, tail_tol) - deeper)) <= tail_tol + rounding
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(pair=st.tuples(hadamard_triples_1d(), hadamard_triples_1d()), x=st.floats(-3.0, 3.0),
+       y=st.floats(-3.0, 3.0))
+def test_batched_closed_forms_are_the_per_cycle_calls_on_generated_product_triples(pair, x, y):
+    # d = 2: every cycle's sum in the batch is its own call's, bit for bit
+    # (the 1-d triples check this in assert_closed_forms_match_reference)
+    sys_ = product_triple(*pair)
+    p_max = max(p for p in range(1, 4) if sys_.N ** p <= MAX_WORDS)
+    depth = max(d for d in range(1, 5) if sys_.N ** d <= MAX_WORDS)
+    assert_batch_is_per_cycle(sys_, [[x, y]], find_w_cycles(sys_, p_max), range(1, depth + 1))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -592,6 +592,136 @@ def basin_labels_reference(sys, w_cycles, radius, lattice_scale, max_steps=512):
     return pts, label
 
 
+def stepper_basin_labels(sys, w_cycles, radius, lattice_scale, max_steps=512):
+    """`lattice_basin_labels` as it ran before the closure: each window point
+    stepped forward by R_L in int64, one step at a time on the points not yet
+    labelled, with a binary search of sorted row keys for the cycle points
+    and the residue classes, until its orbit meets a listed cycle, returns to
+    the state it had at the last power-of-two step (an unlisted cycle: -1) or
+    takes max_steps moves.  Raises LatticeError at a visited point with no
+    unique S y - l decomposition."""
+    def row_keys(rows):
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+    def lookup(sorted_keys, keys):
+        if not len(sorted_keys):
+            return np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=np.intp)
+        at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+        return sorted_keys[at] == keys, at
+
+    if not sys.exact_integer:
+        raise LatticeError("lattice basins need integer system data")
+    q = int(lattice_scale)
+    adj, den = _over_common_denominator(sys.l_view.inv_exact)
+    adj = adj.astype(np.int64)
+    shifts = np.array([[int(c * q) for c in l] for l in sys.L_exact], dtype=np.int64) @ adj.T
+    place = den ** np.arange(sys.d, dtype=np.int64)
+    residues = (-shifts) % den
+    carries = (residues + shifts) // den
+    classes, digit_of, counts = np.unique(residues @ place, return_index=True,
+                                          return_counts=True)
+    classes, digit_of = classes[counts == 1], digit_of[counts == 1]
+    m = int(np.floor(radius * q))
+    mesh = np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * sys.d, indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    cycle_of_point = {}
+    for ci, cyc in enumerate(w_cycles):
+        for p in cyc.points:
+            scaled = [c * q for c in p]
+            if any(c.denominator != 1 for c in scaled):
+                raise LatticeError("cycle point %s is not on the 1/%d lattice" % (p, q))
+            cycle_of_point[tuple(int(c) for c in scaled)] = ci
+    cycle_keys = row_keys(np.array(list(cycle_of_point), dtype=np.int64).reshape(-1, sys.d))
+    order = np.argsort(cycle_keys)
+    cycle_keys = cycle_keys[order]
+    cycle_labels = np.array(list(cycle_of_point.values()), dtype=np.int64)[order]
+    label = np.full(len(pts), -1, dtype=np.int64)
+    active, states = np.arange(len(pts)), pts
+    for step in range(max_steps + 1):
+        keys = row_keys(states)
+        hit, at = lookup(cycle_keys, keys)
+        label[active[hit]] = cycle_labels[at[hit]]
+        keep = ~hit
+        if step:
+            keep &= keys != mark
+        if step == max_steps or not keep.any():
+            break
+        active, states, keys = active[keep], states[keep], keys[keep]
+        mark = keys if step & (step - 1) == 0 else mark[keep]
+        num = states @ adj.T
+        quot = num // den
+        found, at = lookup(classes, (num - den * quot) @ place)
+        if not found.all():
+            raise LatticeError("lattice point without a unique S y - l decomposition")
+        states = quot + carries[digit_of[at]]
+    return pts, label
+
+
+def lattice_scale_of(cycles):
+    """The least q that puts every point of the cycles on (1/q) Z^d."""
+    return math.lcm(*(c.denominator for cyc in cycles for p in cyc.points for c in p))
+
+
+def assert_closure_labels_match_the_stepper(sys, cycles, radius, q, steps=(512,)) -> bool:
+    """The closure's labels are the stepper's, point for point, at each
+    max_steps; where the stepper raises LatticeError within 512 moves, the
+    closure raises it at every max_steps.  Returns whether labels compared."""
+    try:
+        stepper_basin_labels(sys, cycles, radius, q)
+    except LatticeError:
+        for max_steps in steps:
+            with pytest.raises(LatticeError):
+                lattice_basin_labels(sys, cycles, radius, q, max_steps)
+        return False
+    for max_steps in steps:
+        pts, labels = lattice_basin_labels(sys, cycles, radius, q, max_steps)
+        ref_pts, ref_labels = stepper_basin_labels(sys, cycles, radius, q, max_steps)
+        assert np.array_equal(pts, ref_pts)
+        assert np.array_equal(labels, ref_labels), (sys.name, radius, q, max_steps)
+    return True
+
+
+LEBESGUE_NAMES = [n for n in AFFINE_NAMES
+                  if get_system(n).N == round(abs(np.linalg.det(get_system(n).S)))]
+
+
+@pytest.mark.parametrize("name", LEBESGUE_NAMES)
+def test_closure_labels_match_the_stepper_on_lebesgue_systems(name):
+    sys = get_system(name)
+    for p_max in (1, 4):
+        cycles = find_w_cycles(sys, p_max)
+        q = lattice_scale_of(cycles)
+        for scale, radius in ((q, 6.0), (3 * q, 4.0), (q, 0.0)):
+            assert assert_closure_labels_match_the_stepper(sys, cycles, radius, scale,
+                                                           (0, 1, 2, 5, 512))
+    assert LEBESGUE_NAMES == ["planar-shear", "twindragon"]
+
+
+@pytest.mark.parametrize("name", sorted(set(AFFINE_NAMES) - set(LEBESGUE_NAMES)))
+def test_closure_refuses_where_the_stepper_does(name):
+    # N < |det S|: some residue class has no digit, so the stepper meets a
+    # point without a decomposition S y - l, and the closure refuses up front
+    sys = get_system(name)
+    cycles = find_w_cycles(sys, 4)
+    q = lattice_scale_of(cycles)
+    with pytest.raises(LatticeError):
+        stepper_basin_labels(sys, cycles, 3.0, q)
+    with pytest.raises(LatticeError):
+        lattice_basin_labels(sys, cycles, 3.0, q)
+
+
+def test_closure_refuses_a_scale_that_merges_the_digits(twindragon):
+    # at q = 2 both digits q l lie in S Z^2: no point has a unique
+    # decomposition, and the cycle points of (1/5) Z^2 are off the lattice
+    cycles = find_w_cycles(twindragon, 4)
+    for q in (2, 10):
+        with pytest.raises(LatticeError):
+            stepper_basin_labels(twindragon, cycles, 1.0, q)
+        with pytest.raises(LatticeError):
+            lattice_basin_labels(twindragon, cycles, 1.0, q)
+
+
 def cycle_index(res, cycles):
     """Index of the cycle a BasinResult entered, -1 for none."""
     return -1 if res.cycle is None else next(k for k, c in enumerate(cycles) if c is res.cycle)
