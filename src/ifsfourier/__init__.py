@@ -15,8 +15,6 @@ from .ratlinalg import (
     mat_inverse,
     mat_pow,
     rational_matrix,
-    rational_vector,
-    solve_exact,
     SingularMatrixError,
 )
 from .hadamard import check_duality, check_pair, tensor, DualityReport, UnitarityReport
@@ -25,7 +23,6 @@ from .measure import (
     chaos_game,
     cosine_weight,
     empirical_char,
-    m_eval,
     mu_hat,
     mu_hat_batch,
     mu_hat_detail,
@@ -34,19 +31,16 @@ from .measure import (
 )
 from .cycles import (
     Cycle,
-    classify_w,
     enumerate_cycles,
     find_w_cycles,
     power_system,
 )
 from .spectrum import (
-    BasinResult,
     GramReport,
     GridOrthogonality,
     LatticeError,
     SpectrumSet,
     completeness_sum,
-    cycle_basin,
     generate_lambda,
     grid_orthogonality,
     k_point,
@@ -65,12 +59,9 @@ from .pathspace import (
     HarmonicEstimate,
     PathEnsemble,
     QmfError,
-    cylinder_weight,
-    cycle_tail_weight,
     estimate_h,
     h_closed_form,
     h_closed_forms,
-    path_weight_with_tail,
     sample_paths,
 )
 from .invariant import (
@@ -88,19 +79,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineSystem", "IfsView", "frac_str", "fvec", "is_expansive", "mat_inverse",
-    "mat_pow", "rational_matrix", "rational_vector", "solve_exact",
-    "SingularMatrixError", "check_duality", "check_pair", "tensor", "DualityReport",
-    "UnitarityReport", "Weight", "chaos_game", "cosine_weight", "empirical_char",
-    "m_eval", "mu_hat", "mu_hat_batch", "mu_hat_detail", "points_to_csv",
-    "weight_from_digits", "Cycle", "classify_w", "enumerate_cycles", "find_w_cycles",
-    "power_system", "BasinResult", "GramReport", "GridOrthogonality", "LatticeError",
-    "SpectrumSet", "completeness_sum", "cycle_basin", "generate_lambda",
-    "grid_orthogonality", "k_point", "lattice_basin_sums",
-    "verify_orthogonality", "DomainError", "GridFunction",
+    "mat_pow", "rational_matrix", "SingularMatrixError", "check_duality", "check_pair",
+    "tensor", "DualityReport", "UnitarityReport", "Weight", "chaos_game",
+    "cosine_weight", "empirical_char", "mu_hat", "mu_hat_batch", "mu_hat_detail",
+    "points_to_csv", "weight_from_digits", "Cycle", "enumerate_cycles", "find_w_cycles",
+    "power_system", "GramReport", "GridOrthogonality", "LatticeError", "SpectrumSet",
+    "completeness_sum", "generate_lambda", "grid_orthogonality", "k_point",
+    "lattice_basin_sums", "verify_orthogonality", "DomainError", "GridFunction",
     "cesaro", "check_qmf", "harmonic_defect", "ruelle_apply", "HarmonicEstimate",
-    "PathEnsemble", "QmfError", "cylinder_weight", "cycle_tail_weight", "estimate_h",
-    "h_closed_form", "h_closed_forms", "path_weight_with_tail", "sample_paths", "ChainSample",
-    "batch_mean_stderr", "concentration_curve", "fourier_coefficient", "riesz_chain",
-    "riesz_partial_density", "run_chain", "EXAMPLES", "example_names", "get_system",
-    "__version__",
+    "PathEnsemble", "QmfError", "estimate_h", "h_closed_form", "h_closed_forms",
+    "sample_paths", "ChainSample", "batch_mean_stderr", "concentration_curve",
+    "fourier_coefficient", "riesz_chain", "riesz_partial_density", "run_chain",
+    "EXAMPLES", "example_names", "get_system", "__version__",
 ]

@@ -34,7 +34,6 @@ rank order.  So each stored cycle has minimal period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,16 +43,12 @@ from .ratlinalg import (
     identity_rational,
     mat_inverse,
     mat_pow,
-    solve_exact,
 )
-from .system import AffineSystem, frac_str, fvec
+from .system import AffineSystem, frac_str
 
 __all__ = [
     "Cycle",
-    "aperiodic_necklaces",
-    "cycle_from_word",
     "enumerate_cycles",
-    "classify_w",
     "find_w_cycles",
     "power_system",
 ]
@@ -66,7 +61,7 @@ class Cycle:
     word: tuple  # canonical (lexicographically least) rotation, L-indices
     period: int
     points: tuple  # p exact points, orbit order, points[0] = fixed point x_0
-    is_w_cycle: bool | None = None  # None until classified (cycle_from_word)
+    is_w_cycle: bool | None = None  # the exact W_B verdict of enumerate_cycles, or None
 
     @property
     def points_float(self) -> np.ndarray:
@@ -114,36 +109,6 @@ def _words(ranks, n_letters: int, p: int) -> list:
     """The words of the given ranks as tuples of Python ints."""
     letters = np.unravel_index(ranks, (n_letters,) * p)
     return [tuple(w) for w in np.stack(letters, axis=1).tolist()]
-
-
-def aperiodic_necklaces(n_letters: int, p: int):
-    """Canonical representatives of rotation classes of aperiodic length-p
-    words over {0..n_letters-1}, in lexicographic order."""
-    yield from _words(_lyndon_ranks(n_letters, p), n_letters, p)
-
-
-def _horner(view, word, start) -> tuple:
-    """sum_j M^j d_{w_j} + M^{|w|} start for one word on a view (matrix M,
-    digits d), exactly: |w| steps of x -> M x + d, last letter first."""
-    acc = np.array(start, dtype=object)
-    for idx in reversed(word):
-        acc = view.matrix_exact @ acc + np.array(view.digits_exact[idx], dtype=object)
-    return tuple(acc)
-
-
-def cycle_from_word(sys: AffineSystem, word) -> Cycle:
-    """Exact cycle for one word, the per-word reference of
-    `enumerate_cycles`: solves for the fixed point, walks its orbit with
-    `tau` and validates the p-fold round trip exactly."""
-    word = tuple(int(i) for i in word)
-    m = mat_pow(sys.S_exact, len(word)) - identity_rational(sys.d)
-    rhs = np.array(_horner(sys.l_view, word, [Fraction(0)] * sys.d), dtype=object)
-    points = [fvec(solve_exact(m, rhs))]
-    for idx in word:
-        points.append(fvec(sys.l_view.tau(idx, points[-1])))
-    if points.pop() != points[0]:
-        raise AssertionError("cycle round trip failed for word %s" % (word,))
-    return Cycle(word=word, period=len(word), points=tuple(points))
 
 
 def _w_equals_one(rows, q: int, sys: AffineSystem) -> np.ndarray:
@@ -201,14 +166,6 @@ def enumerate_cycles(sys: AffineSystem, p_max: int, w_only: bool = False) -> lis
                          is_w_cycle=bool(ok[i]))
                    for i, w in zip(keep, _words(words[keep], n, p)))
     return out
-
-
-def classify_w(cycle: Cycle, sys: AffineSystem) -> Cycle:
-    """Attach the exact W_B verdict to one cycle, W_B = 1 at every orbit
-    point: the per-cycle reference of `enumerate_cycles`' verdicts."""
-    rows, q = _over_common_denominator(np.array(cycle.points, dtype=object))
-    ok = bool(np.all(_w_equals_one(rows, q, sys)))
-    return Cycle(cycle.word, cycle.period, cycle.points, ok)
 
 
 def find_w_cycles(sys: AffineSystem, p_max: int) -> list:

@@ -60,7 +60,6 @@ from .ratlinalg import _exp_2pi_i, _over_common_denominator
 from .system import AffineSystem, IfsView, _positive_tolerance
 
 __all__ = [
-    "m_eval",
     "Weight",
     "cosine_weight",
     "weight_from_digits",
@@ -88,18 +87,6 @@ def _as_rows(x, d: int, caller: str) -> tuple:
         raise ValueError("%s takes rows of d = %d coordinates, got shape %s"
                          % (caller, d, xs.shape))
     return rows, xs.ndim == 0 or (xs.ndim == 1 and d > 1)
-
-
-def m_eval(digits, x) -> complex | np.ndarray:
-    """Exponential sum N^{-1/2} sum_b exp(2 pi i b.x); |m_eval| <= sqrt(N).
-
-    Vectorized over a batch of points: x may be a scalar or a flat array
-    (d = 1), a d-vector, or an (n, d) array (see `_as_rows`).
-    """
-    b = np.atleast_2d(np.asarray(digits, dtype=float))
-    pts, one = _as_rows(x, b.shape[1], "m_eval")
-    vals = np.exp(2j * np.pi * (pts @ b.T)).sum(axis=1) / np.sqrt(len(b))
-    return complex(vals[0]) if one else vals
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,9 +72,6 @@ __all__ = [
     "PathEnsemble",
     "HarmonicEstimate",
     "QmfError",
-    "cylinder_weight",
-    "cycle_tail_weight",
-    "path_weight_with_tail",
     "sample_paths",
     "estimate_h",
     "h_closed_forms",
@@ -139,62 +136,6 @@ def _cut_pass(weight: Weight, view: IfsView):
         np.putmask(w, zero, 0.0)
         return w[:, :1] if one else w
     return cut_weights_at
-
-
-def _word_weights(weight: Weight, view: IfsView, x, word) -> tuple:
-    """(states, w): the states z_1..z_n along a word (digit indices, first
-    applied first) and W(z_k), read as the walk reads it at z_{k-1}: its move
-    (d_l + z) M^{-t}, then one `_cut_pass` over z_0..z_{n-1}."""
-    word = np.asarray(word, dtype=np.intp)
-    n, inv_t = len(word), view.inv.T
-    z = np.empty((n + 1, view.d))
-    z[0] = np.asarray(x, dtype=float).reshape(view.d)
-    for k, idx in enumerate(word):
-        z[k + 1] = (view.digits[idx] + z[k]) @ inv_t
-    return z[1:], _cut_pass(weight, view)(z[:-1])[word, np.arange(n)]
-
-
-def cylinder_weight(weight: Weight, view: IfsView, x, word) -> float:
-    """prod_k W(z_k) along the word; in [0, 1] under QMF; empty word -> 1."""
-    return float(np.prod(_word_weights(weight, view, x, list(word))[1]))
-
-
-def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,
-                      tol: float = 1e-12, max_blocks: int = 1024) -> float:
-    """prod of W over endless repetitions of the cycle word starting at z.
-
-    Converges because the states spiral into the W-cycle where W = 1;
-    iteration stops once the largest |1 - W| of a block, times the
-    sum_{j>=0} |M^{-jp}|_2 of `IfsView.power_norms` (p the period), is < tol.
-    """
-    product = 1.0
-    norms = view.power_norms()
-    power_sum = 1.0 + float(norms[cycle.period - 1::cycle.period].sum()) + view.power_tail()
-    for _ in range(max_blocks):
-        states, w = _word_weights(weight, view, z, cycle.word)
-        product *= float(np.prod(w))
-        if product == 0.0:
-            return 0.0
-        z = states[-1]
-        dev = float(np.max(np.abs(1.0 - w)))
-        if dev * power_sum < tol:
-            break
-    return product
-
-
-def path_weight_with_tail(weight: Weight, view: IfsView, x, word, cycle: Cycle,
-                          tol: float = 1e-12) -> float:
-    """P_x of the single infinite path (word, then cycle repeated forever).
-
-    `word` may be any iterable, a one-shot iterator included."""
-    word = list(word)
-    if not word:
-        return cycle_tail_weight(weight, view, x, cycle, tol)
-    states, w = _word_weights(weight, view, x, word)
-    prefix = float(np.prod(w))
-    if prefix == 0.0:
-        return 0.0
-    return prefix * cycle_tail_weight(weight, view, states[-1], cycle, tol)
 
 
 @dataclass(frozen=True, eq=False)

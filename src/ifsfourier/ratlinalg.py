@@ -20,12 +20,10 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "AmbiguousExpansivityError",
-    "rational_vector",
     "rational_matrix",
     "identity_rational",
     "mat_pow",
     "mat_inverse",
-    "solve_exact",
     "spectral_margin",
     "is_expansive",
 ]
@@ -74,11 +72,6 @@ def _exp_2pi_i(numerators, q: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.asarray(numerators, dtype=object) % q / q).astype(float))
 
 
-def rational_vector(entries) -> np.ndarray:
-    """Build a 1-d object array of Fractions."""
-    return np.array([as_fraction(e) for e in entries], dtype=object)
-
-
 def rational_matrix(rows) -> np.ndarray:
     """Build a square object array of Fractions from nested rows."""
     m = np.array([[as_fraction(e) for e in row] for row in rows], dtype=object)
@@ -107,19 +100,6 @@ def mat_pow(m: np.ndarray, p: int) -> np.ndarray:
         if p:
             base = base @ base
     return result
-
-
-def solve_exact(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve m x = v exactly over the rationals: `mat_inverse`(m) @ v.
-
-    Raises SingularMatrixError when m is not invertible.  For the
-    cycle-point systems (S^p - I) x = ... this never happens: an expansive
-    S has no eigenvalue on the unit circle, so S^p - I is invertible.
-    """
-    n = m.shape[0]
-    if m.shape != (n, n) or v.shape != (n,):
-        raise ValueError("shape mismatch: %s vs %s" % (m.shape, v.shape))
-    return mat_inverse(m) @ v.astype(object)
 
 
 def mat_inverse(m: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ W-cycles (`generate_lambda`) and Lambda_n(C) from one cycle, the
 frequencies of the closed-form harmonic function h_C of `pathspace`.  It
 runs the recurrence through its one home, `IfsView.expand`, on an integer
 table, which Lambda stays (`SpectrumSet.rows` over `q`; Fractions only at
-the public edge, by the rule of `ratlinalg`).  `k_point` is the per-word
-reference (Horner's rule, shared with `cycle_from_word`).
+the public edge, by the rule of `ratlinalg`).  `k_point` gives one
+frequency k(omega) by Horner's rule (`_horner`).
 
 Orthogonality of the exponentials e_lambda is certified through
 mu_hat_B(lambda - lambda') = 0, always via an exactly vanishing product
@@ -33,8 +33,6 @@ R_L(S y - l) = y, so that basin is the closure of the cycle's points
 under y -> S y - l, run backward from the cycle: `lattice_basin_labels`
 labels a whole lattice window by one breadth-first closure per cycle in
 int64, kept to the ball that holds every orbit from the window.
-`cycle_basin` follows one orbit forward in Fractions, through
-`IfsView.tau`, and is the per-point reference.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cycles import Cycle, _horner
+from .cycles import Cycle
 from .measure import _mu_hat_rows, mu_hat_batch, mu_hat_detail
 from .ratlinalg import _from_common_denominator, _over_common_denominator
 from .system import AffineSystem, frac_str, fvec
@@ -60,9 +58,7 @@ __all__ = [
     "completeness_sum",
     "GridOrthogonality",
     "grid_orthogonality",
-    "BasinResult",
     "LatticeError",
-    "cycle_basin",
     "lattice_basin_labels",
     "lattice_basin_sums",
 ]
@@ -95,6 +91,11 @@ class SpectrumSet:
         return _from_common_denominator(self.rows[:count], self.q)
 
     def smallest_nonnegative_1d(self, count: int) -> list:
+        """The least `count` >= 0 nonnegative elements (d = 1), ascending, as Fractions."""
+        if self.d != 1:
+            raise ValueError("smallest_nonnegative_1d needs d = 1, got d = %d" % self.d)
+        if count < 0:
+            raise ValueError("count must be >= 0")
         return [Fraction(v, self.q) for v in [r[0] for r in self.rows if r[0] >= 0][:count]]
 
     def to_csv(self, path) -> None:
@@ -157,6 +158,15 @@ def _closure(sys: AffineSystem, points, levels: int, element_cap: int | None = N
         seeds=frozenset(seeds),
         cap_hit=cap_hit,
     )
+
+
+def _horner(view, word, start) -> tuple:
+    """sum_j M^j d_{w_j} + M^{|w|} start for one word on a view (matrix M,
+    digits d), exactly: |w| steps of x -> M x + d, last letter first."""
+    acc = np.array(start, dtype=object)
+    for idx in reversed(word):
+        acc = view.matrix_exact @ acc + np.array(view.digits_exact[idx], dtype=object)
+    return tuple(acc)
 
 
 def k_point(sys: AffineSystem, cycle: Cycle, omega) -> tuple:
@@ -265,6 +275,10 @@ def grid_orthogonality(sys: AffineSystem, x, denom: int = 4, span: int = 100,
     """
     if sys.d != 1:
         raise ValueError("grid orthogonality analysis is one-dimensional")
+    if denom < 1:
+        raise ValueError("denom must be >= 1")
+    if span < 0:
+        raise ValueError("span must be >= 0")
     # zero_flag[m]: mu_hat(m / denom) vanishes exactly (never at m = 0)
     zero_flag = _mu_hat_rows(sys, np.arange(2 * span + 1), denom, tail_tol)[2] > 0
     ks = range(-span, span + 1)
@@ -308,7 +322,7 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
     point it reaches in the window has its label written at its index.
 
     Returns (points (n, d) scaled by q, labels): label i means the orbit
-    entered w_cycles[i] within max_steps moves (as in `cycle_basin`), so
+    entered w_cycles[i] within max_steps moves of R_L, so
     the closure stops after level max_steps; -1 that it entered no listed
     cycle.  Raises LatticeError unless N = |det S| and the digits q l lie
     in distinct classes mod S Z^d: then every lattice point has one
@@ -381,47 +395,3 @@ def lattice_basin_sums(sys: AffineSystem, x, w_cycles, radius: float,
     per_cycle = [float(weights[label == ci].sum()) for ci in range(len(w_cycles))]
     other = float(weights[label < 0].sum())
     return per_cycle, other, float(weights.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class BasinResult:
-    cycle: Cycle | None
-    steps: int
-    orbit: tuple
-
-    @property
-    def found(self) -> bool:
-        return self.cycle is not None
-
-
-def cycle_basin(sys: AffineSystem, x, w_cycles, max_steps: int = 256,
-                lattice_scale=None) -> BasinResult:
-    """Follow the lattice endomorphism defined by R_L(S y - l) = y.
-
-    R_L maps a lattice point z to S^{-1}(z + l) for the unique digit l
-    keeping the image on the lattice; orbits are eventually periodic, and
-    the result reports which supplied W-cycle the orbit enters (or none
-    within max_steps).  The lattice is (1/q) Z^d with q inferred from x
-    unless given.
-    """
-    pt = fvec([x] if isinstance(x, (int, float, Fraction)) else x)
-    q = _over_common_denominator(pt)[1] if lattice_scale is None else int(lattice_scale)
-    point_to_cycle = {}
-    for cyc in w_cycles:
-        for p in cyc.points:
-            point_to_cycle[p] = cyc
-    orbit = [pt]
-    current = pt
-    for step in range(max_steps + 1):
-        if current in point_to_cycle:
-            return BasinResult(point_to_cycle[current], step, tuple(orbit))
-        candidates = [y for y in (sys.l_view.tau(i, current) for i in range(sys.N))
-                      if all((c * q).denominator == 1 for c in y)]
-        if len(candidates) != 1:
-            raise LatticeError(
-                "point %s has %d lattice representations S y - l (expected 1)"
-                % (frac_str(current), len(candidates))
-            )
-        current = candidates[0]
-        orbit.append(current)
-    return BasinResult(None, max_steps, tuple(orbit))

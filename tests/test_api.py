@@ -3,6 +3,8 @@
 import ast
 import dataclasses
 import importlib
+import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -15,7 +17,11 @@ MODULES = ["ifsfourier"] + ["ifsfourier." + m.name for m in pkgutil.iter_modules
 REMOVED = {"weight_function", "pi_truncated", "ruelle_iterate", "riesz_weight",
            "riesz_branch_normalization", "W_INCONCLUSIVE", "_RIESZ_VIEW", "_RIESZ_WEIGHT",
            "_try_exact", "_classified_cycles", "_cycle_tables", "to_float",
-           "k_points_of_depth", "_cycle_k_points", "DEFAULT_CHAIN_LENGTH"}
+           "k_points_of_depth", "_cycle_k_points", "DEFAULT_CHAIN_LENGTH",
+           # per-item references: in tests/reference.py, or deleted (classify_w)
+           "classify_w", "cycle_from_word", "aperiodic_necklaces", "solve_exact",
+           "rational_vector", "m_eval", "cylinder_weight", "cycle_tail_weight",
+           "path_weight_with_tail", "_word_weights", "cycle_basin", "BasinResult"}
 REMOVED_METHODS = {("SpectrumSet", "floats"), ("ChainSample", "blocks")}
 
 
@@ -35,8 +41,43 @@ def test_removed_methods_stay_gone(cls, name):
 
 def test_package_exports_are_unique_and_cover_the_core():
     assert len(ifsfourier.__all__) == len(set(ifsfourier.__all__))
-    assert {"Weight", "cosine_weight", "weight_from_digits", "classify_w", "riesz_chain",
+    assert {"Weight", "cosine_weight", "weight_from_digits", "enumerate_cycles", "riesz_chain",
             "check_qmf", "EXAMPLES"} <= set(ifsfourier.__all__)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# objects of the paper that a user calls, with no caller in the package
+PAPER_OBJECTS = {"mu_hat", "k_point", "power_system"}
+
+
+def _loaded_names(paths) -> set:
+    """Every name the files load, read as an attribute or import by name."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_function_has_a_caller():
+    # the package ships what runs: a function a layer module exports is
+    # called by the package, a demo or the benchmark; references that only
+    # the tests call live in tests/reference.py
+    src = ROOT / "src" / "ifsfourier"
+    loaded = _loaded_names([p for p in src.glob("*.py") if p.name != "__init__.py"]
+                           + sorted((ROOT / "demos").glob("*.py"))
+                           + sorted((ROOT / "bench").glob("*.py")))
+    uncalled = []
+    for name in MODULES[1:]:
+        mod = importlib.import_module(name)
+        uncalled += [(name, fn) for fn in getattr(mod, "__all__", [])
+                     if inspect.isfunction(getattr(mod, fn)) and fn not in loaded | PAPER_OBJECTS]
+    assert uncalled == []
 
 
 def test_cycle_tol_is_no_field():

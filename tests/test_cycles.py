@@ -11,15 +11,13 @@ from ifsfourier import (
     EXAMPLES,
     AffineSystem,
     check_duality,
-    classify_w,
     enumerate_cycles,
     find_w_cycles,
     example_names,
     get_system,
-    m_eval,
     power_system,
 )
-from ifsfourier.cycles import Cycle, _horner, aperiodic_necklaces, cycle_from_word
+from ifsfourier.cycles import Cycle
 from ifsfourier.ratlinalg import (
     _from_common_denominator,
     _over_common_denominator,
@@ -27,7 +25,9 @@ from ifsfourier.ratlinalg import (
     mat_inverse,
     mat_pow,
 )
+from ifsfourier.spectrum import _horner
 from ifsfourier.system import IfsView, fvec
+from reference import aperiodic_necklaces, cycle_from_word, m_eval
 from strategies import product_triple
 
 
@@ -243,8 +243,8 @@ def test_cycle_points_in_attractor_ball(twindragon):
 
 
 def _reference_w_equals_one(point, b_exact) -> bool:
-    """The Fraction test `classify_w` ran before the integer table:
-    (b - b_ref).x has denominator 1 for every digit b."""
+    """The W_B = 1 test on one exact point, in Fractions: (b - b_ref).x has
+    denominator 1 for every digit b."""
     ref = b_exact[0]
     for b in b_exact[1:]:
         dot = sum((bb - rr) * xx for bb, rr, xx in zip(b, ref, point))
@@ -254,12 +254,11 @@ def _reference_w_equals_one(point, b_exact) -> bool:
 
 
 def assert_w_verdicts_match_fraction_reference(sys, p_max: int):
-    """enumerate_cycles' own verdicts, classify_w, find_w_cycles and the
-    w_only census against the per-point Fraction test."""
+    """enumerate_cycles' own verdicts, find_w_cycles and the w_only census
+    against the per-point Fraction test."""
     cycles = enumerate_cycles(sys, p_max)
     ref = [all(_reference_w_equals_one(pt, sys.B_exact) for pt in c.points) for c in cycles]
     assert [c.is_w_cycle for c in cycles] == ref
-    assert [classify_w(c, sys).is_w_cycle for c in cycles] == ref
     expected = [(c.word, c.period, c.points) for c, ok in zip(cycles, ref) if ok]
     found = find_w_cycles(sys, p_max)
     assert [(c.word, c.period, c.points) for c in found] == expected
@@ -287,7 +286,7 @@ def test_w_verdicts_with_fractional_digits():
 
 def test_classify_cantor4(cantor4):
     one_cycles = enumerate_cycles(cantor4, 1)
-    flags = {c.point_set(): classify_w(c, cantor4).is_w_cycle for c in one_cycles}
+    flags = {c.point_set(): c.is_w_cycle for c in one_cycles}
     assert flags[frozenset({(Fraction(0),)})] is True
     assert flags[frozenset({(Fraction(1, 3),)})] is False
 
@@ -310,7 +309,7 @@ def test_w_verdict_matches_float_weight(twindragon):
 
     w = weight_from_digits(twindragon.B)
     for cyc in enumerate_cycles(twindragon, 4):
-        verdict = classify_w(cyc, twindragon).is_w_cycle
+        verdict = cyc.is_w_cycle
         devs = [abs(float(np.asarray(w(p)).reshape(-1)[0]) - 1.0) for p in cyc.points_float]
         assert verdict == (max(devs) < 1e-9)
 

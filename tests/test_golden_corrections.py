@@ -8,13 +8,13 @@ from fractions import Fraction
 import numpy as np
 
 from ifsfourier import (
-    cycle_basin,
     find_w_cycles,
     generate_lambda,
     get_system,
-    m_eval,
     mu_hat_detail,
 )
+from reference import cycle_basin, m_eval
+from test_spectrum import assert_labels_match_cycle_basin
 
 
 def test_cantor4_first_ten_frequencies():
@@ -66,12 +66,10 @@ def test_planar_shear_basin_partition():
     sys = get_system("planar-shear")
     cycles = find_w_cycles(sys, 4)
     vertex = {i: tuple(int(v) for v in c.points[0]) for i, c in enumerate(cycles)}
-    assignment = {}
-    for x in range(-10, 11):
-        for y in range(-10, 11):
-            res = cycle_basin(sys, (x, y), cycles)
-            assert res.found  # the four basins cover the whole window
-            assignment[(x, y)] = vertex[cycles.index(res.cycle)]
+    window = [(x, y) for x in range(-10, 11) for y in range(-10, 11)]
+    labels = assert_labels_match_cycle_basin(sys, cycles, window)
+    assert min(labels) >= 0  # the four basins cover the whole window
+    assignment = {pt: vertex[label] for pt, label in zip(window, labels)}
     # each vertex sits in its own basin, and basins are forward-invariant:
     # one endomorphism step never changes the assigned cycle
     for i, c in enumerate(cycles):

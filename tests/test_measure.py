@@ -14,7 +14,6 @@ from ifsfourier import (
     cosine_weight,
     empirical_char,
     get_system,
-    m_eval,
     mu_hat,
     mu_hat_batch,
     mu_hat_detail,
@@ -27,6 +26,7 @@ from ifsfourier.measure import (EXACT_ZERO_CUTOFF, _branch_weights, _cosine_term
                                 _tail_depth, _zero_cutoff)
 from ifsfourier.ratlinalg import _over_common_denominator, mat_inverse
 from ifsfourier.system import IfsView, _angle_sums, fvec
+from reference import m_eval
 
 AFFINE = [name for name, entry in EXAMPLES.items() if entry.kind == "affine"]
 

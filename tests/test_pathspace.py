@@ -11,7 +11,6 @@ from ifsfourier import (
     AffineSystem,
     chaos_game,
     cosine_weight,
-    cylinder_weight,
     estimate_h,
     find_w_cycles,
     get_system,
@@ -20,7 +19,6 @@ from ifsfourier import (
     k_point,
     mu_hat_batch,
     mu_hat_detail,
-    path_weight_with_tail,
     riesz_chain,
     run_chain,
     sample_paths,
@@ -32,6 +30,7 @@ from ifsfourier.measure import _branch_pass, _branch_weights, _zero_cutoff
 from ifsfourier.pathspace import (NODE_ROWS, NODE_SHARE, QMF_SAMPLING_TOL, UNIFORM_BLOCK,
                                   PathEnsemble, _cut_pass, _cycle_labels, _walk,
                                   classification_radius)
+from reference import cylinder_weight, path_weight_with_tail
 from strategies import product_triple
 from test_measure import direct_branch_pass
 from test_spectrum import k_points_reference

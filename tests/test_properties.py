@@ -18,15 +18,18 @@ from ifsfourier import (
     check_duality,
     check_qmf,
     find_w_cycles,
+    get_system,
+    mat_inverse,
     mu_hat_batch,
     mu_hat_detail,
     power_system,
+    rational_matrix,
     weight_from_digits,
 )
 from ifsfourier import pathspace
 from ifsfourier.measure import _branch_weights, _float_terms, _tail_depth, _truncated_products
-from ifsfourier.spectrum import _closure
-from strategies import product_triple
+from ifsfourier.spectrum import _closure, lattice_basin_labels
+from strategies import conjugate_triple, product_triple
 from test_cycles import (
     assert_cycles_match_reference,
     assert_w_verdicts_match_fraction_reference,
@@ -329,3 +332,32 @@ def test_angle_addition_pass_on_generated_product_triples(pair, seed):
             ref = pathspace._walk(weight, view, x, length, count, seed, 0)
         assert np.array_equal(walk.words, ref.words)
         assert np.array_equal(walk.kept, ref.kept)
+
+
+@pytest.mark.parametrize("u", [[[1, 1], [0, 1]], [[2, 1], [1, 1]]], ids=["shear", "cat"])
+@pytest.mark.parametrize("name,p_max,radius,q", [("twindragon", 8, 6.0, 5),
+                                                 ("planar-shear", 4, 10.0, 1)])
+def test_conjugation_by_gl2z_maps_mu_hat_cycles_and_basins(name, p_max, radius, q, u):
+    # the triple moved by x -> U x (Łaba-Wang, JFA 2002): a Hadamard triple
+    # again, mu_hat'(t) = mu_hat(U^T t), W-cycles mapped by U^-T, and the
+    # basin of each mapped cycle the mapped basin
+    sys = get_system(name)
+    conj = conjugate_triple(sys, u)
+    assert check_duality(conj).passes
+    t = 3 * np.random.default_rng(27).standard_normal((200, 2))
+    assert np.max(np.abs(mu_hat_batch(conj, t) - mu_hat_batch(sys, t @ np.array(u)))) <= 1e-12
+    u_inv_t = mat_inverse(rational_matrix(u)).T
+    cycles, conj_cycles = find_w_cycles(sys, p_max), find_w_cycles(conj, p_max)
+    conj_sets = [c.point_set() for c in conj_cycles]
+    perm = [conj_sets.index(frozenset(tuple(u_inv_t @ np.array(p, dtype=object))
+                                      for p in c.points)) for c in cycles]
+    assert sorted(perm) == list(range(len(conj_cycles)))
+    pts, labels = lattice_basin_labels(sys, cycles, radius, q)
+    conj_pts, conj_labels = lattice_basin_labels(conj, conj_cycles, radius, q)
+    m = int(np.floor(radius * q))
+    images = pts @ u_inv_t.astype(np.int64).T
+    inside = np.all(np.abs(images) <= m, axis=1)
+    at = (images[inside] + m) @ (2 * m + 1) ** np.arange(1, -1, -1)
+    assert np.array_equal(conj_pts[at], images[inside])
+    assert np.array_equal(conj_labels[at], np.append(perm, -1)[labels[inside]])
+    assert inside.mean() > 0.3 and min(labels) >= 0

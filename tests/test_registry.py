@@ -5,12 +5,12 @@ import pytest
 
 from ifsfourier import (
     check_duality,
-    cycle_basin,
     find_w_cycles,
     generate_lambda,
     get_system,
 )
 from ifsfourier.registry import EXAMPLES, example_names
+from test_spectrum import assert_labels_match_cycle_basin
 
 
 def test_registry_names_fixed():
@@ -72,6 +72,6 @@ def test_golden_basin_examples():
     entry = EXAMPLES["planar-shear"]
     sys = entry.system()
     cycles = find_w_cycles(sys, entry.p_max)
-    for start, target in entry.golden["basin_examples"].items():
-        res = cycle_basin(sys, start, cycles)
-        assert tuple(int(v) for v in res.cycle.points[0]) == target
+    starts, targets = zip(*entry.golden["basin_examples"].items())
+    labels = assert_labels_match_cycle_basin(sys, cycles, starts)
+    assert [tuple(int(v) for v in cycles[i].points[0]) for i in labels] == list(targets)

@@ -9,7 +9,6 @@ import pytest
 from ifsfourier import (
     AffineSystem,
     completeness_sum,
-    cycle_basin,
     find_w_cycles,
     generate_lambda,
     grid_orthogonality,
@@ -21,11 +20,11 @@ from ifsfourier import (
     mu_hat_detail,
     verify_orthogonality,
 )
-from ifsfourier.cycles import _horner
 from ifsfourier.ratlinalg import _over_common_denominator
 from ifsfourier.registry import EXAMPLES
-from ifsfourier.spectrum import _closure, _parseval_terms, lattice_basin_labels
+from ifsfourier.spectrum import _closure, _horner, _parseval_terms, lattice_basin_labels
 from ifsfourier.system import fvec
+from reference import cycle_basin
 from test_cycles import fraction_expand, table_expand
 from test_measure import mu_hat_fraction_reference
 
@@ -311,12 +310,25 @@ def test_spectrum_set_is_its_sorted_table(name):
         assert spec.smallest() == sorted(spec.elements)
         for k in (0, 1, 7, len(rows) + 3):
             assert spec.smallest(k) == heapq.nsmallest(k, spec.elements)
-        assert spec.smallest_nonnegative_1d(9) == sorted(
-            e[0] for e in spec.elements if e[0] >= 0)[:9]
+        if spec.d == 1:
+            assert spec.smallest_nonnegative_1d(9) == sorted(
+                e[0] for e in spec.elements if e[0] >= 0)[:9]
         denominators.add(spec.q)
     assert (len(denominators) > 1) == (name == "growing-denominator")
     with pytest.raises(ValueError, match="count"):
         spec.smallest(-1)
+
+
+def test_smallest_nonnegative_1d_refuses_a_negative_count_and_d_above_1(cantor4, twindragon):
+    # a count of -1 once sliced off the last element: 7 of cantor4's 8
+    spec = generate_lambda(cantor4, find_w_cycles(cantor4, 2), 3)
+    assert [int(v) for v in spec.smallest_nonnegative_1d(100)] == [0, 1, 4, 5, 16, 17, 20, 21]
+    with pytest.raises(ValueError, match="count"):
+        spec.smallest_nonnegative_1d(-1)
+    # on d = 2 it read the first coordinate of each row
+    spec = generate_lambda(twindragon, find_w_cycles(twindragon, 2), 2)
+    with pytest.raises(ValueError, match="d = 1"):
+        spec.smallest_nonnegative_1d(3)
 
 
 # --- orthogonality and completeness -------------------------------------------
@@ -403,6 +415,16 @@ def test_grid_orthogonality_matches_per_value_reference(name):
     report = grid_orthogonality(sys, [0.3], span=100)
     assert (report.clique_size, report.n_edges, report.zero_anchored_sum,
             report.anchored_partner) == grid_reference(sys, [0.3])
+    report = grid_orthogonality(sys, [0.3], span=0)  # the one-point grid {0}
+    assert (report.clique_size, report.n_edges, report.zero_anchored_sum,
+            report.anchored_partner) == grid_reference(sys, [0.3], span=0)
+
+
+@pytest.mark.parametrize("bad", [{"denom": 0}, {"denom": -4}, {"span": -1}])
+def test_grid_orthogonality_rejects_bad_grids(cantor3, bad):
+    # denom 0 once raised ZeroDivisionError and span -1 an IndexError
+    with pytest.raises(ValueError, match="denom|span"):
+        grid_orthogonality(cantor3, [0.3], **bad)
 
 
 def test_completeness_contains_unit_term(cantor4, cantor4_w_cycles):
@@ -460,76 +482,82 @@ def test_windows_are_tabled_as_the_fvec_route_tables_them(name):
 
 # --- basins -------------------------------------------------------------------
 
-def cycle_basin_inline_reference(sys, x, w_cycles, max_steps, lattice_scale=None):
-    """(cycle, steps, orbit) of `cycle_basin`, with the branch map written out:
-    S^{-1}(z + l) in Fractions for every digit l."""
-    pt = fvec([x] if isinstance(x, (int, float, Fraction)) else x)
-    q = _over_common_denominator(pt)[1] if lattice_scale is None else int(lattice_scale)
-    s_inv = sys.l_view.inv_exact
-    l_vecs = [np.array(l, dtype=object) for l in sys.L_exact]
-    point_to_cycle = {p: cyc for cyc in w_cycles for p in cyc.points}
-    orbit, current = [pt], pt
-    for step in range(max_steps + 1):
-        if current in point_to_cycle:
-            return point_to_cycle[current], step, tuple(orbit)
-        images = [tuple(s_inv @ (np.array(current, dtype=object) + l)) for l in l_vecs]
-        (current,) = [y for y in images if all((c * q).denominator == 1 for c in y)]
-        orbit.append(current)
-    return None, max_steps, tuple(orbit)
+def cycle_index(res, cycles):
+    """Index of the cycle a BasinResult entered, -1 for none."""
+    return -1 if res.cycle is None else next(k for k, c in enumerate(cycles) if c is res.cycle)
+
+
+def labels_at(sys, cycles, points, q, max_steps=512) -> list:
+    """The `lattice_basin_labels` labels of points of (1/q) Z^d, read off the
+    least window that holds them all."""
+    z = np.array([[int(c * q) for c in fvec(x)] for x in points], dtype=np.int64)
+    m = int(np.abs(z).max())
+    pts, labels = lattice_basin_labels(sys, cycles, (m + 0.5) / q, q, max_steps)
+    at = (z + m) @ (2 * m + 1) ** np.arange(sys.d - 1, -1, -1)
+    assert np.array_equal(pts[at], z)
+    return labels[at].tolist()
+
+
+def assert_labels_match_cycle_basin(sys, cycles, points, q=1, max_steps=512) -> list:
+    """The shipped labels of the points are the cycles their orbits enter
+    under the per-point reference `cycle_basin`; returns the labels."""
+    labels = labels_at(sys, cycles, points, q, max_steps)
+    assert labels == [cycle_index(cycle_basin(sys, x, cycles, max_steps, q), cycles)
+                      for x in points]
+    return labels
 
 
 def test_cycle_basin_matches_the_inline_branch_map(planar_shear, twindragon):
     # the planar-shear golden window [-10, 10]^2, random integer points of
-    # planar-shear and random points of (1/5)Z^2 on twindragon
+    # planar-shear and random points of (1/5)Z^2 on twindragon, labelled by
+    # lattice_basin_labels and by the orbit of the written-out branch map
     rng = np.random.default_rng(43)
     shear, dragon = find_w_cycles(planar_shear, 4), find_w_cycles(twindragon, 8)
-    cases = [(planar_shear, shear, (x, y), None) for x in range(-10, 11) for y in range(-10, 11)]
-    cases += [(planar_shear, shear, tuple(map(int, rng.integers(-200, 201, 2))), None)
-              for _ in range(40)]
-    cases += [(twindragon, dragon, tuple(Fraction(int(v), 5) for v in rng.integers(-100, 101, 2)),
-               5) for _ in range(40)]
-    for sys, cycles, x, q in cases:
-        res = cycle_basin(sys, x, cycles, 64, q)
-        assert (res.cycle, res.steps, res.orbit) == cycle_basin_inline_reference(sys, x, cycles,
-                                                                                 64, q), x
+    window = [(x, y) for x in range(-10, 11) for y in range(-10, 11)]
+    far = [tuple(map(int, rng.integers(-200, 201, 2))) for _ in range(40)]
+    fifths = [tuple(Fraction(int(v), 5) for v in rng.integers(-100, 101, 2)) for _ in range(40)]
+    assert min(assert_labels_match_cycle_basin(planar_shear, shear, window + far, 1, 64)) >= 0
+    assert_labels_match_cycle_basin(twindragon, dragon, fifths, 5, 64)
 
 
 def test_basin_cycle_point_immediate(planar_shear):
     cycles = find_w_cycles(planar_shear, 1)
-    res = cycle_basin(planar_shear, (1, -1), cycles)
-    assert res.cycle.point_set() == {(Fraction(1), Fraction(-1))}
-    assert res.steps == 0
+    (label,) = assert_labels_match_cycle_basin(planar_shear, cycles, [(1, -1)], max_steps=0)
+    assert cycles[label].point_set() == {(Fraction(1), Fraction(-1))}
+    assert cycle_basin(planar_shear, (1, -1), cycles).steps == 0
 
 
 def test_basin_paper_examples(planar_shear):
     cycles = find_w_cycles(planar_shear, 1)
-    res = cycle_basin(planar_shear, (-3, -2), cycles)
-    assert res.cycle.point_set() == {(Fraction(0), Fraction(0))}
-    res = cycle_basin(planar_shear, (2, -3), cycles)
-    assert res.cycle.point_set() == {(Fraction(1), Fraction(-1))}
+    labels = assert_labels_match_cycle_basin(planar_shear, cycles, [(-3, -2), (2, -3)])
+    assert cycles[labels[0]].point_set() == {(Fraction(0), Fraction(0))}
+    assert cycles[labels[1]].point_set() == {(Fraction(1), Fraction(-1))}
 
 
 def test_basin_union_covers_window(planar_shear):
     cycles = find_w_cycles(planar_shear, 1)
-    for x in range(-6, 7):
-        for y in range(-6, 7):
-            assert cycle_basin(planar_shear, (x, y), cycles).found
+    window = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    assert min(assert_labels_match_cycle_basin(planar_shear, cycles, window)) >= 0
 
 
 def test_basin_off_lattice_rejected(planar_shear):
     cycles = find_w_cycles(planar_shear, 1)
     with pytest.raises(LatticeError):
         cycle_basin(planar_shear, (Fraction(1, 2), Fraction(0)), cycles)
+    with pytest.raises(LatticeError):
+        lattice_basin_labels(planar_shear, cycles, 0.5, 2)
 
 
 def test_basin_twindragon_lattice(twindragon):
     cycles = find_w_cycles(twindragon, 6)
-    res = cycle_basin(twindragon, (Fraction(2, 5), Fraction(-4, 5)), cycles)
-    assert res.steps == 0
+    (label,) = assert_labels_match_cycle_basin(
+        twindragon, cycles, [(Fraction(2, 5), Fraction(-4, 5))], 5, max_steps=0)
+    assert label >= 0
     # this orbit happens to enter the period-6 cycle
-    res = cycle_basin(twindragon, (Fraction(3, 5), Fraction(1, 5)), cycles, 256)
-    assert res.found
-    assert res.cycle.period == 6
+    (label,) = assert_labels_match_cycle_basin(
+        twindragon, cycles, [(Fraction(3, 5), Fraction(1, 5))], 5, max_steps=256)
+    assert label >= 0
+    assert cycles[label].period == 6
 
 
 @pytest.mark.parametrize("p_max", [6, 8])
@@ -720,11 +748,6 @@ def test_closure_refuses_a_scale_that_merges_the_digits(twindragon):
             stepper_basin_labels(twindragon, cycles, 1.0, q)
         with pytest.raises(LatticeError):
             lattice_basin_labels(twindragon, cycles, 1.0, q)
-
-
-def cycle_index(res, cycles):
-    """Index of the cycle a BasinResult entered, -1 for none."""
-    return -1 if res.cycle is None else next(k for k, c in enumerate(cycles) if c is res.cycle)
 
 
 @pytest.mark.parametrize("name,p_max,radius,q", [
