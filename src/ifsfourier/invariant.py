@@ -84,6 +84,8 @@ def run_chain(weight: Weight, view: IfsView, x0, n: int, burn_in: int = DEFAULT_
     independent chains advanced in lockstep (deterministic given seed)."""
     if n < 1 or n_chains < 1:
         raise ValueError("n and n_chains must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     n_chains = min(n_chains, n)
     counts = np.full(n_chains, n // n_chains)
     counts[-1] += n - int(counts.sum())

@@ -27,12 +27,13 @@ step is one map of its state, the same at every step.
 A walk whose weight has sup W < 1 has no W-cycle, and two copies of it
 driven by the same uniforms merge (Diaconis-Freedman, Iterated random
 functions, SIAM Rev. 1999; Propp-Wilson, coupling from the past, 1996).
-Such a walk runs in split time: each walk is cut into segments walked
-side by side, and each segment is joined to its predecessor at the first
-step where the two float states are equal bit for bit, so the result is
-bit-identical to one sequential walk.  W_B walks stay sequential: W_B is
-1 on its W-cycles, copies can be absorbed into different ones, and then
-they never merge.
+Such a walk runs in split time: each walk is cut into segments of equal
+length, walked side by side, and each segment is joined to its
+predecessor at the first step where the two float states are equal bit
+for bit, so the result is bit-identical to one sequential walk.  One
+driver (`_segments`) runs every walk, on one segment or on many.  W_B
+walks stay in one segment: W_B is 1 on its W-cycles, copies can be
+absorbed into different ones, and then they never merge.
 
 A W_B walk retires instead.  Its paths end in an endless repetition of a
 W-cycle (Dutkay-Jorgensen, Fourier frequencies in affine iterated
@@ -81,7 +82,7 @@ __all__ = [
 QMF_SAMPLING_TOL = 1e-9
 WORDS_CSV_ROWS = 10_000  # words `PathEnsemble.words_to_csv` writes, at most
 UNIFORM_BLOCK = 1 << 16  # uniforms per draw of the walk, over all its walks
-WIDTH = 2048  # rows a time-split walk steps at once, over all its segments
+WIDTH = 2048  # the most rows a walk of several segments steps at once, over all of them
 WINDOW = 128  # steps a segment's head may take to merge with its speculative steps
 RETIRE_STRIDE = 64  # steps between two tests of whether every walk has retired
 RING = 16  # the longest float period a walk is tested for when it may retire
@@ -379,84 +380,6 @@ def _tile(by_step, kept, keep_from: int, k: int, period, ring) -> None:
             kept[rows, at - keep_from::p] = ring[(k - p + i) % len(ring), rows, None]
 
 
-def _split_walk(weight: Weight, view: IfsView, x, length: int, count: int, rng,
-                keep_from: int, n_seg: int):
-    """`_walk` on n_seg segments per walk, walked side by side; None when a
-    head does not merge within WINDOW steps.
-
-    The rows are segment-major (row j count + r is segment j of walk r).
-    The first length % n_seg segments have s + 1 steps, the others s; each
-    segment draws its uniforms from its own copy of the stream, advanced to
-    its first step.  Words and kept states go straight into flat buffers,
-    addressed per row; a step outside a row's segment, or a state before
-    keep_from, goes to the buffers' last entry, the sink.  Two copies that
-    are equal after some step stay equal, so a head has merged within
-    WINDOW steps exactly when it equals its speculative state after step
-    WINDOW: that state is the one kept for the test."""
-    s, extra = divmod(length, n_seg)
-    firsts = np.arange(n_seg) * s + np.minimum(np.arange(n_seg), extra)
-    width = length + 1 - keep_from
-    words = np.empty(count * length + 1, dtype=np.int8)
-    kept = np.empty((count * width + 1, view.d))
-    if keep_from == 0:
-        kept[:-1].reshape(count, width, view.d)[:, 0] = x
-    walk, first = np.tile(np.arange(count), n_seg), np.repeat(firsts, count)
-    word_at = walk * length + first
-    state_at = walk * width + first + 1 - keep_from
-    kept_after = keep_from - 1 - first  # the local step from which a row's states are kept
-    long_rows = extra * count
-    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (n_seg * count, 1))
-    ends, at_window = np.empty_like(z), np.empty_like(z)
-
-    def run(segs, z, n_steps, speculative):
-        """Walk the rows of segments `segs` from z for n_steps steps; the
-        speculative pass keeps its states after step WINDOW in `at_window`
-        and those of the rows of s-step segments after step s in `ends`."""
-        rows = slice(segs.start * count, segs.stop * count)
-        word0, state0, after = word_at[rows], state_at[rows], kept_after[rows]
-        done = max(0, long_rows - rows.start)  # the rows from here on have s steps
-        n = len(z)
-        pw, pk, skip = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n, dtype=bool)
-        streams = [_stream(rng, int(firsts[j]) * count) for j in segs]
-        block = max(1, UNIFORM_BLOCK // n)
-        drawn = np.empty((len(streams), block * count))
-        uniforms = np.empty((block, n))
-
-        def draw(k):
-            for stream, chunk in zip(streams, drawn):
-                stream.random(out=chunk[: k * count])
-            by_step = uniforms[:k].reshape(k, len(streams), count)
-            by_step[...] = drawn[:, : k * count].reshape(-1, k, count).transpose(1, 0, 2)
-            return uniforms[:k]
-
-        def record(i, choices, z, node):
-            np.add(word0, i, out=pw)
-            np.add(state0, i, out=pk)
-            np.greater(after, i, out=skip)
-            if i == s:
-                skip[done:] = True
-                pw[done:] = len(words) - 1
-            np.putmask(pk, skip, len(kept) - 1)
-            words.put(pw, choices)
-            kept[pk] = z
-            if speculative and i == WINDOW - 1:
-                at_window[...] = z
-            if speculative and i == s - 1:
-                ends[done:] = z[done:]
-
-        _steps(weight, view, z, draw, record, n_steps, block, split=True)
-
-    # the speculative pass: every segment from x
-    run(range(n_seg), z, s + (extra > 0), speculative=True)
-    ends[:long_rows] = z[:long_rows]
-    # the head pass: segments 1.. from the speculative ends of their predecessors
-    heads = ends[:-count]
-    run(range(1, n_seg), heads, WINDOW, speculative=False)
-    if not np.array_equal(heads.view(np.int64), at_window[count:].view(np.int64)):
-        return None
-    return words[:-1].reshape(count, length), kept[:-1].reshape(count, width, view.d)
-
-
 @dataclass(frozen=True, eq=False)
 class Walk:
     """The result of `_walk`; it unpacks as (words, kept)."""
@@ -469,6 +392,80 @@ class Walk:
         return iter((self.words, self.kept))
 
 
+def _segments(weight: Weight, view: IfsView, x, length: int, count: int, rng,
+              keep_from: int, n_seg: int) -> Walk | None:
+    """`_walk` on n_seg segments per walk, walked side by side; None when a
+    head does not merge within WINDOW steps.
+
+    Each segment has s = ceil(length / n_seg) steps, segment j the steps
+    j s .. j s + s - 1, and there are ceil(length / s) of them, so none
+    starts past the end; the last one's steps past `length` are dropped.
+    The rows are segment-major (row j count + r is segment j of walk r),
+    and each segment draws its uniforms from its own copy of the stream,
+    advanced to its first step (`_stream`).  The words of step i of every
+    segment are one row of `by_step`, transposed once at the end; the
+    states after it, z_{j s + i + 1}, are columns s apart of the kept
+    states.  Two copies that are equal after some step stay equal, so a
+    head has merged within WINDOW steps exactly when it equals its
+    speculative state after step WINDOW: that state is the one kept for the
+    test.  One segment is the walk of `_steps` alone, which may retire or
+    step a node table."""
+    s = -(-length // n_seg)
+    n_seg = -(-length // s)
+    split = n_seg > 1
+    by_step = np.empty((s, n_seg * count), dtype=np.int8)  # the words, a contiguous row per step
+    kept = np.empty((count, length + 1 - keep_from, view.d))
+    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (n_seg * count, 1))
+    if keep_from == 0:
+        kept[:, 0] = z[:count]
+    at_window = np.empty_like(z[count:])
+
+    def run(first, z, n_steps):
+        """Walk the rows z of segments first.. for n_steps steps (`_steps`)."""
+        streams = [_stream(rng, j * s * count) for j in range(first, n_seg)]
+        block = max(1, UNIFORM_BLOCK // len(z))
+        if len(streams) == 1:
+            def draw(k):
+                return streams[0].random(k * count).reshape(k, count)
+        else:
+            drawn, uniforms = np.empty((len(streams), block * count)), np.empty((block, len(z)))
+
+            def draw(k):
+                for stream, chunk in zip(streams, drawn):
+                    stream.random(out=chunk[: k * count])
+                by_seg = uniforms[:k].reshape(k, len(streams), count)
+                by_seg[...] = drawn[:, : k * count].reshape(-1, k, count).transpose(1, 0, 2)
+                return uniforms[:k]
+
+        if not split:
+            def record(i, choices, table, node):
+                by_step[i] = choices
+                if i + 1 >= keep_from:
+                    kept[:, i + 1 - keep_from] = table if node is None else table.take(node, axis=0)
+        else:
+            def record(i, choices, table, node):
+                by_step[i, first * count:] = choices
+                lo = max(first, -((i + 1 - keep_from) // s))  # the first segment whose state is kept
+                out = kept[:, lo * s + i + 1 - keep_from::s]
+                segs = table.reshape(-1, count, view.d)[lo - first:lo - first + out.shape[1]]
+                out[...] = segs.swapaxes(0, 1)
+                if first == 0 and i == WINDOW - 1:
+                    at_window[...] = table[count:]
+
+        return _steps(weight, view, z, draw, record, n_steps, block, split)
+
+    retired = run(0, z, s)  # one segment: the walk; more: the speculative pass, every one from x
+    if split:  # the head pass: segments 1.. from the speculative ends of their predecessors
+        heads = z[:-count]
+        run(1, heads, WINDOW)
+        if not np.array_equal(heads.view(np.int64), at_window.view(np.int64)):
+            return None
+    elif retired is not None:
+        _tile(by_step, kept, keep_from, *retired)
+    words = by_step.reshape(s, n_seg, count).transpose(2, 1, 0).reshape(count, -1)[:, :length]
+    return Walk(np.ascontiguousarray(words), kept, retired_at=None if retired is None else retired[0])
+
+
 def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
           keep_from: int) -> Walk:
     """The branch walk: `count` independent walks of `length` steps from x.
@@ -479,12 +476,14 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     for several steps at once: `default_rng` gives the same stream in
     blocks as in one call per step.  Step k of walk r takes draw k count + r.
 
-    *Split time.*  When the walk has no W-cycle (`_segment_count`), each
-    walk is cut into K segments, all walked side by side from x (the
-    speculative pass), each on its own draws of the stream.  Segment 0
-    starts at the true x, so its steps are the walk's.  Then a head pass
-    restarts every later segment from the speculative end of its
-    predecessor, on the same draws, for WINDOW steps.  Two copies of a
+    *Split time.*  One driver, `_segments`, runs every walk: each walk is
+    cut into K segments of ceil(length / K) steps, and K = 1 unless the
+    walk has no W-cycle (`_segment_count`).  The K segments are walked
+    side by side from x (the speculative pass), each on its own draws of
+    the stream.  Segment 0 starts at the true x, so its steps are the
+    walk's.  Then a head pass restarts every later segment from the
+    speculative end of its predecessor, on the same draws, for WINDOW
+    steps.  Two copies of a
     walk with sup W < 1 driven by the same uniforms merge: once a head's
     state equals the speculative state bit for bit, every later step of
     the segment is the same as well, so the head's steps up to there and
@@ -492,7 +491,7 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     the segments the words and states are bit-identical to one segment's.
     A head that does not merge within WINDOW steps, or a QmfError (a NaN
     worst deviation included) in either pass, sends the walk back to one
-    segment, which raises what it raises.
+    segment (`_segments` with K = 1), which raises what it raises.
 
     *Retirement.*  A W_B walk is not split: W_B(0) = 1, copies fall into
     different W-cycles and need not merge at all.  Instead it retires: the
@@ -508,29 +507,12 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     n_seg = _segment_count(weight, x, length, count)
     if n_seg > 1:
         try:
-            split = _split_walk(weight, view, x, length, count, rng, keep_from, n_seg)
+            walk = _segments(weight, view, x, length, count, rng, keep_from, n_seg)
         except QmfError:
-            split = None
-        if split is not None:
-            return Walk(*split, retired_at=None)
-    z = np.tile(np.asarray(x, dtype=float).reshape(1, view.d), (count, 1))
-    by_step = np.empty((length, count), dtype=np.int8)  # the words, a contiguous row per step
-    kept = np.empty((count, length + 1 - keep_from, view.d))
-    if keep_from == 0:
-        kept[:, 0] = z
-
-    def record(step, choices, table, node):
-        by_step[step] = choices
-        if step + 1 >= keep_from:
-            kept[:, step + 1 - keep_from] = table if node is None else table.take(node, axis=0)
-
-    block = max(1, UNIFORM_BLOCK // count)
-    retired = _steps(weight, view, z, lambda k: rng.random(k * count).reshape(-1, count), record,
-                     length, block, split=False)
-    if retired is not None:
-        _tile(by_step, kept, keep_from, *retired)
-    return Walk(np.ascontiguousarray(by_step.T), kept,
-                retired_at=None if retired is None else retired[0])
+            walk = None
+        if walk is not None:
+            return walk
+    return _segments(weight, view, x, length, count, rng, keep_from, 1)
 
 
 def sample_paths(weight: Weight, view: IfsView, x, length: int, count: int,
@@ -545,6 +527,8 @@ def sample_paths(weight: Weight, view: IfsView, x, length: int, count: int,
         raise ValueError("length and count must be >= 1")
     if tail_window is None:
         tail_window = min(length, 8)
+    if tail_window < 0:
+        raise ValueError("tail_window must be >= 0")
     tail_window = min(tail_window, length)
     walk = _walk(weight, view, x, length, count, seed, length - tail_window)
     return PathEnsemble(

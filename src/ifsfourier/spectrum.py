@@ -279,6 +279,9 @@ def grid_orthogonality(sys: AffineSystem, x, denom: int = 4, span: int = 100,
         raise ValueError("denom must be >= 1")
     if span < 0:
         raise ValueError("span must be >= 0")
+    xs = np.asarray(x, dtype=float).ravel()
+    if len(xs) != 1:
+        raise ValueError("x must be one coordinate, got %d" % len(xs))
     # zero_flag[m]: mu_hat(m / denom) vanishes exactly (never at m = 0)
     zero_flag = _mu_hat_rows(sys, np.arange(2 * span + 1), denom, tail_tol)[2] > 0
     ks = range(-span, span + 1)
@@ -289,7 +292,7 @@ def grid_orthogonality(sys: AffineSystem, x, denom: int = 4, span: int = 100,
         clique = 3  # lower bound; not expected for the systems covered here
     else:
         clique = 2 if n_edges else 1
-    xf = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
+    xf = float(xs[0])
     base = abs(mu_hat_detail(sys, (Fraction(xf).limit_denominator(10**12),), tail_tol).value) ** 2
     partners = [[k] for k in ks if k != 0 and zero_flag[abs(k)]]
     if partners:
@@ -332,8 +335,8 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
         raise LatticeError("lattice basins need integer system data")
     if lattice_scale < 1:
         raise ValueError("lattice_scale must be >= 1")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= radius < np.inf:
+        raise ValueError("radius must be finite and >= 0")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     q, d = int(lattice_scale), sys.d

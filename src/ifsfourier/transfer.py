@@ -220,6 +220,8 @@ def cesaro(weight: Weight, view: IfsView, f: GridFunction, n_iter: int) -> GridF
 
 def check_qmf(weight: Weight, view: IfsView, n_probe: int = 10_000, seed: int = 0) -> float:
     """sup over random probe points of |sum_i W(tau_i x) - 1|."""
+    if n_probe < 1:
+        raise ValueError("n_probe must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = view.box(inflate=1.0)
     pts = rng.uniform(lo, hi, size=(n_probe, view.d))

@@ -125,6 +125,16 @@ def test_run_chain_rejects_empty():
         run_chain(w, view, [0.1], 0)
 
 
+def test_chains_refuse_a_negative_burn_in():
+    # burn_in -5 once returned uninitialized memory as the first states
+    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
+    view = IfsView("B", np.array([[4.0]]), np.array([[0.0], [2.0]]))
+    with pytest.raises(ValueError, match="burn_in"):
+        run_chain(w, view, [0.1], 100, burn_in=-5)
+    with pytest.raises(ValueError, match="burn_in"):
+        riesz_chain(100, burn_in=-5)
+
+
 def test_batch_mean_stderr_iid_scale():
     rng = np.random.default_rng(5)
     vals = rng.normal(size=32_000)

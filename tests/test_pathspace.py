@@ -130,6 +130,12 @@ def test_sample_paths_rejects_unnormalized(cantor4):
         sample_paths(bad, cantor4.l_view, [0.1], 4, 10, seed=0)
 
 
+def test_sample_paths_refuses_a_negative_tail_window(cantor4, cantor4_weight):
+    # tail_window -1 once raised a bare IndexError
+    with pytest.raises(ValueError, match="tail_window"):
+        sample_paths(cantor4_weight, cantor4.l_view, [0.3], 16, 10, seed=0, tail_window=-1)
+
+
 def test_estimate_h_at_cycle_point(cantor4, cantor4_weight, cantor4_w_cycles):
     est = estimate_h(
         cantor4_weight, cantor4.l_view, [0.0], cantor4_w_cycles, 32, 2000, seed=11
@@ -817,11 +823,12 @@ def _scale3_plane_case():
 
 
 @pytest.mark.parametrize("count,length,keep_from", [
-    (32, 32_250, 1001),  # the riesz bench shape: 62 segments of 520 or 521 steps
+    (32, 32_250, 1001),  # the riesz bench shape: 62 segments of 521 steps, 52 past the end
     (31, 20_000, 500),  # count does not divide WIDTH
-    (32, 10_001, 0),  # 19 segments, length % 19 = 7; z_0 kept
+    (32, 10_001, 0),  # 19 segments of 527 steps, 12 past the end; z_0 kept
     (32, 5000, 5000),  # only the final state kept
-    (5, 3001, 17),  # 5 segments, one of 601 steps
+    (5, 3001, 17),  # 5 segments of 601 steps, 4 past the end
+    (2, 40_000, 39_990),  # 78 segments of 513 steps: only the last one's states kept
 ])
 def test_split_walk_bit_identical_to_per_step_walk(count, length, keep_from):
     weight, view, x = _riesz_case()
@@ -833,15 +840,17 @@ def test_split_walk_bit_identical_to_per_step_walk(count, length, keep_from):
 
 
 def _spy_split(monkeypatch):
-    """The results of every `_split_walk` call, None for a walk sent back to
-    one segment."""
-    results, split_walk = [], pathspace._split_walk
+    """The results of every `_segments` call on more than one segment, None
+    for a walk sent back to one segment."""
+    results, segments = [], pathspace._segments
 
     def spy(*args):
-        results.append(split_walk(*args))
-        return results[-1]
+        walk = segments(*args)
+        if args[-1] > 1:
+            results.append(walk)
+        return walk
 
-    monkeypatch.setattr(pathspace, "_split_walk", spy)
+    monkeypatch.setattr(pathspace, "_segments", spy)
     return results
 
 

@@ -427,6 +427,13 @@ def test_grid_orthogonality_rejects_bad_grids(cantor3, bad):
         grid_orthogonality(cantor3, [0.3], **bad)
 
 
+@pytest.mark.parametrize("x", [[0.3, 99.0], [], np.zeros((2, 1))])
+def test_grid_orthogonality_refuses_x_of_other_than_one_coordinate(cantor3, x):
+    # [0.3, 99.0] once ran at 0.3 and ignored the rest
+    with pytest.raises(ValueError, match="one coordinate"):
+        grid_orthogonality(cantor3, x)
+
+
 def test_completeness_contains_unit_term(cantor4, cantor4_w_cycles):
     spec = generate_lambda(cantor4, cantor4_w_cycles, 4)
     elems = sorted(spec.elements)
@@ -783,11 +790,14 @@ def test_lattice_basin_labels_count_moves_like_cycle_basin(twindragon, max_steps
 
 
 @pytest.mark.parametrize("bad", [{"lattice_scale": 0}, {"lattice_scale": -5},
-                                 {"radius": -1.0}, {"max_steps": -1}])
+                                 {"radius": -1.0}, {"radius": np.inf}, {"radius": np.nan},
+                                 {"max_steps": -1}])
 def test_lattice_basins_reject_bad_input(twindragon, bad):
+    # radius inf once raised OverflowError and NaN numpy's conversion error
     cycles = find_w_cycles(twindragon, 4)
     kwargs = {"radius": 1.0, "lattice_scale": 5, **bad}
-    with pytest.raises(ValueError):
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
         lattice_basin_labels(twindragon, cycles, **kwargs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=name):
         lattice_basin_sums(twindragon, [0.3, -0.7], cycles, **kwargs)

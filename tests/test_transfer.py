@@ -146,6 +146,13 @@ def test_qmf_failure_non_hadamard():
     assert check_qmf(w, sys.l_view, n_probe=500, seed=1) > 0.1
 
 
+def test_qmf_check_refuses_no_probes(cantor4):
+    # n_probe 0 once raised numpy's zero-size reduction error
+    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
+    with pytest.raises(ValueError, match="n_probe"):
+        check_qmf(w, cantor4.l_view, n_probe=0)
+
+
 def test_cesaro_constant_fixed_point(cantor4, cantor4_weight, grid1d):
     lo, hi = grid1d
     one = GridFunction.constant(1.0, lo, hi, 512)
