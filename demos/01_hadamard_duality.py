@@ -9,7 +9,7 @@ the classic system with no orthogonal Fourier basis.
 
 import numpy as np
 
-from ifsfourier import check_duality, check_pair, get_system, tensor
+from ifsfourier import check_duality, check_pair, get_system
 from ifsfourier.hadamard import build_matrix
 
 for name in ("cantor4", "lambda15", "lambda63", "planar-shear", "twindragon", "cantor3"):
@@ -33,6 +33,6 @@ with np.printoptions(precision=2, suppress=True):
 print()
 print("Tensor products build bigger Hadamard matrices from small ones:")
 f2 = build_matrix([[0], [0.5]], [[0], [1]])
-f4 = tensor(f2, f2)
+f4 = np.kron(f2, f2)
 print("4x4 tensor square is unitary:", check_pair([[0], [0.5]], [[0], [1]]).passes,
       "->", np.allclose(f4.conj().T @ f4, np.eye(4)))

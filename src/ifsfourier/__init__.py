@@ -17,11 +17,10 @@ from .ratlinalg import (
     rational_matrix,
     SingularMatrixError,
 )
-from .hadamard import check_duality, check_pair, tensor, DualityReport, UnitarityReport
+from .hadamard import check_duality, check_pair, DualityReport, UnitarityReport
 from .measure import (
     Weight,
     chaos_game,
-    cosine_weight,
     empirical_char,
     mu_hat,
     mu_hat_batch,
@@ -80,8 +79,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineSystem", "IfsView", "frac_str", "fvec", "is_expansive", "mat_inverse",
     "mat_pow", "rational_matrix", "SingularMatrixError", "check_duality", "check_pair",
-    "tensor", "DualityReport", "UnitarityReport", "Weight", "chaos_game",
-    "cosine_weight", "empirical_char", "mu_hat", "mu_hat_batch", "mu_hat_detail",
+    "DualityReport", "UnitarityReport", "Weight", "chaos_game",
+    "empirical_char", "mu_hat", "mu_hat_batch", "mu_hat_detail",
     "points_to_csv", "weight_from_digits", "Cycle", "enumerate_cycles", "find_w_cycles",
     "power_system", "GramReport", "GridOrthogonality", "LatticeError", "SpectrumSet",
     "completeness_sum", "generate_lambda", "grid_orthogonality", "k_point",

@@ -67,16 +67,6 @@ class Cycle:
     def points_float(self) -> np.ndarray:
         return np.array([[float(c) for c in p] for p in self.points], dtype=float)
 
-    def point_set(self) -> frozenset:
-        return frozenset(self.points)
-
-    def rotations(self):
-        """All rotations of the word with matching base points: rotation r
-        starts the orbit at points[r]."""
-        p = self.period
-        for r in range(p):
-            yield tuple(self.word[(r + i) % p] for i in range(p)), self.points[r]
-
     def to_json_dict(self) -> dict:
         return {
             "word": list(self.word),

@@ -22,8 +22,9 @@ __all__ = [
     "build_matrix",
     "check_pair",
     "check_duality",
-    "tensor",
 ]
+
+PAIR_TOL = 1e-12  # the largest entry of U*U - I that `check_pair` accepts
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,9 @@ def build_matrix(a_set, b_set) -> np.ndarray:
     return np.exp(2j * np.pi * phases) / np.sqrt(n)
 
 
-def check_pair(a_set, b_set, tol: float = 1e-12) -> UnitarityReport:
-    """Report whether U*U = I within tol (max abs entry deviation)."""
-    return _unitarity(build_matrix(a_set, b_set), tol)
+def check_pair(a_set, b_set) -> UnitarityReport:
+    """Report whether U*U = I within PAIR_TOL (max abs entry deviation)."""
+    return _unitarity(build_matrix(a_set, b_set), PAIR_TOL)
 
 
 def _unitarity(u: np.ndarray, tol: float) -> UnitarityReport:
@@ -137,8 +138,3 @@ def check_duality(sys: AffineSystem, integrality_horizon: int = 16) -> DualityRe
         integrality_horizon=integrality_horizon,
         integrality_deviation=dev,
     )
-
-
-def tensor(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Kronecker product; unitary whenever both factors are."""
-    return np.kron(np.asarray(u), np.asarray(v))

@@ -126,16 +126,15 @@ def riesz_partial_density(t, n_factors: int) -> np.ndarray:
     return dens / (2.0 * np.pi)
 
 
-def riesz_chain(n: int, seed: int = 0, burn_in: int = DEFAULT_BURN_IN,
-                n_chains: int = DEFAULT_BATCHES, t0: float = 0.0) -> ChainSample:
-    """The circle walk t -> (t + 2 pi j)/3 with probability W((t + 2 pi j)/3).
+def riesz_chain(n: int, seed: int = 0, n_chains: int = DEFAULT_BATCHES) -> ChainSample:
+    """The circle walk t -> (t + 2 pi j)/3 with probability W((t + 2 pi j)/3),
+    from t = 0, after DEFAULT_BURN_IN steps.
 
     Stationary law: the Riesz product.  Runs as `run_chain` on the view
     x = t / 2 pi; states are angles in [0, 2 pi), shape (n,).
     """
     entry = EXAMPLES["riesz3"]
-    sample = run_chain(entry.weight, entry.view, [t0 / (2.0 * np.pi)], n,
-                       burn_in=burn_in, seed=seed, n_chains=n_chains)
+    sample = run_chain(entry.weight, entry.view, [0.0], n, seed=seed, n_chains=n_chains)
     states = sample.states[:, 0]
     states *= 2.0 * np.pi  # in place: the walk's buffer becomes the angles
     return replace(sample, states=states)
@@ -144,8 +143,14 @@ def riesz_chain(n: int, seed: int = 0, burn_in: int = DEFAULT_BURN_IN,
 def concentration_curve(states: np.ndarray, n_bins: int = 512) -> np.ndarray:
     """(q, mass) pairs: fraction of sample mass in the heaviest q-fraction
     of equal-width bins.  A qualitative singularity indicator: mass piling
-    into few bins as the resolution grows."""
-    flat = np.asarray(states, dtype=float).reshape(len(states), -1)
+    into few bins as the resolution grows.  Raises ValueError on n_bins < 1
+    or no states."""
+    states = np.asarray(states, dtype=float)
+    if n_bins < 1:
+        raise ValueError("n_bins must be >= 1, got %d" % n_bins)
+    if len(states) == 0:
+        raise ValueError("concentration_curve needs at least one state, got none")
+    flat = states.reshape(len(states), -1)
     lo, hi = flat.min(axis=0), flat.max(axis=0) + 1e-12
     idx = np.zeros(len(flat), dtype=np.int64)
     for a in range(flat.shape[1]):

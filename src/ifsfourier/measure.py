@@ -61,7 +61,6 @@ from .system import AffineSystem, IfsView, _positive_tolerance
 
 __all__ = [
     "Weight",
-    "cosine_weight",
     "weight_from_digits",
     "chaos_game",
     "MuHatResult",
@@ -245,20 +244,13 @@ def _cosine_polynomial(b: np.ndarray) -> tuple:
     return (k + 2.0 * np.count_nonzero(lead == 0)) / k ** 2, 2.0 * pairs / k ** 2, freqs
 
 
-def cosine_weight(c0: float, a, f, description: str = "") -> Weight:
-    """W(x) = c0 + sum_j a[j] cos(2 pi f[j].x) as a `Weight`, a of shape (P,)
-    and f of shape (P, d); a constant is P = 0 terms, f of shape (0, d).
-    Raises ValueError on other shapes."""
-    return Weight(c0, a, f, description)
-
-
-def weight_from_digits(digits, description: str = "") -> Weight:
+def weight_from_digits(digits) -> Weight:
     """W_B = |m_B|^2 / N for the digit rows B, as its cosine polynomial."""
     b = np.atleast_2d(np.asarray(digits, dtype=float))
-    return cosine_weight(*_cosine_polynomial(b), description or "|m_B|^2/N")
+    return Weight(*_cosine_polynomial(b), "|m_B|^2/N")
 
 
-def chaos_game(view: IfsView, n_samples: int, seed: int, x0=None, n_streams: int = 1) -> np.ndarray:
+def chaos_game(view: IfsView, n_samples: int, seed: int, n_streams: int = 1) -> np.ndarray:
     """Sample the invariant measure by random backward iteration.
 
     i.i.d. uniform digits push forward to mu under the symbol map, so the
@@ -266,38 +258,34 @@ def chaos_game(view: IfsView, n_samples: int, seed: int, x0=None, n_streams: int
     given (seed, n_streams): the seed is split into per-stream children
     and the streams' outputs are concatenated in stream order.
 
-    A stream's orbit is the affine recurrence x_k = A x_{k-1} + s_k, with
-    A = M^{-1} and s_k = A b for the k-th drawn digit b.  It is evaluated
-    by a doubling scan rather than one step at a time: row k starts as s_k
-    (row 0 also gets A x0), and the pass with lag h adds A^h times row
+    A stream's orbit from x_0 = 0 is the affine recurrence
+    x_k = A x_{k-1} + s_k, with A = M^{-1} and s_k = A b for the k-th drawn
+    digit b.  It is evaluated by a doubling scan rather than one step at a
+    time: row k starts as s_k, and the pass with lag h adds A^h times row
     k - h to row k, for h = 1, 2, 4, ...  After the pass with lag K/2,
-    row k holds sum_{j<K} A^j s_{k-j}, plus A^k x0 if k < K.  The scan
-    stops once K reaches the stream length or ||A^K||_2 <= eps/4.  What
-    it then drops from row k >= K is A^K x_{k-K}, with x_{k-K} an exact
-    orbit point, within R + P |x0| of 0 (R = `view.bounding_radius()`, P
-    the largest ||A^k||_2).  So truncation moves each point by at most
-    (eps/4) (R + P |x0|), on top of the rounding of the additions.  There
-    are log2 K passes, K the first power of two with ||A^K||_2 <= eps/4
-    (`IfsView.power_norms`), even where no step contracts: 5 on cantor4,
-    6 on planar-shear, 7 on twindragon.  The points agree with step-by-step
-    iteration to a few ulps of R + P |x0|, not bit for bit.
+    row k holds sum_{j<K} A^j s_{k-j}.  The scan stops once K reaches the
+    stream length or ||A^K||_2 <= eps/4.  What it then drops from row
+    k >= K is A^K x_{k-K}, with x_{k-K} an exact orbit point from 0,
+    within R = `view.bounding_radius()` of 0.  So truncation moves each
+    point by at most (eps/4) R, on top of the rounding of the additions.
+    There are log2 K passes, K the first power of two with
+    ||A^K||_2 <= eps/4 (`IfsView.power_norms`), even where no step
+    contracts: 5 on cantor4, 6 on planar-shear, 7 on twindragon.  The
+    points agree with step-by-step iteration to a few ulps of R, not bit
+    for bit.
     """
     if n_samples < 1 or n_streams < 1:
         raise ValueError("n_samples and n_streams must be >= 1")
-    if x0 is None:
-        x0 = np.zeros(view.d)
     counts = [n_samples // n_streams] * n_streams
     counts[-1] += n_samples - sum(counts)
     children = np.random.SeedSequence(seed).spawn(n_streams)
     inv_t = view.inv.T
     shifts = view.digits @ inv_t  # tau_i(x) = x @ inv_t + shifts[i]
-    start = np.asarray(x0, dtype=float).reshape(view.d) @ inv_t
     stop_norm = np.finfo(float).eps / 4
     chunks = []
     for child, count in zip(children, counts):
         rng = np.random.default_rng(child)
         out = shifts[rng.integers(0, view.n_digits, size=count)]
-        out[:1] += start  # a slice: with n_samples < n_streams a stream is empty
         power, lag = inv_t, 1
         while lag < count and np.linalg.norm(power, 2) > stop_norm:
             out[lag:] += out[:-lag] @ power
@@ -465,8 +453,10 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
     exact-zero cutoff are set to 0.  `spans`, lengths that sum to n, cuts the
     rows into runs of consecutive rows, each taken to the depth of its own
     largest norm (default: one run).  A row's value is then the one it has
-    in a batch of its run alone, for runs of two rows or more (numpy rounds
-    the phases of a one-row batch on N >= 3 its own way: a one-row matmul).
+    in a batch of its run alone.  A batch of one row runs as two rows, the
+    row twice, as numpy rounds a one-row product otherwise than a batch (on
+    N >= 3 the phases, a one-row matmul): a row's value does not depend on
+    its batch.
 
     On N = 2 systems the product is real until one phase per row (see
     `_float_terms`): one cosine per factor, and the zero flag |cos| < cutoff
@@ -486,12 +476,16 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
     spans = [len(pts)] if spans is None else [int(n) for n in spans]
     if sum(spans) != len(pts) or min(spans, default=0) < 0:
         raise ValueError("spans must be lengths >= 0 that sum to the %d rows" % len(pts))
+    one = len(pts) == 1
+    if one:
+        pts, spans = np.repeat(pts, 2, axis=0), [2]
     with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
         norms = np.linalg.norm(pts, axis=1)
     depth = np.repeat(np.array([_tail_depth(sys, run.max(initial=0.0), tail_tol)
                                 for run in np.split(norms, np.cumsum(spans)[:-1])],
                                dtype=np.int64), spans)
-    return _truncated_products(depth, _float_terms(sys, pts), scalar=False)[0]
+    values = _truncated_products(depth, _float_terms(sys, pts), scalar=False)[0]
+    return values[:1] if one else values
 
 
 def empirical_char(points: np.ndarray, t) -> complex:

@@ -147,21 +147,12 @@ class PathEnsemble:
     length: int
     words: np.ndarray  # (count, length) int8 digit indices
     seed: int
-    final_states: np.ndarray  # (count, d)
-    tail_states: np.ndarray  # (count, tail_window + 1, d), last steps
+    tail_states: np.ndarray  # (count, tail_window + 1, d), last steps, the final state last
     retired_at: int | None = None  # the step at which the walk retired (`_walk`), or None
 
     @property
     def count(self) -> int:
         return self.words.shape[0]
-
-    def cylinder_frequency(self, word) -> float:
-        """Empirical frequency of a prefix cylinder."""
-        word = np.asarray(list(word), dtype=self.words.dtype)
-        if len(word) > self.length:
-            raise ValueError("cylinder longer than the sampled paths")
-        hits = np.all(self.words[:, : len(word)] == word, axis=1)
-        return float(np.mean(hits))
 
     def words_to_csv(self, path) -> None:
         """One sampled word per row, digit indices in step order: the first
@@ -536,7 +527,6 @@ def sample_paths(weight: Weight, view: IfsView, x, length: int, count: int,
         length=length,
         words=walk.words,
         seed=seed,
-        final_states=walk.kept[:, -1].copy(),
         tail_states=walk.kept,
         retired_at=walk.retired_at,
     )
@@ -609,20 +599,19 @@ def _cycle_labels(ens: PathEnsemble, w_cycles, radius: float) -> np.ndarray:
 
 
 def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
-               count: int, seed: int, radius: float | None = None) -> HarmonicEstimate:
+               count: int, seed: int) -> HarmonicEstimate:
     """Classify sampled paths by which W-cycle their tail has entered.
 
     Classification inspects the last period-aligned state of each path:
     for a cycle of period p the state at the largest multiple of p not
-    exceeding the path length must fall within `radius` of one of the
-    cycle's points.  Paths near no cycle (or, pathologically, near more
-    than one) are reported as unclassified mass, never silently dropped
-    (`_cycle_labels`).
+    exceeding the path length must fall within `classification_radius`
+    of one of the cycle's points.  Paths near no cycle (or,
+    pathologically, near more than one) are reported as unclassified
+    mass, never silently dropped (`_cycle_labels`).
     """
     if not w_cycles:
         raise ValueError("at least one W-cycle is required")
-    if radius is None:
-        radius = classification_radius(w_cycles, view)
+    radius = classification_radius(w_cycles, view)
     max_period = max(c.period for c in w_cycles)
     ens = sample_paths(weight, view, x, length, count, seed, tail_window=max_period)
     assigned = _cycle_labels(ens, w_cycles, radius)
@@ -642,8 +631,7 @@ def estimate_h(weight: Weight, view: IfsView, x, w_cycles, length: int,
     )
 
 
-def h_closed_forms(sys: AffineSystem, x, cycles, depth: int,
-                   tail_tol: float | None = None) -> list:
+def h_closed_forms(sys: AffineSystem, x, cycles, depth: int) -> list:
     """Closed-form partial sums of h_C(x) = sum_{lambda in Lambda(C)}
     |mu_hat_B(x + lambda)|^2, the probability that a path from x ends in
     the cycle C, for every C in `cycles`, in one batch: each sum runs over
@@ -672,11 +660,10 @@ def h_closed_forms(sys: AffineSystem, x, cycles, depth: int,
         return []
     spans = [len(t) for t in tables]
     t = np.concatenate(tables) + np.atleast_1d(np.asarray(x, dtype=float))
-    terms = np.abs(mu_hat_batch(sys, t, tail_tol, spans)) ** 2
+    terms = np.abs(mu_hat_batch(sys, t, spans=spans)) ** 2
     return [float(np.sum(part)) for part in np.split(terms, np.cumsum(spans)[:-1])]
 
 
-def h_closed_form(sys: AffineSystem, x, cycle: Cycle, depth: int,
-                  tail_tol: float | None = None) -> float:
+def h_closed_form(sys: AffineSystem, x, cycle: Cycle, depth: int) -> float:
     """The closed-form partial sum of h_C(x) of one cycle (`h_closed_forms`)."""
-    return h_closed_forms(sys, x, [cycle], depth, tail_tol)[0]
+    return h_closed_forms(sys, x, [cycle], depth)[0]

@@ -28,6 +28,8 @@ __all__ = [
     "is_expansive",
 ]
 
+EXPANSIVITY_MARGIN = 1e-9  # eigenvalue moduli this close to 1 are ambiguous
+
 
 class SingularMatrixError(ValueError):
     """Raised when an exact solve meets a non-invertible matrix."""
@@ -132,19 +134,19 @@ def spectral_margin(r) -> float:
     return float(np.min(np.abs(ev))) - 1.0
 
 
-def is_expansive(r, margin: float = 1e-9) -> bool:
+def is_expansive(r) -> bool:
     """True iff every eigenvalue modulus exceeds 1.
 
-    Moduli within `margin` of 1 are rejected as ambiguous rather than
-    classified: expansivity is a strict inequality and the float
+    Moduli within EXPANSIVITY_MARGIN of 1 are rejected as ambiguous rather
+    than classified: expansivity is a strict inequality and the float
     eigensolver cannot certify a boundary case.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (r.shape,))
     moduli = np.abs(np.linalg.eigvals(r))
-    if np.any(np.abs(moduli - 1.0) < margin):
+    if np.any(np.abs(moduli - 1.0) < EXPANSIVITY_MARGIN):
         raise AmbiguousExpansivityError(
-            "eigenvalue modulus within %g of 1; cannot classify" % margin
+            "eigenvalue modulus within %g of 1; cannot classify" % EXPANSIVITY_MARGIN
         )
     return bool(np.all(moduli > 1.0))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import Weight, cosine_weight
+from .measure import Weight
 from .system import AffineSystem, IfsView
 
 __all__ = ["ExampleEntry", "EXAMPLES", "get_system", "example_names"]
@@ -127,7 +127,7 @@ EXAMPLES = {
             # x = t / 2 pi: the cube map on the circle as the 1-d IFS x -> (x + j)/3
             view=IfsView("riesz3", np.array([[3.0]]), np.arange(3.0).reshape(3, 1)),
             # W(e^{it}) = (2/3) cos^2 t = 1/3 + (1/3) cos(2 pi 2x), QMF for the cube map
-            weight=cosine_weight(1.0 / 3.0, [1.0 / 3.0], [[2.0]], "(2/3) cos^2(2 pi x)"),
+            weight=Weight(1.0 / 3.0, [1.0 / 3.0], [[2.0]], "(2/3) cos^2(2 pi x)"),
             golden={"nu_hat_1": 0.0, "nu_hat_6": 0.5},
         ),
     ]

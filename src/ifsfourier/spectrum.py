@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 ELEMENT_CAP = 100_000  # the default cap on the elements of one closure
+GRID_DENOM = 4  # `grid_orthogonality` works on the grid (1/GRID_DENOM) Z
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +262,8 @@ class GridOrthogonality:
         }
 
 
-def grid_orthogonality(sys: AffineSystem, x, denom: int = 4, span: int = 100,
-                       tail_tol: float | None = None) -> GridOrthogonality:
-    """Orthogonality graph on the grid {k/denom : |k| <= span} (d = 1).
+def grid_orthogonality(sys: AffineSystem, x, span: int = 100) -> GridOrthogonality:
+    """Orthogonality graph on the grid {k/4 : |k| <= span} (d = 1).
 
     Vertices are grid frequencies, edges the pairs with
     mu_hat_B(difference) exactly zero.  Reports the maximum clique size
@@ -275,15 +275,13 @@ def grid_orthogonality(sys: AffineSystem, x, denom: int = 4, span: int = 100,
     """
     if sys.d != 1:
         raise ValueError("grid orthogonality analysis is one-dimensional")
-    if denom < 1:
-        raise ValueError("denom must be >= 1")
     if span < 0:
         raise ValueError("span must be >= 0")
     xs = np.asarray(x, dtype=float).ravel()
     if len(xs) != 1:
         raise ValueError("x must be one coordinate, got %d" % len(xs))
-    # zero_flag[m]: mu_hat(m / denom) vanishes exactly (never at m = 0)
-    zero_flag = _mu_hat_rows(sys, np.arange(2 * span + 1), denom, tail_tol)[2] > 0
+    # zero_flag[m]: mu_hat(m / 4) vanishes exactly (never at m = 0)
+    zero_flag = _mu_hat_rows(sys, np.arange(2 * span + 1), GRID_DENOM)[2] > 0
     ks = range(-span, span + 1)
     adj = zero_flag[np.abs(np.subtract.outer(ks, ks))]
     n_edges = int(adj.sum()) // 2
@@ -293,13 +291,13 @@ def grid_orthogonality(sys: AffineSystem, x, denom: int = 4, span: int = 100,
     else:
         clique = 2 if n_edges else 1
     xf = float(xs[0])
-    base = abs(mu_hat_detail(sys, (Fraction(xf).limit_denominator(10**12),), tail_tol).value) ** 2
+    base = abs(mu_hat_detail(sys, (Fraction(xf).limit_denominator(10**12),)).value) ** 2
     partners = [[k] for k in ks if k != 0 and zero_flag[abs(k)]]
     if partners:
-        vals = _parseval_terms(sys, partners, denom, xf, tail_tol)
+        vals = _parseval_terms(sys, partners, GRID_DENOM, xf)
         best = int(np.argmax(vals))
         return GridOrthogonality(clique, n_edges, base + float(vals[best]),
-                                 (Fraction(partners[best][0], denom),))
+                                 (Fraction(partners[best][0], GRID_DENOM),))
     return GridOrthogonality(clique, n_edges, base, None)
 
 
@@ -307,8 +305,7 @@ class LatticeError(ValueError):
     """Raised when a point has no (or no unique) representation S y - l."""
 
 
-def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
-                         lattice_scale: int, max_steps: int = 512):
+def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float, lattice_scale: int):
     """Classify the window (1/q) Z^d, max-norm <= radius, by basin.
 
     The lattice endomorphism R_L (the unique y -> S^{-1}(y + l) staying on
@@ -323,12 +320,13 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
     `power_norms`, R_b the L-view's `bounding_radius`), so the closure
     keeps only the points in it (with a margin for rounding), and each
     point it reaches in the window has its label written at its index.
+    Disjoint levels in a finite ball run out: the closure runs until they
+    do.
 
     Returns (points (n, d) scaled by q, labels): label i means the orbit
-    entered w_cycles[i] within max_steps moves of R_L, so
-    the closure stops after level max_steps; -1 that it entered no listed
-    cycle.  Raises LatticeError unless N = |det S| and the digits q l lie
-    in distinct classes mod S Z^d: then every lattice point has one
+    enters w_cycles[i] under R_L; -1 that it enters no listed cycle.
+    Raises LatticeError unless N = |det S| and the digits q l lie in
+    distinct classes mod S Z^d: then every lattice point has one
     decomposition S y - l.
     """
     if not sys.exact_integer:
@@ -337,8 +335,6 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
         raise ValueError("lattice_scale must be >= 1")
     if not 0 <= radius < np.inf:
         raise ValueError("radius must be finite and >= 0")
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
     q, d = int(lattice_scale), sys.d
     s = np.array(sys.l_view.matrix_exact, dtype=np.int64)
     digits = np.array([[int(c * q) for c in l] for l in sys.L_exact], dtype=np.int64)
@@ -361,23 +357,17 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float,
                 raise LatticeError("cycle point %s is not on the 1/%d lattice"
                                    % (frac_str(p), q))
         level = own = np.array([[int(c * q) for c in p] for p in cyc.points], dtype=np.int64).T
-        for k in range(max_steps + 1):
+        while level.shape[1]:
             inside = np.all((level >= -m) & (level <= m), axis=0)
             label[place @ (level[:, inside] + m)] = ci
-            if k == max_steps:
-                break
-            level = ((s @ level)[:, None] - shifts).reshape(d, -1)
-            if k == 0:
-                level = level[:, ~np.all(level[:, :, None] == own[:, None], axis=0).any(axis=1)]
-            level = level[:, (level * level).sum(axis=0) <= reach * reach]
-            if not level.shape[1]:
-                break
+            back = ((s @ level)[:, None] - shifts).reshape(d, -1)
+            if level is own:
+                back = back[:, ~np.all(back[:, :, None] == own[:, None], axis=0).any(axis=1)]
+            level = back[:, (back * back).sum(axis=0) <= reach * reach]
     return pts, label
 
 
-def lattice_basin_sums(sys: AffineSystem, x, w_cycles, radius: float,
-                       lattice_scale: int, max_steps: int = 512,
-                       tail_tol: float | None = None):
+def lattice_basin_sums(sys: AffineSystem, x, w_cycles, radius: float, lattice_scale: int):
     """Per-cycle Parseval sums over a lattice window, via basin membership.
 
     For the Lebesgue-case systems (#digits = |det R|) the k-points of a
@@ -393,8 +383,8 @@ def lattice_basin_sums(sys: AffineSystem, x, w_cycles, radius: float,
     window mass (the out-of-window tail is 1 - coverage when the
     exponentials form an ONB).
     """
-    pts, label = lattice_basin_labels(sys, w_cycles, radius, lattice_scale, max_steps)
-    weights = _parseval_terms(sys, -pts, int(lattice_scale), x, tail_tol)
+    pts, label = lattice_basin_labels(sys, w_cycles, radius, lattice_scale)
+    weights = _parseval_terms(sys, -pts, int(lattice_scale), x)
     per_cycle = [float(weights[label == ci].sum()) for ci in range(len(w_cycles))]
     other = float(weights[label < 0].sum())
     return per_cycle, other, float(weights.sum())

@@ -109,18 +109,6 @@ class IfsView:
             return None
         return mat_inverse(self.matrix_exact)
 
-    def tau(self, digit_index: int, x) -> tuple:
-        """Apply one inverse branch exactly: the point x (a scalar or a
-        d-vector of ints, Fractions or floats, each read as the rational it
-        is) maps to the tuple of Fractions matrix^{-1}(x + digit).  A point is
-        exact, a batch is float: batches take `tau_all`.  Raises ValueError
-        on a view without exact mirrors, as `expand` does."""
-        if self.matrix_exact is None:
-            raise ValueError("exact branches need rational view data")
-        xe = np.array(fvec(np.ravel(np.asarray(x, dtype=object))), dtype=object)
-        de = np.array(self.digits_exact[digit_index], dtype=object)
-        return tuple(self.inv_exact @ (xe + de))
-
     def tau_all(self, points: np.ndarray) -> np.ndarray:
         """All branch images of a batch: shape (N, n_points, d)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

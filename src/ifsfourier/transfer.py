@@ -94,9 +94,6 @@ class GridFunction:
         out = _weighted_sum(_corners(self, pts.T.copy()), self.values)
         return out if len(out) > 1 else out[:1].reshape(())
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def to_csv(self, path) -> None:
         """Rows of (coordinates..., value) at 17 significant digits."""
         nodes = self.nodes()
@@ -114,12 +111,6 @@ class GridFunction:
         res = (resolution,) * len(lo) if np.isscalar(resolution) else tuple(resolution)
         nodes = GridFunction(lo=lo, hi=hi, values=np.empty(res)).nodes()
         return GridFunction(lo=lo, hi=hi, values=np.asarray(fn(nodes)).reshape(res))
-
-    @staticmethod
-    def constant(value, lo, hi, resolution) -> "GridFunction":
-        dtype = complex if isinstance(value, complex) else float
-        return GridFunction.sample(lambda pts: np.full(len(pts), value, dtype=dtype),
-                                   lo, hi, resolution)
 
 
 def _weighted_sum(stencil: tuple, values: np.ndarray) -> np.ndarray:

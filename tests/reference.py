@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ifsfourier import AffineSystem, Cycle, LatticeError, IfsView, Weight
+from ifsfourier import AffineSystem, Cycle, LatticeError, IfsView, PathEnsemble, Weight
 from ifsfourier.cycles import _lyndon_ranks, _words
 from ifsfourier.measure import _as_rows
 from ifsfourier.pathspace import _cut_pass
@@ -25,6 +25,19 @@ from ifsfourier.system import frac_str, fvec
 
 
 # --- exact linear algebra and cycles -------------------------------------------
+
+def tau(view: IfsView, digit_index: int, x) -> tuple:
+    """Apply one inverse branch exactly: the point x (a scalar or a d-vector
+    of ints, Fractions or floats, each read as the rational it is) maps to
+    the tuple of Fractions matrix^{-1}(x + digit), the exact one-point form
+    of `IfsView.tau_all`.  Raises ValueError on a view without exact
+    mirrors, as `IfsView.expand` does."""
+    if view.matrix_exact is None:
+        raise ValueError("exact branches need rational view data")
+    xe = np.array(fvec(np.ravel(np.asarray(x, dtype=object))), dtype=object)
+    de = np.array(view.digits_exact[digit_index], dtype=object)
+    return tuple(view.inv_exact @ (xe + de))
+
 
 def rational_vector(entries) -> np.ndarray:
     """Build a 1-d object array of Fractions."""
@@ -61,10 +74,18 @@ def cycle_from_word(sys: AffineSystem, word) -> Cycle:
     rhs = np.array(_horner(sys.l_view, word, [Fraction(0)] * sys.d), dtype=object)
     points = [fvec(solve_exact(m, rhs))]
     for idx in word:
-        points.append(fvec(sys.l_view.tau(idx, points[-1])))
+        points.append(fvec(tau(sys.l_view, idx, points[-1])))
     if points.pop() != points[0]:
         raise AssertionError("cycle round trip failed for word %s" % (word,))
     return Cycle(word=word, period=len(word), points=tuple(points))
+
+
+def rotations(cycle: Cycle):
+    """All rotations of the cycle's word with matching base points: rotation
+    r starts the orbit at points[r]."""
+    p = cycle.period
+    for r in range(p):
+        yield tuple(cycle.word[(r + i) % p] for i in range(p)), cycle.points[r]
 
 
 # --- the digit symbol and path weights -----------------------------------------
@@ -97,6 +118,15 @@ def _word_weights(weight: Weight, view: IfsView, x, word) -> tuple:
 def cylinder_weight(weight: Weight, view: IfsView, x, word) -> float:
     """prod_k W(z_k) along the word; in [0, 1] under QMF; empty word -> 1."""
     return float(np.prod(_word_weights(weight, view, x, list(word))[1]))
+
+
+def cylinder_frequency(ens: PathEnsemble, word) -> float:
+    """Empirical frequency of a prefix cylinder among sampled paths, the
+    estimate of `cylinder_weight`."""
+    word = np.asarray(list(word), dtype=ens.words.dtype)
+    if len(word) > ens.length:
+        raise ValueError("cylinder longer than the sampled paths")
+    return float(np.mean(np.all(ens.words[:, : len(word)] == word, axis=1)))
 
 
 def cycle_tail_weight(weight: Weight, view: IfsView, z, cycle: Cycle,

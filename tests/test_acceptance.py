@@ -191,7 +191,7 @@ def test_c05_completeness_levels8():
 # -- 6: non-ONB witness ----------------------------------------------------------
 
 def test_c06_cantor3_witness():
-    rep = grid_orthogonality(get_system("cantor3"), [0.3], denom=4, span=100)
+    rep = grid_orthogonality(get_system("cantor3"), [0.3], span=100)
     # regression value of the plateau, frozen from the first run
     ok = rep.clique_size == 2
     ok &= rep.zero_anchored_sum <= 0.96

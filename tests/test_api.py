@@ -21,8 +21,14 @@ REMOVED = {"weight_function", "pi_truncated", "ruelle_iterate", "riesz_weight",
            # per-item references: in tests/reference.py, or deleted (classify_w)
            "classify_w", "cycle_from_word", "aperiodic_necklaces", "solve_exact",
            "rational_vector", "m_eval", "cylinder_weight", "cycle_tail_weight",
-           "path_weight_with_tail", "_word_weights", "cycle_basin", "BasinResult"}
-REMOVED_METHODS = {("SpectrumSet", "floats"), ("ChainSample", "blocks")}
+           "path_weight_with_tail", "_word_weights", "cycle_basin", "BasinResult",
+           # aliases: callers construct `Weight` and use `np.kron`
+           "cosine_weight", "tensor"}
+REMOVED_METHODS = {("SpectrumSet", "floats"), ("ChainSample", "blocks"),
+                   # only the tests called these; references in tests/reference.py
+                   ("IfsView", "tau"), ("Cycle", "rotations"), ("Cycle", "point_set"),
+                   ("GridFunction", "max_abs"), ("GridFunction", "constant"),
+                   ("PathEnsemble", "cylinder_frequency"), ("PathEnsemble", "final_states")}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -41,7 +47,7 @@ def test_removed_methods_stay_gone(cls, name):
 
 def test_package_exports_are_unique_and_cover_the_core():
     assert len(ifsfourier.__all__) == len(set(ifsfourier.__all__))
-    assert {"Weight", "cosine_weight", "weight_from_digits", "enumerate_cycles", "riesz_chain",
+    assert {"Weight", "weight_from_digits", "enumerate_cycles", "riesz_chain",
             "check_qmf", "EXAMPLES"} <= set(ifsfourier.__all__)
 
 
@@ -64,20 +70,94 @@ def _loaded_names(paths) -> set:
     return names
 
 
+def _caller_paths() -> list:
+    """The files whose calls count: the package outside `__init__`, the demos
+    and the benchmark."""
+    src = ROOT / "src" / "ifsfourier"
+    return ([p for p in src.glob("*.py") if p.name != "__init__.py"]
+            + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")))
+
+
+def _calls(paths) -> dict:
+    """Every call in the files by the name it calls (a plain or attribute
+    name), as (positional count, keywords, unpacks *args or **kwargs)."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append((
+                    len(node.args), {k.arg for k in node.keywords},
+                    any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def _exported():
+    """(module, name, object) for every name a layer module exports."""
+    for name in MODULES[1:]:
+        mod = importlib.import_module(name)
+        for export in getattr(mod, "__all__", []):
+            yield name, export, getattr(mod, export)
+
+
+def _public_members(cls) -> dict:
+    """A class's own public methods and properties, by name."""
+    return {name: member for name, member in vars(cls).items() if not name.startswith("_")
+            and (inspect.isfunction(member)
+                 or isinstance(member, (property, classmethod, staticmethod)))}
+
+
 def test_every_exported_function_has_a_caller():
     # the package ships what runs: a function a layer module exports is
     # called by the package, a demo or the benchmark; references that only
     # the tests call live in tests/reference.py
-    src = ROOT / "src" / "ifsfourier"
-    loaded = _loaded_names([p for p in src.glob("*.py") if p.name != "__init__.py"]
-                           + sorted((ROOT / "demos").glob("*.py"))
-                           + sorted((ROOT / "bench").glob("*.py")))
+    loaded = _loaded_names(_caller_paths())
     uncalled = []
     for name in MODULES[1:]:
         mod = importlib.import_module(name)
         uncalled += [(name, fn) for fn in getattr(mod, "__all__", [])
                      if inspect.isfunction(getattr(mod, fn)) and fn not in loaded | PAPER_OBJECTS]
     assert uncalled == []
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it():
+    # an option exists only where a caller in the package, a demo or the
+    # benchmark passes it, by keyword or by position (calls are matched by
+    # the name they call); one no caller passes is a constant
+    calls = _calls(_caller_paths())
+    functions = []
+    for module, name, obj in _exported():
+        if inspect.isfunction(obj) and name not in PAPER_OBJECTS:
+            functions.append((module + "." + name, name, obj, 0))
+        elif inspect.isclass(obj):
+            for member, fn in _public_members(obj).items():
+                if isinstance(fn, property):
+                    continue
+                bound = 0 if isinstance(fn, staticmethod) else 1
+                fn = fn.__func__ if isinstance(fn, (classmethod, staticmethod)) else fn
+                functions.append((module + "." + obj.__name__ + "." + member, member, fn, bound))
+    unpassed = []
+    for label, name, fn, bound in sorted(set(functions), key=lambda f: f[0]):
+        params = list(inspect.signature(fn).parameters.values())
+        for i, param in enumerate(params):
+            if param.default is param.empty or param.kind in (param.VAR_POSITIONAL,
+                                                              param.VAR_KEYWORD):
+                continue
+            if not any(unpacks or param.name in keywords
+                       or (param.kind != param.KEYWORD_ONLY and n_args + bound > i)
+                       for n_args, keywords, unpacks in calls.get(name, [])):
+                unpassed.append((label, param.name))
+    assert unpassed == []
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller():
+    # a method or property exists only where the package, a demo or the
+    # benchmark reads it; dunders are exempt
+    loaded = _loaded_names(_caller_paths())
+    unread = sorted({(obj.__name__, member) for _, _, obj in _exported() if inspect.isclass(obj)
+                     for member in _public_members(obj) if member not in loaded})
+    assert unread == []
 
 
 def test_cycle_tol_is_no_field():

@@ -40,7 +40,7 @@ def test_twindragon_w_cycle_census():
     cycles4 = find_w_cycles(sys, 4)
     assert Counter(c.period for c in cycles4) == {1: 2, 2: 1, 4: 3}
     extra = [c for c in cycles4 if c.word == (0, 0, 1, 1)][0]
-    assert extra.point_set() == {
+    assert frozenset(extra.points) == {
         (Fraction(2, 5), Fraction(-4, 5)),
         (Fraction(-1, 5), Fraction(-3, 5)),
         (Fraction(-2, 5), Fraction(-1, 5)),

@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ifsfourier import AffineSystem, check_duality, check_pair, tensor
+from ifsfourier import AffineSystem, check_duality, check_pair
 from ifsfourier.hadamard import build_matrix
 
 F2 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -11,7 +12,7 @@ F2 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 def test_pair_scale4_passes():
     # R^{-1}B = {0, 1/2} against L = {0, 1} gives the 2x2 Fourier matrix
-    rep = check_pair([[0], [0.5]], [[0], [1]], 1e-12)
+    rep = check_pair([[0], [0.5]], [[0], [1]])
     assert rep.passes
     assert rep.max_deviation < 1e-12
     u = build_matrix([[0], [0.5]], [[0], [1]])
@@ -107,8 +108,19 @@ def test_integrality_fails_on_a_half_beside_a_large_dot():
     assert rep.integrality_deviation == 0.5
 
 
+def product_pair(a1, b1, a2, b2) -> tuple:
+    """The product (A1 x A2, B1 x B2) of two pairs of digit sets, rows in
+    lexicographic order: its matrix is np.kron of the factors' matrices."""
+    return tuple([list(u) + list(v) for u, v in itertools.product(x1, x2)]
+                 for x1, x2 in ((a1, a2), (b1, b2)))
+
+
 def test_tensor_two_fourier_matrices():
-    got = tensor(F2, F2)
+    # ({0, 1/2}^2, {0, 1}^2) has the tensor square of F2 as its matrix
+    a, b = product_pair([[0], [0.5]], [[0], [1]], [[0], [0.5]], [[0], [1]])
+    got = build_matrix(a, b)
+    assert np.allclose(got, np.kron(F2, F2), atol=1e-15)
+    assert check_pair(a, b).passes
     expected_rows = {
         (1, 1, 1, 1),
         (1, 1, -1, -1),
@@ -121,20 +133,24 @@ def test_tensor_two_fourier_matrices():
 
 
 def test_tensor_identity_factor():
-    u = np.array([[1j]])
-    assert np.allclose(tensor(F2, u), 1j * F2)
+    # a one-digit factor ({1/4}, {1}) multiplies the matrix by exp(2 pi i / 4) = i
+    a, b = product_pair([[0], [0.5]], [[0], [1]], [[0.25]], [[1]])
+    assert np.allclose(build_matrix(a, b), 1j * F2, atol=1e-15)
+    assert check_pair(a, b).passes
 
 
 def test_tensor_of_unitaries_is_unitary():
+    # the product of two Hadamard pairs is one: a shift of A multiplies the
+    # columns by phases, and the product's matrix is the tensor product
     rng = np.random.default_rng(5)
     for _ in range(5):
-        theta, phi = rng.uniform(0, 2 * np.pi, 2)
-        u = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        ) * np.exp(1j * phi)
-        v = F2 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        w = tensor(u, v)
-        assert np.allclose(w.conj().T @ w, np.eye(4), atol=1e-12)
+        c1, c2 = rng.uniform(-1, 1, 2)
+        a1, b1 = [[c1], [c1 + 0.5]], [[0], [1]]
+        a2, b2 = [[c2], [c2 + 1 / 3], [c2 + 2 / 3]], [[0], [1], [2]]
+        a, b = product_pair(a1, b1, a2, b2)
+        w = build_matrix(a, b)
+        assert np.allclose(w, np.kron(build_matrix(a1, b1), build_matrix(a2, b2)), atol=1e-12)
+        assert check_pair(a, b).passes
 
 
 def test_mismatched_cardinalities():

@@ -5,14 +5,15 @@ import pytest
 
 from ifsfourier import (
     EXAMPLES,
+    Weight,
     check_qmf,
-    cosine_weight,
     empirical_char,
     mu_hat_detail,
     run_chain,
     weight_from_digits,
 )
 from ifsfourier.invariant import (
+    DEFAULT_BURN_IN,
     batch_mean_stderr,
     concentration_curve,
     fourier_coefficient,
@@ -29,7 +30,7 @@ def riesz_weight(t):
 
 def test_chain_uniform_weight_samples_mu(cantor4):
     # W = 1/N on the B view: stationary law is mu_B itself
-    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
+    w = Weight(0.5, [], np.empty((0, 1)), "1/N")
     chain = run_chain(w, cantor4.b_view, [0.1], 60_000, burn_in=200, seed=1)
     for t in (0.2, -0.35):
         emp = empirical_char(chain.states, [t])
@@ -41,7 +42,7 @@ def test_chain_uniform_weight_samples_mu(cantor4):
 
 def test_chain_single_map_collapses(cantor4):
     view = IfsView("B", cantor4.R, np.array([[0.0]]))
-    w = cosine_weight(1.0, [], np.empty((0, 1)), "1")
+    w = Weight(1.0, [], np.empty((0, 1)), "1")
     chain = run_chain(w, view, [0.5], 500, burn_in=100, seed=2)
     assert np.max(np.abs(chain.states)) < 1e-12
 
@@ -102,13 +103,23 @@ def _reference_riesz_chain(n, seed, burn_in, n_chains, t0=0.0):
     return keep[:, burn_in:], choices[:, burn_in:]
 
 
+def riesz_angles(n, seed, burn_in, n_chains, t0) -> np.ndarray:
+    """The states of `run_chain` on the riesz3 entry from the angle t0, as
+    angles: `riesz_chain` is this walk from t0 = 0 after DEFAULT_BURN_IN
+    steps."""
+    entry = EXAMPLES["riesz3"]
+    sample = run_chain(entry.weight, entry.view, [t0 / (2.0 * np.pi)], n, burn_in=burn_in,
+                       seed=seed, n_chains=n_chains)
+    return sample.states[:, 0] * (2.0 * np.pi)
+
+
 @pytest.mark.parametrize("burn_in,t0", [(0, 0.0), (0, 1.3), (25, 4.0)])
 def test_riesz_chain_matches_reference_loop(burn_in, t0):
     n, n_chains = 32 * 150, 32
-    chain = riesz_chain(n, seed=5, burn_in=burn_in, n_chains=n_chains, t0=t0)
+    states = riesz_angles(n, 5, burn_in, n_chains, t0)
     angles, ref_choices = _reference_riesz_chain(n, 5, burn_in, n_chains, t0)
-    assert chain.states.shape == (n,)
-    got = chain.states.reshape(n_chains, -1)
+    assert states.shape == (n,)
+    got = states.reshape(n_chains, -1)
     assert np.max(np.abs(got - angles)) < 1e-14
     # branch j maps t to (t + 2 pi j) / 3, so j = (3 t_k - t_{k-1}) / 2 pi
     # (after a burn-in the state before the first recorded one is unknown)
@@ -118,8 +129,17 @@ def test_riesz_chain_matches_reference_loop(burn_in, t0):
     assert np.array_equal(choices[:, start:], ref_choices[:, start:])
 
 
+def test_riesz_chain_is_the_riesz3_walk_from_zero():
+    n, n_chains = 16 * 200, 16
+    chain = riesz_chain(n, seed=5, n_chains=n_chains)
+    assert chain.burn_in == DEFAULT_BURN_IN and chain.states.shape == (n,)
+    assert chain.states.tobytes() == riesz_angles(n, 5, DEFAULT_BURN_IN, n_chains, 0.0).tobytes()
+    angles = _reference_riesz_chain(n, 5, DEFAULT_BURN_IN, n_chains)[0]
+    assert np.max(np.abs(chain.states.reshape(n_chains, -1) - angles)) < 1e-14
+
+
 def test_run_chain_rejects_empty():
-    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
+    w = Weight(0.5, [], np.empty((0, 1)), "1/N")
     view = IfsView("B", np.array([[4.0]]), np.array([[0.0], [2.0]]))
     with pytest.raises(ValueError):
         run_chain(w, view, [0.1], 0)
@@ -127,12 +147,10 @@ def test_run_chain_rejects_empty():
 
 def test_chains_refuse_a_negative_burn_in():
     # burn_in -5 once returned uninitialized memory as the first states
-    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
+    w = Weight(0.5, [], np.empty((0, 1)), "1/N")
     view = IfsView("B", np.array([[4.0]]), np.array([[0.0], [2.0]]))
     with pytest.raises(ValueError, match="burn_in"):
         run_chain(w, view, [0.1], 100, burn_in=-5)
-    with pytest.raises(ValueError, match="burn_in"):
-        riesz_chain(100, burn_in=-5)
 
 
 def test_batch_mean_stderr_iid_scale():
@@ -234,6 +252,20 @@ def test_concentration_curve_shape():
     assert curve[0, 1] >= 0.9  # most mass in the single heaviest bin
     assert curve[-1, 1] == pytest.approx(1.0)
     assert np.all(np.diff(curve[:, 1]) >= -1e-12)
+
+
+def test_concentration_curve_refuses_fewer_than_one_bin():
+    # n_bins 0 once returned [[inf, 1.]] with a divide-by-zero warning
+    for n_bins in (0, -3):
+        with pytest.raises(ValueError, match="n_bins must be >= 1"):
+            concentration_curve(np.ones((5, 1)), n_bins=n_bins)
+
+
+def test_concentration_curve_refuses_no_states():
+    # an empty states array once raised numpy's reshape error
+    for states in (np.empty(0), np.empty((0, 2)), []):
+        with pytest.raises(ValueError, match="at least one state"):
+            concentration_curve(states)
 
 
 def test_riesz_weight_is_a_cosine_polynomial(monkeypatch):

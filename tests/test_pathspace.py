@@ -9,8 +9,8 @@ import pytest
 from ifsfourier import (
     EXAMPLES,
     AffineSystem,
+    Weight,
     chaos_game,
-    cosine_weight,
     estimate_h,
     find_w_cycles,
     get_system,
@@ -30,7 +30,7 @@ from ifsfourier.measure import _branch_pass, _branch_weights, _zero_cutoff
 from ifsfourier.pathspace import (NODE_ROWS, NODE_SHARE, QMF_SAMPLING_TOL, UNIFORM_BLOCK,
                                   PathEnsemble, _cut_pass, _cycle_labels, _walk,
                                   classification_radius)
-from reference import cylinder_weight, path_weight_with_tail
+from reference import cylinder_frequency, cylinder_weight, path_weight_with_tail
 from strategies import product_triple
 from test_measure import direct_branch_pass
 from test_spectrum import k_points_reference
@@ -89,17 +89,17 @@ def test_sample_paths_deterministic(cantor4, cantor4_weight):
     a = sample_paths(cantor4_weight, cantor4.l_view, [0.3], 16, 200, seed=5)
     b = sample_paths(cantor4_weight, cantor4.l_view, [0.3], 16, 200, seed=5)
     assert np.array_equal(a.words, b.words)
-    assert a.cylinder_frequency([0]) > 0.5
+    assert cylinder_frequency(a, [0]) > 0.5
 
 
 def test_sample_paths_zero_start_locks(cantor4, cantor4_weight):
     ens = sample_paths(cantor4_weight, cantor4.l_view, [0.0], 24, 500, seed=6)
     # W kills the other branch at the origin, so every word is all zeros
-    assert ens.cylinder_frequency([0] * 24) == 1.0
+    assert cylinder_frequency(ens, [0] * 24) == 1.0
 
 
 def test_sample_paths_uniform_weight_is_bernoulli(cantor4):
-    w = cosine_weight(0.5, [], np.empty((0, 1)), "1/N")
+    w = Weight(0.5, [], np.empty((0, 1)), "1/N")
     ens = sample_paths(w, cantor4.l_view, [0.1], 4, 20_000, seed=8)
     # chi-square over the 16 length-4 cylinders
     counts = np.zeros(16)
@@ -119,7 +119,7 @@ def test_sample_paths_cylinder_frequencies(cantor4, cantor4_weight):
     for _ in range(20):
         n = int(rng.integers(1, 6))
         word = tuple(int(v) for v in rng.integers(0, 2, n))
-        emp = ens.cylinder_frequency(word)
+        emp = cylinder_frequency(ens, word)
         exact = cylinder_weight(cantor4_weight, view, [0.3], word)
         assert abs(emp - exact) < 4.0 / np.sqrt(count)
 
@@ -203,7 +203,7 @@ def test_cycle_labels_match_the_per_cycle_loop(name):
         tail += rng.normal(size=tail.shape) * radius * rng.uniform(0.0, 3.0, shape + (1,))
         ens = PathEnsemble(start=tail[0, 0], length=length,
                            words=np.zeros((shape[0], length), dtype=np.int8), seed=0,
-                           final_states=tail[:, -1], tail_states=tail)
+                           tail_states=tail)
         for r in (radius, 4 * radius, 100 * radius):
             labels, near_two = per_cycle_labels(ens, cycles, r)
             assert np.array_equal(_cycle_labels(ens, cycles, r), labels)
@@ -380,7 +380,6 @@ def test_sample_paths_matches_reference_walk(name, x):
     words, states = _reference_walk(w, sys_.l_view, x, length, count, seed=21)
     assert np.array_equal(ens.words, words)
     assert np.array_equal(ens.tail_states, states[:, length - tail_window:])
-    assert np.array_equal(ens.final_states, states[:, -1])
 
 
 @pytest.mark.parametrize("name,x", WALK_CASES)
@@ -466,7 +465,6 @@ def test_walk_matches_exponential_kernel_walk(name, x):
                                           length - tail_window)
     assert np.array_equal(ens.words, words)
     assert np.array_equal(ens.tail_states, tail)
-    assert np.array_equal(ens.final_states, tail[:, -1])
     # narrow: 32 chains draw 2048 steps at a time, so 2602 steps cross a block
     n, burn_in, n_chains = 32 * 2500 + 2, 100, 32
     assert UNIFORM_BLOCK // n_chains == 2048
@@ -624,7 +622,7 @@ def _qmf_outcome(monkeypatch, walk, changes, count, length):
         w.fill(values[0])
         return w
     patch_branch_pass(monkeypatch, step_weights)
-    half = cosine_weight(0.5, [], np.empty((0, 1)), "1/2")
+    half = Weight(0.5, [], np.empty((0, 1)), "1/2")
     try:
         walk(half, get_system("cantor4").l_view, [0.3], length, count, 7, length)
     except ValueError as exc:
@@ -819,7 +817,7 @@ def _scale3_plane_case():
     phases g.z = (z_1 + z_2) / 3 sum two products."""
     digits = [[i, j] for i in range(3) for j in range(3)]
     sys_ = AffineSystem.create([[3, 0], [0, 3]], digits, digits, name="scale3-plane")
-    return cosine_weight(1 / 9, [0.1], [[1.0, 1.0]]), sys_.l_view, [0.3, -0.7]
+    return Weight(1 / 9, [0.1], [[1.0, 1.0]]), sys_.l_view, [0.3, -0.7]
 
 
 @pytest.mark.parametrize("count,length,keep_from", [
@@ -879,7 +877,7 @@ def test_split_walk_raises_what_one_segment_raises(monkeypatch):
     # the Riesz weight scaled by 1 + 1e-6: sup W < 1 still, so the walk splits,
     # and every row sum breaks QMF
     riesz = EXAMPLES["riesz3"].weight
-    bad = cosine_weight(riesz.c0 * (1 + 1e-6), riesz.a * (1 + 1e-6), riesz.f)
+    bad = Weight(riesz.c0 * (1 + 1e-6), riesz.a * (1 + 1e-6), riesz.f)
     view = EXAMPLES["riesz3"].view
     assert pathspace._segment_count(bad, [0.1], 6000, 32) > 1
     with pytest.raises(pathspace.QmfError) as split:
@@ -1001,7 +999,7 @@ def test_a_repeated_state_with_two_live_branches_does_not_retire(monkeypatch):
     # retires; one segment is the walk that tests for retirement
     monkeypatch.setattr(pathspace, "_segment_count", lambda *args: 1)
     view = IfsView("L", np.array([[4.0]]), np.array([[1.0], [1.0]]))
-    half = cosine_weight(0.5, [], np.empty((0, 1)), "1/2")
+    half = Weight(0.5, [], np.empty((0, 1)), "1/2")
     walk = _walk(half, view, [0.3], 1200, 32, 4, 1100)
     ref_words, ref_kept = per_step_walk(half, view, [0.3], 1200, 32, 4, 1100)
     assert walk.retired_at is None
@@ -1035,7 +1033,7 @@ def test_retiring_walk_raises_what_the_walk_of_every_step_raises(monkeypatch):
     # uniform block (2048 steps) breaks QMF.  Every row retires inside that
     # block, and the walk raises the block's message and deviation
     w_b = weight_from_digits(get_system("cantor4").B)
-    weight = cosine_weight(w_b.c0 * (1 + 1e-6), w_b.a * (1 + 1e-6), w_b.f)
+    weight = Weight(w_b.c0 * (1 + 1e-6), w_b.a * (1 + 1e-6), w_b.f)
     view, x = get_system("cantor4").l_view, [0.3]
     found = _spy_periods(monkeypatch)
     with pytest.raises(pathspace.QmfError) as retiring:
