@@ -275,8 +275,8 @@ def grid_orthogonality(sys: AffineSystem, x, span: int = 100) -> GridOrthogonali
     """
     if sys.d != 1:
         raise ValueError("grid orthogonality analysis is one-dimensional")
-    if span < 0:
-        raise ValueError("span must be >= 0")
+    if not isinstance(span, (int, np.integer)) or span < 0:
+        raise ValueError("span must be an integer >= 0")
     xs = np.asarray(x, dtype=float).ravel()
     if len(xs) != 1:
         raise ValueError("x must be one coordinate, got %d" % len(xs))

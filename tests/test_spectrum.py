@@ -419,9 +419,9 @@ def test_grid_orthogonality_matches_per_value_reference(name):
             report.anchored_partner) == grid_reference(sys, [0.3], span=0)
 
 
-@pytest.mark.parametrize("bad", [{"span": -1}])
+@pytest.mark.parametrize("bad", [{"span": 2.5}, {"span": -100}, {"span": -1}])
 def test_grid_orthogonality_rejects_bad_grids(cantor3, bad):
-    # span -1 once raised an IndexError
+    # span -1 once raised an IndexError and 2.5 a TypeError
     with pytest.raises(ValueError, match="span"):
         grid_orthogonality(cantor3, [0.3], **bad)
 
@@ -785,6 +785,26 @@ def test_lattice_basin_labels_follow_every_orbit_to_its_cycle(twindragon):
     (at,) = np.flatnonzero(np.all(pts == [-5, 2], axis=1))
     assert labels[at] >= 0
     assert cycle_basin(twindragon, (-1, Fraction(2, 5)), cycles, 512, 5).steps == 4
+
+
+@pytest.mark.parametrize("moves", [0, 1, 3, 4, 8])
+def test_lattice_basin_labels_count_moves_like_cycle_basin(twindragon, moves):
+    # every orbit that cycle_basin sees enter a cycle within `moves` moves is
+    # labelled with that cycle; the labels are not held to any such count
+    cycles = find_w_cycles(twindragon, 8)
+    pts, labels = lattice_basin_labels(twindragon, cycles, 1.0, 5)
+    resolved = 0
+    for pt, label in zip(pts, labels):
+        res = cycle_basin(twindragon, [Fraction(int(c), 5) for c in pt], cycles, moves, 5)
+        if res.found:
+            resolved += 1
+            assert res.steps <= moves
+            assert label == cycle_index(res, cycles)
+    assert 0 < resolved <= int((labels >= 0).sum())
+    # (-1, 2/5) reaches its cycle in exactly four moves and is labelled at every count
+    (at,) = np.flatnonzero(np.all(pts == [-5, 2], axis=1))
+    assert labels[at] >= 0
+    assert cycle_basin(twindragon, (-1, Fraction(2, 5)), cycles, moves, 5).found == (moves >= 4)
 
 
 @pytest.mark.parametrize("bad", [{"lattice_scale": 0}, {"lattice_scale": -5},
