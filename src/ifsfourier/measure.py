@@ -15,7 +15,18 @@ A single point (`mu_hat_detail`) is read as the rational it is, even a
 float one, and carries S^{-k} t as integer numerators;
 `ratlinalg._exp_2pi_i` reduces each phase mod 1 exactly before the float
 exp, and such zeros are reported as exact.  A batch (`mu_hat_batch`) runs
-in floats.  On the float rows of a two-digit system each factor is real up
+in floats, one factor at a time only down to a head level K
+(`_head_levels`).  Past K every phase 2 pi (b - bbar).t_k is tiny (bbar the
+mean digit), so each factor is exp(2 pi i bbar.t_k - 2 pi^2 t_k.Sigma_B t_k)
+up to its first neglected cumulant (Sigma_B the covariance of the digits),
+and the factors K+1..D multiply to one Gaussian closed form in t_K,
+
+    exp(2 pi i u_r.t_K - 2 pi^2 t_K.Q_r t_K),  r = D - K,
+    u_r = sum_{j<=r} S^{-jt} bbar,  Q_r = sum_{j<=r} S^{-jt} Sigma_B S^{-j},
+
+with u_r and Q_r cached on the system.  K is the least level at which the
+closed form moves the product by at most eps, never past the depth D.
+On the float rows of a two-digit system each factor is real up
 to a unit phase,
 
     m_B(t) / sqrt(2) = exp(pi i s.t) cos(pi delta.t),  s = b0 + b1,  delta = b1 - b0,
@@ -305,6 +316,12 @@ class MuHatResult:
         return complex(self.value)
 
 
+def _power_tails(view: IfsView) -> np.ndarray:
+    """T_K = sum_{k>K} |S^{-k}|_2 for K = 0..h-1, h = len(`IfsView.power_norms`):
+    the norms past K plus `IfsView.power_tail`."""
+    return view.power_norms()[::-1].cumsum()[::-1] + view.power_tail()
+
+
 def _tail_depth(sys: AffineSystem, t_norms, tail_tol: float | None) -> np.ndarray:
     """Per norm |t|, the smallest K >= 1 with 2 pi max|b| |t| T_K < tail_tol
     (0 for t = 0).  T_K bounds sum_{k>K} |S^{-k}|_2: below h it sums the
@@ -314,7 +331,7 @@ def _tail_depth(sys: AffineSystem, t_norms, tail_tol: float | None) -> np.ndarra
     tail_tol = sys.tail_tol if tail_tol is None else _positive_tolerance(tail_tol, "tail_tol")
     norms = sys.l_view.power_norms()
     h, q = len(norms), float(norms[-1])
-    tails = norms[::-1].cumsum()[::-1] + sys.l_view.power_tail()  # T_K, K = 0..h-1
+    tails = _power_tails(sys.l_view)
     max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
     with np.errstate(over="ignore", invalid="ignore"):
         x = 2.0 * np.pi * max_b * np.asarray(t_norms, dtype=float)
@@ -334,18 +351,61 @@ def _tail_depth(sys: AffineSystem, t_norms, tail_tol: float | None) -> np.ndarra
     return depth.astype(np.int64)
 
 
-def _truncated_products(depth: np.ndarray, terms, scalar: bool) -> tuple:
+def _tail_sum(sys: AffineSystem, r: int) -> tuple:
+    """(u_r, Q_r) of `AffineSystem._tail_sums`, the system's cache extended
+    up to r if it is shorter."""
+    sums = sys._tail_sums
+    if len(sums) <= r:
+        bbar, cov = sys._digit_moments[:2]
+        u, q, p = sums[-1]
+        while len(sums) <= r:
+            p = sys.l_view.inv @ p
+            u, q = u + p.T @ bbar, q + p.T @ cov @ p
+            sums.append((u, q, p))
+    return sums[r][:2]
+
+
+def _head_levels(sys: AffineSystem, t_norms, depth) -> np.ndarray:
+    """Per norm |t| with depth D (`_tail_depth`), the head level K <= D of the
+    float product: factors 1..K are multiplied one by one, and K+1..D enter
+    at once as the closed-form tail (`_gaussian_tail`).
+
+    Write m_B(t_j) / sqrt(N) = exp(2 pi i bbar.t_j) E exp(i Y_j), with
+    Y_j = 2 pi (b - bbar).t_j over the digits b.  Past K every |Y_j| is at
+    most phi_K = x sup_{j>K} |S^{-j}|_2, x = 2 pi rho |t|
+    (`AffineSystem._digit_moments`), and E exp(i Y) is exp(-E Y^2 / 2) up to
+    phi^m / 4, m the first neglected cumulant (the third, or on a B
+    symmetric about bbar the fourth).  Factors of modulus at most 1 move a
+    product by at most the sum of their errors, so the tail is off by at most
+    sum_{j>K} phi_j^m / 4 <= phi_K^(m-1) x T_K / 4 (`_power_tails`).  K is
+    the least level >= 1 where that is at most eps, and D where no level
+    below h = len(`power_norms`) qualifies."""
+    rho, m = sys._digit_moments[2:]
+    norms = sys.l_view.power_norms()
+    sup = np.maximum(np.maximum.accumulate(norms[::-1])[::-1], sys.l_view.power_tail())
+    x = 2.0 * np.pi * rho * np.asarray(t_norms, dtype=float)[..., None]
+    with np.errstate(over="ignore"):
+        fits = (x * sup) ** (m - 1) * (x * _power_tails(sys.l_view)) <= 4.0 * np.finfo(float).eps
+    head = np.where(fits.any(axis=-1), np.maximum(np.argmax(fits, axis=-1), 1), depth)
+    return np.minimum(head, depth)
+
+
+def _truncated_products(depth: np.ndarray, dtype, terms, tail=None) -> tuple:
     """The one loop over truncated-product levels: row i is prod_{k <= depth[i]}
-    m_B(t_k) / sqrt(N), t_k = S^{-k} t_i.  `terms(rows, k)` steps its rows to
-    level k and returns (factors, turns): the factors m_B(t_k) / sqrt(N), or
-    real factors and the turns of the unit phases pulled out of them (else
-    None).  Each row's turns are summed, and its phase is applied once, after
-    the loop.  A row stops at its depth or at its first factor below the
-    exact-zero cutoff, whose k is its zero_level (else 0).  numpy rounds a
-    complex multiply of two or more rows (fused SIMD) unlike one row; `scalar`
-    multiplies Python complex numbers instead, so that a row's value does not
-    depend on its batch."""
-    values = np.ones(len(depth), dtype=object if scalar else complex)
+    m_B(t_k) / sqrt(N), t_k = S^{-k} t_i, held in an array of `dtype`.
+    `terms(rows, k)` steps its rows to level k and returns (factors, turns):
+    the factors m_B(t_k) / sqrt(N), or real factors and the turns of the
+    unit phases pulled out of them (else None).  Each row's turns are summed,
+    and its phase is applied once, after the loop.  A row stops at its depth
+    or at its first factor below the exact-zero cutoff, whose k is its
+    zero_level (else 0).  `tail(rows)`, if given, takes the rows that reach
+    their depth (an index array, or a full slice) and returns a real scale
+    and turns per row: the scale multiplies the real and imaginary parts of
+    the row's value, and the turns add to its phase (`_float_terms`).  numpy
+    rounds a complex multiply of two or more rows (fused SIMD) unlike one
+    row; the exact path's dtype object multiplies Python complex numbers
+    instead, so that a row's value does not depend on its batch."""
+    values = np.ones(len(depth), dtype=dtype)
     phase, zero_level = np.zeros(len(depth)), np.zeros(len(depth), dtype=np.int64)
     rows, ends = np.flatnonzero(depth > 0), set(depth.tolist())  # ends: levels rows stop at
     k = 0
@@ -354,29 +414,74 @@ def _truncated_products(depth: np.ndarray, terms, scalar: bool) -> tuple:
         live = slice(None) if rows.size == len(depth) else rows  # a view while all rows are
         factors, turns = terms(live, k)
         zero = np.abs(factors) < EXACT_ZERO_CUTOFF
-        values[live] *= factors.astype(values.dtype, copy=False)
+        values[live] *= factors.astype(dtype, copy=False)
         if turns is not None:
             phase[live] += turns
         if k in ends or zero.any():
             zero_level[rows[zero]] = k
-            rows = rows[~zero & (depth[rows] > k)]
-    if phase.any():
+            rows = rows[~zero]
+            end = depth[rows] == k
+            if tail is not None and end.any():
+                # a view while all rows end here
+                at = slice(None) if end.size == len(depth) and end.all() else rows[end]
+                scale, turns = tail(at)
+                values.view(float).reshape(len(depth), -1)[at] *= scale[:, None]  # (re, im)
+                phase[at] += turns
+            rows = rows[~end]
+    if phase.any():  # one complex array: a real product turns complex here
         phase -= np.rint(phase)
-        values *= np.exp(2j * np.pi * phase).astype(values.dtype, copy=False)
+        unit = np.multiply(2j * np.pi, phase)
+        values = np.multiply(values, np.exp(unit, out=unit), out=unit)
+    values = values.astype(complex, copy=False)
     values[zero_level > 0] = 0j
-    return values.astype(complex, copy=False), zero_level
+    return values, zero_level
 
 
-def _float_terms(sys: AffineSystem, pts: np.ndarray):
-    """`terms` of `_truncated_products` for float rows: t_k = t_{k-1} S^{-t}.
+def _gaussian_tail(x: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple:
+    """(exp(-2 pi^2 x.Q x), u.x) at the rows x, coordinate by coordinate with
+    elementwise ufuncs (no matmul), so that a row's value does not depend on
+    the other rows."""
+    quad, turns, term = np.zeros(len(x)), np.zeros(len(x)), np.empty(len(x))
+    for a, xa in enumerate(x.T):
+        turns += np.multiply(xa, u[a], out=term)
+        for b, xb in enumerate(x.T):
+            np.multiply(xa, xb, out=term)
+            quad += np.multiply(term, q[a, b], out=term)
+    quad *= -2.0 * np.pi ** 2
+    return np.exp(quad, out=quad), turns
+
+
+def _float_terms(sys: AffineSystem, pts: np.ndarray, ends=None, rest=None) -> tuple:
+    """(dtype, terms, tail) of `_truncated_products` for float rows:
+    t_k = t_{k-1} S^{-t}.
 
     For N = 2, m_B(t) / sqrt(2) = exp(pi i s.t) cos(pi delta.t) with s = b0 + b1
     and delta = b1 - b0.  Each level then gives the real factor cos(2 pi h),
     h = delta.t_k / 2 reduced mod 1, and the turns s.t_k / 2, also reduced
-    mod 1.  For other N the factor is the mean of exp(2 pi i b.t_k) over the
-    digits.  Every row is stepped at every level; only the live rows give
-    factors."""
+    mod 1; the product stays real (dtype float) until the phase.  For other N
+    the factor is the mean of exp(2 pi i b.t_k) over the digits.  Every row
+    is stepped at every level; only the live rows give factors.
+
+    The rows come in runs, run j ending before row ends[j].  `rest[j]` is the
+    number r of factors its rows take in closed form past the depth K they
+    are given in `_truncated_products` (their head level): the product of
+    m_B(S^{-j} t_K) / sqrt(N) over j <= r is
+    exp(2 pi i u_r.t_K - 2 pi^2 t_K.Q_r t_K) (`_tail_sum`) up to the bound of
+    `_head_levels`, a real scale and turns (`_gaussian_tail`).  Without a
+    positive rest the tail is None."""
     s_inv_t, tk = sys.l_view.inv.T, np.array(pts, dtype=float)
+
+    def tail(at):
+        if len(rest) == 1:
+            return _gaussian_tail(tk[at], *_tail_sum(sys, int(rest[0])))
+        rows = np.arange(len(tk))[at]
+        lengths = rest[np.searchsorted(ends, rows, side="right")]
+        scale, turns = np.empty(len(rows)), np.empty(len(rows))
+        for r in sorted(set(lengths.tolist())):  # np.unique would import numpy.ma
+            mine = lengths == r
+            scale[mine], turns[mine] = _gaussian_tail(tk[rows[mine]], *_tail_sum(sys, r))
+        return scale, turns
+    tail = tail if rest is not None and rest.any() else None
     if sys.N == 2:
         half = np.stack([sys.B[1] - sys.B[0], sys.B[0] + sys.B[1]]) / 2.0
 
@@ -386,18 +491,20 @@ def _float_terms(sys: AffineSystem, pts: np.ndarray):
             ht -= np.rint(ht)
             h *= 2.0 * np.pi
             return np.cos(h, out=h), turns
-        return cosines
+        return float, cosines, tail
     sqrt_n = np.sqrt(sys.N)
 
     def terms(live, k):
         tk[...] = tk @ s_inv_t
         return np.exp(2j * np.pi * (tk @ sys.B.T)[live]).sum(axis=1) / sqrt_n / sqrt_n, None
-    return terms
+    return complex, terms, tail
 
 
-def _exact_terms(sys: AffineSystem, num: np.ndarray, q: int):
-    """`terms` for an integer table, rows t = n / q, in integers: with
-    A = D S^{-1} and b = beta / e integral, b.t_k = (beta A^k).n / (e q D^k)."""
+def _exact_terms(sys: AffineSystem, num: np.ndarray, q: int) -> tuple:
+    """(object, terms) of `_truncated_products` for an integer table, rows
+    t = n / q, in integers: with A = D S^{-1} and b = beta / e integral,
+    b.t_k = (beta A^k).n / (e q D^k).  The factors are multiplied as Python
+    complex numbers."""
     (adj, dd), (g, e) = map(_over_common_denominator, (sys.l_view.inv_exact, sys.B_exact))
     sqrt_n = np.sqrt(sys.N)
 
@@ -405,7 +512,7 @@ def _exact_terms(sys: AffineSystem, num: np.ndarray, q: int):
         nonlocal g
         g = g @ adj  # beta A^k, shared by every row
         return _exp_2pi_i(num[live] @ g.T, e * q * dd ** k).sum(axis=1) / sqrt_n / sqrt_n, None
-    return terms
+    return object, terms
 
 
 def _mu_hat_rows(sys: AffineSystem, rows, q: int, tail_tol=None) -> tuple:
@@ -418,7 +525,7 @@ def _mu_hat_rows(sys: AffineSystem, rows, q: int, tail_tol=None) -> tuple:
     with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
         norms = np.sqrt((tf * tf).sum(axis=1))  # = norm(tf, axis=1)
     depth = _tail_depth(sys, norms, tail_tol)
-    values, zero_level = _truncated_products(depth, _exact_terms(sys, rows, q), scalar=True)
+    values, zero_level = _truncated_products(depth, *_exact_terms(sys, rows, q))
     return values, np.where(zero_level > 0, zero_level, depth), zero_level
 
 
@@ -458,14 +565,21 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
     N >= 3 the phases, a one-row matmul): a row's value does not depend on
     its batch.
 
-    On N = 2 systems the product is real until one phase per row (see
-    `_float_terms`): one cosine per factor, and the zero flag |cos| < cutoff
-    is the flag |mean of exp(2 pi i b.t_k)| < cutoff of other N.  The phases
-    are reduced mod 1 before the trig, so the values are at least as accurate
-    as the complex product of the digit exponentials; the two agree to
-    2 eps (depth + 2 pi max|b| |t| T), T = sum_k ||S^{-k}||_2 (`power_norms`)
-    (at most 6.5e-15 at |t| <= 57 and 2.2e-13 at |t| <= 5000 over
-    20,000 uniform rows of cantor4).  Where the float t_k and h are exact,
+    A run multiplies its factors one by one down to its head level K, the
+    least level at which the rest of the product, factors K+1 to the depth,
+    is the Gaussian closed form of `_head_levels` to within eps; then it
+    multiplies in that form at once.  The closed form has modulus near 1, so
+    which rows read 0 is decided by the head factors alone, as in the
+    per-level product.  On N = 2 systems the product is real until one phase
+    per row (see `_float_terms`): one cosine per factor, and the zero flag
+    |cos| < cutoff is the flag |mean of exp(2 pi i b.t_k)| < cutoff of other
+    N.  The phases are reduced mod 1 before the trig, so the values are at
+    least as accurate as the complex product of the digit exponentials,
+    factor by factor to the depth; on every N the two agree to
+    2 eps (depth + 2 pi max|b| |t| T), T = sum_k ||S^{-k}||_2 (`power_norms`),
+    the tail's eps included (at most 6.4e-15 at |t| <= 57 and 2.9e-13 at
+    |t| <= 5000 over 20,000 uniform rows of cantor4, of which the tail moves
+    1.5e-15).  Where the float t_k and h are exact,
     as on the lattice windows of twindragon, a flagged row is an exact zero
     of mu_hat at its float t, and the cosine form flags some that the
     exponentials missed (208 more of the 160,801 rows of
@@ -481,10 +595,11 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
         pts, spans = np.repeat(pts, 2, axis=0), [2]
     with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
         norms = np.linalg.norm(pts, axis=1)
-    depth = np.repeat(np.array([_tail_depth(sys, run.max(initial=0.0), tail_tol)
-                                for run in np.split(norms, np.cumsum(spans)[:-1])],
-                               dtype=np.int64), spans)
-    values = _truncated_products(depth, _float_terms(sys, pts), scalar=False)[0]
+    tops = [run.max(initial=0.0) for run in np.split(norms, np.cumsum(spans)[:-1])]
+    depth = np.array([_tail_depth(sys, top, tail_tol) for top in tops], dtype=np.int64)
+    head = _head_levels(sys, tops, depth)
+    terms = _float_terms(sys, pts, np.cumsum(spans), depth - head)
+    values = _truncated_products(np.repeat(head, spans), *terms)[0]
     return values[:1] if one else values
 
 

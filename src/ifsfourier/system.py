@@ -307,6 +307,29 @@ class AffineSystem:
     def l_view(self) -> IfsView:
         return IfsView("L", self.S, self.L, self.S_exact, self.L_exact)
 
+    @cached_property
+    def _digit_moments(self) -> tuple:
+        """(bbar, Sigma_B, rho, m): the mean and covariance of the digits B as
+        floats, rho = max|b - bbar|, and m the order of the first cumulant that
+        mu_hat's closed-form tail neglects: 4 when B is symmetric about bbar
+        (tested exactly, on `B_exact`), else 3 (`measure._head_levels`)."""
+        total = [sum(c) for c in zip(*self.B_exact)]
+        centred = sorted(tuple(self.N * c - s for c, s in zip(b, total)) for b in self.B_exact)
+        symmetric = centred == sorted(tuple(-c for c in b) for b in centred)
+        bbar = self.B.mean(axis=0)
+        dev = self.B - bbar
+        rho = float(np.linalg.norm(dev, axis=1).max())
+        return bbar, dev.T @ dev / self.N, rho, 4 if symmetric else 3
+
+    @cached_property
+    def _tail_sums(self) -> list:
+        """Entry r is (u_r, Q_r, S^{-r}), with u_r = sum_{j<=r} S^{-jt} bbar and
+        Q_r = sum_{j<=r} S^{-jt} Sigma_B S^{-j} (`_digit_moments`): the
+        closed-form tail of mu_hat's product.  `measure._tail_sum` extends it
+        as far as a batch needs, one level at a time, so an entry does not
+        depend on the batches that came before."""
+        return [(np.zeros(self.d), np.zeros((self.d, self.d)), np.eye(self.d))]
+
     def zero_in_digits(self) -> bool:
         return any(all(c == 0 for c in v) for v in self.B_exact) and any(
             all(c == 0 for c in v) for v in self.L_exact

@@ -22,8 +22,9 @@ from ifsfourier import (
     sample_paths,
     weight_from_digits,
 )
-from ifsfourier.measure import (EXACT_ZERO_CUTOFF, _branch_weights, _cosine_terms, _mu_hat_rows,
-                                _tail_depth, _zero_cutoff)
+from ifsfourier.measure import (EXACT_ZERO_CUTOFF, _branch_weights, _cosine_terms, _float_terms,
+                                _gaussian_tail, _head_levels, _mu_hat_rows, _tail_depth, _tail_sum,
+                                _truncated_products, _zero_cutoff)
 from ifsfourier.ratlinalg import _over_common_denominator, mat_inverse
 from ifsfourier.system import IfsView, _angle_sums, fvec
 from reference import m_eval, tau
@@ -321,9 +322,6 @@ def test_a_non_finite_point_raises(cantor4, twindragon, t):
 
 # --- mu_hat_batch against the complex product --------------------------------
 
-N2 = [name for name in AFFINE if get_system(name).N == 2]
-
-
 def mu_hat_batch_complex_reference(sys, ts, tail_tol=None):
     """`mu_hat_batch` as the complex float product on every N: at each level
     the mean of exp(2 pi i b.t_k) over the digits, t_k = t_{k-1} S^{-t}, all
@@ -362,8 +360,10 @@ def assert_batch_matches_complex_reference(sys, ts, tail_tol=None) -> int:
     return len(extra)
 
 
-@pytest.mark.parametrize("name", N2)
+@pytest.mark.parametrize("name", AFFINE)
 def test_mu_hat_batch_matches_complex_reference(name):
+    # every affine system, N = 2 and N = 4: the cosine form with its closed-form
+    # tail, or the digit exponentials with it, against the per-level product
     sys = get_system(name)
     rng = np.random.default_rng(len(name))
     zeros = 0
@@ -383,12 +383,89 @@ def test_mu_hat_batch_catches_more_zeros_on_the_basin_window(twindragon):
     assert assert_batch_matches_complex_reference(twindragon, ts, 1e-10) == 208
 
 
-def test_mu_hat_batch_n4_is_the_complex_product(planar_shear):
-    rng = np.random.default_rng(15)
-    for ts in (rng.uniform(-57, 57, (3000, 2)), rng.integers(-200, 201, (3000, 2)) / 4):
-        got = mu_hat_batch(planar_shear, ts)
-        assert np.array_equal(got, mu_hat_batch_complex_reference(planar_shear, ts))
-    assert np.any(got == 0)  # the quarter lattice reaches the exact-zero rows
+def per_level_batch(sys, ts, tail_tol=None):
+    """`mu_hat_batch` without its closed-form tail: every factor of the float
+    product taken one level at a time, all rows to the depth of the largest."""
+    ts = np.asarray(ts, dtype=float)
+    depth = _tail_depth(sys, np.linalg.norm(ts, axis=1).max(initial=0.0), tail_tol)
+    return _truncated_products(np.full(len(ts), depth), *_float_terms(sys, ts))[0]
+
+
+def assert_tail_moves_the_product_by_eps(sys, ts, tail_tol=None):
+    """`mu_hat_batch` against `per_level_batch`: the same zero flags, and values
+    within eps (the closed form's bound, `_head_levels`) plus 4 eps for each
+    of the D - K factors past the head K that the per-level product rounds."""
+    ts = np.asarray(ts, dtype=float)
+    top = np.linalg.norm(ts, axis=1).max(initial=0.0)
+    depth = _tail_depth(sys, top, tail_tol)
+    rest = depth - _head_levels(sys, top, depth)
+    got, ref = mu_hat_batch(sys, ts, tail_tol), per_level_batch(sys, ts, tail_tol)
+    assert np.array_equal(got == 0, ref == 0)
+    assert np.max(np.abs(got - ref), initial=0.0) <= np.finfo(float).eps * (1 + 4 * rest)
+
+
+def long_doubles(rows) -> np.ndarray:
+    """Rows of Fractions as long doubles, numerator over denominator."""
+    return np.array([[np.longdouble(f.numerator) / np.longdouble(f.denominator) for f in row]
+                     for row in rows], dtype=np.longdouble)
+
+
+def assert_closed_form_tail_within_eps(sys, ts, tail_tol=None):
+    """The closed-form tail of a batch at its head point t_K against the
+    D - K factors it stands for, multiplied one by one in long double from
+    the same t_K: within eps (the rule of `_head_levels`) plus 2 eps for the
+    closed form's rounding and 4 long-double eps per factor of the
+    reference's.  A wrong cumulant order m shows here first: taking m = 4 on
+    an asymmetric digit set errs by up to hundreds of eps."""
+    ts = np.asarray(ts, dtype=float)
+    top = np.linalg.norm(ts, axis=1).max(initial=0.0)
+    depth = int(_tail_depth(sys, top, tail_tol))
+    head = int(_head_levels(sys, top, depth))
+    tk = ts.copy()
+    for _ in range(head):
+        tk = tk @ sys.l_view.inv.T
+    scale, turns = _gaussian_tail(tk, *_tail_sum(sys, depth - head))
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    x, b = tk.astype(np.longdouble), long_doubles(sys.B_exact)
+    s_inv_t = long_doubles(sys.l_view.inv_exact).T
+    ref = np.ones(len(x), dtype=np.clongdouble)
+    for _ in range(depth - head):
+        x = x @ s_inv_t
+        ref *= np.exp(1j * two_pi * (x @ b.T)).sum(axis=1) / sys.N
+    bound = 3 * np.finfo(float).eps + 4 * (depth - head) * np.finfo(np.longdouble).eps
+    assert np.max(np.abs(scale * np.exp(2j * np.pi * turns) - ref), initial=0.0) <= bound
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_mu_hat_batch_tail_at_its_edges(name):
+    # a run whose depth is at most its head level takes no tail: it is the
+    # per-level product bit for bit.  Runs of different heads in one batch
+    # each meet the reference bound, the tail's eps against the per-level
+    # product (with its zero flags) and against the factors it replaces in
+    # long double.  A row at t = 0 reads 1, in a run of its own and inside a
+    # deep run
+    sys = get_system(name)
+    rng = np.random.default_rng(43)
+    wide = rng.uniform(-50, 50, (300, sys.d))
+    top = np.linalg.norm(wide, axis=1).max()
+    depth = _tail_depth(sys, top, 1e-3)
+    assert _head_levels(sys, top, depth) == depth
+    assert mu_hat_batch(sys, wide, 1e-3).tobytes() == per_level_batch(sys, wide, 1e-3).tobytes()
+    wide[7] = 0.0
+    runs = [np.zeros((3, sys.d)), rng.uniform(-0.01, 0.01, (50, sys.d)),
+            rng.integers(-12, 13, (50, sys.d)) / 4, wide]
+    tops = [np.linalg.norm(run, axis=1).max() for run in runs]
+    depths = _tail_depth(sys, tops, None)
+    heads = _head_levels(sys, tops, depths)
+    assert len(set(heads[1:].tolist())) == 3 and np.all(heads[1:] < depths[1:])
+    got = np.split(mu_hat_batch(sys, np.concatenate(runs), spans=[len(r) for r in runs]),
+                   np.cumsum([len(r) for r in runs])[:-1])
+    assert np.all(got[0] == 1) and got[-1][7] == 1
+    for run, values in zip(runs[1:], got[1:]):
+        assert values.tobytes() == mu_hat_batch(sys, run).tobytes()
+        assert_batch_matches_complex_reference(sys, run)
+        assert_tail_moves_the_product_by_eps(sys, run)
+        assert_closed_form_tail_within_eps(sys, run)
 
 
 @pytest.mark.parametrize("name", AFFINE)

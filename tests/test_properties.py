@@ -38,8 +38,10 @@ from test_cycles import (
 )
 from test_measure import (
     assert_batch_matches_complex_reference,
+    assert_closed_form_tail_within_eps,
     assert_near_direct_pass,
     assert_scan_matches_loop,
+    assert_tail_moves_the_product_by_eps,
     at_images,
     direct_branch_pass,
     reference_tails,
@@ -175,6 +177,26 @@ def test_batch_matches_complex_reference_on_generated_two_digit_triples(sys_, se
         assert_batch_matches_complex_reference(sys_, rng.integers(-57 * q, 57 * q + 1, (300, 1)) / q)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.tuples(hadamard_triples_1d(), hadamard_triples_1d()),
+       form=st.sampled_from(["triple", "product", "shear", "cat"]),
+       seed=st.integers(0, 2 ** 16))
+def test_batch_tail_matches_complex_reference_on_generated_triples(pair, form, seed):
+    # the closed-form tail on every N, on a triple, a product of two (d = 2)
+    # or such a product conjugated by U in GL(2, Z): within the bound of the
+    # complex product, within the tail's eps of the per-level product with
+    # its zero flags, and the closed form within eps of the factors it
+    # replaces, at float t and on the quarter lattice, up to |t| = 57
+    sys_ = pair[0] if form == "triple" else product_triple(*pair)
+    if form in ("shear", "cat"):
+        sys_ = conjugate_triple(sys_, [[1, 1], [0, 1]] if form == "shear" else [[2, 1], [1, 1]])
+    rng = np.random.default_rng(seed)
+    for ts in (rng.uniform(-57, 57, (300, sys_.d)), rng.integers(-228, 229, (300, sys_.d)) / 4):
+        assert_batch_matches_complex_reference(sys_, ts)
+        assert_tail_moves_the_product_by_eps(sys_, ts)
+        assert_closed_form_tail_within_eps(sys_, ts)
+
+
 LEBESGUE_TRIPLES = hadamard_triples_1d(scale=st.just(1))  # R = N: Lebesgue measure
 
 
@@ -238,7 +260,7 @@ def test_truncation_depth_bounds_the_tail_on_generated_triples(pair, product, se
     ts = np.random.default_rng(seed).uniform(-50, 50, (200, sys_.d))
     norm = np.linalg.norm(ts, axis=1).max()
     depth = _tail_depth(sys_, norm, tail_tol)
-    deeper = _truncated_products(np.full(len(ts), depth + 50), _float_terms(sys_, ts), False)[0]
+    deeper = _truncated_products(np.full(len(ts), depth + 50), *_float_terms(sys_, ts))[0]
     reach = 2 * np.pi * np.linalg.norm(sys_.B, axis=1).max() * norm * reference_tails(sys_)[0]
     rounding = 4 * np.finfo(float).eps * (depth + 50 + reach)
     assert np.max(np.abs(mu_hat_batch(sys_, ts, tail_tol) - deeper)) <= tail_tol + rounding
