@@ -26,13 +26,17 @@ and the factors K+1..D multiply to one Gaussian closed form in t_K,
 
 with u_r and Q_r cached on the system.  K is the least level at which the
 closed form moves the product by at most eps, never past the depth D.
-On the float rows of a two-digit system each factor is real up
-to a unit phase,
+No float row steps t_k: (b - bbar).t_k = g.t along the phase direction
+g = S^{-kt} (b - bbar), cached on the system per level with u_r and Q_r
+(`_tail_level`).  When B is symmetric about bbar (every two-digit set and
+every registry system) each factor is real up to a unit phase,
 
-    m_B(t) / sqrt(2) = exp(pi i s.t) cos(pi delta.t),  s = b0 + b1,  delta = b1 - b0,
+    m_B(t_k) / sqrt(N) = exp(2 pi i bbar.t_k) ((2/N) sum_j cos(2 pi g_{k,j}.t) + n0/N),
 
-so mu_hat(t) = exp(pi i s.sum_k t_k) prod_k cos(pi delta.t_k) (Strichartz's
-form of the product): one cosine per factor and one complex exp per row.
+over one deviation of each +- pair (n0 the digits equal to bbar), so
+mu_hat(t) = exp(2 pi i u_D.t) times a real product (Strichartz's form of
+the product, on N = 2 one cosine per factor): the head's turns u_K.t are
+taken once per row, and one complex exp per row applies the phase.
 
 W_B is also a real cosine polynomial over the difference set B - B,
 
@@ -351,18 +355,26 @@ def _tail_depth(sys: AffineSystem, t_norms, tail_tol: float | None) -> np.ndarra
     return depth.astype(np.int64)
 
 
-def _tail_sum(sys: AffineSystem, r: int) -> tuple:
-    """(u_r, Q_r) of `AffineSystem._tail_sums`, the system's cache extended
-    up to r if it is shorter."""
+def _tail_level(sys: AffineSystem, r: int) -> tuple:
+    """Entry r, (u_r, Q_r, S^{-r}, G_r), of `AffineSystem._tail_sums`: the
+    system's cache extended up to r if it is shorter, in one loop for all
+    four.  Each level multiplies by S^{-1} rounded from its Fractions
+    (`AffineSystem._tail_steps`; `np.linalg.inv` may miss a dyadic entry by
+    an ulp), the directions in the precision of the deviations c
+    (`AffineSystem._digit_moments`): where S^{-1} and c are dyadic, as on
+    every registry system, the directions stay exact until their bits run
+    out."""
     sums = sys._tail_sums
     if len(sums) <= r:
         bbar, cov = sys._digit_moments[:2]
-        u, q, p = sums[-1]
+        step, extended = sys._tail_steps[:2]
+        u, q, p, g = sums[-1]
+        turn = step if g.dtype == float else extended
         while len(sums) <= r:
-            p = sys.l_view.inv @ p
+            p, g = step @ p, g @ turn
             u, q = u + p.T @ bbar, q + p.T @ cov @ p
-            sums.append((u, q, p))
-    return sums[r][:2]
+            sums.append((u, q, p, g))
+    return sums[r]
 
 
 def _head_levels(sys: AffineSystem, t_norms, depth) -> np.ndarray:
@@ -380,7 +392,7 @@ def _head_levels(sys: AffineSystem, t_norms, depth) -> np.ndarray:
     sum_{j>K} phi_j^m / 4 <= phi_K^(m-1) x T_K / 4 (`_power_tails`).  K is
     the least level >= 1 where that is at most eps, and D where no level
     below h = len(`power_norms`) qualifies."""
-    rho, m = sys._digit_moments[2:]
+    rho, m = sys._digit_moments[2:4]
     norms = sys.l_view.power_norms()
     sup = np.maximum(np.maximum.accumulate(norms[::-1])[::-1], sys.l_view.power_tail())
     x = 2.0 * np.pi * rho * np.asarray(t_norms, dtype=float)[..., None]
@@ -390,21 +402,22 @@ def _head_levels(sys: AffineSystem, t_norms, depth) -> np.ndarray:
     return np.minimum(head, depth)
 
 
-def _truncated_products(depth: np.ndarray, dtype, terms, tail=None) -> tuple:
+def _truncated_products(depth: np.ndarray, dtype, terms, finish=None) -> tuple:
     """The one loop over truncated-product levels: row i is prod_{k <= depth[i]}
     m_B(t_k) / sqrt(N), t_k = S^{-k} t_i, held in an array of `dtype`.
-    `terms(rows, k)` steps its rows to level k and returns (factors, turns):
-    the factors m_B(t_k) / sqrt(N), or real factors and the turns of the
-    unit phases pulled out of them (else None).  Each row's turns are summed,
-    and its phase is applied once, after the loop.  A row stops at its depth
-    or at its first factor below the exact-zero cutoff, whose k is its
-    zero_level (else 0).  `tail(rows)`, if given, takes the rows that reach
-    their depth (an index array, or a full slice) and returns a real scale
-    and turns per row: the scale multiplies the real and imaginary parts of
-    the row's value, and the turns add to its phase (`_float_terms`).  numpy
-    rounds a complex multiply of two or more rows (fused SIMD) unlike one
-    row; the exact path's dtype object multiplies Python complex numbers
-    instead, so that a row's value does not depend on its batch."""
+    `terms(live, k)` gives the level-k factors of the live rows (an index
+    array, or a full slice while every row is live): m_B(t_k) / sqrt(N), or
+    those factors with a unit phase pulled out, which `finish` then supplies.
+    A row stops at its depth or at its first factor below the exact-zero
+    cutoff, whose k is its zero_level (else 0); a row that stops at a zero
+    costs nothing more.  `finish(at, k)`, if given, takes the rows that
+    reach their depth k (an index array, or a full slice) and returns a real
+    scale per row (or None for none) and its turns: the scale multiplies the
+    real and imaginary parts of the row's value, and the phase of the turns
+    is applied once, after the loop (`_float_terms`).  numpy rounds a
+    complex multiply of two or more rows (fused SIMD) unlike one row; the
+    exact path's dtype object multiplies Python complex numbers instead, so
+    that a row's value does not depend on its batch."""
     values = np.ones(len(depth), dtype=dtype)
     phase, zero_level = np.zeros(len(depth)), np.zeros(len(depth), dtype=np.int64)
     rows, ends = np.flatnonzero(depth > 0), set(depth.tolist())  # ends: levels rows stop at
@@ -412,20 +425,19 @@ def _truncated_products(depth: np.ndarray, dtype, terms, tail=None) -> tuple:
     while rows.size:
         k += 1
         live = slice(None) if rows.size == len(depth) else rows  # a view while all rows are
-        factors, turns = terms(live, k)
+        factors = terms(live, k)
         zero = np.abs(factors) < EXACT_ZERO_CUTOFF
         values[live] *= factors.astype(dtype, copy=False)
-        if turns is not None:
-            phase[live] += turns
         if k in ends or zero.any():
             zero_level[rows[zero]] = k
             rows = rows[~zero]
             end = depth[rows] == k
-            if tail is not None and end.any():
+            if finish is not None and end.any():
                 # a view while all rows end here
                 at = slice(None) if end.size == len(depth) and end.all() else rows[end]
-                scale, turns = tail(at)
-                values.view(float).reshape(len(depth), -1)[at] *= scale[:, None]  # (re, im)
+                scale, turns = finish(at, k)
+                if scale is not None:
+                    values.view(float).reshape(len(depth), -1)[at] *= scale[:, None]  # (re, im)
                 phase[at] += turns
             rows = rows[~end]
     if phase.any():  # one complex array: a real product turns complex here
@@ -437,14 +449,42 @@ def _truncated_products(depth: np.ndarray, dtype, terms, tail=None) -> tuple:
     return values, zero_level
 
 
-def _gaussian_tail(x: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple:
-    """(exp(-2 pi^2 x.Q x), u.x) at the rows x, coordinate by coordinate with
-    elementwise ufuncs (no matmul), so that a row's value does not depend on
-    the other rows."""
-    quad, turns, term = np.zeros(len(x)), np.zeros(len(x)), np.empty(len(x))
-    for a, xa in enumerate(x.T):
+def _dot(m: np.ndarray, x: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """m @ x into out, for an (r, d) m and points x given as d coordinate rows
+    of shape (d, n): one elementwise multiply-add per coordinate (no matmul),
+    so that a point's value does not depend on the other points.  spare is
+    scratch of out's shape."""
+    np.multiply(m[:, :1], x[0], out=out)
+    for a in range(1, len(x)):
+        out += np.multiply(m[:, a:a + 1], x[a], out=spare)
+    return out
+
+
+def _turns(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u.x reduced mod 1 to [-1/2, 1/2], as floats, at the points x given as d
+    coordinate rows of shape (d, n): summed in long double, elementwise, as
+    |u.x| may be far above 1 before it is reduced.  The long doubles are
+    formed 8192 points at a time, to bound their memory."""
+    out, block = np.empty(x.shape[1]), 8192
+    for lo in range(0, x.shape[1], block):
+        turns = np.zeros(min(block, x.shape[1] - lo), dtype=np.longdouble)
+        for ua, xa in zip(u, x[:, lo:lo + block]):
+            turns += xa * ua
+        turns -= np.rint(turns)
+        out[lo:lo + block] = turns
+    return out
+
+
+def _gaussian_tail(x: np.ndarray, u: np.ndarray, q: np.ndarray, turns=None) -> tuple:
+    """(exp(-2 pi^2 x.Q x), u.x) at the points x, given as d coordinate rows
+    of shape (d, n), coordinate by coordinate with elementwise ufuncs (no
+    matmul), so that a point's value does not depend on the other points.
+    Given `turns`, u.x is added into it."""
+    quad, term = np.zeros(x.shape[1]), np.empty(x.shape[1])
+    turns = np.zeros(x.shape[1]) if turns is None else turns
+    for a, xa in enumerate(x):
         turns += np.multiply(xa, u[a], out=term)
-        for b, xb in enumerate(x.T):
+        for b, xb in enumerate(x):
             np.multiply(xa, xb, out=term)
             quad += np.multiply(term, q[a, b], out=term)
     quad *= -2.0 * np.pi ** 2
@@ -452,52 +492,100 @@ def _gaussian_tail(x: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple:
 
 
 def _float_terms(sys: AffineSystem, pts: np.ndarray, ends=None, rest=None) -> tuple:
-    """(dtype, terms, tail) of `_truncated_products` for float rows:
-    t_k = t_{k-1} S^{-t}.
+    """(dtype, terms, finish) of `_truncated_products` for float rows t.
 
-    For N = 2, m_B(t) / sqrt(2) = exp(pi i s.t) cos(pi delta.t) with s = b0 + b1
-    and delta = b1 - b0.  Each level then gives the real factor cos(2 pi h),
-    h = delta.t_k / 2 reduced mod 1, and the turns s.t_k / 2, also reduced
-    mod 1; the product stays real (dtype float) until the phase.  For other N
-    the factor is the mean of exp(2 pi i b.t_k) over the digits.  Every row
-    is stepped at every level; only the live rows give factors.
+    With bbar the mean digit, m_B(t_k) / sqrt(N) is exp(2 pi i bbar.t_k) times
+    the mean over the digits of exp(2 pi i (b - bbar).t_k), and
+    (b - bbar).t_k = g_{k,j}.t along the phase direction g_{k,j} = S^{-kt} c_j
+    of each deviation c_j (`AffineSystem._digit_moments`), cached on the
+    system (`_tail_level`).  So no row steps t_k: level k gives each live row
+    its phases g_{k,j}.t, one elementwise multiply-add per coordinate,
+    reduced mod 1 before the cosine.  When B is symmetric about bbar, c holds
+    one deviation of each +- pair and the factor is real,
+
+        (2 / N) sum_j cos(2 pi g_{k,j}.t) + n0 / N,  n0 = #{b = bbar},
+
+    so the product stays real (dtype float) until the phase; on N = 2 the
+    factor is one cosine.  Otherwise c holds every nonzero deviation, and the
+    factor is the complex mean of exp(2 pi i g_{k,j}.t), its sines the cosines
+    of the phases less 1/4.  The unit phases of levels 1..K multiply to
+    exp(2 pi i u_K.t): `finish` takes those turns once per row, reduced
+    mod 1, where the row reaches its head level K, as
+    u_K.t = v.t - (S^{-Kt} v).t with v = (S^t - I)^{-1} bbar
+    (`AffineSystem._tail_steps`): v.t, which reaches |v| |t| turns before it
+    is reduced, in long double (`_turns`), and the small second term in
+    floats.
 
     The rows come in runs, run j ending before row ends[j].  `rest[j]` is the
-    number r of factors its rows take in closed form past the depth K they
-    are given in `_truncated_products` (their head level): the product of
+    number r of factors its rows take in closed form past the head level K
+    they are given in `_truncated_products`: the product of
     m_B(S^{-j} t_K) / sqrt(N) over j <= r is
-    exp(2 pi i u_r.t_K - 2 pi^2 t_K.Q_r t_K) (`_tail_sum`) up to the bound of
-    `_head_levels`, a real scale and turns (`_gaussian_tail`).  Without a
-    positive rest the tail is None."""
-    s_inv_t, tk = sys.l_view.inv.T, np.array(pts, dtype=float)
+    exp(2 pi i u_r.t_K - 2 pi^2 t_K.Q_r t_K) up to the bound of
+    `_head_levels`, a real scale and turns (`_gaussian_tail`), taken at t
+    itself: with P = S^{-K}, the cached power, u_r.t_K = (P^t u_r).t and
+    t_K.Q_r t_K = t.(P^t Q_r P) t.  Without a positive rest `finish` gives
+    no scale."""
+    m, n0, c = sys._digit_moments[3], sys._digit_moments[5], sys._tail_sums[0][3]
+    symmetric, p, n, extended = m == 4, len(c), len(pts), c.dtype != float
+    width = p if symmetric else 2 * p  # the phases, then those of the sines
+    weight, base = (2.0 if symmetric else 1.0) / sys.N, n0 / sys.N
+    cols = np.array(pts.T, dtype=float)  # the coordinates of t, one row each
+    phases, spare = np.empty((width, n), dtype=c.dtype), np.empty((width, n), dtype=c.dtype)
+    trigs = np.empty((width, n)) if extended else phases  # long double phases end as floats
+    mean = None if symmetric and p == 1 and weight == 1.0 and not base else np.empty((3, n))
+    points, cur, last = cols.astype(c.dtype, copy=False), None, None
+    v = sys._tail_steps[2]
 
-    def tail(at):
-        if len(rest) == 1:
-            return _gaussian_tail(tk[at], *_tail_sum(sys, int(rest[0])))
-        rows = np.arange(len(tk))[at]
-        lengths = rest[np.searchsorted(ends, rows, side="right")]
-        scale, turns = np.empty(len(rows)), np.empty(len(rows))
-        for r in sorted(set(lengths.tolist())):  # np.unique would import numpy.ma
-            mine = lengths == r
-            scale[mine], turns[mine] = _gaussian_tail(tk[rows[mine]], *_tail_sum(sys, r))
-        return scale, turns
-    tail = tail if rest is not None and rest.any() else None
-    if sys.N == 2:
-        half = np.stack([sys.B[1] - sys.B[0], sys.B[0] + sys.B[1]]) / 2.0
-
-        def cosines(live, k):
-            tk[...] = tk @ s_inv_t
-            h, turns = ht = half @ tk[live].T
-            ht -= np.rint(ht)
-            h *= 2.0 * np.pi
-            return np.cos(h, out=h), turns
-        return float, cosines, tail
-    sqrt_n = np.sqrt(sys.N)
+    def average(rows, out, term, offset):
+        """weight sum_j rows_j + offset into out."""
+        out.fill(offset)
+        for row in rows:
+            out += np.multiply(row, weight, out=term)
+        return out
 
     def terms(live, k):
-        tk[...] = tk @ s_inv_t
-        return np.exp(2j * np.pi * (tk @ sys.B.T)[live]).sum(axis=1) / sqrt_n / sqrt_n, None
-    return complex, terms, tail
+        nonlocal cur, last
+        if live is not last:  # the live rows changed: gather their coordinates once
+            cur, last = points if isinstance(live, slice) else points[:, live], live
+        size = cur.shape[1]
+        turns, scratch, trig = phases[:, :size], spare[:, :size], trigs[:, :size]
+        _dot(_tail_level(sys, k)[3], cur, turns[:p], scratch[:p])
+        if not symmetric:
+            np.subtract(turns[:p], 0.25, out=turns[p:])
+        turns -= np.rint(turns, out=scratch)
+        if extended:
+            trig[...] = turns
+        trig *= 2.0 * np.pi
+        np.cos(trig, out=trig)
+        if mean is None:  # N = 2: the factor is the cosine
+            return trig[0]
+        real, imag, term = mean[:, :size]
+        average(trig[:p], real, term, base)
+        if symmetric:
+            return real
+        factors = np.empty(size, dtype=complex)
+        factors.real, factors.imag = real, average(trig[p:], imag, term, 0.0)
+        return factors
+
+    def finish(at, k):
+        power = _tail_level(sys, k)[2]
+        t = cols if isinstance(at, slice) else cols[:, at]
+        turns = _turns(v, t)  # u_K.t = v.t - (S^{-Kt} v).t, the second term small
+        turns -= _dot((power.T @ v).astype(float)[None], t, np.empty((1, t.shape[1])),
+                      np.empty((1, t.shape[1])))[0]
+        turns -= np.rint(turns)
+        if rest is None or not rest.any():
+            return None, turns
+        lengths = (rest if len(rest) == 1 else
+                   rest[np.searchsorted(ends, np.arange(n)[at], side="right")])
+        scale = np.ones(t.shape[1])
+        for r in sorted(set(lengths.tolist()) - {0}):  # np.unique would import numpy.ma
+            mine = slice(None) if len(lengths) == 1 else lengths == r
+            u_r, q_r = _tail_level(sys, r)[:2]  # in t_K = S^{-K} t, carried to t
+            scale[mine], turns[mine] = _gaussian_tail(t[:, mine], power.T @ u_r,
+                                                      power.T @ q_r @ power, turns[mine])
+        return scale, turns
+    return (float if symmetric else complex), terms, finish
 
 
 def _exact_terms(sys: AffineSystem, num: np.ndarray, q: int) -> tuple:
@@ -511,7 +599,7 @@ def _exact_terms(sys: AffineSystem, num: np.ndarray, q: int) -> tuple:
     def terms(live, k):
         nonlocal g
         g = g @ adj  # beta A^k, shared by every row
-        return _exp_2pi_i(num[live] @ g.T, e * q * dd ** k).sum(axis=1) / sqrt_n / sqrt_n, None
+        return _exp_2pi_i(num[live] @ g.T, e * q * dd ** k).sum(axis=1) / sqrt_n / sqrt_n
     return object, terms
 
 
@@ -562,27 +650,30 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
     largest norm (default: one run).  A row's value is then the one it has
     in a batch of its run alone.  A batch of one row runs as two rows, the
     row twice, as numpy rounds a one-row product otherwise than a batch (on
-    N >= 3 the phases, a one-row matmul): a row's value does not depend on
-    its batch.
+    an asymmetric digit set, a complex multiply): a row's value does not
+    depend on its batch.
 
     A run multiplies its factors one by one down to its head level K, the
     least level at which the rest of the product, factors K+1 to the depth,
     is the Gaussian closed form of `_head_levels` to within eps; then it
     multiplies in that form at once.  The closed form has modulus near 1, so
     which rows read 0 is decided by the head factors alone, as in the
-    per-level product.  On N = 2 systems the product is real until one phase
-    per row (see `_float_terms`): one cosine per factor, and the zero flag
-    |cos| < cutoff is the flag |mean of exp(2 pi i b.t_k)| < cutoff of other
-    N.  The phases are reduced mod 1 before the trig, so the values are at
-    least as accurate as the complex product of the digit exponentials,
-    factor by factor to the depth; on every N the two agree to
+    per-level product.  No row steps t_k (see `_float_terms`): each level
+    reads the phases of its live rows along the directions cached on the
+    system, and rows flagged zero drop out.  On a digit set symmetric about
+    its mean the product is real until one phase per row, whose head turns
+    are taken once per row: the zero flag is |sum of cosines| < cutoff,
+    where other sets flag |mean of exp(2 pi i g.t)| < cutoff.  The phases
+    are reduced mod 1 before the trig, so the values are at least as
+    accurate as the complex product of the digit exponentials, factor by
+    factor to the depth; on every N the two agree to
     2 eps (depth + 2 pi max|b| |t| T), T = sum_k ||S^{-k}||_2 (`power_norms`),
-    the tail's eps included (at most 6.4e-15 at |t| <= 57 and 2.9e-13 at
+    the tail's eps included (at most 6.6e-15 at |t| <= 57 and 2.9e-13 at
     |t| <= 5000 over 20,000 uniform rows of cantor4, of which the tail moves
-    1.5e-15).  Where the float t_k and h are exact,
-    as on the lattice windows of twindragon, a flagged row is an exact zero
-    of mu_hat at its float t, and the cosine form flags some that the
-    exponentials missed (208 more of the 160,801 rows of
+    1.5e-15).  Where the float directions are exact, as on the lattice
+    windows of twindragon, a flagged row is an exact zero of mu_hat at its
+    float t, and the cosine form flags some that the exponentials missed
+    (239 more of the 160,801 rows of
     `lattice_basin_labels(twindragon, radius=40, lattice_scale=5)` at
     x = (0.3, -0.7)).
     """
@@ -594,8 +685,8 @@ def mu_hat_batch(sys: AffineSystem, ts: np.ndarray, tail_tol: float | None = Non
     if one:
         pts, spans = np.repeat(pts, 2, axis=0), [2]
     with np.errstate(over="ignore"):  # an infinite norm raises in _tail_depth
-        norms = np.linalg.norm(pts, axis=1)
-    tops = [run.max(initial=0.0) for run in np.split(norms, np.cumsum(spans)[:-1])]
+        tops = [run.max(initial=0.0)
+                for run in np.split(np.linalg.norm(pts, axis=1), np.cumsum(spans)[:-1])]
     depth = np.array([_tail_depth(sys, top, tail_tol) for top in tops], dtype=np.int64)
     head = _head_levels(sys, tops, depth)
     terms = _float_terms(sys, pts, np.cumsum(spans), depth - head)

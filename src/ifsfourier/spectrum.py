@@ -341,7 +341,8 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float, lattice_sca
     adj, den = _over_common_denominator(sys.l_view.inv_exact)  # S^{-1} = adj / den
     # z + q l is in S Z^d exactly when adj (z + q l) = 0 mod den
     residues = (digits @ adj.astype(np.int64).T) % den
-    if sys.N != round(abs(np.linalg.det(sys.S))) or len(np.unique(residues, axis=0)) < sys.N:
+    classes = len(set(map(tuple, residues.tolist())))  # np.unique(axis=0) imports numpy.ma
+    if sys.N != round(abs(np.linalg.det(sys.S))) or classes < sys.N:
         raise LatticeError("lattice points without a unique S y - l decomposition")
     m = int(np.floor(radius * q))
     mesh = np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * d, indexing="ij")

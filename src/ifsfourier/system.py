@@ -309,31 +309,91 @@ class AffineSystem:
 
     @cached_property
     def _digit_moments(self) -> tuple:
-        """(bbar, Sigma_B, rho, m): the mean and covariance of the digits B as
-        floats, rho = max|b - bbar|, and m the order of the first cumulant that
+        """(bbar, Sigma_B, rho, m, c, n0): the mean and covariance of the digits
+        B as floats, rho = max|b - bbar|, m the order of the first cumulant that
         mu_hat's closed-form tail neglects: 4 when B is symmetric about bbar
-        (tested exactly, on `B_exact`), else 3 (`measure._head_levels`)."""
+        (tested exactly, on `B_exact`), else 3 (`measure._head_levels`).  c holds
+        the nonzero deviations b - bbar as rows: on a symmetric B only the one
+        of each +- pair whose first nonzero coordinate is positive.  They are
+        floats when every one has a power-of-two denominator, as on every
+        registry system, else long doubles, each rounded from its Fraction.
+        n0 counts the digits equal to bbar (`measure._float_terms`)."""
         total = [sum(c) for c in zip(*self.B_exact)]
         centred = sorted(tuple(self.N * c - s for c, s in zip(b, total)) for b in self.B_exact)
         symmetric = centred == sorted(tuple(-c for c in b) for b in centred)
+        kept = [[v / self.N for v in b] for b in centred
+                if any(b) and (not symmetric or next(c for c in b if c) > 0)]
+        if all(_dyadic(v.denominator) for b in kept for v in b):
+            c = np.array(kept, dtype=float).reshape(-1, self.d)
+        else:
+            c = np.array([[_long(v) for v in b] for b in kept]).reshape(-1, self.d)
         bbar = self.B.mean(axis=0)
         dev = self.B - bbar
         rho = float(np.linalg.norm(dev, axis=1).max())
-        return bbar, dev.T @ dev / self.N, rho, 4 if symmetric else 3
+        n0 = sum(not any(b) for b in centred)
+        return bbar, dev.T @ dev / self.N, rho, 4 if symmetric else 3, c, n0
+
+    @cached_property
+    def _tail_steps(self) -> tuple:
+        """(A, A_l, v, dyadic): S^{-1} rounded from its exact value to floats
+        and to long doubles, v = (S^t - I)^{-1} bbar as long doubles, and
+        whether every entry of S^{-1} has a power-of-two denominator.  v gives
+        the turns of the first K unit phases of mu_hat's product,
+        u_K = sum_{j<=K} S^{-jt} bbar = v - S^{-Kt} v (`measure._float_terms`)."""
+        num, den = _inverse_over_det(self.S_exact)
+        step = np.array([[n / den for n in row] for row in num])  # int / int: correctly rounded
+        extended = np.array([[np.longdouble(n) / np.longdouble(den) for n in row] for row in num])
+        bbar = [sum(c) / self.N for c in zip(*self.B_exact)]
+        shift, det = _inverse_over_det(self.S_exact.T - np.eye(self.d, dtype=int))
+        v = np.array([_long(sum(m * b for m, b in zip(row, bbar)) / det) for row in shift])
+        return step, extended, v, _dyadic(abs(den))
 
     @cached_property
     def _tail_sums(self) -> list:
-        """Entry r is (u_r, Q_r, S^{-r}), with u_r = sum_{j<=r} S^{-jt} bbar and
-        Q_r = sum_{j<=r} S^{-jt} Sigma_B S^{-j} (`_digit_moments`): the
-        closed-form tail of mu_hat's product.  `measure._tail_sum` extends it
-        as far as a batch needs, one level at a time, so an entry does not
-        depend on the batches that came before."""
-        return [(np.zeros(self.d), np.zeros((self.d, self.d)), np.eye(self.d))]
+        """Entry r is (u_r, Q_r, S^{-r}, G_r), with u_r = sum_{j<=r} S^{-jt} bbar,
+        Q_r = sum_{j<=r} S^{-jt} Sigma_B S^{-j} and G_r = c S^{-r},
+        whose row j is the phase direction S^{-rt} c_j of the deviation c_j
+        (`_digit_moments`): c_j.S^{-r} t = G_r[j].t.  They are the turns and
+        the closed-form tail of mu_hat's product and its head factors.  G_r is
+        float when B is symmetric and c and S^{-1} are dyadic (every registry
+        system): its entries then stay exact until their bits run out.  Else
+        it is long double: there the directions round at every level, or N
+        exponentials sum to a vanishing factor, and the extra bits keep that
+        factor below the exact-zero cutoff.  `measure._tail_level` extends the
+        list as far as a batch needs, so an entry does not depend on the
+        batches that came before."""
+        m, c = self._digit_moments[3:5]
+        fast = m == 4 and c.dtype == float and self._tail_steps[3]
+        return [(np.zeros(self.d), np.zeros((self.d, self.d)), np.eye(self.d),
+                 c if fast else c.astype(np.longdouble))]
 
     def zero_in_digits(self) -> bool:
         return any(all(c == 0 for c in v) for v in self.B_exact) and any(
             all(c == 0 for c in v) for v in self.L_exact
         )
+
+
+def _inverse_over_det(m: np.ndarray) -> tuple:
+    """(num, den): the inverse of an exact square matrix as rows of Python
+    ints over one int.  An integer matrix with d <= 2 takes its adjugate
+    over its determinant, without Fractions; any other `mat_inverse`."""
+    if len(m) <= 2 and all(as_fraction(f).denominator == 1 for f in m.ravel()):
+        a = [[int(f) for f in row] for row in m]
+        if len(a) == 1:
+            return [[1]], a[0][0]
+        return ([[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]],
+                a[0][0] * a[1][1] - a[0][1] * a[1][0])
+    return _over_common_denominator(mat_inverse(m))
+
+
+def _dyadic(denominator: int) -> bool:
+    return denominator & (denominator - 1) == 0
+
+
+def _long(f) -> np.longdouble:
+    """A Fraction as a long double, numerator over denominator: correctly
+    rounded while both fit its significand."""
+    return np.longdouble(f.numerator) / np.longdouble(f.denominator)
 
 
 def _finite_floats(entries, field_name) -> np.ndarray:

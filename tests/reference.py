@@ -4,7 +4,9 @@ Each function here computes one item the direct way: one word, one point
 or one cycle at a time.  The package computes the same objects in one
 batch each (`enumerate_cycles`, `lattice_basin_labels`, the walk of
 `pathspace`, `weight_from_digits`), and the tests hold that batch
-against these.  None of this is shipped in `ifsfourier`.
+against these.  `stepping_mu_hat_batch` keeps the float product of
+`mu_hat_batch` as it was computed before the phase directions: t_k
+stepped level by level.  None of this is shipped in `ifsfourier`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from ifsfourier import AffineSystem, Cycle, LatticeError, IfsView, PathEnsemble, Weight
 from ifsfourier.cycles import _lyndon_ranks, _words
-from ifsfourier.measure import _as_rows
+from ifsfourier.measure import (EXACT_ZERO_CUTOFF, _as_rows, _gaussian_tail, _head_levels,
+                                _tail_depth, _tail_level)
 from ifsfourier.pathspace import _cut_pass
 from ifsfourier.ratlinalg import (_over_common_denominator, as_fraction, identity_rational,
                                   mat_inverse, mat_pow)
@@ -100,6 +103,44 @@ def m_eval(digits, x) -> complex | np.ndarray:
     pts, one = _as_rows(x, b.shape[1], "m_eval")
     vals = np.exp(2j * np.pi * (pts @ b.T)).sum(axis=1) / np.sqrt(len(b))
     return complex(vals[0]) if one else vals
+
+
+def stepping_mu_hat_batch(sys: AffineSystem, ts, tail_tol=None) -> np.ndarray:
+    """`mu_hat_batch` of one run by stepping t_k = t_{k-1} S^{-t} (`tk @ s_inv_t`)
+    at every level down to the head level K of `_head_levels`, then the
+    closed-form tail at t_K.  On N = 2 each factor is cos(2 pi h),
+    h = delta.t_k / 2 reduced mod 1 (delta = b1 - b0), and the turns
+    s.t_k / 2 (s = b0 + b1) of its unit phase, also reduced, are summed per
+    row; on other N the factor is the complex mean of exp(2 pi i b.t_k) over
+    the digits.  A row stops at its first factor below the exact-zero
+    cutoff and is set to 0."""
+    pts = np.atleast_2d(np.asarray(ts, dtype=float))
+    top = float(np.linalg.norm(pts, axis=1).max(initial=0.0))
+    depth = int(_tail_depth(sys, top, tail_tol))
+    head = int(_head_levels(sys, top, depth))
+    s_inv_t, tk, rows = sys.l_view.inv.T, pts.copy(), np.arange(len(pts))
+    sqrt_n = np.sqrt(sys.N)
+    values = np.ones(len(pts), dtype=float if sys.N == 2 else complex)
+    phase = np.zeros(len(pts))
+    half = np.stack([sys.B[1] - sys.B[0], sys.B[0] + sys.B[1]]) / 2.0 if sys.N == 2 else None
+    for _ in range(head):
+        tk = tk @ s_inv_t
+        if half is not None:
+            h, turns = ht = half @ tk[rows].T
+            ht -= np.rint(ht)
+            factors = np.cos(2.0 * np.pi * h)
+            phase[rows] += turns
+        else:
+            factors = np.exp(2j * np.pi * (tk[rows] @ sys.B.T)).sum(axis=1) / sqrt_n / sqrt_n
+        values[rows] *= factors
+        rows = rows[np.abs(factors) >= EXACT_ZERO_CUTOFF]
+    if depth > head:
+        scale, turns = _gaussian_tail(tk[rows].T, *_tail_level(sys, depth - head)[:2])
+        values[rows] *= scale
+        phase[rows] += turns
+    values = values * np.exp(2j * np.pi * (phase - np.rint(phase)))
+    values[np.isin(np.arange(len(pts)), rows, invert=True)] = 0j
+    return values
 
 
 def _word_weights(weight: Weight, view: IfsView, x, word) -> tuple:

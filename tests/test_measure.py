@@ -23,11 +23,11 @@ from ifsfourier import (
     weight_from_digits,
 )
 from ifsfourier.measure import (EXACT_ZERO_CUTOFF, _branch_weights, _cosine_terms, _float_terms,
-                                _gaussian_tail, _head_levels, _mu_hat_rows, _tail_depth, _tail_sum,
-                                _truncated_products, _zero_cutoff)
+                                _gaussian_tail, _head_levels, _mu_hat_rows, _tail_depth,
+                                _tail_level, _truncated_products, _zero_cutoff)
 from ifsfourier.ratlinalg import _over_common_denominator, mat_inverse
 from ifsfourier.system import IfsView, _angle_sums, fvec
-from reference import m_eval, tau
+from reference import m_eval, stepping_mu_hat_batch, tau
 
 AFFINE = [name for name, entry in EXAMPLES.items() if entry.kind == "affine"]
 
@@ -282,7 +282,7 @@ def test_mu_hat_detail_matches_fraction_reference(name):
 
 # an N = 5 triple whose mu_hat vanishes exactly at t = -131 (phases 0, .8,
 # .6, .4, .2 at level 1), where the float phase b.t_1 = 366.8 is off by
-# ~1e-13 and the float product misses the zero
+# ~1e-13 and a float product that steps t_k misses the zero
 R20_TRIPLE = ([[20]], [[0], [4], [8], [12], [56]], [[0], [-9], [2], [-2], [4]])
 
 
@@ -376,19 +376,128 @@ def test_mu_hat_batch_matches_complex_reference(name):
 
 
 def test_mu_hat_batch_catches_more_zeros_on_the_basin_window(twindragon):
-    # c09b's window, radius 40 at lattice scale 5: the cosine form flags 208
+    # c09b's window, radius 40 at lattice scale 5: the cosine form flags 239
     # exact zeros that the complex product leaves at |value| <= 4e-16
     grid = np.mgrid[-200:201, -200:201].reshape(2, -1).T
     ts = np.array([0.3, -0.7]) - grid / 5
-    assert assert_batch_matches_complex_reference(twindragon, ts, 1e-10) == 208
+    assert assert_batch_matches_complex_reference(twindragon, ts, 1e-10) == 239
+
+
+def assert_batch_matches_stepping_reference(sys, ts, tail_tol=None) -> int:
+    """`mu_hat_batch` against `stepping_mu_hat_batch`, the product that steps
+    t_k: values within the bound of `assert_batch_matches_complex_reference`
+    (each phase rounds within eps of its turns, along a direction or along
+    a stepped t_k), every reference zero a zero, and every extra zero an
+    exact zero of mu_hat at the float t.  Returns the number of extra zeros."""
+    ts = np.asarray(ts, dtype=float)
+    got, ref = mu_hat_batch(sys, ts, tail_tol), stepping_mu_hat_batch(sys, ts, tail_tol)
+    norms = np.linalg.norm(ts, axis=1)
+    max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
+    depth = reference_depth(sys, float(norms.max()), tail_tol)
+    bound = 2 * np.finfo(float).eps * (depth + 2 * np.pi * max_b * norms * reference_tails(sys)[0])
+    assert np.all(np.abs(got - ref) <= bound)
+    assert np.all(got[ref == 0] == 0)
+    extra = np.flatnonzero((got == 0) & (ref != 0))
+    for i in extra:
+        assert mu_hat_detail(sys, tuple(map(Fraction, ts[i])), tail_tol).exact_zero, ts[i]
+    return len(extra)
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_mu_hat_batch_matches_stepping_reference(name):
+    # the real product along cached phase directions (every affine system is
+    # symmetric about its mean digit) against the product that steps t_k,
+    # with the N = 2 cosine or the N = 4 digit exponentials
+    sys = get_system(name)
+    rng = np.random.default_rng(len(name) + 7)
+    for scale in (2, 57, 500):
+        assert_batch_matches_stepping_reference(sys, rng.uniform(-scale, scale, (2000, sys.d)))
+        quarters = rng.integers(-4 * scale, 4 * scale + 1, (2000, sys.d)) / 4
+        assert_batch_matches_stepping_reference(sys, quarters)
+
+
+# B = 2 {0, 1, 2} with R = 6: symmetric about its mean 2, a digit on it
+ODD_SYMMETRIC_TRIPLE = ([[6]], [[0], [2], [4]], [[0], [1], [2]])
+
+
+@pytest.mark.parametrize("triple, order", [(R20_TRIPLE, 3), (ODD_SYMMETRIC_TRIPLE, 4)],
+                         ids=["asymmetric", "odd-symmetric"])
+def test_mu_hat_batch_matches_stepping_reference_off_the_registry(triple, order):
+    # an asymmetric N = 5 set takes the complex mean along its long double
+    # directions, and flags the zero at t = -131 that stepping misses; a
+    # symmetric N = 3 set (S^{-1} = 1/6, also long double) the real factor
+    # (2 cos + 1) / 3.  Both reach zeros
+    sys = AffineSystem.create(*triple)
+    assert sys._digit_moments[3] == order and sys._tail_sums[0][3].dtype == np.longdouble
+    ts = np.array([[-131.0], [1.5]])
+    assert mu_hat_batch(sys, ts)[0] == 0 and (order == 4 or stepping_mu_hat_batch(sys, ts)[0] != 0)
+    rng = np.random.default_rng(order)
+    zeros = 0
+    for scale in (2, 57):
+        assert_batch_matches_stepping_reference(sys, rng.uniform(-scale, scale, (2000, 1)))
+        quarters = rng.integers(-4 * scale, 4 * scale + 1, (2000, 1)) / 4
+        assert_batch_matches_stepping_reference(sys, quarters)
+        zeros += np.count_nonzero(mu_hat_batch(sys, quarters) == 0)
+    assert zeros > 0
+
+
+def test_long_double_directions_keep_the_batch_near_exact_at_large_t():
+    # cantor3's S^{-1} = 1/3 is not dyadic, so its directions and phases are
+    # long doubles, rounded to floats only after the reduction mod 1: up to
+    # |t| = 10^7 the batch stays within 1e-13 of the exact evaluation, where
+    # float phases (of stepped t_k or of long double directions alike) are
+    # off by up to 2e-11
+    sys = get_system("cantor3")
+    ts = np.random.default_rng(2).uniform(-1e7, 1e7, (100, 1))
+    ref = np.array([mu_hat_detail(sys, t, 1e-13).value for t in ts])
+    assert np.max(np.abs(mu_hat_batch(sys, ts, 1e-13) - ref)) <= 1e-13
+
+
+def planar_shear_zeros(scale: int, count: int, seed: int) -> np.ndarray:
+    """count rows t = (a/3, b), |a| <= 3 scale and |b| <= scale, drawn in
+    order from one seeded stream, that are exact zeros of planar-shear's
+    mu_hat (`mu_hat_detail`)."""
+    sys, rng, rows = get_system("planar-shear"), np.random.default_rng(seed), []
+    while len(rows) < count:
+        t = (Fraction(int(rng.integers(-3 * scale, 3 * scale + 1)), 3),
+             Fraction(int(rng.integers(-scale, scale + 1))))
+        if mu_hat_detail(sys, t).exact_zero:
+            rows.append([float(c) for c in t])
+    return np.array(rows)
+
+
+def test_mu_hat_batch_flags_more_planar_shear_zeros_than_the_stepping_product(planar_shear):
+    # at s = 1000 both float products miss some exact zeros: a vanishing
+    # factor's phase rounds past the cutoff, in the stepped t_k or along a
+    # cached direction, and not at the same rows.  The directions miss fewer:
+    # 849 of these 1000 are flagged, against 799 by stepping (78 of those
+    # are missed here; at s = 100 both flag all)
+    ts = planar_shear_zeros(1000, 1000, seed=31)
+    got, ref = mu_hat_batch(planar_shear, ts), stepping_mu_hat_batch(planar_shear, ts)
+    assert np.count_nonzero(got == 0) > np.count_nonzero(ref == 0)
 
 
 def per_level_batch(sys, ts, tail_tol=None):
-    """`mu_hat_batch` without its closed-form tail: every factor of the float
-    product taken one level at a time, all rows to the depth of the largest."""
+    """`mu_hat_batch` with the factors of its closed-form tail taken one level
+    at a time: the same head arithmetic (`_float_terms`) down to the head
+    level K of `_head_levels`, then at each level K < k <= D the complex mean
+    of exp(2 pi i b.t_k) over the digits, t_k stepped from t_K = S^{-K} t.
+    All rows go to the depth D of the largest."""
     ts = np.asarray(ts, dtype=float)
-    depth = _tail_depth(sys, np.linalg.norm(ts, axis=1).max(initial=0.0), tail_tol)
-    return _truncated_products(np.full(len(ts), depth), *_float_terms(sys, ts))[0]
+    top = np.linalg.norm(ts, axis=1).max(initial=0.0)
+    depth = int(_tail_depth(sys, top, tail_tol))
+    dtype, terms, finish = _float_terms(sys, ts)
+
+    def per_level(at, k):
+        turns = finish(at, k)[1]
+        tk = ts[at] @ _tail_level(sys, k)[2].T
+        product = np.ones(len(tk), dtype=complex)
+        for _ in range(depth - k):
+            tk = tk @ sys.l_view.inv.T
+            product *= np.exp(2j * np.pi * (tk @ sys.B.T)).sum(axis=1) / sys.N
+        return np.abs(product), turns + np.angle(product) / (2 * np.pi)
+    head = np.full(len(ts), _head_levels(sys, top, depth))
+    return _truncated_products(head, dtype, terms, per_level)[0]
 
 
 def assert_tail_moves_the_product_by_eps(sys, ts, tail_tol=None):
@@ -424,7 +533,7 @@ def assert_closed_form_tail_within_eps(sys, ts, tail_tol=None):
     tk = ts.copy()
     for _ in range(head):
         tk = tk @ sys.l_view.inv.T
-    scale, turns = _gaussian_tail(tk, *_tail_sum(sys, depth - head))
+    scale, turns = _gaussian_tail(tk.T, *_tail_level(sys, depth - head)[:2])
     two_pi = 8 * np.arctan(np.longdouble(1))
     x, b = tk.astype(np.longdouble), long_doubles(sys.B_exact)
     s_inv_t = long_doubles(sys.l_view.inv_exact).T
@@ -434,6 +543,26 @@ def assert_closed_form_tail_within_eps(sys, ts, tail_tol=None):
         ref *= np.exp(1j * two_pi * (x @ b.T)).sum(axis=1) / sys.N
     bound = 3 * np.finfo(float).eps + 4 * (depth - head) * np.finfo(np.longdouble).eps
     assert np.max(np.abs(scale * np.exp(2j * np.pi * turns) - ref), initial=0.0) <= bound
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_tail_levels_do_not_depend_on_how_far_a_call_extends_them(name):
+    # the cache extended to level 40 in one call holds, bit for bit, what
+    # forty calls of one level each build, and each level r matches its
+    # sums taken power by power: u_r, Q_r, S^{-r} and the directions c S^{-r}
+    once, stepwise = get_system(name), get_system(name)
+    _tail_level(once, 40)
+    for r in range(41):
+        _tail_level(stepwise, r)
+    for a, b in zip(once._tail_sums, stepwise._tail_sums, strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    bbar, cov, *_, c, _ = once._digit_moments
+    powers = [np.linalg.matrix_power(once.l_view.inv, j) for j in range(41)]
+    for r, (u, q, power, g) in enumerate(once._tail_sums):
+        u_r = sum((p.T @ bbar for p in powers[1:r + 1]), np.zeros(once.d))
+        q_r = sum((p.T @ cov @ p for p in powers[1:r + 1]), np.zeros((once.d, once.d)))
+        for got, want in ((power, powers[r]), (g, c @ powers[r]), (u, u_r), (q, q_r)):
+            assert np.allclose(got.astype(float), want.astype(float), rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize("name", AFFINE)

@@ -38,6 +38,7 @@ from test_cycles import (
 )
 from test_measure import (
     assert_batch_matches_complex_reference,
+    assert_batch_matches_stepping_reference,
     assert_closed_form_tail_within_eps,
     assert_near_direct_pass,
     assert_scan_matches_loop,
@@ -195,6 +196,24 @@ def test_batch_tail_matches_complex_reference_on_generated_triples(pair, form, s
         assert_batch_matches_complex_reference(sys_, ts)
         assert_tail_moves_the_product_by_eps(sys_, ts)
         assert_closed_form_tail_within_eps(sys_, ts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.tuples(hadamard_triples_1d(), hadamard_triples_1d()),
+       form=st.sampled_from(["triple", "product", "shear", "cat"]),
+       seed=st.integers(0, 2 ** 16))
+def test_batch_matches_stepping_reference_on_generated_triples(pair, form, seed):
+    # the product along cached phase directions against the product that
+    # steps t_k, on digit sets symmetric about their mean (every N = 2 set,
+    # B = m {0, .., N - 1}) and asymmetric ones (the complex mean), on a
+    # triple, a product of two or such a product conjugated by U in GL(2, Z),
+    # at float t and on the quarter lattice, up to |t| = 57
+    sys_ = pair[0] if form == "triple" else product_triple(*pair)
+    if form in ("shear", "cat"):
+        sys_ = conjugate_triple(sys_, [[1, 1], [0, 1]] if form == "shear" else [[2, 1], [1, 1]])
+    rng = np.random.default_rng(seed)
+    for ts in (rng.uniform(-57, 57, (300, sys_.d)), rng.integers(-228, 229, (300, sys_.d)) / 4):
+        assert_batch_matches_stepping_reference(sys_, ts)
 
 
 LEBESGUE_TRIPLES = hadamard_triples_1d(scale=st.just(1))  # R = N: Lebesgue measure

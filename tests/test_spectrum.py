@@ -1,7 +1,11 @@
 import heapq
 import itertools
 import math
+import os
+import subprocess
 from fractions import Fraction
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -553,6 +557,25 @@ def test_basin_off_lattice_rejected(planar_shear):
         cycle_basin(planar_shear, (Fraction(1, 2), Fraction(0)), cycles)
     with pytest.raises(LatticeError):
         lattice_basin_labels(planar_shear, cycles, 0.5, 2)
+
+
+def test_lattice_basin_labels_leaves_numpy_ma_unimported():
+    # np.unique(axis=0) imports numpy.ma, about 0.9 MB held for the life of
+    # the process: the residue classes are counted without it.  A fresh
+    # interpreter, as this one has imported numpy.ma long since
+    code = ("import sys\n"
+            "from ifsfourier import find_w_cycles, get_system\n"
+            "from ifsfourier.spectrum import lattice_basin_labels\n"
+            "sys_ = get_system('twindragon')\n"
+            "pts, labels = lattice_basin_labels(sys_, find_w_cycles(sys_, 4), 4.0, 5)\n"
+            "assert (labels >= 0).any()\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_basin_twindragon_lattice(twindragon):
