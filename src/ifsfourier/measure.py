@@ -421,10 +421,10 @@ def _truncated_products(depth: np.ndarray, dtype, terms, finish=None) -> tuple:
     values = np.ones(len(depth), dtype=dtype)
     phase, zero_level = np.zeros(len(depth)), np.zeros(len(depth), dtype=np.int64)
     rows, ends = np.flatnonzero(depth > 0), set(depth.tolist())  # ends: levels rows stop at
-    k = 0
+    k, every = 0, slice(None)  # one slice, so that `terms` sees the live rows unchanged
     while rows.size:
         k += 1
-        live = slice(None) if rows.size == len(depth) else rows  # a view while all rows are
+        live = every if rows.size == len(depth) else rows  # a view while all rows are
         factors = terms(live, k)
         zero = np.abs(factors) < EXACT_ZERO_CUTOFF
         values[live] *= factors.astype(dtype, copy=False)
@@ -505,12 +505,12 @@ def _float_terms(sys: AffineSystem, pts: np.ndarray, ends=None, rest=None) -> tu
 
         (2 / N) sum_j cos(2 pi g_{k,j}.t) + n0 / N,  n0 = #{b = bbar},
 
-    so the product stays real (dtype float) until the phase; on N = 2 the
-    factor is one cosine.  Otherwise c holds every nonzero deviation, and the
-    factor is the complex mean of exp(2 pi i g_{k,j}.t), its sines the cosines
-    of the phases less 1/4.  The unit phases of levels 1..K multiply to
-    exp(2 pi i u_K.t): `finish` takes those turns once per row, reduced
-    mod 1, where the row reaches its head level K, as
+    so the product stays real (dtype float) until the phase.  Otherwise c
+    holds every nonzero deviation, and the factor is the complex mean of
+    exp(2 pi i g_{k,j}.t), its sines the cosines of the phases less 1/4.  The
+    unit phases of levels 1..K multiply to exp(2 pi i u_K.t): `finish` takes
+    those turns once per row, reduced mod 1, where the row reaches its head
+    level K, as
     u_K.t = v.t - (S^{-Kt} v).t with v = (S^t - I)^{-1} bbar
     (`AffineSystem._tail_steps`): v.t, which reaches |v| |t| turns before it
     is reduced, in long double (`_turns`), and the small second term in
@@ -532,39 +532,41 @@ def _float_terms(sys: AffineSystem, pts: np.ndarray, ends=None, rest=None) -> tu
     cols = np.array(pts.T, dtype=float)  # the coordinates of t, one row each
     phases, spare = np.empty((width, n), dtype=c.dtype), np.empty((width, n), dtype=c.dtype)
     trigs = np.empty((width, n)) if extended else phases  # long double phases end as floats
-    mean = None if symmetric and p == 1 and weight == 1.0 and not base else np.empty((3, n))
-    points, cur, last = cols.astype(c.dtype, copy=False), None, None
+    points, last, views = cols.astype(c.dtype, copy=False), None, None
     v = sys._tail_steps[2]
 
-    def average(rows, out, term, offset):
-        """weight sum_j rows_j + offset into out."""
-        out.fill(offset)
-        for row in rows:
-            out += np.multiply(row, weight, out=term)
+    def total(rows, offset):
+        """(offset + rows_0) + rows_1 + ..., summed into rows_0."""
+        out = rows[0]
+        if offset:
+            out += offset
+        for row in rows[1:]:
+            out += row
         return out
 
     def terms(live, k):
-        nonlocal cur, last
-        if live is not last:  # the live rows changed: gather their coordinates once
-            cur, last = points if isinstance(live, slice) else points[:, live], live
-        size = cur.shape[1]
-        turns, scratch, trig = phases[:, :size], spare[:, :size], trigs[:, :size]
-        _dot(_tail_level(sys, k)[3], cur, turns[:p], scratch[:p])
+        nonlocal last, views
+        if live is not last:  # the live rows changed: gather them, cut the buffers to them
+            cur = points if isinstance(live, slice) else points[:, live]
+            size = cur.shape[1]
+            turns, scratch, trig = phases[:, :size], spare[:, :size], trigs[:, :size]
+            views, last = (cur, turns, scratch, trig, turns[:p], scratch[:p],
+                           list(trig[:p]), list(trig[p:])), live
+        cur, turns, scratch, trig, phase, spare_p, cosines, sines = views
+        _dot(_tail_level(sys, k)[3], cur, phase, spare_p)
         if not symmetric:
-            np.subtract(turns[:p], 0.25, out=turns[p:])
+            np.subtract(phase, 0.25, out=turns[p:])
         turns -= np.rint(turns, out=scratch)
         if extended:
             trig[...] = turns
         trig *= 2.0 * np.pi
         np.cos(trig, out=trig)
-        if mean is None:  # N = 2: the factor is the cosine
-            return trig[0]
-        real, imag, term = mean[:, :size]
-        average(trig[:p], real, term, base)
+        trig *= weight
+        real = total(cosines, base)
         if symmetric:
             return real
-        factors = np.empty(size, dtype=complex)
-        factors.real, factors.imag = real, average(trig[p:], imag, term, 0.0)
+        factors = np.empty(len(real), dtype=complex)
+        factors.real, factors.imag = real, total(sines, 0.0)
         return factors
 
     def finish(at, k):

@@ -21,6 +21,7 @@ import numpy as np
 from .ratlinalg import (
     _over_common_denominator,
     as_fraction,
+    identity_rational,
     is_expansive,
     mat_inverse,
     rational_matrix,
@@ -340,13 +341,13 @@ class AffineSystem:
         whether every entry of S^{-1} has a power-of-two denominator.  v gives
         the turns of the first K unit phases of mu_hat's product,
         u_K = sum_{j<=K} S^{-jt} bbar = v - S^{-Kt} v (`measure._float_terms`)."""
-        num, den = _inverse_over_det(self.S_exact)
+        num, den = _over_common_denominator(self.l_view.inv_exact)
         step = np.array([[n / den for n in row] for row in num])  # int / int: correctly rounded
         extended = np.array([[np.longdouble(n) / np.longdouble(den) for n in row] for row in num])
         bbar = [sum(c) / self.N for c in zip(*self.B_exact)]
-        shift, det = _inverse_over_det(self.S_exact.T - np.eye(self.d, dtype=int))
-        v = np.array([_long(sum(m * b for m, b in zip(row, bbar)) / det) for row in shift])
-        return step, extended, v, _dyadic(abs(den))
+        shift = mat_inverse(self.S_exact.T - identity_rational(self.d))
+        v = np.array([_long(sum(m * b for m, b in zip(row, bbar))) for row in shift])
+        return step, extended, v, _dyadic(den)
 
     @cached_property
     def _tail_sums(self) -> list:
@@ -371,19 +372,6 @@ class AffineSystem:
         return any(all(c == 0 for c in v) for v in self.B_exact) and any(
             all(c == 0 for c in v) for v in self.L_exact
         )
-
-
-def _inverse_over_det(m: np.ndarray) -> tuple:
-    """(num, den): the inverse of an exact square matrix as rows of Python
-    ints over one int.  An integer matrix with d <= 2 takes its adjugate
-    over its determinant, without Fractions; any other `mat_inverse`."""
-    if len(m) <= 2 and all(as_fraction(f).denominator == 1 for f in m.ravel()):
-        a = [[int(f) for f in row] for row in m]
-        if len(a) == 1:
-            return [[1]], a[0][0]
-        return ([[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]],
-                a[0][0] * a[1][1] - a[0][1] * a[1][0])
-    return _over_common_denominator(mat_inverse(m))
 
 
 def _dyadic(denominator: int) -> bool:
