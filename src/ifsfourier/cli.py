@@ -146,8 +146,20 @@ def cmd_check_hadamard(args) -> dict:
     return out
 
 
+def _require_within_cap(n: int, k: int, ask: str) -> None:
+    """Bad input (exit 2) when N^k passes ELEMENT_CAP, found without forming
+    N^k: N >= 2 passes the cap within its bit length."""
+    if n ** min(k, ELEMENT_CAP.bit_length()) > ELEMENT_CAP:
+        raise ConfigError(ask % (k, n, k) + ", more than %s" % f"{ELEMENT_CAP:,}")
+
+
+def _require_p_max_within_cap(sys_obj, p_max: int) -> None:
+    _require_within_cap(sys_obj.N, p_max, "p_max %d asks for N^p_max = %d^%d words")
+
+
 def cmd_cycles(args) -> dict:
     cfg, sys_obj = _load_system(args)
+    _require_p_max_within_cap(sys_obj, cfg.p_max)
     cycles = enumerate_cycles(sys_obj, cfg.p_max, w_only=not args.all)
     return {
         "system": sys_obj.name or "config",
@@ -159,6 +171,7 @@ def cmd_cycles(args) -> dict:
 
 def _w_cycles(sys_obj, p_max) -> list:
     """The W-cycles of period <= p_max; a failed check when there are none."""
+    _require_p_max_within_cap(sys_obj, p_max)
     cycles = find_w_cycles(sys_obj, p_max)
     if not cycles:
         raise CheckFailed({"error": "no W-cycles found up to p_max", "p_max": p_max})
@@ -277,10 +290,9 @@ def cmd_harmonic(args) -> dict:
     depth = args.depth
     if depth is None:  # the largest depth up to 10 with N^depth <= 1024 words
         depth = max((k for k in range(1, 11) if sys_obj.N ** k <= 1024), default=1)
-    elif sys_obj.N ** min(depth, ELEMENT_CAP.bit_length()) > ELEMENT_CAP:
-        # N^depth > ELEMENT_CAP, never formed: N >= 2 passes the cap within its bit length
-        raise ConfigError("--depth %d asks for up to N^depth = %d^%d k-points per W-cycle, "
-                          "more than %s" % (depth, sys_obj.N, depth, f"{ELEMENT_CAP:,}"))
+    else:
+        _require_within_cap(sys_obj.N, depth,
+                            "--depth %d asks for up to N^depth = %d^%d k-points per W-cycle")
     cycles = _w_cycles(sys_obj, cfg.p_max)
     x = _parse_point(args.x, sys_obj.d)
     xf = [float(c) for c in x]

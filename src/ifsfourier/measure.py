@@ -359,8 +359,7 @@ def _tail_level(sys: AffineSystem, r: int) -> tuple:
     """Entry r, (u_r, Q_r, S^{-r}, G_r), of `AffineSystem._tail_sums`: the
     system's cache extended up to r if it is shorter, in one loop for all
     four.  Each level multiplies by S^{-1} rounded from its Fractions
-    (`AffineSystem._tail_steps`; `np.linalg.inv` may miss a dyadic entry by
-    an ulp), the directions in the precision of the deviations c
+    (`IfsView.inv`), the directions in the precision of the deviations c
     (`AffineSystem._digit_moments`): where S^{-1} and c are dyadic, as on
     every registry system, the directions stay exact until their bits run
     out."""

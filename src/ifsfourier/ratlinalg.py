@@ -1,13 +1,13 @@
 """Exact rational linear algebra for small matrices (d <= 4 in practice).
 
 Exact matrices and single vectors are numpy object arrays of
-``fractions.Fraction``, close to the float path (same indexing, same
-``@``) while every operation stays exact; denominators grow like
-|det S|^p during cycle searches, which arbitrary precision absorbs.
-Batches of exact rows are integer tables inside the package: Python-int
-numerators over one denominator (`_over_common_denominator`), made
-Fractions (`_from_common_denominator`) only at the public edge:
-`Cycle.points`, `SpectrumSet.elements`, CLI strings.
+``fractions.Fraction``: the float path's indexing and ``@``, exactly.
+Batches of exact rows are integer tables inside the package: numerators
+over one denominator (`_over_common_denominator`), made Fractions
+(`_from_common_denominator`) only at the public edge.  A table is int64
+or Python ints by a bound on what it forms (`_table_dtype`): the same code
+runs on both, as matmul, %, comparisons and `np.lexsort` work on object
+arrays.  Distinct rows come from one sort (`_lex_order`).
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ def as_fraction(e) -> Fraction:
 
 def _over_common_denominator(a) -> tuple:
     """(n, q): exact numbers a as Python-int numerators n over their lcd q.
-    Rational entries (ints, Fractions, numpy integers) are read as they
-    are; only an entry without a numerator, such as a float, goes through
+    Only an entry without a numerator, such as a float, goes through
     `as_fraction`, so a table of Fractions makes no new one."""
     a = np.asarray(a, dtype=object)
     fr = [(int(e.numerator), int(e.denominator))
@@ -63,9 +62,34 @@ def _over_common_denominator(a) -> tuple:
 
 
 def _from_common_denominator(rows, q: int) -> list:
-    """Rows of integer numerators over q as tuples of Fractions: the inverse
-    of `_over_common_denominator` on a table."""
-    return list(map(tuple, [[Fraction(v, q) for v in row] for row in rows]))
+    """Rows of integer numerators over q as tuples of Fractions (of Python
+    ints): the inverse of `_over_common_denominator` on a table."""
+    return [tuple(Fraction(v, q) for v in row) for row in np.asarray(rows).tolist()]
+
+
+def _table_dtype(bound: int):
+    """int64 for a table whose entries, and all values formed from them, are
+    at most `bound` < 2^62 in absolute value; else Python ints."""
+    return np.int64 if bound < 2 ** 62 else object
+
+
+def _max_abs(table) -> int:
+    return int(np.abs(np.asarray(table)).max(initial=0))
+
+
+def _norm_inf(m) -> int:
+    return int(np.abs(m).sum(axis=1).max(initial=0))
+
+
+def _lex_order(rows) -> tuple:
+    """(order, first): `order` sorts an (n, d) table's rows stably, column 0
+    first; rows[order[first]] are its distinct rows, ascending."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, first
 
 
 def _exp_2pi_i(numerators, q: int) -> np.ndarray:
@@ -105,27 +129,30 @@ def mat_pow(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def mat_inverse(m: np.ndarray) -> np.ndarray:
-    """Exact inverse by one Gauss-Jordan elimination of [m | I], with
-    partial (first nonzero) pivoting on all n identity columns at once;
-    raises SingularMatrixError when no pivot can be found.
-    """
+    """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination of
+    [D m | I], D the lcd of m, first-nonzero pivoting: row r becomes
+    (p row_r - a_rc row_c) / p', p the pivot and p' the one before, exactly.
+    It ends as [p I | X]: m^{-1} = D X / p, the only Fractions formed.
+    Raises SingularMatrixError without a pivot."""
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("expected a square matrix, got shape %s" % (m.shape,))
-    rows = [[as_fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
+    num, den = _over_common_denominator(m)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(num.tolist())]
+    prev = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise SingularMatrixError("matrix is not invertible over the rationals")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        piv = rows[col][col]
-        pivot = rows[col] = [v / piv for v in rows[col]]
+        pivot = rows[col]
+        piv = pivot[col]
         for r in range(n):
-            factor = rows[r][col]
-            if r != col and factor != 0:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], pivot)]
-    return np.array([row[n:] for row in rows], dtype=object)
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [(piv * a - factor * b) // prev for a, b in zip(rows[r], pivot)]
+        prev = piv
+    return np.array([[Fraction(den * v, prev) for v in row[n:]] for row in rows], dtype=object)
 
 
 def spectral_margin(r) -> float:

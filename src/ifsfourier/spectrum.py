@@ -1,38 +1,29 @@
 """Candidate Fourier spectra for mu_B and their verification.
 
-The candidate spectrum Lambda is the smallest set containing -C for
-every W-cycle C and closed under x -> S x + l, l in L.  It is realized
-here as a breadth-first closure with exact elements, an element cap and
-a level cap (both reported).  Its level n, Lambda_n, is also the set of
-k-points over W-cycles C (all rotations) and words omega of exactly n letters,
+The candidate spectrum Lambda is the smallest set containing -C for every
+W-cycle C and closed under x -> S x + l, l in L.  `_closure` builds it
+level-nested, Z_0 = -C and Z_k = Z_{k-1} u expand(Z_{k-1}), with an element
+cap and a level cap (both reported).  Lambda_n is also the set of k-points
+over W-cycles C (all rotations) and words omega of n letters,
 
     k(omega) = omega_0 + S omega_1 + ... + S^{n-1} omega_{n-1} - S^n x_C,
 
-for every n: each seed -x_C is the image S(-x_C') + l of the seed of
-the next rotation C', so n steps from the seeds reach every shorter
-closure level.  The one closure (`_closure`) builds Lambda from all
-W-cycles (`generate_lambda`) and Lambda_n(C) from one cycle, the
-frequencies of the closed-form harmonic function h_C of `pathspace`.  It
-runs the recurrence through its one home, `IfsView.expand`, on an integer
-table, which Lambda stays (`SpectrumSet.rows` over `q`; Fractions only at
-the public edge, by the rule of `ratlinalg`).  `k_point` gives one
-frequency k(omega) by Horner's rule (`_horner`).
+since each seed -x_C is the image S(-x_C') + l of the seed of the next
+rotation C'.  The closure gives Lambda from all W-cycles
+(`generate_lambda`) and Lambda_n(C) from one, the frequencies of the
+closed-form h_C of `pathspace`.  Each level is one sorted integer table of
+distinct rows over one q, in the dtype of `ratlinalg._table_dtype`.
+`k_point` gives one frequency by Horner's rule (`_horner`).
 
-Orthogonality of the exponentials e_lambda is certified through
-mu_hat_B(lambda - lambda') = 0, always via an exactly vanishing product
-factor; completeness is probed through Parseval partial sums
-sum_lambda |mu_hat_B(x + lambda)|^2 <= 1, whose terms over an integer table
-have one home, `_parseval_terms`, on the floats of `_table_floats` (which
-the batched closed forms of `pathspace` share).
+Orthogonality of the e_lambda is certified by an exactly vanishing factor
+of mu_hat_B(lambda - lambda'); completeness is probed through Parseval
+sums sum_lambda |mu_hat_B(x + lambda)|^2 <= 1 (`_parseval_terms`).
 
-In the Lebesgue case (N = |det S|) the k-points of a W-cycle are also
-the negated basin of its points under the lattice endomorphism R_L, the
-one y -> S^{-1}(y + l) that stays on the lattice (Dutkay-Jorgensen,
-Fourier frequencies in affine iterated function systems, JFA 2007).
-R_L(S y - l) = y, so that basin is the closure of the cycle's points
-under y -> S y - l, run backward from the cycle: `lattice_basin_labels`
-labels a whole lattice window by one breadth-first closure per cycle in
-int64, kept to the ball that holds every orbit from the window.
+In the Lebesgue case (N = |det S|) the k-points of a W-cycle are the
+negated basin of its points under the lattice endomorphism R_L, the one
+y -> S^{-1}(y + l) that stays on the lattice (Dutkay-Jorgensen, Fourier
+frequencies in affine iterated function systems, JFA 2007): the closure
+of the cycle under y -> S y - l, run in int64 by `lattice_basin_labels`.
 """
 
 from __future__ import annotations
@@ -46,7 +37,8 @@ import numpy as np
 
 from .cycles import Cycle
 from .measure import _mu_hat_rows, mu_hat_batch, mu_hat_detail
-from .ratlinalg import _from_common_denominator, _over_common_denominator
+from .ratlinalg import (_from_common_denominator, _lex_order, _max_abs,
+                        _over_common_denominator, _table_dtype)
 from .system import AffineSystem, frac_str, fvec
 
 __all__ = [
@@ -69,21 +61,27 @@ GRID_DENOM = 4  # `grid_orthogonality` works on the grid (1/GRID_DENOM) Z
 
 @dataclass(frozen=True, eq=False)
 class SpectrumSet:
-    """Lambda through `level` as its integer table: distinct rows over q > 0, ascending."""
+    """Lambda through `level` as its integer table: distinct read-only rows
+    over q > 0, ascending, in the dtype of `ratlinalg._table_dtype`.
+    Tuples and Fractions are formed only when read."""
 
-    rows: tuple  # of Python-int tuples, numerators over q, in Fraction order
+    rows: np.ndarray  # (n, d)
     q: int
     level: int
-    seeds: frozenset
+    seed_rows: np.ndarray  # the seeds -x over q
     cap_hit: bool = False
 
     @cached_property
     def elements(self) -> frozenset:  # of fvec tuples, formed on first read
         return frozenset(_from_common_denominator(self.rows, self.q))
 
+    @cached_property
+    def seeds(self) -> frozenset:  # of fvec tuples, formed on first read
+        return frozenset(_from_common_denominator(self.seed_rows, self.q))
+
     @property
     def d(self) -> int:
-        return len(self.rows[0])
+        return self.rows.shape[1]
 
     def smallest(self, count: int | None = None) -> list:
         """The least `count` >= 0 elements (all for None), ascending, as fvec tuples."""
@@ -97,13 +95,14 @@ class SpectrumSet:
             raise ValueError("smallest_nonnegative_1d needs d = 1, got d = %d" % self.d)
         if count < 0:
             raise ValueError("count must be >= 0")
-        return [Fraction(v, self.q) for v in [r[0] for r in self.rows if r[0] >= 0][:count]]
+        first = self.rows[:, 0]
+        return [Fraction(v, self.q) for v in first[first >= 0][:count].tolist()]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["l%d" % i for i in range(self.d)])
-            for row in self.rows:
+            for row in self.rows.tolist():
                 writer.writerow(["%.17g" % (v / self.q) for v in row])
 
 
@@ -127,38 +126,34 @@ def generate_lambda(
 
 
 def _closure(sys: AffineSystem, points, levels: int, element_cap: int | None = None) -> SpectrumSet:
-    """Breadth-first closure of {-x : x in points} under x -> S x + l.
-
-    Applies the maps for all l in L for `levels` rounds with exact dedup.
-    When a round would pass `element_cap`, only its least new elements that
-    fit are kept and the closure stops there, complete through the round
-    before (`level`; 0 when the seeds alone fill the cap).  The rounds run
-    on one integer table (`IfsView.expand`).
-    """
-    seeds = {tuple(-c for c in pt) for pt in points}
-    rows, q = _over_common_denominator(np.array(list(seeds), dtype=object))
-    frontier = set(map(tuple, rows.tolist()))
-    elements = set(frontier)
+    """Closure of Z_0 = {-x : x in points} under x -> S x + l, level-nested:
+    Z_k = Z_{k-1} u expand(Z_{k-1}), the union of the first k expansions.
+    When a round would pass `element_cap`, only its least new rows that fit
+    are kept and the closure stops there, complete through the round before
+    (`level`; 0 when the seeds alone fill the cap)."""
+    num, q0 = _over_common_denominator(np.array(points, dtype=object).reshape(-1, sys.d))
+    num = -num.astype(_table_dtype(_max_abs(num)))
+    order, first = _lex_order(num)
+    rows = seeds = num[order[first]]
+    q = q0
     level, cap_hit = levels, False
     for done in range(levels):
-        rows, q_next = sys.l_view.expand(list(frontier), q)
-        if q_next != q:  # a multiple of q
-            elements = {tuple(v * (q_next // q) for v in e) for e in elements}
-            q = q_next
-        frontier = set(map(tuple, rows.tolist())) - elements
-        if element_cap is not None and len(elements) + len(frontier) > element_cap:
+        images, q_next = sys.l_view.expand(rows, q)
+        # fits: q_next / q = D scale, D < |A|_inf as S is expansive
+        union = np.concatenate([rows.astype(images.dtype) * (q_next // q), images])
+        order, first = _lex_order(union)
+        kept = order[first]
+        if element_cap is not None and len(kept) > element_cap:
             level, cap_hit = done, True
-            frontier = set(sorted(frontier)[:max(element_cap - len(elements), 0)])
-        elements |= frontier
-        if cap_hit or not frontier:
+            new = kept >= len(rows)
+            kept = kept[~new | (np.cumsum(new) <= element_cap - len(rows))]
+        grew = len(kept) > len(rows)
+        rows, q = union[kept], q_next
+        if cap_hit or not grew:
             break
-    return SpectrumSet(
-        rows=tuple(sorted(elements)),
-        q=q,
-        level=level,
-        seeds=frozenset(seeds),
-        cap_hit=cap_hit,
-    )
+    seeds = seeds.astype(rows.dtype) * (q // q0)  # rows of the table
+    rows.flags.writeable = seeds.flags.writeable = False
+    return SpectrumSet(rows=rows, q=q, level=level, seed_rows=seeds, cap_hit=cap_hit)
 
 
 def _horner(view, word, start) -> tuple:
@@ -193,26 +188,19 @@ class GramReport:
     n_elements: int
 
 
-def _window_table(sys: AffineSystem, points) -> tuple:
-    """(points, rows, q): exact points of d entries each, as a list and as
-    one integer table over their lcd (`_over_common_denominator`, which
-    makes no Fraction for a rational entry)."""
-    points = list(points)
-    return (points,) + _over_common_denominator(
-        np.array(points, dtype=object).reshape(len(points), sys.d))
-
-
 def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> GramReport:
-    """Max |mu_hat_B(lambda - lambda')| over distinct pairs (exact path).  The
-    window is differenced once as an integer table; each distinct difference
-    is evaluated once, all in one exact batch; the pair reported is the
-    first in `itertools.combinations` order at the max."""
-    elems, rows, q = _window_table(sys, lambda_subset)
+    """Max |mu_hat_B(lambda - lambda')| over distinct pairs (exact path): each
+    distinct difference of the window's integer table is evaluated once, in
+    one batch; the pair reported is the first in combinations order at the max."""
+    elems = list(lambda_subset)
+    rows, q = _over_common_denominator(np.array(elems, dtype=object).reshape(len(elems), sys.d))
+    rows = rows.astype(_table_dtype(2 * _max_abs(rows)))
     first, second = np.triu_indices(len(elems), 1)  # combinations order
-    diffs = {}
-    which = [diffs.setdefault(row, len(diffs))
-             for row in map(tuple, (rows[first] - rows[second]).tolist())]
-    vals = np.abs(_mu_hat_rows(sys, list(diffs), q, tail_tol)[0])[which]
+    diffs = rows[first] - rows[second]
+    order, distinct = _lex_order(diffs)
+    which = np.empty(len(diffs), dtype=np.intp)
+    which[order] = np.cumsum(distinct) - 1
+    vals = np.abs(_mu_hat_rows(sys, diffs[order[distinct]], q, tail_tol)[0])[which]
     worst = float(vals.max(initial=0.0))
     at = int(np.argmax(vals)) if worst else None
     pair = None if at is None else (fvec(elems[first[at]]), fvec(elems[second[at]]))
@@ -220,27 +208,27 @@ def verify_orthogonality(sys: AffineSystem, lambda_subset, tail_tol=None) -> Gra
 
 
 def _table_floats(rows, q: int, d: int) -> np.ndarray:
-    """The rows of an integer table over q > 0 as an (n, d) float array: each
-    row / q the correctly rounded float that float(Fraction) gives, by
-    Python int / int on an object table."""
-    return (np.array(rows, dtype=object).reshape(-1, d) / q).astype(float)
+    """An integer table over q > 0 as (n, d) floats, each n / q correctly
+    rounded: one float division when n and q are exact floats (below 2^53),
+    else Python int / int."""
+    rows = np.asarray(rows).reshape(-1, d)
+    if rows.dtype == np.int64 and q < 2 ** 53 and _max_abs(rows) < 2 ** 53:
+        return rows / q
+    return (rows.astype(object) / q).astype(float)
 
 
-def _parseval_terms(sys: AffineSystem, rows, q: int, x, tail_tol=None) -> np.ndarray:
-    """|mu_hat_B(x + row / q)|^2 at the rows of an integer table, in order, on
-    the float path (`mu_hat_batch`, one depth for the batch)."""
-    t = _table_floats(rows, q, sys.d) + np.atleast_1d(np.asarray(x, dtype=float))
-    return np.abs(mu_hat_batch(sys, t, tail_tol)) ** 2
+def _parseval_terms(sys: AffineSystem, t, x, tail_tol=None) -> np.ndarray:
+    """|mu_hat_B(x + t)|^2 at the rows of the float frequencies t (`mu_hat_batch`)."""
+    return np.abs(mu_hat_batch(sys, t + np.atleast_1d(np.asarray(x, dtype=float)), tail_tol)) ** 2
 
 
 def completeness_sum(sys: AffineSystem, lambda_subset, x, tail_tol=None) -> float:
-    """Parseval partial sum sum_lambda |mu_hat_B(x + lambda)|^2.
-
-    Monotone nondecreasing in the subset; bounded by 1 (Bessel) up to
-    truncation error of the products.
-    """
-    _, rows, q = _window_table(sys, lambda_subset)
-    return float(np.sum(_parseval_terms(sys, rows, q, x, tail_tol)))
+    """Parseval partial sum sum_lambda |mu_hat_B(x + lambda)|^2, on float() of
+    each coordinate.  Monotone in the subset; at most 1 (Bessel) up to the
+    truncation of the products."""
+    points = np.array(list(lambda_subset), dtype=object)
+    t = np.array([float(c) for c in points.flat]).reshape(len(points), sys.d)
+    return float(np.sum(_parseval_terms(sys, t, x, tail_tol)))
 
 
 @dataclass(frozen=True)
@@ -265,13 +253,11 @@ class GridOrthogonality:
 def grid_orthogonality(sys: AffineSystem, x, span: int = 100) -> GridOrthogonality:
     """Orthogonality graph on the grid {k/4 : |k| <= span} (d = 1).
 
-    Vertices are grid frequencies, edges the pairs with
-    mu_hat_B(difference) exactly zero.  Reports the maximum clique size
-    (cliques beyond pairs are searched through triangles: for the systems
-    here, edge differences have odd numerator scale, so two edges never
-    close a triangle and the clique number is 2 whenever an edge exists),
-    and the Bessel sum at x of the best maximal orthogonal family through
-    frequency 0.
+    Vertices are grid frequencies, edges the pairs with mu_hat_B(difference)
+    exactly zero.  Reports the maximum clique size (searched through
+    triangles: for the systems here two edges never close one, so it is 2
+    whenever an edge exists), and the Bessel sum at x of the best maximal
+    orthogonal family through frequency 0.
     """
     if sys.d != 1:
         raise ValueError("grid orthogonality analysis is one-dimensional")
@@ -294,7 +280,7 @@ def grid_orthogonality(sys: AffineSystem, x, span: int = 100) -> GridOrthogonali
     base = abs(mu_hat_detail(sys, (Fraction(xf).limit_denominator(10**12),)).value) ** 2
     partners = [[k] for k in ks if k != 0 and zero_flag[abs(k)]]
     if partners:
-        vals = _parseval_terms(sys, partners, GRID_DENOM, xf)
+        vals = _parseval_terms(sys, _table_floats(partners, GRID_DENOM, 1), xf)
         best = int(np.argmax(vals))
         return GridOrthogonality(clique, n_edges, base + float(vals[best]),
                                  (Fraction(partners[best][0], GRID_DENOM),))
@@ -308,20 +294,15 @@ class LatticeError(ValueError):
 def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float, lattice_scale: int):
     """Classify the window (1/q) Z^d, max-norm <= radius, by basin.
 
-    The lattice endomorphism R_L (the unique y -> S^{-1}(y + l) staying on
-    the lattice) is a function, and the N points S y - l are all its
-    preimages of y.  So the basin of a cycle is the backward closure of its
-    points, and each listed cycle is closed breadth first in int64: level k
-    holds the points whose orbit first meets the cycle after k moves.
-    Levels are disjoint and distinct points have distinct preimages, so the
-    closure needs no dedup; it drops only the cycle's own points, on its
-    first level.  Every window orbit stays in the ball |z|_2 <= P m sqrt(d)
-    + q R_b (m = floor(radius q), P = max(1, max |S^{-k}|_2) over
-    `power_norms`, R_b the L-view's `bounding_radius`), so the closure
-    keeps only the points in it (with a margin for rounding), and each
-    point it reaches in the window has its label written at its index.
-    Disjoint levels in a finite ball run out: the closure runs until they
-    do.
+    R_L (the unique y -> S^{-1}(y + l) staying on the lattice) is a
+    function whose preimages of y are the N points S y - l, so the basin of
+    a cycle is the backward closure of its points, run breadth first in
+    int64: level k holds the points whose orbit first meets the cycle after
+    k moves.  Levels are disjoint, so it needs no dedup beyond the cycle's
+    own points on its first level.  Every window orbit stays in the ball
+    |z|_2 <= P m sqrt(d) + q R_b (m = floor(radius q), P = max(1, max
+    |S^{-k}|_2), R_b the L-view's `bounding_radius`): the closure keeps the
+    points in it (with a rounding margin) and runs until a level is empty.
 
     Returns (points (n, d) scaled by q, labels): label i means the orbit
     enters w_cycles[i] under R_L; -1 that it enters no listed cycle.
@@ -341,7 +322,7 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float, lattice_sca
     adj, den = _over_common_denominator(sys.l_view.inv_exact)  # S^{-1} = adj / den
     # z + q l is in S Z^d exactly when adj (z + q l) = 0 mod den
     residues = (digits @ adj.astype(np.int64).T) % den
-    classes = len(set(map(tuple, residues.tolist())))  # np.unique(axis=0) imports numpy.ma
+    classes = int(_lex_order(residues)[1].sum())  # np.unique(axis=0) imports numpy.ma
     if sys.N != round(abs(np.linalg.det(sys.S))) or classes < sys.N:
         raise LatticeError("lattice points without a unique S y - l decomposition")
     m = int(np.floor(radius * q))
@@ -371,21 +352,14 @@ def lattice_basin_labels(sys: AffineSystem, w_cycles, radius: float, lattice_sca
 def lattice_basin_sums(sys: AffineSystem, x, w_cycles, radius: float, lattice_scale: int):
     """Per-cycle Parseval sums over a lattice window, via basin membership.
 
-    For the Lebesgue-case systems (#digits = |det R|) the k-points of a
-    W-cycle C are the negated basin of its base point under the lattice
-    endomorphism (the basin is the closure of x_C under y -> S y - l,
-    the k-points are sums S^j omega_j - S^n x_C), so
-
-        h_C(x) = sum_{y in basin(C)} |mu_hat_B(x - y)|^2,
-
-    increasing to h_C as the window grows.  Returns (per_cycle_sums,
-    other_mass, coverage): `other` collects mass of window points whose
-    orbit enters a cycle not in w_cycles, and coverage is the total
-    window mass (the out-of-window tail is 1 - coverage when the
-    exponentials form an ONB).
+    In the Lebesgue case the k-points of a W-cycle C are its negated basin,
+    so h_C(x) = sum_{y in basin(C)} |mu_hat_B(x - y)|^2, approached as the
+    window grows.  Returns (per_cycle_sums, other_mass, coverage): `other`
+    is the mass of window points entering no listed cycle, coverage the
+    window's total (1 - coverage is the tail when the e_lambda form an ONB).
     """
     pts, label = lattice_basin_labels(sys, w_cycles, radius, lattice_scale)
-    weights = _parseval_terms(sys, -pts, int(lattice_scale), x)
+    weights = _parseval_terms(sys, _table_floats(-pts, int(lattice_scale), sys.d), x)
     per_cycle = [float(weights[label == ci].sum()) for ci in range(len(w_cycles))]
     other = float(weights[label < 0].sum())
     return per_cycle, other, float(weights.sum())

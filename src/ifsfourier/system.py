@@ -18,14 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .ratlinalg import (
-    _over_common_denominator,
-    as_fraction,
-    identity_rational,
-    is_expansive,
-    mat_inverse,
-    rational_matrix,
-)
+from .ratlinalg import (_max_abs, _norm_inf, _over_common_denominator, _table_dtype,
+                        as_fraction, identity_rational, is_expansive, mat_inverse,
+                        rational_matrix)
 
 __all__ = ["IfsView", "AffineSystem", "fvec", "frac_str"]
 
@@ -102,7 +97,11 @@ class IfsView:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
+        """matrix^{-1}: `inv_exact` correctly rounded, or `np.linalg.inv` without it."""
+        if self.matrix_exact is None:
+            return np.linalg.inv(self.matrix)
+        num, den = _over_common_denominator(self.inv_exact)
+        return np.array([[n / den for n in row] for row in num.tolist()])
 
     @cached_property
     def inv_exact(self) -> np.ndarray | None:
@@ -123,25 +122,30 @@ class IfsView:
         lam, e = _over_common_denominator(np.array(self.digits_exact, dtype=object))
         return a, den, lam, e
 
-    def expand(self, numerators, q: int) -> tuple:
-        """One exact step of the recurrence x -> matrix x + digit on the (n, d)
-        table x = numerators / q of integers over one q > 0: (rows, q'), the
-        N rows matrix x + digit_i of each x over q' = lcm(D q, e) (matrix =
-        A / D, digits = lam / e), digit-major (row i * n + k comes from x_k).
+    @cached_property
+    def _expand_bound(self) -> tuple:  # (|A|_inf, max|lam|) of `_integer_form`
+        a, _, lam, _ = self._integer_form
+        return _norm_inf(a), _max_abs(lam)
 
-        n steps from the zero row therefore list every word sum
-        sum_j matrix^j digit_{w_j} in lexicographic word order, w_0
-        outermost.  Cycle points, k-points, the spectrum closure and the
-        power-system digits are all such sums; each forms Fractions only
-        for its result."""
+    def expand(self, numerators, q: int) -> tuple:
+        """One exact step of x -> matrix x + digit on the (n, d) integer table
+        x = numerators / q: (rows, q'), the N rows matrix x + digit_i of each
+        x over q' = lcm(D q, e) (matrix = A / D, digits = lam / e),
+        digit-major (row i * n + k from x_k), in the `_table_dtype` of
+        max|x| |A|_inf q'/(D q) + max|lam| q'/e.  n steps from the zero row
+        list every word sum sum_j matrix^j digit_{w_j}, w_0 outermost."""
         if self.matrix_exact is None:
             raise ValueError("exact expansion needs rational system data")
         a, den, lam, e = self._integer_form
-        y = np.asarray(numerators, dtype=object).reshape(-1, self.d) @ a.T
+        x = np.asarray(numerators).reshape(-1, self.d)
         q_out = math.lcm(den * q, e)
-        if q_out != den * q:
-            y = y * (q_out // (den * q))
-        return (lam[:, None] * (q_out // e) + y).reshape(-1, self.d), q_out
+        scale, shift = q_out // (den * q), q_out // e
+        norm, top = self._expand_bound
+        dtype = _table_dtype(_max_abs(x) * norm * scale + top * shift)
+        y = x.astype(dtype) @ a.astype(dtype).T
+        if scale != 1:
+            y *= scale
+        return (lam.astype(dtype)[:, None] * shift + y).reshape(-1, self.d), q_out
 
     def cosine_factors(self, coeffs: np.ndarray, freqs: np.ndarray) -> tuple:
         """(G, E, left, right, C) for a cosine polynomial sum_j a_j cos(2 pi f_j.x),
@@ -342,12 +346,11 @@ class AffineSystem:
         the turns of the first K unit phases of mu_hat's product,
         u_K = sum_{j<=K} S^{-jt} bbar = v - S^{-Kt} v (`measure._float_terms`)."""
         num, den = _over_common_denominator(self.l_view.inv_exact)
-        step = np.array([[n / den for n in row] for row in num])  # int / int: correctly rounded
         extended = np.array([[np.longdouble(n) / np.longdouble(den) for n in row] for row in num])
         bbar = [sum(c) / self.N for c in zip(*self.B_exact)]
         shift = mat_inverse(self.S_exact.T - identity_rational(self.d))
         v = np.array([_long(sum(m * b for m, b in zip(row, bbar))) for row in shift])
-        return step, extended, v, _dyadic(den)
+        return self.l_view.inv, extended, v, _dyadic(den)
 
     @cached_property
     def _tail_sums(self) -> list:

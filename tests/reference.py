@@ -4,13 +4,16 @@ Each function here computes one item the direct way: one word, one point
 or one cycle at a time.  The package computes the same objects in one
 batch each (`enumerate_cycles`, `lattice_basin_labels`, the walk of
 `pathspace`, `weight_from_digits`), and the tests hold that batch
-against these.  `stepping_mu_hat_batch` keeps the float product of
+against these.  `closure_reference` and `cycle_table_reference` keep the
+exact tables as they were computed before the int64 tables: Python ints
+only, deduplicated through sets of tuples.  `stepping_mu_hat_batch` keeps the float product of
 `mu_hat_batch` as it was computed before the phase directions: t_k
 stepped level by level.  None of this is shipped in `ifsfourier`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,6 +84,79 @@ def cycle_from_word(sys: AffineSystem, word) -> Cycle:
     if points.pop() != points[0]:
         raise AssertionError("cycle round trip failed for word %s" % (word,))
     return Cycle(word=word, period=len(word), points=tuple(points))
+
+
+def _object_expand(view: IfsView, numerators, q: int) -> tuple:
+    """`IfsView.expand` on Python ints only: (rows, q') with rows the object
+    table matrix x + digit_i over q' = lcm(D q, e), digit-major."""
+    a, den, lam, e = view._integer_form
+    y = np.asarray(numerators, dtype=object).reshape(-1, view.d) @ a.T
+    q_out = math.lcm(den * q, e)
+    if q_out != den * q:
+        y = y * (q_out // (den * q))
+    return (lam[:, None] * (q_out // e) + y).reshape(-1, view.d), q_out
+
+
+def closure_reference(sys: AffineSystem, points, levels: int, element_cap=None) -> tuple:
+    """(rows, q, level, seeds, cap_hit) of the breadth-first closure of
+    {-x : x in points} under x -> S x + l, with a set of Python-int tuples
+    as its frontier: the reference of `spectrum._closure`, which rows and q
+    it gives, ascending, as tuples."""
+    seeds = {tuple(-c for c in pt) for pt in points}
+    rows, q = _over_common_denominator(np.array(list(seeds), dtype=object))
+    frontier = set(map(tuple, rows.tolist()))
+    elements = set(frontier)
+    level, cap_hit = levels, False
+    for done in range(levels):
+        rows, q_next = _object_expand(sys.l_view, list(frontier), q)
+        if q_next != q:  # a multiple of q
+            elements = {tuple(v * (q_next // q) for v in e) for e in elements}
+            q = q_next
+        frontier = set(map(tuple, rows.tolist())) - elements
+        if element_cap is not None and len(elements) + len(frontier) > element_cap:
+            level, cap_hit = done, True
+            frontier = set(sorted(frontier)[:max(element_cap - len(elements), 0)])
+        elements |= frontier
+        if cap_hit or not frontier:
+            break
+    return tuple(sorted(elements)), q, level, frozenset(seeds), cap_hit
+
+
+def cycle_table_reference(sys: AffineSystem, p_max: int) -> list:
+    """The Cycles of `enumerate_cycles` (with their W verdicts) from an
+    object table of Python ints: the fixed points of all N^p words as one
+    product, the round trip checked on every row, distinct points checked
+    with a set of tuples and W_B = 1 tested on the Python-int dots."""
+    view, n = sys.l_view, sys.N
+    a, den, lam, e = view._integer_form
+    lam_b, e_b = sys.b_view._integer_form[2:]
+    rows, q = np.zeros((1, sys.d), dtype=object), 1
+    out = []
+    for p in range(1, p_max + 1):
+        rows, q = _object_expand(view, rows, q)
+        m_inv, m_den = _over_common_denominator(
+            mat_inverse(mat_pow(sys.S_exact, p) - identity_rational(sys.d)))
+        x, x_den = rows @ m_inv.T, q * m_den
+        ranks = np.arange(n ** p)
+        rot = ranks % n ** (p - 1) * n + ranks // n ** (p - 1)
+        if not np.array_equal(x[rot] @ (e * a).T,
+                              den * e * x + den * x_den * lam[ranks // n ** (p - 1)]):
+            raise AssertionError("cycle round trip failed at period %d" % p)
+        words = _lyndon_ranks(n, p)
+        orbits = [words]
+        for _ in range(p - 1):
+            orbits.append(orbits[-1] % n ** (p - 1) * n + orbits[-1] // n ** (p - 1))
+        orbit_rows = x[np.stack(orbits, axis=1).ravel()].tolist()
+        if len(set(map(tuple, orbit_rows))) != len(orbit_rows):
+            raise AssertionError("distinct words share a fixed point at period %d" % p)
+        dots = np.array(orbit_rows, dtype=object).reshape(-1, sys.d) @ (lam_b[1:] - lam_b[0]).T
+        ok = np.all(dots % (e_b * x_den) == 0, axis=1).reshape(-1, p).all(axis=1)
+        out.extend(Cycle(word=w, period=p,
+                         points=tuple(tuple(Fraction(v, x_den) for v in row)
+                                      for row in orbit_rows[i * p:(i + 1) * p]),
+                         is_w_cycle=bool(ok[i]))
+                   for i, w in enumerate(_words(words, n, p)))
+    return out
 
 
 def rotations(cycle: Cycle):

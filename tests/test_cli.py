@@ -858,6 +858,38 @@ def test_harmonic_depth_cap_is_n_to_the_depth(capsys, monkeypatch, example, x, d
     assert (code == 2) == ("more than 100,000" in err)
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("cycles", ()), ("cycles", ("--all",)), ("spectrum", ()), ("verify-onb", ()),
+    ("harmonic", ("--x", "0.3,0.2", "--paths", "10", "--length", "4")),
+])
+@pytest.mark.parametrize("p_max,code", [(16, 0), (17, 2), (40, 2), (10 ** 30, 2)])
+def test_p_max_is_refused_past_the_element_cap(capsys, monkeypatch, tmp_path, command, extra,
+                                               p_max, code):
+    # N^p_max words at the longest period above 100,000 is bad input, from the
+    # flag and from a config, refused before any cycle table is formed: 2^16 fits
+    # the cap and 2^17 does not (--p-max 40 on twindragon would double its
+    # table every period until memory ran out)
+    from ifsfourier import cli
+
+    def no_table(*args, **kwargs):
+        raise cli.CheckFailed({"error": "the cycle table is formed"})
+
+    monkeypatch.setattr(cli, "enumerate_cycles", no_table)
+    monkeypatch.setattr(cli, "find_w_cycles", no_table)
+    config = cli._entry_config(EXAMPLES["twindragon"])
+    config.p_max = p_max
+    cfg = tmp_path / "twindragon.cfg"
+    cfg.write_text(emit_config(config))
+    for source in (("--example", "twindragon", "--p-max", str(p_max)), ("--config", str(cfg))):
+        got, out, err = run_main(capsys, command, *source, *extra)
+        if code == 2:
+            assert (got, out) == (2, "")
+            assert json.loads(err)["error"].startswith("p_max %d asks for N^p_max = 2^%d words"
+                                                       % (p_max, p_max))
+        else:  # past the refusal, at the table
+            assert got == 1 and "the cycle table is formed" in out + err
+
+
 def test_package_runs_as_a_module():
     proc = subprocess.run([sys.executable, "-m", "ifsfourier", "example"],
                           capture_output=True, text=True)

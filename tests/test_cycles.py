@@ -27,7 +27,7 @@ from ifsfourier.ratlinalg import (
 )
 from ifsfourier.spectrum import _horner
 from ifsfourier.system import IfsView, fvec
-from reference import aperiodic_necklaces, cycle_from_word, m_eval, tau
+from reference import aperiodic_necklaces, cycle_from_word, cycle_table_reference, m_eval, tau
 from strategies import product_triple
 
 
@@ -355,6 +355,17 @@ def test_expand_lists_word_sums_in_lexicographic_order(planar_shear):
         IfsView("L", view.matrix, view.digits).expand(zero, 1)
 
 
+@pytest.mark.parametrize("top", [2 ** 55, 2 ** 56, 2 ** 58, -2 ** 60])
+def test_expand_bound_counts_the_rescaling_to_the_new_denominator(top):
+    # L = {0, 1/16} over q = 1: the images 4 x + l are rescaled to q' = 16, so
+    # 4 |x| 16 + 1 decides the dtype; past 2^62 the rows are Python ints
+    view = AffineSystem.create([[4]], [[0], [2]], [[0], [Fraction(1, 16)]]).l_view
+    rows, q = view.expand(np.array([[top], [3]], dtype=np.int64), 1)
+    assert q == 16
+    assert rows.tolist() == [[64 * top], [192], [64 * top + 1], [193]]
+    assert rows.dtype == (np.int64 if 64 * abs(top) + 1 < 2 ** 62 else object)
+
+
 def test_enumerate_cycles_match_per_word_sums_d2(twindragon, planar_shear):
     # each cycle's right-hand side (S^p - I) x_0, read from the expansion
     # table, equals the word's Horner sum and its term-by-term sum
@@ -416,3 +427,36 @@ def test_cycles_json_schema(cantor4):
     assert data == [
         {"word": [0], "period": 1, "points": ["(0)"], "is_w_cycle": True}
     ]
+
+
+def assert_cycle_table_matches_reference(sys, p_max: int) -> list:
+    """enumerate_cycles against the Python-int table with its set of tuples:
+    the same cycles, words, points and W verdicts, as Python ints and
+    Fractions with Python-int internals; the cycles."""
+    fast = enumerate_cycles(sys, p_max)
+    assert [(c.word, c.period, c.points, c.is_w_cycle) for c in fast] == [
+        (c.word, c.period, c.points, c.is_w_cycle) for c in cycle_table_reference(sys, p_max)]
+    assert all(type(v.numerator) is int and type(v.denominator) is int
+               for c in fast for pt in c.points for v in pt)
+    return fast
+
+
+@pytest.mark.parametrize("name,p_max", [("cantor4", 8), ("cantor3", 5), ("lambda15", 8),
+                                        ("lambda63", 8), ("planar-shear", 5), ("twindragon", 10)])
+def test_cycle_table_matches_the_python_int_reference_on_registry(name, p_max):
+    assert_cycle_table_matches_reference(get_system(name), p_max)
+
+
+def test_cycle_table_past_int64_takes_python_ints():
+    # R = 2^31: the period-6 fixed points have denominators 2^186 - 1 and
+    # beyond, so the tables pass 2^62 at period 3 and run on Python ints
+    sys = AffineSystem.create([[2 ** 31]], [[0], [2 ** 30]], [[0], [1]])
+    cycles = assert_cycle_table_matches_reference(sys, 6)
+    assert max(c.points[0][0].denominator for c in cycles).bit_length() == 186
+    assert [c.points for c in cycles if c.is_w_cycle] == [((Fraction(0),),)]
+    rows, q = np.zeros((1, 1), dtype=np.int64), 1
+    dtypes = []
+    for _ in range(4):
+        rows, q = sys.l_view.expand(rows, q)
+        dtypes.append(rows.dtype)
+    assert dtypes == [np.int64, np.int64, object, object]

@@ -32,6 +32,7 @@ from ifsfourier.measure import _branch_weights, _float_terms, _tail_depth, _trun
 from ifsfourier.spectrum import _closure, lattice_basin_labels
 from strategies import conjugate_triple, product_triple
 from test_cycles import (
+    assert_cycle_table_matches_reference,
     assert_cycles_match_reference,
     assert_w_verdicts_match_fraction_reference,
     word_sum,
@@ -59,6 +60,7 @@ from test_pathspace import (
 )
 from test_spectrum import (
     assert_closure_labels_match_the_stepper,
+    assert_closure_matches_reference,
     assert_k_points_match_reference,
     assert_lambda_is_rotation_k_points,
     lattice_scale_of,
@@ -214,6 +216,28 @@ def test_batch_matches_stepping_reference_on_generated_triples(pair, form, seed)
     rng = np.random.default_rng(seed)
     for ts in (rng.uniform(-57, 57, (300, sys_.d)), rng.integers(-228, 229, (300, sys_.d)) / 4):
         assert_batch_matches_stepping_reference(sys_, ts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.tuples(hadamard_triples_1d(), hadamard_triples_1d()),
+       form=st.sampled_from(["triple", "product", "shear", "cat"]))
+def test_exact_tables_match_the_set_references_on_generated_triples(pair, form):
+    # the int64 cycle table and the level-nested closure against the Python-int
+    # table and the breadth-first closure with sets of tuples, on a triple, a
+    # product of two or such a product conjugated by U in GL(2, Z); the
+    # closures of every W-cycle and of all of them, with and without a cap
+    sys_ = pair[0] if form == "triple" else product_triple(*pair)
+    if form in ("shear", "cat"):
+        sys_ = conjugate_triple(sys_, [[1, 1], [0, 1]] if form == "shear" else [[2, 1], [1, 1]])
+    p_max = max(p for p in range(1, 8) if sys_.N ** p <= MAX_WORDS)
+    cycles = [c for c in assert_cycle_table_matches_reference(sys_, p_max) if c.is_w_cycle]
+    levels = max(n for n in range(1, 6) if sys_.N ** n <= 4 * MAX_WORDS)
+    for cyc in cycles:
+        assert_closure_matches_reference(sys_, cyc.points, levels)
+    points = [pt for cyc in cycles for pt in cyc.points]
+    size = len(assert_closure_matches_reference(sys_, points, levels).rows)
+    for cap in (1, size // 2, size - 1):
+        assert_closure_matches_reference(sys_, points, levels, cap)
 
 
 LEBESGUE_TRIPLES = hadamard_triples_1d(scale=st.just(1))  # R = N: Lebesgue measure

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ifsfourier import EXAMPLES, get_system
+from ifsfourier import EXAMPLES, AffineSystem, get_system
 from ifsfourier.ratlinalg import (
     AmbiguousExpansivityError,
     SingularMatrixError,
@@ -191,3 +191,22 @@ def test_mat_inverse_matches_column_solves_on_random_integer_matrices():
     _assert_inverse_matches_columns(m)
     with pytest.raises(SingularMatrixError):
         mat_inverse(rational_matrix([[1, 2], [2, 4]]))
+
+
+# S = [[14, 6], [-12, -4]]: the product of the R = 8, B = {0, 4} and R = 2
+# triples conjugated by [[2, 1], [1, 1]]; its inverse [[-1/4, -3/8],
+# [3/4, 7/8]] is exact in floats, which np.linalg.inv misses by 1.1e-16 to
+# 4.4e-16
+SHEARED_PRODUCT_R = [[14, -12], [6, -4]]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in EXAMPLES.items() if e.kind == "affine")
+                         + ["sheared-product"])
+def test_view_inverse_is_the_exact_inverse_correctly_rounded(name):
+    if name == "sheared-product":
+        sys_ = AffineSystem.create(SHEARED_PRODUCT_R, [[0, 0], [1, 0]], [[0, 0], [0, 1]])
+        assert sys_.l_view.inv.tolist() == [[-0.25, -0.375], [0.75, 0.875]]
+    else:
+        sys_ = get_system(name)
+    for view in (sys_.b_view, sys_.l_view):
+        assert view.inv.tolist() == [[float(v) for v in row] for row in view.inv_exact]

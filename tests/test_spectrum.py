@@ -26,9 +26,10 @@ from ifsfourier import (
 )
 from ifsfourier.ratlinalg import _over_common_denominator
 from ifsfourier.registry import EXAMPLES
-from ifsfourier.spectrum import _closure, _horner, _parseval_terms, lattice_basin_labels
+from ifsfourier.spectrum import (_closure, _horner, _parseval_terms, _table_floats,
+                                 lattice_basin_labels)
 from ifsfourier.system import fvec
-from reference import cycle_basin, rotations
+from reference import closure_reference, cycle_basin, rotations
 from test_cycles import fraction_expand, table_expand
 from test_measure import mu_hat_fraction_reference
 
@@ -306,7 +307,7 @@ def test_spectrum_set_is_its_sorted_table(name):
     denominators = set()
     for levels, cap in [(n, 100_000) for n in range(6)] + [(6, 50), (6, 333)]:
         spec = generate_lambda(sys, cycles, levels, element_cap=cap)
-        rows = spec.rows
+        rows = list(map(tuple, spec.rows.tolist()))
         assert all(a < b for a, b in zip(rows, rows[1:]))
         assert spec.elements == {tuple(Fraction(v, spec.q) for v in row) for row in rows}
         assert len(spec.elements) == len(rows)
@@ -480,8 +481,8 @@ def test_windows_are_tabled_as_the_fvec_route_tables_them(name):
     x = [0.3] * sys.d
     for kind, elems in window_kinds(window).items():
         fvec_route = [fvec(e) for e in elems]
-        ref = float(np.sum(_parseval_terms(sys, *_over_common_denominator(fvec_route), x,
-                                           sys.tail_tol)))
+        ref = float(np.sum(_parseval_terms(
+            sys, _table_floats(*_over_common_denominator(fvec_route), sys.d), x, sys.tail_tol)))
         assert completeness_sum(sys, elems, x, sys.tail_tol) == ref, kind
         got = verify_orthogonality(sys, elems[:60], sys.tail_tol)
         assert got == verify_orthogonality(sys, fvec_route[:60], sys.tail_tol), kind
@@ -605,14 +606,19 @@ def test_lattice_basin_sums_partition_the_window(twindragon, p_max):
 
 
 def test_parseval_terms_of_an_int64_window_are_its_python_int_terms(twindragon):
-    # lattice_basin_sums hands _parseval_terms an int64 window: its terms are
-    # those of the Python-int table, and of numpy's int64 division rows / q
+    # lattice_basin_sums hands _parseval_terms the floats of an int64 window:
+    # they are those of the Python-int table, and of numpy's int64 division rows / q
     pts = lattice_basin_labels(twindragon, find_w_cycles(twindragon, 8), 8.0, 5)[0]
     x = np.array([0.3, -0.7])
-    got = _parseval_terms(twindragon, -pts, 5, x)
+    floats = _table_floats(-pts, 5, 2)
+    got = _parseval_terms(twindragon, floats, x)
     assert pts.dtype == np.int64 and len(pts) > 1000
-    assert got.tobytes() == _parseval_terms(twindragon, (-pts).astype(object), 5, x).tobytes()
+    assert floats.tobytes() == _table_floats((-pts).astype(object), 5, 2).tobytes()
     assert got.tobytes() == (np.abs(mu_hat_batch(twindragon, -pts / 5 + x)) ** 2).tobytes()
+    # past 2^53 an int64 row / q would round twice: Python int / int rounds once
+    for n, q in ((2 ** 53 + 1, 3), (3, 2 ** 53 + 1), (-(2 ** 62) - 1, 7)):
+        assert _table_floats(np.array([[n]]), q, 1).tolist() == [[n / q]]
+    assert _table_floats(np.array([[2 ** 53 + 1]]), 3, 1)[0, 0] != np.float64(2 ** 53 + 1) / 3
 
 
 def basin_labels_reference(sys, w_cycles, radius, lattice_scale, max_steps=512):
@@ -841,3 +847,40 @@ def test_lattice_basins_reject_bad_input(twindragon, bad):
         lattice_basin_labels(twindragon, cycles, **kwargs)
     with pytest.raises(ValueError, match=name):
         lattice_basin_sums(twindragon, [0.3, -0.7], cycles, **kwargs)
+
+
+def assert_closure_matches_reference(sys, points, levels, element_cap=None):
+    """_closure against the breadth-first closure with a set of tuples: the
+    same rows, q, level, seeds and cap verdict; the closure."""
+    spec = _closure(sys, points, levels, element_cap)
+    rows, q, level, seeds, cap_hit = closure_reference(sys, points, levels, element_cap)
+    assert tuple(map(tuple, spec.rows.tolist())) == rows
+    assert (spec.q, spec.level, spec.seeds, spec.cap_hit) == (q, level, seeds, cap_hit)
+    return spec
+
+
+@pytest.mark.parametrize("name,p_max,levels", [("cantor4", 4, 8), ("cantor3", 3, 6),
+                                               ("lambda15", 4, 8), ("lambda63", 3, 6),
+                                               ("planar-shear", 4, 5), ("twindragon", 8, 8)])
+def test_closure_matches_the_set_reference_on_registry(name, p_max, levels):
+    sys = get_system(name)
+    cycles = find_w_cycles(sys, p_max)
+    points = [pt for cyc in cycles for pt in cyc.points]
+    spec = assert_closure_matches_reference(sys, points, levels)
+    for cap in (1, len(points), len(spec.rows) // 3, len(spec.rows) - 1):
+        assert_closure_matches_reference(sys, points, levels, cap)
+    for cyc in cycles:
+        assert_closure_matches_reference(sys, cyc.points, levels)
+
+
+def test_closure_past_int64_takes_python_ints():
+    # R = 2^31, B = {0, 2^30}: Lambda_4 has 94-bit entries, past int64 from
+    # level 3 (63 bits) on
+    sys = AffineSystem.create([[2 ** 31]], [[0], [2 ** 30]], [[0], [1]])
+    cycles = find_w_cycles(sys, 6)
+    for levels, dtype in ((2, np.int64), (3, object), (4, object)):
+        spec = assert_closure_matches_reference(sys, cycles[0].points, levels)
+        assert spec.rows.dtype == dtype
+    assert max(abs(v) for v in spec.rows.ravel()).bit_length() == 94
+    assert spec.elements == generate_lambda(sys, cycles, 4).elements
+    assert all(type(c.numerator) is int for e in spec.smallest() for c in e)
