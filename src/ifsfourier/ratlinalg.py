@@ -64,7 +64,7 @@ def _over_common_denominator(a) -> tuple:
 def _from_common_denominator(rows, q: int) -> list:
     """Rows of integer numerators over q as tuples of Fractions (of Python
     ints): the inverse of `_over_common_denominator` on a table."""
-    return [tuple(Fraction(v, q) for v in row) for row in np.asarray(rows).tolist()]
+    return list(map(tuple, [[Fraction(v, q) for v in row] for row in np.asarray(rows).tolist()]))
 
 
 def _table_dtype(bound: int):
