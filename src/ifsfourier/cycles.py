@@ -115,7 +115,7 @@ def enumerate_cycles(sys: AffineSystem, p_max: int, w_only: bool = False) -> lis
             mat_inverse(mat_pow(sys.S_exact, p) - identity_rational(sys.d)))
         x_den = q * m_den
         dtype = _table_dtype(_max_abs(rows) * _norm_inf(m_inv) * x_factor
-                             + x_den * (den * max(view._expand_bound[1], 1) + e_b))
+                             + x_den * (den * view._expand_bound[1] + e_b))
         x = rows.astype(dtype) @ m_inv.astype(dtype).T
         ranks = np.arange(n ** p, dtype=np.int64)
         # S x_rot(w) = x_w + l_{w_0}, times D e x_den

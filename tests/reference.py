@@ -6,9 +6,9 @@ batch each (`enumerate_cycles`, `lattice_basin_labels`, the walk of
 `pathspace`, `weight_from_digits`), and the tests hold that batch
 against these.  `closure_reference` and `cycle_table_reference` keep the
 exact tables as they were computed before the int64 tables: Python ints
-only, deduplicated through sets of tuples.  `stepping_mu_hat_batch` keeps the float product of
-`mu_hat_batch` as it was computed before the phase directions: t_k
-stepped level by level.  None of this is shipped in `ifsfourier`.
+only, deduplicated through sets of tuples.  `stepping_mu_hat_batch` keeps
+the float product of `mu_hat_batch` as it was computed before the phase
+directions: t_k stepped level by level.  None of this is shipped in `ifsfourier`.
 """
 
 from __future__ import annotations
