@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Subcommands: check-hadamard, cycles, spectrum, verify-onb, mu-hat,
-attractor, harmonic, riesz, example.  The affine subcommands take a
-registry example with a duality triple or a config file; riesz runs the
-walk of the registry entry riesz3, given by its view and weight.  Reports
+attractor, harmonic, riesz, example, each with only the flags it reads.
+The affine subcommands take a registry example with a duality triple or
+a config file, whose unknown keys are bad input; riesz runs the walk of
+the registry entry riesz3, given by its view and weight.  Reports
 are JSON on stdout (deterministic given config and seed: floats at 17
 significant digits, sorted keys); point clouds and grids go to CSV via
 --out.
@@ -50,7 +51,7 @@ from .config import ConfigError, SystemConfig, emit_config, parse_config
 from .invariant import concentration_curve, fourier_coefficient, riesz_chain
 from .pathspace import QMF_SAMPLING_TOL, QmfError
 from .registry import EXAMPLES, example_names
-from .report import dumps
+from .report import dumps, write_csv
 from .spectrum import ELEMENT_CAP
 from .system import frac_str
 from .transfer import check_qmf
@@ -82,30 +83,27 @@ def _entry_config(entry) -> SystemConfig:
     return SystemConfig(
         d=len(entry.R), R=[list(r) for r in entry.R],
         B=[list(b) for b in entry.B], L=[list(l) for l in entry.L],
-        p_max=entry.p_max, lambda_levels=entry.lambda_levels, name=entry.name,
+        p_max=entry.p_max, name=entry.name,
     )
 
 
 def _load_system(args):
-    if getattr(args, "example", None):
+    if args.example:
         name = args.example
         if name not in EXAMPLES:
             raise ConfigError("unknown example %r; known: %s" % (name, ", ".join(example_names())))
         cfg = _entry_config(EXAMPLES[name])
-    elif getattr(args, "config", None):
+    elif args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read(), name=args.config)
     else:
         raise ConfigError("one of --example or --config is required")
-    if getattr(args, "seed", None) is not None:
-        _require_at_least(0, seed=args.seed)
-        cfg.seed = args.seed
-    if getattr(args, "p_max", None) is not None:
-        _require_at_least(1, p_max=args.p_max)
-        cfg.p_max = args.p_max
-    if getattr(args, "levels", None) is not None:
-        _require_at_least(0, levels=args.levels)
-        cfg.lambda_levels = args.levels
+    for dest, field, low in (("seed", "seed", 0), ("p_max", "p_max", 1),
+                             ("levels", "lambda_levels", 0)):
+        value = getattr(args, dest, None)  # None where not given or not declared
+        if value is not None:
+            _require_at_least(low, **{dest: value})
+            setattr(cfg, field, value)
     return cfg, cfg.system()
 
 
@@ -259,12 +257,12 @@ def _require_at_least(low: int, **values) -> None:
 
 
 def cmd_attractor(args) -> dict:
-    _require_at_least(1, samples=args.samples, streams=args.streams)
+    _require_at_least(1, samples=args.samples)
     cfg, sys_obj = _load_system(args)
     view = sys_obj.b_view if args.view == "B" else sys_obj.l_view
     with _bounded("the %s-view" % args.view):
         radius = view.bounding_radius()
-    pts = chaos_game(view, args.samples, cfg.seed, n_streams=args.streams)
+    pts = chaos_game(view, args.samples, cfg.seed)
     if args.out:
         points_to_csv(args.out, pts)
     return {
@@ -304,7 +302,9 @@ def cmd_harmonic(args) -> dict:
                               "measures are not probabilities" % QMF_SAMPLING_TOL, qmf_dev)
         closed = h_closed_forms(sys_obj, xf, cycles, depth)
     try:
-        est = estimate_h(weight, sys_obj.l_view, xf, cycles, args.length, args.paths, cfg.seed)
+        with _bounded("--x %s" % args.x):
+            est = estimate_h(weight, sys_obj.l_view, xf, cycles, args.length, args.paths,
+                             cfg.seed)
     except QmfError as exc:
         # the probes passed, but a row sum at a state the walk reached did not
         raise _qmf_failed(sys_obj, str(exc), exc.deviation) from exc
@@ -335,11 +335,7 @@ def cmd_riesz(args) -> dict:
         value, stderr = fourier_coefficient(chain, freq, angular=True)
         coeffs[str(freq)] = {"value": value, "stderr": stderr}
     if args.out:
-        curve = concentration_curve(chain.states)
-        with open(args.out, "w", newline="") as fh:
-            fh.write("q,mass\n")
-            for q, mass in curve:
-                fh.write("%.17g,%.17g\n" % (q, mass))
+        write_csv(args.out, ["q", "mass"], concentration_curve(chain.states).tolist())
     return {
         "system": entry.name,
         "steps": chain.n,
@@ -365,14 +361,14 @@ def cmd_example(args) -> dict | str:
             "weight": entry.weight.description}
 
 
-def _add_system_args(p, levels=False):
+def _add_system_args(p, *overrides):
+    """--example or --config, and the flags (--seed, --p-max, --levels)
+    overriding config fields the subcommand reads."""
     source = p.add_mutually_exclusive_group()
     source.add_argument("--example", help="registry system name")
     source.add_argument("--config", help="path to a config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--p-max", dest="p_max", type=int, default=None)
-    if levels:
-        p.add_argument("--levels", type=int, default=None)
+    for flag in overrides:
+        p.add_argument(flag, type=int, default=None)
 
 
 @cache
@@ -395,19 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_hadamard)
 
     p = sub.add_parser("cycles", help="enumerate W-cycles exactly")
-    _add_system_args(p)
+    _add_system_args(p, "--p-max")
     p.add_argument("--all", action="store_true", help="include non-W cycles")
     p.set_defaults(fn=cmd_cycles)
 
     p = sub.add_parser("spectrum", help="generate the candidate spectrum")
-    _add_system_args(p, levels=True)
+    _add_system_args(p, "--p-max", "--levels")
     p.add_argument("--cap", type=int, default=ELEMENT_CAP)
     p.add_argument("--count", type=int, default=None, help="truncate printed elements")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("verify-onb", help="orthogonality and completeness of a window")
-    _add_system_args(p, levels=True)
+    _add_system_args(p, "--p-max", "--levels")
     p.add_argument("--window", type=int, default=50)
     p.add_argument("--x", action="append", default=[], help="completeness probe point")
     p.add_argument("--grid", action="store_true",
@@ -421,17 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mu_hat)
 
     p = sub.add_parser("attractor", help="chaos-game attractor sample")
-    _add_system_args(p)
+    _add_system_args(p, "--seed")
     p.add_argument("--view", choices=("B", "L"), default="B")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--streams", type=int, default=1,
-                   help="number of seeded streams the samples are split into, "
-                        "concatenated in stream order; nothing runs in parallel")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_attractor)
 
     p = sub.add_parser("harmonic", help="estimate the cycle harmonic functions h_C")
-    _add_system_args(p)
+    _add_system_args(p, "--seed", "--p-max")
     p.add_argument("--x", required=True, help="start point, comma separated")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--length", type=int, default=64)

@@ -14,12 +14,13 @@ Grammar (one assignment per line, '#' starts a comment):
 
 Scalars are integers, floats, or exact fractions written a/b.  R may be
 given nested or as a flat row-major list of d*d numbers; digit vectors
-may be bare scalars when d = 1.  Any other key is kept in `extras`.
+may be bare scalars when d = 1.  Any other key is refused, so a misspelt
+key cannot silently leave its default in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = ["ConfigError", "SystemConfig", "parse_config", "emit_config"]
@@ -27,6 +28,9 @@ __all__ = ["ConfigError", "SystemConfig", "parse_config", "emit_config"]
 
 class ConfigError(ValueError):
     """Invalid config text; the message names the offending field."""
+
+
+_KEYS = ("d", "R", "B", "L", "p_max", "lambda_levels", "seed", "unitarity_tol", "tail_tol")
 
 
 @dataclass
@@ -41,7 +45,6 @@ class SystemConfig:
     unitarity_tol: float = 1e-12
     tail_tol: float = 1e-10
     name: str = ""
-    extras: dict = field(default_factory=dict)
 
     def system(self):
         """The AffineSystem of this config; any entry `AffineSystem.create`
@@ -122,37 +125,37 @@ def parse_config(text: str, name: str = "") -> SystemConfig:
             raise ConfigError("line %d: expected key = value" % lineno)
         key, _, rhs = line.partition("=")
         key = key.strip()
+        if key not in _KEYS:
+            raise ConfigError("field %r: unknown; known: %s" % (key, ", ".join(_KEYS)))
         if not rhs.strip():
             raise ConfigError("field %r: missing value" % key)
         fields[key] = _parse_value(rhs, key)
-    for required in ("d", "R", "B", "L"):
+    for required in _KEYS[:4]:
         if required not in fields:
             raise ConfigError("field %r: missing" % required)
-    d = fields.pop("d")
+    d = fields["d"]
     if not isinstance(d, int) or d < 1:
         raise ConfigError("field 'd': must be a positive integer")
-    r = fields.pop("R")
-    r = _shape_matrix(r, d)
-    b = _shape_digits(fields.pop("B"), d, "B")
-    l_digits = _shape_digits(fields.pop("L"), d, "L")
+    r = _shape_matrix(fields["R"], d)
+    b = _shape_digits(fields["B"], d, "B")
+    l_digits = _shape_digits(fields["L"], d, "L")
     if len(b) != len(l_digits):
         raise ConfigError("field 'B': cardinality %d does not match L's %d"
                           % (len(b), len(l_digits)))
     cfg = SystemConfig(d=d, R=r, B=b, L=l_digits, name=name)
     for key, low in (("p_max", 1), ("lambda_levels", 0), ("seed", 0)):
         if key in fields:
-            v = fields.pop(key)
+            v = fields[key]
             if not isinstance(v, int) or v < low:
                 raise ConfigError("field %r: must be an integer >= %d" % (key, low))
             setattr(cfg, key, v)
     for key in ("unitarity_tol", "tail_tol"):
         if key in fields:
-            v = fields.pop(key)
+            v = fields[key]
             if isinstance(v, (int, float, Fraction)):
                 setattr(cfg, key, float(v))
             else:
                 raise ConfigError("field %r: must be a number" % key)
-    cfg.extras = fields
     return cfg
 
 

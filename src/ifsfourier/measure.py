@@ -65,13 +65,13 @@ triple, is the unitarity of its duality matrix.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .ratlinalg import _exp_2pi_i, _over_common_denominator
+from .report import write_csv
 from .system import AffineSystem, IfsView, _positive_tolerance
 
 __all__ = [
@@ -265,21 +265,21 @@ def weight_from_digits(digits) -> Weight:
     return Weight(*_cosine_polynomial(b), "|m_B|^2/N")
 
 
-def chaos_game(view: IfsView, n_samples: int, seed: int, n_streams: int = 1) -> np.ndarray:
+def chaos_game(view: IfsView, n_samples: int, seed: int) -> np.ndarray:
     """Sample the invariant measure by random backward iteration.
 
     i.i.d. uniform digits push forward to mu under the symbol map, so the
     empirical measure of the orbit converges weakly to mu.  Deterministic
-    given (seed, n_streams): the seed is split into per-stream children
-    and the streams' outputs are concatenated in stream order.
+    given the seed: the digits are drawn from the first child of its
+    `SeedSequence`.
 
-    A stream's orbit from x_0 = 0 is the affine recurrence
+    The orbit from x_0 = 0 is the affine recurrence
     x_k = A x_{k-1} + s_k, with A = M^{-1} and s_k = A b for the k-th drawn
     digit b.  It is evaluated by a doubling scan rather than one step at a
     time: row k starts as s_k, and the pass with lag h adds A^h times row
     k - h to row k, for h = 1, 2, 4, ...  After the pass with lag K/2,
-    row k holds sum_{j<K} A^j s_{k-j}.  The scan stops once K reaches the
-    stream length or ||A^K||_2 <= eps/4.  What it then drops from row
+    row k holds sum_{j<K} A^j s_{k-j}.  The scan stops once K reaches
+    n_samples or ||A^K||_2 <= eps/4.  What it then drops from row
     k >= K is A^K x_{k-K}, with x_{k-K} an exact orbit point from 0,
     within R = `view.bounding_radius()` of 0.  So truncation moves each
     point by at most (eps/4) R, on top of the rounding of the additions.
@@ -289,24 +289,18 @@ def chaos_game(view: IfsView, n_samples: int, seed: int, n_streams: int = 1) -> 
     points agree with step-by-step iteration to a few ulps of R, not bit
     for bit.
     """
-    if n_samples < 1 or n_streams < 1:
-        raise ValueError("n_samples and n_streams must be >= 1")
-    counts = [n_samples // n_streams] * n_streams
-    counts[-1] += n_samples - sum(counts)
-    children = np.random.SeedSequence(seed).spawn(n_streams)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     inv_t = view.inv.T
     shifts = view.digits @ inv_t  # tau_i(x) = x @ inv_t + shifts[i]
     stop_norm = np.finfo(float).eps / 4
-    chunks = []
-    for child, count in zip(children, counts):
-        rng = np.random.default_rng(child)
-        out = shifts[rng.integers(0, view.n_digits, size=count)]
-        power, lag = inv_t, 1
-        while lag < count and np.linalg.norm(power, 2) > stop_norm:
-            out[lag:] += out[:-lag] @ power
-            power, lag = power @ power, 2 * lag
-        chunks.append(out)
-    return np.concatenate(chunks, axis=0)
+    out = shifts[rng.integers(0, view.n_digits, size=n_samples)]
+    power, lag = inv_t, 1
+    while lag < n_samples and np.linalg.norm(power, 2) > stop_norm:
+        out[lag:] += out[:-lag] @ power
+        power, lag = power @ power, 2 * lag
+    return out
 
 
 @dataclass(frozen=True)
@@ -705,8 +699,4 @@ def empirical_char(points: np.ndarray, t) -> complex:
 def points_to_csv(path, points: np.ndarray) -> None:
     """One row per point, d columns, 17 significant digits."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x%d" % i for i in range(pts.shape[1])])
-        for row in pts:
-            writer.writerow(["%.17g" % v for v in row])
+    write_csv(path, ["x%d" % i for i in range(pts.shape[1])], pts.tolist())

@@ -66,6 +66,7 @@ import numpy as np
 
 from .cycles import Cycle
 from .measure import Weight, _branch_pass, _zero_cutoff, mu_hat_batch
+from .report import write_csv
 from .spectrum import _closure, _table_floats
 from .system import AffineSystem, IfsView
 
@@ -157,10 +158,8 @@ class PathEnsemble:
     def words_to_csv(self, path) -> None:
         """One sampled word per row, digit indices in step order: the first
         WORDS_CSV_ROWS (10^4) words."""
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join("w%d" % k for k in range(self.length)) + "\n")
-            for row in self.words[:WORDS_CSV_ROWS]:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
+        write_csv(path, ["w%d" % k for k in range(self.length)],
+                  self.words[:WORDS_CSV_ROWS].tolist())
 
 
 def _segment_count(weight: Weight, x, length: int, count: int) -> int:
@@ -493,7 +492,14 @@ def _walk(weight: Weight, view: IfsView, x, length: int, count: int, seed,
     words and states are bit-identical to a walk of every step.
     `retired_at` is the step at which the walk stopped, a multiple of
     RETIRE_STRIDE, or None when it took all `length` steps.
+
+    Raises OverflowError when the zero cut at x (`_cut_pass`) reaches 1/N:
+    a QMF weight has a branch weight >= 1/N, which survives a lower cut.
     """
+    floor, s = _zero_cutoff(weight, view)
+    if floor + s @ np.abs(np.asarray(x, dtype=float).reshape(view.d)) >= 1.0 / view.n_digits:
+        raise OverflowError("the zero cut %g + %s.|x| at the start reaches 1/N = %g"
+                            % (floor, s, 1.0 / view.n_digits))
     rng = np.random.default_rng(seed)
     n_seg = _segment_count(weight, x, length, count)
     if n_seg > 1:

@@ -29,7 +29,6 @@ class ExampleEntry:
     B: tuple = ()
     L: tuple = ()
     p_max: int = 6
-    lambda_levels: int = 5
     golden: dict = field(default_factory=dict)
     view: IfsView | None = None
     weight: Weight | None = None

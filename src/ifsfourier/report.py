@@ -1,17 +1,18 @@
-"""Deterministic JSON emission for CLI reports.
+"""Deterministic JSON reports and CSV files for the CLI.
 
 Floats are printed at 17 significant digits, exact rationals as fraction
 strings, dict keys in sorted order, so identical inputs produce
-byte-identical reports.
+byte-identical reports and files.
 """
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["dumps"]
+__all__ = ["dumps", "write_csv"]
 
 
 def _render(obj, indent: int) -> str:
@@ -49,3 +50,12 @@ def _render(obj, indent: int) -> str:
 
 def dumps(obj) -> str:
     return _render(obj, 0) + "\n"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and `rows` as CSV (\\r\\n line ends), floats at
+    17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row] for row in rows)

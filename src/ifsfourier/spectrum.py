@@ -28,7 +28,6 @@ of the cycle under y -> S y - l, run in int64 by `lattice_basin_labels`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,6 +38,7 @@ from .cycles import Cycle
 from .measure import _mu_hat_rows, mu_hat_batch, mu_hat_detail
 from .ratlinalg import (_from_common_denominator, _lex_order, _max_abs,
                         _over_common_denominator, _table_dtype)
+from .report import write_csv
 from .system import AffineSystem, frac_str, fvec
 
 __all__ = [
@@ -99,11 +99,8 @@ class SpectrumSet:
         return [Fraction(v, self.q) for v in first[first >= 0][:count].tolist()]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["l%d" % i for i in range(self.d)])
-            for row in self.rows.tolist():
-                writer.writerow(["%.17g" % (v / self.q) for v in row])
+        write_csv(path, ["l%d" % i for i in range(self.d)],
+                  ([v / self.q for v in row] for row in self.rows.tolist()))
 
 
 def generate_lambda(

@@ -28,13 +28,13 @@ differ from that order by a few ulps.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import Weight, _branch_weights
+from .report import write_csv
 from .system import IfsView
 
 __all__ = [
@@ -95,14 +95,13 @@ class GridFunction:
         return out if len(out) > 1 else out[:1].reshape(())
 
     def to_csv(self, path) -> None:
-        """Rows of (coordinates..., value) at 17 significant digits."""
-        nodes = self.nodes()
-        vals = self.values.ravel()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x%d" % a for a in range(self.d)] + ["value"])
-            for node, v in zip(nodes, vals):
-                writer.writerow(["%.17g" % c for c in node] + ["%.17g" % np.real_if_close(v)])
+        """Rows of (coordinates..., value) at 17 significant digits; complex
+        values as two columns, value_re and value_im."""
+        vals, head = self.values.reshape(-1, 1), ["value"]
+        if np.iscomplexobj(vals):
+            vals, head = np.hstack([vals.real, vals.imag]), ["value_re", "value_im"]
+        write_csv(path, ["x%d" % a for a in range(self.d)] + head,
+                  np.hstack([self.nodes(), vals]).tolist())
 
     @staticmethod
     def sample(fn, lo, hi, resolution) -> "GridFunction":

@@ -211,3 +211,42 @@ def test_only_cli_main_decides_the_outcome():
             if isinstance(node, ast.Name) and node.id.startswith("EXIT_"):
                 offences.append((fn.name, node.lineno, node.id))
     assert offences == []
+
+
+# the config fields `cli._load_system` copies these flags to: a command reads
+# the flag where it reads the field
+CONFIG_FIELDS = {"seed": "seed", "p_max": "p_max", "levels": "lambda_levels"}
+
+
+def _reads(fn, name) -> set:
+    """The attributes a function reads off the plain name `name`."""
+    return {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == name}
+
+
+def _called(fn) -> set:
+    """The plain names a function calls."""
+    return {node.func.id for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_every_cli_option_is_read_by_its_command():
+    # the CLI's version of the caller rule: every option a subcommand
+    # declares is read by its cmd_*, as args.<dest>, through `_load_system`
+    # (--example, --config), or as the config field _load_system copies it to
+    cli = importlib.import_module("ifsfourier.cli")
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    unread, options = [], 0
+    for command, parser in subparsers.choices.items():
+        fn = functions[parser.get_default("fn").__name__]
+        read = _reads(fn, "args")
+        if "_load_system" in _called(fn):
+            read |= _reads(functions["_load_system"], "args")
+            read |= {dest for dest, field in CONFIG_FIELDS.items() if field in _reads(fn, "cfg")}
+        dests = [a.dest for a in parser._actions if a.dest not in ("help", "fn")]
+        unread += [(command, dest) for dest in dests if dest not in read]
+        options += command != "example" and len(set(dests) - {"example", "config"})
+    assert unread == []
+    assert options == 31  # 40 before the flags no command read were dropped

@@ -72,11 +72,24 @@ def test_parse_config_fractions():
 
 
 def test_parse_config_tolerances():
-    cfg = parse_config(GOOD_CONFIG + "unitarity_tol = 1e-10\ntail_tol = 1e-9\ncycle_tol = 1e-8\n")
+    cfg = parse_config(GOOD_CONFIG + "unitarity_tol = 1e-10\ntail_tol = 1e-9\n")
     sys = cfg.system()
     assert sys.unitarity_tol == 1e-10
     assert sys.tail_tol == 1e-9
-    assert cfg.extras == {"cycle_tol": 1e-8}  # no longer a field: kept like any unknown key
+    with pytest.raises(ConfigError, match="'cycle_tol': unknown"):  # no longer a field
+        parse_config(GOOD_CONFIG + "cycle_tol = 1e-8\n")
+
+
+@pytest.mark.parametrize("key", ["p_mx", "tail_tl", "cycle_tol", "extras"])
+def test_unknown_config_key_is_bad_input(tmp_path, capsys, key):
+    # an unknown key used to be kept in a field nothing read, so a misspelt
+    # one ran silently with the default it meant to change
+    p = tmp_path / "typo.cfg"
+    p.write_text(GOOD_CONFIG + "%s = 8\n" % key)
+    code, out, err = run_main(capsys, "cycles", "--config", str(p))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith("field %r: unknown; known: d, R, B, L, p_max" % key)
 
 
 def test_parse_config_cardinality_error():
@@ -356,7 +369,7 @@ def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (("attractor", "--samples", "100", "--streams", "-1"), "--streams"),
+    (("attractor", "--samples", "-1"), "--samples"),
     (("harmonic", "--x", "0.3", "--paths", "-1"), "--paths"),
     (("attractor", "--samples", "0"), "--samples"),
     (("harmonic", "--x", "0.3", "--paths", "0"), "--paths"),
@@ -372,10 +385,13 @@ def test_riesz_rejects_fewer_than_two_chains(capsys, argv):
     (("spectrum", "--levels", "3", "--cap", "-1"), "--cap"),
     (("verify-onb", "--levels", "3", "--grid", "--grid-span", "-1"), "--grid-span"),
     (("check-hadamard", "--horizon", "-1"), "--horizon"),
-    (("attractor", "--samples", "100", "--streams", "0"), "--streams"),
+    (("harmonic", "--x", "0.3", "--p-max", "0"), "--p-max"),
     # a closed-form depth below 1 used to run one block silently
     (("harmonic", "--x", "0.3", "--depth", "0"), "--depth"),
     (("harmonic", "--x", "0.3", "--depth", "-5"), "--depth"),
+    (("harmonic", "--x", "0.3", "--seed", "-1"), "--seed"),
+    (("spectrum", "--levels", "3", "--p-max", "0"), "--p-max"),
+    (("verify-onb", "--p-max", "0"), "--p-max"),
 ])
 def test_nonpositive_counts_are_bad_input(capsys, argv, flag):
     low = 0 if flag in ("--count", "--window", "--levels", "--seed", "--grid-span",
@@ -396,7 +412,7 @@ def test_nonpositive_counts_are_bad_input(capsys, argv, flag):
     ("attractor", "--samples", "100", "--threads", "-1"),
 ])
 def test_threads_only_on_sampling_subcommands(capsys, argv):
-    # no subcommand reads --threads; attractor's samples are split by --streams
+    # no subcommand reads --threads
     code = main([*argv, "--example", "cantor4"])
     captured = capsys.readouterr()
     assert code == 2
@@ -406,12 +422,33 @@ def test_threads_only_on_sampling_subcommands(capsys, argv):
 
 @pytest.mark.parametrize("streams", ["1", "3"])
 def test_attractor_threads_is_no_longer_an_alias_of_streams(capsys, streams):
+    # --streams is gone too: the sample is drawn from --seed alone
     argv = ["attractor", "--example", "twindragon", "--samples", "300", "--seed", "5"]
-    assert main([*argv, "--streams", streams]) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    assert main([*argv, "--threads", streams]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "unrecognized arguments: --threads" in captured.err
+    for flag in ("--streams", "--threads"):
+        assert main([*argv, flag, streams]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: %s" % flag in captured.err
+
+
+# the flags that no command read, on the subcommands they were dropped from,
+# each with a value the flag would accept where it is read
+REMOVED_FLAGS = [
+    ("check-hadamard", "--seed", "7"), ("cycles", "--seed", "7"),
+    ("spectrum", "--seed", "7"), ("verify-onb", "--seed", "7"),
+    ("mu-hat", "--t", "1", "--seed", "7"),
+    ("check-hadamard", "--p-max", "4"), ("mu-hat", "--t", "1", "--p-max", "4"),
+    ("attractor", "--samples", "100", "--p-max", "4"),
+    ("attractor", "--samples", "100", "--streams", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=[a[0] + a[-2] for a in REMOVED_FLAGS])
+def test_removed_flags_are_unrecognized(capsys, argv):
+    code, out, err = run_main(capsys, *argv, "--example", "cantor4")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: %s %s" % argv[-2:] in err
 
 
 def test_riesz_threads_is_unknown(capsys):
@@ -579,6 +616,8 @@ def test_failed_check_exits_1_with_its_report_on_stdout(tmp_path, capsys, argv, 
     # cantor3 is no Hadamard triple: its branch weights W_B(tau_l x) do not
     # sum to 1, so P_x is no probability and the walk does not start
     ("cantor3", "0.3", "100", "4", 0.4, math.inf),
+    # the probes fail before the walk, so a far start is still a failed check
+    ("cantor3", "1e15", "100", "4", 0.4, math.inf),
 ])
 def test_harmonic_without_qmf_reports_the_deviation(capsys, example, x, paths, length,
                                                    low, high):
@@ -597,6 +636,25 @@ def test_harmonic_from_a_far_start_passes_its_qmf_check(capsys):
                               "--paths", "2000", "--length", "32")
     assert code == 0 and err == ""
     assert json.loads(out)["qmf_deviation"] < 1e-9
+
+
+@pytest.mark.parametrize("example,x,code", [
+    ("cantor4", "1e15", 2), ("twindragon", "1e15,0", 2), ("planar-shear", "1e15,0", 2),
+    ("cantor4", "3e14", 0),
+])
+def test_harmonic_past_the_zero_cut_is_bad_input(capsys, example, x, code):
+    # from |x| near 3.6e14 on cantor4 the walk's zero cut at the start,
+    # 2.28e-15 + 1.40e-15 |x|, reaches 1/N = 1/2 and may cut every branch:
+    # this exited 1, reported as a weight that is not QMF-normalized
+    got, out, err = run_main(capsys, "harmonic", "--example", example, "--x", x,
+                             "--paths", "100", "--length", "8")
+    assert got == code
+    if code == 2:
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error.startswith("--x %s: the zero cut " % x) and "reaches 1/N" in error
+    else:
+        assert err == "" and json.loads(out)["qmf_deviation"] < 1e-9
 
 
 CANTOR4_TRIPLE = "d = 1\nR = [[4]]\nB = [[0], [2]]\nL = [[0], [1]]\n"

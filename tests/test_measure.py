@@ -82,9 +82,13 @@ def test_chaos_game_deterministic_and_stream_split(cantor4):
     a = chaos_game(cantor4.b_view, 1000, seed=9)
     b = chaos_game(cantor4.b_view, 1000, seed=9)
     assert np.array_equal(a, b)
-    c = chaos_game(cantor4.b_view, 1000, seed=9, n_streams=4)
-    assert c.shape == a.shape
-    assert not np.array_equal(a, c)  # different stream layout, same law
+    assert not np.array_equal(a, chaos_game(cantor4.b_view, 1000, seed=10))
+    # the digits come from the seed's first SeedSequence child, the stream of
+    # the one-stream split the samples were drawn from when streams could be
+    # asked for: the same seed gives the same points as then
+    assert chaos_game(cantor4.b_view, 8, seed=3)[:, 0].tolist() == [
+        0.5, 0.625, 0.15625, 0.0390625, 0.009765625, 0.50244140625, 0.1256103515625,
+        0.531402587890625]
 
 
 def test_chaos_game_planar_area(planar_shear):
@@ -705,10 +709,10 @@ def test_points_csv_roundtrip(tmp_path, cantor4):
     assert np.allclose(got, pts, atol=1e-16)
 
 
-def test_chaos_game_rejects_no_streams(cantor4):
-    for n_streams in (0, -1):
-        with pytest.raises(ValueError, match="n_streams"):
-            chaos_game(cantor4.b_view, 100, seed=1, n_streams=n_streams)
+def test_chaos_game_rejects_no_samples(cantor4):
+    for n_samples in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            chaos_game(cantor4.b_view, n_samples, seed=1)
 
 
 AFFINE = sorted(name for name, entry in EXAMPLES.items() if entry.kind == "affine")
@@ -716,49 +720,44 @@ AFFINE = sorted(name for name, entry in EXAMPLES.items() if entry.kind == "affin
 
 # --- the chaos-game scan against step-by-step iteration ----------------------
 
-def chaos_game_loop(view, n_samples, seed, n_streams=1):
+def chaos_game_loop(view, n_samples, seed):
     """Reference: the orbit x_k = tau_{d_k}(x_{k-1}) from x_0 = 0, one sample
-    at a time, with the same digit draws and stream split as `chaos_game`."""
-    counts = [n_samples // n_streams] * n_streams
-    counts[-1] += n_samples - sum(counts)
+    at a time, with the same digit draws as `chaos_game`."""
     inv_t = view.inv.T
     shifts = view.digits @ inv_t
-    chunks = []
-    for child, count in zip(np.random.SeedSequence(seed).spawn(n_streams), counts):
-        digits = np.random.default_rng(child).integers(0, view.n_digits, size=count)
-        out = np.empty((count, view.d))
-        x = np.zeros(view.d)
-        for k in range(count):
-            x = x @ inv_t + shifts[digits[k]]
-            out[k] = x
-        chunks.append(out)
-    return np.concatenate(chunks, axis=0)
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    digits = np.random.default_rng(child).integers(0, view.n_digits, size=n_samples)
+    out = np.empty((n_samples, view.d))
+    x = np.zeros(view.d)
+    for k in range(n_samples):
+        x = x @ inv_t + shifts[digits[k]]
+        out[k] = x
+    return out
 
 
-def assert_scan_matches_loop(view, n_samples, seed, n_streams=1):
+def assert_scan_matches_loop(view, n_samples, seed):
     """Same shape, and within 8 eps R: the truncation bound (eps/4) R plus
     rounding."""
-    fast = chaos_game(view, n_samples, seed, n_streams=n_streams)
-    ref = chaos_game_loop(view, n_samples, seed, n_streams=n_streams)
+    fast = chaos_game(view, n_samples, seed)
+    ref = chaos_game_loop(view, n_samples, seed)
     assert fast.shape == ref.shape == (n_samples, view.d)
     assert np.max(np.abs(fast - ref)) <= 8 * np.finfo(float).eps * view.bounding_radius()
 
 
 @pytest.mark.parametrize("name", AFFINE)
-@pytest.mark.parametrize("n_streams", [1, 3])
-def test_chaos_game_scan_matches_loop(name, n_streams):
+@pytest.mark.parametrize("seed", [1, 3])
+def test_chaos_game_scan_matches_loop(name, seed):
     sys_ = get_system(name)
     for view in (sys_.b_view, sys_.l_view):
-        assert_scan_matches_loop(view, 3000, 41, n_streams=n_streams)
+        assert_scan_matches_loop(view, 3000, seed)
 
 
 @pytest.mark.parametrize("name", ["cantor4", "twindragon"])
 def test_chaos_game_scan_short_streams(name):
-    # 2 samples in 3 streams leaves the first two streams empty
+    # a stream shorter than the scan's first lags
     view = get_system(name).l_view
-    assert_scan_matches_loop(view, 2, 5, n_streams=3)
-    assert_scan_matches_loop(view, 1, 5)
-    assert_scan_matches_loop(view, 1, 5, n_streams=3)
+    for n_samples in (1, 2, 3):
+        assert_scan_matches_loop(view, n_samples, 5)
 
 
 # --- the cosine-polynomial W kernel against the exponential symbol ---------

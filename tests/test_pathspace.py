@@ -136,6 +136,18 @@ def test_sample_paths_refuses_a_negative_tail_window(cantor4, cantor4_weight):
         sample_paths(cantor4_weight, cantor4.l_view, [0.3], 16, 10, seed=0, tail_window=-1)
 
 
+def test_walk_refuses_a_start_past_the_zero_cut(cantor4, cantor4_weight):
+    # on cantor4 the cut at the start, floor + s |x| with floor = 2.28e-15 and
+    # s = 1.40e-15, reaches 1/N = 1/2 near |x| = 3.6e14, where it may cut
+    # every branch weight
+    floor, s = pathspace._zero_cutoff(cantor4_weight, cantor4.l_view)
+    edge = (0.5 - floor) / s[0]
+    assert 3.5e14 < edge < 3.6e14
+    for x in (1.001 * edge, -1.001 * edge):
+        with pytest.raises(OverflowError, match="reaches 1/N = 0.5"):
+            sample_paths(cantor4_weight, cantor4.l_view, [x], 4, 10, seed=0)
+
+
 def test_estimate_h_at_cycle_point(cantor4, cantor4_weight, cantor4_w_cycles):
     est = estimate_h(
         cantor4_weight, cantor4.l_view, [0.0], cantor4_w_cycles, 32, 2000, seed=11

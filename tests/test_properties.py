@@ -103,9 +103,9 @@ def test_factored_kernel_and_qmf_on_generated_triples(sys_, seed):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(sys_=hadamard_triples_1d(), seed=st.integers(0, 2 ** 16),
-       n_samples=st.integers(1, 600), n_streams=st.integers(1, 3))
-def test_chaos_game_scan_matches_loop_on_generated_triples(sys_, seed, n_samples, n_streams):
-    assert_scan_matches_loop(sys_.b_view, n_samples, seed, n_streams=n_streams)
+       n_samples=st.integers(1, 600))
+def test_chaos_game_scan_matches_loop_on_generated_triples(sys_, seed, n_samples):
+    assert_scan_matches_loop(sys_.b_view, n_samples, seed)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

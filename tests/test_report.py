@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ifsfourier.report import dumps
+from ifsfourier.report import dumps, write_csv
 
 
 def test_float_formatting_17_digits():
@@ -28,6 +28,12 @@ def test_numpy_values_render():
     out = dumps({"v": np.array([0.5, 1.5]), "n": np.int64(7)})
     assert '"n": 7' in out
     assert "0.5" in out and "1.5" in out
+
+
+def test_write_csv_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [[1 / 3, 2], [np.float64(0.1), "x"]])
+    assert path.read_bytes() == b"a,b\r\n0.33333333333333331,2\r\n0.10000000000000001,x\r\n"
 
 
 def test_determinism():

@@ -210,6 +210,18 @@ def test_grid_csv(tmp_path, cantor4):
     assert float(lines[2].split(",")[1]) == pytest.approx(0.0625)
 
 
+def test_complex_grid_csv(tmp_path):
+    # a complex grid, which the class holds, raised TypeError on export
+    g = GridFunction.sample(lambda p: np.exp(2j * np.pi * p[:, 0]), [0.0], [1.0], 5)
+    path = tmp_path / "g.csv"
+    g.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x0,value_re,value_im" and len(lines) == 6
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(rows[:, 0], np.linspace(0.0, 1.0, 5))
+    assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], g.values)  # 17 digits round-trip
+
+
 # --- the stencil against the per-branch interpolation it replaced ------------
 
 def reference_eval(f, pts):
